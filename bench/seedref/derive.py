@@ -1,0 +1,285 @@
+"""Regularized operators, condition residuals, and closed-form error budgets.
+
+From raw CHSH observables this module constructs the Hermitian-unitary
+operators X'_A = A0, Z'_A = A1, X'_B = sign(B0 + B1), Z'_B = sign(B0 - B1)
+(with the +1 kernel convention), measures the four condition residuals
+
+    anticomm_a = || (X'_A Z'_A + Z'_A X'_A) |psi> ||
+    anticomm_b = || (X'_B Z'_B + Z'_B X'_B) |psi> ||
+    diff_x     = || (X'_A - X'_B) |psi> ||
+    diff_z     = || (Z'_A - Z'_B) |psi> ||
+
+and converts an observed correlation deficit epsilon into the (eps1, eps2)
+budgets that those residuals are guaranteed to satisfy.  Both the headline
+(leading-order) budget formulas and the exact chained forms are computed,
+since the two differ at order eps^(3/2).
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from .device import DeviceModel, require_valid
+from .linalg import ZERO_TOL_DEFAULT, operator_sign, tensor_embed
+
+SQRT2 = float(np.sqrt(2.0))
+
+
+@dataclass(frozen=True)
+class DerivedOperators:
+    """The four regularized operators, each Hermitian and unitary.
+
+    For non-degenerate CHSH devices xb and zb anticommute exactly at the
+    operator level (they are signs of exactly anticommuting sums); the +1
+    kernel convention can break this only when B0 +/- B1 is singular.
+    """
+
+    xa: np.ndarray
+    za: np.ndarray
+    xb: np.ndarray
+    zb: np.ndarray
+
+    @property
+    def dims(self) -> tuple[int, int]:
+        return (self.xa.shape[0], self.xb.shape[0])
+
+
+@dataclass(frozen=True)
+class ResidualSet:
+    """Measured condition residuals; each lies in [0, 2] for unit operators."""
+
+    anticomm_a: float
+    anticomm_b: float
+    diff_x: float
+    diff_z: float
+
+    @property
+    def eps1(self) -> float:
+        """Single anticommutation budget covering both parties."""
+        return max(self.anticomm_a, self.anticomm_b) / 2.0
+
+    @property
+    def eps2(self) -> float:
+        """Single difference budget covering both operator pairs."""
+        return max(self.diff_x, self.diff_z)
+
+
+@dataclass(frozen=True)
+class EpsilonBudget:
+    """Closed-form (eps1, eps2) budgets implied by an observed deviation.
+
+    ``eps1``/``eps2``/``eps_prime`` are the headline leading-order formulas;
+    the ``*_exact`` fields are the untruncated chained forms.  ``delta`` is
+    the commutator-chain quantity 4*sqrt(2)*eps - eps**2 and is only defined
+    for CHSH-derived budgets.
+    """
+
+    epsilon: float
+    eps1: float
+    eps2: float
+    eps_prime: float
+    eps1_exact: float
+    eps2_exact: float
+    eps_prime_exact: float
+    delta: float | None = None
+
+
+def _check_epsilon(epsilon: float) -> float:
+    epsilon = float(epsilon)
+    if not 0.0 <= epsilon < 1.0:
+        raise ValueError(f"deviation epsilon must lie in [0, 1), got {epsilon}")
+    return epsilon
+
+
+def chsh_budget(epsilon: float) -> EpsilonBudget:
+    """Budgets implied by a CHSH deficit epsilon = 2*sqrt(2) - CHSH.
+
+    Headline forms: eps1 = 2*(eps*sqrt(2))**(1/2), eps2 = 4*(eps*sqrt(2))**(1/4),
+    eps_prime = (eps*sqrt(2))**(1/2).  Exact forms: eps1 = sqrt(delta) with
+    delta = 4*sqrt(2)*eps - eps**2, eps_prime = eps/sqrt(2) + sqrt(1+eps1) - 1,
+    eps2 = 2*sqrt(eps1 + 2*eps_prime).
+    """
+    epsilon = _check_epsilon(epsilon)
+    delta = 4.0 * SQRT2 * epsilon - epsilon**2
+    eps1 = 2.0 * (epsilon * SQRT2) ** 0.5
+    eps2 = 4.0 * (epsilon * SQRT2) ** 0.25
+    eps_prime = (epsilon * SQRT2) ** 0.5
+    eps1_exact = delta**0.5
+    eps_prime_exact = epsilon / SQRT2 + (1.0 + eps1_exact) ** 0.5 - 1.0
+    eps2_exact = 2.0 * (eps1_exact + 2.0 * eps_prime_exact) ** 0.5
+    return EpsilonBudget(
+        epsilon=epsilon,
+        eps1=eps1,
+        eps2=eps2,
+        eps_prime=eps_prime,
+        eps1_exact=eps1_exact,
+        eps2_exact=eps2_exact,
+        eps_prime_exact=eps_prime_exact,
+        delta=delta,
+    )
+
+
+def my_budget(epsilon: float) -> EpsilonBudget:
+    """Budgets implied by a Mayers-Yao deviation epsilon.
+
+    Headline forms: eps1 = 2*(1+sqrt(2))*(2*eps)**(1/4) + 4*sqrt(2*eps)
+    + ((5+3*sqrt(2))/2)*(2*eps)**(3/4) and eps2 = sqrt(2*eps).  The chain
+    intermediate eps_prime = sqrt((1+2*sqrt(2))*eps + sqrt(2*eps)) is exact;
+    the exact per-condition eps1 is (1+sqrt(2))*eps_prime + 2*sqrt(2*eps)
+    (half the headline value, which bounds the residual norm itself).
+    """
+    epsilon = _check_epsilon(epsilon)
+    two_eps = 2.0 * epsilon
+    eps_prime = ((1.0 + 2.0 * SQRT2) * epsilon + two_eps**0.5) ** 0.5
+    eps1 = (
+        2.0 * (1.0 + SQRT2) * two_eps**0.25
+        + 4.0 * two_eps**0.5
+        + ((5.0 + 3.0 * SQRT2) / 2.0) * two_eps**0.75
+    )
+    eps2 = two_eps**0.5
+    eps1_exact = (1.0 + SQRT2) * eps_prime + 2.0 * two_eps**0.5
+    return EpsilonBudget(
+        epsilon=epsilon,
+        eps1=eps1,
+        eps2=eps2,
+        eps_prime=eps_prime,
+        eps1_exact=eps1_exact,
+        eps2_exact=eps2,
+        eps_prime_exact=eps_prime,
+        delta=None,
+    )
+
+
+def derive_chsh_operators(
+    device: DeviceModel, zero_tol: float = ZERO_TOL_DEFAULT
+) -> DerivedOperators:
+    """Regularize raw CHSH observables into the four derived operators."""
+    require_valid(device)
+    for name in ("A0", "A1"):
+        if name not in device.alice_obs:
+            raise KeyError(f"device has no Alice observable {name!r}")
+    for name in ("B0", "B1"):
+        if name not in device.bob_obs:
+            raise KeyError(f"device has no Bob observable {name!r}")
+    b0 = device.bob_obs["B0"]
+    b1 = device.bob_obs["B1"]
+    return DerivedOperators(
+        xa=device.alice_obs["A0"],
+        za=device.alice_obs["A1"],
+        xb=operator_sign(b0 + b1, zero_tol),
+        zb=operator_sign(b0 - b1, zero_tol),
+    )
+
+
+def my_operators(device: DeviceModel) -> DerivedOperators:
+    """Identity pass-through of the named Mayers-Yao observables.
+
+    No regularization step exists here: the named XA, ZA, XB, ZB are used
+    directly as the extraction operators.  DB participates only in the
+    diagnostic residuals, never in the extraction circuit.
+    """
+    require_valid(device)
+    for name in ("XA", "ZA"):
+        if name not in device.alice_obs:
+            raise KeyError(f"device has no Alice observable {name!r}")
+    for name in ("XB", "ZB"):
+        if name not in device.bob_obs:
+            raise KeyError(f"device has no Bob observable {name!r}")
+    return DerivedOperators(
+        xa=device.alice_obs["XA"],
+        za=device.alice_obs["ZA"],
+        xb=device.bob_obs["XB"],
+        zb=device.bob_obs["ZB"],
+    )
+
+
+def condition_residuals(state: np.ndarray, ops: DerivedOperators) -> ResidualSet:
+    """Measure the four condition residuals of the derived operators on a state."""
+    dims = ops.dims
+    state = np.asarray(state, dtype=complex).reshape(-1)
+    if state.shape[0] != dims[0] * dims[1]:
+        raise ValueError(
+            f"state dimension {state.shape[0]} does not match operator dims {dims}"
+        )
+    xa = tensor_embed(ops.xa, "A", dims)
+    za = tensor_embed(ops.za, "A", dims)
+    xb = tensor_embed(ops.xb, "B", dims)
+    zb = tensor_embed(ops.zb, "B", dims)
+    return ResidualSet(
+        anticomm_a=float(np.linalg.norm((xa @ za + za @ xa) @ state)),
+        anticomm_b=float(np.linalg.norm((xb @ zb + zb @ xb) @ state)),
+        diff_x=float(np.linalg.norm((xa - xb) @ state)),
+        diff_z=float(np.linalg.norm((za - zb) @ state)),
+    )
+
+
+def chsh_diagnostics(
+    device: DeviceModel, zero_tol: float = ZERO_TOL_DEFAULT
+) -> dict[str, float]:
+    """Intermediate chain quantities for a CHSH device.
+
+    Returns the commutator-product expectation, the four mixed-product norms,
+    the raw anticommutator norms, the overlap <X'_A (B0+B1)>, and the
+    distances of X'_A and X'_B to (B0+B1)/sqrt(2) on the state.
+    """
+    require_valid(device)
+    dims = device.dims
+    psi = device.state
+    a0 = tensor_embed(device.alice_obs["A0"], "A", dims)
+    a1 = tensor_embed(device.alice_obs["A1"], "A", dims)
+    b0 = tensor_embed(device.bob_obs["B0"], "B", dims)
+    b1 = tensor_embed(device.bob_obs["B1"], "B", dims)
+    xb = tensor_embed(
+        operator_sign(device.bob_obs["B0"] + device.bob_obs["B1"], zero_tol), "B", dims
+    )
+
+    comm_a = a0 @ a1 - a1 @ a0
+    comm_b = b1 @ b0 - b0 @ b1
+    bsum = (b0 + b1) / SQRT2
+
+    def vnorm(op: np.ndarray) -> float:
+        return float(np.linalg.norm(op @ psi))
+
+    return {
+        "commutator_product": float(np.vdot(psi, comm_a @ (comm_b @ psi)).real),
+        "norm_a0a1_plus_b1b0": vnorm(a0 @ a1 + b1 @ b0),
+        "norm_a0a1_minus_b0b1": vnorm(a0 @ a1 - b0 @ b1),
+        "norm_a1a0_minus_b1b0": vnorm(a1 @ a0 - b1 @ b0),
+        "norm_a1a0_plus_b0b1": vnorm(a1 @ a0 + b0 @ b1),
+        "anticomm_a_raw": vnorm(a0 @ a1 + a1 @ a0),
+        "anticomm_b_raw": vnorm(b0 @ b1 + b1 @ b0),
+        "xa_bsum_overlap": float(np.vdot(psi, a0 @ ((b0 + b1) @ psi)).real),
+        "norm_xa_minus_bsum": vnorm(a0 - bsum),
+        "norm_xb_minus_bsum": vnorm(xb - bsum),
+    }
+
+
+def my_diagnostics(device: DeviceModel) -> dict[str, float]:
+    """Intermediate chain quantities for a Mayers-Yao device.
+
+    DB enters only here, through its distance to (XA+ZA)/sqrt(2) on the state;
+    it plays no role in any other estimate or in the extraction circuit.
+    """
+    require_valid(device)
+    dims = device.dims
+    psi = device.state
+    xa = tensor_embed(device.alice_obs["XA"], "A", dims)
+    za = tensor_embed(device.alice_obs["ZA"], "A", dims)
+    xb = tensor_embed(device.bob_obs["XB"], "B", dims)
+    zb = tensor_embed(device.bob_obs["ZB"], "B", dims)
+    db = tensor_embed(device.bob_obs["DB"], "B", dims)
+    sum_xz = (xa + za) / SQRT2
+
+    def vnorm(op: np.ndarray) -> float:
+        return float(np.linalg.norm(op @ psi))
+
+    return {
+        "sum_xz_norm": vnorm(sum_xz),
+        "db_vs_sum_xz": vnorm(db - sum_xz),
+        "anticomm_alice": vnorm(xa @ za + za @ xa),
+        "cross_za_xa": vnorm(za @ xa - xb @ zb),
+        "cross_xa_za": vnorm(xa @ za - zb @ xb),
+        "anticomm_bob": vnorm(xb @ zb + zb @ xb),
+    }

@@ -1,0 +1,199 @@
+"""Bipartite device abstraction and the correlation functionals computed from it.
+
+A device is an (unknown, finite-dimensional) pure state plus named +/-1-valued
+observables per party.  The two correlation experiments supported are the CHSH
+combination (canonical observable names A0, A1, B0, B1) and the Mayers-Yao set
+(XA, ZA on Alice against XB, ZB, DB on Bob).  Observable naming is the contract
+between modules.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+
+import numpy as np
+
+from .linalg import (
+    DIAG_XZ,
+    PAULI_X,
+    PAULI_Z,
+    PHI_PLUS,
+    hermiticity_deviation,
+    tensor_embed,
+)
+
+CHSH_ALICE = ("A0", "A1")
+CHSH_BOB = ("B0", "B1")
+MY_ALICE = ("XA", "ZA")
+MY_BOB = ("XB", "ZB", "DB")
+
+TSIRELSON = 2.0 * np.sqrt(2.0)
+
+STATE_NORM_ATOL = 1e-12
+OBSERVABLE_ATOL = 1e-10
+IMAG_ATOL = 1e-10
+
+
+class DeviceValidationError(ValueError):
+    """Raised when a pipeline entry point receives an invalid device."""
+
+    def __init__(self, violations: list[str]):
+        self.violations = violations
+        super().__init__("invalid device: " + "; ".join(violations))
+
+
+@dataclass(frozen=True)
+class DeviceModel:
+    """Bipartite pure state with named local observables.
+
+    ``state`` has dimension ``dims[0] * dims[1]`` with Alice's index major
+    (component (i, j) at flat index ``i * dims[1] + j``).  Values are treated
+    as immutable after construction and are safe to share across threads.
+    """
+
+    dims: tuple[int, int]
+    state: np.ndarray
+    alice_obs: dict[str, np.ndarray] = field(default_factory=dict)
+    bob_obs: dict[str, np.ndarray] = field(default_factory=dict)
+
+
+def make_device(
+    dims: tuple[int, int],
+    state: np.ndarray,
+    alice_obs: dict[str, np.ndarray],
+    bob_obs: dict[str, np.ndarray],
+) -> DeviceModel:
+    """Build a DeviceModel with defensive copies frozen against mutation."""
+    da, db = int(dims[0]), int(dims[1])
+    vec = np.array(state, dtype=complex).reshape(-1)
+    vec.setflags(write=False)
+
+    def freeze(obs: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+        out = {}
+        for name, m in obs.items():
+            arr = np.array(m, dtype=complex)
+            arr.setflags(write=False)
+            out[name] = arr
+        return out
+
+    return DeviceModel((da, db), vec, freeze(alice_obs), freeze(bob_obs))
+
+
+def validate(device: DeviceModel) -> list[str]:
+    """Check all device invariants, returning one message per violation.
+
+    An empty list means the device is valid: state normalized within 1e-12,
+    every observable Hermitian and squaring to the identity within 1e-10, and
+    all dimensions consistent.  Diagnostics are returned, never raised.
+    """
+    violations: list[str] = []
+    da, db = device.dims
+    if da < 1 or db < 1:
+        violations.append(f"dims: must be positive, got {device.dims}")
+        return violations
+
+    if device.state.shape != (da * db,):
+        violations.append(
+            f"state: dimension {device.state.shape} != (dA*dB,) = ({da * db},)"
+        )
+    else:
+        nrm = float(np.linalg.norm(device.state))
+        if abs(nrm - 1.0) > STATE_NORM_ATOL:
+            violations.append(f"state: norm {nrm:.12g} != 1")
+
+    for party, obs, dim in (("A", device.alice_obs, da), ("B", device.bob_obs, db)):
+        for name, m in obs.items():
+            if m.shape != (dim, dim):
+                violations.append(
+                    f"{name}: shape {m.shape} does not match party {party} dim {dim}"
+                )
+                continue
+            herm = hermiticity_deviation(m)
+            if herm > OBSERVABLE_ATOL:
+                violations.append(f"{name}: not Hermitian, max deviation {herm:.3g}")
+            sq = float(np.max(np.abs(m @ m - np.eye(dim))))
+            if sq > OBSERVABLE_ATOL:
+                violations.append(f"{name}: O^2 != I, deviation {sq:.3g}")
+    return violations
+
+
+def require_valid(device: DeviceModel) -> None:
+    violations = validate(device)
+    if violations:
+        raise DeviceValidationError(violations)
+
+
+def correlation(device: DeviceModel, alice_name: str, bob_name: str) -> float:
+    """Expectation value <psi| (M_A x I)(I x N_B) |psi> for named observables.
+
+    The value of a product of commuting Hermitian observables must be real;
+    an imaginary part above 1e-10 raises a numerical-consistency error.
+    """
+    if alice_name not in device.alice_obs:
+        raise KeyError(f"unknown Alice observable {alice_name!r}")
+    if bob_name not in device.bob_obs:
+        raise KeyError(f"unknown Bob observable {bob_name!r}")
+    ma = tensor_embed(device.alice_obs[alice_name], "A", device.dims)
+    nb = tensor_embed(device.bob_obs[bob_name], "B", device.dims)
+    value = complex(np.vdot(device.state, ma @ (nb @ device.state)))
+    if abs(value.imag) > IMAG_ATOL:
+        raise ValueError(
+            f"correlation <{alice_name} {bob_name}> has imaginary part "
+            f"{value.imag:.3e} above tolerance"
+        )
+    return float(value.real)
+
+
+def chsh_value(device: DeviceModel) -> tuple[float, float]:
+    """CHSH combination <A0B0> + <A0B1> + <A1B0> - <A1B1> and its deficit.
+
+    Returns ``(value, epsilon)`` with ``epsilon = max(0, 2*sqrt(2) - value)``;
+    the deficit is clamped at 0 when numerical noise pushes the value above
+    the quantum maximum.
+    """
+    for name in CHSH_ALICE:
+        if name not in device.alice_obs:
+            raise KeyError(f"device has no Alice observable {name!r}")
+    for name in CHSH_BOB:
+        if name not in device.bob_obs:
+            raise KeyError(f"device has no Bob observable {name!r}")
+    value = (
+        correlation(device, "A0", "B0")
+        + correlation(device, "A0", "B1")
+        + correlation(device, "A1", "B0")
+        - correlation(device, "A1", "B1")
+    )
+    return value, max(0.0, TSIRELSON - value)
+
+
+def _ideal_pair_value(alice_name: str, bob_name: str) -> float:
+    ops = {"XA": PAULI_X, "ZA": PAULI_Z, "XB": PAULI_X, "ZB": PAULI_Z, "DB": DIAG_XZ}
+    full = np.kron(ops[alice_name], ops[bob_name])
+    return float(np.vdot(PHI_PLUS, full @ PHI_PLUS).real)
+
+
+MY_PAIRS = tuple((a, b) for a in MY_ALICE for b in MY_BOB)
+MY_IDEAL = {pair: _ideal_pair_value(*pair) for pair in MY_PAIRS}
+
+
+def my_deviation(device: DeviceModel) -> tuple[dict[tuple[str, str], float], float]:
+    """All six Mayers-Yao correlations and the worst deviation from ideal.
+
+    Returns ``(table, epsilon)`` where the table maps (Alice, Bob) observable
+    name pairs to measured expectations and ``epsilon`` is the maximum of
+    ``|measured - ideal|`` over the six pairs, the ideal being the
+    maximally-entangled-pair value for the corresponding qubit operators.
+    """
+    for name in MY_ALICE:
+        if name not in device.alice_obs:
+            raise KeyError(f"device has no Alice observable {name!r}")
+    for name in MY_BOB:
+        if name not in device.bob_obs:
+            raise KeyError(f"device has no Bob observable {name!r}")
+    table: dict[tuple[str, str], float] = {}
+    epsilon = 0.0
+    for pair in MY_PAIRS:
+        measured = correlation(device, *pair)
+        table[pair] = measured
+        epsilon = max(epsilon, abs(measured - MY_IDEAL[pair]))
+    return table, epsilon

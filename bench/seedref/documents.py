@@ -1,0 +1,242 @@
+"""Versioned JSON documents for devices and certification reports.
+
+Complex numbers are serialized as two-element [re, im] arrays and matrices as
+row-major nested arrays of such pairs.  Floats go through the standard JSON
+encoder (shortest exact round-trip), so deserialize(serialize(device)) is
+value-identical and repeated runs are byte-identical.  Output files are
+written to a temporary sibling and atomically renamed, never left partial.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import math
+import os
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+from . import __version__
+from .bounds import CertificationReport
+from .device import DeviceModel, DeviceValidationError, make_device, validate
+
+DEVICE_SCHEMA_VERSION = "1"
+REPORT_SCHEMA_VERSION = "1"
+
+
+class DocumentError(ValueError):
+    """Malformed or schema-violating document."""
+
+
+def _pair(z: complex) -> list[float]:
+    return [float(z.real), float(z.imag)]
+
+
+def _unpair(value, where: str) -> complex:
+    if (
+        not isinstance(value, (list, tuple))
+        or len(value) != 2
+        or not all(isinstance(x, (int, float)) for x in value)
+    ):
+        raise DocumentError(f"{where}: expected a [re, im] pair, got {value!r}")
+    return complex(float(value[0]), float(value[1]))
+
+
+def vector_to_json(v: np.ndarray) -> list[list[float]]:
+    return [_pair(z) for z in np.asarray(v, dtype=complex).reshape(-1)]
+
+
+def vector_from_json(rows, where: str) -> np.ndarray:
+    if not isinstance(rows, list) or not rows:
+        raise DocumentError(f"{where}: expected a nonempty list of [re, im] pairs")
+    return np.array([_unpair(r, f"{where}[{i}]") for i, r in enumerate(rows)], dtype=complex)
+
+
+def matrix_to_json(m: np.ndarray) -> list[list[list[float]]]:
+    m = np.asarray(m, dtype=complex)
+    return [[_pair(z) for z in row] for row in m]
+
+
+def matrix_from_json(rows, where: str) -> np.ndarray:
+    if not isinstance(rows, list) or not rows:
+        raise DocumentError(f"{where}: expected a nonempty nested list")
+    dim = len(rows)
+    out = np.zeros((dim, dim), dtype=complex)
+    for i, row in enumerate(rows):
+        if not isinstance(row, list) or len(row) != dim:
+            raise DocumentError(
+                f"{where}: row {i} has {len(row) if isinstance(row, list) else 'no'} "
+                f"entries, expected {dim} (square, row-major)"
+            )
+        for j, entry in enumerate(row):
+            out[i, j] = _unpair(entry, f"{where}[{i}][{j}]")
+    return out
+
+
+def device_to_document(device: DeviceModel, metadata: dict | None = None) -> dict:
+    return {
+        "schemaVersion": DEVICE_SCHEMA_VERSION,
+        "dims": [int(device.dims[0]), int(device.dims[1])],
+        "state": vector_to_json(device.state),
+        "observables": {
+            "alice": {name: matrix_to_json(m) for name, m in device.alice_obs.items()},
+            "bob": {name: matrix_to_json(m) for name, m in device.bob_obs.items()},
+        },
+        "metadata": dict(metadata or {}),
+    }
+
+
+def device_from_document(doc) -> DeviceModel:
+    if not isinstance(doc, dict):
+        raise DocumentError("device document must be a JSON object")
+    version = doc.get("schemaVersion")
+    if version != DEVICE_SCHEMA_VERSION:
+        raise DocumentError(
+            f"unrecognized schemaVersion {version!r}; expected {DEVICE_SCHEMA_VERSION!r}"
+        )
+    dims = doc.get("dims")
+    if (
+        not isinstance(dims, list)
+        or len(dims) != 2
+        or not all(isinstance(d, int) and d >= 1 for d in dims)
+    ):
+        raise DocumentError(f"dims: expected two positive integers, got {dims!r}")
+    state = vector_from_json(doc.get("state"), "state")
+    obs = doc.get("observables")
+    if not isinstance(obs, dict) or set(obs) - {"alice", "bob"}:
+        raise DocumentError("observables: expected an object with 'alice' and 'bob'")
+    alice = {
+        name: matrix_from_json(m, f"observables.alice.{name}")
+        for name, m in (obs.get("alice") or {}).items()
+    }
+    bob = {
+        name: matrix_from_json(m, f"observables.bob.{name}")
+        for name, m in (obs.get("bob") or {}).items()
+    }
+    return make_device((dims[0], dims[1]), state, alice, bob)
+
+
+def document_digest(doc: dict) -> str:
+    payload = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    return "sha256:" + hashlib.sha256(payload).hexdigest()
+
+
+def load_device(path: str | Path) -> DeviceModel:
+    """Parse, schema-check, and invariant-validate a device document file."""
+    path = Path(path)
+    try:
+        text = path.read_text(encoding="utf-8")
+    except OSError as err:
+        raise DocumentError(f"cannot read {path}: {err}") from err
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as err:
+        raise DocumentError(
+            f"{path}: parse error at line {err.lineno} column {err.colno}: {err.msg}"
+        ) from err
+    device = device_from_document(doc)
+    violations = validate(device)
+    if violations:
+        raise DeviceValidationError(violations)
+    return device
+
+
+def save_device(path: str | Path, device: DeviceModel, metadata: dict | None = None) -> None:
+    write_json_atomic(path, device_to_document(device, metadata))
+
+
+def _clean(value):
+    """Make a value JSON-clean: NaN/inf become null, numpy scalars plain."""
+    if isinstance(value, dict):
+        return {k: _clean(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_clean(v) for v in value]
+    if isinstance(value, (np.floating, float)):
+        f = float(value)
+        return f if math.isfinite(f) else None
+    if isinstance(value, (np.integer,)):
+        return int(value)
+    if isinstance(value, (np.bool_,)):
+        return bool(value)
+    return value
+
+
+def report_to_document(report: CertificationReport, inputs_digest: str) -> dict:
+    budget = report.budget
+    budgets = None
+    if budget is not None:
+        budgets = {
+            "epsilon": budget.epsilon,
+            "eps1": budget.eps1,
+            "eps2": budget.eps2,
+            "epsPrime": budget.eps_prime,
+            "eps1Exact": budget.eps1_exact,
+            "eps2Exact": budget.eps2_exact,
+            "epsPrimeExact": budget.eps_prime_exact,
+            "delta": budget.delta,
+        }
+    rows = [
+        {
+            "name": row.name,
+            "category": row.category,
+            "measured": row.measured,
+            "bound": row.bound,
+            "boundHeadline": row.bound_headline,
+            "boundExact": row.bound_exact,
+            "direction": row.direction,
+            "formula": row.formula,
+            "pass": row.passed,
+            "slack": row.slack,
+        }
+        for row in report.rows
+    ]
+    doc = {
+        "schemaVersion": REPORT_SCHEMA_VERSION,
+        "toolVersion": __version__,
+        "mode": report.mode,
+        "inputsDigest": inputs_digest,
+        "report": {
+            "mode": report.mode,
+            "chshValue": report.chsh,
+            "epsilon": report.epsilon,
+            "budgets": budgets,
+            "residuals": {
+                "anticommA": report.residuals.anticomm_a,
+                "anticommB": report.residuals.anticomm_b,
+                "diffX": report.residuals.diff_x,
+                "diffZ": report.residuals.diff_z,
+                "eps1Measured": report.residuals.eps1,
+                "eps2Measured": report.residuals.eps2,
+            },
+            "junk": {"rawNorm": report.junk_norm_raw, "degenerate": report.degenerate},
+            "correlations": report.correlations,
+            "rows": rows,
+            "fidelity": report.fidelity,
+            "certTol": report.cert_tol,
+            "allPass": report.all_pass,
+        },
+    }
+    return _clean(doc)
+
+
+def write_json_atomic(path: str | Path, doc: dict) -> None:
+    write_text_atomic(path, json.dumps(doc, indent=2, allow_nan=False) + "\n")
+
+
+def write_text_atomic(path: str | Path, text: str) -> None:
+    """Write via a temporary sibling and rename, so failures leave no partial file."""
+    path = Path(path)
+    directory = path.parent if str(path.parent) else Path(".")
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=path.name + ".", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise

@@ -1,0 +1,465 @@
+"""Device-family generators, parameter sweeps, and worst-case search.
+
+Families perturb the canonical devices in controlled ways (state tilt, state
+noise, measurement rotation, junk embedding, or fully random construction) so
+that bound tightness can be charted empirically.  Generation is deterministic:
+every family point owns an RNG stream keyed by (seed, point index), so serial
+and parallel evaluation produce identical devices and records.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass, field
+
+import numpy as np
+
+from .bounds import extraction_bound
+from .derive import condition_residuals, derive_chsh_operators, my_operators
+from .device import (
+    DeviceModel,
+    chsh_value,
+    make_device,
+    my_deviation,
+    validate,
+)
+from .isometry import DegenerateExtractionError, extraction_error
+from .linalg import DIAG_XZ, PAULI_X, PAULI_Z, PHI_PLUS
+
+FAMILY_KINDS = ("tilted", "state-noise", "measurement-noise", "junk-embedded", "random")
+
+MEASUREMENT_NOISE_CAP = 0.5  # keeps perturbed devices inside the small-deviation regime
+
+
+@dataclass(frozen=True)
+class FamilySpec:
+    """Deterministic description of a device family.
+
+    ``parameters`` maps a name to a scalar or to a ``(start, stop, steps)``
+    range (also accepted as a mapping with those keys).  ``mode`` selects
+    which canonical observable set the family perturbs.
+    """
+
+    kind: str
+    parameters: dict = field(default_factory=dict)
+    dims: tuple[int, int] = (2, 2)
+    seed: int = 0
+    mode: str = "chsh"
+
+
+@dataclass(frozen=True)
+class SweepRecord:
+    """Certification summary for one family point."""
+
+    parameters: dict
+    epsilon: float
+    eps1_measured: float
+    eps2_measured: float
+    max_extraction_error: float
+    extraction_bound: float
+    slack: float
+    degenerate: bool = False
+
+
+@dataclass(frozen=True)
+class SearchResult:
+    found: bool
+    device: DeviceModel | None
+    record: SweepRecord | None
+    evaluations: int
+
+
+def canonical_chsh_device() -> DeviceModel:
+    """Maximally entangled pair with the CHSH-saturating measurement settings."""
+    return make_device(
+        (2, 2),
+        PHI_PLUS,
+        {"A0": PAULI_X, "A1": PAULI_Z},
+        {"B0": DIAG_XZ, "B1": (PAULI_X - PAULI_Z) / math.sqrt(2.0)},
+    )
+
+
+def canonical_my_device() -> DeviceModel:
+    """Maximally entangled pair with the ideal Mayers-Yao observables."""
+    return make_device(
+        (2, 2),
+        PHI_PLUS,
+        {"XA": PAULI_X, "ZA": PAULI_Z},
+        {"XB": PAULI_X, "ZB": PAULI_Z, "DB": DIAG_XZ},
+    )
+
+
+def _canonical(mode: str) -> DeviceModel:
+    if mode == "chsh":
+        return canonical_chsh_device()
+    if mode == "my":
+        return canonical_my_device()
+    raise ValueError(f"mode must be 'chsh' or 'my', got {mode!r}")
+
+
+def _point_rng(seed: int, index: int) -> np.random.Generator:
+    return np.random.default_rng((int(seed) & 0xFFFFFFFFFFFFFFFF, int(index)))
+
+
+def _random_hermitian_unit(rng: np.random.Generator, dim: int) -> np.ndarray:
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    h = (g + g.conj().T) / 2.0
+    radius = float(np.max(np.abs(np.linalg.eigvalsh(h))))
+    return h / radius if radius > 0 else h
+
+
+def _haar_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    q, r = np.linalg.qr(g)
+    phases = np.diag(r).copy()
+    phases /= np.abs(phases)
+    return q * phases
+
+
+def _rotate(obs: np.ndarray, h: np.ndarray, eta: float) -> np.ndarray:
+    """Conjugate an observable by exp(i*eta*h), re-hermitianized."""
+    w, v = np.linalg.eigh(h)
+    u = (v * np.exp(1j * eta * w)) @ v.conj().T
+    rotated = u @ obs @ u.conj().T
+    return (rotated + rotated.conj().T) / 2.0
+
+
+def _orthogonal_noise(rng: np.random.Generator, base: np.ndarray) -> np.ndarray:
+    """Seeded random unit vector orthogonal to ``base``."""
+    dim = base.shape[0]
+    for _ in range(16):
+        e = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        e -= np.vdot(base, e) * base
+        nrm = float(np.linalg.norm(e))
+        if nrm > 1e-8:
+            return e / nrm
+    raise RuntimeError("failed to draw a noise direction")  # pragma: no cover
+
+
+def _random_observable(rng: np.random.Generator, dim: int) -> np.ndarray:
+    """U diag(+/-1) U^dagger with at least one +1 and one -1 on the diagonal."""
+    signs = np.ones(dim)
+    while True:
+        signs = np.where(rng.random(dim) < 0.5, 1.0, -1.0)
+        if len(set(signs)) == 2 or dim == 1:
+            break
+    u = _haar_unitary(rng, dim)
+    obs = (u * signs) @ u.conj().T
+    return (obs + obs.conj().T) / 2.0
+
+
+def _embed_party(qubit_obs: np.ndarray, anc_dim: int) -> np.ndarray:
+    return np.kron(qubit_obs, np.eye(anc_dim, dtype=complex))
+
+
+def _embedded_state(anc_a: np.ndarray, anc_b: np.ndarray) -> np.ndarray:
+    """phi+ on the qubit pair tensored with per-party ancilla states.
+
+    Party ordering is (qubit, ancilla) inside each side, Alice major overall.
+    """
+    phi = PHI_PLUS.reshape(2, 2)
+    state = np.einsum("ik,a,b->iakb", phi, anc_a, anc_b)
+    return state.reshape(-1)
+
+
+def _param_values(value) -> list[float]:
+    if isinstance(value, dict):
+        start, stop, steps = value["start"], value["stop"], value["steps"]
+    elif isinstance(value, (tuple, list)) and len(value) == 3:
+        start, stop, steps = value
+    else:
+        return [float(value)]
+    steps = int(steps)
+    if steps < 0:
+        raise ValueError(f"range steps must be nonnegative, got {steps}")
+    if steps == 0:
+        return []
+    if steps == 1:
+        return [float(start)]
+    return [float(x) for x in np.linspace(float(start), float(stop), steps)]
+
+
+def family_axis(spec: FamilySpec) -> tuple[str, list[float]]:
+    """The single sweep axis of a family: its name and point values."""
+    params = dict(spec.parameters)
+    if spec.kind == "tilted":
+        name = "theta"
+    elif spec.kind == "state-noise":
+        name = "p"
+    elif spec.kind == "measurement-noise":
+        name = "eta"
+    elif spec.kind in ("junk-embedded", "random"):
+        name = "count"
+        if name not in params:
+            params[name] = 1
+        count = int(params[name])
+        if count < 0:
+            raise ValueError(f"count must be nonnegative, got {count}")
+        return name, [float(i) for i in range(count)]
+    else:
+        raise ValueError(f"unknown family kind {spec.kind!r}; expected one of {FAMILY_KINDS}")
+    if name not in params:
+        raise ValueError(f"family {spec.kind!r} requires parameter {name!r}")
+    return name, _param_values(params[name])
+
+
+def _build_point(spec: FamilySpec, name: str, value: float, index: int) -> DeviceModel:
+    rng = _point_rng(spec.seed, index)
+    base = _canonical(spec.mode)
+    if spec.kind == "tilted":
+        if spec.dims != (2, 2):
+            raise ValueError("tilted family requires dims (2, 2)")
+        theta = float(value)
+        state = np.zeros(4, dtype=complex)
+        state[0] = math.cos(theta)
+        state[3] = math.sin(theta)
+        return make_device((2, 2), state, dict(base.alice_obs), dict(base.bob_obs))
+    if spec.kind == "state-noise":
+        if spec.dims != (2, 2):
+            raise ValueError("state-noise family requires dims (2, 2)")
+        p = float(value)
+        if not 0.0 <= p <= 1.0:
+            raise ValueError(f"state-noise p must lie in [0, 1], got {p}")
+        e = _orthogonal_noise(rng, PHI_PLUS)
+        state = math.sqrt(1.0 - p) * PHI_PLUS + math.sqrt(p) * e
+        state /= np.linalg.norm(state)
+        return make_device((2, 2), state, dict(base.alice_obs), dict(base.bob_obs))
+    if spec.kind == "measurement-noise":
+        if spec.dims != (2, 2):
+            raise ValueError("measurement-noise family requires dims (2, 2)")
+        eta = float(value)
+        if not 0.0 <= eta <= MEASUREMENT_NOISE_CAP:
+            raise ValueError(
+                f"measurement-noise eta must lie in [0, {MEASUREMENT_NOISE_CAP}], got {eta}"
+            )
+        alice = {
+            k: _rotate(v, _random_hermitian_unit(rng, 2), eta)
+            for k, v in base.alice_obs.items()
+        }
+        bob = {
+            k: _rotate(v, _random_hermitian_unit(rng, 2), eta)
+            for k, v in base.bob_obs.items()
+        }
+        return make_device((2, 2), base.state, alice, bob)
+    if spec.kind == "junk-embedded":
+        da, db = spec.dims
+        if da % 2 or db % 2 or da < 2 or db < 2:
+            raise ValueError(f"junk-embedded dims must be even and >= 2, got {spec.dims}")
+        anc_a = rng.normal(size=da // 2) + 1j * rng.normal(size=da // 2)
+        anc_b = rng.normal(size=db // 2) + 1j * rng.normal(size=db // 2)
+        anc_a /= np.linalg.norm(anc_a)
+        anc_b /= np.linalg.norm(anc_b)
+        state = _embedded_state(anc_a, anc_b)
+        alice = {k: _embed_party(v, da // 2) for k, v in base.alice_obs.items()}
+        bob = {k: _embed_party(v, db // 2) for k, v in base.bob_obs.items()}
+        return make_device((da, db), state, alice, bob)
+    if spec.kind == "random":
+        da, db = spec.dims
+        state = rng.normal(size=da * db) + 1j * rng.normal(size=da * db)
+        state /= np.linalg.norm(state)
+        alice = {k: _random_observable(rng, da) for k in base.alice_obs}
+        bob = {k: _random_observable(rng, db) for k in base.bob_obs}
+        return make_device((da, db), state, alice, bob)
+    raise ValueError(f"unknown family kind {spec.kind!r}")  # pragma: no cover
+
+
+def family_points(spec: FamilySpec) -> list[tuple[dict, DeviceModel]]:
+    """All (parameters, device) points of a family, in sweep order."""
+    name, values = family_axis(spec)
+    return [
+        ({name: value}, _build_point(spec, name, value, index))
+        for index, value in enumerate(values)
+    ]
+
+
+def make_family(spec: FamilySpec) -> list[DeviceModel]:
+    """The family's device sequence; deterministic for identical specs."""
+    return [device for _, device in family_points(spec)]
+
+
+def evaluate_device(
+    device: DeviceModel, mode: str, parameters: dict | None = None
+) -> SweepRecord:
+    """Run the residual/extraction pipeline on one device into a record."""
+    if mode == "chsh":
+        _, eps = chsh_value(device)
+        ops = derive_chsh_operators(device)
+    else:
+        _, eps = my_deviation(device)
+        ops = my_operators(device)
+    residuals = condition_residuals(device.state, ops)
+    bound = extraction_bound(residuals.eps1, residuals.eps2)
+    try:
+        result = extraction_error(device, ops)
+        max_error = result.max_error
+        slack = bound - max_error
+        degenerate = False
+    except DegenerateExtractionError:
+        max_error = float("nan")
+        slack = float("nan")
+        degenerate = True
+    return SweepRecord(
+        parameters=dict(parameters or {}),
+        epsilon=eps,
+        eps1_measured=residuals.eps1,
+        eps2_measured=residuals.eps2,
+        max_extraction_error=max_error,
+        extraction_bound=bound,
+        slack=slack,
+        degenerate=degenerate,
+    )
+
+
+def sweep(spec: FamilySpec) -> list[SweepRecord]:
+    """One record per family point, running the full pipeline.
+
+    Every generated device must pass validation; a degenerate extraction is
+    recorded in-row and the sweep continues.
+    """
+    records = []
+    for parameters, device in family_points(spec):
+        violations = validate(device)
+        if violations:
+            raise ValueError(
+                f"family {spec.kind!r} produced an invalid device at {parameters}: "
+                + "; ".join(violations)
+            )
+        records.append(evaluate_device(device, spec.mode, parameters))
+    return records
+
+
+def _search_proposal(
+    mode: str,
+    dims: tuple[int, int],
+    state_dirs: np.ndarray,
+    generators: dict[str, np.ndarray],
+    params: np.ndarray,
+) -> DeviceModel:
+    """Device generated by a search parameter vector.
+
+    Parameters: two state-noise coordinates along fixed seeded directions,
+    then one rotation angle per observable around its fixed seeded Hermitian
+    generator.  The zero vector reproduces the embedded canonical device.
+    """
+    da, db = dims
+    base = _canonical(mode)
+    block = np.zeros((da, db), dtype=complex)
+    block[:2, :2] = PHI_PLUS.reshape(2, 2)
+    qubit_state = block.reshape(-1)
+
+    def extend(obs: np.ndarray, dim: int) -> np.ndarray:
+        out = np.eye(dim, dtype=complex)
+        out[:2, :2] = obs
+        return out
+
+    state = qubit_state + params[0] * state_dirs[0] + params[1] * state_dirs[1]
+    state /= np.linalg.norm(state)
+    names = list(base.alice_obs) + list(base.bob_obs)
+    alice = {}
+    bob = {}
+    for i, name in enumerate(names):
+        angle = float(params[2 + i])
+        if name in base.alice_obs:
+            obs = extend(base.alice_obs[name], da)
+            alice[name] = _rotate(obs, generators[name], angle)
+        else:
+            obs = extend(base.bob_obs[name], db)
+            bob[name] = _rotate(obs, generators[name], angle)
+    return make_device(dims, state, alice, bob)
+
+
+def worst_case_search(
+    mode: str,
+    epsilon_ceiling: float,
+    dims: tuple[int, int],
+    budget: int,
+    seed: int,
+    cooling: float = 0.995,
+) -> SearchResult:
+    """Simulated-annealing search for the worst extraction error at bounded epsilon.
+
+    Maximizes the measured extraction error over seeded device perturbations
+    subject to the measured deviation staying at or below ``epsilon_ceiling``.
+    The objective involves eigendecompositions and max-compositions, so a
+    derivative-free chain is used; the geometric cooling ratio is a tunable.
+    The result is the best device found within ``budget`` evaluations — no
+    global-optimality claim is made.  The seed proposal is the unperturbed
+    canonical embedding.
+    """
+    if not 0.0 < epsilon_ceiling < 1.0:
+        raise ValueError(f"epsilon ceiling must lie in (0, 1), got {epsilon_ceiling}")
+    if budget < 1:
+        raise ValueError(f"budget must be >= 1, got {budget}")
+    da, db = int(dims[0]), int(dims[1])
+    if da < 2 or db < 2:
+        raise ValueError(f"dims must be >= 2 per party, got {dims}")
+    dims = (da, db)
+    rng = np.random.default_rng((int(seed), 0x5EA2C4))
+    base = _canonical(mode)
+    n_obs = len(base.alice_obs) + len(base.bob_obs)
+
+    block = np.zeros((da, db), dtype=complex)
+    block[:2, :2] = PHI_PLUS.reshape(2, 2)
+    qubit_state = block.reshape(-1)
+    state_dirs = np.stack(
+        [_orthogonal_noise(rng, qubit_state) for _ in range(2)]
+    )
+    generators = {}
+    for name in list(base.alice_obs) + list(base.bob_obs):
+        dim = da if name in base.alice_obs else db
+        generators[name] = _random_hermitian_unit(rng, dim)
+
+    def assess(params: np.ndarray) -> tuple[DeviceModel, SweepRecord] | None:
+        device = _search_proposal(mode, dims, state_dirs, generators, params)
+        if validate(device):
+            return None
+        record = evaluate_device(device, mode, {"objective": 0.0})
+        if record.degenerate or record.epsilon > epsilon_ceiling:
+            return None
+        return device, record
+
+    n_params = 2 + n_obs
+    current = np.zeros(n_params)
+    evaluations = 0
+    best: tuple[DeviceModel, SweepRecord] | None = None
+    current_objective = -math.inf
+
+    outcome = assess(current)
+    evaluations += 1
+    if outcome is not None:
+        best = outcome
+        current_objective = outcome[1].max_extraction_error
+
+    temperature = 0.05
+    step = 0.05
+    while evaluations < budget:
+        proposal = current + rng.normal(scale=step, size=n_params)
+        outcome = assess(proposal)
+        evaluations += 1
+        if outcome is None:
+            temperature *= cooling
+            continue
+        objective = outcome[1].max_extraction_error
+        if objective > current_objective or rng.random() < math.exp(
+            min(0.0, (objective - current_objective) / max(temperature, 1e-12))
+        ):
+            current = proposal
+            current_objective = objective
+        if best is None or objective > best[1].max_extraction_error:
+            best = outcome
+        temperature *= cooling
+
+    if best is None:
+        return SearchResult(found=False, device=None, record=None, evaluations=evaluations)
+    device, record = best
+    record = SweepRecord(
+        parameters={"objective": record.max_extraction_error},
+        epsilon=record.epsilon,
+        eps1_measured=record.eps1_measured,
+        eps2_measured=record.eps2_measured,
+        max_extraction_error=record.max_extraction_error,
+        extraction_bound=record.extraction_bound,
+        slack=record.slack,
+        degenerate=record.degenerate,
+    )
+    return SearchResult(found=True, device=device, record=record, evaluations=evaluations)

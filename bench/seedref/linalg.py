@@ -1,0 +1,125 @@
+"""Dense complex linear algebra kernel: Hermitian eigendecomposition, operator
+functions (absolute value, sign with a +1 kernel convention), and tensor-product
+embedding of single-party operators into a bipartite space.
+
+Everything downstream (device correlations, derived operators, the extraction
+circuit) is built on these primitives.  All matrices are dense complex128
+``numpy`` arrays at desk scale (total dimension <= ~64); eigendecomposition is
+the single primitive behind every operator function, so results are
+deterministic and directly testable.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+# Qubit constants.  PHI_PLUS is the maximally entangled pair (|00> + |11>)/sqrt(2);
+# the literature often calls it the "singlet" even though it is the symmetric
+# Bell state, and that naming is kept in the docs with this caveat.
+PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+IDENTITY_2 = np.eye(2, dtype=complex)
+DIAG_XZ = (PAULI_X + PAULI_Z) / np.sqrt(2.0)
+PHI_PLUS = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / np.sqrt(2.0)
+
+HERMITIAN_ATOL = 1e-10
+ZERO_TOL_DEFAULT = 1e-10
+
+
+def dagger(m: np.ndarray) -> np.ndarray:
+    """Conjugate transpose."""
+    return m.conj().T
+
+
+def hermiticity_deviation(m: np.ndarray) -> float:
+    """Largest entrywise deviation of M from its conjugate transpose."""
+    return float(np.max(np.abs(m - dagger(m)))) if m.size else 0.0
+
+
+def unitarity_deviation(m: np.ndarray) -> float:
+    """Largest entrywise deviation of M M^dagger from the identity."""
+    d = m.shape[0]
+    return float(np.max(np.abs(m @ dagger(m) - np.eye(d))))
+
+
+def _require_square(m: np.ndarray) -> np.ndarray:
+    m = np.asarray(m, dtype=complex)
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
+        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    return m
+
+
+def _require_hermitian(m: np.ndarray, atol: float) -> np.ndarray:
+    m = _require_square(m)
+    dev = hermiticity_deviation(m)
+    if dev > atol:
+        raise ValueError(f"matrix is not Hermitian: max deviation {dev:.3e} > {atol:.1e}")
+    return m
+
+
+def hermitian_eig(m: np.ndarray, *, atol: float = HERMITIAN_ATOL) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition of a Hermitian matrix.
+
+    Returns ``(eigenvalues, eigenvectors)`` with eigenvalues real and ascending
+    and eigenvectors as the columns of a unitary matrix, so that
+    ``M = V diag(w) V^dagger``.  Raises ``ValueError`` (naming the deviation)
+    for non-Hermitian input.
+    """
+    m = _require_hermitian(m, atol)
+    w, v = np.linalg.eigh(m)
+    return w, v
+
+
+def operator_abs(m: np.ndarray, *, atol: float = HERMITIAN_ATOL) -> np.ndarray:
+    """Operator absolute value |M| = sqrt(M^2) of a Hermitian matrix.
+
+    Computed as ``V diag(|w|) V^dagger``; the result is Hermitian and positive
+    semidefinite.
+    """
+    w, v = hermitian_eig(m, atol=atol)
+    return (v * np.abs(w)) @ dagger(v)
+
+
+def operator_sign(
+    m: np.ndarray,
+    zero_tol: float = ZERO_TOL_DEFAULT,
+    *,
+    atol: float = HERMITIAN_ATOL,
+) -> np.ndarray:
+    """Operator sign M/|M| with the kernel mapped to +1.
+
+    Eigenvalues with ``|w| <= zero_tol * max|w|`` are treated as the zero
+    subspace and assigned sign +1, so the result is always Hermitian and
+    unitary (it squares to the identity).  An all-zero matrix returns the
+    identity.
+    """
+    if zero_tol <= 0:
+        raise ValueError(f"zero_tol must be positive, got {zero_tol}")
+    w, v = hermitian_eig(m, atol=atol)
+    scale = float(np.max(np.abs(w)))
+    if scale == 0.0:
+        return np.eye(m.shape[0], dtype=complex)
+    signs = np.where(np.abs(w) <= zero_tol * scale, 1.0, np.sign(w))
+    return (v * signs) @ dagger(v)
+
+
+def tensor_embed(op: np.ndarray, party: str, dims: tuple[int, int]) -> np.ndarray:
+    """Embed a single-party operator into the bipartite space.
+
+    ``party`` is ``"A"`` (giving op (x) I) or ``"B"`` (giving I (x) op), with
+    Alice's factor first.  Embeddings for opposite parties commute exactly,
+    which is what realizes commuting local measurements.
+    """
+    op = _require_square(op)
+    da, db = int(dims[0]), int(dims[1])
+    if da < 1 or db < 1:
+        raise ValueError(f"dims must be positive, got {dims}")
+    if party == "A":
+        if op.shape[0] != da:
+            raise ValueError(f"operator dim {op.shape[0]} does not match dA={da}")
+        return np.kron(op, np.eye(db, dtype=complex))
+    if party == "B":
+        if op.shape[0] != db:
+            raise ValueError(f"operator dim {op.shape[0]} does not match dB={db}")
+        return np.kron(np.eye(da, dtype=complex), op)
+    raise ValueError(f"party must be 'A' or 'B', got {party!r}")

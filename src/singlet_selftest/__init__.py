@@ -34,6 +34,7 @@ from .device import (
     DeviceValidationError,
     chsh_value,
     correlation,
+    correlations,
     make_device,
     my_deviation,
     validate,
@@ -90,6 +91,7 @@ __all__ = [
     "chsh_value",
     "condition_residuals",
     "correlation",
+    "correlations",
     "derive_chsh_operators",
     "extraction_bound",
     "extraction_error",

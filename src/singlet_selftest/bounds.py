@@ -37,7 +37,7 @@ from .isometry import (
     b_measured_error,
     extraction_error,
 )
-from .linalg import PHI_PLUS, tensor_embed
+from .linalg import PHI_PLUS
 
 SQRT2 = float(np.sqrt(2.0))
 
@@ -349,11 +349,11 @@ def _my_chain_rows(
 
 
 def _z_expectations(device: DeviceModel, ops: DerivedOperators) -> tuple[float, float]:
-    za = tensor_embed(ops.za, "A", device.dims)
-    zb = tensor_embed(ops.zb, "B", device.dims)
+    """|<Z'_A>| and |<Z'_B>|, as Z'_A Psi and Psi Z'_B^T on the state matrix Psi."""
+    psi = device.state.reshape(device.dims)
     return (
-        abs(float(np.vdot(device.state, za @ device.state).real)),
-        abs(float(np.vdot(device.state, zb @ device.state).real)),
+        abs(float(np.vdot(psi, ops.za @ psi).real)),
+        abs(float(np.vdot(psi, psi @ ops.zb.T).real)),
     )
 
 
@@ -381,7 +381,7 @@ def certify(
         value, eps = chsh_value(device)
         chsh = value
         ops = derive_chsh_operators(device, zero_tol)
-        diag = chsh_diagnostics(device, zero_tol)
+        diag = chsh_diagnostics(device, ops)
         budget = chsh_budget(eps) if eps < 1.0 else None
     else:
         table, eps = my_deviation(device)
@@ -433,7 +433,7 @@ def certify(
             for m in ("I", "X", "Z"):
                 for which in ("B0", "B1"):
                     b_errors[(m, which)] = b_measured_error(
-                        device, ops, m, which, degeneracy_tol
+                        device, ops, m, which, junk=result.junk
                     )
     except DegenerateExtractionError as err:
         degenerate = True

@@ -55,6 +55,11 @@ MY_TABLE_KEYS = tuple(f"{a}_{b}" for (a, b) in MY_IDEAL)
 
 SWEEP_COLUMNS = ("epsilon", "eps1", "eps2", "maxError", "bound", "slack")
 
+# Rounding allowance per correlation-table entry: an entry may exceed 1 in
+# magnitude, and a CHSH sum of four entries may exceed 2*sqrt(2), by this much
+# per entry.  Anything beyond is super-quantum data that no device produces.
+TABLE_ROUNDING_TOL = 1e-12
+
 
 def _fail(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
@@ -109,7 +114,7 @@ def _load_table(path: str, mode: str) -> dict[str, float]:
         value = doc[key]
         if not isinstance(value, (int, float)):
             raise DocumentError(f"correlation {key!r}: expected a number, got {value!r}")
-        if abs(float(value)) > 1.0 + 1e-12:
+        if abs(float(value)) > 1.0 + TABLE_ROUNDING_TOL:
             raise DocumentError(f"correlation {key!r} = {value} lies outside [-1, 1]")
         table[key] = float(value)
     return table
@@ -124,6 +129,12 @@ def cmd_correlations(args: argparse.Namespace) -> int:
 
     if args.mode == "chsh":
         value = table["A0_B0"] + table["A0_B1"] + table["A1_B0"] - table["A1_B1"]
+        if value > TSIRELSON + 4 * TABLE_ROUNDING_TOL:
+            return _fail(
+                f"CHSH value {value:.17g} exceeds the quantum maximum 2*sqrt(2) = "
+                f"{TSIRELSON:.17g} by more than the rounding tolerance "
+                f"{4 * TABLE_ROUNDING_TOL:.0e}; no quantum device produces this table"
+            )
         epsilon = max(0.0, TSIRELSON - value)
         chsh = value
     else:

@@ -13,6 +13,11 @@ and converts an observed correlation deficit epsilon into the (eps1, eps2)
 budgets that those residuals are guaranteed to satisfy.  Both the headline
 (leading-order) budget formulas and the exact chained forms are computed,
 since the two differ at order eps^(3/2).
+
+Residuals and chain diagnostics are local expectations and norms.  With the
+state reshaped to its (dA, dB) coefficient matrix Psi (Alice's index major),
+(A (x) B)|psi> is A Psi B^T, so each quantity is a few dA x dA and dB x dB
+matrix products applied to Psi, O(d^3), and no d^2 x d^2 embedding is formed.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .device import DeviceModel, require_valid
-from .linalg import ZERO_TOL_DEFAULT, operator_sign, tensor_embed
+from .linalg import ZERO_TOL_DEFAULT, operator_sign
 
 SQRT2 = float(np.sqrt(2.0))
 
@@ -195,6 +200,11 @@ def my_operators(device: DeviceModel) -> DerivedOperators:
     )
 
 
+def _norm(m: np.ndarray) -> float:
+    """Frobenius norm of a state matrix: the 2-norm of the state it holds."""
+    return float(np.linalg.norm(m))
+
+
 def condition_residuals(state: np.ndarray, ops: DerivedOperators) -> ResidualSet:
     """Measure the four condition residuals of the derived operators on a state."""
     dims = ops.dims
@@ -203,56 +213,58 @@ def condition_residuals(state: np.ndarray, ops: DerivedOperators) -> ResidualSet
         raise ValueError(
             f"state dimension {state.shape[0]} does not match operator dims {dims}"
         )
-    xa = tensor_embed(ops.xa, "A", dims)
-    za = tensor_embed(ops.za, "A", dims)
-    xb = tensor_embed(ops.xb, "B", dims)
-    zb = tensor_embed(ops.zb, "B", dims)
+    psi = state.reshape(dims)
+    xa_psi = ops.xa @ psi
+    za_psi = ops.za @ psi
+    xb_psi = psi @ ops.xb.T
+    zb_psi = psi @ ops.zb.T
     return ResidualSet(
-        anticomm_a=float(np.linalg.norm((xa @ za + za @ xa) @ state)),
-        anticomm_b=float(np.linalg.norm((xb @ zb + zb @ xb) @ state)),
-        diff_x=float(np.linalg.norm((xa - xb) @ state)),
-        diff_z=float(np.linalg.norm((za - zb) @ state)),
+        anticomm_a=_norm(ops.xa @ za_psi + ops.za @ xa_psi),
+        anticomm_b=_norm(zb_psi @ ops.xb.T + xb_psi @ ops.zb.T),
+        diff_x=_norm(xa_psi - xb_psi),
+        diff_z=_norm(za_psi - zb_psi),
     )
 
 
-def chsh_diagnostics(
-    device: DeviceModel, zero_tol: float = ZERO_TOL_DEFAULT
-) -> dict[str, float]:
+def chsh_diagnostics(device: DeviceModel, ops: DerivedOperators) -> dict[str, float]:
     """Intermediate chain quantities for a CHSH device.
 
     Returns the commutator-product expectation, the four mixed-product norms,
     the raw anticommutator norms, the overlap <X'_A (B0+B1)>, and the
-    distances of X'_A and X'_B to (B0+B1)/sqrt(2) on the state.
+    distances of X'_A and X'_B to (B0+B1)/sqrt(2) on the state.  ``ops`` are
+    the device's derived operators from ``derive_chsh_operators``; X'_B is
+    taken from them.
     """
     require_valid(device)
-    dims = device.dims
-    psi = device.state
-    a0 = tensor_embed(device.alice_obs["A0"], "A", dims)
-    a1 = tensor_embed(device.alice_obs["A1"], "A", dims)
-    b0 = tensor_embed(device.bob_obs["B0"], "B", dims)
-    b1 = tensor_embed(device.bob_obs["B1"], "B", dims)
-    xb = tensor_embed(
-        operator_sign(device.bob_obs["B0"] + device.bob_obs["B1"], zero_tol), "B", dims
-    )
+    if ops.dims != device.dims:
+        raise ValueError(f"operator dims {ops.dims} do not match device dims {device.dims}")
+    psi = device.state.reshape(device.dims)
+    a0 = device.alice_obs["A0"]
+    a1 = device.alice_obs["A1"]
+    b0t = device.bob_obs["B0"].T
+    b1t = device.bob_obs["B1"].T
 
-    comm_a = a0 @ a1 - a1 @ a0
-    comm_b = b1 @ b0 - b0 @ b1
-    bsum = (b0 + b1) / SQRT2
-
-    def vnorm(op: np.ndarray) -> float:
-        return float(np.linalg.norm(op @ psi))
+    a0_psi = a0 @ psi
+    a0a1 = a0 @ (a1 @ psi)
+    a1a0 = a1 @ a0_psi
+    b1b0 = (psi @ b0t) @ b1t
+    b0b1 = (psi @ b1t) @ b0t
+    bsum_t = b0t + b1t
+    bsum = psi @ bsum_t / SQRT2
 
     return {
-        "commutator_product": float(np.vdot(psi, comm_a @ (comm_b @ psi)).real),
-        "norm_a0a1_plus_b1b0": vnorm(a0 @ a1 + b1 @ b0),
-        "norm_a0a1_minus_b0b1": vnorm(a0 @ a1 - b0 @ b1),
-        "norm_a1a0_minus_b1b0": vnorm(a1 @ a0 - b1 @ b0),
-        "norm_a1a0_plus_b0b1": vnorm(a1 @ a0 + b0 @ b1),
-        "anticomm_a_raw": vnorm(a0 @ a1 + a1 @ a0),
-        "anticomm_b_raw": vnorm(b0 @ b1 + b1 @ b0),
-        "xa_bsum_overlap": float(np.vdot(psi, a0 @ ((b0 + b1) @ psi)).real),
-        "norm_xa_minus_bsum": vnorm(a0 - bsum),
-        "norm_xb_minus_bsum": vnorm(xb - bsum),
+        "commutator_product": float(
+            np.vdot(psi, (a0a1 - a1a0) @ (b0t @ b1t - b1t @ b0t)).real
+        ),
+        "norm_a0a1_plus_b1b0": _norm(a0a1 + b1b0),
+        "norm_a0a1_minus_b0b1": _norm(a0a1 - b0b1),
+        "norm_a1a0_minus_b1b0": _norm(a1a0 - b1b0),
+        "norm_a1a0_plus_b0b1": _norm(a1a0 + b0b1),
+        "anticomm_a_raw": _norm(a0a1 + a1a0),
+        "anticomm_b_raw": _norm(b0b1 + b1b0),
+        "xa_bsum_overlap": float(np.vdot(psi, a0_psi @ bsum_t).real),
+        "norm_xa_minus_bsum": _norm(a0_psi - bsum),
+        "norm_xb_minus_bsum": _norm(psi @ ops.xb.T - bsum),
     }
 
 
@@ -263,23 +275,23 @@ def my_diagnostics(device: DeviceModel) -> dict[str, float]:
     it plays no role in any other estimate or in the extraction circuit.
     """
     require_valid(device)
-    dims = device.dims
-    psi = device.state
-    xa = tensor_embed(device.alice_obs["XA"], "A", dims)
-    za = tensor_embed(device.alice_obs["ZA"], "A", dims)
-    xb = tensor_embed(device.bob_obs["XB"], "B", dims)
-    zb = tensor_embed(device.bob_obs["ZB"], "B", dims)
-    db = tensor_embed(device.bob_obs["DB"], "B", dims)
-    sum_xz = (xa + za) / SQRT2
+    psi = device.state.reshape(device.dims)
+    xa = device.alice_obs["XA"]
+    za = device.alice_obs["ZA"]
+    xbt = device.bob_obs["XB"].T
+    zbt = device.bob_obs["ZB"].T
 
-    def vnorm(op: np.ndarray) -> float:
-        return float(np.linalg.norm(op @ psi))
+    xaza = xa @ (za @ psi)
+    zaxa = za @ (xa @ psi)
+    xbzb = (psi @ zbt) @ xbt
+    zbxb = (psi @ xbt) @ zbt
+    sum_xz = (xa + za) @ psi / SQRT2
 
     return {
-        "sum_xz_norm": vnorm(sum_xz),
-        "db_vs_sum_xz": vnorm(db - sum_xz),
-        "anticomm_alice": vnorm(xa @ za + za @ xa),
-        "cross_za_xa": vnorm(za @ xa - xb @ zb),
-        "cross_xa_za": vnorm(xa @ za - zb @ xb),
-        "anticomm_bob": vnorm(xb @ zb + zb @ xb),
+        "sum_xz_norm": _norm(sum_xz),
+        "db_vs_sum_xz": _norm(psi @ device.bob_obs["DB"].T - sum_xz),
+        "anticomm_alice": _norm(xaza + zaxa),
+        "cross_za_xa": _norm(zaxa - xbzb),
+        "cross_xa_za": _norm(xaza - zbxb),
+        "anticomm_bob": _norm(xbzb + zbxb),
     }

@@ -26,6 +26,7 @@ CHSH_ALICE = ("A0", "A1")
 CHSH_BOB = ("B0", "B1")
 MY_ALICE = ("XA", "ZA")
 MY_BOB = ("XB", "ZB", "DB")
+CHSH_PAIRS = tuple((a, b) for a in CHSH_ALICE for b in CHSH_BOB)
 
 TSIRELSON = 2.0 * np.sqrt(2.0)
 
@@ -123,25 +124,50 @@ def require_valid(device: DeviceModel) -> None:
         raise DeviceValidationError(violations)
 
 
-def correlation(device: DeviceModel, alice_name: str, bob_name: str) -> float:
-    """Expectation value <psi| (M_A x I)(I x N_B) |psi> for named observables.
+def correlations(
+    device: DeviceModel, pairs: tuple[tuple[str, str], ...]
+) -> dict[tuple[str, str], float]:
+    """Expectation values <psi| (M_A x I)(I x N_B) |psi> for named observable pairs.
 
-    The value of a product of commuting Hermitian observables must be real;
-    an imaginary part above 1e-10 raises a numerical-consistency error.
+    Each named observable is embedded once and each (I x N_B)|psi> computed
+    once, then reused across the pairs.  The value of a product of commuting
+    Hermitian observables must be real; an imaginary part above 1e-10 raises
+    a numerical-consistency error.
+
+    The epsilon^(1/4) budgets amplify a last-bit change in a correlation far
+    beyond the change itself at small deviation, so these values keep the
+    embedded form ``vdot(psi, M @ (N @ psi))`` rather than the
+    state-matrix kernel used elsewhere.
     """
-    if alice_name not in device.alice_obs:
-        raise KeyError(f"unknown Alice observable {alice_name!r}")
-    if bob_name not in device.bob_obs:
-        raise KeyError(f"unknown Bob observable {bob_name!r}")
-    ma = tensor_embed(device.alice_obs[alice_name], "A", device.dims)
-    nb = tensor_embed(device.bob_obs[bob_name], "B", device.dims)
-    value = complex(np.vdot(device.state, ma @ (nb @ device.state)))
-    if abs(value.imag) > IMAG_ATOL:
-        raise ValueError(
-            f"correlation <{alice_name} {bob_name}> has imaginary part "
-            f"{value.imag:.3e} above tolerance"
-        )
-    return float(value.real)
+    for alice_name, bob_name in pairs:
+        if alice_name not in device.alice_obs:
+            raise KeyError(f"unknown Alice observable {alice_name!r}")
+        if bob_name not in device.bob_obs:
+            raise KeyError(f"unknown Bob observable {bob_name!r}")
+    embedded_a: dict[str, np.ndarray] = {}
+    applied_b: dict[str, np.ndarray] = {}
+    values: dict[tuple[str, str], float] = {}
+    for alice_name, bob_name in pairs:
+        if alice_name not in embedded_a:
+            embedded_a[alice_name] = tensor_embed(
+                device.alice_obs[alice_name], "A", device.dims
+            )
+        if bob_name not in applied_b:
+            nb = tensor_embed(device.bob_obs[bob_name], "B", device.dims)
+            applied_b[bob_name] = nb @ device.state
+        value = complex(np.vdot(device.state, embedded_a[alice_name] @ applied_b[bob_name]))
+        if abs(value.imag) > IMAG_ATOL:
+            raise ValueError(
+                f"correlation <{alice_name} {bob_name}> has imaginary part "
+                f"{value.imag:.3e} above tolerance"
+            )
+        values[(alice_name, bob_name)] = float(value.real)
+    return values
+
+
+def correlation(device: DeviceModel, alice_name: str, bob_name: str) -> float:
+    """Expectation value <psi| (M_A x I)(I x N_B) |psi> for one named pair."""
+    return correlations(device, ((alice_name, bob_name),))[(alice_name, bob_name)]
 
 
 def chsh_value(device: DeviceModel) -> tuple[float, float]:
@@ -157,11 +183,12 @@ def chsh_value(device: DeviceModel) -> tuple[float, float]:
     for name in CHSH_BOB:
         if name not in device.bob_obs:
             raise KeyError(f"device has no Bob observable {name!r}")
+    table = correlations(device, CHSH_PAIRS)
     value = (
-        correlation(device, "A0", "B0")
-        + correlation(device, "A0", "B1")
-        + correlation(device, "A1", "B0")
-        - correlation(device, "A1", "B1")
+        table[("A0", "B0")]
+        + table[("A0", "B1")]
+        + table[("A1", "B0")]
+        - table[("A1", "B1")]
     )
     return value, max(0.0, TSIRELSON - value)
 
@@ -190,10 +217,8 @@ def my_deviation(device: DeviceModel) -> tuple[dict[tuple[str, str], float], flo
     for name in MY_BOB:
         if name not in device.bob_obs:
             raise KeyError(f"device has no Bob observable {name!r}")
-    table: dict[tuple[str, str], float] = {}
+    table = correlations(device, MY_PAIRS)
     epsilon = 0.0
     for pair in MY_PAIRS:
-        measured = correlation(device, *pair)
-        table[pair] = measured
-        epsilon = max(epsilon, abs(measured - MY_IDEAL[pair]))
+        epsilon = max(epsilon, abs(table[pair] - MY_IDEAL[pair]))
     return table, epsilon

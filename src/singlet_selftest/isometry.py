@@ -217,12 +217,17 @@ def b_measured_error(
     m: str,
     which: str,
     degeneracy_tol: float = DEGENERACY_TOL_DEFAULT,
+    *,
+    junk: np.ndarray | None = None,
 ) -> float:
     """Extraction error for Bob's actually measured observable B0 or B1.
 
     Returns || Phi(M' B'_i |psi'>) - junk (x) M ((X +/- Z)/sqrt(2)) |phi+> ||
     with + for B0 and - for B1; the circuit is applied to the raw observable,
     the target uses the ideal diagonal qubit operator on Bob's ancilla.
+    ``junk`` is the fixed candidate from ``junk_candidate``; a caller that
+    already holds it (such as ``ExtractionResult.junk``) passes it in, and
+    otherwise it is computed here.
     """
     if which not in ("B0", "B1"):
         raise ValueError(f"which must be 'B0' or 'B1', got {which!r}")
@@ -236,7 +241,8 @@ def b_measured_error(
     if mop is not None:
         psi = mop @ psi
     out = _run_circuit(psi, ops)
-    junk, _ = junk_candidate(device, ops, degeneracy_tol)
+    if junk is None:
+        junk, _ = junk_candidate(device, ops, degeneracy_tol)
     sign = 1.0 if which == "B0" else -1.0
     anc_op = np.kron(PAULI_BY_NAME[m], (PAULI_X + sign * PAULI_Z) / np.sqrt(2.0))
     target = _target_state(junk, anc_op @ PHI_PLUS)

@@ -2,11 +2,14 @@
 functions (absolute value, sign with a +1 kernel convention), and tensor-product
 embedding of single-party operators into a bipartite space.
 
-Everything downstream (device correlations, derived operators, the extraction
-circuit) is built on these primitives.  All matrices are dense complex128
-``numpy`` arrays at desk scale (total dimension <= ~64); eigendecomposition is
-the single primitive behind every operator function, so results are
-deterministic and directly testable.
+Operator functions are the basis of the derived operators.  Downstream code
+otherwise applies local operators directly to the (dA, dB) state matrix
+Psi, where (A (x) B)|psi> is A Psi B^T, so residuals, chain diagnostics and the
+extraction circuit never form a dA*dB x dA*dB matrix.  ``tensor_embed`` builds
+that matrix for op (x) I or I (x) op; only the device correlations use it,
+keeping their established floating-point form.  All matrices are dense
+complex128 ``numpy`` arrays; eigendecomposition is the single primitive behind
+every operator function, so results are deterministic and directly testable.
 """
 
 from __future__ import annotations

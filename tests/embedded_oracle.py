@@ -1,0 +1,95 @@
+"""Reference formulas on kron-embedded d^2 x d^2 operators.
+
+Each quantity is written literally as a product of ``tensor_embed`` matrices
+acting on the flat state vector, O(d^6) for local dims d.  The library computes
+the same quantities on the (dA, dB) state matrix; these slow, direct forms are
+the oracle the tests compare it against.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from singlet_selftest.derive import DerivedOperators
+from singlet_selftest.device import DeviceModel
+from singlet_selftest.linalg import tensor_embed
+
+SQRT2 = float(np.sqrt(2.0))
+
+
+def _vnorm(op: np.ndarray, psi: np.ndarray) -> float:
+    return float(np.linalg.norm(op @ psi))
+
+
+def condition_residuals(state: np.ndarray, ops: DerivedOperators) -> dict[str, float]:
+    dims = ops.dims
+    psi = np.asarray(state, dtype=complex).reshape(-1)
+    xa = tensor_embed(ops.xa, "A", dims)
+    za = tensor_embed(ops.za, "A", dims)
+    xb = tensor_embed(ops.xb, "B", dims)
+    zb = tensor_embed(ops.zb, "B", dims)
+    return {
+        "anticomm_a": _vnorm(xa @ za + za @ xa, psi),
+        "anticomm_b": _vnorm(xb @ zb + zb @ xb, psi),
+        "diff_x": _vnorm(xa - xb, psi),
+        "diff_z": _vnorm(za - zb, psi),
+    }
+
+
+def chsh_diagnostics(device: DeviceModel, ops: DerivedOperators) -> dict[str, float]:
+    dims = device.dims
+    psi = device.state
+    a0 = tensor_embed(device.alice_obs["A0"], "A", dims)
+    a1 = tensor_embed(device.alice_obs["A1"], "A", dims)
+    b0 = tensor_embed(device.bob_obs["B0"], "B", dims)
+    b1 = tensor_embed(device.bob_obs["B1"], "B", dims)
+    xb = tensor_embed(ops.xb, "B", dims)
+    comm_a = a0 @ a1 - a1 @ a0
+    comm_b = b1 @ b0 - b0 @ b1
+    bsum = (b0 + b1) / SQRT2
+    return {
+        "commutator_product": float(np.vdot(psi, comm_a @ (comm_b @ psi)).real),
+        "norm_a0a1_plus_b1b0": _vnorm(a0 @ a1 + b1 @ b0, psi),
+        "norm_a0a1_minus_b0b1": _vnorm(a0 @ a1 - b0 @ b1, psi),
+        "norm_a1a0_minus_b1b0": _vnorm(a1 @ a0 - b1 @ b0, psi),
+        "norm_a1a0_plus_b0b1": _vnorm(a1 @ a0 + b0 @ b1, psi),
+        "anticomm_a_raw": _vnorm(a0 @ a1 + a1 @ a0, psi),
+        "anticomm_b_raw": _vnorm(b0 @ b1 + b1 @ b0, psi),
+        "xa_bsum_overlap": float(np.vdot(psi, a0 @ ((b0 + b1) @ psi)).real),
+        "norm_xa_minus_bsum": _vnorm(a0 - bsum, psi),
+        "norm_xb_minus_bsum": _vnorm(xb - bsum, psi),
+    }
+
+
+def my_diagnostics(device: DeviceModel) -> dict[str, float]:
+    dims = device.dims
+    psi = device.state
+    xa = tensor_embed(device.alice_obs["XA"], "A", dims)
+    za = tensor_embed(device.alice_obs["ZA"], "A", dims)
+    xb = tensor_embed(device.bob_obs["XB"], "B", dims)
+    zb = tensor_embed(device.bob_obs["ZB"], "B", dims)
+    db = tensor_embed(device.bob_obs["DB"], "B", dims)
+    sum_xz = (xa + za) / SQRT2
+    return {
+        "sum_xz_norm": _vnorm(sum_xz, psi),
+        "db_vs_sum_xz": _vnorm(db - sum_xz, psi),
+        "anticomm_alice": _vnorm(xa @ za + za @ xa, psi),
+        "cross_za_xa": _vnorm(za @ xa - xb @ zb, psi),
+        "cross_xa_za": _vnorm(xa @ za - zb @ xb, psi),
+        "anticomm_bob": _vnorm(xb @ zb + zb @ xb, psi),
+    }
+
+
+def z_expectations(device: DeviceModel, ops: DerivedOperators) -> tuple[float, float]:
+    za = tensor_embed(ops.za, "A", device.dims)
+    zb = tensor_embed(ops.zb, "B", device.dims)
+    return (
+        abs(float(np.vdot(device.state, za @ device.state).real)),
+        abs(float(np.vdot(device.state, zb @ device.state).real)),
+    )
+
+
+def correlation(device: DeviceModel, alice_name: str, bob_name: str) -> float:
+    ma = tensor_embed(device.alice_obs[alice_name], "A", device.dims)
+    nb = tensor_embed(device.bob_obs[bob_name], "B", device.dims)
+    return float(np.vdot(device.state, ma @ (nb @ device.state)).real)

@@ -268,8 +268,8 @@ def test_criterion_07_chain_suites():
 
     for device, eps in chsh_epsilon_corpus():
         budget = chsh_budget(eps)
-        diag = chsh_diagnostics(device)
         ops = derive_chsh_operators(device)
+        diag = chsh_diagnostics(device, ops)
         junk, raw = junk_candidate(device, ops)
         za = tensor_embed(ops.za, "A", device.dims)
         za_abs = abs(float(np.vdot(device.state, za @ device.state).real))

@@ -270,6 +270,28 @@ class TestCorrelationsCommand:
         ))
         assert main(["correlations", "--table", str(table), "--mode", "chsh"]) == 2
 
+    def test_super_quantum_chsh_table_exits_two(self, tmp_path, capsys):
+        # PR-box correlations reach CHSH = 4; clamping the deficit to 0 would
+        # certify a perfect singlet from data no quantum device can produce
+        table = tmp_path / "table.json"
+        table.write_text(json.dumps({"A0_B0": 1, "A0_B1": 1, "A1_B0": 1, "A1_B1": -1}))
+        out = tmp_path / "summary.json"
+        code = main([
+            "correlations", "--table", str(table), "--mode", "chsh", "--out", str(out),
+        ])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "exceeds the quantum maximum" in captured.err
+        assert not out.exists()
+
+    def test_chsh_table_just_above_tsirelson_within_rounding(self, tmp_path, capsys):
+        c = 1.0 / math.sqrt(2.0) + 5e-13
+        table = tmp_path / "table.json"
+        table.write_text(json.dumps({"A0_B0": c, "A0_B1": c, "A1_B0": c, "A1_B1": -c}))
+        assert main(["correlations", "--table", str(table), "--mode", "chsh"]) == 0
+        assert json.loads(capsys.readouterr().out)["epsilon"] == 0.0
+
     def test_output_file(self, tmp_path):
         c = 1.0 / math.sqrt(2.0)
         table = tmp_path / "table.json"

@@ -200,7 +200,7 @@ class TestMyBudget:
 
 class TestChshDiagnostics:
     def test_canonical_saturation(self, chsh_device):
-        diag = chsh_diagnostics(chsh_device)
+        diag = chsh_diagnostics(chsh_device, derive_chsh_operators(chsh_device))
         assert diag["commutator_product"] == pytest.approx(4.0, abs=1e-9)
         assert diag["xa_bsum_overlap"] == pytest.approx(SQRT2, abs=1e-10)
         for name in (
@@ -219,7 +219,7 @@ class TestChshDiagnostics:
         device = tilted_device(math.pi / 8)
         _, eps = chsh_value(device)
         budget = chsh_budget(eps)
-        diag = chsh_diagnostics(device)
+        diag = chsh_diagnostics(device, derive_chsh_operators(device))
         assert diag["commutator_product"] >= 4.0 - budget.delta - 1e-9
         for name in (
             "norm_a0a1_plus_b1b0",

@@ -9,11 +9,14 @@ Mayers-Yao correlation data, including every intermediate chain estimate.
 __version__ = "0.1.0"
 
 from .bounds import (
+    MODES,
     CertificationReport,
+    Mode,
     ReportRow,
     b_extraction_bound,
     certify,
     extraction_bound,
+    get_mode,
     my_fidelity_bound,
     state_error_bounds,
 )
@@ -32,6 +35,8 @@ from .derive import (
 from .device import (
     DeviceModel,
     DeviceValidationError,
+    canonical_chsh_device,
+    canonical_my_device,
     chsh_value,
     correlation,
     correlations,
@@ -43,8 +48,6 @@ from .explorer import (
     FamilySpec,
     SearchResult,
     SweepRecord,
-    canonical_chsh_device,
-    canonical_my_device,
     make_family,
     sweep,
     worst_case_search,
@@ -56,7 +59,6 @@ from .isometry import (
     b_measured_error,
     best_junk,
     extraction_error,
-    isometry_expansion,
     junk_candidate,
 )
 from .linalg import (
@@ -67,6 +69,7 @@ from .linalg import (
 )
 
 __all__ = [
+    "MODES",
     "CertificationReport",
     "DegenerateExtractionError",
     "DerivedOperators",
@@ -75,6 +78,7 @@ __all__ = [
     "EpsilonBudget",
     "ExtractionResult",
     "FamilySpec",
+    "Mode",
     "ReportRow",
     "ResidualSet",
     "SearchResult",
@@ -95,8 +99,8 @@ __all__ = [
     "derive_chsh_operators",
     "extraction_bound",
     "extraction_error",
+    "get_mode",
     "hermitian_eig",
-    "isometry_expansion",
     "junk_candidate",
     "make_device",
     "make_family",

@@ -14,11 +14,13 @@ asserted.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .derive import (
+    SQRT2,
     DerivedOperators,
     EpsilonBudget,
     ResidualSet,
@@ -30,7 +32,17 @@ from .derive import (
     my_diagnostics,
     my_operators,
 )
-from .device import DeviceModel, chsh_value, my_deviation, require_valid
+from .device import (
+    CHSH_PAIRS,
+    MY_PAIRS,
+    DeviceModel,
+    canonical_chsh_device,
+    canonical_my_device,
+    chsh_epsilon,
+    my_epsilon,
+    pair_correlations,
+    require_valid,
+)
 from .isometry import (
     DegenerateExtractionError,
     OPERATOR_PAIRS,
@@ -38,8 +50,6 @@ from .isometry import (
     extraction_error,
 )
 from .linalg import PHI_PLUS
-
-SQRT2 = float(np.sqrt(2.0))
 
 CERT_TOL_DEFAULT = 1e-9
 
@@ -49,8 +59,6 @@ CERT_TOL_DEFAULT = 1e-9
 # Reports carry both and a discrepancy flag; nothing is asserted between them.
 FIDELITY_REFERENCE_EPSILON = 1e-4
 FIDELITY_REFERENCE_VALUE = 0.20
-
-EXPECTED_ROW_COUNT = {"chsh": 35, "my": 25}
 
 
 def _require_nonnegative(**values: float) -> None:
@@ -215,33 +223,25 @@ def _mk_row(
 
 
 def _condition_rows(
-    residuals: ResidualSet, budget: EpsilonBudget | None, mode: str, tol: float
+    residuals: ResidualSet, budget: EpsilonBudget | None, selftest: Mode, tol: float
 ) -> list[ReportRow]:
     if budget is None:
         a_grades = b_grades = d_grades = None
     else:
         a_grades = (2.0 * budget.eps1, 2.0 * budget.eps1_exact)
-        # Regularized Bob operators anticommute exactly for CHSH devices.
-        b_grades = (2.0 * budget.eps1, 0.0) if mode == "chsh" else a_grades
+        b_grades = (
+            (2.0 * budget.eps1, 0.0) if selftest.exact_bob_anticommutation else a_grades
+        )
         d_grades = (budget.eps2, budget.eps2_exact)
-    eps1_formula = (
-        "2*eps1; eps1 = 2*sqrt(eps*sqrt(2))"
-        if mode == "chsh"
-        else "2*eps1; eps1 = 2*(1+sqrt(2))*(2*eps)**(1/4) + 4*sqrt(2*eps)"
-        " + ((5+3*sqrt(2))/2)*(2*eps)**(3/4)"
-    )
-    eps2_formula = (
-        "eps2 = 4*(eps*sqrt(2))**(1/4)" if mode == "chsh" else "eps2 = sqrt(2*eps)"
-    )
     return [
         _mk_row("condition_anticomm_alice", "condition", residuals.anticomm_a,
-                a_grades, "<=", eps1_formula, tol),
+                a_grades, "<=", selftest.eps1_formula, tol),
         _mk_row("condition_anticomm_bob", "condition", residuals.anticomm_b,
-                b_grades, "<=", eps1_formula, tol),
+                b_grades, "<=", selftest.eps1_formula, tol),
         _mk_row("condition_diff_x", "condition", residuals.diff_x,
-                d_grades, "<=", eps2_formula, tol),
+                d_grades, "<=", selftest.eps2_formula, tol),
         _mk_row("condition_diff_z", "condition", residuals.diff_z,
-                d_grades, "<=", eps2_formula, tol),
+                d_grades, "<=", selftest.eps2_formula, tol),
     ]
 
 
@@ -357,6 +357,29 @@ def _z_expectations(device: DeviceModel, ops: DerivedOperators) -> tuple[float, 
     )
 
 
+def _b_operator_rows(
+    device: DeviceModel,
+    ops: DerivedOperators,
+    junk: np.ndarray | None,
+    eps: float,
+    budget: EpsilonBudget | None,
+    tol: float,
+) -> list[ReportRow]:
+    """Extraction errors of Bob's raw B0/B1; NaN when the junk is degenerate."""
+    b_grades = None if budget is None else (
+        b_extraction_bound(eps), SQRT2 * eps + budget.eps2_exact / SQRT2
+    )
+    rows = []
+    for m in ("I", "X", "Z"):
+        for which in ("B0", "B1"):
+            error = NAN if junk is None else b_measured_error(device, ops, m, which, junk=junk)
+            rows.append(
+                _mk_row(f"b_operator_{m}_{which}", "b_operator", error, b_grades, "<=",
+                        "sqrt(2)*eps + 2*sqrt(2)*(eps*sqrt(2))**(1/4)", tol)
+            )
+    return rows
+
+
 def certify(
     device: DeviceModel,
     mode: str,
@@ -372,31 +395,19 @@ def certify(
     degenerate junk candidate is reported as failed extraction rows, not a
     crash; a deviation outside [0, 1) fails the budget-dependent rows.
     """
-    if mode not in ("chsh", "my"):
-        raise ValueError(f"mode must be 'chsh' or 'my', got {mode!r}")
+    selftest = get_mode(mode)
     require_valid(device)
 
-    correlations: dict[str, float] = {}
-    if mode == "chsh":
-        value, eps = chsh_value(device)
-        chsh = value
-        ops = derive_chsh_operators(device, zero_tol)
-        diag = chsh_diagnostics(device, ops)
-        budget = chsh_budget(eps) if eps < 1.0 else None
-    else:
-        table, eps = my_deviation(device)
-        chsh = None
-        correlations = {f"{a}_{b}": v for (a, b), v in table.items()}
-        ops = my_operators(device)
-        diag = my_diagnostics(device)
-        budget = my_budget(eps) if eps < 1.0 else None
+    table = pair_correlations(device, selftest.pairs)
+    chsh, eps = selftest.deviation(table)
+    correlations = dict(zip(selftest.table_keys, table.values()))
+    ops = selftest.derive(device, zero_tol)
+    diag = selftest.diagnostics(device, ops)
+    budget = selftest.budget(eps) if eps < 1.0 else None
 
     residuals = condition_residuals(device.state, ops)
-    rows = _condition_rows(residuals, budget, mode, cert_tol)
-    if mode == "chsh":
-        rows.extend(_chsh_chain_rows(diag, budget, cert_tol))
-    else:
-        rows.extend(_my_chain_rows(diag, budget, cert_tol))
+    rows = _condition_rows(residuals, budget, selftest, cert_tol)
+    rows.extend(selftest.chain_rows(diag, budget, cert_tol))
 
     # Extraction: measured errors against the bound composed from measured
     # residuals; budget-composed grades carried as informational columns.
@@ -407,44 +418,31 @@ def certify(
             extraction_bound(budget.eps1, budget.eps2),
             extraction_bound(budget.eps1_exact, budget.eps2_exact),
         )
-        state_grades_pre = (
-            state_error_bounds(budget.eps1, budget.eps2)[0],
-            state_error_bounds(budget.eps1_exact, budget.eps2_exact)[0],
-        )
-        state_grades_post = (
-            state_error_bounds(budget.eps1, budget.eps2)[1],
-            state_error_bounds(budget.eps1_exact, budget.eps2_exact)[1],
+        # (headline, exact) grades of the (pre, post) normalization bounds
+        state_grades_pre, state_grades_post = zip(
+            state_error_bounds(budget.eps1, budget.eps2),
+            state_error_bounds(budget.eps1_exact, budget.eps2_exact),
         )
     else:
         extr_grades = state_grades_pre = state_grades_post = None
 
     degenerate = False
+    junk = None
     try:
         result = extraction_error(device, ops, degeneracy_tol)
+        junk = result.junk
         junk_raw = result.junk_norm_raw
         output_ii = result.output_state
-        target_pre = np.kron(result.junk * junk_raw, PHI_PLUS)
-        target_post = np.kron(result.junk, PHI_PLUS)
+        target_pre = np.kron(junk * junk_raw, PHI_PLUS)
+        target_post = np.kron(junk, PHI_PLUS)
         state_pre = float(np.linalg.norm(output_ii - target_pre))
         state_post = float(np.linalg.norm(output_ii - target_post))
         pair_errors: dict[tuple[str, str], float] = dict(result.errors_by_pair)
-        b_errors: dict[tuple[str, str], float] = {}
-        if mode == "chsh":
-            for m in ("I", "X", "Z"):
-                for which in ("B0", "B1"):
-                    b_errors[(m, which)] = b_measured_error(
-                        device, ops, m, which, junk=result.junk
-                    )
     except DegenerateExtractionError as err:
         degenerate = True
         junk_raw = getattr(err, "raw_norm", NAN)
         state_pre = state_post = NAN
         pair_errors = {pair: NAN for pair in OPERATOR_PAIRS}
-        b_errors = (
-            {(m, w): NAN for m in ("I", "X", "Z") for w in ("B0", "B1")}
-            if mode == "chsh"
-            else {}
-        )
 
     za_abs, zb_abs = _z_expectations(device, ops)
     rows.extend(_shared_state_rows(junk_raw, za_abs, zb_abs, budget, cert_tol))
@@ -467,26 +465,12 @@ def certify(
                     "(11*eps1 + 5*eps2)/2 (from measured residuals)",
                     cert_tol, bound_override=measured_bound)
         )
-    if mode == "chsh":
-        try:
-            b_bound: float | None = b_extraction_bound(eps)
-        except ValueError:
-            b_bound = None
-        b_grades = None if b_bound is None else (
-            b_bound, SQRT2 * eps + (budget.eps2_exact / SQRT2 if budget else NAN)
-        )
-        for m in ("I", "X", "Z"):
-            for which in ("B0", "B1"):
-                rows.append(
-                    _mk_row(f"b_operator_{m}_{which}", "b_operator",
-                            b_errors[(m, which)], b_grades, "<=",
-                            "sqrt(2)*eps + 2*sqrt(2)*(eps*sqrt(2))**(1/4)", cert_tol)
-                )
+    if selftest.b_operator:
+        rows.extend(_b_operator_rows(device, ops, junk, eps, budget, cert_tol))
 
-    expected = EXPECTED_ROW_COUNT[mode]
-    if len(rows) != expected:
+    if len(rows) != selftest.row_count:
         raise AssertionError(
-            f"report row count {len(rows)} != expected {expected} for mode {mode}"
+            f"report row count {len(rows)} != expected {selftest.row_count} for mode {mode}"
         )
 
     return CertificationReport(
@@ -500,5 +484,88 @@ def certify(
         rows=rows,
         fidelity=fidelity_block(eps),
         cert_tol=cert_tol,
-        correlations=correlations,
+        correlations=correlations if selftest.reports_correlations else {},
     )
+
+
+@dataclass(frozen=True)
+class Mode:
+    """What differs between the two self-tests; the pipeline around it is shared.
+
+    ``pairs`` are the (Alice, Bob) observable pairs whose correlations define
+    the deviation; a device must name every observable in them, and a
+    correlation table keys them as ``"A_B"``.  ``deviation`` maps those
+    correlations to ``(CHSH value or None, epsilon)`` for device and table
+    input alike.  ``derive`` and ``diagnostics`` take ``(device, zero_tol)``
+    and ``(device, ops)``.  ``exact_bob_anticommutation`` sets the exact
+    grade of the Bob anticommutation row to 0; ``b_operator`` adds the six
+    rows for Bob's raw observables (and the ``bOperator`` table bound);
+    ``reports_correlations`` puts the correlation table into the report.
+    """
+
+    name: str
+    pairs: tuple[tuple[str, str], ...]
+    deviation: Callable[[dict[tuple[str, str], float]], tuple[float | None, float]]
+    budget: Callable[[float], EpsilonBudget]
+    derive: Callable[[DeviceModel, float], DerivedOperators]
+    diagnostics: Callable[[DeviceModel, DerivedOperators], dict[str, float]]
+    chain_rows: Callable[[dict[str, float], EpsilonBudget | None, float], list[ReportRow]]
+    eps1_formula: str
+    eps2_formula: str
+    exact_bob_anticommutation: bool
+    b_operator: bool
+    reports_correlations: bool
+    row_count: int
+    canonical: Callable[[], DeviceModel]
+
+    @property
+    def table_keys(self) -> tuple[str, ...]:
+        return tuple(f"{a}_{b}" for a, b in self.pairs)
+
+
+MODES = {
+    "chsh": Mode(
+        name="chsh",
+        pairs=CHSH_PAIRS,
+        deviation=chsh_epsilon,
+        budget=chsh_budget,
+        derive=derive_chsh_operators,
+        diagnostics=chsh_diagnostics,
+        chain_rows=_chsh_chain_rows,
+        eps1_formula="2*eps1; eps1 = 2*sqrt(eps*sqrt(2))",
+        eps2_formula="eps2 = 4*(eps*sqrt(2))**(1/4)",
+        # Regularized Bob operators anticommute exactly for CHSH devices.
+        exact_bob_anticommutation=True,
+        b_operator=True,
+        reports_correlations=False,
+        row_count=35,
+        canonical=canonical_chsh_device,
+    ),
+    "my": Mode(
+        name="my",
+        pairs=MY_PAIRS,
+        deviation=my_epsilon,
+        budget=my_budget,
+        # The named observables pass through unregularized, and the chain
+        # diagnostics read them (and DB) from the device directly.
+        derive=lambda device, zero_tol: my_operators(device),
+        diagnostics=lambda device, ops: my_diagnostics(device),
+        chain_rows=_my_chain_rows,
+        eps1_formula="2*eps1; eps1 = 2*(1+sqrt(2))*(2*eps)**(1/4) + 4*sqrt(2*eps)"
+        " + ((5+3*sqrt(2))/2)*(2*eps)**(3/4)",
+        eps2_formula="eps2 = sqrt(2*eps)",
+        exact_bob_anticommutation=False,
+        b_operator=False,
+        reports_correlations=True,
+        row_count=25,
+        canonical=canonical_my_device,
+    ),
+}
+
+
+def get_mode(name: str) -> Mode:
+    """The registered ``Mode`` called ``name``; ``ValueError`` for any other name."""
+    try:
+        return MODES[name]
+    except (KeyError, TypeError):
+        raise ValueError(f"mode must be 'chsh' or 'my', got {name!r}") from None

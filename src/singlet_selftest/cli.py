@@ -4,54 +4,41 @@ Exit codes: 0 when the requested run succeeds with every certification row
 passing, 1 when a report contains failing rows (or a search finds nothing),
 2 on input errors (bad flags, unparseable or schema-violating files, invalid
 devices).  Output files are written atomically; no partial files on failure.
-
-The env var SELFTEST_THREADS caps the parallel sweep width (0 or unset means
-automatic); records are identical regardless of the width because every sweep
-point owns a derived RNG stream.
+Sweeps run serially, one family point after another.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
+import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .bounds import (
+    MODES,
+    Mode,
     b_extraction_bound,
     certify,
     extraction_bound,
     fidelity_block,
+    get_mode,
     state_error_bounds,
 )
-from .derive import chsh_budget, my_budget
-from .device import MY_IDEAL, TSIRELSON, DeviceValidationError
-from .device import validate as validate_device
+from .device import TSIRELSON, DeviceValidationError
 from .documents import (
     REPORT_SCHEMA_VERSION,
     DocumentError,
+    budget_to_json,
     device_to_document,
     document_digest,
     load_device,
+    read_json,
     report_to_document,
-    save_device,
     write_json_atomic,
     write_text_atomic,
 )
-from .explorer import (
-    FamilySpec,
-    canonical_chsh_device,
-    canonical_my_device,
-    evaluate_device,
-    family_axis,
-    family_points,
-    worst_case_search,
-)
-
-CHSH_TABLE_KEYS = ("A0_B0", "A0_B1", "A1_B0", "A1_B1")
-MY_TABLE_KEYS = tuple(f"{a}_{b}" for (a, b) in MY_IDEAL)
+from .explorer import FamilySpec, family_axis, sweep, worst_case_search
 
 SWEEP_COLUMNS = ("epsilon", "eps1", "eps2", "maxError", "bound", "slack")
 
@@ -64,19 +51,6 @@ TABLE_ROUNDING_TOL = 1e-12
 def _fail(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return 2
-
-
-def _thread_width(n_items: int) -> int:
-    raw = os.environ.get("SELFTEST_THREADS", "0")
-    try:
-        width = int(raw)
-    except ValueError:
-        width = 0
-    if width < 0:
-        width = 0
-    if width == 0:
-        width = min(os.cpu_count() or 1, n_items) or 1
-    return max(1, min(width, n_items) if n_items else 1)
 
 
 def cmd_certify(args: argparse.Namespace) -> int:
@@ -95,25 +69,21 @@ def cmd_certify(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_table(path: str, mode: str) -> dict[str, float]:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as err:
-        raise DocumentError(f"cannot read {path}: {err}") from err
-    except json.JSONDecodeError as err:
-        raise DocumentError(
-            f"{path}: parse error at line {err.lineno} column {err.colno}: {err.msg}"
-        ) from err
+def _load_table(path: str, selftest: Mode) -> dict[str, float]:
+    doc = read_json(path)
     if not isinstance(doc, dict):
         raise DocumentError("correlation table must be a JSON object of name -> value")
-    keys = CHSH_TABLE_KEYS if mode == "chsh" else MY_TABLE_KEYS
     table = {}
-    for key in keys:
+    for key in selftest.table_keys:
         if key not in doc:
-            raise DocumentError(f"correlation table is missing entry {key!r} for mode {mode}")
+            raise DocumentError(
+                f"correlation table is missing entry {key!r} for mode {selftest.name}"
+            )
         value = doc[key]
         if not isinstance(value, (int, float)):
             raise DocumentError(f"correlation {key!r}: expected a number, got {value!r}")
+        if not math.isfinite(value):
+            raise DocumentError(f"correlation {key!r} = {value} is not a finite number")
         if abs(float(value)) > 1.0 + TABLE_ROUNDING_TOL:
             raise DocumentError(f"correlation {key!r} = {value} lies outside [-1, 1]")
         table[key] = float(value)
@@ -122,25 +92,18 @@ def _load_table(path: str, mode: str) -> dict[str, float]:
 
 def cmd_correlations(args: argparse.Namespace) -> int:
     """Budgets from correlation data alone; no device model, so no isometry."""
+    selftest = get_mode(args.mode)
     try:
-        table = _load_table(args.table, args.mode)
+        table = _load_table(args.table, selftest)
     except DocumentError as err:
         return _fail(str(err))
 
-    if args.mode == "chsh":
-        value = table["A0_B0"] + table["A0_B1"] + table["A1_B0"] - table["A1_B1"]
-        if value > TSIRELSON + 4 * TABLE_ROUNDING_TOL:
-            return _fail(
-                f"CHSH value {value:.17g} exceeds the quantum maximum 2*sqrt(2) = "
-                f"{TSIRELSON:.17g} by more than the rounding tolerance "
-                f"{4 * TABLE_ROUNDING_TOL:.0e}; no quantum device produces this table"
-            )
-        epsilon = max(0.0, TSIRELSON - value)
-        chsh = value
-    else:
-        chsh = None
-        epsilon = max(
-            abs(table[f"{a}_{b}"] - ideal) for (a, b), ideal in MY_IDEAL.items()
+    chsh, epsilon = selftest.deviation(dict(zip(selftest.pairs, table.values())))
+    if chsh is not None and chsh > TSIRELSON + 4 * TABLE_ROUNDING_TOL:
+        return _fail(
+            f"CHSH value {chsh:.17g} exceeds the quantum maximum 2*sqrt(2) = "
+            f"{TSIRELSON:.17g} by more than the rounding tolerance "
+            f"{4 * TABLE_ROUNDING_TOL:.0e}; no quantum device produces this table"
         )
 
     budgets = None
@@ -150,23 +113,15 @@ def cmd_correlations(args: argparse.Namespace) -> int:
         "extraction requires a device model"
     )
     if epsilon < 1.0:
-        budget = chsh_budget(epsilon) if args.mode == "chsh" else my_budget(epsilon)
+        budget = selftest.budget(epsilon)
         pre, post = state_error_bounds(budget.eps1, budget.eps2)
-        budgets = {
-            "eps1": budget.eps1,
-            "eps2": budget.eps2,
-            "epsPrime": budget.eps_prime,
-            "eps1Exact": budget.eps1_exact,
-            "eps2Exact": budget.eps2_exact,
-            "epsPrimeExact": budget.eps_prime_exact,
-            "delta": budget.delta,
-        }
+        budgets = budget_to_json(budget)
         bounds = {
             "extractionError": extraction_bound(budget.eps1, budget.eps2),
             "statePreNormalization": pre,
             "stateNormalized": post,
         }
-        if args.mode == "chsh":
+        if selftest.b_operator:
             bounds["bOperator"] = b_extraction_bound(epsilon)
     else:
         note += "; deviation >= 1 lies outside the certifiable range, budgets omitted"
@@ -191,14 +146,7 @@ def cmd_correlations(args: argparse.Namespace) -> int:
 
 
 def _parse_family_spec(path: str) -> FamilySpec:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as err:
-        raise DocumentError(f"cannot read {path}: {err}") from err
-    except json.JSONDecodeError as err:
-        raise DocumentError(
-            f"{path}: parse error at line {err.lineno} column {err.colno}: {err.msg}"
-        ) from err
+    doc = read_json(path)
     if not isinstance(doc, dict):
         raise DocumentError("family spec must be a JSON object")
     unknown = set(doc) - {"kind", "parameters", "dims", "seed", "mode"}
@@ -219,40 +167,20 @@ def _parse_family_spec(path: str) -> FamilySpec:
 
 
 def sweep_csv(spec: FamilySpec) -> str:
-    """Deterministic CSV for a family sweep (parallel width capped by env)."""
+    """Deterministic CSV for a family sweep, one row per family point."""
     axis, _ = family_axis(spec)
-    points = family_points(spec)
-    for parameters, device in points:
-        violations = validate_device(device)
-        if violations:
-            raise DocumentError(
-                f"family {spec.kind!r} produced an invalid device at {parameters}: "
-                + "; ".join(violations)
-            )
-
-    def run(point):
-        parameters, device = point
-        return evaluate_device(device, spec.mode, parameters)
-
-    width = _thread_width(len(points))
-    if width > 1 and len(points) > 1:
-        with ThreadPoolExecutor(max_workers=width) as pool:
-            records = list(pool.map(run, points))
-    else:
-        records = [run(point) for point in points]
-
     lines = [",".join((axis,) + SWEEP_COLUMNS)]
-    for record in records:
-        values = [
-            repr(float(record.parameters[axis])),
-            repr(float(record.epsilon)),
-            repr(float(record.eps1_measured)),
-            repr(float(record.eps2_measured)),
-            repr(float(record.max_extraction_error)),
-            repr(float(record.extraction_bound)),
-            repr(float(record.slack)),
-        ]
-        lines.append(",".join(values))
+    for record in sweep(spec):
+        values = (
+            record.parameters[axis],
+            record.epsilon,
+            record.eps1_measured,
+            record.eps2_measured,
+            record.max_extraction_error,
+            record.extraction_bound,
+            record.slack,
+        )
+        lines.append(",".join(repr(float(value)) for value in values))
     return "\n".join(lines) + "\n"
 
 
@@ -298,9 +226,10 @@ def cmd_search(args: argparse.Namespace) -> int:
         "seed": args.seed,
         "evaluations": result.evaluations,
     }
-    save_device(args.out, result.device, metadata)
+    doc = device_to_document(result.device, metadata)
+    write_json_atomic(args.out, doc)
     report = certify(result.device, args.mode)
-    digest = document_digest(device_to_document(result.device, metadata))
+    digest = document_digest(doc)
     report_path = Path(args.out).with_suffix(Path(args.out).suffix + ".report.json")
     write_json_atomic(report_path, report_to_document(report, digest))
     record = result.record
@@ -314,7 +243,7 @@ def cmd_search(args: argparse.Namespace) -> int:
 
 
 def cmd_canonical(args: argparse.Namespace) -> int:
-    device = canonical_chsh_device() if args.mode == "chsh" else canonical_my_device()
+    device = get_mode(args.mode).canonical()
     doc = device_to_document(device, {"generator": "canonical", "mode": args.mode})
     if args.out:
         write_json_atomic(args.out, doc)
@@ -336,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cert = sub.add_parser("certify", help="run the full measured-vs-bound report")
     p_cert.add_argument("--device", required=True, help="device document (JSON)")
-    p_cert.add_argument("--mode", required=True, choices=("chsh", "my"))
+    p_cert.add_argument("--mode", required=True, choices=tuple(MODES))
     p_cert.add_argument("--out", required=True, help="report document output path")
     p_cert.add_argument("--cert-tol", type=float, default=1e-9,
                         help="absolute tolerance absorbing rounding (default 1e-9)")
@@ -346,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
         "correlations", help="closed-form budgets from a correlation table alone"
     )
     p_corr.add_argument("--table", required=True, help="JSON map of named expectations")
-    p_corr.add_argument("--mode", required=True, choices=("chsh", "my"))
+    p_corr.add_argument("--mode", required=True, choices=tuple(MODES))
     p_corr.add_argument("--out", help="write the JSON summary here instead of stdout")
     p_corr.set_defaults(func=cmd_correlations)
 
@@ -358,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_search = sub.add_parser(
         "search", help="anneal for the worst extraction error at bounded epsilon"
     )
-    p_search.add_argument("--mode", required=True, choices=("chsh", "my"))
+    p_search.add_argument("--mode", required=True, choices=tuple(MODES))
     p_search.add_argument("--epsilon-ceiling", type=float, required=True)
     p_search.add_argument("--dims", default="2,2", help="device dims as 'dA,dB'")
     p_search.add_argument("--budget", type=int, required=True,
@@ -369,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.set_defaults(func=cmd_search)
 
     p_canon = sub.add_parser("canonical", help="emit a canonical device document")
-    p_canon.add_argument("--mode", required=True, choices=("chsh", "my"))
+    p_canon.add_argument("--mode", required=True, choices=tuple(MODES))
     p_canon.add_argument("--out", help="write the document here instead of stdout")
     p_canon.set_defaults(func=cmd_canonical)
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .device import DeviceModel, require_valid
+from .device import CHSH_PAIRS, DeviceModel, require_observables, require_valid
 from .linalg import ZERO_TOL_DEFAULT, operator_sign
 
 SQRT2 = float(np.sqrt(2.0))
@@ -162,12 +162,7 @@ def derive_chsh_operators(
 ) -> DerivedOperators:
     """Regularize raw CHSH observables into the four derived operators."""
     require_valid(device)
-    for name in ("A0", "A1"):
-        if name not in device.alice_obs:
-            raise KeyError(f"device has no Alice observable {name!r}")
-    for name in ("B0", "B1"):
-        if name not in device.bob_obs:
-            raise KeyError(f"device has no Bob observable {name!r}")
+    require_observables(device, CHSH_PAIRS)
     b0 = device.bob_obs["B0"]
     b1 = device.bob_obs["B1"]
     return DerivedOperators(
@@ -186,12 +181,7 @@ def my_operators(device: DeviceModel) -> DerivedOperators:
     diagnostic residuals, never in the extraction circuit.
     """
     require_valid(device)
-    for name in ("XA", "ZA"):
-        if name not in device.alice_obs:
-            raise KeyError(f"device has no Alice observable {name!r}")
-    for name in ("XB", "ZB"):
-        if name not in device.bob_obs:
-            raise KeyError(f"device has no Bob observable {name!r}")
+    require_observables(device, (("XA", "XB"), ("ZA", "ZB")))
     return DerivedOperators(
         xa=device.alice_obs["XA"],
         za=device.alice_obs["ZA"],

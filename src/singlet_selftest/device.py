@@ -4,11 +4,13 @@ A device is an (unknown, finite-dimensional) pure state plus named +/-1-valued
 observables per party.  The two correlation experiments supported are the CHSH
 combination (canonical observable names A0, A1, B0, B1) and the Mayers-Yao set
 (XA, ZA on Alice against XB, ZB, DB on Bob).  Observable naming is the contract
-between modules.
+between modules.  The canonical devices reach each experiment's ideal
+correlations on the maximally entangled pair.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,6 +29,7 @@ CHSH_BOB = ("B0", "B1")
 MY_ALICE = ("XA", "ZA")
 MY_BOB = ("XB", "ZB", "DB")
 CHSH_PAIRS = tuple((a, b) for a in CHSH_ALICE for b in CHSH_BOB)
+MY_PAIRS = tuple((a, b) for a in MY_ALICE for b in MY_BOB)
 
 TSIRELSON = 2.0 * np.sqrt(2.0)
 
@@ -80,12 +83,33 @@ def make_device(
     return DeviceModel((da, db), vec, freeze(alice_obs), freeze(bob_obs))
 
 
+def canonical_chsh_device() -> DeviceModel:
+    """Maximally entangled pair with the CHSH-saturating measurement settings."""
+    return make_device(
+        (2, 2),
+        PHI_PLUS,
+        {"A0": PAULI_X, "A1": PAULI_Z},
+        {"B0": DIAG_XZ, "B1": (PAULI_X - PAULI_Z) / math.sqrt(2.0)},
+    )
+
+
+def canonical_my_device() -> DeviceModel:
+    """Maximally entangled pair with the ideal Mayers-Yao observables."""
+    return make_device(
+        (2, 2),
+        PHI_PLUS,
+        {"XA": PAULI_X, "ZA": PAULI_Z},
+        {"XB": PAULI_X, "ZB": PAULI_Z, "DB": DIAG_XZ},
+    )
+
+
 def validate(device: DeviceModel) -> list[str]:
     """Check all device invariants, returning one message per violation.
 
-    An empty list means the device is valid: state normalized within 1e-12,
-    every observable Hermitian and squaring to the identity within 1e-10, and
-    all dimensions consistent.  Diagnostics are returned, never raised.
+    An empty list means the device is valid: every entry finite, state
+    normalized within 1e-12, every observable Hermitian and squaring to the
+    identity within 1e-10, and all dimensions consistent.  Diagnostics are
+    returned, never raised.
     """
     violations: list[str] = []
     da, db = device.dims
@@ -98,8 +122,12 @@ def validate(device: DeviceModel) -> list[str]:
             f"state: dimension {device.state.shape} != (dA*dB,) = ({da * db},)"
         )
     else:
+        # NaN fails every comparison, so non-finite entries are named first;
+        # they make the norm non-finite, which is cheap to test.
         nrm = float(np.linalg.norm(device.state))
-        if abs(nrm - 1.0) > STATE_NORM_ATOL:
+        if not math.isfinite(nrm) and not np.isfinite(device.state).all():
+            violations.append("state: non-finite entry")
+        elif abs(nrm - 1.0) > STATE_NORM_ATOL:
             violations.append(f"state: norm {nrm:.12g} != 1")
 
     for party, obs, dim in (("A", device.alice_obs, da), ("B", device.bob_obs, db)):
@@ -110,6 +138,9 @@ def validate(device: DeviceModel) -> list[str]:
                 )
                 continue
             herm = hermiticity_deviation(m)
+            if not math.isfinite(herm) and not np.isfinite(m).all():
+                violations.append(f"{name}: non-finite entry")
+                continue
             if herm > OBSERVABLE_ATOL:
                 violations.append(f"{name}: not Hermitian, max deviation {herm:.3g}")
             sq = float(np.max(np.abs(m @ m - np.eye(dim))))
@@ -170,25 +201,37 @@ def correlation(device: DeviceModel, alice_name: str, bob_name: str) -> float:
     return correlations(device, ((alice_name, bob_name),))[(alice_name, bob_name)]
 
 
-def chsh_value(device: DeviceModel) -> tuple[float, float]:
+def require_observables(device: DeviceModel, pairs: tuple[tuple[str, str], ...]) -> None:
+    """Raise ``KeyError`` naming the first observable of ``pairs`` the device lacks.
+
+    Alice's names are checked before Bob's, each in the order of ``pairs``.
+    """
+    for party, side, obs in (("Alice", 0, device.alice_obs), ("Bob", 1, device.bob_obs)):
+        for pair in pairs:
+            if pair[side] not in obs:
+                raise KeyError(f"device has no {party} observable {pair[side]!r}")
+
+
+def pair_correlations(
+    device: DeviceModel, pairs: tuple[tuple[str, str], ...]
+) -> dict[tuple[str, str], float]:
+    """``correlations`` of the pairs, after ``require_observables`` on them."""
+    require_observables(device, pairs)
+    return correlations(device, pairs)
+
+
+def chsh_epsilon(values: dict[tuple[str, str], float]) -> tuple[float, float]:
     """CHSH combination <A0B0> + <A0B1> + <A1B0> - <A1B1> and its deficit.
 
     Returns ``(value, epsilon)`` with ``epsilon = max(0, 2*sqrt(2) - value)``;
     the deficit is clamped at 0 when numerical noise pushes the value above
     the quantum maximum.
     """
-    for name in CHSH_ALICE:
-        if name not in device.alice_obs:
-            raise KeyError(f"device has no Alice observable {name!r}")
-    for name in CHSH_BOB:
-        if name not in device.bob_obs:
-            raise KeyError(f"device has no Bob observable {name!r}")
-    table = correlations(device, CHSH_PAIRS)
     value = (
-        table[("A0", "B0")]
-        + table[("A0", "B1")]
-        + table[("A1", "B0")]
-        - table[("A1", "B1")]
+        values[("A0", "B0")]
+        + values[("A0", "B1")]
+        + values[("A1", "B0")]
+        - values[("A1", "B1")]
     )
     return value, max(0.0, TSIRELSON - value)
 
@@ -199,26 +242,33 @@ def _ideal_pair_value(alice_name: str, bob_name: str) -> float:
     return float(np.vdot(PHI_PLUS, full @ PHI_PLUS).real)
 
 
-MY_PAIRS = tuple((a, b) for a in MY_ALICE for b in MY_BOB)
 MY_IDEAL = {pair: _ideal_pair_value(*pair) for pair in MY_PAIRS}
 
 
-def my_deviation(device: DeviceModel) -> tuple[dict[tuple[str, str], float], float]:
-    """All six Mayers-Yao correlations and the worst deviation from ideal.
+def my_epsilon(values: dict[tuple[str, str], float]) -> tuple[None, float]:
+    """Worst deviation of the six Mayers-Yao correlations from ideal.
 
-    Returns ``(table, epsilon)`` where the table maps (Alice, Bob) observable
-    name pairs to measured expectations and ``epsilon`` is the maximum of
+    Returns ``(None, epsilon)``, ``epsilon`` being the maximum of
     ``|measured - ideal|`` over the six pairs, the ideal being the
     maximally-entangled-pair value for the corresponding qubit operators.
+    The ``None`` stands for the CHSH value, which this test has no use for.
     """
-    for name in MY_ALICE:
-        if name not in device.alice_obs:
-            raise KeyError(f"device has no Alice observable {name!r}")
-    for name in MY_BOB:
-        if name not in device.bob_obs:
-            raise KeyError(f"device has no Bob observable {name!r}")
-    table = correlations(device, MY_PAIRS)
     epsilon = 0.0
     for pair in MY_PAIRS:
-        epsilon = max(epsilon, abs(table[pair] - MY_IDEAL[pair]))
-    return table, epsilon
+        epsilon = max(epsilon, abs(values[pair] - MY_IDEAL[pair]))
+    return None, epsilon
+
+
+def chsh_value(device: DeviceModel) -> tuple[float, float]:
+    """CHSH value of a device and its deficit from 2*sqrt(2); see ``chsh_epsilon``."""
+    return chsh_epsilon(pair_correlations(device, CHSH_PAIRS))
+
+
+def my_deviation(device: DeviceModel) -> tuple[dict[tuple[str, str], float], float]:
+    """All six Mayers-Yao correlations of a device and the worst deviation from ideal.
+
+    Returns ``(table, epsilon)`` where the table maps (Alice, Bob) observable
+    name pairs to measured expectations; ``epsilon`` is as in ``my_epsilon``.
+    """
+    table = pair_correlations(device, MY_PAIRS)
+    return table, my_epsilon(table)[1]

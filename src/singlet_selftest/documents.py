@@ -20,6 +20,7 @@ import numpy as np
 
 from . import __version__
 from .bounds import CertificationReport
+from .derive import EpsilonBudget
 from .device import DeviceModel, DeviceValidationError, make_device, validate
 
 DEVICE_SCHEMA_VERSION = "1"
@@ -123,20 +124,21 @@ def document_digest(doc: dict) -> str:
     return "sha256:" + hashlib.sha256(payload).hexdigest()
 
 
-def load_device(path: str | Path) -> DeviceModel:
-    """Parse, schema-check, and invariant-validate a device document file."""
-    path = Path(path)
+def read_json(path: str | Path):
+    """Parse a JSON file; an unreadable or malformed file raises ``DocumentError``."""
     try:
-        text = path.read_text(encoding="utf-8")
+        return json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as err:
         raise DocumentError(f"cannot read {path}: {err}") from err
-    try:
-        doc = json.loads(text)
     except json.JSONDecodeError as err:
         raise DocumentError(
             f"{path}: parse error at line {err.lineno} column {err.colno}: {err.msg}"
         ) from err
-    device = device_from_document(doc)
+
+
+def load_device(path: str | Path) -> DeviceModel:
+    """Parse, schema-check, and invariant-validate a device document file."""
+    device = device_from_document(read_json(Path(path)))
     violations = validate(device)
     if violations:
         raise DeviceValidationError(violations)
@@ -163,20 +165,24 @@ def _clean(value):
     return value
 
 
+def budget_to_json(budget: EpsilonBudget) -> dict:
+    """The budget's derived fields under their document keys; ``epsilon`` left out."""
+    return {
+        "eps1": budget.eps1,
+        "eps2": budget.eps2,
+        "epsPrime": budget.eps_prime,
+        "eps1Exact": budget.eps1_exact,
+        "eps2Exact": budget.eps2_exact,
+        "epsPrimeExact": budget.eps_prime_exact,
+        "delta": budget.delta,
+    }
+
+
 def report_to_document(report: CertificationReport, inputs_digest: str) -> dict:
     budget = report.budget
     budgets = None
     if budget is not None:
-        budgets = {
-            "epsilon": budget.epsilon,
-            "eps1": budget.eps1,
-            "eps2": budget.eps2,
-            "epsPrime": budget.eps_prime,
-            "eps1Exact": budget.eps1_exact,
-            "eps2Exact": budget.eps2_exact,
-            "epsPrimeExact": budget.eps_prime_exact,
-            "delta": budget.delta,
-        }
+        budgets = {"epsilon": budget.epsilon, **budget_to_json(budget)}
     rows = [
         {
             "name": row.name,

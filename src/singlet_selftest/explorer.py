@@ -3,28 +3,23 @@
 Families perturb the canonical devices in controlled ways (state tilt, state
 noise, measurement rotation, junk embedding, or fully random construction) so
 that bound tightness can be charted empirically.  Generation is deterministic:
-every family point owns an RNG stream keyed by (seed, point index), so serial
-and parallel evaluation produce identical devices and records.
+every family point owns an RNG stream keyed by (seed, point index), so a point
+does not depend on which points were generated before it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .bounds import extraction_bound
-from .derive import condition_residuals, derive_chsh_operators, my_operators
-from .device import (
-    DeviceModel,
-    chsh_value,
-    make_device,
-    my_deviation,
-    validate,
-)
+from .bounds import extraction_bound, get_mode
+from .derive import condition_residuals
+from .device import DeviceModel, make_device, pair_correlations, validate
+from .device import canonical_chsh_device, canonical_my_device  # noqa: F401 (re-exported)
 from .isometry import DegenerateExtractionError, extraction_error
-from .linalg import DIAG_XZ, PAULI_X, PAULI_Z, PHI_PLUS
+from .linalg import PHI_PLUS, ZERO_TOL_DEFAULT
 
 FAMILY_KINDS = ("tilted", "state-noise", "measurement-noise", "junk-embedded", "random")
 
@@ -67,34 +62,6 @@ class SearchResult:
     device: DeviceModel | None
     record: SweepRecord | None
     evaluations: int
-
-
-def canonical_chsh_device() -> DeviceModel:
-    """Maximally entangled pair with the CHSH-saturating measurement settings."""
-    return make_device(
-        (2, 2),
-        PHI_PLUS,
-        {"A0": PAULI_X, "A1": PAULI_Z},
-        {"B0": DIAG_XZ, "B1": (PAULI_X - PAULI_Z) / math.sqrt(2.0)},
-    )
-
-
-def canonical_my_device() -> DeviceModel:
-    """Maximally entangled pair with the ideal Mayers-Yao observables."""
-    return make_device(
-        (2, 2),
-        PHI_PLUS,
-        {"XA": PAULI_X, "ZA": PAULI_Z},
-        {"XB": PAULI_X, "ZB": PAULI_Z, "DB": DIAG_XZ},
-    )
-
-
-def _canonical(mode: str) -> DeviceModel:
-    if mode == "chsh":
-        return canonical_chsh_device()
-    if mode == "my":
-        return canonical_my_device()
-    raise ValueError(f"mode must be 'chsh' or 'my', got {mode!r}")
 
 
 def _point_rng(seed: int, index: int) -> np.random.Generator:
@@ -203,20 +170,19 @@ def family_axis(spec: FamilySpec) -> tuple[str, list[float]]:
     return name, _param_values(params[name])
 
 
-def _build_point(spec: FamilySpec, name: str, value: float, index: int) -> DeviceModel:
+def _build_point(
+    spec: FamilySpec, base: DeviceModel, value: float, index: int
+) -> DeviceModel:
     rng = _point_rng(spec.seed, index)
-    base = _canonical(spec.mode)
+    if spec.kind in ("tilted", "state-noise", "measurement-noise") and spec.dims != (2, 2):
+        raise ValueError(f"{spec.kind} family requires dims (2, 2)")
     if spec.kind == "tilted":
-        if spec.dims != (2, 2):
-            raise ValueError("tilted family requires dims (2, 2)")
         theta = float(value)
         state = np.zeros(4, dtype=complex)
         state[0] = math.cos(theta)
         state[3] = math.sin(theta)
         return make_device((2, 2), state, dict(base.alice_obs), dict(base.bob_obs))
     if spec.kind == "state-noise":
-        if spec.dims != (2, 2):
-            raise ValueError("state-noise family requires dims (2, 2)")
         p = float(value)
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"state-noise p must lie in [0, 1], got {p}")
@@ -225,8 +191,6 @@ def _build_point(spec: FamilySpec, name: str, value: float, index: int) -> Devic
         state /= np.linalg.norm(state)
         return make_device((2, 2), state, dict(base.alice_obs), dict(base.bob_obs))
     if spec.kind == "measurement-noise":
-        if spec.dims != (2, 2):
-            raise ValueError("measurement-noise family requires dims (2, 2)")
         eta = float(value)
         if not 0.0 <= eta <= MEASUREMENT_NOISE_CAP:
             raise ValueError(
@@ -266,8 +230,9 @@ def _build_point(spec: FamilySpec, name: str, value: float, index: int) -> Devic
 def family_points(spec: FamilySpec) -> list[tuple[dict, DeviceModel]]:
     """All (parameters, device) points of a family, in sweep order."""
     name, values = family_axis(spec)
+    base = get_mode(spec.mode).canonical()
     return [
-        ({name: value}, _build_point(spec, name, value, index))
+        ({name: value}, _build_point(spec, base, value, index))
         for index, value in enumerate(values)
     ]
 
@@ -281,12 +246,9 @@ def evaluate_device(
     device: DeviceModel, mode: str, parameters: dict | None = None
 ) -> SweepRecord:
     """Run the residual/extraction pipeline on one device into a record."""
-    if mode == "chsh":
-        _, eps = chsh_value(device)
-        ops = derive_chsh_operators(device)
-    else:
-        _, eps = my_deviation(device)
-        ops = my_operators(device)
+    selftest = get_mode(mode)
+    _, eps = selftest.deviation(pair_correlations(device, selftest.pairs))
+    ops = selftest.derive(device, ZERO_TOL_DEFAULT)
     residuals = condition_residuals(device.state, ops)
     bound = extraction_bound(residuals.eps1, residuals.eps2)
     try:
@@ -329,8 +291,9 @@ def sweep(spec: FamilySpec) -> list[SweepRecord]:
 
 
 def _search_proposal(
-    mode: str,
+    base: DeviceModel,
     dims: tuple[int, int],
+    qubit_state: np.ndarray,
     state_dirs: np.ndarray,
     generators: dict[str, np.ndarray],
     params: np.ndarray,
@@ -339,13 +302,10 @@ def _search_proposal(
 
     Parameters: two state-noise coordinates along fixed seeded directions,
     then one rotation angle per observable around its fixed seeded Hermitian
-    generator.  The zero vector reproduces the embedded canonical device.
+    generator.  The zero vector reproduces the embedded canonical device,
+    whose state is ``qubit_state``.
     """
     da, db = dims
-    base = _canonical(mode)
-    block = np.zeros((da, db), dtype=complex)
-    block[:2, :2] = PHI_PLUS.reshape(2, 2)
-    qubit_state = block.reshape(-1)
 
     def extend(obs: np.ndarray, dim: int) -> np.ndarray:
         out = np.eye(dim, dtype=complex)
@@ -394,8 +354,8 @@ def worst_case_search(
     if da < 2 or db < 2:
         raise ValueError(f"dims must be >= 2 per party, got {dims}")
     dims = (da, db)
+    base = get_mode(mode).canonical()
     rng = np.random.default_rng((int(seed), 0x5EA2C4))
-    base = _canonical(mode)
     n_obs = len(base.alice_obs) + len(base.bob_obs)
 
     block = np.zeros((da, db), dtype=complex)
@@ -410,7 +370,7 @@ def worst_case_search(
         generators[name] = _random_hermitian_unit(rng, dim)
 
     def assess(params: np.ndarray) -> tuple[DeviceModel, SweepRecord] | None:
-        device = _search_proposal(mode, dims, state_dirs, generators, params)
+        device = _search_proposal(base, dims, qubit_state, state_dirs, generators, params)
         if validate(device):
             return None
         record = evaluate_device(device, mode, {"objective": 0.0})
@@ -452,14 +412,5 @@ def worst_case_search(
     if best is None:
         return SearchResult(found=False, device=None, record=None, evaluations=evaluations)
     device, record = best
-    record = SweepRecord(
-        parameters={"objective": record.max_extraction_error},
-        epsilon=record.epsilon,
-        eps1_measured=record.eps1_measured,
-        eps2_measured=record.eps2_measured,
-        max_extraction_error=record.max_extraction_error,
-        extraction_bound=record.extraction_bound,
-        slack=record.slack,
-        degenerate=record.degenerate,
-    )
+    record = replace(record, parameters={"objective": record.max_extraction_error})
     return SearchResult(found=True, device=device, record=record, evaluations=evaluations)

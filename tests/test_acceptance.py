@@ -13,6 +13,7 @@ import time
 
 import numpy as np
 
+from isometry_oracle import isometry_expansion
 from singlet_selftest.bounds import (
     b_extraction_bound,
     extraction_bound,
@@ -42,7 +43,6 @@ from singlet_selftest.isometry import (
     apply_isometry,
     b_measured_error,
     extraction_error,
-    isometry_expansion,
     junk_candidate,
 )
 from singlet_selftest.linalg import tensor_embed

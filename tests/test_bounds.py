@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import tilted_device
 from singlet_selftest.bounds import (
-    EXPECTED_ROW_COUNT,
+    MODES,
     b_extraction_bound,
     certify,
     extraction_bound,
@@ -115,7 +115,7 @@ class TestCertify:
     def test_canonical_chsh_all_rows_pass(self):
         report = certify(canonical_chsh_device(), "chsh")
         assert report.all_pass
-        assert len(report.rows) == EXPECTED_ROW_COUNT["chsh"] == 35
+        assert len(report.rows) == MODES["chsh"].row_count == 35
         categories = {
             "condition": 4,
             "chain": 14,
@@ -133,7 +133,7 @@ class TestCertify:
     def test_canonical_my_all_rows_pass(self):
         report = certify(canonical_my_device(), "my")
         assert report.all_pass
-        assert len(report.rows) == EXPECTED_ROW_COUNT["my"] == 25
+        assert len(report.rows) == MODES["my"].row_count == 25
         assert len(report.rows_by_category("b_operator")) == 0
         assert report.chsh is None
         assert set(report.correlations) == {

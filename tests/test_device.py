@@ -46,6 +46,23 @@ class TestValidate:
         assert len(messages) == 1
         assert messages[0].startswith("state:") and "2" in messages[0]
 
+    def test_nan_amplitude_rejected(self, chsh_device):
+        # abs(nan - 1) > tol is False, so the norm check alone lets NaN through
+        state = np.array([math.nan, 0.0, 0.0, 1.0], dtype=complex)
+        broken = make_device(
+            (2, 2), state, dict(chsh_device.alice_obs), dict(chsh_device.bob_obs)
+        )
+        assert validate(broken) == ["state: non-finite entry"]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_observable_rejected(self, chsh_device, bad):
+        obs = np.array(PAULI_Z, dtype=complex)
+        obs[0, 1] = bad
+        broken = make_device(
+            (2, 2), chsh_device.state, {"A0": PAULI_X, "A1": obs}, dict(chsh_device.bob_obs)
+        )
+        assert validate(broken) == ["A1: non-finite entry"]
+
     def test_non_hermitian_observable(self, chsh_device):
         broken = make_device(
             (2, 2),

@@ -165,6 +165,17 @@ class TestSweep:
             assert record.slack >= -1e-9
 
 
+class TestEvaluateDevice:
+    def test_unknown_mode_raises(self):
+        # a mode name that is not registered must not fall through to MY
+        with pytest.raises(ValueError, match="mode must be 'chsh' or 'my', got 'CHSH'"):
+            evaluate_device(canonical_my_device(), "CHSH")
+
+    def test_unknown_family_mode_raises(self):
+        with pytest.raises(ValueError, match="mode must be"):
+            make_family(FamilySpec("tilted", {"theta": 0.3}, mode="bell"))
+
+
 class TestWorstCaseSearch:
     def test_budget_one_returns_seed_proposal(self):
         result = worst_case_search("chsh", 0.01, (2, 2), 1, 42)

@@ -1,0 +1,186 @@
+"""Golden corpus: CLI outputs compared with files captured from an earlier version.
+
+``tests/golden/`` holds certification reports (canonical, tilted, degenerate
+and junk-embedded devices in both modes), one sweep CSV per mode and one
+correlation-table summary per mode.  Strings, flags, nulls and integers must
+match exactly and floats within 1e-12, the same bar the benchmark's output
+check uses; ``toolVersion`` is not compared.  To refresh the corpus on
+purpose, run
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+from __future__ import annotations
+
+import json
+import math
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from singlet_selftest.cli import main
+from singlet_selftest.documents import save_device
+from singlet_selftest.explorer import (
+    FamilySpec,
+    canonical_chsh_device,
+    canonical_my_device,
+    make_family,
+)
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+ABS_TOL = 1e-12
+IGNORED_KEYS = frozenset({"toolVersion"})
+
+
+def _family_device(kind, parameters, mode, dims=(2, 2), seed=0):
+    return make_family(FamilySpec(kind, parameters, dims, seed, mode))[0]
+
+
+# name -> (device factory, mode, exit code)
+CERTIFY_CASES = {
+    "certify-canonical-chsh": (canonical_chsh_device, "chsh", 0),
+    "certify-canonical-my": (canonical_my_device, "my", 0),
+    "certify-tilted-pi8-chsh": (
+        lambda: _family_device("tilted", {"theta": math.pi / 8}, "chsh"), "chsh", 0),
+    "certify-tilted-pi2-chsh": (
+        lambda: _family_device("tilted", {"theta": math.pi / 2}, "chsh"), "chsh", 1),
+    "certify-junk4x4-chsh": (
+        lambda: _family_device("junk-embedded", {"count": 1}, "chsh", (4, 4), 3), "chsh", 0),
+    "certify-junk4x4-my": (
+        lambda: _family_device("junk-embedded", {"count": 1}, "my", (4, 4), 3), "my", 0),
+}
+
+SWEEP_CASES = {
+    "sweep-chsh": {"kind": "tilted", "mode": "chsh", "dims": [2, 2], "seed": 1,
+                   "parameters": {"theta": [math.pi / 4, math.pi / 2, 6]}},
+    "sweep-my": {"kind": "measurement-noise", "mode": "my", "dims": [2, 2], "seed": 5,
+                 "parameters": {"eta": [0.0, 0.5, 6]}},
+}
+
+CORRELATION_CASES = {
+    "correlations-chsh": ("chsh", {"A0_B0": 0.7, "A0_B1": 0.69, "A1_B0": 0.71,
+                                   "A1_B1": -0.7}),
+    "correlations-my": ("my", {"XA_XB": 0.99, "XA_ZB": 0.01, "XA_DB": 0.7,
+                               "ZA_XB": -0.02, "ZA_ZB": 0.98, "ZA_DB": 0.69}),
+}
+
+CASES = (
+    [(name, ".json") for name in CERTIFY_CASES]
+    + [(name, ".csv") for name in SWEEP_CASES]
+    + [(name, ".json") for name in CORRELATION_CASES]
+)
+
+
+def produce(name: str, workdir: Path) -> tuple[int, str]:
+    """Run one corpus case through the CLI; return its exit code and output text."""
+    if name in CERTIFY_CASES:
+        factory, mode, _ = CERTIFY_CASES[name]
+        device_path = workdir / f"{name}.device.json"
+        save_device(device_path, factory())
+        out = workdir / f"{name}.json"
+        code = main(["certify", "--device", str(device_path), "--mode", mode,
+                     "--out", str(out)])
+    elif name in SWEEP_CASES:
+        spec_path = workdir / f"{name}.family.json"
+        spec_path.write_text(json.dumps(SWEEP_CASES[name]))
+        out = workdir / f"{name}.csv"
+        code = main(["sweep", "--family", str(spec_path), "--out", str(out)])
+    else:
+        mode, table = CORRELATION_CASES[name]
+        table_path = workdir / f"{name}.table.json"
+        table_path.write_text(json.dumps(table))
+        out = workdir / f"{name}.json"
+        code = main(["correlations", "--table", str(table_path), "--mode", mode,
+                     "--out", str(out)])
+    return code, out.read_text(encoding="utf-8")
+
+
+def expected_code(name: str) -> int:
+    return CERTIFY_CASES[name][2] if name in CERTIFY_CASES else 0
+
+
+def json_differences(ref, out, where: str = "$") -> list[str]:
+    if isinstance(ref, dict):
+        if not isinstance(out, dict):
+            return [f"{where}: expected an object"]
+        diffs = []
+        for key, value in ref.items():
+            if key in IGNORED_KEYS:
+                continue
+            if key not in out:
+                diffs.append(f"{where}.{key}: missing")
+            else:
+                diffs += json_differences(value, out[key], f"{where}.{key}")
+        return diffs
+    if isinstance(ref, list):
+        if not isinstance(out, list) or len(out) != len(ref):
+            return [f"{where}: expected a list of {len(ref)}"]
+        return [d for i, (r, o) in enumerate(zip(ref, out))
+                for d in json_differences(r, o, f"{where}[{i}]")]
+    if isinstance(ref, float):
+        if (isinstance(out, bool) or not isinstance(out, (int, float))
+                or not abs(out - ref) <= ABS_TOL):
+            return [f"{where}: {out!r} != {ref!r}"]
+        return []
+    if type(out) is not type(ref) or out != ref:
+        return [f"{where}: {out!r} != {ref!r}"]
+    return []
+
+
+def csv_differences(ref: str, out: str) -> list[str]:
+    ref_rows = [line.split(",") for line in ref.splitlines()]
+    out_rows = [line.split(",") for line in out.splitlines()]
+    if ref_rows[0] != out_rows[0]:
+        return ["header differs"]
+    if [len(r) for r in ref_rows] != [len(r) for r in out_rows]:
+        return ["shape differs"]
+    diffs = []
+    for i, (r_row, o_row) in enumerate(zip(ref_rows[1:], out_rows[1:]), start=1):
+        for j, (r_cell, o_cell) in enumerate(zip(r_row, o_row)):
+            r_val, o_val = float(r_cell), float(o_cell)
+            if math.isnan(r_val) or math.isnan(o_val):
+                if math.isnan(r_val) != math.isnan(o_val):
+                    diffs.append(f"[{i}][{j}]: NaN position differs")
+            elif not abs(o_val - r_val) <= ABS_TOL:
+                diffs.append(f"[{i}][{j}]: {o_cell} != {r_cell}")
+    return diffs
+
+
+@pytest.mark.parametrize("name,suffix", CASES)
+def test_matches_golden(name, suffix, tmp_path):
+    code, text = produce(name, tmp_path)
+    assert code == expected_code(name)
+    reference = (GOLDEN / f"{name}{suffix}").read_text(encoding="utf-8")
+    if suffix == ".csv":
+        diffs = csv_differences(reference, text)
+    else:
+        diffs = json_differences(json.loads(reference), json.loads(text))
+    assert not diffs, diffs[:10]
+
+
+def test_comparison_catches_moves():
+    reference = json.loads((GOLDEN / "certify-canonical-chsh.json").read_text())
+    moved = json.loads(json.dumps(reference))
+    moved["report"]["epsilon"] += 1e-9
+    assert json_differences(reference, moved)
+    flipped = json.loads(json.dumps(reference))
+    flipped["report"]["rows"][0]["pass"] = not flipped["report"]["rows"][0]["pass"]
+    assert json_differences(reference, flipped)
+    csv = (GOLDEN / "sweep-chsh.csv").read_text()
+    lines = csv.splitlines()
+    cells = lines[1].split(",")
+    cells[2] = repr(float(cells[2]) + 1e-9)
+    assert csv_differences(csv, "\n".join([lines[0], ",".join(cells)] + lines[2:]))
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        for case, suffix in CASES:
+            exit_code, output = produce(case, Path(tmp))
+            if exit_code != expected_code(case):
+                sys.exit(f"{case}: exit code {exit_code}, expected {expected_code(case)}")
+            (GOLDEN / f"{case}{suffix}").write_text(output, encoding="utf-8")
+            print(f"wrote {case}{suffix}")

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import random_unitary, tilted_device
+from isometry_oracle import isometry_expansion
 from singlet_selftest.derive import derive_chsh_operators, my_operators, DerivedOperators
 from singlet_selftest.device import chsh_value, make_device
 from singlet_selftest.explorer import FamilySpec, make_family
@@ -17,7 +18,6 @@ from singlet_selftest.isometry import (
     b_measured_error,
     best_junk,
     extraction_error,
-    isometry_expansion,
     junk_candidate,
 )
 from singlet_selftest.linalg import PAULI_X, PAULI_Z, PHI_PLUS

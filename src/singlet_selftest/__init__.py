@@ -56,8 +56,7 @@ from .isometry import (
     DegenerateExtractionError,
     ExtractionResult,
     apply_isometry,
-    b_measured_error,
-    best_junk,
+    b_measured_errors,
     extraction_error,
     junk_candidate,
 )
@@ -85,8 +84,7 @@ __all__ = [
     "SweepRecord",
     "apply_isometry",
     "b_extraction_bound",
-    "b_measured_error",
-    "best_junk",
+    "b_measured_errors",
     "canonical_chsh_device",
     "canonical_my_device",
     "certify",

@@ -44,12 +44,12 @@ from .device import (
     require_valid,
 )
 from .isometry import (
+    B_ROWS,
     DegenerateExtractionError,
     OPERATOR_PAIRS,
-    b_measured_error,
+    b_measured_errors,
     extraction_error,
 )
-from .linalg import PHI_PLUS
 
 CERT_TOL_DEFAULT = 1e-9
 
@@ -369,15 +369,12 @@ def _b_operator_rows(
     b_grades = None if budget is None else (
         b_extraction_bound(eps), SQRT2 * eps + budget.eps2_exact / SQRT2
     )
-    rows = []
-    for m in ("I", "X", "Z"):
-        for which in ("B0", "B1"):
-            error = NAN if junk is None else b_measured_error(device, ops, m, which, junk=junk)
-            rows.append(
-                _mk_row(f"b_operator_{m}_{which}", "b_operator", error, b_grades, "<=",
-                        "sqrt(2)*eps + 2*sqrt(2)*(eps*sqrt(2))**(1/4)", tol)
-            )
-    return rows
+    errors = {} if junk is None else b_measured_errors(device, ops, junk)
+    return [
+        _mk_row(f"b_operator_{m}_{which}", "b_operator", errors.get((m, which), NAN),
+                b_grades, "<=", "sqrt(2)*eps + 2*sqrt(2)*(eps*sqrt(2))**(1/4)", tol)
+        for m, which in B_ROWS
+    ]
 
 
 def certify(
@@ -432,12 +429,9 @@ def certify(
         result = extraction_error(device, ops, degeneracy_tol)
         junk = result.junk
         junk_raw = result.junk_norm_raw
-        output_ii = result.output_state
-        target_pre = np.kron(junk * junk_raw, PHI_PLUS)
-        target_post = np.kron(junk, PHI_PLUS)
-        state_pre = float(np.linalg.norm(output_ii - target_pre))
-        state_post = float(np.linalg.norm(output_ii - target_post))
-        pair_errors: dict[tuple[str, str], float] = dict(result.errors_by_pair)
+        state_pre = result.state_error_pre_normalization
+        state_post = result.errors_by_pair[("I", "I")]
+        pair_errors = result.errors_by_pair
     except DegenerateExtractionError as err:
         degenerate = True
         junk_raw = getattr(err, "raw_norm", NAN)

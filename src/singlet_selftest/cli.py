@@ -316,7 +316,8 @@ def main(argv: list[str] | None = None) -> int:
         return int(args.func(args))
     except KeyError as err:
         return _fail(f"missing named observable: {err.args[0]}")
-    except (ValueError, OSError) as err:
+    except (ValueError, OverflowError, OSError) as err:
+        # OverflowError: a JSON integer literal too large for a float
         return _fail(str(err))
 
 

@@ -130,22 +130,24 @@ def validate(device: DeviceModel) -> list[str]:
         elif abs(nrm - 1.0) > STATE_NORM_ATOL:
             violations.append(f"state: norm {nrm:.12g} != 1")
 
-    for party, obs, dim in (("A", device.alice_obs, da), ("B", device.bob_obs, db)):
-        for name, m in obs.items():
-            if m.shape != (dim, dim):
-                violations.append(
-                    f"{name}: shape {m.shape} does not match party {party} dim {dim}"
-                )
-                continue
-            herm = hermiticity_deviation(m)
-            if not math.isfinite(herm) and not np.isfinite(m).all():
-                violations.append(f"{name}: non-finite entry")
-                continue
-            if herm > OBSERVABLE_ATOL:
-                violations.append(f"{name}: not Hermitian, max deviation {herm:.3g}")
-            sq = float(np.max(np.abs(m @ m - np.eye(dim))))
-            if sq > OBSERVABLE_ATOL:
-                violations.append(f"{name}: O^2 != I, deviation {sq:.3g}")
+    # inf - inf on an infinite diagonal entry gives NaN, reported as non-finite.
+    with np.errstate(invalid="ignore"):
+        for party, obs, dim in (("A", device.alice_obs, da), ("B", device.bob_obs, db)):
+            for name, m in obs.items():
+                if m.shape != (dim, dim):
+                    violations.append(
+                        f"{name}: shape {m.shape} does not match party {party} dim {dim}"
+                    )
+                    continue
+                herm = hermiticity_deviation(m)
+                if not math.isfinite(herm) and not np.isfinite(m).all():
+                    violations.append(f"{name}: non-finite entry")
+                    continue
+                if herm > OBSERVABLE_ATOL:
+                    violations.append(f"{name}: not Hermitian, max deviation {herm:.3g}")
+                sq = float(np.max(np.abs(m @ m - np.eye(dim))))
+                if sq > OBSERVABLE_ATOL:
+                    violations.append(f"{name}: O^2 != I, deviation {sq:.3g}")
     return violations
 
 

@@ -8,10 +8,11 @@ device register), Hadamard, controlled-X'.  Register ordering is fixed as
 
 so the output of the circuit on a (dA, dB) device lives in dimension
 dA * dB * 4 with flat index ((iA*dB + iB)*2 + aA)*2 + aB.  The extraction
-error for an operator pair (M, N) is the 2-norm distance between the circuit
-output on M'N'|psi'> and junk (x) (M (x) N)|phi+> on the ancilla pair, where
-junk is one fixed vector: the normalized (I+Z'_A)(I+Z'_B)|psi'>/(2*sqrt(2))
-candidate, shared by all nine pairs.
+error for an input and an ancilla target is the 2-norm distance between the
+circuit output and junk (x) target, where junk is one fixed vector: the
+normalized (I+Z'_A)(I+Z'_B)|psi'>/(2*sqrt(2)) candidate.  One kernel computes
+every such distance, in one circuit pass over a stacked (k, dA, dB) batch of
+inputs against a constant table of ancilla targets.
 """
 
 from __future__ import annotations
@@ -28,6 +29,18 @@ HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
 
 PAULI_BY_NAME = {"I": IDENTITY_2, "X": PAULI_X, "Z": PAULI_Z}
 OPERATOR_PAIRS = tuple((m, n) for m in ("I", "X", "Z") for n in ("I", "X", "Z"))
+B_ROWS = tuple((m, which) for m in ("I", "X", "Z") for which in ("B0", "B1"))
+
+# Ancilla targets, one row per OPERATOR_PAIRS / B_ROWS entry: (M (x) N)|phi+>,
+# and M (x) (X + Z)/sqrt(2) |phi+> for B0, M (x) (X - Z)/sqrt(2) |phi+> for B1.
+PAIR_TARGETS = np.array(
+    [np.kron(PAULI_BY_NAME[m], PAULI_BY_NAME[n]) @ PHI_PLUS for m, n in OPERATOR_PAIRS]
+)
+B_TARGETS = np.array([
+    np.kron(PAULI_BY_NAME[m], (PAULI_X + (1.0 if which == "B0" else -1.0) * PAULI_Z)
+            / np.sqrt(2.0)) @ PHI_PLUS
+    for m, which in B_ROWS
+])
 
 DEGENERACY_TOL_DEFAULT = 1e-6
 
@@ -42,57 +55,72 @@ class DegenerateExtractionError(ValueError):
 
 @dataclass(frozen=True)
 class ExtractionResult:
-    """Extraction errors for all nine operator pairs with one fixed junk."""
+    """Extraction errors for all nine operator pairs with one fixed junk.
 
-    output_state: np.ndarray
+    The ("I", "I") error is the state error after junk normalization, and
+    ``state_error_pre_normalization`` the one against ``junk_norm_raw * junk``.
+    """
+
     junk: np.ndarray
     junk_norm_raw: float
     errors_by_pair: dict[tuple[str, str], float]
+    state_error_pre_normalization: float
 
     @property
     def max_error(self) -> float:
         return max(self.errors_by_pair.values())
 
 
-def _device_operator(ops: DerivedOperators, name: str, party: str) -> np.ndarray | None:
-    if name == "I":
-        return None
-    if party == "A":
-        return ops.xa if name == "X" else ops.za
-    return ops.xb if name == "X" else ops.zb
-
-
-def _input_matrix(device: DeviceModel, ops: DerivedOperators, m: str, n: str) -> np.ndarray:
-    """State M'N'|psi'> as a (dA, dB) coefficient matrix."""
-    da, db = device.dims
-    if ops.dims != (da, db):
+def _state_matrix(device: DeviceModel, ops: DerivedOperators) -> np.ndarray:
+    """|psi'> as a (dA, dB) coefficient matrix, checked against the operator dims."""
+    if ops.dims != device.dims:
         raise ValueError(f"operator dims {ops.dims} do not match device dims {device.dims}")
-    psi = device.state.reshape(da, db)
-    mop = _device_operator(ops, m, "A")
-    nop = _device_operator(ops, n, "B")
-    if mop is not None:
-        psi = mop @ psi
-    if nop is not None:
-        psi = psi @ nop.T
-    return psi
+    return device.state.reshape(device.dims)
 
 
-def _run_circuit(psi: np.ndarray, ops: DerivedOperators) -> np.ndarray:
-    """Apply the extraction circuit to a (dA, dB) input, ancillas in |00>."""
-    da, db = psi.shape
-    state = np.zeros((da, db, 2, 2), dtype=complex)
-    state[:, :, 0, 0] = psi
+def _stacked_inputs(
+    psi: np.ndarray, ops: DerivedOperators, bob: tuple[np.ndarray, ...]
+) -> np.ndarray:
+    """M' Psi N^T for M' in (I, X'_A, Z'_A) and N in ``bob``, stacked (M' outer)."""
+    left = np.stack((psi, ops.xa @ psi, ops.za @ psi))
+    return np.stack([left @ n.T for n in bob], axis=1).reshape(-1, *psi.shape)
 
-    state = np.einsum("px,abxy->abpy", HADAMARD, state)
-    state = np.einsum("qy,abxy->abxq", HADAMARD, state)
+
+def _pair_inputs(psi: np.ndarray, ops: DerivedOperators) -> np.ndarray:
+    """M'N'|psi'> for the nine OPERATOR_PAIRS as a stacked (9, dA, dB) array."""
+    return _stacked_inputs(psi, ops, (np.eye(psi.shape[1]), ops.xb, ops.zb))
+
+
+def _run_circuit(inputs: np.ndarray, ops: DerivedOperators) -> np.ndarray:
+    """Apply the extraction circuit to a stacked (k, dA, dB) input, ancillas in |00>.
+
+    The state is held as (Alice ancilla, Bob ancilla, k, dA, dB), so a gate
+    controlled by Alice's ancilla acts as A @ Psi on the slice [1] and one
+    controlled by Bob's as Psi @ B^T on [:, 1].  Returns the k outputs as a
+    (k, dA*dB, 4) array of ancilla-pair amplitudes per device basis state.
+    """
+    k, da, db = inputs.shape
+    state = np.zeros((2, 2, k, da, db), dtype=complex)
+    state[0, 0] = inputs
+
+    state = np.einsum("px,xy...->py...", HADAMARD, state)
+    state = np.einsum("qy,xy...->xq...", HADAMARD, state)
     # Controlled-Z': the ancilla controls its own party's device register.
-    state[:, :, 1, :] = np.einsum("ac,cby->aby", ops.za, state[:, :, 1, :])
-    state[:, :, :, 1] = np.einsum("bd,adx->abx", ops.zb, state[:, :, :, 1])
-    state = np.einsum("px,abxy->abpy", HADAMARD, state)
-    state = np.einsum("qy,abxy->abxq", HADAMARD, state)
-    state[:, :, 1, :] = np.einsum("ac,cby->aby", ops.xa, state[:, :, 1, :])
-    state[:, :, :, 1] = np.einsum("bd,adx->abx", ops.xb, state[:, :, :, 1])
-    return state.reshape(da * db * 4)
+    state[1] = ops.za @ state[1]
+    state[:, 1] = state[:, 1] @ ops.zb.T
+    state = np.einsum("px,xy...->py...", HADAMARD, state)
+    state = np.einsum("qy,xy...->xq...", HADAMARD, state)
+    state[1] = ops.xa @ state[1]
+    state[:, 1] = state[:, 1] @ ops.xb.T
+    return state.reshape(4, k, da * db).transpose(1, 2, 0)
+
+
+def _distances(
+    inputs: np.ndarray, ops: DerivedOperators, junk: np.ndarray, targets: np.ndarray
+) -> np.ndarray:
+    """|| Phi(inputs[k]) - junk (x) targets[k] || for every k, in one circuit pass."""
+    out = _run_circuit(inputs, ops)
+    return np.linalg.norm(out - junk[:, None] * targets[:, None, :], axis=(1, 2))
 
 
 def apply_isometry(
@@ -104,9 +132,11 @@ def apply_isometry(
     Bob one; the identity leaves the state untouched.  The map is an isometry,
     so the output norm equals the input norm.
     """
-    if m not in PAULI_BY_NAME or n not in PAULI_BY_NAME:
+    if (m, n) not in OPERATOR_PAIRS:
         raise ValueError(f"operator labels must be in I/X/Z, got ({m!r}, {n!r})")
-    return _run_circuit(_input_matrix(device, ops, m, n), ops)
+    index = OPERATOR_PAIRS.index((m, n))
+    inputs = _pair_inputs(_state_matrix(device, ops), ops)[index : index + 1]
+    return _run_circuit(inputs, ops).reshape(-1)
 
 
 def junk_candidate(
@@ -116,7 +146,7 @@ def junk_candidate(
 ) -> tuple[np.ndarray, float]:
     """Normalized junk candidate (I+Z'_A)(I+Z'_B)|psi'>/(2*sqrt(2)) and its raw norm."""
     da, db = device.dims
-    psi = _input_matrix(device, ops, "I", "I")
+    psi = _state_matrix(device, ops)
     v = (np.eye(da, dtype=complex) + ops.za) @ psi @ (np.eye(db, dtype=complex) + ops.zb).T
     v = v.reshape(da * db) / (2.0 * np.sqrt(2.0))
     raw = float(np.linalg.norm(v))
@@ -130,16 +160,6 @@ def junk_candidate(
     return v / raw, raw
 
 
-def _target_state(junk: np.ndarray, anc: np.ndarray) -> np.ndarray:
-    """junk on the device registers tensored with a 2-qubit ancilla state."""
-    return np.kron(junk, anc)
-
-
-def ancilla_target(m: str, n: str) -> np.ndarray:
-    """(M (x) N)|phi+> on the ancilla pair, for ideal Pauli M, N."""
-    return np.kron(PAULI_BY_NAME[m], PAULI_BY_NAME[n]) @ PHI_PLUS
-
-
 def extraction_error(
     device: DeviceModel,
     ops: DerivedOperators,
@@ -149,77 +169,33 @@ def extraction_error(
 
     Every pair is compared against the same fixed junk vector from
     ``junk_candidate``; degeneracy of the candidate propagates as
-    ``DegenerateExtractionError``.
+    ``DegenerateExtractionError``.  One circuit pass covers the nine pairs
+    and, on |psi'> once more, the pre-normalization state error.
     """
     junk, raw = junk_candidate(device, ops, degeneracy_tol)
-    errors: dict[tuple[str, str], float] = {}
-    output_ii: np.ndarray | None = None
-    for m, n in OPERATOR_PAIRS:
-        out = apply_isometry(device, ops, m, n)
-        if (m, n) == ("I", "I"):
-            output_ii = out
-        target = _target_state(junk, ancilla_target(m, n))
-        errors[(m, n)] = float(np.linalg.norm(out - target))
-    assert output_ii is not None
+    psi = _state_matrix(device, ops)
+    inputs = np.concatenate((_pair_inputs(psi, ops), psi[None]))
+    targets = np.vstack((PAIR_TARGETS, raw * PHI_PLUS))
+    distances = _distances(inputs, ops, junk, targets).tolist()
     return ExtractionResult(
-        output_state=output_ii,
         junk=junk,
         junk_norm_raw=raw,
-        errors_by_pair=errors,
+        errors_by_pair=dict(zip(OPERATOR_PAIRS, distances)),
+        state_error_pre_normalization=distances[-1],
     )
 
 
-def best_junk(device: DeviceModel, ops: DerivedOperators, m: str, n: str) -> np.ndarray:
-    """Error-minimizing unit junk for one pair: the normalized overlap of the
-    circuit output with the pair's ancilla target.
+def b_measured_errors(
+    device: DeviceModel, ops: DerivedOperators, junk: np.ndarray
+) -> dict[tuple[str, str], float]:
+    """Extraction errors for Bob's actually measured observables B0 and B1.
 
-    Slack-analysis helper only; certification always uses the fixed candidate
-    because the guarantee quantifies over that construction.
-    """
-    da, db = device.dims
-    out = apply_isometry(device, ops, m, n).reshape(da * db, 4)
-    overlap = out @ ancilla_target(m, n).conj()
-    nrm = float(np.linalg.norm(overlap))
-    if nrm == 0.0:
-        raise DegenerateExtractionError(
-            f"output of pair ({m}, {n}) is orthogonal to its ancilla target"
-        )
-    return overlap / nrm
-
-
-def b_measured_error(
-    device: DeviceModel,
-    ops: DerivedOperators,
-    m: str,
-    which: str,
-    degeneracy_tol: float = DEGENERACY_TOL_DEFAULT,
-    *,
-    junk: np.ndarray | None = None,
-) -> float:
-    """Extraction error for Bob's actually measured observable B0 or B1.
-
-    Returns || Phi(M' B'_i |psi'>) - junk (x) M ((X +/- Z)/sqrt(2)) |phi+> ||
+    Maps (M, "B0" or "B1") to || Phi(M' B'_i |psi'>) - junk (x) M ((X +/- Z)/sqrt(2)) |phi+> ||
     with + for B0 and - for B1; the circuit is applied to the raw observable,
     the target uses the ideal diagonal qubit operator on Bob's ancilla.
-    ``junk`` is the fixed candidate from ``junk_candidate``; a caller that
-    already holds it (such as ``ExtractionResult.junk``) passes it in, and
-    otherwise it is computed here.
+    ``junk`` is the fixed candidate from ``junk_candidate``.  A device without
+    B0 or B1 raises ``KeyError``.
     """
-    if which not in ("B0", "B1"):
-        raise ValueError(f"which must be 'B0' or 'B1', got {which!r}")
-    if m not in PAULI_BY_NAME:
-        raise ValueError(f"operator label must be in I/X/Z, got {m!r}")
-    if which not in device.bob_obs:
-        raise KeyError(f"device has no Bob observable {which!r}")
-    da, db = device.dims
-    psi = device.state.reshape(da, db) @ device.bob_obs[which].T
-    mop = _device_operator(ops, m, "A")
-    if mop is not None:
-        psi = mop @ psi
-    out = _run_circuit(psi, ops)
-    if junk is None:
-        junk, _ = junk_candidate(device, ops, degeneracy_tol)
-    sign = 1.0 if which == "B0" else -1.0
-    anc_op = np.kron(PAULI_BY_NAME[m], (PAULI_X + sign * PAULI_Z) / np.sqrt(2.0))
-    target = _target_state(junk, anc_op @ PHI_PLUS)
-    return float(np.linalg.norm(out - target))
+    bob = (device.bob_obs["B0"], device.bob_obs["B1"])
+    inputs = _stacked_inputs(_state_matrix(device, ops), ops, bob)
+    return dict(zip(B_ROWS, _distances(inputs, ops, junk, B_TARGETS).tolist()))

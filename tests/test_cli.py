@@ -26,6 +26,9 @@ from singlet_selftest.explorer import (
 )
 from singlet_selftest.linalg import PAULI_X, PAULI_Z
 
+# An integer literal too large for a float: 1 followed by 400 zeros.
+HUGE_INT = "1" + "0" * 400
+
 
 @pytest.fixture
 def chsh_doc_path(tmp_path):
@@ -145,6 +148,18 @@ class TestCertifyCommand:
         code = main(["certify", "--device", str(path), "--mode", "chsh", "--out", str(out)])
         assert code == 2
         assert "state: non-finite entry" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_oversized_integer_amplitude_exits_two(self, tmp_path, capsys):
+        # a JSON integer literal beyond the float range, where float() overflows
+        doc = device_to_document(canonical_chsh_device())
+        doc["state"][0] = ["HUGE", 0.0]
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc).replace('"HUGE"', HUGE_INT))
+        out = tmp_path / "report.json"
+        code = main(["certify", "--device", str(path), "--mode", "chsh", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 
     def test_truncated_input_exits_two(self, tmp_path):
@@ -322,6 +337,19 @@ class TestCorrelationsCommand:
         assert captured.out == ""
         assert repr(key) in captured.err and "not a finite number" in captured.err
 
+    def test_oversized_integer_entry_exits_two(self, tmp_path, capsys):
+        table = tmp_path / "table.json"
+        table.write_text(
+            '{"A0_B0": %s, "A0_B1": 0.7, "A1_B0": 0.7, "A1_B1": -0.7}' % HUGE_INT
+        )
+        out = tmp_path / "summary.json"
+        code = main(["correlations", "--table", str(table), "--mode", "chsh",
+                     "--out", str(out)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+        assert not out.exists()
+
     def test_output_file(self, tmp_path):
         c = 1.0 / math.sqrt(2.0)
         table = tmp_path / "table.json"
@@ -406,6 +434,14 @@ class TestSweepCommand:
         path = tmp_path / "family.json"
         path.write_text(json.dumps({"kind": "tilted", "theta": 0.5}))
         assert main(["sweep", "--family", str(path), "--out", str(tmp_path / "s.csv")]) == 2
+
+    def test_oversized_integer_parameter_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "family.json"
+        path.write_text('{"kind": "tilted", "parameters": {"theta": %s}}' % HUGE_INT)
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--family", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
 
     def test_degenerate_row_written_as_nan(self, tmp_path):
         spec = {

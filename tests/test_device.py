@@ -56,12 +56,15 @@ class TestValidate:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_observable_rejected(self, chsh_device, bad):
-        obs = np.array(PAULI_Z, dtype=complex)
-        obs[0, 1] = bad
-        broken = make_device(
-            (2, 2), chsh_device.state, {"A0": PAULI_X, "A1": obs}, dict(chsh_device.bob_obs)
-        )
-        assert validate(broken) == ["A1: non-finite entry"]
+        # off the diagonal, and on it, where the Hermiticity check meets inf - inf
+        for entry in ((0, 1), (1, 1)):
+            obs = np.array(PAULI_Z, dtype=complex)
+            obs[entry] = bad
+            broken = make_device(
+                (2, 2), chsh_device.state, {"A0": PAULI_X, "A1": obs},
+                dict(chsh_device.bob_obs),
+            )
+            assert validate(broken) == ["A1: non-finite entry"]
 
     def test_non_hermitian_observable(self, chsh_device):
         broken = make_device(

@@ -6,17 +6,15 @@ import numpy as np
 import pytest
 
 from conftest import random_unitary, tilted_device
-from isometry_oracle import isometry_expansion
+from isometry_oracle import ancilla_target, isometry_expansion
 from singlet_selftest.derive import derive_chsh_operators, my_operators, DerivedOperators
 from singlet_selftest.device import chsh_value, make_device
 from singlet_selftest.explorer import FamilySpec, make_family
 from singlet_selftest.isometry import (
     OPERATOR_PAIRS,
     DegenerateExtractionError,
-    ancilla_target,
     apply_isometry,
-    b_measured_error,
-    best_junk,
+    b_measured_errors,
     extraction_error,
     junk_candidate,
 )
@@ -222,42 +220,28 @@ class TestExtractionError:
             extraction_error(device, derive_chsh_operators(device))
 
 
-class TestBestJunk:
-    def test_canonical_matches_candidate(self, chsh_device):
-        ops = derive_chsh_operators(chsh_device)
-        opt = best_junk(chsh_device, ops, "I", "I")
-        overlap = abs(np.vdot(opt, E00))
-        assert overlap == pytest.approx(1.0, abs=1e-10)
-
-    def test_never_worse_than_fixed(self):
-        device = tilted_device(0.55)
-        ops = derive_chsh_operators(device)
-        result = extraction_error(device, ops)
-        for m, n in OPERATOR_PAIRS:
-            opt = best_junk(device, ops, m, n)
-            out = apply_isometry(device, ops, m, n)
-            err_opt = np.linalg.norm(out - np.kron(opt, ancilla_target(m, n)))
-            assert err_opt <= result.errors_by_pair[(m, n)] + 1e-12
-
-
 class TestBMeasuredError:
     def test_canonical_exact_cases(self, chsh_device):
         ops = derive_chsh_operators(chsh_device)
-        assert b_measured_error(chsh_device, ops, "I", "B0") <= 1e-9
-        assert b_measured_error(chsh_device, ops, "Z", "B1") <= 1e-9
+        junk, _ = junk_candidate(chsh_device, ops)
+        errors = b_measured_errors(chsh_device, ops, junk)
+        assert errors[("I", "B0")] <= 1e-9
+        assert errors[("Z", "B1")] <= 1e-9
 
     def test_tilted_within_bound(self):
         device = tilted_device(math.pi / 4 - 0.05)
         _, eps = chsh_value(device)
         ops = derive_chsh_operators(device)
+        junk, _ = junk_candidate(device, ops)
+        errors = b_measured_errors(device, ops, junk)
         bound = b_extraction_bound(eps)
-        for m in ("I", "X", "Z"):
-            for which in ("B0", "B1"):
-                assert b_measured_error(device, ops, m, which) <= bound + 1e-9
+        assert list(errors) == [(m, w) for m in ("I", "X", "Z") for w in ("B0", "B1")]
+        for error in errors.values():
+            assert error <= bound + 1e-9
 
-    def test_argument_validation(self, chsh_device):
-        ops = derive_chsh_operators(chsh_device)
-        with pytest.raises(ValueError, match="B0"):
-            b_measured_error(chsh_device, ops, "I", "B2")
-        with pytest.raises(ValueError, match="I/X/Z"):
-            b_measured_error(chsh_device, ops, "Q", "B0")
+    def test_argument_validation(self, my_device):
+        # The six rows need Bob's raw B0 and B1; a MY device names neither.
+        ops = my_operators(my_device)
+        junk, _ = junk_candidate(my_device, ops)
+        with pytest.raises(KeyError, match="B0"):
+            b_measured_errors(my_device, ops, junk)

@@ -1,11 +1,13 @@
-"""The state-matrix kernel against the embedded d^2 x d^2 formulas.
+"""The state-matrix kernels against their reference formulas.
 
 Residuals, chain diagnostics, Z expectations and correlations are computed by
 the library as A Psi B^T on the (dA, dB) state matrix Psi.  Here they are
 compared with the literal embedded products kept in ``embedded_oracle`` on
 Haar-random states and complex Hermitian observables (so B^T != B), over
 non-square dims, where a transposed Bob operator or a swapped reshape order
-gives different numbers.
+gives different numbers.  The extraction distances, computed by the library
+in one stacked circuit pass against constant ancilla targets, are compared in
+the same way with the per-pair formulas in ``isometry_oracle``.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import numpy as np
 import pytest
 
 import embedded_oracle as oracle
+import isometry_oracle
 from conftest import random_unitary
 from singlet_selftest import bounds, device as device_module
 from singlet_selftest.derive import (
@@ -32,7 +35,12 @@ from singlet_selftest.device import (
     make_device,
     validate,
 )
-from singlet_selftest.isometry import b_measured_error
+from singlet_selftest.isometry import (
+    OPERATOR_PAIRS,
+    b_measured_errors,
+    extraction_error,
+    junk_candidate,
+)
 
 TOL = 1e-12
 DIMS = [(2, 3), (3, 5), (4, 2), (6, 4), (3, 3)]
@@ -158,11 +166,49 @@ class TestCorrelationsBatch:
             correlations(device, (("A0", "B0"), ("A0", "B9")))
 
 
+@pytest.mark.parametrize("dims", [(2, 2), (3, 5), (4, 2), (6, 4), (3, 3)])
+@pytest.mark.parametrize("seed", [1, 2])
+class TestAgainstIsometryOracle:
+    def test_pair_errors(self, dims, seed):
+        device = chsh_device(seed, dims)
+        ops = derive_chsh_operators(device)
+        result = extraction_error(device, ops)
+        assert list(result.errors_by_pair) == list(OPERATOR_PAIRS)
+        want = {(m, n): isometry_oracle.pair_error(device, ops, result.junk, m, n)
+                for m, n in OPERATOR_PAIRS}
+        assert_close(result.errors_by_pair, want)
+
+    def test_b_errors(self, dims, seed):
+        device = chsh_device(seed, dims)
+        ops = derive_chsh_operators(device)
+        junk, _ = junk_candidate(device, ops)
+        got = b_measured_errors(device, ops, junk)
+        want = {(m, which): isometry_oracle.b_error(device, ops, junk, m, which)
+                for m in ("I", "X", "Z") for which in ("B0", "B1")}
+        assert list(got) == list(want)
+        assert_close(got, want)
+
+    def test_state_rows(self, dims, seed):
+        device = chsh_device(seed, dims)
+        ops = derive_chsh_operators(device)
+        result = extraction_error(device, ops)
+        pre, post = isometry_oracle.state_errors(
+            device, ops, result.junk, result.junk_norm_raw
+        )
+        assert result.state_error_pre_normalization == pytest.approx(pre, abs=TOL)
+        assert result.errors_by_pair[("I", "I")] == pytest.approx(post, abs=TOL)
+        rows = {row.name: row.measured for row in bounds.certify(device, "chsh").rows}
+        assert rows["state_error_pre_normalization"] == pytest.approx(pre, abs=TOL)
+        assert rows["state_error_normalized"] == pytest.approx(post, abs=TOL)
+
+
 def test_certify_b_rows_match_public_b_measured_error():
     device = chsh_device(5, (3, 4))
     report = bounds.certify(device, "chsh")
     ops = derive_chsh_operators(device)
+    junk, _ = junk_candidate(device, ops)
+    errors = b_measured_errors(device, ops, junk)
     rows = {row.name: row.measured for row in report.rows_by_category("b_operator")}
-    for m in ("I", "X", "Z"):
-        for which in ("B0", "B1"):
-            assert rows[f"b_operator_{m}_{which}"] == b_measured_error(device, ops, m, which)
+    assert len(rows) == len(errors) == 6
+    for (m, which), error in errors.items():
+        assert rows[f"b_operator_{m}_{which}"] == error

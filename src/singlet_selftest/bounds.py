@@ -39,8 +39,8 @@ from .device import (
     canonical_chsh_device,
     canonical_my_device,
     chsh_epsilon,
+    correlations,
     my_epsilon,
-    pair_correlations,
     require_valid,
 )
 from .isometry import (
@@ -378,27 +378,26 @@ def _b_operator_rows(
 
 
 def certify(
-    device: DeviceModel,
-    mode: str,
-    cert_tol: float = CERT_TOL_DEFAULT,
-    zero_tol: float = 1e-10,
-    degeneracy_tol: float = 1e-6,
+    device: DeviceModel, mode: str, cert_tol: float = CERT_TOL_DEFAULT
 ) -> CertificationReport:
     """Full measured-vs-bound certification of one device.
 
     ``mode`` is "chsh" (operators regularized from A0/A1/B0/B1) or "my"
-    (named XA/ZA/XB/ZB used directly, DB only in diagnostics).  Invalid
-    devices raise ``DeviceValidationError`` before any certification; a
-    degenerate junk candidate is reported as failed extraction rows, not a
-    crash; a deviation outside [0, 1) fails the budget-dependent rows.
+    (named XA/ZA/XB/ZB used directly, DB only in diagnostics).  This is the
+    library's entry point: it validates the device once and checks the
+    mode's observable names once (in ``correlations``), and the stages after
+    it trust the device.  Invalid devices raise ``DeviceValidationError``
+    before any certification, a missing name ``KeyError``; a degenerate junk
+    candidate is reported as failed extraction rows, not a crash; a deviation
+    outside [0, 1) fails the budget-dependent rows.
     """
     selftest = get_mode(mode)
     require_valid(device)
 
-    table = pair_correlations(device, selftest.pairs)
+    table = correlations(device, selftest.pairs)
     chsh, eps = selftest.deviation(table)
-    correlations = dict(zip(selftest.table_keys, table.values()))
-    ops = selftest.derive(device, zero_tol)
+    table_by_key = dict(zip(selftest.table_keys, table.values()))
+    ops = selftest.derive(device)
     diag = selftest.diagnostics(device, ops)
     budget = selftest.budget(eps) if eps < 1.0 else None
 
@@ -426,7 +425,7 @@ def certify(
     degenerate = False
     junk = None
     try:
-        result = extraction_error(device, ops, degeneracy_tol)
+        result = extraction_error(device, ops)
         junk = result.junk
         junk_raw = result.junk_norm_raw
         state_pre = result.state_error_pre_normalization
@@ -434,7 +433,7 @@ def certify(
         pair_errors = result.errors_by_pair
     except DegenerateExtractionError as err:
         degenerate = True
-        junk_raw = getattr(err, "raw_norm", NAN)
+        junk_raw = err.raw_norm
         state_pre = state_post = NAN
         pair_errors = {pair: NAN for pair in OPERATOR_PAIRS}
 
@@ -478,7 +477,7 @@ def certify(
         rows=rows,
         fidelity=fidelity_block(eps),
         cert_tol=cert_tol,
-        correlations=correlations if selftest.reports_correlations else {},
+        correlations=table_by_key if selftest.reports_correlations else {},
     )
 
 
@@ -490,10 +489,11 @@ class Mode:
     the deviation; a device must name every observable in them, and a
     correlation table keys them as ``"A_B"``.  ``deviation`` maps those
     correlations to ``(CHSH value or None, epsilon)`` for device and table
-    input alike.  ``derive`` and ``diagnostics`` take ``(device, zero_tol)``
-    and ``(device, ops)``.  ``exact_bob_anticommutation`` sets the exact
-    grade of the Bob anticommutation row to 0; ``b_operator`` adds the six
-    rows for Bob's raw observables (and the ``bOperator`` table bound);
+    input alike.  ``derive`` and ``diagnostics`` take ``(device)`` and
+    ``(device, ops)``, the device already validated and name-checked by the
+    entry point.  ``exact_bob_anticommutation`` sets the exact grade of the
+    Bob anticommutation row to 0; ``b_operator`` adds the six rows for Bob's
+    raw observables (and the ``bOperator`` table bound);
     ``reports_correlations`` puts the correlation table into the report.
     """
 
@@ -501,7 +501,7 @@ class Mode:
     pairs: tuple[tuple[str, str], ...]
     deviation: Callable[[dict[tuple[str, str], float]], tuple[float | None, float]]
     budget: Callable[[float], EpsilonBudget]
-    derive: Callable[[DeviceModel, float], DerivedOperators]
+    derive: Callable[[DeviceModel], DerivedOperators]
     diagnostics: Callable[[DeviceModel, DerivedOperators], dict[str, float]]
     chain_rows: Callable[[dict[str, float], EpsilonBudget | None, float], list[ReportRow]]
     eps1_formula: str
@@ -542,7 +542,7 @@ MODES = {
         budget=my_budget,
         # The named observables pass through unregularized, and the chain
         # diagnostics read them (and DB) from the device directly.
-        derive=lambda device, zero_tol: my_operators(device),
+        derive=my_operators,
         diagnostics=lambda device, ops: my_diagnostics(device),
         chain_rows=_my_chain_rows,
         eps1_formula="2*eps1; eps1 = 2*(1+sqrt(2))*(2*eps)**(1/4) + 4*sqrt(2*eps)"

@@ -80,7 +80,8 @@ def _load_table(path: str, selftest: Mode) -> dict[str, float]:
                 f"correlation table is missing entry {key!r} for mode {selftest.name}"
             )
         value = doc[key]
-        if not isinstance(value, (int, float)):
+        # type(), not isinstance(): JSON true/false load as bool, an int subclass.
+        if type(value) not in (int, float):
             raise DocumentError(f"correlation {key!r}: expected a number, got {value!r}")
         if not math.isfinite(value):
             raise DocumentError(f"correlation {key!r} = {value} is not a finite number")

@@ -18,6 +18,12 @@ Residuals and chain diagnostics are local expectations and norms.  With the
 state reshaped to its (dA, dB) coefficient matrix Psi (Alice's index major),
 (A (x) B)|psi> is A Psi B^T, so each quantity is a few dA x dA and dB x dB
 matrix products applied to Psi, O(d^3), and no d^2 x d^2 embedding is formed.
+
+The functions that take a device trust it: it must be valid (``device.validate``
+returns no violation) and name the observables of its mode.  The entry points
+check both once per device: ``documents.load_device`` and ``bounds.certify``,
+and ``explorer.sweep`` / ``explorer.worst_case_search`` for the devices they
+build.  A missing name still raises ``KeyError`` from the lookup.
 """
 
 from __future__ import annotations
@@ -26,8 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .device import CHSH_PAIRS, DeviceModel, require_observables, require_valid
-from .linalg import ZERO_TOL_DEFAULT, operator_sign
+from .device import DeviceModel
+from .linalg import operator_sign
 
 SQRT2 = float(np.sqrt(2.0))
 
@@ -157,19 +163,19 @@ def my_budget(epsilon: float) -> EpsilonBudget:
     )
 
 
-def derive_chsh_operators(
-    device: DeviceModel, zero_tol: float = ZERO_TOL_DEFAULT
-) -> DerivedOperators:
-    """Regularize raw CHSH observables into the four derived operators."""
-    require_valid(device)
-    require_observables(device, CHSH_PAIRS)
+def derive_chsh_operators(device: DeviceModel) -> DerivedOperators:
+    """Regularize raw CHSH observables into the four derived operators.
+
+    Precondition: ``device`` is valid and names A0, A1, B0 and B1 (see the
+    module docstring for where that is checked).
+    """
     b0 = device.bob_obs["B0"]
     b1 = device.bob_obs["B1"]
     return DerivedOperators(
         xa=device.alice_obs["A0"],
         za=device.alice_obs["A1"],
-        xb=operator_sign(b0 + b1, zero_tol),
-        zb=operator_sign(b0 - b1, zero_tol),
+        xb=operator_sign(b0 + b1),
+        zb=operator_sign(b0 - b1),
     )
 
 
@@ -178,10 +184,9 @@ def my_operators(device: DeviceModel) -> DerivedOperators:
 
     No regularization step exists here: the named XA, ZA, XB, ZB are used
     directly as the extraction operators.  DB participates only in the
-    diagnostic residuals, never in the extraction circuit.
+    diagnostic residuals, never in the extraction circuit.  Precondition:
+    ``device`` is valid and names XA, ZA, XB and ZB (see the module docstring).
     """
-    require_valid(device)
-    require_observables(device, (("XA", "XB"), ("ZA", "ZB")))
     return DerivedOperators(
         xa=device.alice_obs["XA"],
         za=device.alice_obs["ZA"],
@@ -223,9 +228,9 @@ def chsh_diagnostics(device: DeviceModel, ops: DerivedOperators) -> dict[str, fl
     the raw anticommutator norms, the overlap <X'_A (B0+B1)>, and the
     distances of X'_A and X'_B to (B0+B1)/sqrt(2) on the state.  ``ops`` are
     the device's derived operators from ``derive_chsh_operators``; X'_B is
-    taken from them.
+    taken from them.  Precondition: ``device`` is valid and names A0, A1, B0
+    and B1 (see the module docstring).
     """
-    require_valid(device)
     if ops.dims != device.dims:
         raise ValueError(f"operator dims {ops.dims} do not match device dims {device.dims}")
     psi = device.state.reshape(device.dims)
@@ -263,8 +268,9 @@ def my_diagnostics(device: DeviceModel) -> dict[str, float]:
 
     DB enters only here, through its distance to (XA+ZA)/sqrt(2) on the state;
     it plays no role in any other estimate or in the extraction circuit.
+    Precondition: ``device`` is valid and names XA, ZA, XB, ZB and DB (see the
+    module docstring).
     """
-    require_valid(device)
     psi = device.state.reshape(device.dims)
     xa = device.alice_obs["XA"]
     za = device.alice_obs["ZA"]

@@ -157,26 +157,36 @@ def require_valid(device: DeviceModel) -> None:
         raise DeviceValidationError(violations)
 
 
+def require_observables(device: DeviceModel, pairs: tuple[tuple[str, str], ...]) -> None:
+    """Raise ``KeyError`` naming the first observable of ``pairs`` the device lacks.
+
+    Alice's names are checked before Bob's, each in the order of ``pairs``.
+    """
+    for party, side, obs in (("Alice", 0, device.alice_obs), ("Bob", 1, device.bob_obs)):
+        for pair in pairs:
+            if pair[side] not in obs:
+                raise KeyError(f"device has no {party} observable {pair[side]!r}")
+
+
 def correlations(
     device: DeviceModel, pairs: tuple[tuple[str, str], ...]
 ) -> dict[tuple[str, str], float]:
     """Expectation values <psi| (M_A x I)(I x N_B) |psi> for named observable pairs.
 
-    Each named observable is embedded once and each (I x N_B)|psi> computed
-    once, then reused across the pairs.  The value of a product of commuting
-    Hermitian observables must be real; an imaginary part above 1e-10 raises
-    a numerical-consistency error.
+    The names are checked first (``require_observables``); the device's
+    validity is not: ``documents.load_device``, ``bounds.certify`` and the
+    ``explorer`` sweep and search check it once per device.  Each named
+    observable is embedded once and each (I x N_B)|psi> computed once, then
+    reused across the pairs.  The value of a product of commuting Hermitian
+    observables must be real; an imaginary part above 1e-10 raises a
+    numerical-consistency error.
 
     The epsilon^(1/4) budgets amplify a last-bit change in a correlation far
     beyond the change itself at small deviation, so these values keep the
     embedded form ``vdot(psi, M @ (N @ psi))`` rather than the
     state-matrix kernel used elsewhere.
     """
-    for alice_name, bob_name in pairs:
-        if alice_name not in device.alice_obs:
-            raise KeyError(f"unknown Alice observable {alice_name!r}")
-        if bob_name not in device.bob_obs:
-            raise KeyError(f"unknown Bob observable {bob_name!r}")
+    require_observables(device, pairs)
     embedded_a: dict[str, np.ndarray] = {}
     applied_b: dict[str, np.ndarray] = {}
     values: dict[tuple[str, str], float] = {}
@@ -201,25 +211,6 @@ def correlations(
 def correlation(device: DeviceModel, alice_name: str, bob_name: str) -> float:
     """Expectation value <psi| (M_A x I)(I x N_B) |psi> for one named pair."""
     return correlations(device, ((alice_name, bob_name),))[(alice_name, bob_name)]
-
-
-def require_observables(device: DeviceModel, pairs: tuple[tuple[str, str], ...]) -> None:
-    """Raise ``KeyError`` naming the first observable of ``pairs`` the device lacks.
-
-    Alice's names are checked before Bob's, each in the order of ``pairs``.
-    """
-    for party, side, obs in (("Alice", 0, device.alice_obs), ("Bob", 1, device.bob_obs)):
-        for pair in pairs:
-            if pair[side] not in obs:
-                raise KeyError(f"device has no {party} observable {pair[side]!r}")
-
-
-def pair_correlations(
-    device: DeviceModel, pairs: tuple[tuple[str, str], ...]
-) -> dict[tuple[str, str], float]:
-    """``correlations`` of the pairs, after ``require_observables`` on them."""
-    require_observables(device, pairs)
-    return correlations(device, pairs)
 
 
 def chsh_epsilon(values: dict[tuple[str, str], float]) -> tuple[float, float]:
@@ -263,7 +254,7 @@ def my_epsilon(values: dict[tuple[str, str], float]) -> tuple[None, float]:
 
 def chsh_value(device: DeviceModel) -> tuple[float, float]:
     """CHSH value of a device and its deficit from 2*sqrt(2); see ``chsh_epsilon``."""
-    return chsh_epsilon(pair_correlations(device, CHSH_PAIRS))
+    return chsh_epsilon(correlations(device, CHSH_PAIRS))
 
 
 def my_deviation(device: DeviceModel) -> tuple[dict[tuple[str, str], float], float]:
@@ -272,5 +263,5 @@ def my_deviation(device: DeviceModel) -> tuple[dict[tuple[str, str], float], flo
     Returns ``(table, epsilon)`` where the table maps (Alice, Bob) observable
     name pairs to measured expectations; ``epsilon`` is as in ``my_epsilon``.
     """
-    table = pair_correlations(device, MY_PAIRS)
+    table = correlations(device, MY_PAIRS)
     return table, my_epsilon(table)[1]

@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from .bounds import CertificationReport
 from .derive import EpsilonBudget
-from .device import DeviceModel, DeviceValidationError, make_device, validate
+from .device import DeviceModel, make_device, require_valid
 
 DEVICE_SCHEMA_VERSION = "1"
 REPORT_SCHEMA_VERSION = "1"
@@ -36,10 +36,11 @@ def _pair(z: complex) -> list[float]:
 
 
 def _unpair(value, where: str) -> complex:
+    # Exact types: JSON true/false load as bool, which is an int subclass.
     if (
         not isinstance(value, (list, tuple))
         or len(value) != 2
-        or not all(isinstance(x, (int, float)) for x in value)
+        or not all(type(x) in (int, float) for x in value)
     ):
         raise DocumentError(f"{where}: expected a [re, im] pair, got {value!r}")
     return complex(float(value[0]), float(value[1]))
@@ -101,7 +102,7 @@ def device_from_document(doc) -> DeviceModel:
     if (
         not isinstance(dims, list)
         or len(dims) != 2
-        or not all(isinstance(d, int) and d >= 1 for d in dims)
+        or not all(type(d) is int and d >= 1 for d in dims)
     ):
         raise DocumentError(f"dims: expected two positive integers, got {dims!r}")
     state = vector_from_json(doc.get("state"), "state")
@@ -137,11 +138,12 @@ def read_json(path: str | Path):
 
 
 def load_device(path: str | Path) -> DeviceModel:
-    """Parse, schema-check, and invariant-validate a device document file."""
+    """Parse, schema-check, and invariant-validate a device document file.
+
+    An invalid device raises ``DeviceValidationError``.
+    """
     device = device_from_document(read_json(Path(path)))
-    violations = validate(device)
-    if violations:
-        raise DeviceValidationError(violations)
+    require_valid(device)
     return device
 
 

@@ -16,10 +16,10 @@ import numpy as np
 
 from .bounds import extraction_bound, get_mode
 from .derive import condition_residuals
-from .device import DeviceModel, make_device, pair_correlations, validate
+from .device import DeviceModel, correlations, make_device, validate
 from .device import canonical_chsh_device, canonical_my_device  # noqa: F401 (re-exported)
 from .isometry import DegenerateExtractionError, extraction_error
-from .linalg import PHI_PLUS, ZERO_TOL_DEFAULT
+from .linalg import PHI_PLUS
 
 FAMILY_KINDS = ("tilted", "state-noise", "measurement-noise", "junk-embedded", "random")
 
@@ -245,10 +245,15 @@ def make_family(spec: FamilySpec) -> list[DeviceModel]:
 def evaluate_device(
     device: DeviceModel, mode: str, parameters: dict | None = None
 ) -> SweepRecord:
-    """Run the residual/extraction pipeline on one device into a record."""
+    """Run the residual/extraction pipeline on one device into a record.
+
+    Precondition: ``device`` is valid.  ``sweep`` and ``worst_case_search``
+    validate each device they build before calling here, so this function does
+    not; the mode's observable names are checked in ``correlations``.
+    """
     selftest = get_mode(mode)
-    _, eps = selftest.deviation(pair_correlations(device, selftest.pairs))
-    ops = selftest.derive(device, ZERO_TOL_DEFAULT)
+    _, eps = selftest.deviation(correlations(device, selftest.pairs))
+    ops = selftest.derive(device)
     residuals = condition_residuals(device.state, ops)
     bound = extraction_bound(residuals.eps1, residuals.eps2)
     try:
@@ -275,8 +280,8 @@ def evaluate_device(
 def sweep(spec: FamilySpec) -> list[SweepRecord]:
     """One record per family point, running the full pipeline.
 
-    Every generated device must pass validation; a degenerate extraction is
-    recorded in-row and the sweep continues.
+    Every generated device is validated here, once, and must pass; a
+    degenerate extraction is recorded in-row and the sweep continues.
     """
     records = []
     for parameters, device in family_points(spec):
@@ -334,17 +339,17 @@ def worst_case_search(
     dims: tuple[int, int],
     budget: int,
     seed: int,
-    cooling: float = 0.995,
 ) -> SearchResult:
     """Simulated-annealing search for the worst extraction error at bounded epsilon.
 
     Maximizes the measured extraction error over seeded device perturbations
     subject to the measured deviation staying at or below ``epsilon_ceiling``.
     The objective involves eigendecompositions and max-compositions, so a
-    derivative-free chain is used; the geometric cooling ratio is a tunable.
+    derivative-free chain is used, cooling geometrically by 0.995 per evaluation.
     The result is the best device found within ``budget`` evaluations — no
     global-optimality claim is made.  The seed proposal is the unperturbed
-    canonical embedding.
+    canonical embedding.  Each proposal is validated here, once; an invalid
+    one uses up its evaluation and is rejected.
     """
     if not 0.0 < epsilon_ceiling < 1.0:
         raise ValueError(f"epsilon ceiling must lie in (0, 1), got {epsilon_ceiling}")
@@ -392,6 +397,7 @@ def worst_case_search(
 
     temperature = 0.05
     step = 0.05
+    cooling = 0.995
     while evaluations < budget:
         proposal = current + rng.normal(scale=step, size=n_params)
         outcome = assess(proposal)

@@ -42,7 +42,7 @@ B_TARGETS = np.array([
     for m, which in B_ROWS
 ])
 
-DEGENERACY_TOL_DEFAULT = 1e-6
+DEGENERACY_TOL = 1e-6
 
 
 class DegenerateExtractionError(ValueError):
@@ -50,7 +50,15 @@ class DegenerateExtractionError(ValueError):
 
     Below the degeneracy threshold the normalization step is meaningless: the
     conditions are grossly violated and no meaningful junk state exists.
+    ``raw_norm`` is the candidate's norm before normalization.
     """
+
+    def __init__(self, raw_norm: float):
+        self.raw_norm = raw_norm
+        super().__init__(
+            f"junk candidate norm {raw_norm:.3e} below degeneracy threshold "
+            f"{DEGENERACY_TOL:.1e}; no meaningful junk state exists"
+        )
 
 
 @dataclass(frozen=True)
@@ -139,32 +147,22 @@ def apply_isometry(
     return _run_circuit(inputs, ops).reshape(-1)
 
 
-def junk_candidate(
-    device: DeviceModel,
-    ops: DerivedOperators,
-    degeneracy_tol: float = DEGENERACY_TOL_DEFAULT,
-) -> tuple[np.ndarray, float]:
-    """Normalized junk candidate (I+Z'_A)(I+Z'_B)|psi'>/(2*sqrt(2)) and its raw norm."""
+def junk_candidate(device: DeviceModel, ops: DerivedOperators) -> tuple[np.ndarray, float]:
+    """Normalized junk candidate (I+Z'_A)(I+Z'_B)|psi'>/(2*sqrt(2)) and its raw norm.
+
+    A raw norm below ``DEGENERACY_TOL`` raises ``DegenerateExtractionError``.
+    """
     da, db = device.dims
     psi = _state_matrix(device, ops)
     v = (np.eye(da, dtype=complex) + ops.za) @ psi @ (np.eye(db, dtype=complex) + ops.zb).T
     v = v.reshape(da * db) / (2.0 * np.sqrt(2.0))
     raw = float(np.linalg.norm(v))
-    if raw < degeneracy_tol:
-        err = DegenerateExtractionError(
-            f"junk candidate norm {raw:.3e} below degeneracy threshold "
-            f"{degeneracy_tol:.1e}; no meaningful junk state exists"
-        )
-        err.raw_norm = raw
-        raise err
+    if raw < DEGENERACY_TOL:
+        raise DegenerateExtractionError(raw)
     return v / raw, raw
 
 
-def extraction_error(
-    device: DeviceModel,
-    ops: DerivedOperators,
-    degeneracy_tol: float = DEGENERACY_TOL_DEFAULT,
-) -> ExtractionResult:
+def extraction_error(device: DeviceModel, ops: DerivedOperators) -> ExtractionResult:
     """Measured extraction error for all nine (M, N) pairs.
 
     Every pair is compared against the same fixed junk vector from
@@ -172,7 +170,7 @@ def extraction_error(
     ``DegenerateExtractionError``.  One circuit pass covers the nine pairs
     and, on |psi'> once more, the pre-normalization state error.
     """
-    junk, raw = junk_candidate(device, ops, degeneracy_tol)
+    junk, raw = junk_candidate(device, ops)
     psi = _state_matrix(device, ops)
     inputs = np.concatenate((_pair_inputs(psi, ops), psi[None]))
     targets = np.vstack((PAIR_TARGETS, raw * PHI_PLUS))

@@ -26,7 +26,7 @@ DIAG_XZ = (PAULI_X + PAULI_Z) / np.sqrt(2.0)
 PHI_PLUS = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / np.sqrt(2.0)
 
 HERMITIAN_ATOL = 1e-10
-ZERO_TOL_DEFAULT = 1e-10
+ZERO_TOL = 1e-10
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
@@ -52,57 +52,46 @@ def _require_square(m: np.ndarray) -> np.ndarray:
     return m
 
 
-def _require_hermitian(m: np.ndarray, atol: float) -> np.ndarray:
-    m = _require_square(m)
-    dev = hermiticity_deviation(m)
-    if dev > atol:
-        raise ValueError(f"matrix is not Hermitian: max deviation {dev:.3e} > {atol:.1e}")
-    return m
-
-
-def hermitian_eig(m: np.ndarray, *, atol: float = HERMITIAN_ATOL) -> tuple[np.ndarray, np.ndarray]:
+def hermitian_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix.
 
     Returns ``(eigenvalues, eigenvectors)`` with eigenvalues real and ascending
     and eigenvectors as the columns of a unitary matrix, so that
     ``M = V diag(w) V^dagger``.  Raises ``ValueError`` (naming the deviation)
-    for non-Hermitian input.
+    for input further than ``HERMITIAN_ATOL`` from Hermitian.
     """
-    m = _require_hermitian(m, atol)
-    w, v = np.linalg.eigh(m)
-    return w, v
+    m = _require_square(m)
+    dev = hermiticity_deviation(m)
+    if dev > HERMITIAN_ATOL:
+        raise ValueError(
+            f"matrix is not Hermitian: max deviation {dev:.3e} > {HERMITIAN_ATOL:.1e}"
+        )
+    return np.linalg.eigh(m)
 
 
-def operator_abs(m: np.ndarray, *, atol: float = HERMITIAN_ATOL) -> np.ndarray:
+def operator_abs(m: np.ndarray) -> np.ndarray:
     """Operator absolute value |M| = sqrt(M^2) of a Hermitian matrix.
 
     Computed as ``V diag(|w|) V^dagger``; the result is Hermitian and positive
     semidefinite.
     """
-    w, v = hermitian_eig(m, atol=atol)
+    w, v = hermitian_eig(m)
     return (v * np.abs(w)) @ dagger(v)
 
 
-def operator_sign(
-    m: np.ndarray,
-    zero_tol: float = ZERO_TOL_DEFAULT,
-    *,
-    atol: float = HERMITIAN_ATOL,
-) -> np.ndarray:
+def operator_sign(m: np.ndarray) -> np.ndarray:
     """Operator sign M/|M| with the kernel mapped to +1.
 
-    Eigenvalues with ``|w| <= zero_tol * max|w|`` are treated as the zero
-    subspace and assigned sign +1, so the result is always Hermitian and
+    Eigenvalues with ``|w| <= ZERO_TOL * max|w|`` are treated as the
+    zero subspace and assigned sign +1, so the result is always Hermitian and
     unitary (it squares to the identity).  An all-zero matrix returns the
     identity.
     """
-    if zero_tol <= 0:
-        raise ValueError(f"zero_tol must be positive, got {zero_tol}")
-    w, v = hermitian_eig(m, atol=atol)
+    w, v = hermitian_eig(m)
     scale = float(np.max(np.abs(w)))
     if scale == 0.0:
         return np.eye(m.shape[0], dtype=complex)
-    signs = np.where(np.abs(w) <= zero_tol * scale, 1.0, np.sign(w))
+    signs = np.where(np.abs(w) <= ZERO_TOL * scale, 1.0, np.sign(w))
     return (v * signs) @ dagger(v)
 
 

@@ -162,6 +162,38 @@ class TestCertifyCommand:
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 
+    def test_boolean_amplitude_exits_two(self, tmp_path, capsys):
+        # JSON false loads as a bool, an int subclass, but it is not a number
+        doc = device_to_document(canonical_chsh_device())
+        doc["state"][0] = [False, False]
+        path = tmp_path / "bool.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "report.json"
+        code = main(["certify", "--device", str(path), "--mode", "chsh", "--out", str(out)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "state[0]: expected a [re, im] pair" in captured.err
+        assert not out.exists()
+
+    def test_boolean_dims_exit_two(self, tmp_path, capsys):
+        one = [[[1.0, 0.0]]]
+        doc = {
+            "schemaVersion": "1",
+            "dims": [True, True],
+            "state": [[1.0, 0.0]],
+            "observables": {"alice": {"A0": one, "A1": one}, "bob": {"B0": one, "B1": one}},
+        }
+        path = tmp_path / "bool_dims.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "report.json"
+        code = main(["certify", "--device", str(path), "--mode", "chsh", "--out", str(out)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "dims: expected two positive integers" in captured.err
+        assert not out.exists()
+
     def test_truncated_input_exits_two(self, tmp_path):
         path = tmp_path / "trunc.json"
         path.write_text("{", encoding="utf-8")
@@ -348,6 +380,19 @@ class TestCorrelationsCommand:
         assert code == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error: ")
+        assert not out.exists()
+
+    def test_boolean_entry_exits_two(self, tmp_path, capsys):
+        table = tmp_path / "table.json"
+        table.write_text(json.dumps({"A0_B0": True, "A0_B1": 0.7, "A1_B0": 0.7,
+                                     "A1_B1": False}))
+        out = tmp_path / "summary.json"
+        code = main(["correlations", "--table", str(table), "--mode", "chsh",
+                     "--out", str(out)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "correlation 'A0_B0': expected a number, got True" in captured.err
         assert not out.exists()
 
     def test_output_file(self, tmp_path):

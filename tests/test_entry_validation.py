@@ -1,0 +1,92 @@
+"""Each device is validated and name-checked once, by the entry point that
+first receives it: ``documents.load_device`` for files, ``bounds.certify`` for
+library callers, and ``explorer.sweep`` / ``explorer.worst_case_search`` for
+the devices they build.  The stages after an entry point trust the device.
+"""
+
+from __future__ import annotations
+
+import sys
+
+import pytest
+
+from singlet_selftest import device as device_module
+from singlet_selftest import explorer
+from singlet_selftest.bounds import certify, get_mode
+from singlet_selftest.cli import main
+from singlet_selftest.device import make_device
+from singlet_selftest.documents import save_device
+from singlet_selftest.explorer import FamilySpec, sweep, worst_case_search
+from singlet_selftest.linalg import PAULI_X
+
+
+def count_calls(monkeypatch, fn) -> list:
+    """Record every call of ``fn`` made through any module of the package.
+
+    Modules import names by value, so every module attribute that *is* ``fn``
+    is replaced, not only the defining one.
+    """
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if module is not None and name.split(".")[0] == "singlet_selftest":
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, counting)
+    return calls
+
+
+@pytest.fixture
+def validations(monkeypatch):
+    return count_calls(monkeypatch, device_module.validate)
+
+
+@pytest.fixture
+def name_checks(monkeypatch):
+    return count_calls(monkeypatch, device_module.require_observables)
+
+
+@pytest.mark.parametrize("mode", ["chsh", "my"])
+class TestCounts:
+    def test_library_certify_validates_once(self, mode, validations, name_checks):
+        report = certify(get_mode(mode).canonical(), mode)
+        assert report.all_pass
+        assert len(validations) == 1
+        assert len(name_checks) == 1
+
+    def test_cli_certify_validates_on_load_and_in_certify(
+        self, mode, validations, name_checks, tmp_path
+    ):
+        path = tmp_path / "device.json"
+        save_device(path, get_mode(mode).canonical())
+        out = tmp_path / "report.json"
+        assert main(["certify", "--device", str(path), "--mode", mode,
+                     "--out", str(out)]) == 0
+        assert len(validations) == 2
+        assert len(name_checks) == 1
+
+    def test_sweep_validates_each_point_once(self, mode, validations):
+        spec = FamilySpec("tilted", {"theta": (0.8, 0.5, 5)}, mode=mode)
+        assert len(sweep(spec)) == 5
+        assert len(validations) == 5
+
+    def test_search_validates_each_evaluation_once(self, mode, validations):
+        result = worst_case_search(mode, 0.05, (3, 2), 7, seed=4)
+        assert result.evaluations == 7
+        assert len(validations) == 7
+
+
+def test_sweep_rejects_invalid_family_point(monkeypatch):
+    def broken_point(spec, base, value, index):
+        alice = dict(base.alice_obs, A0=0.5 * PAULI_X)
+        return make_device((2, 2), base.state, alice, dict(base.bob_obs))
+
+    monkeypatch.setattr(explorer, "_build_point", broken_point)
+    spec = FamilySpec("tilted", {"theta": (0.8, 0.5, 3)})
+    with pytest.raises(ValueError, match=r"family 'tilted' produced an invalid device at "
+                       r"\{'theta': 0\.8\}: A0: O\^2 != I"):
+        sweep(spec)

@@ -102,10 +102,6 @@ class TestOperatorSign:
     def test_zero_matrix(self):
         assert np.allclose(operator_sign(np.zeros((4, 4))), np.eye(4))
 
-    def test_zero_tol_must_be_positive(self):
-        with pytest.raises(ValueError, match="zero_tol"):
-            operator_sign(PAULI_Z, zero_tol=0.0)
-
     def test_hermitian_unitary_on_random_input(self):
         rng = np.random.default_rng(303)
         for _ in range(20):

@@ -37,32 +37,26 @@ from .device import (
     DeviceValidationError,
     canonical_chsh_device,
     canonical_my_device,
-    chsh_value,
-    correlation,
     correlations,
     make_device,
-    my_deviation,
     validate,
 )
 from .explorer import (
     FamilySpec,
     SearchResult,
     SweepRecord,
-    make_family,
     sweep,
     worst_case_search,
 )
 from .isometry import (
     DegenerateExtractionError,
     ExtractionResult,
-    apply_isometry,
     b_measured_errors,
     extraction_error,
     junk_candidate,
 )
 from .linalg import (
     hermitian_eig,
-    operator_abs,
     operator_sign,
     tensor_embed,
 )
@@ -82,7 +76,6 @@ __all__ = [
     "ResidualSet",
     "SearchResult",
     "SweepRecord",
-    "apply_isometry",
     "b_extraction_bound",
     "b_measured_errors",
     "canonical_chsh_device",
@@ -90,9 +83,7 @@ __all__ = [
     "certify",
     "chsh_budget",
     "chsh_diagnostics",
-    "chsh_value",
     "condition_residuals",
-    "correlation",
     "correlations",
     "derive_chsh_operators",
     "extraction_bound",
@@ -101,13 +92,10 @@ __all__ = [
     "hermitian_eig",
     "junk_candidate",
     "make_device",
-    "make_family",
     "my_budget",
-    "my_deviation",
     "my_diagnostics",
     "my_fidelity_bound",
     "my_operators",
-    "operator_abs",
     "operator_sign",
     "state_error_bounds",
     "sweep",

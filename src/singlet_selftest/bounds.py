@@ -51,7 +51,9 @@ from .isometry import (
     extraction_error,
 )
 
-CERT_TOL_DEFAULT = 1e-9
+# Absolute allowance for rounding in every pass/fail comparison, and the
+# report's ``certTol``.
+CERT_TOL = 1e-9
 
 # Externally quoted reference point for the fidelity lower bound: a drop to
 # 20% already at deviation 1e-4 has been quoted alongside the closed-form
@@ -163,15 +165,11 @@ class CertificationReport:
     degenerate: bool
     rows: list[ReportRow]
     fidelity: dict
-    cert_tol: float
     correlations: dict[str, float] = field(default_factory=dict)
 
     @property
     def all_pass(self) -> bool:
         return all(row.passed for row in self.rows)
-
-    def rows_by_category(self, category: str) -> list[ReportRow]:
-        return [row for row in self.rows if row.category == category]
 
 
 NAN = float("nan")
@@ -184,14 +182,14 @@ def _mk_row(
     grades: tuple[float, float] | None,
     direction: str,
     formula: str,
-    tol: float,
     bound_override: float | None = None,
 ) -> ReportRow:
     """Build a row, selecting the weaker (safe) grade as the certification bound.
 
     ``grades`` is (headline, exact) or None when no budget exists (out-of-range
     deviation); ``bound_override`` replaces the selection, used for rows that
-    certify against measured-residual compositions.
+    certify against measured-residual compositions.  The row passes within
+    ``CERT_TOL`` of its bound.
     """
     if grades is None:
         bound_headline = bound_exact = NAN
@@ -206,9 +204,9 @@ def _mk_row(
     else:
         bound = min(bound_headline, bound_exact)
     if direction == "<=":
-        passed = bool(measured <= bound + tol)
+        passed = bool(measured <= bound + CERT_TOL)
     else:
-        passed = bool(measured >= bound - tol)
+        passed = bool(measured >= bound - CERT_TOL)
     return ReportRow(
         name=name,
         category=category,
@@ -223,7 +221,7 @@ def _mk_row(
 
 
 def _condition_rows(
-    residuals: ResidualSet, budget: EpsilonBudget | None, selftest: Mode, tol: float
+    residuals: ResidualSet, budget: EpsilonBudget | None, selftest: Mode
 ) -> list[ReportRow]:
     if budget is None:
         a_grades = b_grades = d_grades = None
@@ -235,19 +233,19 @@ def _condition_rows(
         d_grades = (budget.eps2, budget.eps2_exact)
     return [
         _mk_row("condition_anticomm_alice", "condition", residuals.anticomm_a,
-                a_grades, "<=", selftest.eps1_formula, tol),
+                a_grades, "<=", selftest.eps1_formula),
         _mk_row("condition_anticomm_bob", "condition", residuals.anticomm_b,
-                b_grades, "<=", selftest.eps1_formula, tol),
+                b_grades, "<=", selftest.eps1_formula),
         _mk_row("condition_diff_x", "condition", residuals.diff_x,
-                d_grades, "<=", selftest.eps2_formula, tol),
+                d_grades, "<=", selftest.eps2_formula),
         _mk_row("condition_diff_z", "condition", residuals.diff_z,
-                d_grades, "<=", selftest.eps2_formula, tol),
+                d_grades, "<=", selftest.eps2_formula),
     ]
 
 
 def _shared_state_rows(
     junk_raw: float, za_abs: float, zb_abs: float,
-    budget: EpsilonBudget | None, tol: float,
+    budget: EpsilonBudget | None,
 ) -> list[ReportRow]:
     """Expectation and junk-norm window rows common to both modes."""
     if budget is None:
@@ -263,18 +261,18 @@ def _shared_state_rows(
         upper_grades = (math.sqrt(1.0 + s_headline), math.sqrt(1.0 + s_exact))
     return [
         _mk_row("za_expectation_abs", "chain", za_abs, z_grades, "<=",
-                "|<Z'_A>| <= eps1 + eps2", tol),
+                "|<Z'_A>| <= eps1 + eps2"),
         _mk_row("zb_expectation_abs", "chain", zb_abs, z_grades, "<=",
-                "|<Z'_B>| <= eps1 + eps2", tol),
+                "|<Z'_B>| <= eps1 + eps2"),
         _mk_row("junk_rawnorm_lower", "chain", junk_raw, lower_grades, ">=",
-                "raw norm >= sqrt(1 - eps1 - eps2)", tol),
+                "raw norm >= sqrt(1 - eps1 - eps2)"),
         _mk_row("junk_rawnorm_upper", "chain", junk_raw, upper_grades, "<=",
-                "raw norm <= sqrt(1 + eps1 + eps2)", tol),
+                "raw norm <= sqrt(1 + eps1 + eps2)"),
     ]
 
 
 def _chsh_chain_rows(
-    diag: dict[str, float], budget: EpsilonBudget | None, tol: float
+    diag: dict[str, float], budget: EpsilonBudget | None
 ) -> list[ReportRow]:
     if budget is None:
         comm_grades = prod_grades = anti_grades = None
@@ -291,7 +289,7 @@ def _chsh_chain_rows(
     rows = [
         _mk_row("commutator_product", "chain", diag["commutator_product"],
                 comm_grades, ">=",
-                "<[A0,A1][B1,B0]> >= 4 - delta; delta = 4*sqrt(2)*eps - eps**2", tol),
+                "<[A0,A1][B1,B0]> >= 4 - delta; delta = 4*sqrt(2)*eps - eps**2"),
     ]
     for name in (
         "norm_a0a1_plus_b1b0",
@@ -300,25 +298,25 @@ def _chsh_chain_rows(
         "norm_a1a0_plus_b0b1",
     ):
         rows.append(_mk_row(name, "chain", diag[name], prod_grades, "<=",
-                            "mixed product norm <= sqrt(delta)", tol))
+                            "mixed product norm <= sqrt(delta)"))
     rows.append(_mk_row("anticomm_a_raw", "chain", diag["anticomm_a_raw"],
-                        anti_grades, "<=", "||{A0,A1}psi|| <= 2*eps1", tol))
+                        anti_grades, "<=", "||{A0,A1}psi|| <= 2*eps1"))
     rows.append(_mk_row("anticomm_b_raw", "chain", diag["anticomm_b_raw"],
-                        anti_grades, "<=", "||{B0,B1}psi|| <= 2*eps1", tol))
+                        anti_grades, "<=", "||{B0,B1}psi|| <= 2*eps1"))
     rows.append(_mk_row("xa_bsum_overlap", "chain", diag["xa_bsum_overlap"],
                         overlap_grades, ">=",
-                        "<X'_A(B0+B1)> >= sqrt(2)*(1 - eps_prime)", tol))
+                        "<X'_A(B0+B1)> >= sqrt(2)*(1 - eps_prime)"))
     rows.append(_mk_row("norm_xa_minus_bsum", "chain", diag["norm_xa_minus_bsum"],
                         dist_grades, "<=",
-                        "||(X'_A - (B0+B1)/sqrt(2))psi|| <= 2*(eps*sqrt(2))**(1/4)", tol))
+                        "||(X'_A - (B0+B1)/sqrt(2))psi|| <= 2*(eps*sqrt(2))**(1/4)"))
     rows.append(_mk_row("norm_xb_minus_bsum", "chain", diag["norm_xb_minus_bsum"],
                         dist_grades, "<=",
-                        "||(X'_B - (B0+B1)/sqrt(2))psi|| <= 2*(eps*sqrt(2))**(1/4)", tol))
+                        "||(X'_B - (B0+B1)/sqrt(2))psi|| <= 2*(eps*sqrt(2))**(1/4)"))
     return rows
 
 
 def _my_chain_rows(
-    diag: dict[str, float], budget: EpsilonBudget | None, tol: float
+    diag: dict[str, float], budget: EpsilonBudget | None
 ) -> list[ReportRow]:
     if budget is None:
         sum_grades = db_grades = anti_a_grades = cross_grades = anti_b_grades = None
@@ -334,17 +332,17 @@ def _my_chain_rows(
         anti_b_grades = (budget.eps1, 2.0 * budget.eps1_exact)
     return [
         _mk_row("sum_xz_norm", "chain", diag["sum_xz_norm"], sum_grades, "<=",
-                "||((X'_A+Z'_A)/sqrt(2))psi|| <= sqrt(1 + eps + sqrt(2*eps))", tol),
+                "||((X'_A+Z'_A)/sqrt(2))psi|| <= sqrt(1 + eps + sqrt(2*eps))"),
         _mk_row("db_vs_sum_xz", "chain", diag["db_vs_sum_xz"], db_grades, "<=",
-                "||(D'_B - (X'_A+Z'_A)/sqrt(2))psi|| <= eps_prime", tol),
+                "||(D'_B - (X'_A+Z'_A)/sqrt(2))psi|| <= eps_prime"),
         _mk_row("anticomm_alice", "chain", diag["anticomm_alice"], anti_a_grades,
-                "<=", "||{X'_A,Z'_A}psi|| <= 2*(1+sqrt(2))*eps_prime", tol),
+                "<=", "||{X'_A,Z'_A}psi|| <= 2*(1+sqrt(2))*eps_prime"),
         _mk_row("cross_za_xa", "chain", diag["cross_za_xa"], cross_grades, "<=",
-                "||(Z'_A X'_A - X'_B Z'_B)psi|| <= 2*sqrt(2*eps)", tol),
+                "||(Z'_A X'_A - X'_B Z'_B)psi|| <= 2*sqrt(2*eps)"),
         _mk_row("cross_xa_za", "chain", diag["cross_xa_za"], cross_grades, "<=",
-                "||(X'_A Z'_A - Z'_B X'_B)psi|| <= 2*sqrt(2*eps)", tol),
+                "||(X'_A Z'_A - Z'_B X'_B)psi|| <= 2*sqrt(2*eps)"),
         _mk_row("anticomm_bob", "chain", diag["anticomm_bob"], anti_b_grades, "<=",
-                "||{X'_B,Z'_B}psi|| <= 2*(1+sqrt(2))*eps_prime + 4*sqrt(2*eps)", tol),
+                "||{X'_B,Z'_B}psi|| <= 2*(1+sqrt(2))*eps_prime + 4*sqrt(2*eps)"),
     ]
 
 
@@ -363,7 +361,6 @@ def _b_operator_rows(
     junk: np.ndarray | None,
     eps: float,
     budget: EpsilonBudget | None,
-    tol: float,
 ) -> list[ReportRow]:
     """Extraction errors of Bob's raw B0/B1; NaN when the junk is degenerate."""
     b_grades = None if budget is None else (
@@ -372,13 +369,13 @@ def _b_operator_rows(
     errors = {} if junk is None else b_measured_errors(device, ops, junk)
     return [
         _mk_row(f"b_operator_{m}_{which}", "b_operator", errors.get((m, which), NAN),
-                b_grades, "<=", "sqrt(2)*eps + 2*sqrt(2)*(eps*sqrt(2))**(1/4)", tol)
+                b_grades, "<=", "sqrt(2)*eps + 2*sqrt(2)*(eps*sqrt(2))**(1/4)")
         for m, which in B_ROWS
     ]
 
 
 def certify(
-    device: DeviceModel, mode: str, cert_tol: float = CERT_TOL_DEFAULT
+    device: DeviceModel, mode: str
 ) -> CertificationReport:
     """Full measured-vs-bound certification of one device.
 
@@ -402,8 +399,8 @@ def certify(
     budget = selftest.budget(eps) if eps < 1.0 else None
 
     residuals = condition_residuals(device.state, ops)
-    rows = _condition_rows(residuals, budget, selftest, cert_tol)
-    rows.extend(selftest.chain_rows(diag, budget, cert_tol))
+    rows = _condition_rows(residuals, budget, selftest)
+    rows.extend(selftest.chain_rows(diag, budget))
 
     # Extraction: measured errors against the bound composed from measured
     # residuals; budget-composed grades carried as informational columns.
@@ -438,28 +435,28 @@ def certify(
         pair_errors = {pair: NAN for pair in OPERATOR_PAIRS}
 
     za_abs, zb_abs = _z_expectations(device, ops)
-    rows.extend(_shared_state_rows(junk_raw, za_abs, zb_abs, budget, cert_tol))
+    rows.extend(_shared_state_rows(junk_raw, za_abs, zb_abs, budget))
 
     rows.append(
         _mk_row("state_error_pre_normalization", "state", state_pre,
                 state_grades_pre, "<=", "eps1 + 2*eps2 (from measured residuals)",
-                cert_tol, bound_override=eps1_m + 2.0 * eps2_m)
+                bound_override=eps1_m + 2.0 * eps2_m)
     )
     rows.append(
         _mk_row("state_error_normalized", "state", state_post,
                 state_grades_post, "<=",
                 "(3/2)*eps1 + (5/2)*eps2 (from measured residuals)",
-                cert_tol, bound_override=1.5 * eps1_m + 2.5 * eps2_m)
+                bound_override=1.5 * eps1_m + 2.5 * eps2_m)
     )
     for m, n in OPERATOR_PAIRS:
         rows.append(
             _mk_row(f"extraction_{m}{n}", "extraction", pair_errors[(m, n)],
                     extr_grades, "<=",
                     "(11*eps1 + 5*eps2)/2 (from measured residuals)",
-                    cert_tol, bound_override=measured_bound)
+                    bound_override=measured_bound)
         )
     if selftest.b_operator:
-        rows.extend(_b_operator_rows(device, ops, junk, eps, budget, cert_tol))
+        rows.extend(_b_operator_rows(device, ops, junk, eps, budget))
 
     if len(rows) != selftest.row_count:
         raise AssertionError(
@@ -476,7 +473,6 @@ def certify(
         degenerate=degenerate,
         rows=rows,
         fidelity=fidelity_block(eps),
-        cert_tol=cert_tol,
         correlations=table_by_key if selftest.reports_correlations else {},
     )
 
@@ -503,7 +499,7 @@ class Mode:
     budget: Callable[[float], EpsilonBudget]
     derive: Callable[[DeviceModel], DerivedOperators]
     diagnostics: Callable[[DeviceModel, DerivedOperators], dict[str, float]]
-    chain_rows: Callable[[dict[str, float], EpsilonBudget | None, float], list[ReportRow]]
+    chain_rows: Callable[[dict[str, float], EpsilonBudget | None], list[ReportRow]]
     eps1_formula: str
     eps2_formula: str
     exact_bob_anticommutation: bool

@@ -208,11 +208,6 @@ def correlations(
     return values
 
 
-def correlation(device: DeviceModel, alice_name: str, bob_name: str) -> float:
-    """Expectation value <psi| (M_A x I)(I x N_B) |psi> for one named pair."""
-    return correlations(device, ((alice_name, bob_name),))[(alice_name, bob_name)]
-
-
 def chsh_epsilon(values: dict[tuple[str, str], float]) -> tuple[float, float]:
     """CHSH combination <A0B0> + <A0B1> + <A1B0> - <A1B1> and its deficit.
 
@@ -250,18 +245,3 @@ def my_epsilon(values: dict[tuple[str, str], float]) -> tuple[None, float]:
     for pair in MY_PAIRS:
         epsilon = max(epsilon, abs(values[pair] - MY_IDEAL[pair]))
     return None, epsilon
-
-
-def chsh_value(device: DeviceModel) -> tuple[float, float]:
-    """CHSH value of a device and its deficit from 2*sqrt(2); see ``chsh_epsilon``."""
-    return chsh_epsilon(correlations(device, CHSH_PAIRS))
-
-
-def my_deviation(device: DeviceModel) -> tuple[dict[tuple[str, str], float], float]:
-    """All six Mayers-Yao correlations of a device and the worst deviation from ideal.
-
-    Returns ``(table, epsilon)`` where the table maps (Alice, Bob) observable
-    name pairs to measured expectations; ``epsilon`` is as in ``my_epsilon``.
-    """
-    table = correlations(device, MY_PAIRS)
-    return table, my_epsilon(table)[1]

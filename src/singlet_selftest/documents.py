@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bounds import CertificationReport
+from .bounds import CERT_TOL, CertificationReport
 from .derive import EpsilonBudget
 from .device import DeviceModel, make_device, require_valid
 
@@ -147,10 +147,6 @@ def load_device(path: str | Path) -> DeviceModel:
     return device
 
 
-def save_device(path: str | Path, device: DeviceModel, metadata: dict | None = None) -> None:
-    write_json_atomic(path, device_to_document(device, metadata))
-
-
 def _clean(value):
     """Make a value JSON-clean: NaN/inf become null, numpy scalars plain."""
     if isinstance(value, dict):
@@ -222,7 +218,7 @@ def report_to_document(report: CertificationReport, inputs_digest: str) -> dict:
             "correlations": report.correlations,
             "rows": rows,
             "fidelity": report.fidelity,
-            "certTol": report.cert_tol,
+            "certTol": CERT_TOL,
             "allPass": report.all_pass,
         },
     }

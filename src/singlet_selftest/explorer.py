@@ -17,11 +17,12 @@ import numpy as np
 from .bounds import extraction_bound, get_mode
 from .derive import condition_residuals
 from .device import DeviceModel, correlations, make_device, validate
-from .device import canonical_chsh_device, canonical_my_device  # noqa: F401 (re-exported)
 from .isometry import DegenerateExtractionError, extraction_error
 from .linalg import PHI_PLUS
 
-FAMILY_KINDS = ("tilted", "state-noise", "measurement-noise", "junk-embedded", "random")
+# Family kind -> the name of its one sweep axis.
+FAMILY_AXES = {"tilted": "theta", "state-noise": "p", "measurement-noise": "eta",
+               "junk-embedded": "count", "random": "count"}
 
 MEASUREMENT_NOISE_CAP = 0.5  # keeps perturbed devices inside the small-deviation regime
 
@@ -30,9 +31,10 @@ MEASUREMENT_NOISE_CAP = 0.5  # keeps perturbed devices inside the small-deviatio
 class FamilySpec:
     """Deterministic description of a device family.
 
-    ``parameters`` maps a name to a scalar or to a ``(start, stop, steps)``
-    range (also accepted as a mapping with those keys).  ``mode`` selects
-    which canonical observable set the family perturbs.
+    ``parameters`` maps the kind's one axis (``FAMILY_AXES``) to a number
+    or to a ``(start, stop, steps)`` range (also accepted as a mapping with
+    those keys); a "count" axis takes an integer.  ``mode`` selects which
+    canonical observable set the family perturbs.
     """
 
     kind: str
@@ -129,14 +131,17 @@ def _embedded_state(anc_a: np.ndarray, anc_b: np.ndarray) -> np.ndarray:
     return state.reshape(-1)
 
 
-def _param_values(value) -> list[float]:
-    if isinstance(value, dict):
-        start, stop, steps = value["start"], value["stop"], value["steps"]
-    elif isinstance(value, (tuple, list)) and len(value) == 3:
-        start, stop, steps = value
-    else:
+def _param_values(name: str, value) -> list[float]:
+    # type(), not isinstance(): JSON true/false load as bool, an int subclass.
+    if isinstance(value, dict) and set(value) == {"start", "stop", "steps"}:
+        value = (value["start"], value["stop"], value["steps"])
+    if type(value) in (int, float):
         return [float(value)]
-    steps = int(steps)
+    if not (isinstance(value, (tuple, list)) and len(value) == 3
+            and {type(value[0]), type(value[1])} <= {int, float} and type(value[2]) is int):
+        raise ValueError(f"{name} must be a number or a [start, stop, steps] range of two "
+                         f"numbers and an integer, got {value!r}")
+    start, stop, steps = value
     if steps < 0:
         raise ValueError(f"range steps must be nonnegative, got {steps}")
     if steps == 0:
@@ -147,27 +152,36 @@ def _param_values(value) -> list[float]:
 
 
 def family_axis(spec: FamilySpec) -> tuple[str, list[float]]:
-    """The single sweep axis of a family: its name and point values."""
-    params = dict(spec.parameters)
-    if spec.kind == "tilted":
-        name = "theta"
-    elif spec.kind == "state-noise":
-        name = "p"
-    elif spec.kind == "measurement-noise":
-        name = "eta"
-    elif spec.kind in ("junk-embedded", "random"):
-        name = "count"
-        if name not in params:
-            params[name] = 1
-        count = int(params[name])
+    """The single sweep axis of a family: its name and point values.
+
+    Checks the spec first: a known kind, two integer dims >= 1, an integer
+    seed, and parameters naming only the kind's axis.  Each violation raises
+    ``ValueError`` naming the field.
+    """
+    try:
+        name = FAMILY_AXES[spec.kind]
+    except (KeyError, TypeError):
+        raise ValueError(
+            f"unknown family kind {spec.kind!r}; expected one of {tuple(FAMILY_AXES)}"
+        ) from None
+    if len(spec.dims) != 2 or not all(type(d) is int and d >= 1 for d in spec.dims):
+        raise ValueError(f"family dims must be two integers >= 1, got {spec.dims!r}")
+    if type(spec.seed) is not int:
+        raise ValueError(f"family seed must be an integer, got {spec.seed!r}")
+    params = spec.parameters
+    if not isinstance(params, dict) or set(params) - {name}:
+        raise ValueError(f"family {spec.kind!r} parameters must be an object naming only "
+                         f"{name!r}, got {params!r}")
+    if name == "count":
+        count = params.get(name, 1)
+        if type(count) is not int:
+            raise ValueError(f"count must be an integer, got {count!r}")
         if count < 0:
             raise ValueError(f"count must be nonnegative, got {count}")
         return name, [float(i) for i in range(count)]
-    else:
-        raise ValueError(f"unknown family kind {spec.kind!r}; expected one of {FAMILY_KINDS}")
     if name not in params:
         raise ValueError(f"family {spec.kind!r} requires parameter {name!r}")
-    return name, _param_values(params[name])
+    return name, _param_values(name, params[name])
 
 
 def _build_point(
@@ -217,14 +231,13 @@ def _build_point(
         alice = {k: _embed_party(v, da // 2) for k, v in base.alice_obs.items()}
         bob = {k: _embed_party(v, db // 2) for k, v in base.bob_obs.items()}
         return make_device((da, db), state, alice, bob)
-    if spec.kind == "random":
-        da, db = spec.dims
-        state = rng.normal(size=da * db) + 1j * rng.normal(size=da * db)
-        state /= np.linalg.norm(state)
-        alice = {k: _random_observable(rng, da) for k in base.alice_obs}
-        bob = {k: _random_observable(rng, db) for k in base.bob_obs}
-        return make_device((da, db), state, alice, bob)
-    raise ValueError(f"unknown family kind {spec.kind!r}")  # pragma: no cover
+    # "random", the one kind left: family_axis has checked the kind.
+    da, db = spec.dims
+    state = rng.normal(size=da * db) + 1j * rng.normal(size=da * db)
+    state /= np.linalg.norm(state)
+    alice = {k: _random_observable(rng, da) for k in base.alice_obs}
+    bob = {k: _random_observable(rng, db) for k in base.bob_obs}
+    return make_device((da, db), state, alice, bob)
 
 
 def family_points(spec: FamilySpec) -> list[tuple[dict, DeviceModel]]:
@@ -235,11 +248,6 @@ def family_points(spec: FamilySpec) -> list[tuple[dict, DeviceModel]]:
         ({name: value}, _build_point(spec, base, value, index))
         for index, value in enumerate(values)
     ]
-
-
-def make_family(spec: FamilySpec) -> list[DeviceModel]:
-    """The family's device sequence; deterministic for identical specs."""
-    return [device for _, device in family_points(spec)]
 
 
 def evaluate_device(

@@ -131,22 +131,6 @@ def _distances(
     return np.linalg.norm(out - junk[:, None] * targets[:, None, :], axis=(1, 2))
 
 
-def apply_isometry(
-    device: DeviceModel, ops: DerivedOperators, m: str = "I", n: str = "I"
-) -> np.ndarray:
-    """Circuit output on M'N'|psi'> for M, N in {I, X, Z}.
-
-    M' is the derived Alice operator named by M (X -> xa, Z -> za) and N' the
-    Bob one; the identity leaves the state untouched.  The map is an isometry,
-    so the output norm equals the input norm.
-    """
-    if (m, n) not in OPERATOR_PAIRS:
-        raise ValueError(f"operator labels must be in I/X/Z, got ({m!r}, {n!r})")
-    index = OPERATOR_PAIRS.index((m, n))
-    inputs = _pair_inputs(_state_matrix(device, ops), ops)[index : index + 1]
-    return _run_circuit(inputs, ops).reshape(-1)
-
-
 def junk_candidate(device: DeviceModel, ops: DerivedOperators) -> tuple[np.ndarray, float]:
     """Normalized junk candidate (I+Z'_A)(I+Z'_B)|psi'>/(2*sqrt(2)) and its raw norm.
 

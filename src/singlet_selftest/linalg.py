@@ -1,15 +1,15 @@
-"""Dense complex linear algebra kernel: Hermitian eigendecomposition, operator
-functions (absolute value, sign with a +1 kernel convention), and tensor-product
-embedding of single-party operators into a bipartite space.
+"""Dense complex linear algebra kernel: Hermitian eigendecomposition, the
+operator sign with a +1 kernel convention, and tensor-product embedding of
+single-party operators into a bipartite space.
 
-Operator functions are the basis of the derived operators.  Downstream code
+The operator sign is the basis of the CHSH derived operators.  Downstream code
 otherwise applies local operators directly to the (dA, dB) state matrix
 Psi, where (A (x) B)|psi> is A Psi B^T, so residuals, chain diagnostics and the
 extraction circuit never form a dA*dB x dA*dB matrix.  ``tensor_embed`` builds
 that matrix for op (x) I or I (x) op; only the device correlations use it,
 keeping their established floating-point form.  All matrices are dense
-complex128 ``numpy`` arrays; eigendecomposition is the single primitive behind
-every operator function, so results are deterministic and directly testable.
+complex128 ``numpy`` arrays; the operator sign is computed from one Hermitian
+eigendecomposition, so results are deterministic and directly testable.
 """
 
 from __future__ import annotations
@@ -39,12 +39,6 @@ def hermiticity_deviation(m: np.ndarray) -> float:
     return float(np.max(np.abs(m - dagger(m)))) if m.size else 0.0
 
 
-def unitarity_deviation(m: np.ndarray) -> float:
-    """Largest entrywise deviation of M M^dagger from the identity."""
-    d = m.shape[0]
-    return float(np.max(np.abs(m @ dagger(m) - np.eye(d))))
-
-
 def _require_square(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
@@ -67,16 +61,6 @@ def hermitian_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             f"matrix is not Hermitian: max deviation {dev:.3e} > {HERMITIAN_ATOL:.1e}"
         )
     return np.linalg.eigh(m)
-
-
-def operator_abs(m: np.ndarray) -> np.ndarray:
-    """Operator absolute value |M| = sqrt(M^2) of a Hermitian matrix.
-
-    Computed as ``V diag(|w|) V^dagger``; the result is Hermitian and positive
-    semidefinite.
-    """
-    w, v = hermitian_eig(m)
-    return (v * np.abs(w)) @ dagger(v)
 
 
 def operator_sign(m: np.ndarray) -> np.ndarray:

@@ -5,8 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from singlet_selftest.device import make_device
-from singlet_selftest.explorer import canonical_chsh_device, canonical_my_device
+from singlet_selftest.device import canonical_chsh_device, canonical_my_device, make_device
 from singlet_selftest.linalg import DIAG_XZ, PAULI_X, PAULI_Z
 
 

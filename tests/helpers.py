@@ -1,0 +1,66 @@
+"""Conveniences the tests use and the certify, sweep and search pipeline does not.
+
+Each is a thin wrapper over the library: a single-pair correlation, the CHSH
+value and Mayers-Yao deviation of a device, the operator absolute value and
+unitarity deviation, a family's device list, writing a device document, and a
+report's rows of one category.
+"""
+
+from __future__ import annotations
+
+from pathlib import Path
+
+import numpy as np
+
+from singlet_selftest.bounds import CertificationReport, ReportRow
+from singlet_selftest.device import (
+    CHSH_PAIRS,
+    MY_PAIRS,
+    DeviceModel,
+    chsh_epsilon,
+    correlations,
+    my_epsilon,
+)
+from singlet_selftest.documents import device_to_document, write_json_atomic
+from singlet_selftest.explorer import FamilySpec, family_points
+from singlet_selftest.linalg import dagger, hermitian_eig
+
+
+def correlation(device: DeviceModel, alice_name: str, bob_name: str) -> float:
+    """Expectation value <psi| (M_A x I)(I x N_B) |psi> for one named pair."""
+    return correlations(device, ((alice_name, bob_name),))[(alice_name, bob_name)]
+
+
+def chsh_value(device: DeviceModel) -> tuple[float, float]:
+    """CHSH value of a device and its deficit from 2*sqrt(2); see ``chsh_epsilon``."""
+    return chsh_epsilon(correlations(device, CHSH_PAIRS))
+
+
+def my_deviation(device: DeviceModel) -> tuple[dict[tuple[str, str], float], float]:
+    """All six Mayers-Yao correlations of a device and the worst deviation from ideal."""
+    table = correlations(device, MY_PAIRS)
+    return table, my_epsilon(table)[1]
+
+
+def operator_abs(m: np.ndarray) -> np.ndarray:
+    """Operator absolute value |M| = V diag(|w|) V^dagger of a Hermitian matrix."""
+    w, v = hermitian_eig(m)
+    return (v * np.abs(w)) @ dagger(v)
+
+
+def unitarity_deviation(m: np.ndarray) -> float:
+    """Largest entrywise deviation of M M^dagger from the identity."""
+    return float(np.max(np.abs(m @ dagger(m) - np.eye(m.shape[0]))))
+
+
+def make_family(spec: FamilySpec) -> list[DeviceModel]:
+    """The family's device sequence; deterministic for identical specs."""
+    return [device for _, device in family_points(spec)]
+
+
+def save_device(path: str | Path, device: DeviceModel, metadata: dict | None = None) -> None:
+    write_json_atomic(path, device_to_document(device, metadata))
+
+
+def rows_by_category(report: CertificationReport, category: str) -> list[ReportRow]:
+    return [row for row in report.rows if row.category == category]

@@ -4,7 +4,8 @@ The library runs the circuit gate by gate on a stacked batch of inputs and
 compares every output with a row of a constant ancilla-target table.  Here the
 circuit is the closed-form four-term sum, and each input and each
 junk (x) target vector is built per call, one operator pair or B row at a
-time.  The tests compare the two.
+time.  The tests compare the two.  ``apply_isometry`` runs the library's own
+circuit on one pair's input, for the tests of the circuit itself.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import numpy as np
 
 from singlet_selftest.derive import DerivedOperators
 from singlet_selftest.device import DeviceModel
+from singlet_selftest.isometry import OPERATOR_PAIRS, _pair_inputs, _run_circuit, _state_matrix
 from singlet_selftest.linalg import IDENTITY_2, PAULI_X, PAULI_Z, PHI_PLUS
 
 PAULI_BY_NAME = {"I": IDENTITY_2, "X": PAULI_X, "Z": PAULI_Z}
@@ -38,6 +40,23 @@ def expansion(psi: np.ndarray, ops: DerivedOperators) -> np.ndarray:
                 term = term @ ops.xb.T
             out[:, :, c, d] = term / 4.0
     return out.reshape(da * db * 4)
+
+
+def apply_isometry(
+    device: DeviceModel, ops: DerivedOperators, m: str = "I", n: str = "I"
+) -> np.ndarray:
+    """The library's circuit output on M'N'|psi'> for M, N in {I, X, Z}, alone.
+
+    M' is the derived Alice operator named by M (X -> xa, Z -> za) and N' the
+    Bob one; the identity leaves the state untouched.  The map is an isometry,
+    so the output norm equals the input norm.  The library itself runs the
+    circuit only on stacked inputs; this picks one pair's input out of the stack.
+    """
+    if (m, n) not in OPERATOR_PAIRS:
+        raise ValueError(f"operator labels must be in I/X/Z, got ({m!r}, {n!r})")
+    index = OPERATOR_PAIRS.index((m, n))
+    inputs = _pair_inputs(_state_matrix(device, ops), ops)[index : index + 1]
+    return _run_circuit(inputs, ops).reshape(-1)
 
 
 def isometry_expansion(device: DeviceModel, ops: DerivedOperators) -> np.ndarray:

@@ -13,7 +13,8 @@ import time
 
 import numpy as np
 
-from isometry_oracle import isometry_expansion
+from helpers import chsh_value, my_deviation, save_device
+from isometry_oracle import apply_isometry, isometry_expansion
 from singlet_selftest.bounds import (
     b_extraction_bound,
     extraction_bound,
@@ -30,17 +31,16 @@ from singlet_selftest.derive import (
     my_diagnostics,
     my_operators,
 )
-from singlet_selftest.device import chsh_value, make_device, my_deviation, validate
-from singlet_selftest.documents import load_device, save_device
-from singlet_selftest.explorer import (
-    FamilySpec,
+from singlet_selftest.device import (
     canonical_chsh_device,
     canonical_my_device,
-    family_points,
+    make_device,
+    validate,
 )
+from singlet_selftest.documents import load_device
+from singlet_selftest.explorer import FamilySpec, family_points
 from singlet_selftest.isometry import (
     OPERATOR_PAIRS,
-    apply_isometry,
     b_measured_errors,
     extraction_error,
     junk_candidate,

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import tilted_device
+from helpers import rows_by_category
 from singlet_selftest.bounds import (
+    CERT_TOL,
     MODES,
     b_extraction_bound,
     certify,
@@ -16,8 +18,12 @@ from singlet_selftest.bounds import (
     my_fidelity_bound,
     state_error_bounds,
 )
-from singlet_selftest.device import DeviceValidationError, make_device
-from singlet_selftest.explorer import canonical_chsh_device, canonical_my_device
+from singlet_selftest.device import (
+    DeviceValidationError,
+    canonical_chsh_device,
+    canonical_my_device,
+    make_device,
+)
 from singlet_selftest.linalg import PAULI_X, PAULI_Z
 
 
@@ -124,17 +130,17 @@ class TestCertify:
             "b_operator": 6,
         }
         for category, count in categories.items():
-            assert len(report.rows_by_category(category)) == count, category
-        for row in report.rows_by_category("condition"):
+            assert len(rows_by_category(report, category)) == count, category
+        for row in rows_by_category(report, "condition"):
             assert row.measured <= 1e-9
-        for row in report.rows_by_category("extraction"):
+        for row in rows_by_category(report, "extraction"):
             assert row.measured <= 1e-9
 
     def test_canonical_my_all_rows_pass(self):
         report = certify(canonical_my_device(), "my")
         assert report.all_pass
         assert len(report.rows) == MODES["my"].row_count == 25
-        assert len(report.rows_by_category("b_operator")) == 0
+        assert len(rows_by_category(report, "b_operator")) == 0
         assert report.chsh is None
         assert set(report.correlations) == {
             "XA_XB", "XA_ZB", "XA_DB", "ZA_XB", "ZA_ZB", "ZA_DB",
@@ -145,8 +151,8 @@ class TestCertify:
         assert report.all_pass
         assert report.epsilon > 0.0
         for row in report.rows:
-            assert row.slack >= -report.cert_tol
-        assert any(row.slack > 0.01 for row in report.rows_by_category("extraction"))
+            assert row.slack >= -CERT_TOL
+        assert any(row.slack > 0.01 for row in rows_by_category(report, "extraction"))
 
     def test_invalid_device_gated(self):
         base = canonical_chsh_device()
@@ -165,9 +171,9 @@ class TestCertify:
         assert report.epsilon >= 1.0
         assert report.budget is None
         assert not report.all_pass
-        assert all(not row.passed for row in report.rows_by_category("condition"))
+        assert all(not row.passed for row in rows_by_category(report, "condition"))
         # measured-residual rows survive: the isometry guarantee still holds
-        assert all(row.passed for row in report.rows_by_category("extraction"))
+        assert all(row.passed for row in rows_by_category(report, "extraction"))
         assert not report.degenerate
 
     def test_degenerate_extraction_is_failed_rows_not_crash(self):
@@ -177,7 +183,7 @@ class TestCertify:
         report = certify(device, "chsh")
         assert report.degenerate
         assert not report.all_pass
-        for row in report.rows_by_category("extraction"):
+        for row in rows_by_category(report, "extraction"):
             assert not row.passed and math.isnan(row.measured)
 
     def test_bad_mode(self):

@@ -6,24 +6,23 @@ import math
 import numpy as np
 import pytest
 
+from helpers import make_family, save_device
 from singlet_selftest.bounds import MODES
 from singlet_selftest.cli import main
-from singlet_selftest.device import correlations, make_device
+from singlet_selftest.device import (
+    canonical_chsh_device,
+    canonical_my_device,
+    correlations,
+    make_device,
+)
 from singlet_selftest.documents import (
     DocumentError,
     device_from_document,
     device_to_document,
     document_digest,
     load_device,
-    save_device,
 )
-from singlet_selftest.explorer import (
-    FamilySpec,
-    SearchResult,
-    canonical_chsh_device,
-    canonical_my_device,
-    make_family,
-)
+from singlet_selftest.explorer import FamilySpec, SearchResult
 from singlet_selftest.linalg import PAULI_X, PAULI_Z
 
 # An integer literal too large for a float: 1 followed by 400 zeros.
@@ -488,6 +487,28 @@ class TestSweepCommand:
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("spec,field", [
+        ({"kind": "random", "dims": [2.9, True], "parameters": {"count": 2}}, "dims"),
+        ({"kind": "random", "dims": [0, 2], "parameters": {"count": 1}}, "dims"),
+        ({"kind": "random", "seed": True, "parameters": {"count": 2}}, "seed"),
+        ({"kind": "random", "parameters": {"count": 2.7}}, "count"),
+        ({"kind": "random", "parameters": {"count": "3"}}, "count"),
+        ({"kind": "tilted", "parameters": {"theta": True}}, "theta"),
+        ({"kind": "tilted", "parameters": {"theta": None}}, "theta"),
+        ({"kind": "tilted", "parameters": {"theta": [0.0, 1.0, 2.5]}}, "theta"),
+        ({"kind": "tilted", "parameters": {"theta": {"start": 0, "stop": 1}}}, "theta"),
+        ({"kind": "tilted", "parameters": [1, 2]}, "parameters"),
+        ({"kind": "tilted", "parameters": {"theta": 0.1, "bogus": 3}}, "bogus"),
+    ])
+    def test_malformed_spec_exits_two_naming_the_field(self, tmp_path, capsys, spec, field):
+        path = tmp_path / "family.json"
+        path.write_text(json.dumps(spec))
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--family", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err
+        assert not out.exists()
+
     def test_degenerate_row_written_as_nan(self, tmp_path):
         spec = {
             "kind": "tilted",
@@ -555,3 +576,26 @@ class TestCanonicalCommand:
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     assert "certify" in capsys.readouterr().out
+
+
+class TestParserReuse:
+    def test_parser_built_at_most_once(self, monkeypatch, capsys):
+        import singlet_selftest.cli as cli_module
+
+        calls = []
+        build = cli_module.build_parser
+        monkeypatch.setattr(cli_module, "build_parser", lambda: calls.append(1) or build())
+        for mode in ("chsh", "my", "chsh"):
+            assert main(["canonical", "--mode", mode]) == 0
+        assert len(calls) <= 1
+
+    def test_usage_error_then_valid_calls(self, tmp_path, capsys):
+        assert main(["certify", "--mode", "chsh"]) == 2
+        assert "required" in capsys.readouterr().err
+        out = tmp_path / "canon.json"
+        assert main(["canonical", "--mode", "chsh", "--out", str(out)]) == 0
+        assert capsys.readouterr().out == f"wrote canonical chsh device to {out}\n"
+        # No option value carries over from the call before: --out is unset again.
+        assert main(["canonical", "--mode", "my"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert set(device_from_document(doc).bob_obs) == {"XB", "ZB", "DB"}

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_unitary, tilted_device
+from helpers import chsh_value, make_family, my_deviation
 from singlet_selftest.derive import (
     chsh_budget,
     chsh_diagnostics,
@@ -16,8 +17,8 @@ from singlet_selftest.derive import (
     my_diagnostics,
     my_operators,
 )
-from singlet_selftest.device import make_device, my_deviation, chsh_value
-from singlet_selftest.explorer import FamilySpec, make_family
+from singlet_selftest.device import make_device
+from singlet_selftest.explorer import FamilySpec
 from singlet_selftest.linalg import (
     DIAG_XZ,
     PAULI_X,

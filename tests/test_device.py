@@ -6,17 +6,15 @@ import numpy as np
 import pytest
 
 from conftest import random_unitary, tilted_device
+from helpers import chsh_value, correlation, make_family, my_deviation
 from singlet_selftest.device import (
     MY_IDEAL,
     DeviceValidationError,
-    chsh_value,
-    correlation,
     make_device,
-    my_deviation,
     require_valid,
     validate,
 )
-from singlet_selftest.explorer import FamilySpec, make_family
+from singlet_selftest.explorer import FamilySpec
 from singlet_selftest.linalg import DIAG_XZ, PAULI_X, PAULI_Z, PHI_PLUS
 
 SQRT2 = math.sqrt(2.0)

@@ -10,12 +10,12 @@ import sys
 
 import pytest
 
+from helpers import save_device
 from singlet_selftest import device as device_module
 from singlet_selftest import explorer
 from singlet_selftest.bounds import certify, get_mode
 from singlet_selftest.cli import main
 from singlet_selftest.device import make_device
-from singlet_selftest.documents import save_device
 from singlet_selftest.explorer import FamilySpec, sweep, worst_case_search
 from singlet_selftest.linalg import PAULI_X
 

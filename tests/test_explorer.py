@@ -5,15 +5,13 @@ import math
 import numpy as np
 import pytest
 
+from helpers import chsh_value, make_family, my_deviation
 from singlet_selftest.bounds import certify
-from singlet_selftest.device import chsh_value, my_deviation, validate
+from singlet_selftest.device import canonical_chsh_device, canonical_my_device, validate
 from singlet_selftest.derive import condition_residuals, derive_chsh_operators
 from singlet_selftest.explorer import (
     FamilySpec,
-    canonical_chsh_device,
-    canonical_my_device,
     evaluate_device,
-    make_family,
     sweep,
     worst_case_search,
 )

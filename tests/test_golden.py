@@ -1,13 +1,13 @@
 """Golden corpus: CLI outputs compared with files captured from an earlier version.
 
 ``tests/golden/`` holds certification reports (canonical, tilted, degenerate
-and junk-embedded devices in both modes), one sweep CSV per mode and one
-correlation-table summary per mode.  Strings, flags, nulls and integers must
-match exactly and floats within 1e-12, the same bar the benchmark's output
-check uses; ``toolVersion`` is not compared.  To refresh the corpus on
-purpose, run
+and junk-embedded devices in both modes), one sweep CSV per family kind (both
+modes among them) and one correlation-table summary per mode.  Strings, flags,
+nulls and integers must match exactly and floats within 1e-12, the same bar
+the benchmark's output check uses; ``toolVersion`` is not compared.  To
+refresh the corpus, or only the named cases, on purpose, run
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py [case ...]
 """
 
 from __future__ import annotations
@@ -20,14 +20,10 @@ from pathlib import Path
 
 import pytest
 
+from helpers import make_family, save_device
 from singlet_selftest.cli import main
-from singlet_selftest.documents import save_device
-from singlet_selftest.explorer import (
-    FamilySpec,
-    canonical_chsh_device,
-    canonical_my_device,
-    make_family,
-)
+from singlet_selftest.device import canonical_chsh_device, canonical_my_device
+from singlet_selftest.explorer import FamilySpec
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 ABS_TOL = 1e-12
@@ -57,6 +53,12 @@ SWEEP_CASES = {
                    "parameters": {"theta": [math.pi / 4, math.pi / 2, 6]}},
     "sweep-my": {"kind": "measurement-noise", "mode": "my", "dims": [2, 2], "seed": 5,
                  "parameters": {"eta": [0.0, 0.5, 6]}},
+    "sweep-state-noise-chsh": {"kind": "state-noise", "mode": "chsh", "dims": [2, 2],
+                               "seed": 2, "parameters": {"p": [0.0, 0.3, 6]}},
+    "sweep-junk-embedded-my": {"kind": "junk-embedded", "mode": "my", "dims": [4, 6],
+                               "seed": 4, "parameters": {"count": 4}},
+    "sweep-random-chsh": {"kind": "random", "mode": "chsh", "dims": [3, 2], "seed": 7,
+                          "parameters": {"count": 5}},
 }
 
 CORRELATION_CASES = {
@@ -177,8 +179,9 @@ def test_comparison_catches_moves():
 
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
+    selected = set(sys.argv[1:]) or {case for case, _ in CASES}
     with tempfile.TemporaryDirectory() as tmp:
-        for case, suffix in CASES:
+        for case, suffix in (c for c in CASES if c[0] in selected):
             exit_code, output = produce(case, Path(tmp))
             if exit_code != expected_code(case):
                 sys.exit(f"{case}: exit code {exit_code}, expected {expected_code(case)}")

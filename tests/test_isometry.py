@@ -6,14 +6,14 @@ import numpy as np
 import pytest
 
 from conftest import random_unitary, tilted_device
-from isometry_oracle import ancilla_target, isometry_expansion
+from helpers import chsh_value, make_family
+from isometry_oracle import ancilla_target, apply_isometry, isometry_expansion
 from singlet_selftest.derive import derive_chsh_operators, my_operators, DerivedOperators
-from singlet_selftest.device import chsh_value, make_device
-from singlet_selftest.explorer import FamilySpec, make_family
+from singlet_selftest.device import make_device
+from singlet_selftest.explorer import FamilySpec
 from singlet_selftest.isometry import (
     OPERATOR_PAIRS,
     DegenerateExtractionError,
-    apply_isometry,
     b_measured_errors,
     extraction_error,
     junk_candidate,

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from helpers import operator_abs, unitarity_deviation
 from singlet_selftest.linalg import (
     DIAG_XZ,
     PAULI_X,
@@ -12,10 +13,8 @@ from singlet_selftest.linalg import (
     PHI_PLUS,
     hermitian_eig,
     hermiticity_deviation,
-    operator_abs,
     operator_sign,
     tensor_embed,
-    unitarity_deviation,
 )
 
 SQRT2 = math.sqrt(2.0)

@@ -18,6 +18,7 @@ import pytest
 import embedded_oracle as oracle
 import isometry_oracle
 from conftest import random_unitary
+from helpers import correlation, rows_by_category
 from singlet_selftest import bounds, device as device_module
 from singlet_selftest.derive import (
     DerivedOperators,
@@ -30,7 +31,6 @@ from singlet_selftest.derive import (
 from singlet_selftest.device import (
     CHSH_PAIRS,
     MY_PAIRS,
-    correlation,
     correlations,
     make_device,
     validate,
@@ -208,7 +208,7 @@ def test_certify_b_rows_match_public_b_measured_error():
     ops = derive_chsh_operators(device)
     junk, _ = junk_candidate(device, ops)
     errors = b_measured_errors(device, ops, junk)
-    rows = {row.name: row.measured for row in report.rows_by_category("b_operator")}
+    rows = {row.name: row.measured for row in rows_by_category(report, "b_operator")}
     assert len(rows) == len(errors) == 6
     for (m, which), error in errors.items():
         assert rows[f"b_operator_{m}_{which}"] == error

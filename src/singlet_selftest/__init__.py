@@ -55,11 +55,7 @@ from .isometry import (
     extraction_error,
     junk_candidate,
 )
-from .linalg import (
-    hermitian_eig,
-    operator_sign,
-    tensor_embed,
-)
+from .linalg import operator_sign, tensor_embed
 
 __all__ = [
     "MODES",
@@ -89,7 +85,6 @@ __all__ = [
     "extraction_bound",
     "extraction_error",
     "get_mode",
-    "hermitian_eig",
     "junk_candidate",
     "make_device",
     "my_budget",

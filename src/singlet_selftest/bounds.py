@@ -3,12 +3,12 @@
 ``certify`` runs the full measured-vs-bound pipeline for one device: deviation
 epsilon, closed-form budgets, derived (or pass-through) operators, condition
 residuals, diagnostic chain entries, extraction errors, and the measured-B
-rows, producing one report row per quantity.  Bound columns come in two
-grades: the headline leading-order formulas and the exact chained forms; each
-row passes against the weaker (proven-safe) of the two, except extraction and
-state rows which certify against the bound composed from the *measured*
-residuals.  A report row never silently disappears: the row count per mode is
-asserted.
+rows, producing one report row per quantity.  Each mode's rows are one table,
+``Mode.rows``, of ``RowSpec`` records in report order.  Bound columns come in
+two grades: the headline leading-order formulas and the exact chained forms;
+each row passes against the weaker (proven-safe) of the two, except extraction
+and state rows which certify against the bound composed from the *measured*
+residuals.
 """
 
 from __future__ import annotations
@@ -144,8 +144,8 @@ class ReportRow:
     direction: str
     formula: str
     passed: bool
-    bound_headline: float = float("nan")
-    bound_exact: float = float("nan")
+    bound_headline: float
+    bound_exact: float
 
     @property
     def slack(self) -> float:
@@ -174,176 +174,157 @@ class CertificationReport:
 
 NAN = float("nan")
 
+Grades = Callable[[EpsilonBudget], tuple[float, float]]
 
-def _mk_row(
-    name: str,
-    category: str,
-    measured: float,
-    grades: tuple[float, float] | None,
-    direction: str,
-    formula: str,
-    bound_override: float | None = None,
-) -> ReportRow:
-    """Build a row, selecting the weaker (safe) grade as the certification bound.
 
-    ``grades`` is (headline, exact) or None when no budget exists (out-of-range
-    deviation); ``bound_override`` replaces the selection, used for rows that
-    certify against measured-residual compositions.  The row passes within
-    ``CERT_TOL`` of its bound.
+@dataclass(frozen=True)
+class RowSpec:
+    """One report row of a mode: the estimate it checks and how its bound is formed.
+
+    ``name`` is also the key of the row's measured value in ``certify``; a
+    chain row is named after the diagnostic it reads.  ``grades`` maps a
+    budget to the (headline, exact) bounds, and the row passes against the
+    weaker of the two (the larger for "<=", the smaller for ">=").  When
+    ``measured_bound`` is set, the row passes against the bound it composes
+    from the measured residuals instead, and the grades are informational.
     """
-    if grades is None:
-        bound_headline = bound_exact = NAN
+
+    name: str
+    category: str
+    direction: str
+    formula: str
+    grades: Grades
+    measured_bound: Callable[[ResidualSet], float] | None = None
+
+
+def _report_row(
+    spec: RowSpec, measured: float, budget: EpsilonBudget | None, residuals: ResidualSet
+) -> ReportRow:
+    """One row, passing within ``CERT_TOL`` of its bound.  Without a budget (a
+    deviation outside [0, 1)) both grades are NaN, and so is a bound selected
+    from them: the row fails."""
+    headline, exact = (NAN, NAN) if budget is None else spec.grades(budget)
+    upper = spec.direction == "<="
+    if spec.measured_bound is not None:
+        bound = spec.measured_bound(residuals)
     else:
-        bound_headline, bound_exact = grades
-    if bound_override is not None:
-        bound = bound_override
-    elif grades is None:
-        bound = NAN
-    elif direction == "<=":
-        bound = max(bound_headline, bound_exact)
-    else:
-        bound = min(bound_headline, bound_exact)
-    if direction == "<=":
-        passed = bool(measured <= bound + CERT_TOL)
-    else:
-        passed = bool(measured >= bound - CERT_TOL)
+        bound = max(headline, exact) if upper else min(headline, exact)
+    passed = bool(measured <= bound + CERT_TOL if upper else measured >= bound - CERT_TOL)
     return ReportRow(
-        name=name,
-        category=category,
-        measured=measured,
-        bound=bound,
-        direction=direction,
-        formula=formula,
-        passed=passed,
-        bound_headline=bound_headline,
-        bound_exact=bound_exact,
+        name=spec.name, category=spec.category, measured=measured, bound=bound,
+        direction=spec.direction, formula=spec.formula, passed=passed,
+        bound_headline=headline, bound_exact=exact,
     )
 
 
-def _condition_rows(
-    residuals: ResidualSet, budget: EpsilonBudget | None, selftest: Mode
-) -> list[ReportRow]:
-    if budget is None:
-        a_grades = b_grades = d_grades = None
-    else:
-        a_grades = (2.0 * budget.eps1, 2.0 * budget.eps1_exact)
-        b_grades = (
-            (2.0 * budget.eps1, 0.0) if selftest.exact_bob_anticommutation else a_grades
-        )
-        d_grades = (budget.eps2, budget.eps2_exact)
-    return [
-        _mk_row("condition_anticomm_alice", "condition", residuals.anticomm_a,
-                a_grades, "<=", selftest.eps1_formula),
-        _mk_row("condition_anticomm_bob", "condition", residuals.anticomm_b,
-                b_grades, "<=", selftest.eps1_formula),
-        _mk_row("condition_diff_x", "condition", residuals.diff_x,
-                d_grades, "<=", selftest.eps2_formula),
-        _mk_row("condition_diff_z", "condition", residuals.diff_z,
-                d_grades, "<=", selftest.eps2_formula),
-    ]
+def _twice_eps1(b: EpsilonBudget) -> tuple[float, float]:
+    return (2.0 * b.eps1, 2.0 * b.eps1_exact)
 
 
-def _shared_state_rows(
-    junk_raw: float, za_abs: float, zb_abs: float,
-    budget: EpsilonBudget | None,
-) -> list[ReportRow]:
-    """Expectation and junk-norm window rows common to both modes."""
-    if budget is None:
-        z_grades = lower_grades = upper_grades = None
-    else:
-        s_headline = budget.eps1 + budget.eps2
-        s_exact = budget.eps1_exact + budget.eps2_exact
-        z_grades = (s_headline, s_exact)
-        lower_grades = (
-            math.sqrt(max(0.0, 1.0 - s_headline)),
-            math.sqrt(max(0.0, 1.0 - s_exact)),
-        )
-        upper_grades = (math.sqrt(1.0 + s_headline), math.sqrt(1.0 + s_exact))
-    return [
-        _mk_row("za_expectation_abs", "chain", za_abs, z_grades, "<=",
-                "|<Z'_A>| <= eps1 + eps2"),
-        _mk_row("zb_expectation_abs", "chain", zb_abs, z_grades, "<=",
-                "|<Z'_B>| <= eps1 + eps2"),
-        _mk_row("junk_rawnorm_lower", "chain", junk_raw, lower_grades, ">=",
-                "raw norm >= sqrt(1 - eps1 - eps2)"),
-        _mk_row("junk_rawnorm_upper", "chain", junk_raw, upper_grades, "<=",
-                "raw norm <= sqrt(1 + eps1 + eps2)"),
-    ]
+def _eps2(b: EpsilonBudget) -> tuple[float, float]:
+    return (b.eps2, b.eps2_exact)
 
 
-def _chsh_chain_rows(
-    diag: dict[str, float], budget: EpsilonBudget | None
-) -> list[ReportRow]:
-    if budget is None:
-        comm_grades = prod_grades = anti_grades = None
-        overlap_grades = dist_grades = None
-    else:
-        comm_grades = (4.0 - budget.delta, 4.0 - budget.delta)
-        prod_grades = (budget.eps1, budget.eps1_exact)
-        anti_grades = (2.0 * budget.eps1, 2.0 * budget.eps1_exact)
-        overlap_grades = (
-            SQRT2 * (1.0 - budget.eps_prime),
-            SQRT2 * (1.0 - budget.eps_prime_exact),
-        )
-        dist_grades = (budget.eps2 / 2.0, budget.eps2_exact / 2.0)
-    rows = [
-        _mk_row("commutator_product", "chain", diag["commutator_product"],
-                comm_grades, ">=",
-                "<[A0,A1][B1,B0]> >= 4 - delta; delta = 4*sqrt(2)*eps - eps**2"),
-    ]
-    for name in (
-        "norm_a0a1_plus_b1b0",
-        "norm_a0a1_minus_b0b1",
-        "norm_a1a0_minus_b1b0",
-        "norm_a1a0_plus_b0b1",
-    ):
-        rows.append(_mk_row(name, "chain", diag[name], prod_grades, "<=",
-                            "mixed product norm <= sqrt(delta)"))
-    rows.append(_mk_row("anticomm_a_raw", "chain", diag["anticomm_a_raw"],
-                        anti_grades, "<=", "||{A0,A1}psi|| <= 2*eps1"))
-    rows.append(_mk_row("anticomm_b_raw", "chain", diag["anticomm_b_raw"],
-                        anti_grades, "<=", "||{B0,B1}psi|| <= 2*eps1"))
-    rows.append(_mk_row("xa_bsum_overlap", "chain", diag["xa_bsum_overlap"],
-                        overlap_grades, ">=",
-                        "<X'_A(B0+B1)> >= sqrt(2)*(1 - eps_prime)"))
-    rows.append(_mk_row("norm_xa_minus_bsum", "chain", diag["norm_xa_minus_bsum"],
-                        dist_grades, "<=",
-                        "||(X'_A - (B0+B1)/sqrt(2))psi|| <= 2*(eps*sqrt(2))**(1/4)"))
-    rows.append(_mk_row("norm_xb_minus_bsum", "chain", diag["norm_xb_minus_bsum"],
-                        dist_grades, "<=",
-                        "||(X'_B - (B0+B1)/sqrt(2))psi|| <= 2*(eps*sqrt(2))**(1/4)"))
-    return rows
+def _eps_sum(b: EpsilonBudget) -> tuple[float, float]:
+    return (b.eps1 + b.eps2, b.eps1_exact + b.eps2_exact)
 
 
-def _my_chain_rows(
-    diag: dict[str, float], budget: EpsilonBudget | None
-) -> list[ReportRow]:
-    if budget is None:
-        sum_grades = db_grades = anti_a_grades = cross_grades = anti_b_grades = None
-    else:
-        eps = budget.epsilon
-        sum_bound = math.sqrt(1.0 + eps + math.sqrt(2.0 * eps))
-        sum_grades = (sum_bound, sum_bound)
-        db_grades = (budget.eps_prime, budget.eps_prime)
-        anti_a = 2.0 * (1.0 + SQRT2) * budget.eps_prime
-        anti_a_grades = (anti_a, anti_a)
-        cross = 2.0 * math.sqrt(2.0 * eps)
-        cross_grades = (cross, cross)
-        anti_b_grades = (budget.eps1, 2.0 * budget.eps1_exact)
-    return [
-        _mk_row("sum_xz_norm", "chain", diag["sum_xz_norm"], sum_grades, "<=",
-                "||((X'_A+Z'_A)/sqrt(2))psi|| <= sqrt(1 + eps + sqrt(2*eps))"),
-        _mk_row("db_vs_sum_xz", "chain", diag["db_vs_sum_xz"], db_grades, "<=",
-                "||(D'_B - (X'_A+Z'_A)/sqrt(2))psi|| <= eps_prime"),
-        _mk_row("anticomm_alice", "chain", diag["anticomm_alice"], anti_a_grades,
-                "<=", "||{X'_A,Z'_A}psi|| <= 2*(1+sqrt(2))*eps_prime"),
-        _mk_row("cross_za_xa", "chain", diag["cross_za_xa"], cross_grades, "<=",
-                "||(Z'_A X'_A - X'_B Z'_B)psi|| <= 2*sqrt(2*eps)"),
-        _mk_row("cross_xa_za", "chain", diag["cross_xa_za"], cross_grades, "<=",
-                "||(X'_A Z'_A - Z'_B X'_B)psi|| <= 2*sqrt(2*eps)"),
-        _mk_row("anticomm_bob", "chain", diag["anticomm_bob"], anti_b_grades, "<=",
-                "||{X'_B,Z'_B}psi|| <= 2*(1+sqrt(2))*eps_prime + 4*sqrt(2*eps)"),
-    ]
+def _half_eps2(b: EpsilonBudget) -> tuple[float, float]:
+    return (b.eps2 / 2.0, b.eps2_exact / 2.0)
+
+
+def _condition_specs(eps1_formula: str, eps2_formula: str, bob: Grades) -> tuple[RowSpec, ...]:
+    """The four condition rows; the modes differ in the formula text and in
+    the grades of Bob's anticommutation."""
+    return (
+        RowSpec("condition_anticomm_alice", "condition", "<=", eps1_formula, _twice_eps1),
+        RowSpec("condition_anticomm_bob", "condition", "<=", eps1_formula, bob),
+        RowSpec("condition_diff_x", "condition", "<=", eps2_formula, _eps2),
+        RowSpec("condition_diff_z", "condition", "<=", eps2_formula, _eps2),
+    )
+
+
+def _composed(
+    name: str, category: str, formula: str, compose: Callable[[float, float], float]
+) -> RowSpec:
+    """A row certified against ``compose(eps1, eps2)`` of the measured residuals;
+    its grades are the same composition of the headline and exact budgets."""
+    return RowSpec(
+        name, category, "<=", formula,
+        lambda b: (compose(b.eps1, b.eps2), compose(b.eps1_exact, b.eps2_exact)),
+        lambda r: compose(r.eps1, r.eps2),
+    )
+
+
+_CHSH_CHAIN_ROWS = (
+    RowSpec("commutator_product", "chain", ">=",
+            "<[A0,A1][B1,B0]> >= 4 - delta; delta = 4*sqrt(2)*eps - eps**2",
+            lambda b: (4.0 - b.delta, 4.0 - b.delta)),
+    *(
+        RowSpec(name, "chain", "<=", "mixed product norm <= sqrt(delta)",
+                lambda b: (b.eps1, b.eps1_exact))
+        for name in ("norm_a0a1_plus_b1b0", "norm_a0a1_minus_b0b1",
+                     "norm_a1a0_minus_b1b0", "norm_a1a0_plus_b0b1")
+    ),
+    RowSpec("anticomm_a_raw", "chain", "<=", "||{A0,A1}psi|| <= 2*eps1", _twice_eps1),
+    RowSpec("anticomm_b_raw", "chain", "<=", "||{B0,B1}psi|| <= 2*eps1", _twice_eps1),
+    RowSpec("xa_bsum_overlap", "chain", ">=", "<X'_A(B0+B1)> >= sqrt(2)*(1 - eps_prime)",
+            lambda b: (SQRT2 * (1.0 - b.eps_prime), SQRT2 * (1.0 - b.eps_prime_exact))),
+    RowSpec("norm_xa_minus_bsum", "chain", "<=",
+            "||(X'_A - (B0+B1)/sqrt(2))psi|| <= 2*(eps*sqrt(2))**(1/4)", _half_eps2),
+    RowSpec("norm_xb_minus_bsum", "chain", "<=",
+            "||(X'_B - (B0+B1)/sqrt(2))psi|| <= 2*(eps*sqrt(2))**(1/4)", _half_eps2),
+)
+
+# Most Mayers-Yao chain bounds have one form, given as both grades.
+_MY_CHAIN_ROWS = (
+    RowSpec("sum_xz_norm", "chain", "<=",
+            "||((X'_A+Z'_A)/sqrt(2))psi|| <= sqrt(1 + eps + sqrt(2*eps))",
+            lambda b: (math.sqrt(1.0 + b.epsilon + math.sqrt(2.0 * b.epsilon)),) * 2),
+    RowSpec("db_vs_sum_xz", "chain", "<=", "||(D'_B - (X'_A+Z'_A)/sqrt(2))psi|| <= eps_prime",
+            lambda b: (b.eps_prime,) * 2),
+    RowSpec("anticomm_alice", "chain", "<=", "||{X'_A,Z'_A}psi|| <= 2*(1+sqrt(2))*eps_prime",
+            lambda b: (2.0 * (1.0 + SQRT2) * b.eps_prime,) * 2),
+    RowSpec("cross_za_xa", "chain", "<=", "||(Z'_A X'_A - X'_B Z'_B)psi|| <= 2*sqrt(2*eps)",
+            lambda b: (2.0 * math.sqrt(2.0 * b.epsilon),) * 2),
+    RowSpec("cross_xa_za", "chain", "<=", "||(X'_A Z'_A - Z'_B X'_B)psi|| <= 2*sqrt(2*eps)",
+            lambda b: (2.0 * math.sqrt(2.0 * b.epsilon),) * 2),
+    RowSpec("anticomm_bob", "chain", "<=",
+            "||{X'_B,Z'_B}psi|| <= 2*(1+sqrt(2))*eps_prime + 4*sqrt(2*eps)",
+            lambda b: (b.eps1, 2.0 * b.eps1_exact)),
+)
+
+# Rows common to both modes: Z expectations, the junk raw-norm window, and the
+# state and extraction errors, which certify against measured residuals.
+_SHARED_ROWS = (
+    RowSpec("za_expectation_abs", "chain", "<=", "|<Z'_A>| <= eps1 + eps2", _eps_sum),
+    RowSpec("zb_expectation_abs", "chain", "<=", "|<Z'_B>| <= eps1 + eps2", _eps_sum),
+    RowSpec("junk_rawnorm_lower", "chain", ">=", "raw norm >= sqrt(1 - eps1 - eps2)",
+            lambda b: tuple(math.sqrt(max(0.0, 1.0 - s)) for s in _eps_sum(b))),
+    RowSpec("junk_rawnorm_upper", "chain", "<=", "raw norm <= sqrt(1 + eps1 + eps2)",
+            lambda b: tuple(math.sqrt(1.0 + s) for s in _eps_sum(b))),
+    _composed("state_error_pre_normalization", "state",
+              "eps1 + 2*eps2 (from measured residuals)", lambda e1, e2: e1 + 2.0 * e2),
+    _composed("state_error_normalized", "state",
+              "(3/2)*eps1 + (5/2)*eps2 (from measured residuals)",
+              lambda e1, e2: 1.5 * e1 + 2.5 * e2),
+    *(
+        _composed(f"extraction_{m}{n}", "extraction",
+                  "(11*eps1 + 5*eps2)/2 (from measured residuals)", extraction_bound)
+        for m, n in OPERATOR_PAIRS
+    ),
+)
+
+_B_OPERATOR_ROWS = tuple(
+    RowSpec(f"b_operator_{m}_{which}", "b_operator", "<=",
+            "sqrt(2)*eps + 2*sqrt(2)*(eps*sqrt(2))**(1/4)",
+            lambda b: (b_extraction_bound(b.epsilon),
+                       SQRT2 * b.epsilon + b.eps2_exact / SQRT2))
+    for m, which in B_ROWS
+)
+
+# Rows whose measured value needs a junk candidate: NaN when it is degenerate.
+_JUNK_CATEGORIES = ("state", "extraction", "b_operator")
 
 
 def _z_expectations(device: DeviceModel, ops: DerivedOperators) -> tuple[float, float]:
@@ -355,28 +336,7 @@ def _z_expectations(device: DeviceModel, ops: DerivedOperators) -> tuple[float, 
     )
 
 
-def _b_operator_rows(
-    device: DeviceModel,
-    ops: DerivedOperators,
-    junk: np.ndarray | None,
-    eps: float,
-    budget: EpsilonBudget | None,
-) -> list[ReportRow]:
-    """Extraction errors of Bob's raw B0/B1; NaN when the junk is degenerate."""
-    b_grades = None if budget is None else (
-        b_extraction_bound(eps), SQRT2 * eps + budget.eps2_exact / SQRT2
-    )
-    errors = {} if junk is None else b_measured_errors(device, ops, junk)
-    return [
-        _mk_row(f"b_operator_{m}_{which}", "b_operator", errors.get((m, which), NAN),
-                b_grades, "<=", "sqrt(2)*eps + 2*sqrt(2)*(eps*sqrt(2))**(1/4)")
-        for m, which in B_ROWS
-    ]
-
-
-def certify(
-    device: DeviceModel, mode: str
-) -> CertificationReport:
+def certify(device: DeviceModel, mode: str) -> CertificationReport:
     """Full measured-vs-bound certification of one device.
 
     ``mode`` is "chsh" (operators regularized from A0/A1/B0/B1) or "my"
@@ -385,8 +345,8 @@ def certify(
     mode's observable names once (in ``correlations``), and the stages after
     it trust the device.  Invalid devices raise ``DeviceValidationError``
     before any certification, a missing name ``KeyError``; a degenerate junk
-    candidate is reported as failed extraction rows, not a crash; a deviation
-    outside [0, 1) fails the budget-dependent rows.
+    candidate is reported as failed state, extraction and B rows, not a
+    crash; a deviation outside [0, 1) fails the budget-dependent rows.
     """
     selftest = get_mode(mode)
     require_valid(device)
@@ -395,73 +355,42 @@ def certify(
     chsh, eps = selftest.deviation(table)
     table_by_key = dict(zip(selftest.table_keys, table.values()))
     ops = selftest.derive(device)
-    diag = selftest.diagnostics(device, ops)
     budget = selftest.budget(eps) if eps < 1.0 else None
-
     residuals = condition_residuals(device.state, ops)
-    rows = _condition_rows(residuals, budget, selftest)
-    rows.extend(selftest.chain_rows(diag, budget))
+    za_abs, zb_abs = _z_expectations(device, ops)
 
-    # Extraction: measured errors against the bound composed from measured
-    # residuals; budget-composed grades carried as informational columns.
-    eps1_m, eps2_m = residuals.eps1, residuals.eps2
-    measured_bound = extraction_bound(eps1_m, eps2_m)
-    if budget is not None:
-        extr_grades = (
-            extraction_bound(budget.eps1, budget.eps2),
-            extraction_bound(budget.eps1_exact, budget.eps2_exact),
-        )
-        # (headline, exact) grades of the (pre, post) normalization bounds
-        state_grades_pre, state_grades_post = zip(
-            state_error_bounds(budget.eps1, budget.eps2),
-            state_error_bounds(budget.eps1_exact, budget.eps2_exact),
-        )
-    else:
-        extr_grades = state_grades_pre = state_grades_post = None
-
-    degenerate = False
-    junk = None
+    # Every row's measured value, keyed by row name.
+    measured = {
+        "condition_anticomm_alice": residuals.anticomm_a,
+        "condition_anticomm_bob": residuals.anticomm_b,
+        "condition_diff_x": residuals.diff_x,
+        "condition_diff_z": residuals.diff_z,
+        **selftest.diagnostics(device, ops),
+        "za_expectation_abs": za_abs,
+        "zb_expectation_abs": zb_abs,
+    }
     try:
         result = extraction_error(device, ops)
-        junk = result.junk
-        junk_raw = result.junk_norm_raw
-        state_pre = result.state_error_pre_normalization
-        state_post = result.errors_by_pair[("I", "I")]
-        pair_errors = result.errors_by_pair
     except DegenerateExtractionError as err:
         degenerate = True
         junk_raw = err.raw_norm
-        state_pre = state_post = NAN
-        pair_errors = {pair: NAN for pair in OPERATOR_PAIRS}
-
-    za_abs, zb_abs = _z_expectations(device, ops)
-    rows.extend(_shared_state_rows(junk_raw, za_abs, zb_abs, budget))
-
-    rows.append(
-        _mk_row("state_error_pre_normalization", "state", state_pre,
-                state_grades_pre, "<=", "eps1 + 2*eps2 (from measured residuals)",
-                bound_override=eps1_m + 2.0 * eps2_m)
-    )
-    rows.append(
-        _mk_row("state_error_normalized", "state", state_post,
-                state_grades_post, "<=",
-                "(3/2)*eps1 + (5/2)*eps2 (from measured residuals)",
-                bound_override=1.5 * eps1_m + 2.5 * eps2_m)
-    )
-    for m, n in OPERATOR_PAIRS:
-        rows.append(
-            _mk_row(f"extraction_{m}{n}", "extraction", pair_errors[(m, n)],
-                    extr_grades, "<=",
-                    "(11*eps1 + 5*eps2)/2 (from measured residuals)",
-                    bound_override=measured_bound)
+        measured.update(
+            (spec.name, NAN) for spec in selftest.rows if spec.category in _JUNK_CATEGORIES
         )
-    if selftest.b_operator:
-        rows.extend(_b_operator_rows(device, ops, junk, eps, budget))
-
-    if len(rows) != selftest.row_count:
-        raise AssertionError(
-            f"report row count {len(rows)} != expected {selftest.row_count} for mode {mode}"
+    else:
+        degenerate = False
+        junk_raw = result.junk_norm_raw
+        measured["state_error_pre_normalization"] = result.state_error_pre_normalization
+        measured["state_error_normalized"] = result.errors_by_pair[("I", "I")]
+        measured.update(
+            (f"extraction_{m}{n}", error) for (m, n), error in result.errors_by_pair.items()
         )
+        if selftest.b_operator:
+            measured.update(
+                (f"b_operator_{m}_{which}", error)
+                for (m, which), error in b_measured_errors(device, ops, result.junk).items()
+            )
+    measured["junk_rawnorm_lower"] = measured["junk_rawnorm_upper"] = junk_raw
 
     return CertificationReport(
         mode=mode,
@@ -471,7 +400,8 @@ def certify(
         residuals=residuals,
         junk_norm_raw=junk_raw,
         degenerate=degenerate,
-        rows=rows,
+        rows=[_report_row(spec, measured[spec.name], budget, residuals)
+              for spec in selftest.rows],
         fidelity=fidelity_block(eps),
         correlations=table_by_key if selftest.reports_correlations else {},
     )
@@ -487,10 +417,11 @@ class Mode:
     correlations to ``(CHSH value or None, epsilon)`` for device and table
     input alike.  ``derive`` and ``diagnostics`` take ``(device)`` and
     ``(device, ops)``, the device already validated and name-checked by the
-    entry point.  ``exact_bob_anticommutation`` sets the exact grade of the
-    Bob anticommutation row to 0; ``b_operator`` adds the six rows for Bob's
-    raw observables (and the ``bOperator`` table bound);
-    ``reports_correlations`` puts the correlation table into the report.
+    entry point.  ``rows`` are the report rows in report order, one per link
+    of the mode's chain of estimates.  ``b_operator`` measures Bob's raw
+    observables for the ``b_operator`` rows (and adds the ``bOperator`` table
+    bound); ``reports_correlations`` puts the correlation table into the
+    report.
     """
 
     name: str
@@ -499,13 +430,9 @@ class Mode:
     budget: Callable[[float], EpsilonBudget]
     derive: Callable[[DeviceModel], DerivedOperators]
     diagnostics: Callable[[DeviceModel, DerivedOperators], dict[str, float]]
-    chain_rows: Callable[[dict[str, float], EpsilonBudget | None], list[ReportRow]]
-    eps1_formula: str
-    eps2_formula: str
-    exact_bob_anticommutation: bool
+    rows: tuple[RowSpec, ...]
     b_operator: bool
     reports_correlations: bool
-    row_count: int
     canonical: Callable[[], DeviceModel]
 
     @property
@@ -521,14 +448,19 @@ MODES = {
         budget=chsh_budget,
         derive=derive_chsh_operators,
         diagnostics=chsh_diagnostics,
-        chain_rows=_chsh_chain_rows,
-        eps1_formula="2*eps1; eps1 = 2*sqrt(eps*sqrt(2))",
-        eps2_formula="eps2 = 4*(eps*sqrt(2))**(1/4)",
-        # Regularized Bob operators anticommute exactly for CHSH devices.
-        exact_bob_anticommutation=True,
+        rows=(
+            *_condition_specs(
+                "2*eps1; eps1 = 2*sqrt(eps*sqrt(2))",
+                "eps2 = 4*(eps*sqrt(2))**(1/4)",
+                # Regularized Bob operators anticommute exactly for CHSH devices.
+                lambda b: (2.0 * b.eps1, 0.0),
+            ),
+            *_CHSH_CHAIN_ROWS,
+            *_SHARED_ROWS,
+            *_B_OPERATOR_ROWS,
+        ),
         b_operator=True,
         reports_correlations=False,
-        row_count=35,
         canonical=canonical_chsh_device,
     ),
     "my": Mode(
@@ -540,14 +472,18 @@ MODES = {
         # diagnostics read them (and DB) from the device directly.
         derive=my_operators,
         diagnostics=lambda device, ops: my_diagnostics(device),
-        chain_rows=_my_chain_rows,
-        eps1_formula="2*eps1; eps1 = 2*(1+sqrt(2))*(2*eps)**(1/4) + 4*sqrt(2*eps)"
-        " + ((5+3*sqrt(2))/2)*(2*eps)**(3/4)",
-        eps2_formula="eps2 = sqrt(2*eps)",
-        exact_bob_anticommutation=False,
+        rows=(
+            *_condition_specs(
+                "2*eps1; eps1 = 2*(1+sqrt(2))*(2*eps)**(1/4) + 4*sqrt(2*eps)"
+                " + ((5+3*sqrt(2))/2)*(2*eps)**(3/4)",
+                "eps2 = sqrt(2*eps)",
+                _twice_eps1,
+            ),
+            *_MY_CHAIN_ROWS,
+            *_SHARED_ROWS,
+        ),
         b_operator=False,
         reports_correlations=True,
-        row_count=25,
         canonical=canonical_my_device,
     ),
 }

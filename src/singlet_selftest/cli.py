@@ -25,7 +25,7 @@ from .bounds import (
     get_mode,
     state_error_bounds,
 )
-from .device import TSIRELSON, DeviceValidationError
+from .device import TSIRELSON
 from .documents import (
     REPORT_SCHEMA_VERSION,
     DocumentError,
@@ -54,10 +54,8 @@ def _fail(message: str) -> int:
 
 
 def cmd_certify(args: argparse.Namespace) -> int:
-    try:
-        device = load_device(args.device)
-    except (DocumentError, DeviceValidationError) as err:
-        return _fail(str(err))
+    # A malformed document or an invalid device raises ValueError: main exits 2.
+    device = load_device(args.device)
     report = certify(device, args.mode)
     digest = document_digest(device_to_document(device))
     write_json_atomic(args.out, report_to_document(report, digest))
@@ -170,11 +168,11 @@ def _parse_family_spec(path: str) -> FamilySpec:
 
 def sweep_csv(spec: FamilySpec) -> str:
     """Deterministic CSV for a family sweep, one row per family point."""
-    axis, _ = family_axis(spec)
+    axis, axis_values = family_axis(spec)
     lines = [",".join((axis,) + SWEEP_COLUMNS)]
-    for record in sweep(spec):
+    for axis_value, record in zip(axis_values, sweep(spec)):
         values = (
-            record.parameters[axis],
+            axis_value,
             record.epsilon,
             record.eps1_measured,
             record.eps2_measured,

@@ -21,9 +21,9 @@ matrix products applied to Psi, O(d^3), and no d^2 x d^2 embedding is formed.
 
 The functions that take a device trust it: it must be valid (``device.validate``
 returns no violation) and name the observables of its mode.  The entry points
-check both once per device: ``documents.load_device`` and ``bounds.certify``,
-and ``explorer.sweep`` / ``explorer.worst_case_search`` for the devices they
-build.  A missing name still raises ``KeyError`` from the lookup.
+check both once per device: ``bounds.certify`` for library callers and loaded
+files alike, and ``explorer.sweep`` / ``explorer.worst_case_search`` for the
+devices they build.  A missing name still raises ``KeyError`` from the lookup.
 """
 
 from __future__ import annotations

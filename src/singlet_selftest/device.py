@@ -174,8 +174,8 @@ def correlations(
     """Expectation values <psi| (M_A x I)(I x N_B) |psi> for named observable pairs.
 
     The names are checked first (``require_observables``); the device's
-    validity is not: ``documents.load_device``, ``bounds.certify`` and the
-    ``explorer`` sweep and search check it once per device.  Each named
+    validity is not: ``bounds.certify`` and the ``explorer`` sweep and search
+    check it once per device.  Each named
     observable is embedded once and each (I x N_B)|psi> computed once, then
     reused across the pairs.  The value of a product of commuting Hermitian
     observables must be real; an imaginary part above 1e-10 raises a

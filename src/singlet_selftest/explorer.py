@@ -10,7 +10,8 @@ does not depend on which points were generated before it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from collections.abc import Iterator
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,6 +26,10 @@ FAMILY_AXES = {"tilted": "theta", "state-noise": "p", "measurement-noise": "eta"
                "junk-embedded": "count", "random": "count"}
 
 MEASUREMENT_NOISE_CAP = 0.5  # keeps perturbed devices inside the small-deviation regime
+
+# Most points one sweep may have (a count or range steps): 500 times the
+# 200-point sweeps of the benchmark, far below what exhausts memory.
+MAX_SWEEP_POINTS = 100_000
 
 
 @dataclass(frozen=True)
@@ -48,7 +53,6 @@ class FamilySpec:
 class SweepRecord:
     """Certification summary for one family point."""
 
-    parameters: dict
     epsilon: float
     eps1_measured: float
     eps2_measured: float
@@ -144,6 +148,8 @@ def _param_values(name: str, value) -> list[float]:
     start, stop, steps = value
     if steps < 0:
         raise ValueError(f"range steps must be nonnegative, got {steps}")
+    if steps > MAX_SWEEP_POINTS:
+        raise ValueError(f"{name} range steps must be at most {MAX_SWEEP_POINTS}, got {steps}")
     if steps == 0:
         return []
     if steps == 1:
@@ -155,8 +161,9 @@ def family_axis(spec: FamilySpec) -> tuple[str, list[float]]:
     """The single sweep axis of a family: its name and point values.
 
     Checks the spec first: a known kind, two integer dims >= 1, an integer
-    seed, and parameters naming only the kind's axis.  Each violation raises
-    ``ValueError`` naming the field.
+    seed, parameters naming only the kind's axis, and at most
+    ``MAX_SWEEP_POINTS`` points.  Each violation raises ``ValueError`` naming
+    the field, before any point value is built.
     """
     try:
         name = FAMILY_AXES[spec.kind]
@@ -178,6 +185,8 @@ def family_axis(spec: FamilySpec) -> tuple[str, list[float]]:
             raise ValueError(f"count must be an integer, got {count!r}")
         if count < 0:
             raise ValueError(f"count must be nonnegative, got {count}")
+        if count > MAX_SWEEP_POINTS:
+            raise ValueError(f"count must be at most {MAX_SWEEP_POINTS}, got {count}")
         return name, [float(i) for i in range(count)]
     if name not in params:
         raise ValueError(f"family {spec.kind!r} requires parameter {name!r}")
@@ -240,19 +249,16 @@ def _build_point(
     return make_device((da, db), state, alice, bob)
 
 
-def family_points(spec: FamilySpec) -> list[tuple[dict, DeviceModel]]:
-    """All (parameters, device) points of a family, in sweep order."""
+def family_points(spec: FamilySpec) -> Iterator[tuple[dict, DeviceModel]]:
+    """The (parameters, device) points of a family, built one at a time in
+    sweep order; the spec is checked when the first point is requested."""
     name, values = family_axis(spec)
     base = get_mode(spec.mode).canonical()
-    return [
-        ({name: value}, _build_point(spec, base, value, index))
-        for index, value in enumerate(values)
-    ]
+    for index, value in enumerate(values):
+        yield {name: value}, _build_point(spec, base, value, index)
 
 
-def evaluate_device(
-    device: DeviceModel, mode: str, parameters: dict | None = None
-) -> SweepRecord:
+def evaluate_device(device: DeviceModel, mode: str) -> SweepRecord:
     """Run the residual/extraction pipeline on one device into a record.
 
     Precondition: ``device`` is valid.  ``sweep`` and ``worst_case_search``
@@ -274,7 +280,6 @@ def evaluate_device(
         slack = float("nan")
         degenerate = True
     return SweepRecord(
-        parameters=dict(parameters or {}),
         epsilon=eps,
         eps1_measured=residuals.eps1,
         eps2_measured=residuals.eps2,
@@ -299,7 +304,7 @@ def sweep(spec: FamilySpec) -> list[SweepRecord]:
                 f"family {spec.kind!r} produced an invalid device at {parameters}: "
                 + "; ".join(violations)
             )
-        records.append(evaluate_device(device, spec.mode, parameters))
+        records.append(evaluate_device(device, spec.mode))
     return records
 
 
@@ -386,7 +391,7 @@ def worst_case_search(
         device = _search_proposal(base, dims, qubit_state, state_dirs, generators, params)
         if validate(device):
             return None
-        record = evaluate_device(device, mode, {"objective": 0.0})
+        record = evaluate_device(device, mode)
         if record.degenerate or record.epsilon > epsilon_ceiling:
             return None
         return device, record
@@ -426,5 +431,4 @@ def worst_case_search(
     if best is None:
         return SearchResult(found=False, device=None, record=None, evaluations=evaluations)
     device, record = best
-    record = replace(record, parameters={"objective": record.max_extraction_error})
     return SearchResult(found=True, device=device, record=record, evaluations=evaluations)

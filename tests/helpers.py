@@ -1,9 +1,10 @@
 """Conveniences the tests use and the certify, sweep and search pipeline does not.
 
 Each is a thin wrapper over the library: a single-pair correlation, the CHSH
-value and Mayers-Yao deviation of a device, the operator absolute value and
-unitarity deviation, a family's device list, writing a device document, and a
-report's rows of one category.
+value and Mayers-Yao deviation of a device, a Hermiticity-checked
+eigendecomposition, the operator absolute value and unitarity deviation, a
+family's device list, writing a device document, and a report's rows of one
+category.
 """
 
 from __future__ import annotations
@@ -23,7 +24,9 @@ from singlet_selftest.device import (
 )
 from singlet_selftest.documents import device_to_document, write_json_atomic
 from singlet_selftest.explorer import FamilySpec, family_points
-from singlet_selftest.linalg import dagger, hermitian_eig
+from singlet_selftest.linalg import _require_square, dagger, hermiticity_deviation
+
+HERMITIAN_ATOL = 1e-10
 
 
 def correlation(device: DeviceModel, alice_name: str, bob_name: str) -> float:
@@ -40,6 +43,23 @@ def my_deviation(device: DeviceModel) -> tuple[dict[tuple[str, str], float], flo
     """All six Mayers-Yao correlations of a device and the worst deviation from ideal."""
     table = correlations(device, MY_PAIRS)
     return table, my_epsilon(table)[1]
+
+
+def hermitian_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition of a Hermitian matrix.
+
+    Returns ``(eigenvalues, eigenvectors)`` with eigenvalues real and ascending
+    and eigenvectors as the columns of a unitary matrix, so that
+    ``M = V diag(w) V^dagger``.  Raises ``ValueError`` (naming the deviation)
+    for input further than ``HERMITIAN_ATOL`` from Hermitian.
+    """
+    m = _require_square(m)
+    dev = hermiticity_deviation(m)
+    if dev > HERMITIAN_ATOL:
+        raise ValueError(
+            f"matrix is not Hermitian: max deviation {dev:.3e} > {HERMITIAN_ATOL:.1e}"
+        )
+    return np.linalg.eigh(m)
 
 
 def operator_abs(m: np.ndarray) -> np.ndarray:

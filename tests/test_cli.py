@@ -14,9 +14,11 @@ from singlet_selftest.device import (
     canonical_my_device,
     correlations,
     make_device,
+    validate,
 )
 from singlet_selftest.documents import (
     DocumentError,
+    complex_to_json,
     device_from_document,
     device_to_document,
     document_digest,
@@ -63,6 +65,29 @@ class TestDocuments:
         loaded = load_device(path)
         assert np.array_equal(loaded.state, device.state)
 
+    def test_encoding_is_bitwise_for_signed_zeros_and_strided_input(self, tmp_path):
+        rng = np.random.default_rng(7)
+        full = rng.normal(size=(4, 6)) + 1j * rng.normal(size=(4, 6))
+        full[0, 0] = complex(-0.0, 0.0)
+        full[1, 2] = complex(0.0, -0.0)
+        strided = full[:, ::2]
+        assert not strided.flags.c_contiguous
+        # the per-entry [float(re), float(im)] encoding, as JSON text so -0.0 counts
+        want = [[[float(z.real), float(z.imag)] for z in row] for row in strided]
+        assert json.dumps(complex_to_json(strided)) == json.dumps(want)
+        assert json.dumps(complex_to_json(strided[:, 0])) == json.dumps([r[0] for r in want])
+        # a negated state has -0.0 imaginary parts, kept through a file round trip
+        base = canonical_chsh_device()
+        device = make_device((2, 2), -base.state, dict(base.alice_obs), dict(base.bob_obs))
+        assert "-0.0" in json.dumps(device_to_document(device)["state"])
+        path = tmp_path / "dev.json"
+        save_device(path, device)
+        loaded = load_device(path)
+        assert np.array_equal(np.signbit(loaded.state.imag), np.signbit(device.state.imag))
+        assert document_digest(device_to_document(loaded)) == document_digest(
+            device_to_document(device)
+        )
+
     def test_truncated_file_reports_position(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text('{"schemaVersion": "1", "dims": [2', encoding="utf-8")
@@ -81,7 +106,7 @@ class TestDocuments:
         with pytest.raises(DocumentError, match="observables.alice.A0"):
             device_from_document(doc)
 
-    def test_invariant_violation_is_fatal(self, tmp_path):
+    def test_invariant_violation_is_fatal(self, tmp_path, capsys):
         base = canonical_chsh_device()
         broken = make_device(
             (2, 2), base.state,
@@ -90,10 +115,12 @@ class TestDocuments:
         )
         path = tmp_path / "bad.json"
         save_device(path, broken)
-        from singlet_selftest.device import DeviceValidationError
-
-        with pytest.raises(DeviceValidationError, match="A0"):
-            load_device(path)
+        load_device(path)  # parsing does not validate; certify does
+        out = tmp_path / "report.json"
+        code = main(["certify", "--device", str(path), "--mode", "chsh", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: invalid device: A0: O^2 != I")
+        assert not out.exists()
 
 
 class TestCertifyCommand:
@@ -110,6 +137,23 @@ class TestCertifyCommand:
         assert report["inputsDigest"].startswith("sha256:")
         for row in report["report"]["rows"]:
             assert {"name", "measured", "bound", "pass", "formula"} <= set(row)
+
+    def test_bob_sum_off_hermitian_by_twice_the_tolerance_passes(self, tmp_path, capsys):
+        # B0 and B1 are each 0.9e-10 from Hermitian, inside validate's 1e-10, so
+        # B0 + B1 is 1.8e-10 off; the operator sign must take it as it is.
+        skew = 0.45e-10 * np.array([[0.0, 1.0], [-1.0, 0.0]])  # 0.45e-10 * iY
+        base = canonical_chsh_device()
+        bob = {name: m + skew for name, m in base.bob_obs.items()}
+        device = make_device((2, 2), base.state, dict(base.alice_obs), bob)
+        assert validate(device) == []
+        path = tmp_path / "skewed.json"
+        save_device(path, device)
+        out = tmp_path / "report.json"
+        code = main(["certify", "--device", str(path), "--mode", "chsh", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (0, "")
+        assert captured.out.startswith("PASS: all 35 rows within bounds")
+        assert json.loads(out.read_text())["report"]["allPass"] is True
 
     def test_failing_device_exits_one(self, tmp_path):
         # valid device whose deviation is >= 1: budget rows fail
@@ -499,6 +543,8 @@ class TestSweepCommand:
         ({"kind": "tilted", "parameters": {"theta": {"start": 0, "stop": 1}}}, "theta"),
         ({"kind": "tilted", "parameters": [1, 2]}, "parameters"),
         ({"kind": "tilted", "parameters": {"theta": 0.1, "bogus": 3}}, "bogus"),
+        ({"kind": "random", "parameters": {"count": 10**12}}, "count"),
+        ({"kind": "tilted", "parameters": {"theta": [0, 1, 10**12]}}, "theta"),
     ])
     def test_malformed_spec_exits_two_naming_the_field(self, tmp_path, capsys, spec, field):
         path = tmp_path / "family.json"

@@ -1,7 +1,7 @@
 """Each device is validated and name-checked once, by the entry point that
-first receives it: ``documents.load_device`` for files, ``bounds.certify`` for
-library callers, and ``explorer.sweep`` / ``explorer.worst_case_search`` for
-the devices they build.  The stages after an entry point trust the device.
+first receives it: ``bounds.certify`` for library callers and the CLI's loaded
+files alike, and ``explorer.sweep`` / ``explorer.worst_case_search`` for the
+devices they build.  The stages after an entry point trust the device.
 """
 
 from __future__ import annotations
@@ -58,15 +58,13 @@ class TestCounts:
         assert len(validations) == 1
         assert len(name_checks) == 1
 
-    def test_cli_certify_validates_on_load_and_in_certify(
-        self, mode, validations, name_checks, tmp_path
-    ):
+    def test_cli_certify_validates_once(self, mode, validations, name_checks, tmp_path):
         path = tmp_path / "device.json"
         save_device(path, get_mode(mode).canonical())
         out = tmp_path / "report.json"
         assert main(["certify", "--device", str(path), "--mode", mode,
                      "--out", str(out)]) == 0
-        assert len(validations) == 2
+        assert len(validations) == 1
         assert len(name_checks) == 1
 
     def test_sweep_validates_each_point_once(self, mode, validations):

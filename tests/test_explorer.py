@@ -9,9 +9,13 @@ from helpers import chsh_value, make_family, my_deviation
 from singlet_selftest.bounds import certify
 from singlet_selftest.device import canonical_chsh_device, canonical_my_device, validate
 from singlet_selftest.derive import condition_residuals, derive_chsh_operators
+from singlet_selftest import explorer
 from singlet_selftest.explorer import (
+    MAX_SWEEP_POINTS,
     FamilySpec,
     evaluate_device,
+    family_axis,
+    family_points,
     sweep,
     worst_case_search,
 )
@@ -112,6 +116,29 @@ class TestFamilies:
             make_family(FamilySpec("junk-embedded", {"count": 1}, (3, 4)))
         with pytest.raises(ValueError, match="p must"):
             make_family(FamilySpec("state-noise", {"p": 1.5}))
+
+    @pytest.mark.parametrize("kind,name,at_cap,over_cap", [
+        ("random", "count", MAX_SWEEP_POINTS, MAX_SWEEP_POINTS + 1),
+        ("tilted", "theta", [0.0, 1.0, MAX_SWEEP_POINTS], [0.0, 1.0, MAX_SWEEP_POINTS + 1]),
+    ])
+    def test_point_count_ceiling(self, kind, name, at_cap, over_cap):
+        assert len(family_axis(FamilySpec(kind, {name: at_cap}))[1]) == MAX_SWEEP_POINTS
+        with pytest.raises(ValueError, match=f"{name}.* at most {MAX_SWEEP_POINTS}"):
+            family_axis(FamilySpec(kind, {name: over_cap}))
+
+    def test_points_are_built_one_at_a_time(self, monkeypatch):
+        built = []
+        build = explorer._build_point
+
+        def counting_build(*args):
+            built.append(args[2])
+            return build(*args)
+
+        monkeypatch.setattr(explorer, "_build_point", counting_build)
+        points = family_points(FamilySpec("random", {"count": MAX_SWEEP_POINTS}, (3, 3)))
+        assert built == []
+        parameters, device = next(points)
+        assert (parameters, device.dims, built) == ({"count": 0.0}, (3, 3), [0.0])
 
 
 class TestSweep:

@@ -5,13 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from helpers import operator_abs, unitarity_deviation
+from helpers import hermitian_eig, operator_abs, unitarity_deviation
 from singlet_selftest.linalg import (
     DIAG_XZ,
     PAULI_X,
     PAULI_Z,
     PHI_PLUS,
-    hermitian_eig,
     hermiticity_deviation,
     operator_sign,
     tensor_embed,

@@ -55,7 +55,7 @@ from .isometry import (
     extraction_error,
     junk_candidate,
 )
-from .linalg import operator_sign, tensor_embed
+from .linalg import operator_sign
 
 __all__ = [
     "MODES",
@@ -94,7 +94,6 @@ __all__ = [
     "operator_sign",
     "state_error_bounds",
     "sweep",
-    "tensor_embed",
     "validate",
     "worst_case_search",
 ]

@@ -21,7 +21,6 @@ from .linalg import (
     PAULI_Z,
     PHI_PLUS,
     hermiticity_deviation,
-    tensor_embed,
 )
 
 CHSH_ALICE = ("A0", "A1")
@@ -175,30 +174,42 @@ def correlations(
 
     The names are checked first (``require_observables``); the device's
     validity is not: ``bounds.certify`` and the ``explorer`` sweep and search
-    check it once per device.  Each named
-    observable is embedded once and each (I x N_B)|psi> computed once, then
-    reused across the pairs.  The value of a product of commuting Hermitian
+    check it once per device.  The value of a product of commuting Hermitian
     observables must be real; an imaginary part above 1e-10 raises a
     numerical-consistency error.
 
     The epsilon^(1/4) budgets amplify a last-bit change in a correlation far
     beyond the change itself at small deviation, so these values keep the
-    embedded form ``vdot(psi, M @ (N @ psi))`` rather than the
-    state-matrix kernel used elsewhere.
+    embedded form ``vdot(psi, (M x I) @ ((I x N) @ psi))`` rather than the
+    state-matrix kernel used elsewhere.  The embedded matrices share one
+    zeroed dA*dB x dA*dB buffer: each observable is written straight into the
+    entries its embedding occupies (I x N first, for every Bob name, then
+    M x I, rewritten when the Alice name changes).  Every nonzero entry is the
+    one ``np.kron`` gives, since x * (1 + 0j) is exact; only the sign of some
+    zero entries differs, which no sum with a nonzero term can see.  So the
+    matrix-vector products see the same values and every correlation is
+    bit-identical to the ``np.kron`` form.
     """
     require_observables(device, pairs)
-    embedded_a: dict[str, np.ndarray] = {}
+    da, db = device.dims
+    psi = device.state
+    buf = np.zeros((da * db, da * db), dtype=complex)
+    # blocks[i, j, k, l] is the entry at row i*dB + j, column k*dB + l.
+    blocks = buf.reshape(da, db, da, db)
+    alice_diag, bob_diag = np.arange(da), np.arange(db)
     applied_b: dict[str, np.ndarray] = {}
-    values: dict[tuple[str, str], float] = {}
-    for alice_name, bob_name in pairs:
-        if alice_name not in embedded_a:
-            embedded_a[alice_name] = tensor_embed(
-                device.alice_obs[alice_name], "A", device.dims
-            )
+    for _, bob_name in pairs:
         if bob_name not in applied_b:
-            nb = tensor_embed(device.bob_obs[bob_name], "B", device.dims)
-            applied_b[bob_name] = nb @ device.state
-        value = complex(np.vdot(device.state, embedded_a[alice_name] @ applied_b[bob_name]))
+            blocks[alice_diag, :, alice_diag, :] = device.bob_obs[bob_name]
+            applied_b[bob_name] = buf @ psi
+    blocks[alice_diag, :, alice_diag, :] = 0.0
+    values: dict[tuple[str, str], float] = {}
+    written_a = None
+    for alice_name, bob_name in pairs:
+        if alice_name != written_a:
+            blocks[:, bob_diag, :, bob_diag] = device.alice_obs[alice_name]
+            written_a = alice_name
+        value = complex(np.vdot(psi, buf @ applied_b[bob_name]))
         if abs(value.imag) > IMAG_ATOL:
             raise ValueError(
                 f"correlation <{alice_name} {bob_name}> has imaginary part "

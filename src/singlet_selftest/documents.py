@@ -10,6 +10,7 @@ written to a temporary sibling and atomically renamed, never left partial.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -52,9 +53,36 @@ def complex_to_json(a: np.ndarray) -> list:
     return a.view(float).reshape(*a.shape, 2).tolist()
 
 
+def _bulk_complex(rows, shape: tuple[int, ...]) -> np.ndarray | None:
+    """``rows`` as a complex array of ``shape``, parsed in bulk, or None.
+
+    Accepted: lists nested exactly as ``shape``, then [re, im] pairs (lists
+    or tuples) of exact ``int`` or ``float`` leaves (JSON true/false load as
+    bool, an int subclass).  That is a subset of what the per-entry walk
+    accepts, with the same values: ``np.array`` converts each leaf as
+    ``float()`` does.  On None the walk decides, and names the first bad
+    entry.
+    """
+    level = [rows]
+    for kinds, size in zip(({list},) * len(shape) + ({list, tuple},), (*shape, 2)):
+        if not set(map(type, level)) <= kinds or set(map(len, level)) != {size}:
+            return None
+        level = list(itertools.chain.from_iterable(level))
+    if not set(map(type, level)) <= {int, float}:
+        return None
+    try:
+        leaves = np.array(level, dtype=float)
+    except OverflowError:
+        return None
+    return leaves.view(complex).reshape(shape)
+
+
 def vector_from_json(rows, where: str) -> np.ndarray:
     if not isinstance(rows, list) or not rows:
         raise DocumentError(f"{where}: expected a nonempty list of [re, im] pairs")
+    bulk = _bulk_complex(rows, (len(rows),))
+    if bulk is not None:
+        return bulk
     return np.array([_unpair(r, f"{where}[{i}]") for i, r in enumerate(rows)], dtype=complex)
 
 
@@ -62,6 +90,9 @@ def matrix_from_json(rows, where: str) -> np.ndarray:
     if not isinstance(rows, list) or not rows:
         raise DocumentError(f"{where}: expected a nonempty nested list")
     dim = len(rows)
+    bulk = _bulk_complex(rows, (dim, dim))
+    if bulk is not None:
+        return bulk
     out = np.zeros((dim, dim), dtype=complex)
     for i, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != dim:
@@ -106,15 +137,16 @@ def device_from_document(doc) -> DeviceModel:
     obs = doc.get("observables")
     if not isinstance(obs, dict) or set(obs) - {"alice", "bob"}:
         raise DocumentError("observables: expected an object with 'alice' and 'bob'")
-    alice = {
-        name: matrix_from_json(m, f"observables.alice.{name}")
-        for name, m in (obs.get("alice") or {}).items()
-    }
-    bob = {
-        name: matrix_from_json(m, f"observables.bob.{name}")
-        for name, m in (obs.get("bob") or {}).items()
-    }
-    return make_device((dims[0], dims[1]), state, alice, bob)
+    parties = {}
+    for party in ("alice", "bob"):
+        named = obs.get(party, {})
+        if not isinstance(named, dict):
+            raise DocumentError(f"observables.{party}: expected an object of name -> matrix")
+        parties[party] = {
+            name: matrix_from_json(m, f"observables.{party}.{name}")
+            for name, m in named.items()
+        }
+    return make_device((dims[0], dims[1]), state, parties["alice"], parties["bob"])
 
 
 def document_digest(doc: dict) -> str:

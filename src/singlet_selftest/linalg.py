@@ -1,15 +1,14 @@
-"""Dense complex linear algebra kernel: the operator sign with a +1 kernel
-convention, and tensor-product embedding of single-party operators into a
-bipartite space.
+"""Dense complex linear algebra kernel: qubit constants and the operator sign
+with a +1 kernel convention.
 
 The operator sign is the basis of the CHSH derived operators.  Downstream code
 otherwise applies local operators directly to the (dA, dB) state matrix
 Psi, where (A (x) B)|psi> is A Psi B^T, so residuals, chain diagnostics and the
-extraction circuit never form a dA*dB x dA*dB matrix.  ``tensor_embed`` builds
-that matrix for op (x) I or I (x) op; only the device correlations use it,
-keeping their established floating-point form.  All matrices are dense
-complex128 ``numpy`` arrays; the operator sign is computed from one Hermitian
-eigendecomposition, so results are deterministic and directly testable.
+extraction circuit never form a dA*dB x dA*dB matrix; only the device
+correlations fill one such buffer, keeping their established floating-point
+form.  All matrices are dense complex128 ``numpy`` arrays; the operator sign
+is computed from one Hermitian eigendecomposition, so results are
+deterministic and directly testable.
 """
 
 from __future__ import annotations
@@ -38,13 +37,6 @@ def hermiticity_deviation(m: np.ndarray) -> float:
     return float(np.max(np.abs(m - dagger(m)))) if m.size else 0.0
 
 
-def _require_square(m: np.ndarray) -> np.ndarray:
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    return m
-
-
 def operator_sign(m: np.ndarray) -> np.ndarray:
     """Operator sign M/|M| with the kernel mapped to +1.
 
@@ -61,25 +53,3 @@ def operator_sign(m: np.ndarray) -> np.ndarray:
         return np.eye(m.shape[0], dtype=complex)
     signs = np.where(np.abs(w) <= ZERO_TOL * scale, 1.0, np.sign(w))
     return (v * signs) @ dagger(v)
-
-
-def tensor_embed(op: np.ndarray, party: str, dims: tuple[int, int]) -> np.ndarray:
-    """Embed a single-party operator into the bipartite space.
-
-    ``party`` is ``"A"`` (giving op (x) I) or ``"B"`` (giving I (x) op), with
-    Alice's factor first.  Embeddings for opposite parties commute exactly,
-    which is what realizes commuting local measurements.
-    """
-    op = _require_square(op)
-    da, db = int(dims[0]), int(dims[1])
-    if da < 1 or db < 1:
-        raise ValueError(f"dims must be positive, got {dims}")
-    if party == "A":
-        if op.shape[0] != da:
-            raise ValueError(f"operator dim {op.shape[0]} does not match dA={da}")
-        return np.kron(op, np.eye(db, dtype=complex))
-    if party == "B":
-        if op.shape[0] != db:
-            raise ValueError(f"operator dim {op.shape[0]} does not match dB={db}")
-        return np.kron(np.eye(da, dtype=complex), op)
-    raise ValueError(f"party must be 'A' or 'B', got {party!r}")

@@ -1,20 +1,43 @@
 """Reference formulas on kron-embedded d^2 x d^2 operators.
 
 Each quantity is written literally as a product of ``tensor_embed`` matrices
-acting on the flat state vector, O(d^6) for local dims d.  The library computes
-the same quantities on the (dA, dB) state matrix; these slow, direct forms are
-the oracle the tests compare it against.
+(``np.kron`` with an identity) acting on the flat state vector, O(d^6) for
+local dims d.  The library computes the same quantities on the (dA, dB) state
+matrix, and the correlations in one reused embedding buffer; these slow,
+direct forms are the oracle the tests compare it against.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from helpers import require_square
 from singlet_selftest.derive import DerivedOperators
 from singlet_selftest.device import DeviceModel
-from singlet_selftest.linalg import tensor_embed
 
 SQRT2 = float(np.sqrt(2.0))
+
+
+def tensor_embed(op: np.ndarray, party: str, dims: tuple[int, int]) -> np.ndarray:
+    """Embed a single-party operator into the bipartite space.
+
+    ``party`` is ``"A"`` (giving op (x) I) or ``"B"`` (giving I (x) op), with
+    Alice's factor first.  Embeddings for opposite parties commute exactly,
+    which is what realizes commuting local measurements.
+    """
+    op = require_square(op)
+    da, db = int(dims[0]), int(dims[1])
+    if da < 1 or db < 1:
+        raise ValueError(f"dims must be positive, got {dims}")
+    if party == "A":
+        if op.shape[0] != da:
+            raise ValueError(f"operator dim {op.shape[0]} does not match dA={da}")
+        return np.kron(op, np.eye(db, dtype=complex))
+    if party == "B":
+        if op.shape[0] != db:
+            raise ValueError(f"operator dim {op.shape[0]} does not match dB={db}")
+        return np.kron(np.eye(da, dtype=complex), op)
+    raise ValueError(f"party must be 'A' or 'B', got {party!r}")
 
 
 def _vnorm(op: np.ndarray, psi: np.ndarray) -> float:

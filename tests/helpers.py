@@ -24,9 +24,17 @@ from singlet_selftest.device import (
 )
 from singlet_selftest.documents import device_to_document, write_json_atomic
 from singlet_selftest.explorer import FamilySpec, family_points
-from singlet_selftest.linalg import _require_square, dagger, hermiticity_deviation
+from singlet_selftest.linalg import dagger, hermiticity_deviation
 
 HERMITIAN_ATOL = 1e-10
+
+
+def require_square(m: np.ndarray) -> np.ndarray:
+    """``m`` as a complex array; ``ValueError`` unless it is a nonempty square matrix."""
+    m = np.asarray(m, dtype=complex)
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
+        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    return m
 
 
 def correlation(device: DeviceModel, alice_name: str, bob_name: str) -> float:
@@ -53,7 +61,7 @@ def hermitian_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ``M = V diag(w) V^dagger``.  Raises ``ValueError`` (naming the deviation)
     for input further than ``HERMITIAN_ATOL`` from Hermitian.
     """
-    m = _require_square(m)
+    m = require_square(m)
     dev = hermiticity_deviation(m)
     if dev > HERMITIAN_ATOL:
         raise ValueError(

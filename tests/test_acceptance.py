@@ -13,6 +13,7 @@ import time
 
 import numpy as np
 
+from embedded_oracle import tensor_embed
 from helpers import chsh_value, my_deviation, save_device
 from isometry_oracle import apply_isometry, isometry_expansion
 from singlet_selftest.bounds import (
@@ -45,7 +46,6 @@ from singlet_selftest.isometry import (
     extraction_error,
     junk_candidate,
 )
-from singlet_selftest.linalg import tensor_embed
 
 SQRT2 = math.sqrt(2.0)
 

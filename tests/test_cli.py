@@ -123,6 +123,90 @@ class TestDocuments:
         assert not out.exists()
 
 
+def _device_32x32_document() -> dict:
+    """Document of a 32x32 device with dense complex entries everywhere."""
+    rng = np.random.default_rng(32)
+    state = rng.normal(size=32 * 32) + 1j * rng.normal(size=32 * 32)
+    g = rng.normal(size=(32, 32)) + 1j * rng.normal(size=(32, 32))
+    return device_to_document(make_device(
+        (32, 32), state / np.linalg.norm(state), {"A0": g + g.conj().T}, {"B0": np.eye(32)}))
+
+
+class TestBulkParse:
+    """Each malformed entry sits last, after 1,023 well-formed ones, so the
+    bulk parse is what meets it; the message still names that entry."""
+
+    @pytest.mark.parametrize("entry,shown", [
+        ([0.5, True], "[0.5, True]"),
+        ("0.5", "'0.5'"),
+        ([0.5], "[0.5]"),
+        ([0.5, 0.0, 0.0], "[0.5, 0.0, 0.0]"),
+        ([[0.5, 0.0], [0.0, 0.0]], "[[0.5, 0.0], [0.0, 0.0]]"),
+    ])
+    def test_bad_last_entry_named(self, entry, shown):
+        doc = _device_32x32_document()
+        doc["observables"]["alice"]["A0"][31][31] = entry
+        with pytest.raises(DocumentError) as err:
+            device_from_document(doc)
+        assert str(err.value) == (
+            f"observables.alice.A0[31][31]: expected a [re, im] pair, got {shown}")
+        doc = _device_32x32_document()
+        doc["state"][1023] = entry
+        with pytest.raises(DocumentError) as err:
+            device_from_document(doc)
+        assert str(err.value) == f"state[1023]: expected a [re, im] pair, got {shown}"
+
+    def test_short_last_row_named(self):
+        doc = _device_32x32_document()
+        doc["observables"]["bob"]["B0"][31].pop()
+        with pytest.raises(DocumentError) as err:
+            device_from_document(doc)
+        assert str(err.value) == (
+            "observables.bob.B0: row 31 has 31 entries, expected 32 (square, row-major)")
+
+    def test_every_entry_nested_once_more_named(self):
+        # rectangular, so only the shape tells it from a matrix of pairs
+        doc = _device_32x32_document()
+        doc["observables"]["bob"]["B0"] = [[[e, e] for e in row]
+                                           for row in doc["observables"]["bob"]["B0"]]
+        with pytest.raises(DocumentError) as err:
+            device_from_document(doc)
+        assert str(err.value) == (
+            "observables.bob.B0[0][0]: expected a [re, im] pair, got [[1.0, 0.0], [1.0, 0.0]]")
+
+    def test_integer_entries_load_bit_exactly(self):
+        doc = _device_32x32_document()
+        ints = [3, -2, 2**53 + 1, -(2**63), 2**64 + 1, 3**600]
+        for k, (re, im) in enumerate(zip(ints, ints[::-1])):
+            doc["state"][1023 - k] = [re, im]
+            doc["observables"]["alice"]["A0"][31][31 - k] = [re, im]
+        device = device_from_document(json.loads(json.dumps(doc)))
+        for k, (re, im) in enumerate(zip(ints, ints[::-1])):
+            want = np.array([float(re), float(im)]).tobytes()
+            assert device.state[1023 - k:1024 - k].view(float).tobytes() == want
+            assert device.alice_obs["A0"][31, 31 - k:32 - k].view(float).tobytes() == want
+
+    def test_signed_zeros_survive_a_round_trip(self):
+        doc = _device_32x32_document()
+        doc["state"][1023] = [-0.0, -0.0]
+        doc["observables"]["alice"]["A0"][31][31] = [-0.0, 0.0]
+        device = device_from_document(json.loads(json.dumps(doc)))
+        assert np.signbit(device.state[1023].real) and np.signbit(device.state[1023].imag)
+        entry = device.alice_obs["A0"][31, 31]
+        assert np.signbit(entry.real) and not np.signbit(entry.imag)
+        assert json.dumps(device_to_document(device)) == json.dumps(doc)
+
+    def test_last_integer_beyond_float_range_exits_two(self, tmp_path, capsys):
+        doc = _device_32x32_document()
+        doc["state"][1023] = ["HUGE", 0.0]
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc).replace('"HUGE"', str(2**1100)))
+        out = tmp_path / "report.json"
+        code = main(["certify", "--device", str(path), "--mode", "chsh", "--out", str(out)])
+        assert (code, capsys.readouterr().err) == (2, "error: int too large to convert to float\n")
+        assert not out.exists()
+
+
 class TestCertifyCommand:
     def test_canonical_passes(self, chsh_doc_path, tmp_path):
         out = tmp_path / "report.json"
@@ -217,6 +301,19 @@ class TestCertifyCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "state[0]: expected a [re, im] pair" in captured.err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("alice", [[1], "ab", []])
+    def test_party_observables_not_an_object_exit_two(self, tmp_path, capsys, alice):
+        doc = device_to_document(canonical_chsh_device())
+        doc["observables"] = {"alice": alice, "bob": {}}
+        path = tmp_path / "party.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "report.json"
+        code = main(["certify", "--device", str(path), "--mode", "chsh", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == "error: observables.alice: expected an object of name -> matrix\n"
         assert not out.exists()
 
     def test_boolean_dims_exit_two(self, tmp_path, capsys):

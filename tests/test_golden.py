@@ -46,6 +46,13 @@ CERTIFY_CASES = {
         lambda: _family_device("junk-embedded", {"count": 1}, "chsh", (4, 4), 3), "chsh", 0),
     "certify-junk4x4-my": (
         lambda: _family_device("junk-embedded", {"count": 1}, "my", (4, 4), 3), "my", 0),
+    # epsilon is rounding-sized here, and the epsilon^(1/4) budgets turn a
+    # last-bit change in a correlation into an eps2 move far above 1e-12.
+    "certify-junk16x16-chsh": (
+        lambda: _family_device("junk-embedded", {"count": 1}, "chsh", (16, 16), 11),
+        "chsh", 0),
+    "certify-junk16x16-my": (
+        lambda: _family_device("junk-embedded", {"count": 1}, "my", (16, 16), 11), "my", 0),
 }
 
 SWEEP_CASES = {

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from embedded_oracle import tensor_embed
 from helpers import hermitian_eig, operator_abs, unitarity_deviation
 from singlet_selftest.linalg import (
     DIAG_XZ,
@@ -13,7 +14,6 @@ from singlet_selftest.linalg import (
     PHI_PLUS,
     hermiticity_deviation,
     operator_sign,
-    tensor_embed,
 )
 
 SQRT2 = math.sqrt(2.0)

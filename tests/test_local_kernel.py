@@ -12,6 +12,8 @@ the same way with the per-pair formulas in ``isometry_oracle``.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,7 @@ import embedded_oracle as oracle
 import isometry_oracle
 from conftest import random_unitary
 from helpers import correlation, rows_by_category
-from singlet_selftest import bounds, device as device_module
+from singlet_selftest import bounds
 from singlet_selftest.derive import (
     DerivedOperators,
     chsh_diagnostics,
@@ -47,9 +49,9 @@ DIMS = [(2, 3), (3, 5), (4, 2), (6, 4), (3, 3)]
 
 
 def random_observable(rng: np.random.Generator, dim: int) -> np.ndarray:
-    """Haar-rotated +/-1 observable with both eigenvalues present (dim >= 2)."""
+    """Haar-rotated +/-1 observable, with both eigenvalues present if dim >= 2."""
     signs = rng.choice([-1.0, 1.0], size=dim)
-    signs[:2] = (1.0, -1.0)
+    signs[:2] = (1.0, -1.0)[:dim]
     u = random_unitary(rng, dim)
     return (u * signs) @ u.conj().T
 
@@ -147,18 +149,32 @@ class TestAgainstEmbeddedOracle:
 
 
 class TestCorrelationsBatch:
-    def test_each_observable_embedded_once(self, monkeypatch):
-        device = my_device(7, (3, 4))
-        calls = []
-        real_embed = device_module.tensor_embed
+    @pytest.mark.parametrize("dims", [(1, 1), (1, 3), (3, 1), (2, 2), (3, 5), (6, 4), (16, 16)])
+    def test_bit_identical_to_kron_form(self, dims):
+        # the reused buffer holds exactly np.kron's nonzero entries, so every
+        # value equals the embedded form with no tolerance at all
+        da, db = dims
+        for device, pairs in ((chsh_device(11, dims), CHSH_PAIRS),
+                              (my_device(12, dims), MY_PAIRS)):
+            psi = device.state
+            table = correlations(device, pairs)
+            for a, b in pairs:
+                ma = np.kron(device.alice_obs[a], np.eye(db, dtype=complex))
+                nb = np.kron(np.eye(da, dtype=complex), device.bob_obs[b])
+                assert table[(a, b)] == float(np.vdot(psi, ma @ (nb @ psi)).real), (a, b)
 
-        def counting_embed(op, party, dims):
-            calls.append(party)
-            return real_embed(op, party, dims)
-
-        monkeypatch.setattr(device_module, "tensor_embed", counting_embed)
-        correlations(device, MY_PAIRS)
-        assert sorted(calls) == ["A", "A", "B", "B", "B"]
+    def test_peak_memory_is_one_embedded_buffer(self):
+        dims = (16, 16)
+        buffer_bytes = 16 * (dims[0] * dims[1]) ** 2
+        for device, pairs in ((chsh_device(13, dims), CHSH_PAIRS),
+                              (my_device(14, dims), MY_PAIRS)):
+            tracemalloc.start()
+            try:
+                correlations(device, pairs)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 1.5 * buffer_bytes, peak / buffer_bytes
 
     def test_unknown_name_raises(self):
         device = chsh_device(3, (2, 3))

@@ -31,15 +31,18 @@ from .derive import (
     my_budget,
     my_diagnostics,
     my_operators,
+    residual_stack,
 )
 from .device import (
     DeviceModel,
+    DeviceStack,
     DeviceValidationError,
     canonical_chsh_device,
     canonical_my_device,
     correlations,
     make_device,
     validate,
+    validate_stack,
 )
 from .explorer import (
     FamilySpec,
@@ -51,9 +54,12 @@ from .explorer import (
 from .isometry import (
     DegenerateExtractionError,
     ExtractionResult,
+    ExtractionStack,
     b_measured_errors,
     extraction_error,
+    extraction_stack,
     junk_candidate,
+    junk_stack,
 )
 from .linalg import operator_sign
 
@@ -63,9 +69,11 @@ __all__ = [
     "DegenerateExtractionError",
     "DerivedOperators",
     "DeviceModel",
+    "DeviceStack",
     "DeviceValidationError",
     "EpsilonBudget",
     "ExtractionResult",
+    "ExtractionStack",
     "FamilySpec",
     "Mode",
     "ReportRow",
@@ -84,16 +92,20 @@ __all__ = [
     "derive_chsh_operators",
     "extraction_bound",
     "extraction_error",
+    "extraction_stack",
     "get_mode",
     "junk_candidate",
+    "junk_stack",
     "make_device",
     "my_budget",
     "my_diagnostics",
     "my_fidelity_bound",
     "my_operators",
     "operator_sign",
+    "residual_stack",
     "state_error_bounds",
     "sweep",
     "validate",
+    "validate_stack",
     "worst_case_search",
 ]

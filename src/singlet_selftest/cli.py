@@ -4,7 +4,9 @@ Exit codes: 0 when the requested run succeeds with every certification row
 passing, 1 when a report contains failing rows (or a search finds nothing),
 2 on input errors (bad flags, unparseable or schema-violating files, invalid
 devices).  Output files are written atomically; no partial files on failure.
-Sweeps run serially, one family point after another.
+Sweeps build and evaluate their points in chunks of same-dims devices,
+stacked through each stage; the correlations, and so each point's epsilon,
+stay per device (see ``explorer``).
 """
 
 from __future__ import annotations

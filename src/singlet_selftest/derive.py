@@ -18,6 +18,9 @@ Residuals and chain diagnostics are local expectations and norms.  With the
 state reshaped to its (dA, dB) coefficient matrix Psi (Alice's index major),
 (A (x) B)|psi> is A Psi B^T, so each quantity is a few dA x dA and dB x dB
 matrix products applied to Psi, O(d^3), and no d^2 x d^2 embedding is formed.
+The operators and the residuals take a stack of devices as well: with
+(n, d, d) operators and an (n, dA, dB) stack of state matrices, each product
+is one stacked matmul, and a single device is the n = 1 stack.
 
 The functions that take a device trust it: it must be valid (``device.validate``
 returns no violation) and name the observables of its mode.  The entry points
@@ -32,8 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .device import DeviceModel
-from .linalg import operator_sign
+from .device import DeviceModel, DeviceStack
+from .linalg import operator_sign, transpose
 
 SQRT2 = float(np.sqrt(2.0))
 
@@ -42,9 +45,11 @@ SQRT2 = float(np.sqrt(2.0))
 class DerivedOperators:
     """The four regularized operators, each Hermitian and unitary.
 
-    For non-degenerate CHSH devices xb and zb anticommute exactly at the
-    operator level (they are signs of exactly anticommuting sums); the +1
-    kernel convention can break this only when B0 +/- B1 is singular.
+    Each field is one d x d matrix, or an (n, d, d) stack of them when derived
+    from a ``DeviceStack``.  For non-degenerate CHSH devices xb and zb
+    anticommute exactly at the operator level (they are signs of exactly
+    anticommuting sums); the +1 kernel convention can break this only when
+    B0 +/- B1 is singular.
     """
 
     xa: np.ndarray
@@ -54,7 +59,7 @@ class DerivedOperators:
 
     @property
     def dims(self) -> tuple[int, int]:
-        return (self.xa.shape[0], self.xb.shape[0])
+        return (self.xa.shape[-1], self.xb.shape[-1])
 
 
 @dataclass(frozen=True)
@@ -163,11 +168,12 @@ def my_budget(epsilon: float) -> EpsilonBudget:
     )
 
 
-def derive_chsh_operators(device: DeviceModel) -> DerivedOperators:
+def derive_chsh_operators(device: DeviceModel | DeviceStack) -> DerivedOperators:
     """Regularize raw CHSH observables into the four derived operators.
 
-    Precondition: ``device`` is valid and names A0, A1, B0 and B1 (see the
-    module docstring for where that is checked).
+    A stack gives stacked operators.  Precondition: ``device`` is valid and
+    names A0, A1, B0 and B1 (see the module docstring for where that is
+    checked).
     """
     b0 = device.bob_obs["B0"]
     b1 = device.bob_obs["B1"]
@@ -179,7 +185,7 @@ def derive_chsh_operators(device: DeviceModel) -> DerivedOperators:
     )
 
 
-def my_operators(device: DeviceModel) -> DerivedOperators:
+def my_operators(device: DeviceModel | DeviceStack) -> DerivedOperators:
     """Identity pass-through of the named Mayers-Yao observables.
 
     No regularization step exists here: the named XA, ZA, XB, ZB are used
@@ -201,24 +207,39 @@ def _norm(m: np.ndarray) -> float:
 
 
 def condition_residuals(state: np.ndarray, ops: DerivedOperators) -> ResidualSet:
-    """Measure the four condition residuals of the derived operators on a state."""
+    """Measure the four condition residuals of the derived operators on a state.
+
+    The n = 1 case of ``residual_stack``.
+    """
     dims = ops.dims
     state = np.asarray(state, dtype=complex).reshape(-1)
     if state.shape[0] != dims[0] * dims[1]:
         raise ValueError(
             f"state dimension {state.shape[0]} does not match operator dims {dims}"
         )
-    psi = state.reshape(dims)
+    return residual_stack(state.reshape(1, *dims), ops)[0]
+
+
+def residual_stack(psi: np.ndarray, ops: DerivedOperators) -> list[ResidualSet]:
+    """The condition residuals of each state matrix in an (n, dA, dB) stack.
+
+    ``ops`` holds (n, d, d) stacks, one set per state, or single matrices
+    that every state shares.
+    """
+    xbt = transpose(ops.xb)
+    zbt = transpose(ops.zb)
     xa_psi = ops.xa @ psi
     za_psi = ops.za @ psi
-    xb_psi = psi @ ops.xb.T
-    zb_psi = psi @ ops.zb.T
-    return ResidualSet(
-        anticomm_a=_norm(ops.xa @ za_psi + ops.za @ xa_psi),
-        anticomm_b=_norm(zb_psi @ ops.xb.T + xb_psi @ ops.zb.T),
-        diff_x=_norm(xa_psi - xb_psi),
-        diff_z=_norm(za_psi - zb_psi),
-    )
+    xb_psi = psi @ xbt
+    zb_psi = psi @ zbt
+    # The four residual vectors of each state, in ResidualSet's field order.
+    vectors = np.empty((len(psi), 4, *psi.shape[1:]), dtype=complex)
+    np.add(ops.xa @ za_psi, ops.za @ xa_psi, out=vectors[:, 0])
+    np.add(zb_psi @ xbt, xb_psi @ zbt, out=vectors[:, 1])
+    np.subtract(xa_psi, xb_psi, out=vectors[:, 2])
+    np.subtract(za_psi, zb_psi, out=vectors[:, 3])
+    norms = np.linalg.norm(vectors.reshape(len(psi), 4, -1), axis=2)
+    return [ResidualSet(*row) for row in norms.tolist()]
 
 
 def chsh_diagnostics(device: DeviceModel, ops: DerivedOperators) -> dict[str, float]:

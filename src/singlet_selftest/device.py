@@ -102,51 +102,125 @@ def canonical_my_device() -> DeviceModel:
     )
 
 
+@dataclass(frozen=True)
+class DeviceStack:
+    """n devices of one ``dims``: the fields of ``DeviceModel`` with a leading axis.
+
+    ``state`` is (n, dA*dB) and each observable (n, d, d); index i of every
+    array belongs to device i, and all devices name the same observables.
+    The pipeline stages take stacks, and a single device is the n = 1 stack
+    ``DeviceStack.of(device)``.  Arrays are read-only, as in ``DeviceModel``.
+    """
+
+    dims: tuple[int, int]
+    state: np.ndarray
+    alice_obs: dict[str, np.ndarray] = field(default_factory=dict)
+    bob_obs: dict[str, np.ndarray] = field(default_factory=dict)
+
+    @classmethod
+    def of(cls, device: DeviceModel) -> DeviceStack:
+        """The n = 1 stack of one device, as views of its arrays."""
+        return cls(
+            device.dims,
+            device.state[None],
+            {name: m[None] for name, m in device.alice_obs.items()},
+            {name: m[None] for name, m in device.bob_obs.items()},
+        )
+
+    def __len__(self) -> int:
+        return self.state.shape[0]
+
+    def head(self, count: int) -> DeviceStack:
+        """The stack of the first ``count`` devices, as views."""
+        return DeviceStack(
+            self.dims,
+            self.state[:count],
+            {name: m[:count] for name, m in self.alice_obs.items()},
+            {name: m[:count] for name, m in self.bob_obs.items()},
+        )
+
+    def device(self, index: int) -> DeviceModel:
+        """Device ``index`` of the stack, as views of the stacked arrays."""
+        return DeviceModel(
+            self.dims,
+            self.state[index],
+            {name: m[index] for name, m in self.alice_obs.items()},
+            {name: m[index] for name, m in self.bob_obs.items()},
+        )
+
+
 def validate(device: DeviceModel) -> list[str]:
     """Check all device invariants, returning one message per violation.
 
     An empty list means the device is valid: every entry finite, state
     normalized within 1e-12, every observable Hermitian and squaring to the
     identity within 1e-10, and all dimensions consistent.  Diagnostics are
-    returned, never raised.
+    returned, never raised.  The checks are those of ``validate_stack`` on
+    the n = 1 stack.
     """
-    violations: list[str] = []
-    da, db = device.dims
+    return validate_stack(DeviceStack.of(device))[0]
+
+
+def validate_stack(stack: DeviceStack) -> list[list[str]]:
+    """``validate`` for every device of a stack: one violation list per device.
+
+    Each check runs once over the whole stack; only the devices that fail
+    one are looked at one by one, to name what failed.
+    """
+    violations: list[list[str]] = [[] for _ in range(len(stack))]
+
+    def every_device(message: str) -> None:
+        for found in violations:
+            found.append(message)
+
+    da, db = stack.dims
     if da < 1 or db < 1:
-        violations.append(f"dims: must be positive, got {device.dims}")
+        every_device(f"dims: must be positive, got {stack.dims}")
         return violations
 
-    if device.state.shape != (da * db,):
-        violations.append(
-            f"state: dimension {device.state.shape} != (dA*dB,) = ({da * db},)"
-        )
-    else:
-        # NaN fails every comparison, so non-finite entries are named first;
-        # they make the norm non-finite, which is cheap to test.
-        nrm = float(np.linalg.norm(device.state))
-        if not math.isfinite(nrm) and not np.isfinite(device.state).all():
-            violations.append("state: non-finite entry")
-        elif abs(nrm - 1.0) > STATE_NORM_ATOL:
-            violations.append(f"state: norm {nrm:.12g} != 1")
+    # Non-finite entries make the norms and deviations below NaN or inf
+    # (inf - inf on an infinite diagonal entry gives NaN); such a device is
+    # reported as non-finite, so the arithmetic warnings are not wanted.
+    with np.errstate(invalid="ignore", over="ignore"):
+        state = stack.state
+        if state.shape[1:] != (da * db,):
+            every_device(f"state: dimension {state.shape[1:]} != (dA*dB,) = ({da * db},)")
+        else:
+            # NaN fails every comparison, so a non-finite norm is a failure too.
+            norms = np.linalg.norm(state, axis=1)
+            for i in np.flatnonzero(~(np.abs(norms - 1.0) <= STATE_NORM_ATOL)):
+                if not np.isfinite(state[i]).all():
+                    violations[i].append("state: non-finite entry")
+                else:
+                    violations[i].append(f"state: norm {norms[i]:.12g} != 1")
 
-    # inf - inf on an infinite diagonal entry gives NaN, reported as non-finite.
-    with np.errstate(invalid="ignore"):
-        for party, obs, dim in (("A", device.alice_obs, da), ("B", device.bob_obs, db)):
+        for party, obs, dim in (("A", stack.alice_obs, da), ("B", stack.bob_obs, db)):
+            # The party's well-shaped observables are checked in one stacked pass.
+            shaped = [name for name, m in obs.items() if m.shape[1:] == (dim, dim)]
+            if shaped:
+                ms = np.stack([obs[name] for name in shaped])
+                herm = hermiticity_deviation(ms)
+                square = np.abs(ms @ ms - np.eye(dim)).max(axis=(2, 3))
+                failed = ~(np.maximum(herm, square) <= OBSERVABLE_ATOL)
+                if len(shaped) == len(obs) and not failed.any():
+                    continue
             for name, m in obs.items():
-                if m.shape != (dim, dim):
-                    violations.append(
-                        f"{name}: shape {m.shape} does not match party {party} dim {dim}"
+                if name not in shaped:
+                    every_device(
+                        f"{name}: shape {m.shape[1:]} does not match party {party} dim {dim}"
                     )
                     continue
-                herm = hermiticity_deviation(m)
-                if not math.isfinite(herm) and not np.isfinite(m).all():
-                    violations.append(f"{name}: non-finite entry")
-                    continue
-                if herm > OBSERVABLE_ATOL:
-                    violations.append(f"{name}: not Hermitian, max deviation {herm:.3g}")
-                sq = float(np.max(np.abs(m @ m - np.eye(dim))))
-                if sq > OBSERVABLE_ATOL:
-                    violations.append(f"{name}: O^2 != I, deviation {sq:.3g}")
+                j = shaped.index(name)
+                for i in np.flatnonzero(failed[j]):
+                    if not np.isfinite(m[i]).all():
+                        violations[i].append(f"{name}: non-finite entry")
+                        continue
+                    if herm[j, i] > OBSERVABLE_ATOL:
+                        violations[i].append(
+                            f"{name}: not Hermitian, max deviation {herm[j, i]:.3g}"
+                        )
+                    if square[j, i] > OBSERVABLE_ATOL:
+                        violations[i].append(f"{name}: O^2 != I, deviation {square[j, i]:.3g}")
     return violations
 
 

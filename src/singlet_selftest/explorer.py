@@ -5,6 +5,16 @@ noise, measurement rotation, junk embedding, or fully random construction) so
 that bound tightness can be charted empirically.  Generation is deterministic:
 every family point owns an RNG stream keyed by (seed, point index), so a point
 does not depend on which points were generated before it.
+
+A sweep builds and evaluates its points in chunks of at most
+``CHUNK_ELEMENTS`` // (40 dA dB) devices, which share dims.  Each point still
+draws its own numbers, in its own order; the linear algebra after the draws
+(QR, eigendecompositions, matrix products), validation, operator derivation,
+residuals and the extraction circuit run once per chunk on the stacked
+devices.  The correlations, and so the deviation epsilon, stay per device:
+the epsilon^(1/4) budgets amplify a last-bit change in epsilon, so they keep
+the one embedded floating-point form of ``device.correlations``.  A search
+evaluates one device at a time, as the n = 1 stack.
 """
 
 from __future__ import annotations
@@ -16,10 +26,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bounds import extraction_bound, get_mode
-from .derive import condition_residuals
-from .device import DeviceModel, correlations, make_device, validate
-from .isometry import DegenerateExtractionError, extraction_error
-from .linalg import PHI_PLUS
+from .derive import residual_stack
+from .device import (
+    DeviceModel,
+    DeviceStack,
+    correlations,
+    make_device,
+    validate,
+    validate_stack,
+)
+from .isometry import OPERATOR_PAIRS, extraction_stack
+from .linalg import PHI_PLUS, dagger
 
 # Family kind -> the name of its one sweep axis.
 FAMILY_AXES = {"tilted": "theta", "state-noise": "p", "measurement-noise": "eta",
@@ -30,6 +47,12 @@ MEASUREMENT_NOISE_CAP = 0.5  # keeps perturbed devices inside the small-deviatio
 # Most points one sweep may have (a count or range steps): 500 times the
 # 200-point sweeps of the benchmark, far below what exhausts memory.
 MAX_SWEEP_POINTS = 100_000
+
+# Budget, in complex entries, on the largest array a sweep stacks over a
+# chunk: the extraction circuit's state, 4 ancilla amplitudes x 10 inputs x
+# dA*dB entries per device.  A chunk holds CHUNK_ELEMENTS // (40 dA dB)
+# devices, at least one.
+CHUNK_ELEMENTS = 20_480
 
 
 @dataclass(frozen=True)
@@ -74,34 +97,43 @@ def _point_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng((int(seed) & 0xFFFFFFFFFFFFFFFF, int(index)))
 
 
-def _random_hermitian_unit(rng: np.random.Generator, dim: int) -> np.ndarray:
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    h = (g + g.conj().T) / 2.0
-    radius = float(np.max(np.abs(np.linalg.eigvalsh(h))))
-    return h / radius if radius > 0 else h
+def _complex_normal(rng: np.random.Generator, *shape: int) -> np.ndarray:
+    """Real parts, then imaginary parts, drawn from ``rng`` in one call."""
+    real, imag = rng.normal(size=(2, *shape))
+    return real + 1j * imag
 
 
-def _haar_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+def _hermitian_unit(g: np.ndarray) -> np.ndarray:
+    """The Hermitian part of each matrix in ``g``, scaled to spectral radius 1."""
+    h = (g + dagger(g)) / 2.0
+    radius = np.max(np.abs(np.linalg.eigvalsh(h)), axis=-1)[..., None, None]
+    return h / np.where(radius > 0, radius, 1.0)
+
+
+def _haar_unitary(g: np.ndarray) -> np.ndarray:
+    """Haar-random unitaries from the complex Gaussian matrices ``g``."""
     q, r = np.linalg.qr(g)
-    phases = np.diag(r).copy()
-    phases /= np.abs(phases)
-    return q * phases
+    diagonal = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (diagonal / np.abs(diagonal))[..., None, :]
 
 
-def _rotate(obs: np.ndarray, h: np.ndarray, eta: float) -> np.ndarray:
-    """Conjugate an observable by exp(i*eta*h), re-hermitianized."""
+def _rotate(obs: np.ndarray, h: np.ndarray, eta) -> np.ndarray:
+    """Conjugate each observable by exp(i*eta*h), re-hermitianized.
+
+    ``eta`` is a number, or an array that broadcasts against the eigenvalue
+    axis of ``h`` (shape (..., 1)).
+    """
     w, v = np.linalg.eigh(h)
-    u = (v * np.exp(1j * eta * w)) @ v.conj().T
-    rotated = u @ obs @ u.conj().T
-    return (rotated + rotated.conj().T) / 2.0
+    u = (v * np.exp(1j * eta * w)[..., None, :]) @ dagger(v)
+    rotated = u @ obs @ dagger(u)
+    return (rotated + dagger(rotated)) / 2.0
 
 
 def _orthogonal_noise(rng: np.random.Generator, base: np.ndarray) -> np.ndarray:
     """Seeded random unit vector orthogonal to ``base``."""
     dim = base.shape[0]
     for _ in range(16):
-        e = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        e = _complex_normal(rng, dim)
         e -= np.vdot(base, e) * base
         nrm = float(np.linalg.norm(e))
         if nrm > 1e-8:
@@ -109,16 +141,20 @@ def _orthogonal_noise(rng: np.random.Generator, base: np.ndarray) -> np.ndarray:
     raise RuntimeError("failed to draw a noise direction")  # pragma: no cover
 
 
-def _random_observable(rng: np.random.Generator, dim: int) -> np.ndarray:
-    """U diag(+/-1) U^dagger with at least one +1 and one -1 on the diagonal."""
-    signs = np.ones(dim)
+def _observable_draws(rng: np.random.Generator, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Signs with at least one +1 and one -1 (for dim > 1), then a Gaussian matrix."""
     while True:
         signs = np.where(rng.random(dim) < 0.5, 1.0, -1.0)
         if len(set(signs)) == 2 or dim == 1:
             break
-    u = _haar_unitary(rng, dim)
-    obs = (u * signs) @ u.conj().T
-    return (obs + obs.conj().T) / 2.0
+    return signs, _complex_normal(rng, dim, dim)
+
+
+def _random_observables(signs: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """U diag(signs) U^dagger with U the Haar unitary of ``g``, re-hermitianized."""
+    u = _haar_unitary(g)
+    obs = (u * signs[..., None, :]) @ dagger(u)
+    return (obs + dagger(obs)) / 2.0
 
 
 def _embed_party(qubit_obs: np.ndarray, anc_dim: int) -> np.ndarray:
@@ -135,17 +171,24 @@ def _embedded_state(anc_a: np.ndarray, anc_b: np.ndarray) -> np.ndarray:
     return state.reshape(-1)
 
 
+def _finite(name: str, number: int | float) -> float:
+    value = float(number)
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+    return value
+
+
 def _param_values(name: str, value) -> list[float]:
     # type(), not isinstance(): JSON true/false load as bool, an int subclass.
     if isinstance(value, dict) and set(value) == {"start", "stop", "steps"}:
         value = (value["start"], value["stop"], value["steps"])
     if type(value) in (int, float):
-        return [float(value)]
+        return [_finite(name, value)]
     if not (isinstance(value, (tuple, list)) and len(value) == 3
             and {type(value[0]), type(value[1])} <= {int, float} and type(value[2]) is int):
         raise ValueError(f"{name} must be a number or a [start, stop, steps] range of two "
                          f"numbers and an integer, got {value!r}")
-    start, stop, steps = value
+    start, stop, steps = _finite(name, value[0]), _finite(name, value[1]), value[2]
     if steps < 0:
         raise ValueError(f"range steps must be nonnegative, got {steps}")
     if steps > MAX_SWEEP_POINTS:
@@ -153,8 +196,8 @@ def _param_values(name: str, value) -> list[float]:
     if steps == 0:
         return []
     if steps == 1:
-        return [float(start)]
-    return [float(x) for x in np.linspace(float(start), float(stop), steps)]
+        return [start]
+    return [float(x) for x in np.linspace(start, stop, steps)]
 
 
 def family_axis(spec: FamilySpec) -> tuple[str, list[float]]:
@@ -193,69 +236,167 @@ def family_axis(spec: FamilySpec) -> tuple[str, list[float]]:
     return name, _param_values(name, params[name])
 
 
-def _build_point(
-    spec: FamilySpec, base: DeviceModel, value: float, index: int
-) -> DeviceModel:
-    rng = _point_rng(spec.seed, index)
+def _check_kind_dims(spec: FamilySpec) -> None:
     if spec.kind in ("tilted", "state-noise", "measurement-noise") and spec.dims != (2, 2):
         raise ValueError(f"{spec.kind} family requires dims (2, 2)")
+    da, db = spec.dims
+    if spec.kind == "junk-embedded" and (da % 2 or db % 2 or da < 2 or db < 2):
+        raise ValueError(f"junk-embedded dims must be even and >= 2, got {spec.dims}")
+
+
+def _check_value(kind: str, value: float) -> None:
+    if kind == "state-noise" and not 0.0 <= value <= 1.0:
+        raise ValueError(f"state-noise p must lie in [0, 1], got {value}")
+    if kind == "measurement-noise" and not 0.0 <= value <= MEASUREMENT_NOISE_CAP:
+        raise ValueError(
+            f"measurement-noise eta must lie in [0, {MEASUREMENT_NOISE_CAP}], got {value}"
+        )
+
+
+def _frozen_stack(dims, state, alice: dict, bob: dict) -> DeviceStack:
+    for array in (state, *alice.values(), *bob.values()):
+        array.flags.writeable = False
+    return DeviceStack(dims, state, alice, bob)
+
+
+def _build_chunk(
+    spec: FamilySpec, base: DeviceModel, values: list[float], start: int
+) -> DeviceStack:
+    """The devices of the family points ``start``, ``start + 1``, ... with axis
+    ``values``, which ``_check_value`` has passed, as one stack.
+
+    Point i draws from its own ``_point_rng(spec.seed, i)``, the same numbers
+    in the same order whatever the chunk; the draws of a chunk then go
+    through each linear-algebra step once, stacked.
+    """
+    n = len(values)
     if spec.kind == "tilted":
-        theta = float(value)
-        state = np.zeros(4, dtype=complex)
-        state[0] = math.cos(theta)
-        state[3] = math.sin(theta)
-        return make_device((2, 2), state, dict(base.alice_obs), dict(base.bob_obs))
+        state = np.zeros((n, 4), dtype=complex)
+        state[:, 0] = [math.cos(theta) for theta in values]
+        state[:, 3] = [math.sin(theta) for theta in values]
+        alice, bob = _shared(base.alice_obs, n), _shared(base.bob_obs, n)
+        return _frozen_stack((2, 2), state, alice, bob)
+    rngs = [_point_rng(spec.seed, start + i) for i in range(n)]
+    alice_names, bob_names = list(base.alice_obs), list(base.bob_obs)
     if spec.kind == "state-noise":
-        p = float(value)
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"state-noise p must lie in [0, 1], got {p}")
-        e = _orthogonal_noise(rng, PHI_PLUS)
-        state = math.sqrt(1.0 - p) * PHI_PLUS + math.sqrt(p) * e
-        state /= np.linalg.norm(state)
-        return make_device((2, 2), state, dict(base.alice_obs), dict(base.bob_obs))
+        states = []
+        for p, rng in zip(values, rngs):
+            e = _orthogonal_noise(rng, PHI_PLUS)
+            state = math.sqrt(1.0 - p) * PHI_PLUS + math.sqrt(p) * e
+            states.append(state / np.linalg.norm(state))
+        alice, bob = _shared(base.alice_obs, n), _shared(base.bob_obs, n)
+        return _frozen_stack((2, 2), np.array(states), alice, bob)
     if spec.kind == "measurement-noise":
-        eta = float(value)
-        if not 0.0 <= eta <= MEASUREMENT_NOISE_CAP:
-            raise ValueError(
-                f"measurement-noise eta must lie in [0, {MEASUREMENT_NOISE_CAP}], got {eta}"
-            )
-        alice = {
-            k: _rotate(v, _random_hermitian_unit(rng, 2), eta)
-            for k, v in base.alice_obs.items()
-        }
-        bob = {
-            k: _rotate(v, _random_hermitian_unit(rng, 2), eta)
-            for k, v in base.bob_obs.items()
-        }
-        return make_device((2, 2), base.state, alice, bob)
+        names = alice_names + bob_names
+        # Each point draws in name order; draws[j, i] is observable j of point i.
+        draws = np.array([[_complex_normal(rng, 2, 2) for _ in names] for rng in rngs])
+        draws = draws.transpose(1, 0, 2, 3)
+        base_obs = {**base.alice_obs, **base.bob_obs}
+        obs = np.stack([base_obs[name] for name in names])[:, None]
+        rotated = _rotate(obs, _hermitian_unit(draws), np.array(values)[:, None])
+        state = np.broadcast_to(base.state, (n, 4))
+        return _frozen_stack(
+            (2, 2), state,
+            dict(zip(alice_names, rotated[:len(alice_names)])),
+            dict(zip(bob_names, rotated[len(alice_names):])),
+        )
+    da, db = spec.dims
     if spec.kind == "junk-embedded":
-        da, db = spec.dims
-        if da % 2 or db % 2 or da < 2 or db < 2:
-            raise ValueError(f"junk-embedded dims must be even and >= 2, got {spec.dims}")
-        anc_a = rng.normal(size=da // 2) + 1j * rng.normal(size=da // 2)
-        anc_b = rng.normal(size=db // 2) + 1j * rng.normal(size=db // 2)
-        anc_a /= np.linalg.norm(anc_a)
-        anc_b /= np.linalg.norm(anc_b)
-        state = _embedded_state(anc_a, anc_b)
+        states = []
+        for rng in rngs:
+            anc_a = _complex_normal(rng, da // 2)
+            anc_b = _complex_normal(rng, db // 2)
+            anc_a /= np.linalg.norm(anc_a)
+            anc_b /= np.linalg.norm(anc_b)
+            states.append(_embedded_state(anc_a, anc_b))
         alice = {k: _embed_party(v, da // 2) for k, v in base.alice_obs.items()}
         bob = {k: _embed_party(v, db // 2) for k, v in base.bob_obs.items()}
-        return make_device((da, db), state, alice, bob)
+        return _frozen_stack((da, db), np.array(states), _shared(alice, n), _shared(bob, n))
     # "random", the one kind left: family_axis has checked the kind.
-    da, db = spec.dims
-    state = rng.normal(size=da * db) + 1j * rng.normal(size=da * db)
-    state /= np.linalg.norm(state)
-    alice = {k: _random_observable(rng, da) for k in base.alice_obs}
-    bob = {k: _random_observable(rng, db) for k in base.bob_obs}
-    return make_device((da, db), state, alice, bob)
+    states, alice_draws, bob_draws = [], [], []
+    for rng in rngs:
+        state = _complex_normal(rng, da * db)
+        states.append(state / np.linalg.norm(state))
+        alice_draws.append([_observable_draws(rng, da) for _ in alice_names])
+        bob_draws.append([_observable_draws(rng, db) for _ in bob_names])
+
+    def observables(draws, names):
+        # Stacked name-major, so each name's (n, d, d) stack is contiguous.
+        signs = np.array([[s for s, _ in point] for point in draws]).transpose(1, 0, 2)
+        g = np.array([[g for _, g in point] for point in draws]).transpose(1, 0, 2, 3)
+        return dict(zip(names, _random_observables(signs, g)))
+
+    return _frozen_stack(
+        (da, db), np.array(states),
+        observables(alice_draws, alice_names), observables(bob_draws, bob_names),
+    )
 
 
-def family_points(spec: FamilySpec) -> Iterator[tuple[dict, DeviceModel]]:
-    """The (parameters, device) points of a family, built one at a time in
-    sweep order; the spec is checked when the first point is requested."""
+def _shared(observables: dict[str, np.ndarray], n: int) -> dict[str, np.ndarray]:
+    """The same observables for each of n points, as read-only views."""
+    return {name: np.broadcast_to(m, (n, *m.shape)) for name, m in observables.items()}
+
+
+def _chunk_size(dims: tuple[int, int]) -> int:
+    return max(1, CHUNK_ELEMENTS // (40 * dims[0] * dims[1]))
+
+
+def family_chunks(spec: FamilySpec) -> Iterator[tuple[list[float], DeviceStack]]:
+    """The family's points in sweep order, one chunk at a time: each chunk's
+    axis values and the stack of its devices.
+
+    The spec is checked when the first chunk is requested.  A chunk ends
+    before the first value that ``_check_value`` rejects, and the error is
+    raised when the chunk after it is requested, so a caller that checks
+    each chunk's devices before asking for the next sees errors in point
+    order.
+    """
     name, values = family_axis(spec)
     base = get_mode(spec.mode).canonical()
-    for index, value in enumerate(values):
-        yield {name: value}, _build_point(spec, base, value, index)
+    if values:
+        _check_kind_dims(spec)
+    size = _chunk_size(spec.dims)
+    for start in range(0, len(values), size):
+        chunk = values[start:start + size]
+        error = None
+        for i, value in enumerate(chunk):
+            try:
+                _check_value(spec.kind, value)
+            except ValueError as err:
+                chunk, error = chunk[:i], err
+                break
+        if chunk:
+            yield chunk, _build_chunk(spec, base, chunk, start)
+        if error is not None:
+            raise error
+
+
+def _evaluate_stack(stack: DeviceStack, mode: str) -> list[SweepRecord]:
+    """``evaluate_device`` for every device of a stack, in one pass per stage."""
+    selftest = get_mode(mode)
+    epsilons = [selftest.deviation(correlations(stack.device(i), selftest.pairs))[1]
+                for i in range(len(stack))]
+    ops = selftest.derive(stack)
+    psi = stack.state.reshape(len(stack), *stack.dims)
+    extraction = extraction_stack(psi, ops)
+    max_errors = extraction.distances[:, :len(OPERATOR_PAIRS)].max(axis=1).tolist()
+    records = []
+    for eps, residuals, max_error, degenerate in zip(
+        epsilons, residual_stack(psi, ops), max_errors, extraction.degenerate.tolist()
+    ):
+        bound = extraction_bound(residuals.eps1, residuals.eps2)
+        if degenerate:
+            max_error = float("nan")
+        records.append(SweepRecord(
+            epsilon=eps,
+            eps1_measured=residuals.eps1,
+            eps2_measured=residuals.eps2,
+            max_extraction_error=max_error,
+            extraction_bound=bound,
+            slack=bound - max_error,
+            degenerate=degenerate,
+        ))
+    return records
 
 
 def evaluate_device(device: DeviceModel, mode: str) -> SweepRecord:
@@ -263,48 +404,35 @@ def evaluate_device(device: DeviceModel, mode: str) -> SweepRecord:
 
     Precondition: ``device`` is valid.  ``sweep`` and ``worst_case_search``
     validate each device they build before calling here, so this function does
-    not; the mode's observable names are checked in ``correlations``.
+    not; the mode's observable names are checked in ``correlations``.  The
+    device is evaluated as the n = 1 stack.
     """
-    selftest = get_mode(mode)
-    _, eps = selftest.deviation(correlations(device, selftest.pairs))
-    ops = selftest.derive(device)
-    residuals = condition_residuals(device.state, ops)
-    bound = extraction_bound(residuals.eps1, residuals.eps2)
-    try:
-        result = extraction_error(device, ops)
-        max_error = result.max_error
-        slack = bound - max_error
-        degenerate = False
-    except DegenerateExtractionError:
-        max_error = float("nan")
-        slack = float("nan")
-        degenerate = True
-    return SweepRecord(
-        epsilon=eps,
-        eps1_measured=residuals.eps1,
-        eps2_measured=residuals.eps2,
-        max_extraction_error=max_error,
-        extraction_bound=bound,
-        slack=slack,
-        degenerate=degenerate,
-    )
+    return _evaluate_stack(DeviceStack.of(device), mode)[0]
 
 
 def sweep(spec: FamilySpec) -> list[SweepRecord]:
     """One record per family point, running the full pipeline.
 
     Every generated device is validated here, once, and must pass; a
-    degenerate extraction is recorded in-row and the sweep continues.
+    degenerate extraction is recorded in-row and the sweep continues.  Points
+    are built, validated and evaluated one chunk at a time; the first failing
+    point in sweep order, whether its value is rejected or its device is
+    invalid, sets the error, after the points before it are evaluated.
     """
     records = []
-    for parameters, device in family_points(spec):
-        violations = validate(device)
-        if violations:
+    for values, stack in family_chunks(spec):
+        violations = validate_stack(stack)
+        invalid = next((i for i, found in enumerate(violations) if found), None)
+        if invalid is not None:
+            if invalid:
+                # An evaluation error of an earlier point comes first.
+                _evaluate_stack(stack.head(invalid), spec.mode)
+            parameters = {FAMILY_AXES[spec.kind]: values[invalid]}
             raise ValueError(
                 f"family {spec.kind!r} produced an invalid device at {parameters}: "
-                + "; ".join(violations)
+                + "; ".join(violations[invalid])
             )
-        records.append(evaluate_device(device, spec.mode))
+        records += _evaluate_stack(stack, spec.mode)
     return records
 
 
@@ -385,7 +513,7 @@ def worst_case_search(
     generators = {}
     for name in list(base.alice_obs) + list(base.bob_obs):
         dim = da if name in base.alice_obs else db
-        generators[name] = _random_hermitian_unit(rng, dim)
+        generators[name] = _hermitian_unit(_complex_normal(rng, dim, dim))
 
     def assess(params: np.ndarray) -> tuple[DeviceModel, SweepRecord] | None:
         device = _search_proposal(base, dims, qubit_state, state_dirs, generators, params)

@@ -11,8 +11,11 @@ dA * dB * 4 with flat index ((iA*dB + iB)*2 + aA)*2 + aB.  The extraction
 error for an input and an ancilla target is the 2-norm distance between the
 circuit output and junk (x) target, where junk is one fixed vector: the
 normalized (I+Z'_A)(I+Z'_B)|psi'>/(2*sqrt(2)) candidate.  One kernel computes
-every such distance, in one circuit pass over a stacked (k, dA, dB) batch of
-inputs against a constant table of ancilla targets.
+every such distance, in one circuit pass over a stacked (n, k, dA, dB) batch:
+k inputs for each of n devices, against a table of ancilla targets.  A stack
+of devices is evaluated in one pass, and a single device is the n = 1 stack;
+degeneracy is then reported per device as a mask (``ExtractionStack``), and
+the single-device functions raise ``DegenerateExtractionError`` instead.
 """
 
 from __future__ import annotations
@@ -23,9 +26,10 @@ import numpy as np
 
 from .derive import DerivedOperators
 from .device import DeviceModel
-from .linalg import IDENTITY_2, PAULI_X, PAULI_Z, PHI_PLUS
+from .linalg import IDENTITY_2, PAULI_X, PAULI_Z, PHI_PLUS, transpose
 
-HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
+# Every entry of the Hadamard matrix is +/- this.
+HADAMARD_ENTRY = 1.0 / np.sqrt(2.0)
 
 PAULI_BY_NAME = {"I": IDENTITY_2, "X": PAULI_X, "Z": PAULI_Z}
 OPERATOR_PAIRS = tuple((m, n) for m in ("I", "X", "Z") for n in ("I", "X", "Z"))
@@ -79,89 +83,166 @@ class ExtractionResult:
         return max(self.errors_by_pair.values())
 
 
-def _state_matrix(device: DeviceModel, ops: DerivedOperators) -> np.ndarray:
-    """|psi'> as a (dA, dB) coefficient matrix, checked against the operator dims."""
+@dataclass(frozen=True)
+class ExtractionStack:
+    """Extraction of an n-device stack; row i of every array belongs to device i.
+
+    ``junk`` holds the candidates, normalized where the device is not
+    degenerate; ``degenerate`` marks a raw norm below ``DEGENERACY_TOL``,
+    where ``distances`` mean nothing.  Each ``distances`` row holds the
+    errors of the nine ``OPERATOR_PAIRS``, then the pre-normalization state
+    error.
+    """
+
+    junk: np.ndarray
+    junk_norm_raw: np.ndarray
+    degenerate: np.ndarray
+    distances: np.ndarray
+
+
+def _state_stack(device: DeviceModel, ops: DerivedOperators) -> np.ndarray:
+    """|psi'> as the n = 1 stack of (dA, dB) coefficient matrices, checked
+    against the operator dims."""
     if ops.dims != device.dims:
         raise ValueError(f"operator dims {ops.dims} do not match device dims {device.dims}")
-    return device.state.reshape(device.dims)
+    return device.state.reshape(1, *device.dims)
 
 
 def _stacked_inputs(
-    psi: np.ndarray, ops: DerivedOperators, bob: tuple[np.ndarray, ...]
+    psi: np.ndarray, ops: DerivedOperators, bob: tuple[np.ndarray | None, ...]
 ) -> np.ndarray:
-    """M' Psi N^T for M' in (I, X'_A, Z'_A) and N in ``bob``, stacked (M' outer)."""
-    left = np.stack((psi, ops.xa @ psi, ops.za @ psi))
-    return np.stack([left @ n.T for n in bob], axis=1).reshape(-1, *psi.shape)
+    """M' Psi N^T for M' in (I, X'_A, Z'_A) and N in ``bob`` (None for the
+    identity), for each Psi of an (n, dA, dB) stack: (n, 3 * len(bob), dA, dB),
+    M' outer."""
+    n = len(psi)
+    left = np.empty((n, 3, *psi.shape[1:]), dtype=complex)
+    left[:, 0] = psi
+    np.matmul(ops.xa, psi, out=left[:, 1])
+    np.matmul(ops.za, psi, out=left[:, 2])
+    inputs = np.empty((n, 3, len(bob), *psi.shape[1:]), dtype=complex)
+    for j, b in enumerate(bob):
+        if b is None:
+            inputs[:, :, j] = left
+        else:
+            np.matmul(left, transpose(b)[..., None, :, :], out=inputs[:, :, j])
+    return inputs.reshape(n, -1, *psi.shape[1:])
 
 
 def _pair_inputs(psi: np.ndarray, ops: DerivedOperators) -> np.ndarray:
-    """M'N'|psi'> for the nine OPERATOR_PAIRS as a stacked (9, dA, dB) array."""
-    return _stacked_inputs(psi, ops, (np.eye(psi.shape[1]), ops.xb, ops.zb))
+    """M'N'|psi'> for the nine OPERATOR_PAIRS, as an (n, 9, dA, dB) stack."""
+    return _stacked_inputs(psi, ops, (None, ops.xb, ops.zb))
+
+
+def _hadamard(zero: np.ndarray, one: np.ndarray) -> None:
+    """A Hadamard on one ancilla, in place: the slices of its |0> and |1>
+    amplitudes become H[p, 0] * zero + H[p, 1] * one for p = 0, 1."""
+    scaled_zero = HADAMARD_ENTRY * zero
+    one *= HADAMARD_ENTRY
+    np.add(scaled_zero, one, out=zero)
+    np.subtract(scaled_zero, one, out=one)
 
 
 def _run_circuit(inputs: np.ndarray, ops: DerivedOperators) -> np.ndarray:
-    """Apply the extraction circuit to a stacked (k, dA, dB) input, ancillas in |00>.
+    """Apply the extraction circuit to an (n, k, dA, dB) input, ancillas in |00>.
 
-    The state is held as (Alice ancilla, Bob ancilla, k, dA, dB), so a gate
-    controlled by Alice's ancilla acts as A @ Psi on the slice [1] and one
-    controlled by Bob's as Psi @ B^T on [:, 1].  Returns the k outputs as a
-    (k, dA*dB, 4) array of ancilla-pair amplitudes per device basis state.
+    Returns the state as (Alice ancilla, Bob ancilla, n, dA, k, dB): entry
+    (p, q, i, x, j, y) is the amplitude of |x y> |p q> in the output of input
+    j of device i.  In this layout a gate controlled by Alice's ancilla is one
+    matrix product A @ Psi per device on the slice [1], with the k inputs
+    side by side, and one controlled by Bob's is Psi @ B^T on [:, 1].
     """
-    k, da, db = inputs.shape
-    state = np.zeros((2, 2, k, da, db), dtype=complex)
-    state[0, 0] = inputs
-
-    state = np.einsum("px,xy...->py...", HADAMARD, state)
-    state = np.einsum("qy,xy...->xq...", HADAMARD, state)
+    n, k, da, db = inputs.shape
+    state = np.empty((2, 2, n, da, k, db), dtype=complex)
+    # Hadamards on both ancillas in |00> put H[p, 0] H[q, 0] Psi at every |pq>.
+    state[...] = (HADAMARD_ENTRY * (HADAMARD_ENTRY * inputs)).transpose(0, 2, 1, 3)
+    alice = state[1].reshape(2, n, da, k * db)
+    bob = state[:, 1].reshape(2, n, da * k, db)
     # Controlled-Z': the ancilla controls its own party's device register.
-    state[1] = ops.za @ state[1]
-    state[:, 1] = state[:, 1] @ ops.zb.T
-    state = np.einsum("px,xy...->py...", HADAMARD, state)
-    state = np.einsum("qy,xy...->xq...", HADAMARD, state)
-    state[1] = ops.xa @ state[1]
-    state[:, 1] = state[:, 1] @ ops.xb.T
-    return state.reshape(4, k, da * db).transpose(1, 2, 0)
+    alice[...] = ops.za @ alice
+    bob[...] = bob @ transpose(ops.zb)
+    _hadamard(state[0], state[1])
+    _hadamard(state[:, 0], state[:, 1])
+    alice[...] = ops.xa @ alice
+    bob[...] = bob @ transpose(ops.xb)
+    return state
 
 
 def _distances(
     inputs: np.ndarray, ops: DerivedOperators, junk: np.ndarray, targets: np.ndarray
 ) -> np.ndarray:
-    """|| Phi(inputs[k]) - junk (x) targets[k] || for every k, in one circuit pass."""
-    out = _run_circuit(inputs, ops)
-    return np.linalg.norm(out - junk[:, None] * targets[:, None, :], axis=(1, 2))
+    """|| Phi(inputs[i, j]) - junk[i] (x) targets[i, j] || for every device i
+    and input j, in one circuit pass: an (n, k) array.  ``junk`` is
+    (n, dA*dB) and ``targets`` (n, k, 4), or (1, k, 4) when every device
+    shares them."""
+    n, k, da, db = inputs.shape
+    state = _run_circuit(inputs, ops)
+    # Target amplitude of |pq> for input j of device i: targets[i, j, 2p + q].
+    ancilla = targets.reshape(-1, k, 2, 2).transpose(2, 3, 0, 1)
+    state -= junk.reshape(n, da, 1, db) * ancilla[:, :, :, None, :, None]
+    parts = state.view(float)
+    return np.sqrt(np.einsum("pqixjy,pqixjy->ij", parts, parts))
+
+
+def junk_stack(psi: np.ndarray, ops: DerivedOperators) -> tuple[np.ndarray, np.ndarray]:
+    """Junk candidates (I+Z'_A)(I+Z'_B)|psi'>/(2*sqrt(2)) of an (n, dA, dB)
+    stack: the (n, dA*dB) candidates, normalized where the raw norm is at
+    least ``DEGENERACY_TOL`` and left as they are below it, and the (n,) raw
+    norms."""
+    n, da, db = psi.shape
+    ia = np.eye(da, dtype=complex)
+    ib = np.eye(db, dtype=complex)
+    v = (ia + ops.za) @ psi @ transpose(ib + ops.zb)
+    v = v.reshape(n, da * db) / (2.0 * np.sqrt(2.0))
+    raw = np.linalg.norm(v, axis=1)
+    return v / np.where(raw < DEGENERACY_TOL, 1.0, raw)[:, None], raw
+
+
+def extraction_stack(psi: np.ndarray, ops: DerivedOperators) -> ExtractionStack:
+    """Measured extraction errors of every device in an (n, dA, dB) stack of
+    state matrices, with ``ops`` stacked to match (or shared).
+
+    One circuit pass covers the nine pairs and, on |psi'> once more, the
+    pre-normalization state error of every device.
+    """
+    junk, raw = junk_stack(psi, ops)
+    inputs = np.concatenate((_pair_inputs(psi, ops), psi[:, None]), axis=1)
+    targets = np.empty((len(raw), len(OPERATOR_PAIRS) + 1, 4), dtype=complex)
+    targets[:, :-1] = PAIR_TARGETS
+    targets[:, -1] = raw[:, None] * PHI_PLUS
+    return ExtractionStack(
+        junk=junk,
+        junk_norm_raw=raw,
+        degenerate=raw < DEGENERACY_TOL,
+        distances=_distances(inputs, ops, junk, targets),
+    )
 
 
 def junk_candidate(device: DeviceModel, ops: DerivedOperators) -> tuple[np.ndarray, float]:
     """Normalized junk candidate (I+Z'_A)(I+Z'_B)|psi'>/(2*sqrt(2)) and its raw norm.
 
     A raw norm below ``DEGENERACY_TOL`` raises ``DegenerateExtractionError``.
+    The n = 1 case of ``junk_stack``.
     """
-    da, db = device.dims
-    psi = _state_matrix(device, ops)
-    v = (np.eye(da, dtype=complex) + ops.za) @ psi @ (np.eye(db, dtype=complex) + ops.zb).T
-    v = v.reshape(da * db) / (2.0 * np.sqrt(2.0))
-    raw = float(np.linalg.norm(v))
-    if raw < DEGENERACY_TOL:
-        raise DegenerateExtractionError(raw)
-    return v / raw, raw
+    junk, raw = junk_stack(_state_stack(device, ops), ops)
+    if raw[0] < DEGENERACY_TOL:
+        raise DegenerateExtractionError(float(raw[0]))
+    return junk[0], float(raw[0])
 
 
 def extraction_error(device: DeviceModel, ops: DerivedOperators) -> ExtractionResult:
     """Measured extraction error for all nine (M, N) pairs.
 
-    Every pair is compared against the same fixed junk vector from
-    ``junk_candidate``; degeneracy of the candidate propagates as
-    ``DegenerateExtractionError``.  One circuit pass covers the nine pairs
-    and, on |psi'> once more, the pre-normalization state error.
+    Every pair is compared against the same fixed junk vector of
+    ``junk_candidate``; degeneracy of the candidate raises
+    ``DegenerateExtractionError``.  The n = 1 case of ``extraction_stack``.
     """
-    junk, raw = junk_candidate(device, ops)
-    psi = _state_matrix(device, ops)
-    inputs = np.concatenate((_pair_inputs(psi, ops), psi[None]))
-    targets = np.vstack((PAIR_TARGETS, raw * PHI_PLUS))
-    distances = _distances(inputs, ops, junk, targets).tolist()
+    stack = extraction_stack(_state_stack(device, ops), ops)
+    if stack.degenerate[0]:
+        raise DegenerateExtractionError(float(stack.junk_norm_raw[0]))
+    distances = stack.distances[0].tolist()
     return ExtractionResult(
-        junk=junk,
-        junk_norm_raw=raw,
+        junk=stack.junk[0],
+        junk_norm_raw=float(stack.junk_norm_raw[0]),
         errors_by_pair=dict(zip(OPERATOR_PAIRS, distances)),
         state_error_pre_normalization=distances[-1],
     )
@@ -176,8 +257,9 @@ def b_measured_errors(
     with + for B0 and - for B1; the circuit is applied to the raw observable,
     the target uses the ideal diagonal qubit operator on Bob's ancilla.
     ``junk`` is the fixed candidate from ``junk_candidate``.  A device without
-    B0 or B1 raises ``KeyError``.
+    B0 or B1 raises ``KeyError``.  The circuit runs on the n = 1 stack.
     """
     bob = (device.bob_obs["B0"], device.bob_obs["B1"])
-    inputs = _stacked_inputs(_state_matrix(device, ops), ops, bob)
-    return dict(zip(B_ROWS, _distances(inputs, ops, junk, B_TARGETS).tolist()))
+    inputs = _stacked_inputs(_state_stack(device, ops), ops, bob)
+    distances = _distances(inputs, ops, junk[None], B_TARGETS[None])[0]
+    return dict(zip(B_ROWS, distances.tolist()))

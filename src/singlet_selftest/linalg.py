@@ -6,9 +6,10 @@ otherwise applies local operators directly to the (dA, dB) state matrix
 Psi, where (A (x) B)|psi> is A Psi B^T, so residuals, chain diagnostics and the
 extraction circuit never form a dA*dB x dA*dB matrix; only the device
 correlations fill one such buffer, keeping their established floating-point
-form.  All matrices are dense complex128 ``numpy`` arrays; the operator sign
-is computed from one Hermitian eigendecomposition, so results are
-deterministic and directly testable.
+form.  All matrices are dense complex128 ``numpy`` arrays.  Each function
+here acts on the last two axes, so it takes one matrix or an (n, d, d) stack
+alike; the operator sign is computed from one Hermitian eigendecomposition
+per matrix, so results are deterministic and directly testable.
 """
 
 from __future__ import annotations
@@ -27,29 +28,33 @@ PHI_PLUS = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / np.sqrt(2.0)
 ZERO_TOL = 1e-10
 
 
+def transpose(m: np.ndarray) -> np.ndarray:
+    """Transpose of each matrix in a stack (the last two axes)."""
+    return m.swapaxes(-1, -2)
+
+
 def dagger(m: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return m.conj().T
+    """Conjugate transpose of each matrix in a stack."""
+    return m.conj().swapaxes(-1, -2)
 
 
-def hermiticity_deviation(m: np.ndarray) -> float:
-    """Largest entrywise deviation of M from its conjugate transpose."""
-    return float(np.max(np.abs(m - dagger(m)))) if m.size else 0.0
+def hermiticity_deviation(m: np.ndarray) -> np.ndarray:
+    """Largest entrywise deviation of each matrix from its conjugate transpose."""
+    return np.abs(m - dagger(m)).max(axis=(-2, -1))
 
 
 def operator_sign(m: np.ndarray) -> np.ndarray:
-    """Operator sign M/|M| with the kernel mapped to +1.
+    """Operator sign M/|M| of each matrix in a stack, with the kernel mapped to +1.
 
-    Eigenvalues with ``|w| <= ZERO_TOL * max|w|`` are treated as the
-    zero subspace and assigned sign +1, so the result is always Hermitian and
-    unitary (it squares to the identity).  An all-zero matrix returns the
-    identity.  ``m`` is trusted to be Hermitian: in the pipeline it is B0 +/- B1
-    of a validated device, each term within 1e-10 of Hermitian, so the sum
-    may be off by twice that, and ``eigh`` reads only its lower triangle.
+    Eigenvalues with ``|w| <= ZERO_TOL * max|w|`` of their own matrix are
+    treated as the zero subspace and assigned sign +1, so each result is
+    Hermitian and unitary (it squares to the identity).  An all-zero matrix
+    has only kernel, so it maps to V V^dagger = I.  ``m`` is trusted to be
+    Hermitian: in the pipeline it is B0 +/- B1 of a validated device, each
+    term within 1e-10 of Hermitian, so the sum may be off by twice that, and
+    ``eigh`` reads only its lower triangle.
     """
     w, v = np.linalg.eigh(m)
-    scale = float(np.max(np.abs(w)))
-    if scale == 0.0:
-        return np.eye(m.shape[0], dtype=complex)
+    scale = np.abs(w).max(axis=-1, keepdims=True)
     signs = np.where(np.abs(w) <= ZERO_TOL * scale, 1.0, np.sign(w))
-    return (v * signs) @ dagger(v)
+    return (v * signs[..., None, :]) @ dagger(v)

@@ -3,12 +3,13 @@
 Each is a thin wrapper over the library: a single-pair correlation, the CHSH
 value and Mayers-Yao deviation of a device, a Hermiticity-checked
 eigendecomposition, the operator absolute value and unitarity deviation, a
-family's device list, writing a device document, and a report's rows of one
-category.
+family's points and device list, a stack of given devices, writing a device
+document, and a report's rows of one category.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
@@ -18,12 +19,13 @@ from singlet_selftest.device import (
     CHSH_PAIRS,
     MY_PAIRS,
     DeviceModel,
+    DeviceStack,
     chsh_epsilon,
     correlations,
     my_epsilon,
 )
 from singlet_selftest.documents import device_to_document, write_json_atomic
-from singlet_selftest.explorer import FamilySpec, family_points
+from singlet_selftest.explorer import FamilySpec, family_axis, family_chunks
 from singlet_selftest.linalg import dagger, hermiticity_deviation
 
 HERMITIAN_ATOL = 1e-10
@@ -79,6 +81,26 @@ def operator_abs(m: np.ndarray) -> np.ndarray:
 def unitarity_deviation(m: np.ndarray) -> float:
     """Largest entrywise deviation of M M^dagger from the identity."""
     return float(np.max(np.abs(m @ dagger(m) - np.eye(m.shape[0]))))
+
+
+def family_points(spec: FamilySpec) -> Iterator[tuple[dict, DeviceModel]]:
+    """The family's (parameters, device) points in sweep order, built a chunk at a time."""
+    name, _ = family_axis(spec)
+    for values, stack in family_chunks(spec):
+        for index, value in enumerate(values):
+            yield {name: value}, stack.device(index)
+
+
+def stack_devices(devices: list[DeviceModel]) -> DeviceStack:
+    """Devices of one dims, naming the same observables, as one stack."""
+    first = devices[0]
+
+    def stacked(party: str) -> dict[str, np.ndarray]:
+        return {name: np.stack([getattr(device, party)[name] for device in devices])
+                for name in getattr(first, party)}
+
+    return DeviceStack(first.dims, np.stack([device.state for device in devices]),
+                       stacked("alice_obs"), stacked("bob_obs"))
 
 
 def make_family(spec: FamilySpec) -> list[DeviceModel]:

@@ -14,7 +14,7 @@ import numpy as np
 
 from singlet_selftest.derive import DerivedOperators
 from singlet_selftest.device import DeviceModel
-from singlet_selftest.isometry import OPERATOR_PAIRS, _pair_inputs, _run_circuit, _state_matrix
+from singlet_selftest.isometry import OPERATOR_PAIRS, _pair_inputs, _run_circuit, _state_stack
 from singlet_selftest.linalg import IDENTITY_2, PAULI_X, PAULI_Z, PHI_PLUS
 
 PAULI_BY_NAME = {"I": IDENTITY_2, "X": PAULI_X, "Z": PAULI_Z}
@@ -55,8 +55,9 @@ def apply_isometry(
     if (m, n) not in OPERATOR_PAIRS:
         raise ValueError(f"operator labels must be in I/X/Z, got ({m!r}, {n!r})")
     index = OPERATOR_PAIRS.index((m, n))
-    inputs = _pair_inputs(_state_matrix(device, ops), ops)[index : index + 1]
-    return _run_circuit(inputs, ops).reshape(-1)
+    inputs = _pair_inputs(_state_stack(device, ops), ops)[:, index : index + 1]
+    # (p, q, 1, x, 1, y) -> flat index ((x*dB + y)*2 + p)*2 + q
+    return _run_circuit(inputs, ops).transpose(2, 4, 3, 5, 0, 1).reshape(-1)
 
 
 def isometry_expansion(device: DeviceModel, ops: DerivedOperators) -> np.ndarray:

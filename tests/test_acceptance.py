@@ -14,7 +14,7 @@ import time
 import numpy as np
 
 from embedded_oracle import tensor_embed
-from helpers import chsh_value, my_deviation, save_device
+from helpers import chsh_value, family_points, my_deviation, save_device
 from isometry_oracle import apply_isometry, isometry_expansion
 from singlet_selftest.bounds import (
     b_extraction_bound,
@@ -39,7 +39,7 @@ from singlet_selftest.device import (
     validate,
 )
 from singlet_selftest.documents import load_device
-from singlet_selftest.explorer import FamilySpec, family_points
+from singlet_selftest.explorer import FamilySpec
 from singlet_selftest.isometry import (
     OPERATOR_PAIRS,
     b_measured_errors,

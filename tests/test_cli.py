@@ -652,6 +652,25 @@ class TestSweepCommand:
         assert err.startswith("error: ") and field in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("kind,axis,value,shown", [
+        ("tilted", "theta", "Infinity", "inf"),
+        ("tilted", "theta", "[0, Infinity, 3]", "inf"),
+        ("tilted", "theta", "[-Infinity, 0, 3]", "-inf"),
+        ("state-noise", "p", "NaN", "nan"),
+        ("state-noise", "p", "[0, NaN, 4]", "nan"),
+        ("measurement-noise", "eta", '{"start": 0, "stop": NaN, "steps": 2}', "nan"),
+        ("measurement-noise", "eta", '{"start": Infinity, "stop": 0.1, "steps": 0}', "inf"),
+    ])
+    def test_non_finite_axis_value_exits_two(self, tmp_path, capsys, kind, axis, value, shown):
+        # json.loads accepts NaN and Infinity; they are rejected before any
+        # point is built, with the error line as the only output on stderr.
+        path = tmp_path / "family.json"
+        path.write_text('{"kind": "%s", "parameters": {"%s": %s}}' % (kind, axis, value))
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--family", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {axis} must be finite, got {shown}\n"
+        assert not out.exists()
+
     def test_degenerate_row_written_as_nan(self, tmp_path):
         spec = {
             "kind": "tilted",

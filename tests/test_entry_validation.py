@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from helpers import save_device
+from helpers import save_device, stack_devices
 from singlet_selftest import device as device_module
 from singlet_selftest import explorer
 from singlet_selftest.bounds import certify, get_mode
@@ -46,6 +46,11 @@ def validations(monkeypatch):
 
 
 @pytest.fixture
+def stack_validations(monkeypatch):
+    return count_calls(monkeypatch, device_module.validate_stack)
+
+
+@pytest.fixture
 def name_checks(monkeypatch):
     return count_calls(monkeypatch, device_module.require_observables)
 
@@ -67,10 +72,12 @@ class TestCounts:
         assert len(validations) == 1
         assert len(name_checks) == 1
 
-    def test_sweep_validates_each_point_once(self, mode, validations):
+    def test_sweep_validates_each_point_once(self, mode, validations, stack_validations):
+        # A sweep validates whole chunks: every point once, in one stack here.
         spec = FamilySpec("tilted", {"theta": (0.8, 0.5, 5)}, mode=mode)
         assert len(sweep(spec)) == 5
-        assert len(validations) == 5
+        assert validations == []
+        assert [len(stack) for stack, in stack_validations] == [5]
 
     def test_search_validates_each_evaluation_once(self, mode, validations):
         result = worst_case_search(mode, 0.05, (3, 2), 7, seed=4)
@@ -79,11 +86,12 @@ class TestCounts:
 
 
 def test_sweep_rejects_invalid_family_point(monkeypatch):
-    def broken_point(spec, base, value, index):
+    def broken_chunk(spec, base, values, start):
         alice = dict(base.alice_obs, A0=0.5 * PAULI_X)
-        return make_device((2, 2), base.state, alice, dict(base.bob_obs))
+        return stack_devices([make_device((2, 2), base.state, alice, dict(base.bob_obs))]
+                             * len(values))
 
-    monkeypatch.setattr(explorer, "_build_point", broken_point)
+    monkeypatch.setattr(explorer, "_build_chunk", broken_chunk)
     spec = FamilySpec("tilted", {"theta": (0.8, 0.5, 3)})
     with pytest.raises(ValueError, match=r"family 'tilted' produced an invalid device at "
                        r"\{'theta': 0\.8\}: A0: O\^2 != I"):

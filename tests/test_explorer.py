@@ -15,7 +15,7 @@ from singlet_selftest.explorer import (
     FamilySpec,
     evaluate_device,
     family_axis,
-    family_points,
+    family_chunks,
     sweep,
     worst_case_search,
 )
@@ -126,19 +126,22 @@ class TestFamilies:
         with pytest.raises(ValueError, match=f"{name}.* at most {MAX_SWEEP_POINTS}"):
             family_axis(FamilySpec(kind, {name: over_cap}))
 
-    def test_points_are_built_one_at_a_time(self, monkeypatch):
+    def test_points_are_built_one_chunk_at_a_time(self, monkeypatch):
         built = []
-        build = explorer._build_point
+        build = explorer._build_chunk
 
-        def counting_build(*args):
-            built.append(args[2])
-            return build(*args)
+        def counting_build(spec, base, values, start):
+            built.append((start, len(values)))
+            return build(spec, base, values, start)
 
-        monkeypatch.setattr(explorer, "_build_point", counting_build)
-        points = family_points(FamilySpec("random", {"count": MAX_SWEEP_POINTS}, (3, 3)))
+        monkeypatch.setattr(explorer, "_build_chunk", counting_build)
+        chunks = family_chunks(FamilySpec("random", {"count": MAX_SWEEP_POINTS}, (3, 3)))
         assert built == []
-        parameters, device = next(points)
-        assert (parameters, device.dims, built) == ({"count": 0.0}, (3, 3), [0.0])
+        values, stack = next(chunks)
+        size = explorer.CHUNK_ELEMENTS // (40 * 9)
+        assert built == [(0, size)] and len(stack) == size < MAX_SWEEP_POINTS
+        assert values == [float(i) for i in range(size)]
+        assert stack.dims == (3, 3) and stack.state.shape == (size, 9)
 
 
 class TestSweep:

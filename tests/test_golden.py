@@ -2,7 +2,10 @@
 
 ``tests/golden/`` holds certification reports (canonical, tilted, degenerate
 and junk-embedded devices in both modes), one sweep CSV per family kind (both
-modes among them) and one correlation-table summary per mode.  Strings, flags,
+modes among them), one correlation-table summary per mode, and one 4x4 search
+per mode (its device document and its ``<out>.report.json``; the report's
+``inputsDigest`` hashes the device document, so it pins every bit of the
+device).  Strings, flags,
 nulls and integers must match exactly and floats within 1e-12, the same bar
 the benchmark's output check uses; ``toolVersion`` is not compared.  To
 refresh the corpus, or only the named cases, on purpose, run
@@ -75,15 +78,33 @@ CORRELATION_CASES = {
                                "ZA_XB": -0.02, "ZA_ZB": 0.98, "ZA_DB": 0.69}),
 }
 
+# name -> (mode, seed): one search at --dims 4,4 --epsilon-ceiling 0.05.
+SEARCH_CASES = {
+    "search-d4-chsh": ("chsh", 2024),
+    "search-d4-my": ("my", 7),
+}
+SEARCH_BUDGET = 300
+
 CASES = (
     [(name, ".json") for name in CERTIFY_CASES]
     + [(name, ".csv") for name in SWEEP_CASES]
     + [(name, ".json") for name in CORRELATION_CASES]
+    + [(name, suffix) for name in SEARCH_CASES for suffix in (".json", ".report.json")]
 )
 
 
-def produce(name: str, workdir: Path) -> tuple[int, str]:
-    """Run one corpus case through the CLI; return its exit code and output text."""
+def produce(name: str, workdir: Path) -> tuple[int, dict[str, str]]:
+    """Run one corpus case through the CLI; return its exit code and output texts,
+    keyed by file suffix."""
+    if name in SEARCH_CASES:
+        mode, seed = SEARCH_CASES[name]
+        out = workdir / f"{name}.json"
+        code = main(["search", "--mode", mode, "--epsilon-ceiling", "0.05",
+                     "--dims", "4,4", "--budget", str(SEARCH_BUDGET), "--seed", str(seed),
+                     "--out", str(out)])
+        report = workdir / f"{name}.json.report.json"
+        return code, {".json": out.read_text(encoding="utf-8"),
+                      ".report.json": report.read_text(encoding="utf-8")}
     if name in CERTIFY_CASES:
         factory, mode, _ = CERTIFY_CASES[name]
         device_path = workdir / f"{name}.device.json"
@@ -103,7 +124,7 @@ def produce(name: str, workdir: Path) -> tuple[int, str]:
         out = workdir / f"{name}.json"
         code = main(["correlations", "--table", str(table_path), "--mode", mode,
                      "--out", str(out)])
-    return code, out.read_text(encoding="utf-8")
+    return code, {out.suffix: out.read_text(encoding="utf-8")}
 
 
 def expected_code(name: str) -> int:
@@ -159,8 +180,9 @@ def csv_differences(ref: str, out: str) -> list[str]:
 
 @pytest.mark.parametrize("name,suffix", CASES)
 def test_matches_golden(name, suffix, tmp_path):
-    code, text = produce(name, tmp_path)
+    code, texts = produce(name, tmp_path)
     assert code == expected_code(name)
+    text = texts[suffix]
     reference = (GOLDEN / f"{name}{suffix}").read_text(encoding="utf-8")
     if suffix == ".csv":
         diffs = csv_differences(reference, text)
@@ -188,9 +210,10 @@ if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     selected = set(sys.argv[1:]) or {case for case, _ in CASES}
     with tempfile.TemporaryDirectory() as tmp:
-        for case, suffix in (c for c in CASES if c[0] in selected):
-            exit_code, output = produce(case, Path(tmp))
+        for case in dict.fromkeys(c for c, _ in CASES if c in selected):
+            exit_code, outputs = produce(case, Path(tmp))
             if exit_code != expected_code(case):
                 sys.exit(f"{case}: exit code {exit_code}, expected {expected_code(case)}")
-            (GOLDEN / f"{case}{suffix}").write_text(output, encoding="utf-8")
-            print(f"wrote {case}{suffix}")
+            for suffix, output in outputs.items():
+                (GOLDEN / f"{case}{suffix}").write_text(output, encoding="utf-8")
+                print(f"wrote {case}{suffix}")

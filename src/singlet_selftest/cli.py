@@ -199,9 +199,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def _parse_dims(text: str) -> tuple[int, int]:
     parts = text.replace("x", ",").split(",")
-    if len(parts) != 2:
-        raise ValueError(f"dims must be 'dA,dB', got {text!r}")
-    return (int(parts[0]), int(parts[1]))
+    try:
+        da, db = (int(part) for part in parts)
+    except ValueError:
+        raise ValueError(f"dims must be two integers 'dA,dB', got {text!r}") from None
+    return da, db
 
 
 def cmd_search(args: argparse.Namespace) -> int:
@@ -214,8 +216,10 @@ def cmd_search(args: argparse.Namespace) -> int:
         return _fail(str(err))
     if not result.found:
         print(
-            f"no feasible device found within budget {args.budget} "
-            f"(every proposal exceeded epsilon ceiling {args.epsilon_ceiling})",
+            f"no feasible device found within budget {args.budget}: "
+            f"{result.over_ceiling} proposal(s) exceeded epsilon ceiling "
+            f"{args.epsilon_ceiling}, {result.invalid} invalid, "
+            f"{result.degenerate} degenerate",
             file=sys.stderr,
         )
         return 1

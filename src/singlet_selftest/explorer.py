@@ -14,7 +14,8 @@ residuals and the extraction circuit run once per chunk on the stacked
 devices.  The correlations, and so the deviation epsilon, stay per device:
 the epsilon^(1/4) budgets amplify a last-bit change in epsilon, so they keep
 the one embedded floating-point form of ``device.correlations``.  A search
-evaluates one device at a time, as the n = 1 stack.
+evaluates one device at a time, as the n = 1 stack; its rotation generators
+are decomposed once per search, and a proposal rotates each party's stack.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .device import (
     DeviceModel,
     DeviceStack,
     correlations,
-    make_device,
     validate,
     validate_stack,
 )
@@ -87,10 +87,19 @@ class SweepRecord:
 
 @dataclass(frozen=True)
 class SearchResult:
+    """The best feasible device of a search, and how its evaluations ended:
+    ``feasible``, or rejected as ``invalid`` (failed validation),
+    ``degenerate`` (extraction) or ``over_ceiling`` (epsilon), checked in
+    that order; the four counts sum to ``evaluations``."""
+
     found: bool
     device: DeviceModel | None
     record: SweepRecord | None
     evaluations: int
+    feasible: int = 0
+    invalid: int = 0
+    degenerate: int = 0
+    over_ceiling: int = 0
 
 
 def _point_rng(seed: int, index: int) -> np.random.Generator:
@@ -117,13 +126,14 @@ def _haar_unitary(g: np.ndarray) -> np.ndarray:
     return q * (diagonal / np.abs(diagonal))[..., None, :]
 
 
-def _rotate(obs: np.ndarray, h: np.ndarray, eta) -> np.ndarray:
+def _rotate(obs: np.ndarray, decomposition, eta) -> np.ndarray:
     """Conjugate each observable by exp(i*eta*h), re-hermitianized.
 
-    ``eta`` is a number, or an array that broadcasts against the eigenvalue
-    axis of ``h`` (shape (..., 1)).
+    ``decomposition`` is ``np.linalg.eigh(h)``, computed once by a caller that
+    rotates by the same h many times.  ``eta`` is a number, or an array that
+    broadcasts against the eigenvalue axis (shape (..., 1)).
     """
-    w, v = np.linalg.eigh(h)
+    w, v = decomposition
     u = (v * np.exp(1j * eta * w)[..., None, :]) @ dagger(v)
     rotated = u @ obs @ dagger(u)
     return (rotated + dagger(rotated)) / 2.0
@@ -293,7 +303,8 @@ def _build_chunk(
         draws = draws.transpose(1, 0, 2, 3)
         base_obs = {**base.alice_obs, **base.bob_obs}
         obs = np.stack([base_obs[name] for name in names])[:, None]
-        rotated = _rotate(obs, _hermitian_unit(draws), np.array(values)[:, None])
+        rotated = _rotate(obs, np.linalg.eigh(_hermitian_unit(draws)),
+                          np.array(values)[:, None])
         state = np.broadcast_to(base.state, (n, 4))
         return _frozen_stack(
             (2, 2), state,
@@ -436,42 +447,43 @@ def sweep(spec: FamilySpec) -> list[SweepRecord]:
     return records
 
 
-def _search_proposal(
-    base: DeviceModel,
-    dims: tuple[int, int],
-    qubit_state: np.ndarray,
-    state_dirs: np.ndarray,
-    generators: dict[str, np.ndarray],
-    params: np.ndarray,
-) -> DeviceModel:
+def _rotation_table(base: DeviceModel, dims: tuple[int, int],
+                    rng: np.random.Generator) -> list[tuple]:
+    """Per party: its observable names, its base observables padded with the
+    identity to the party's dim, stacked (k, d, d), and the eigendecomposition
+    of a seeded Hermitian generator per observable, drawn in name order,
+    Alice's first, and stacked the same way."""
+    table = []
+    for obs, dim in ((base.alice_obs, dims[0]), (base.bob_obs, dims[1])):
+        padded = np.tile(np.eye(dim, dtype=complex), (len(obs), 1, 1))
+        padded[:, :2, :2] = list(obs.values())
+        draws = np.stack([_complex_normal(rng, dim, dim) for _ in obs])
+        table.append((list(obs), padded, np.linalg.eigh(_hermitian_unit(draws))))
+    return table
+
+
+def _search_proposal(dims: tuple[int, int], qubit_state: np.ndarray, state_dirs: np.ndarray,
+                     table: list[tuple], params: np.ndarray) -> DeviceModel:
     """Device generated by a search parameter vector.
 
     Parameters: two state-noise coordinates along fixed seeded directions,
-    then one rotation angle per observable around its fixed seeded Hermitian
-    generator.  The zero vector reproduces the embedded canonical device,
-    whose state is ``qubit_state``.
+    then one rotation angle per observable, Alice's then Bob's, around its
+    fixed seeded Hermitian generator; ``table`` is ``_rotation_table``'s.
+    The zero vector reproduces the embedded canonical device, whose state is
+    ``qubit_state``.  The device holds the new arrays, read-only, uncopied.
     """
-    da, db = dims
-
-    def extend(obs: np.ndarray, dim: int) -> np.ndarray:
-        out = np.eye(dim, dtype=complex)
-        out[:2, :2] = obs
-        return out
-
     state = qubit_state + params[0] * state_dirs[0] + params[1] * state_dirs[1]
     state /= np.linalg.norm(state)
-    names = list(base.alice_obs) + list(base.bob_obs)
-    alice = {}
-    bob = {}
-    for i, name in enumerate(names):
-        angle = float(params[2 + i])
-        if name in base.alice_obs:
-            obs = extend(base.alice_obs[name], da)
-            alice[name] = _rotate(obs, generators[name], angle)
-        else:
-            obs = extend(base.bob_obs[name], db)
-            bob[name] = _rotate(obs, generators[name], angle)
-    return make_device(dims, state, alice, bob)
+    state.flags.writeable = False
+    parties = []
+    start = 2
+    for names, padded, decomposition in table:
+        angles = params[start:start + len(names), None]
+        rotated = _rotate(padded, decomposition, angles)
+        rotated.flags.writeable = False
+        parties.append(dict(zip(names, rotated)))
+        start += len(names)
+    return DeviceModel(dims, state, *parties)
 
 
 def worst_case_search(
@@ -490,48 +502,55 @@ def worst_case_search(
     The result is the best device found within ``budget`` evaluations — no
     global-optimality claim is made.  The seed proposal is the unperturbed
     canonical embedding.  Each proposal is validated here, once; an invalid
-    one uses up its evaluation and is rejected.
+    one uses up its evaluation and is rejected.  The result counts how the
+    evaluations ended.  The rotation generators are drawn and decomposed
+    once per search, into ``_rotation_table``.
+
+    ``budget``, the two ``dims`` (each >= 2) and the nonnegative ``seed``
+    must be integers, not bools; a violation raises ``ValueError`` naming
+    the argument.
     """
     if not 0.0 < epsilon_ceiling < 1.0:
         raise ValueError(f"epsilon ceiling must lie in (0, 1), got {epsilon_ceiling}")
-    if budget < 1:
-        raise ValueError(f"budget must be >= 1, got {budget}")
-    da, db = int(dims[0]), int(dims[1])
-    if da < 2 or db < 2:
-        raise ValueError(f"dims must be >= 2 per party, got {dims}")
-    dims = (da, db)
+    # type(), not isinstance(): bool is an int subclass.
+    if type(budget) is not int or budget < 1:
+        raise ValueError(f"budget must be an integer >= 1, got {budget!r}")
+    if len(dims) != 2 or not all(type(d) is int and d >= 2 for d in dims):
+        raise ValueError(f"dims must be two integers >= 2, got {dims!r}")
+    if type(seed) is not int or seed < 0:
+        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
+    da, db = dims = tuple(dims)
     base = get_mode(mode).canonical()
-    rng = np.random.default_rng((int(seed), 0x5EA2C4))
-    n_obs = len(base.alice_obs) + len(base.bob_obs)
+    rng = np.random.default_rng((seed, 0x5EA2C4))
 
     block = np.zeros((da, db), dtype=complex)
     block[:2, :2] = PHI_PLUS.reshape(2, 2)
     qubit_state = block.reshape(-1)
-    state_dirs = np.stack(
-        [_orthogonal_noise(rng, qubit_state) for _ in range(2)]
-    )
-    generators = {}
-    for name in list(base.alice_obs) + list(base.bob_obs):
-        dim = da if name in base.alice_obs else db
-        generators[name] = _hermitian_unit(_complex_normal(rng, dim, dim))
+    state_dirs = np.stack([_orthogonal_noise(rng, qubit_state) for _ in range(2)])
+    table = _rotation_table(base, dims, rng)
+    outcomes = {"feasible": 0, "invalid": 0, "degenerate": 0, "over_ceiling": 0}
 
     def assess(params: np.ndarray) -> tuple[DeviceModel, SweepRecord] | None:
-        device = _search_proposal(base, dims, qubit_state, state_dirs, generators, params)
+        device = _search_proposal(dims, qubit_state, state_dirs, table, params)
         if validate(device):
+            outcomes["invalid"] += 1
             return None
         record = evaluate_device(device, mode)
-        if record.degenerate or record.epsilon > epsilon_ceiling:
+        if record.degenerate:
+            outcomes["degenerate"] += 1
             return None
+        if record.epsilon > epsilon_ceiling:
+            outcomes["over_ceiling"] += 1
+            return None
+        outcomes["feasible"] += 1
         return device, record
 
-    n_params = 2 + n_obs
+    n_params = 2 + len(base.alice_obs) + len(base.bob_obs)
     current = np.zeros(n_params)
-    evaluations = 0
     best: tuple[DeviceModel, SweepRecord] | None = None
     current_objective = -math.inf
 
     outcome = assess(current)
-    evaluations += 1
     if outcome is not None:
         best = outcome
         current_objective = outcome[1].max_extraction_error
@@ -539,10 +558,9 @@ def worst_case_search(
     temperature = 0.05
     step = 0.05
     cooling = 0.995
-    while evaluations < budget:
+    for _ in range(budget - 1):
         proposal = current + rng.normal(scale=step, size=n_params)
         outcome = assess(proposal)
-        evaluations += 1
         if outcome is None:
             temperature *= cooling
             continue
@@ -557,6 +575,6 @@ def worst_case_search(
         temperature *= cooling
 
     if best is None:
-        return SearchResult(found=False, device=None, record=None, evaluations=evaluations)
+        return SearchResult(False, None, None, budget, **outcomes)
     device, record = best
-    return SearchResult(found=True, device=device, record=record, evaluations=evaluations)
+    return SearchResult(True, device, record, budget, **outcomes)

@@ -4,7 +4,8 @@ Each is a thin wrapper over the library: a single-pair correlation, the CHSH
 value and Mayers-Yao deviation of a device, a Hermiticity-checked
 eigendecomposition, the operator absolute value and unitarity deviation, a
 family's points and device list, a stack of given devices, writing a device
-document, and a report's rows of one category.
+document, a report's rows of one category, and the one-observable-at-a-time
+search proposal that the search's rotation table must reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from singlet_selftest.device import (
     DeviceStack,
     chsh_epsilon,
     correlations,
+    make_device,
     my_epsilon,
 )
 from singlet_selftest.documents import device_to_document, write_json_atomic
@@ -114,3 +116,39 @@ def save_device(path: str | Path, device: DeviceModel, metadata: dict | None = N
 
 def rows_by_category(report: CertificationReport, category: str) -> list[ReportRow]:
     return [row for row in report.rows if row.category == category]
+
+
+def search_proposal_oracle(
+    base: DeviceModel,
+    dims: tuple[int, int],
+    qubit_state: np.ndarray,
+    state_dirs: np.ndarray,
+    generators: dict[str, np.ndarray],
+    params: np.ndarray,
+) -> DeviceModel:
+    """A search proposal built one observable at a time, each generator
+    decomposed per call: two state-noise coordinates, then one rotation
+    angle per observable, Alice's then Bob's."""
+    da, db = dims
+
+    def extend(obs: np.ndarray, dim: int) -> np.ndarray:
+        out = np.eye(dim, dtype=complex)
+        out[:2, :2] = obs
+        return out
+
+    def rotate(obs: np.ndarray, h: np.ndarray, eta: float) -> np.ndarray:
+        w, v = np.linalg.eigh(h)
+        u = (v * np.exp(1j * eta * w)[..., None, :]) @ dagger(v)
+        rotated = u @ obs @ dagger(u)
+        return (rotated + dagger(rotated)) / 2.0
+
+    state = qubit_state + params[0] * state_dirs[0] + params[1] * state_dirs[1]
+    state /= np.linalg.norm(state)
+    alice, bob = {}, {}
+    for i, name in enumerate(list(base.alice_obs) + list(base.bob_obs)):
+        angle = float(params[2 + i])
+        if name in base.alice_obs:
+            alice[name] = rotate(extend(base.alice_obs[name], da), generators[name], angle)
+        else:
+            bob[name] = rotate(extend(base.bob_obs[name], db), generators[name], angle)
+    return make_device(dims, state, alice, bob)

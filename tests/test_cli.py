@@ -705,13 +705,14 @@ class TestSearchCommand:
         ])
         assert code == 2
 
-    def test_not_found_exits_one(self, tmp_path, monkeypatch):
+    def test_not_found_exits_one(self, tmp_path, monkeypatch, capsys):
         import singlet_selftest.cli as cli_module
 
         monkeypatch.setattr(
             cli_module,
             "worst_case_search",
-            lambda *a, **k: SearchResult(False, None, None, 10),
+            lambda *a, **k: SearchResult(False, None, None, 10, invalid=3, degenerate=2,
+                                         over_ceiling=5),
         )
         code = main([
             "search", "--mode", "chsh", "--epsilon-ceiling", "0.01",
@@ -719,6 +720,31 @@ class TestSearchCommand:
         ])
         assert code == 1
         assert not (tmp_path / "x.json").exists()
+        assert ("5 proposal(s) exceeded epsilon ceiling 0.01, 3 invalid, 2 degenerate"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--seed", "-1", "seed must be a nonnegative integer, got -1"),
+        ("--dims", "2.7,2", "dims must be two integers 'dA,dB', got '2.7,2'"),
+        ("--dims", "2,2,2", "dims must be two integers 'dA,dB', got '2,2,2'"),
+        ("--dims", "1,2", "dims must be two integers >= 2, got (1, 2)"),
+    ])
+    def test_bad_argument_exits_two_named(self, tmp_path, capsys, flag, value, message):
+        out = tmp_path / "x.json"
+        code = main(["search", "--mode", "chsh", "--epsilon-ceiling", "0.01",
+                     "--budget", "10", flag, value, "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_metadata_and_stdout_leave_out_the_outcome_counts(self, tmp_path, capsys):
+        out = tmp_path / "best.json"
+        assert main(["search", "--mode", "my", "--epsilon-ceiling", "0.02", "--dims", "2,2",
+                     "--budget", "30", "--seed", "3", "--out", str(out)]) == 0
+        metadata = json.loads(out.read_text())["metadata"]
+        assert set(metadata) == {"generator", "mode", "epsilonCeiling", "budget", "seed",
+                                 "evaluations"}
+        assert "feasible" not in capsys.readouterr().out
 
 
 class TestCanonicalCommand:

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
+import copy
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from helpers import chsh_value, make_family, my_deviation
-from singlet_selftest.bounds import certify
+from helpers import chsh_value, make_family, my_deviation, search_proposal_oracle
+from singlet_selftest.bounds import certify, get_mode
 from singlet_selftest.device import canonical_chsh_device, canonical_my_device, validate
 from singlet_selftest.derive import condition_residuals, derive_chsh_operators
 from singlet_selftest import explorer
@@ -20,6 +22,7 @@ from singlet_selftest.explorer import (
     worst_case_search,
 )
 from singlet_selftest.isometry import extraction_error
+from singlet_selftest.linalg import PHI_PLUS
 
 SQRT2 = math.sqrt(2.0)
 
@@ -249,3 +252,101 @@ class TestWorstCaseSearch:
             worst_case_search("chsh", 1.0, (2, 2), 10, 1)
         with pytest.raises(ValueError, match="dims"):
             worst_case_search("chsh", 0.01, (1, 2), 10, 1)
+
+    @pytest.mark.parametrize("dims,budget,seed,named", [
+        ((2.7, 2), 10, 1, "dims"),
+        ((2, 2.0), 10, 1, "dims"),
+        ((True, 2), 10, 1, "dims"),
+        ((2, 2, 2), 10, 1, "dims"),
+        ((2, 2), 2.5, 1, "budget"),
+        ((2, 2), True, 1, "budget"),
+        ((2, 2), 10, -1, "seed"),
+        ((2, 2), 10, 1.5, "seed"),
+        ((2, 2), 10, True, "seed"),
+    ])
+    def test_non_integer_arguments_rejected(self, dims, budget, seed, named):
+        with pytest.raises(ValueError, match=f"^{named} must be"):
+            worst_case_search("chsh", 0.01, dims, budget, seed)
+
+    def test_outcomes_count_every_evaluation(self):
+        result = worst_case_search("chsh", 0.01, (2, 2), 200, 7)
+        assert result.feasible > 0 and result.over_ceiling > 0
+        assert (result.feasible + result.invalid + result.over_ceiling
+                + result.degenerate) == result.evaluations == 200
+
+    def test_outcomes_count_each_rejection_once(self, monkeypatch):
+        # Every third proposal fails validation and every fifth evaluated one
+        # is degenerate: 7 invalid of 21, and 2 degenerate of the other 14.
+        calls = {"validate": 0, "evaluate": 0}
+
+        def validate_some(device):
+            calls["validate"] += 1
+            return ["rejected"] if calls["validate"] % 3 == 0 else validate(device)
+
+        def degenerate_some(device, mode):
+            calls["evaluate"] += 1
+            record = evaluate_device(device, mode)
+            if calls["evaluate"] % 5 == 0:
+                return dataclasses.replace(record, degenerate=True)
+            return record
+
+        monkeypatch.setattr(explorer, "validate", validate_some)
+        monkeypatch.setattr(explorer, "evaluate_device", degenerate_some)
+        result = worst_case_search("my", 0.02, (3, 2), 21, 5)
+        assert result.evaluations == 21
+        assert result.invalid == 7 and result.degenerate == 2
+        assert result.feasible + result.over_ceiling == 12
+        assert result.feasible > 0
+
+
+class TestSearchProposal:
+    """The rotation table's proposals are the per-observable ones, bit for bit."""
+
+    @staticmethod
+    def _setup(mode, dims, seed):
+        """The search's fixed data, from two copies of one seeded stream: the
+        generators the oracle rotates by one at a time, and the table."""
+        base = get_mode(mode).canonical()
+        rng = np.random.default_rng(seed)
+        block = np.zeros(dims, dtype=complex)
+        block[:2, :2] = PHI_PLUS.reshape(2, 2)
+        qubit_state = block.reshape(-1)
+        state_dirs = np.stack([explorer._orthogonal_noise(rng, qubit_state) for _ in range(2)])
+        table = explorer._rotation_table(base, dims, copy.deepcopy(rng))
+        generators = {}
+        for name in list(base.alice_obs) + list(base.bob_obs):
+            dim = dims[0] if name in base.alice_obs else dims[1]
+            generators[name] = explorer._hermitian_unit(explorer._complex_normal(rng, dim, dim))
+        return base, qubit_state, state_dirs, generators, table, rng
+
+    @pytest.mark.parametrize("mode", ["chsh", "my"])
+    @pytest.mark.parametrize("dims", [(2, 2), (3, 2), (4, 4), (5, 3)])
+    def test_bytes_match_the_oracle(self, mode, dims):
+        base, qubit_state, state_dirs, generators, table, rng = self._setup(mode, dims,
+                                                                           sum(dims))
+        n = 2 + len(generators)
+        vectors = [np.zeros(n), -np.zeros(n), np.array([-0.0, 0.0] * n)[:n]]
+        vectors += [rng.normal(scale=scale, size=n) for scale in (1e-3, 0.05, 0.5, 3.0)]
+        mixed = rng.normal(scale=0.05, size=n)
+        mixed[::2] = -0.0
+        vectors.append(mixed)
+        for params in vectors:
+            want = search_proposal_oracle(base, dims, qubit_state, state_dirs, generators,
+                                          params)
+            got = explorer._search_proposal(dims, qubit_state, state_dirs, table, params)
+            assert got.dims == want.dims
+            assert got.state.dtype == want.state.dtype
+            assert got.state.tobytes() == want.state.tobytes()
+            for party in ("alice_obs", "bob_obs"):
+                got_obs, want_obs = getattr(got, party), getattr(want, party)
+                assert list(got_obs) == list(want_obs)
+                for name, m in want_obs.items():
+                    assert got_obs[name].shape == m.shape
+                    assert got_obs[name].tobytes() == m.tobytes(), (params, name)
+
+    def test_proposal_arrays_are_read_only(self):
+        _, qubit_state, state_dirs, _, table, rng = self._setup("chsh", (3, 2), 1)
+        device = explorer._search_proposal((3, 2), qubit_state, state_dirs, table,
+                                           rng.normal(size=6))
+        for array in (device.state, *device.alice_obs.values(), *device.bob_obs.values()):
+            assert not array.flags.writeable

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -297,6 +298,79 @@ class TestWorstCaseSearch:
         assert result.invalid == 7 and result.degenerate == 2
         assert result.feasible + result.over_ceiling == 12
         assert result.feasible > 0
+
+
+# Captured before epsilon was checked ahead of the pipeline: mode, dims, seed,
+# the feasible and invalid counts, a digest of the best device's arrays, and
+# the repr of its record (ceiling 0.05, budget 200).  Checking epsilon first
+# must reproduce every entry.
+SEARCH_PINS = [
+    ("chsh", (2, 2), 11, 67, 0, "262cf5f38784d474",
+     "SweepRecord(epsilon=0.045361999474531345, eps1_measured=0.255654637785549,"
+     " eps2_measured=0.24071313583256757, max_extraction_error=0.30707376523158386,"
+     " extraction_bound=2.007883347401938, slack=1.7008095821703542, degenerate=False)"),
+    ("chsh", (2, 2), 12, 68, 0, "64984916227fd1e6",
+     "SweepRecord(epsilon=0.04028226320085215, eps1_measured=0.21725190367985295,"
+     " eps2_measured=0.16201207476493693, max_extraction_error=0.2446499213051235,"
+     " extraction_bound=1.5999156571515334, slack=1.35526573584641, degenerate=False)"),
+    ("chsh", (3, 2), 11, 55, 0, "69dd0451afb4919d",
+     "SweepRecord(epsilon=0.04485311324291397, eps1_measured=0.20556285574357813,"
+     " eps2_measured=0.15922145466109372, max_extraction_error=0.24395451793807005,"
+     " extraction_bound=1.528649343242414, slack=1.284694825304344, degenerate=False)"),
+    ("chsh", (3, 2), 12, 47, 0, "aebf107b29dcc470",
+     "SweepRecord(epsilon=0.04960570335456138, eps1_measured=0.29226927535813246,"
+     " eps2_measured=0.1874482810775146, max_extraction_error=0.3231760489104417,"
+     " extraction_bound=2.0761017171635148, slack=1.7529256682530732, degenerate=False)"),
+    ("chsh", (4, 4), 11, 99, 0, "a02d726ce0421220",
+     "SweepRecord(epsilon=0.04685473513789429, eps1_measured=0.13784429270674095,"
+     " eps2_measured=0.1661204831090408, max_extraction_error=0.23320271146750268,"
+     " extraction_bound=1.1734448176596772, slack=0.9402421061921745, degenerate=False)"),
+    ("chsh", (4, 4), 12, 87, 0, "a851a0c7e1178822",
+     "SweepRecord(epsilon=0.04922641120991189, eps1_measured=0.2399935514574681,"
+     " eps2_measured=0.23400138794984895, max_extraction_error=0.3193186931630728,"
+     " extraction_bound=1.9049680028906968, slack=1.585649309727624, degenerate=False)"),
+    ("my", (2, 2), 11, 31, 0, "50bb4ba94b77f57b",
+     "SweepRecord(epsilon=0.04491438816411919, eps1_measured=0.10621552080771665,"
+     " eps2_measured=0.2997144913550848, max_extraction_error=0.20362205443355227,"
+     " extraction_bound=1.3334715928301537, slack=1.1298495383966014, degenerate=False)"),
+    ("my", (2, 2), 12, 16, 0, "ec97a83b975e264a",
+     "SweepRecord(epsilon=0.04994404314650785, eps1_measured=0.019459582267722327,"
+     " eps2_measured=0.29189888784690354, max_extraction_error=0.25223374542422056,"
+     " extraction_bound=0.8367749220897317, slack=0.5845411766655111, degenerate=False)"),
+    ("my", (3, 2), 11, 5, 0, "d4b393b50f066a94",
+     "SweepRecord(epsilon=0.044526102920254274, eps1_measured=0.0896620788499234,"
+     " eps2_measured=0.29841616216369554, max_extraction_error=0.2537463237752277,"
+     " extraction_bound=1.2391818390838176, slack=0.9854355153085899, degenerate=False)"),
+    ("my", (3, 2), 12, 11, 0, "74df602453023248",
+     "SweepRecord(epsilon=0.04367905030622998, eps1_measured=0.160637985512065,"
+     " eps2_measured=0.29183714215956064, max_extraction_error=0.3099202770912348,"
+     " extraction_bound=1.613101775715259, slack=1.3031814986240242, degenerate=False)"),
+    ("my", (4, 4), 11, 63, 0, "c95dc098779e0544",
+     "SweepRecord(epsilon=0.049429106730255024, eps1_measured=0.20097066894341298,"
+     " eps2_measured=0.3144172601186402, max_extraction_error=0.30445103426507136,"
+     " extraction_bound=1.891381829485372, slack=1.5869307952203004, degenerate=False)"),
+    ("my", (4, 4), 12, 49, 0, "2c9e91a9b33d511f",
+     "SweepRecord(epsilon=0.04771490616427432, eps1_measured=0.19333459875373127,"
+     " eps2_measured=0.30891716094860555, max_extraction_error=0.29457003852808966,"
+     " extraction_bound=1.835633195517036, slack=1.5410631569889464, degenerate=False)"),
+]
+
+
+def _device_digest(device) -> str:
+    h = hashlib.sha256(device.state.tobytes())
+    for party in (device.alice_obs, device.bob_obs):
+        for name, m in party.items():
+            h.update(name.encode())
+            h.update(m.tobytes())
+    return h.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("mode,dims,seed,feasible,invalid,digest,record", SEARCH_PINS)
+def test_search_reproduces_its_pin(mode, dims, seed, feasible, invalid, digest, record):
+    result = worst_case_search(mode, 0.05, dims, 200, seed)
+    assert (result.feasible, result.invalid) == (feasible, invalid)
+    assert _device_digest(result.device) == digest
+    assert repr(dataclasses.replace(result.record, epsilon=float(result.record.epsilon))) == record
 
 
 class TestSearchProposal:

@@ -306,7 +306,7 @@ def chsh_epsilon(values: dict[tuple[str, str], float]) -> tuple[float, float]:
         + values[("A1", "B0")]
         - values[("A1", "B1")]
     )
-    return value, max(0.0, TSIRELSON - value)
+    return value, max(0.0, float(TSIRELSON - value))
 
 
 def _ideal_pair_value(alice_name: str, bob_name: str) -> float:

@@ -13,9 +13,12 @@ draws its own numbers, in its own order; the linear algebra after the draws
 residuals and the extraction circuit run once per chunk on the stacked
 devices.  The correlations, and so the deviation epsilon, stay per device:
 the epsilon^(1/4) budgets amplify a last-bit change in epsilon, so they keep
-the one embedded floating-point form of ``device.correlations``.  A search
-evaluates one device at a time, as the n = 1 stack; its rotation generators
-are decomposed once per search, and a proposal rotates each party's stack.
+the one embedded floating-point form of ``device.correlations``.  Sweep,
+``evaluate_device`` and search share one path: epsilon from the correlations
+first, then the stages on the stack.  A search evaluates one device at a
+time, as the n = 1 stack, and only if its epsilon is within the ceiling; its
+rotation generators are decomposed once per search, and a proposal rotates
+each party's stack.
 """
 
 from __future__ import annotations
@@ -89,8 +92,9 @@ class SweepRecord:
 class SearchResult:
     """The best feasible device of a search, and how its evaluations ended:
     ``feasible``, or rejected as ``invalid`` (failed validation),
-    ``degenerate`` (extraction) or ``over_ceiling`` (epsilon), checked in
-    that order; the four counts sum to ``evaluations``."""
+    ``over_ceiling`` (epsilon) or ``degenerate`` (extraction), checked in
+    that order; the four counts sum to ``evaluations``.  A degenerate
+    proposal over the ceiling counts as ``over_ceiling``."""
 
     found: bool
     device: DeviceModel | None
@@ -382,12 +386,18 @@ def family_chunks(spec: FamilySpec) -> Iterator[tuple[list[float], DeviceStack]]
             raise error
 
 
-def _evaluate_stack(stack: DeviceStack, mode: str) -> list[SweepRecord]:
-    """``evaluate_device`` for every device of a stack, in one pass per stage."""
+def _epsilons(stack: DeviceStack, mode: str) -> list[float]:
+    """The deviation epsilon of each device of a stack, from its own correlations."""
     selftest = get_mode(mode)
-    epsilons = [selftest.deviation(correlations(stack.device(i), selftest.pairs))[1]
-                for i in range(len(stack))]
-    ops = selftest.derive(stack)
+    return [selftest.deviation(correlations(stack.device(i), selftest.pairs))[1]
+            for i in range(len(stack))]
+
+
+def _evaluate_stack(stack: DeviceStack, mode: str, epsilons: list[float]) -> list[SweepRecord]:
+    """The records of a stack's devices, whose deviations are ``epsilons``:
+    operator derivation, residuals and the extraction circuit run once each,
+    on the whole stack."""
+    ops = get_mode(mode).derive(stack)
     psi = stack.state.reshape(len(stack), *stack.dims)
     extraction = extraction_stack(psi, ops)
     max_errors = extraction.distances[:, :len(OPERATOR_PAIRS)].max(axis=1).tolist()
@@ -411,14 +421,18 @@ def _evaluate_stack(stack: DeviceStack, mode: str) -> list[SweepRecord]:
 
 
 def evaluate_device(device: DeviceModel, mode: str) -> SweepRecord:
-    """Run the residual/extraction pipeline on one device into a record.
+    """Run the deviation and the residual/extraction pipeline on one device
+    into a record.
 
     Precondition: ``device`` is valid.  ``sweep`` and ``worst_case_search``
-    validate each device they build before calling here, so this function does
-    not; the mode's observable names are checked in ``correlations``.  The
-    device is evaluated as the n = 1 stack.
+    validate each device they build before evaluating it, so this function
+    does not; the mode's observable names are checked in ``correlations``.
+    Epsilon comes first, from the correlations; the device then goes through
+    the stages as the n = 1 stack, as a search's proposal under its ceiling
+    does.
     """
-    return _evaluate_stack(DeviceStack.of(device), mode)[0]
+    stack = DeviceStack.of(device)
+    return _evaluate_stack(stack, mode, _epsilons(stack, mode))[0]
 
 
 def sweep(spec: FamilySpec) -> list[SweepRecord]:
@@ -437,13 +451,14 @@ def sweep(spec: FamilySpec) -> list[SweepRecord]:
         if invalid is not None:
             if invalid:
                 # An evaluation error of an earlier point comes first.
-                _evaluate_stack(stack.head(invalid), spec.mode)
+                head = stack.head(invalid)
+                _evaluate_stack(head, spec.mode, _epsilons(head, spec.mode))
             parameters = {FAMILY_AXES[spec.kind]: values[invalid]}
             raise ValueError(
                 f"family {spec.kind!r} produced an invalid device at {parameters}: "
                 + "; ".join(violations[invalid])
             )
-        records += _evaluate_stack(stack, spec.mode)
+        records += _evaluate_stack(stack, spec.mode, _epsilons(stack, spec.mode))
     return records
 
 
@@ -502,7 +517,10 @@ def worst_case_search(
     The result is the best device found within ``budget`` evaluations — no
     global-optimality claim is made.  The seed proposal is the unperturbed
     canonical embedding.  Each proposal is validated here, once; an invalid
-    one uses up its evaluation and is rejected.  The result counts how the
+    one uses up its evaluation and is rejected.  A valid proposal's epsilon
+    comes next, from its correlations, and one over the ceiling is rejected
+    before operator derivation, residuals or the extraction circuit run; the
+    rest go through them with that epsilon.  The result counts how the
     evaluations ended.  The rotation generators are drawn and decomposed
     once per search, into ``_rotation_table``.
 
@@ -535,12 +553,14 @@ def worst_case_search(
         if validate(device):
             outcomes["invalid"] += 1
             return None
-        record = evaluate_device(device, mode)
+        stack = DeviceStack.of(device)
+        epsilons = _epsilons(stack, mode)
+        if epsilons[0] > epsilon_ceiling:
+            outcomes["over_ceiling"] += 1
+            return None
+        record = _evaluate_stack(stack, mode, epsilons)[0]
         if record.degenerate:
             outcomes["degenerate"] += 1
-            return None
-        if record.epsilon > epsilon_ceiling:
-            outcomes["over_ceiling"] += 1
             return None
         outcomes["feasible"] += 1
         return device, record

@@ -103,7 +103,7 @@ class TestStackedSweepEqualsPerDevice:
         psi = stack.state.reshape(3, 2, 2)
         assert extraction_stack(psi, mode.derive(stack)).degenerate.tolist() == [
             False, True, False]
-        records = explorer._evaluate_stack(stack, "chsh")
+        records = explorer._evaluate_stack(stack, "chsh", explorer._epsilons(stack, "chsh"))
         assert [record.degenerate for record in records] == [False, True, False]
         for device, record in zip(devices, records):
             assert_records_match(record, evaluate_device(device, "chsh"))

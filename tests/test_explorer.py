@@ -207,6 +207,15 @@ class TestEvaluateDevice:
         with pytest.raises(ValueError, match="mode must be"):
             make_family(FamilySpec("tilted", {"theta": 0.3}, mode="bell"))
 
+    @pytest.mark.parametrize("mode", ["chsh", "my"])
+    def test_epsilon_is_a_python_float(self, mode):
+        spec = FamilySpec("measurement-noise", {"eta": [0.0, 0.1, 3]}, seed=1, mode=mode)
+        device = get_mode(mode).canonical()
+        epsilons = [record.epsilon for record in sweep(spec)]
+        epsilons.append(worst_case_search(mode, 0.05, (2, 2), 20, 1).record.epsilon)
+        epsilons.append(certify(device, mode).epsilon)
+        assert [type(eps) for eps in epsilons] == [float] * 5
+
 
 class TestWorstCaseSearch:
     def test_budget_one_returns_seed_proposal(self):
@@ -230,14 +239,15 @@ class TestWorstCaseSearch:
         assert record.slack > 0.0
 
     def test_record_reproducible_by_reevaluation(self):
-        result = worst_case_search("chsh", 0.01, (2, 2), 300, 3)
-        fresh = evaluate_device(result.device, "chsh")
-        assert fresh.max_extraction_error == pytest.approx(
-            result.record.max_extraction_error, abs=1e-9
-        )
-        assert fresh.epsilon == pytest.approx(result.record.epsilon, abs=1e-9)
-        report = certify(result.device, "chsh")
-        assert report.all_pass
+        # The search's epsilon and record come from the same floating-point
+        # path as a fresh evaluation, so they agree exactly.
+        for mode, ceiling in (("chsh", 0.01), ("my", 0.02)):
+            result = worst_case_search(mode, ceiling, (2, 2), 300, 3)
+            fresh = evaluate_device(result.device, mode)
+            assert fresh.max_extraction_error == result.record.max_extraction_error
+            assert fresh.epsilon == result.record.epsilon
+            report = certify(result.device, mode)
+            assert report.all_pass
 
     def test_deterministic(self):
         a = worst_case_search("my", 0.02, (2, 2), 150, 11)
@@ -276,28 +286,52 @@ class TestWorstCaseSearch:
                 + result.degenerate) == result.evaluations == 200
 
     def test_outcomes_count_each_rejection_once(self, monkeypatch):
-        # Every third proposal fails validation and every fifth evaluated one
-        # is degenerate: 7 invalid of 21, and 2 degenerate of the other 14.
+        # Every third proposal fails validation, and every fifth one that
+        # reaches the stages (so is within the ceiling) is degenerate: 7
+        # invalid of 21, and 2 degenerate of the 11 + 2 under the ceiling.
         calls = {"validate": 0, "evaluate": 0}
+        evaluate_stack = explorer._evaluate_stack
 
         def validate_some(device):
             calls["validate"] += 1
             return ["rejected"] if calls["validate"] % 3 == 0 else validate(device)
 
-        def degenerate_some(device, mode):
+        def degenerate_some(stack, mode, epsilons):
+            assert len(stack) == 1 and epsilons[0] <= 0.3
             calls["evaluate"] += 1
-            record = evaluate_device(device, mode)
+            records = evaluate_stack(stack, mode, epsilons)
             if calls["evaluate"] % 5 == 0:
-                return dataclasses.replace(record, degenerate=True)
-            return record
+                return [dataclasses.replace(record, degenerate=True) for record in records]
+            return records
 
         monkeypatch.setattr(explorer, "validate", validate_some)
-        monkeypatch.setattr(explorer, "evaluate_device", degenerate_some)
-        result = worst_case_search("my", 0.02, (3, 2), 21, 5)
+        monkeypatch.setattr(explorer, "_evaluate_stack", degenerate_some)
+        result = worst_case_search("my", 0.3, (3, 2), 21, 5)
         assert result.evaluations == 21
         assert result.invalid == 7 and result.degenerate == 2
         assert result.feasible + result.over_ceiling == 12
-        assert result.feasible > 0
+        assert result.feasible > 0 and result.over_ceiling > 0
+
+    @pytest.mark.parametrize("mode,seed", [("chsh", 2024), ("my", 7)])
+    def test_over_ceiling_proposals_skip_the_stages(self, monkeypatch, mode, seed):
+        # Epsilon is computed once per valid proposal, and only the proposals
+        # within the ceiling reach the extraction circuit.
+        calls = {"correlations": 0, "extraction_stack": 0}
+
+        def counted(name):
+            function = getattr(explorer, name)
+
+            def count(*args):
+                calls[name] += 1
+                return function(*args)
+            return count
+
+        for name in calls:
+            monkeypatch.setattr(explorer, name, counted(name))
+        result = worst_case_search(mode, 0.05, (4, 4), 200, seed)
+        assert result.over_ceiling > 0
+        assert calls["correlations"] == result.evaluations - result.invalid
+        assert calls["extraction_stack"] == result.feasible + result.degenerate
 
 
 # Captured before epsilon was checked ahead of the pipeline: mode, dims, seed,
@@ -365,12 +399,13 @@ def _device_digest(device) -> str:
     return h.hexdigest()[:16]
 
 
-@pytest.mark.parametrize("mode,dims,seed,feasible,invalid,digest,record", SEARCH_PINS)
+@pytest.mark.parametrize("mode,dims,seed,feasible,invalid,digest,record", SEARCH_PINS,
+                         ids=[f"{pin[0]}-{pin[1][0]}x{pin[1][1]}-{pin[2]}" for pin in SEARCH_PINS])
 def test_search_reproduces_its_pin(mode, dims, seed, feasible, invalid, digest, record):
     result = worst_case_search(mode, 0.05, dims, 200, seed)
     assert (result.feasible, result.invalid) == (feasible, invalid)
     assert _device_digest(result.device) == digest
-    assert repr(dataclasses.replace(result.record, epsilon=float(result.record.epsilon))) == record
+    assert repr(result.record) == record
 
 
 class TestSearchProposal:

@@ -421,15 +421,12 @@ def _evaluate_stack(stack: DeviceStack, mode: str, epsilons: list[float]) -> lis
 
 
 def evaluate_device(device: DeviceModel, mode: str) -> SweepRecord:
-    """Run the deviation and the residual/extraction pipeline on one device
-    into a record.
+    """Epsilon, then the residual/extraction pipeline as the n = 1 stack, on
+    one device into a record.
 
     Precondition: ``device`` is valid.  ``sweep`` and ``worst_case_search``
     validate each device they build before evaluating it, so this function
     does not; the mode's observable names are checked in ``correlations``.
-    Epsilon comes first, from the correlations; the device then goes through
-    the stages as the n = 1 stack, as a search's proposal under its ceiling
-    does.
     """
     stack = DeviceStack.of(device)
     return _evaluate_stack(stack, mode, _epsilons(stack, mode))[0]

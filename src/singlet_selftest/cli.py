@@ -12,9 +12,10 @@ stay per device (see ``explorer``).
 from __future__ import annotations
 
 import argparse
-import json
+import itertools
 import math
 import sys
+from collections.abc import Iterable
 from pathlib import Path
 
 from .bounds import (
@@ -34,6 +35,7 @@ from .documents import (
     budget_to_json,
     device_to_document,
     document_digest,
+    json_text,
     load_device,
     read_json,
     report_to_document,
@@ -91,6 +93,28 @@ def _load_table(path: str, selftest: Mode) -> dict[str, float]:
     return table
 
 
+def _non_quantum_chsh(values: Iterable[float]) -> tuple[tuple[int, ...], float] | None:
+    """An odd sign pattern whose arcsine sum exceeds pi, with that sum, or None.
+
+    Four correlators E_xy of +-1 observables, in ``CHSH_PAIRS`` order, come
+    from a quantum device exactly when sum_xy s_xy asin(E_xy) <= pi for every
+    sign pattern s with an odd number of minus signs (Landau 1988; Masanes,
+    arXiv:quant-ph/0309137).  Bounding the CHSH value alone checks one of
+    these eight expressions, and only through a weaker linear bound.  Each
+    entry is first moved ``TABLE_ROUNDING_TOL`` toward the side that lowers
+    the sum, and clipped to [-1, 1].
+    """
+    for signs in itertools.product((1, -1), repeat=4):
+        if signs.count(-1) % 2:
+            total = sum(
+                s * math.asin(min(1.0, max(-1.0, e - s * TABLE_ROUNDING_TOL)))
+                for s, e in zip(signs, values)
+            )
+            if total > math.pi:
+                return signs, total
+    return None
+
+
 def cmd_correlations(args: argparse.Namespace) -> int:
     """Budgets from correlation data alone; no device model, so no isometry."""
     selftest = get_mode(args.mode)
@@ -105,6 +129,17 @@ def cmd_correlations(args: argparse.Namespace) -> int:
             f"CHSH value {chsh:.17g} exceeds the quantum maximum 2*sqrt(2) = "
             f"{TSIRELSON:.17g} by more than the rounding tolerance "
             f"{4 * TABLE_ROUNDING_TOL:.0e}; no quantum device produces this table"
+        )
+    violation = _non_quantum_chsh(table.values()) if chsh is not None else None
+    if violation is not None:
+        signs, total = violation
+        terms = " ".join(
+            f"{'+' if s > 0 else '-'}asin({key})" for s, key in zip(signs, selftest.table_keys)
+        )
+        return _fail(
+            f"{terms} = {total:.17g} exceeds pi by more than the rounding tolerance "
+            f"{TABLE_ROUNDING_TOL:.0e} per entry allows; no quantum device "
+            "produces this table"
         )
 
     budgets = None
@@ -138,7 +173,7 @@ def cmd_correlations(args: argparse.Namespace) -> int:
         "fidelity": fidelity_block(epsilon),
         "note": note,
     }
-    text = json.dumps(doc, indent=2) + "\n"
+    text = json_text(doc) + "\n"
     if args.out:
         write_text_atomic(args.out, text)
     else:
@@ -255,7 +290,7 @@ def cmd_canonical(args: argparse.Namespace) -> int:
         write_json_atomic(args.out, doc)
         print(f"wrote canonical {args.mode} device to {args.out}")
     else:
-        sys.stdout.write(json.dumps(doc, indent=2) + "\n")
+        sys.stdout.write(json_text(doc) + "\n")
     return 0
 
 

@@ -5,10 +5,19 @@ row-major nested arrays of such pairs.  Floats go through the standard JSON
 encoder (shortest exact round-trip), so deserialize(serialize(device)) is
 value-identical and repeated runs are byte-identical.  Output files are
 written to a temporary sibling and atomically renamed, never left partial.
+
+Every indented document goes through one encoder, ``json_text``, whose text
+is byte for byte ``json.dumps(value, indent=2, allow_nan=False)``.  The
+standard library encodes with ``indent`` only in pure Python, so
+``json_text`` walks the nesting itself and hands each container whose
+members are all scalars (a report row, a budget block, a [re, im] pair) to a
+``json.JSONEncoder`` without ``indent``, which uses the C encoder; only that
+container's first and last bracket are then re-indented.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import json
@@ -150,7 +159,10 @@ def device_from_document(doc) -> DeviceModel:
 
 
 def document_digest(doc: dict) -> str:
-    payload = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    # A document built from arrays cannot be cyclic, so the cycle check is skipped.
+    payload = json.dumps(
+        doc, sort_keys=True, separators=(",", ":"), check_circular=False
+    ).encode("utf-8")
     return "sha256:" + hashlib.sha256(payload).hexdigest()
 
 
@@ -175,8 +187,17 @@ def load_device(path: str | Path) -> DeviceModel:
     return device_from_document(read_json(Path(path)))
 
 
+# Exact types that json writes as scalars, unconverted.
+_SCALARS = frozenset({str, bool, int, float, type(None)})
+
+
 def _clean(value):
     """Make a value JSON-clean: NaN/inf become null, numpy scalars plain."""
+    kind = type(value)
+    if kind is float:
+        return value if math.isfinite(value) else None
+    if kind in _SCALARS:
+        return value
     if isinstance(value, dict):
         return {k: _clean(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -253,8 +274,55 @@ def report_to_document(report: CertificationReport, inputs_digest: str) -> dict:
     return _clean(doc)
 
 
+@functools.cache
+def _encoder(depth: int) -> json.JSONEncoder:
+    """Separates a container's members as ``indent=2`` does ``depth`` levels deep.
+
+    Without ``indent`` the standard library encodes with its C encoder.  It is
+    given only scalars and containers of scalars, which cannot be cyclic.
+    """
+    return json.JSONEncoder(
+        separators=(",\n" + "  " * depth, ": "), allow_nan=False, check_circular=False
+    )
+
+
+def _indented(value, depth: int) -> str:
+    """``value`` as ``json.dumps(indent=2)`` writes it ``depth`` levels deep."""
+    is_dict = isinstance(value, dict)
+    if not (is_dict or isinstance(value, (list, tuple))):
+        return _encoder(0).encode(value)
+    brackets = "{}" if is_dict else "[]"
+    if not value:
+        return brackets
+    inner = "  " * (depth + 1)
+    encode = _encoder(depth + 1).encode
+    members = value.values() if is_dict else value
+    # A container of scalars goes to the C encoder whole.
+    if _SCALARS.issuperset(map(type, members)):
+        body = encode(value)[1:-1]
+    else:
+        parts = [_indented(member, depth + 1) for member in members]
+        if is_dict:
+            # A non-str key goes through a one-entry dict, so it is converted
+            # (1.5 -> "1.5") or rejected exactly as json does.
+            parts = [
+                (encode(key) if type(key) is str else encode({key: None})[1:-7]) + ": " + part
+                for key, part in zip(value, parts)
+            ]
+        body = (",\n" + inner).join(parts)
+    return brackets[0] + "\n" + inner + body + "\n" + "  " * depth + brackets[1]
+
+
+def json_text(value) -> str:
+    """Exactly ``json.dumps(value, indent=2, allow_nan=False)``, for an acyclic ``value``.
+
+    NaN and infinities raise ``ValueError``, as they do in ``json``.
+    """
+    return _indented(value, 0)
+
+
 def write_json_atomic(path: str | Path, doc: dict) -> None:
-    write_text_atomic(path, json.dumps(doc, indent=2, allow_nan=False) + "\n")
+    write_text_atomic(path, json_text(doc) + "\n")
 
 
 def write_text_atomic(path: str | Path, text: str) -> None:

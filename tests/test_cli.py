@@ -486,6 +486,33 @@ class TestCorrelationsCommand:
         assert "exceeds the quantum maximum" in captured.err
         assert not out.exists()
 
+    @pytest.mark.parametrize("values", [
+        # E00 = E01 = E10 = 1 forces E11 = 1, yet the CHSH value is 2*sqrt(2)
+        {"A0_B0": 1, "A0_B1": 1, "A1_B0": 1, "A1_B1": 0.1715728752538097},
+        # CHSH = -4: the sign pattern with three minus signs is violated
+        {"A0_B0": -1, "A0_B1": -1, "A1_B0": -1, "A1_B1": 1},
+    ])
+    def test_non_quantum_chsh_table_exits_two(self, tmp_path, capsys, values):
+        table = tmp_path / "table.json"
+        table.write_text(json.dumps(values))
+        out = tmp_path / "summary.json"
+        code = main([
+            "correlations", "--table", str(table), "--mode", "chsh", "--out", str(out),
+        ])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "exceeds pi" in captured.err
+        assert "no quantum device produces this table" in captured.err
+        assert not out.exists()
+
+    def test_deterministic_chsh_table_on_the_quantum_boundary(self, tmp_path, capsys):
+        # a local deterministic strategy: one arcsine sum is exactly pi
+        table = tmp_path / "table.json"
+        table.write_text(json.dumps({"A0_B0": 1, "A0_B1": 1, "A1_B0": 1, "A1_B1": 1}))
+        assert main(["correlations", "--table", str(table), "--mode", "chsh"]) == 0
+        assert json.loads(capsys.readouterr().out)["chshValue"] == 2.0
+
     def test_chsh_table_just_above_tsirelson_within_rounding(self, tmp_path, capsys):
         c = 1.0 / math.sqrt(2.0) + 5e-13
         table = tmp_path / "table.json"

@@ -7,7 +7,9 @@ per mode (its device document and its ``<out>.report.json``; the report's
 ``inputsDigest`` hashes the device document, so it pins every bit of the
 device).  Strings, flags,
 nulls and integers must match exactly and floats within 1e-12, the same bar
-the benchmark's output check uses; ``toolVersion`` is not compared.  To
+the benchmark's output check uses; ``toolVersion`` is not compared.  Each
+JSON output must also be laid out exactly as ``json.dumps(indent=2)`` lays
+out its own values.  To
 refresh the corpus, or only the named cases, on purpose, run
 
     PYTHONPATH=src python tests/test_golden.py [case ...]
@@ -187,6 +189,8 @@ def test_matches_golden(name, suffix, tmp_path):
     if suffix == ".csv":
         diffs = csv_differences(reference, text)
     else:
+        # The values are compared at 1e-12 below; the layout must be exact.
+        assert text == json.dumps(json.loads(text), indent=2) + "\n"
         diffs = json_differences(json.loads(reference), json.loads(text))
     assert not diffs, diffs[:10]
 

@@ -408,6 +408,59 @@ def test_search_reproduces_its_pin(mode, dims, seed, feasible, invalid, digest, 
     assert repr(result.record) == record
 
 
+# Captured before proposals were built and checked as speculative stacks:
+# mode, dims, ceiling, the feasible, invalid and over-ceiling counts, the best
+# device's digest and its record's repr (budget 300, seed 13).  At these
+# ceilings most proposals are over the ceiling, so the batches grow to the
+# chunk cap, and a feasible row in mid-batch rewinds the generator.
+SMALL_CEILING_PINS = [
+    ("chsh", (2, 2), 0.001, 3, 0, 297, "9484155f563036ea",
+     "SweepRecord(epsilon=0.00028542163508760154, eps1_measured=0.008283166677420566,"
+     " eps2_measured=0.012595566437679177, max_extraction_error=0.013194284318164872,"
+     " extraction_bound=0.07704633282001105, slack=0.06385204850184618, degenerate=False)"),
+    ("chsh", (2, 2), 0.01, 42, 0, 258, "b795d4b2092e3acf",
+     "SweepRecord(epsilon=0.009446839319975364, eps1_measured=0.09669185094276773,"
+     " eps2_measured=0.10980595908668443, max_extraction_error=0.12457283831910575,"
+     " extraction_bound=0.8063200779019335, slack=0.6817472395828278, degenerate=False)"),
+    ("chsh", (4, 4), 0.001, 1, 0, 299, "d810e99e55f5e3ab",
+     "SweepRecord(epsilon=0.0, eps1_measured=7.573404258406632e-16,"
+     " eps2_measured=1.169724717459184e-15, max_extraction_error=1.4113101588883694e-15,"
+     " extraction_bound=7.0896841357716074e-15, slack=5.678373976883238e-15, degenerate=False)"),
+    ("chsh", (4, 4), 0.01, 41, 0, 259, "bab2f4f8ea44027c",
+     "SweepRecord(epsilon=0.009453154123524765, eps1_measured=0.08785076706408644,"
+     " eps2_measured=0.09461693887675296, max_extraction_error=0.1171609152204021,"
+     " extraction_bound=0.7197215660443579, slack=0.6025606508239558, degenerate=False)"),
+    ("my", (2, 2), 0.001, 1, 0, 299, "8a467046d2eee6f5",
+     "SweepRecord(epsilon=2.4424906541753444e-15, eps1_measured=3.161386885810692e-16,"
+     " eps2_measured=3.510833468576701e-16, max_extraction_error=3.2493189146828285e-15,"
+     " extraction_bound=2.616471154340056e-15, slack=-6.328477603427727e-16, degenerate=False)"),
+    ("my", (2, 2), 0.01, 4, 0, 296, "05da5a564bfc30e7",
+     "SweepRecord(epsilon=0.007467131339635502, eps1_measured=0.008252926485582785,"
+     " eps2_measured=0.12220582097130848, max_extraction_error=0.06748164786013133,"
+     " extraction_bound=0.3509056480989765, slack=0.2834240002388452, degenerate=False)"),
+    ("my", (4, 4), 0.001, 1, 0, 299, "cff2845b3cfbacfc",
+     "SweepRecord(epsilon=1.1102230246251565e-15, eps1_measured=7.573404258406632e-16,"
+     " eps2_measured=1.1224849760106866e-15, max_extraction_error=2.2252257297058496e-15,"
+     " extraction_bound=6.971584782150363e-15, slack=4.746359052444514e-15, degenerate=False)"),
+    ("my", (4, 4), 0.01, 2, 0, 298, "b0a0fd899f2aa7ed",
+     "SweepRecord(epsilon=0.00502308853575284, eps1_measured=0.02053804974816694,"
+     " eps2_measured=0.03884085158115109, max_extraction_error=0.0388164146855736,"
+     " extraction_bound=0.21006140256779587, slack=0.17124498788222228, degenerate=False)"),
+]
+
+
+@pytest.mark.parametrize(
+    "mode,dims,ceiling,feasible,invalid,over_ceiling,digest,record", SMALL_CEILING_PINS,
+    ids=[f"{pin[0]}-{pin[1][0]}x{pin[1][1]}-{pin[2]:g}" for pin in SMALL_CEILING_PINS])
+def test_small_ceiling_search_reproduces_its_pin(mode, dims, ceiling, feasible, invalid,
+                                                 over_ceiling, digest, record):
+    result = worst_case_search(mode, ceiling, dims, 300, 13)
+    assert (result.feasible, result.invalid, result.over_ceiling) == (
+        feasible, invalid, over_ceiling)
+    assert _device_digest(result.device) == digest
+    assert repr(result.record) == record
+
+
 class TestSearchProposal:
     """The rotation table's proposals are the per-observable ones, bit for bit."""
 

@@ -39,6 +39,7 @@ from .device import (
     DeviceValidationError,
     canonical_chsh_device,
     canonical_my_device,
+    correlation_stack,
     correlations,
     make_device,
     validate,
@@ -88,6 +89,7 @@ __all__ = [
     "chsh_budget",
     "chsh_diagnostics",
     "condition_residuals",
+    "correlation_stack",
     "correlations",
     "derive_chsh_operators",
     "extraction_bound",

@@ -5,8 +5,7 @@ passing, 1 when a report contains failing rows (or a search finds nothing),
 2 on input errors (bad flags, unparseable or schema-violating files, invalid
 devices).  Output files are written atomically; no partial files on failure.
 Sweeps build and evaluate their points in chunks of same-dims devices,
-stacked through each stage; the correlations, and so each point's epsilon,
-stay per device (see ``explorer``).
+stacked through each stage, the correlations included (see ``explorer``).
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ import argparse
 import itertools
 import math
 import sys
-from collections.abc import Iterable
+from collections.abc import Sequence
 from pathlib import Path
 
 from .bounds import (
@@ -93,7 +92,7 @@ def _load_table(path: str, selftest: Mode) -> dict[str, float]:
     return table
 
 
-def _non_quantum_chsh(values: Iterable[float]) -> tuple[tuple[int, ...], float] | None:
+def _non_quantum_chsh(values: Sequence[float]) -> tuple[tuple[int, ...], float] | None:
     """An odd sign pattern whose arcsine sum exceeds pi, with that sum, or None.
 
     Four correlators E_xy of +-1 observables, in ``CHSH_PAIRS`` order, come
@@ -115,6 +114,22 @@ def _non_quantum_chsh(values: Iterable[float]) -> tuple[tuple[int, ...], float] 
     return None
 
 
+def _chsh_subtables(selftest: Mode) -> list[tuple[str, str, str, str]]:
+    """The table keys of every 2x2 sub-table, each in ``CHSH_PAIRS`` order:
+    two of Alice's observables against two of Bob's.
+
+    Any two +-1 observables per party on one state make a CHSH experiment,
+    so each sub-table must pass ``_non_quantum_chsh``.  The CHSH table is its
+    own one sub-table; the Mayers-Yao table has three, (XA, ZA) against each
+    two of (XB, ZB, DB).
+    """
+    alice = list(dict.fromkeys(a for a, _ in selftest.pairs))
+    bob = list(dict.fromkeys(b for _, b in selftest.pairs))
+    return [(f"{a0}_{b0}", f"{a0}_{b1}", f"{a1}_{b0}", f"{a1}_{b1}")
+            for a0, a1 in itertools.combinations(alice, 2)
+            for b0, b1 in itertools.combinations(bob, 2)]
+
+
 def cmd_correlations(args: argparse.Namespace) -> int:
     """Budgets from correlation data alone; no device model, so no isometry."""
     selftest = get_mode(args.mode)
@@ -130,17 +145,16 @@ def cmd_correlations(args: argparse.Namespace) -> int:
             f"{TSIRELSON:.17g} by more than the rounding tolerance "
             f"{4 * TABLE_ROUNDING_TOL:.0e}; no quantum device produces this table"
         )
-    violation = _non_quantum_chsh(table.values()) if chsh is not None else None
-    if violation is not None:
-        signs, total = violation
-        terms = " ".join(
-            f"{'+' if s > 0 else '-'}asin({key})" for s, key in zip(signs, selftest.table_keys)
-        )
-        return _fail(
-            f"{terms} = {total:.17g} exceeds pi by more than the rounding tolerance "
-            f"{TABLE_ROUNDING_TOL:.0e} per entry allows; no quantum device "
-            "produces this table"
-        )
+    for keys in _chsh_subtables(selftest):
+        violation = _non_quantum_chsh([table[key] for key in keys])
+        if violation is not None:
+            signs, total = violation
+            terms = " ".join(f"{'+' if s > 0 else '-'}asin({key})" for s, key in zip(signs, keys))
+            return _fail(
+                f"{terms} = {total:.17g} exceeds pi by more than the rounding tolerance "
+                f"{TABLE_ROUNDING_TOL:.0e} per entry allows; no quantum device "
+                "produces this table"
+            )
 
     budgets = None
     bounds = None

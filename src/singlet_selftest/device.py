@@ -130,13 +130,20 @@ class DeviceStack:
     def __len__(self) -> int:
         return self.state.shape[0]
 
-    def head(self, count: int) -> DeviceStack:
-        """The stack of the first ``count`` devices, as views."""
+    def select(self, rows) -> DeviceStack:
+        """The stack of the devices ``rows``, read-only: a slice gives views,
+        a sequence of indices copies."""
+
+        def pick(array: np.ndarray) -> np.ndarray:
+            array = array[rows]
+            array.flags.writeable = False
+            return array
+
         return DeviceStack(
             self.dims,
-            self.state[:count],
-            {name: m[:count] for name, m in self.alice_obs.items()},
-            {name: m[:count] for name, m in self.bob_obs.items()},
+            pick(self.state),
+            {name: pick(m) for name, m in self.alice_obs.items()},
+            {name: pick(m) for name, m in self.bob_obs.items()},
         )
 
     def device(self, index: int) -> DeviceModel:
@@ -230,8 +237,11 @@ def require_valid(device: DeviceModel) -> None:
         raise DeviceValidationError(violations)
 
 
-def require_observables(device: DeviceModel, pairs: tuple[tuple[str, str], ...]) -> None:
-    """Raise ``KeyError`` naming the first observable of ``pairs`` the device lacks.
+def require_observables(
+    device: DeviceModel | DeviceStack, pairs: tuple[tuple[str, str], ...]
+) -> None:
+    """Raise ``KeyError`` naming the first observable of ``pairs`` the device
+    (or stack) lacks.
 
     Alice's names are checked before Bob's, each in the order of ``pairs``.
     """
@@ -246,51 +256,70 @@ def correlations(
 ) -> dict[tuple[str, str], float]:
     """Expectation values <psi| (M_A x I)(I x N_B) |psi> for named observable pairs.
 
-    The names are checked first (``require_observables``); the device's
+    The n = 1 case of ``correlation_stack``, as a table keyed by pair.
+    """
+    values = correlation_stack(DeviceStack.of(device), pairs)[0]
+    return dict(zip(pairs, values.tolist()))
+
+
+def correlation_stack(
+    stack: DeviceStack, pairs: tuple[tuple[str, str], ...]
+) -> np.ndarray:
+    """The correlations of ``pairs`` for every device of a stack, as an
+    (n, len(pairs)) real array in the order of ``pairs``.
+
+    The names are checked first (``require_observables``); the devices'
     validity is not: ``bounds.certify`` and the ``explorer`` sweep and search
     check it once per device.  The value of a product of commuting Hermitian
     observables must be real; an imaginary part above 1e-10 raises a
-    numerical-consistency error.
+    numerical-consistency error naming the first such device's first such
+    pair, and that device's value.
 
     The epsilon^(1/4) budgets amplify a last-bit change in a correlation far
     beyond the change itself at small deviation, so these values keep the
     embedded form ``vdot(psi, (M x I) @ ((I x N) @ psi))`` rather than the
-    state-matrix kernel used elsewhere.  The embedded matrices share one
-    zeroed dA*dB x dA*dB buffer: each observable is written straight into the
-    entries its embedding occupies (I x N first, for every Bob name, then
-    M x I, rewritten when the Alice name changes).  Every nonzero entry is the
-    one ``np.kron`` gives, since x * (1 + 0j) is exact; only the sign of some
-    zero entries differs, which no sum with a nonzero term can see.  So the
-    matrix-vector products see the same values and every correlation is
-    bit-identical to the ``np.kron`` form.
+    state-matrix kernel used elsewhere.  The embedded matrices of all n
+    devices share one zeroed (n, dA*dB, dA*dB) buffer: each observable is
+    written straight into the entries its embedding occupies (I x N first,
+    for every Bob name, then M x I, rewritten when the Alice name changes).
+    Every nonzero entry is the one ``np.kron`` gives, since x * (1 + 0j) is
+    exact; only the sign of some zero entries differs, which no sum with a
+    nonzero term can see.  numpy runs a stacked product with one column as
+    one matrix-vector product per device, and a row times a column as a dot
+    product, so every correlation is bit-identical to the ``np.kron`` form
+    of that device alone.
     """
-    require_observables(device, pairs)
-    da, db = device.dims
-    psi = device.state
-    buf = np.zeros((da * db, da * db), dtype=complex)
-    # blocks[i, j, k, l] is the entry at row i*dB + j, column k*dB + l.
-    blocks = buf.reshape(da, db, da, db)
+    require_observables(stack, pairs)
+    da, db = stack.dims
+    n = len(stack)
+    psi = stack.state[..., None]
+    buf = np.zeros((n, da * db, da * db), dtype=complex)
+    # blocks[:, i, j, k, l] is the entry at row i*dB + j, column k*dB + l.
+    blocks = buf.reshape(n, da, db, da, db)
     alice_diag, bob_diag = np.arange(da), np.arange(db)
     applied_b: dict[str, np.ndarray] = {}
     for _, bob_name in pairs:
         if bob_name not in applied_b:
-            blocks[alice_diag, :, alice_diag, :] = device.bob_obs[bob_name]
+            blocks[:, alice_diag, :, alice_diag, :] = stack.bob_obs[bob_name]
             applied_b[bob_name] = buf @ psi
-    blocks[alice_diag, :, alice_diag, :] = 0.0
-    values: dict[tuple[str, str], float] = {}
+    blocks[:, alice_diag, :, alice_diag, :] = 0.0
+    bra = np.conj(stack.state)[:, None, :]
+    values = np.empty((n, len(pairs)), dtype=complex)
     written_a = None
-    for alice_name, bob_name in pairs:
+    for j, (alice_name, bob_name) in enumerate(pairs):
         if alice_name != written_a:
-            blocks[:, bob_diag, :, bob_diag] = device.alice_obs[alice_name]
+            blocks[:, :, bob_diag, :, bob_diag] = stack.alice_obs[alice_name]
             written_a = alice_name
-        value = complex(np.vdot(psi, buf @ applied_b[bob_name]))
-        if abs(value.imag) > IMAG_ATOL:
-            raise ValueError(
-                f"correlation <{alice_name} {bob_name}> has imaginary part "
-                f"{value.imag:.3e} above tolerance"
-            )
-        values[(alice_name, bob_name)] = float(value.real)
-    return values
+        values[:, j] = (bra @ (buf @ applied_b[bob_name]))[:, 0, 0]
+    failed = np.argwhere(np.abs(values.imag) > IMAG_ATOL)
+    if len(failed):
+        i, j = failed[0]
+        alice_name, bob_name = pairs[j]
+        raise ValueError(
+            f"correlation <{alice_name} {bob_name}> has imaginary part "
+            f"{values[i, j].imag:.3e} above tolerance"
+        )
+    return values.real
 
 
 def chsh_epsilon(values: dict[tuple[str, str], float]) -> tuple[float, float]:

@@ -9,16 +9,17 @@ does not depend on which points were generated before it.
 A sweep builds and evaluates its points in chunks of at most
 ``CHUNK_ELEMENTS`` // (40 dA dB) devices, which share dims.  Each point still
 draws its own numbers, in its own order; the linear algebra after the draws
-(QR, eigendecompositions, matrix products), validation, operator derivation,
-residuals and the extraction circuit run once per chunk on the stacked
-devices.  The correlations, and so the deviation epsilon, stay per device:
-the epsilon^(1/4) budgets amplify a last-bit change in epsilon, so they keep
-the one embedded floating-point form of ``device.correlations``.  Sweep,
+(QR, eigendecompositions, matrix products), validation, the correlations,
+operator derivation, residuals and the extraction circuit run once per chunk
+on the stacked devices.  The epsilon^(1/4) budgets amplify a last-bit change
+in the deviation epsilon, so ``device.correlation_stack`` keeps each
+device's embedded floating-point form, bit for bit.  Sweep,
 ``evaluate_device`` and search share one path: epsilon from the correlations
-first, then the stages on the stack.  A search evaluates one device at a
-time, as the n = 1 stack, and only if its epsilon is within the ceiling; its
-rotation generators are decomposed once per search, and a proposal rotates
-each party's stack.
+first, then the stages on the stack.  A search builds, validates and takes
+epsilon of its proposals as speculative stacks, and runs the stages on one
+proposal at a time, as the n = 1 stack, and only if its epsilon is within
+the ceiling; its rotation generators are decomposed once per search, and a
+stack of proposals rotates each party's observables in one pass.
 """
 
 from __future__ import annotations
@@ -34,8 +35,7 @@ from .derive import residual_stack
 from .device import (
     DeviceModel,
     DeviceStack,
-    correlations,
-    validate,
+    correlation_stack,
     validate_stack,
 )
 from .isometry import OPERATOR_PAIRS, extraction_stack
@@ -387,10 +387,10 @@ def family_chunks(spec: FamilySpec) -> Iterator[tuple[list[float], DeviceStack]]
 
 
 def _epsilons(stack: DeviceStack, mode: str) -> list[float]:
-    """The deviation epsilon of each device of a stack, from its own correlations."""
+    """The deviation epsilon of each device of a stack, from its correlations."""
     selftest = get_mode(mode)
-    return [selftest.deviation(correlations(stack.device(i), selftest.pairs))[1]
-            for i in range(len(stack))]
+    return [selftest.deviation(dict(zip(selftest.pairs, values)))[1]
+            for values in correlation_stack(stack, selftest.pairs).tolist()]
 
 
 def _evaluate_stack(stack: DeviceStack, mode: str, epsilons: list[float]) -> list[SweepRecord]:
@@ -426,7 +426,8 @@ def evaluate_device(device: DeviceModel, mode: str) -> SweepRecord:
 
     Precondition: ``device`` is valid.  ``sweep`` and ``worst_case_search``
     validate each device they build before evaluating it, so this function
-    does not; the mode's observable names are checked in ``correlations``.
+    does not; the mode's observable names are checked in
+    ``correlation_stack``.
     """
     stack = DeviceStack.of(device)
     return _evaluate_stack(stack, mode, _epsilons(stack, mode))[0]
@@ -448,7 +449,7 @@ def sweep(spec: FamilySpec) -> list[SweepRecord]:
         if invalid is not None:
             if invalid:
                 # An evaluation error of an earlier point comes first.
-                head = stack.head(invalid)
+                head = stack.select(slice(invalid))
                 _evaluate_stack(head, spec.mode, _epsilons(head, spec.mode))
             parameters = {FAMILY_AXES[spec.kind]: values[invalid]}
             raise ValueError(
@@ -474,28 +475,29 @@ def _rotation_table(base: DeviceModel, dims: tuple[int, int],
     return table
 
 
-def _search_proposal(dims: tuple[int, int], qubit_state: np.ndarray, state_dirs: np.ndarray,
-                     table: list[tuple], params: np.ndarray) -> DeviceModel:
-    """Device generated by a search parameter vector.
+def _search_proposals(dims: tuple[int, int], qubit_state: np.ndarray, state_dirs: np.ndarray,
+                      table: list[tuple], params: np.ndarray) -> DeviceStack:
+    """The devices generated by search parameter vectors, the rows of
+    ``params``, as one stack.
 
     Parameters: two state-noise coordinates along fixed seeded directions,
     then one rotation angle per observable, Alice's then Bob's, around its
     fixed seeded Hermitian generator; ``table`` is ``_rotation_table``'s.
     The zero vector reproduces the embedded canonical device, whose state is
-    ``qubit_state``.  The device holds the new arrays, read-only, uncopied.
+    ``qubit_state``.  The stack holds the new arrays, read-only, uncopied.
     """
-    state = qubit_state + params[0] * state_dirs[0] + params[1] * state_dirs[1]
-    state /= np.linalg.norm(state)
-    state.flags.writeable = False
+    states = qubit_state + params[:, :1] * state_dirs[0] + params[:, 1:2] * state_dirs[1]
+    for state in states:
+        # One norm per row: a norm over the stack's axis rounds differently.
+        state /= np.linalg.norm(state)
     parties = []
     start = 2
     for names, padded, decomposition in table:
-        angles = params[start:start + len(names), None]
+        angles = params[:, start:start + len(names), None]
         rotated = _rotate(padded, decomposition, angles)
-        rotated.flags.writeable = False
-        parties.append(dict(zip(names, rotated)))
+        parties.append({name: rotated[:, j] for j, name in enumerate(names)})
         start += len(names)
-    return DeviceModel(dims, state, *parties)
+    return _frozen_stack(dims, states, *parties)
 
 
 def worst_case_search(
@@ -513,13 +515,25 @@ def worst_case_search(
     derivative-free chain is used, cooling geometrically by 0.995 per evaluation.
     The result is the best device found within ``budget`` evaluations — no
     global-optimality claim is made.  The seed proposal is the unperturbed
-    canonical embedding.  Each proposal is validated here, once; an invalid
-    one uses up its evaluation and is rejected.  A valid proposal's epsilon
-    comes next, from its correlations, and one over the ceiling is rejected
-    before operator derivation, residuals or the extraction circuit run; the
-    rest go through them with that epsilon.  The result counts how the
-    evaluations ended.  The rotation generators are drawn and decomposed
-    once per search, into ``_rotation_table``.
+    canonical embedding.  Each proposal is validated here; an invalid one
+    uses up its evaluation and is rejected.  A valid proposal's epsilon comes
+    next, from its correlations, and one over the ceiling is rejected before
+    operator derivation, residuals or the extraction circuit run; the rest go
+    through them with that epsilon.  The result counts how the evaluations
+    ended.  The rotation generators are drawn and decomposed once per
+    search, into ``_rotation_table``.
+
+    A rejected proposal leaves the chain where it was, so every proposal
+    drawn from one chain state, up to the first feasible one, is known in
+    advance.  The search draws a batch of them in one call, builds them as
+    one stack (``_search_proposals``), validates the stack and takes epsilon
+    of its valid rows in one pass, then checks the rows in the order above
+    and stops at the first feasible one.  The generator is rewound and
+    redrawn for only the rows checked, so the chain, its counts and its
+    result are bit-identical to checking one proposal at a time; a row the
+    chain does not reach is not counted and raises no error.  A batch holds
+    the mean run length so far, ceil(evaluations / (feasible + 1))
+    proposals, at most the budget left and ``_chunk_size(dims)``.
 
     ``budget``, the two ``dims`` (each >= 2) and the nonnegative ``seed``
     must be integers, not bools; a violation raises ``ValueError`` naming
@@ -545,29 +559,45 @@ def worst_case_search(
     table = _rotation_table(base, dims, rng)
     outcomes = {"feasible": 0, "invalid": 0, "degenerate": 0, "over_ceiling": 0}
 
-    def assess(params: np.ndarray) -> tuple[DeviceModel, SweepRecord] | None:
-        device = _search_proposal(dims, qubit_state, state_dirs, table, params)
-        if validate(device):
-            outcomes["invalid"] += 1
-            return None
-        stack = DeviceStack.of(device)
-        epsilons = _epsilons(stack, mode)
-        if epsilons[0] > epsilon_ceiling:
-            outcomes["over_ceiling"] += 1
-            return None
-        record = _evaluate_stack(stack, mode, epsilons)[0]
-        if record.degenerate:
-            outcomes["degenerate"] += 1
-            return None
-        outcomes["feasible"] += 1
-        return device, record
+    def first_feasible(params: np.ndarray) -> tuple[int, tuple[DeviceModel, SweepRecord] | None]:
+        """Check the proposals, the rows of ``params``, in order up to the
+        first feasible one: how many were checked, and that one's device and
+        record (None if no row was feasible)."""
+        stack = _search_proposals(dims, qubit_state, state_dirs, table, params)
+        violations = validate_stack(stack)
+        valid = [i for i, found in enumerate(violations) if not found]
+        valid_stack = stack if len(valid) == len(stack) else stack.select(valid)
+        try:
+            epsilons = dict(zip(valid, _epsilons(valid_stack, mode)))
+        except ValueError:
+            if len(params) == 1:
+                raise
+            # Only a row the chain reaches may raise: check them one at a time.
+            for row in range(len(params)):
+                _, outcome = first_feasible(params[row:row + 1])
+                if outcome is not None:
+                    return row + 1, outcome
+            return len(params), None
+        for row, found in enumerate(violations):
+            if found:
+                outcomes["invalid"] += 1
+            elif epsilons[row] > epsilon_ceiling:
+                outcomes["over_ceiling"] += 1
+            else:
+                record = _evaluate_stack(stack.select(slice(row, row + 1)), mode,
+                                         [epsilons[row]])[0]
+                if not record.degenerate:
+                    outcomes["feasible"] += 1
+                    return row + 1, (stack.device(row), record)
+                outcomes["degenerate"] += 1
+        return len(params), None
 
     n_params = 2 + len(base.alice_obs) + len(base.bob_obs)
     current = np.zeros(n_params)
     best: tuple[DeviceModel, SweepRecord] | None = None
     current_objective = -math.inf
 
-    outcome = assess(current)
+    evaluations, outcome = first_feasible(current[None])
     if outcome is not None:
         best = outcome
         current_objective = outcome[1].max_extraction_error
@@ -575,20 +605,31 @@ def worst_case_search(
     temperature = 0.05
     step = 0.05
     cooling = 0.995
-    for _ in range(budget - 1):
-        proposal = current + rng.normal(scale=step, size=n_params)
-        outcome = assess(proposal)
-        if outcome is None:
+    chunk = _chunk_size(dims)
+    while evaluations < budget:
+        # Proposals drawn from one chain state until the first feasible one
+        # are independent, so they are built and checked as one stack; the
+        # generator is then rewound past the rows left unchecked.
+        size = min(math.ceil(evaluations / (outcomes["feasible"] + 1)),
+                   budget - evaluations, chunk)
+        drawn_from = rng.bit_generator.state
+        proposals = current + rng.normal(scale=step, size=(size, n_params))
+        checked, outcome = first_feasible(proposals)
+        if checked < size:
+            rng.bit_generator.state = drawn_from
+            rng.normal(scale=step, size=(checked, n_params))
+        evaluations += checked
+        for _ in range(checked - 1):
             temperature *= cooling
-            continue
-        objective = outcome[1].max_extraction_error
-        if objective > current_objective or rng.random() < math.exp(
-            min(0.0, (objective - current_objective) / max(temperature, 1e-12))
-        ):
-            current = proposal
-            current_objective = objective
-        if best is None or objective > best[1].max_extraction_error:
-            best = outcome
+        if outcome is not None:
+            objective = outcome[1].max_extraction_error
+            if objective > current_objective or rng.random() < math.exp(
+                min(0.0, (objective - current_objective) / max(temperature, 1e-12))
+            ):
+                current = proposals[checked - 1]
+                current_objective = objective
+            if best is None or objective > best[1].max_extraction_error:
+                best = outcome
         temperature *= cooling
 
     if best is None:

@@ -4,8 +4,9 @@ Each is a thin wrapper over the library: a single-pair correlation, the CHSH
 value and Mayers-Yao deviation of a device, a Hermiticity-checked
 eigendecomposition, the operator absolute value and unitarity deviation, a
 family's points and device list, a stack of given devices, writing a device
-document, a report's rows of one category, and the one-observable-at-a-time
-search proposal that the search's rotation table must reproduce bit for bit.
+document, a report's rows of one category, the one-observable-at-a-time
+search proposal that the search's rotation table must reproduce bit for bit,
+and a spy on the stacks of proposals a search checks.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from singlet_selftest.device import (
     make_device,
     my_epsilon,
 )
+from singlet_selftest import explorer
 from singlet_selftest.documents import device_to_document, write_json_atomic
 from singlet_selftest.explorer import FamilySpec, family_axis, family_chunks
 from singlet_selftest.linalg import dagger, hermiticity_deviation
@@ -152,3 +154,49 @@ def search_proposal_oracle(
         else:
             bob[name] = rotate(extend(base.bob_obs[name], db), generators[name], angle)
     return make_device(dims, state, alice, bob)
+
+
+class SearchSpy:
+    """What ``worst_case_search`` checks, stack by stack of proposals.
+
+    Each call of ``explorer.validate_stack`` opens a batch holding the
+    stack's states (as bytes) and violations; the states that
+    ``explorer.correlation_stack`` then sees, and the rows that reach
+    ``explorer._evaluate_stack`` with whether each was degenerate, go to the
+    open batch.  Install it after any other patch of those names, so it sees
+    what the search sees.
+    """
+
+    def __init__(self, monkeypatch):
+        self.batches: list[dict] = []
+        validate_stack = explorer.validate_stack
+        correlation_stack = explorer.correlation_stack
+        evaluate_stack = explorer._evaluate_stack
+
+        def validating(stack):
+            violations = validate_stack(stack)
+            self.batches.append({"states": [row.tobytes() for row in stack.state],
+                                 "violations": violations, "correlated": [], "staged": []})
+            return violations
+
+        def correlating(stack, pairs):
+            self.batches[-1]["correlated"] += [row.tobytes() for row in stack.state]
+            return correlation_stack(stack, pairs)
+
+        def evaluating(stack, mode, epsilons):
+            records = evaluate_stack(stack, mode, epsilons)
+            self.batches[-1]["staged"].append((stack.state[0].tobytes(), records[0].degenerate))
+            return records
+
+        monkeypatch.setattr(explorer, "validate_stack", validating)
+        monkeypatch.setattr(explorer, "correlation_stack", correlating)
+        monkeypatch.setattr(explorer, "_evaluate_stack", evaluating)
+
+    def reached(self) -> Iterator[tuple[dict, int]]:
+        """Each batch with the number of its rows the chain checked: those up
+        to its first row that reached the stages and was not degenerate, or
+        all of them."""
+        for batch in self.batches:
+            feasible = [state for state, degenerate in batch["staged"] if not degenerate]
+            yield batch, (batch["states"].index(feasible[0]) + 1 if feasible
+                          else len(batch["states"]))

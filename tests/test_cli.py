@@ -506,6 +506,33 @@ class TestCorrelationsCommand:
         assert "no quantum device produces this table" in captured.err
         assert not out.exists()
 
+    def test_non_quantum_my_table_exits_two(self, tmp_path, capsys):
+        # the (XA, ZA) x (XB, DB) sub-table is a CHSH experiment, and raising
+        # XA_DB and ZA_DB above the ideal 1/sqrt(2) pushes its arcsine sum
+        # asin(1) + asin(c) - asin(0) + asin(c) past pi, though epsilon is 1e-3
+        c = 1.0 / math.sqrt(2.0) + 1e-3
+        table = tmp_path / "table.json"
+        table.write_text(json.dumps({"XA_XB": 1, "XA_ZB": 0, "XA_DB": c,
+                                     "ZA_XB": 0, "ZA_ZB": 1, "ZA_DB": c}))
+        out = tmp_path / "summary.json"
+        code = main(["correlations", "--table", str(table), "--mode", "my", "--out", str(out)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "+asin(XA_XB) +asin(XA_DB) -asin(ZA_XB) +asin(ZA_DB) = " in captured.err
+        assert "exceeds pi" in captured.err
+        assert "no quantum device produces this table" in captured.err
+        assert not out.exists()
+
+    def test_ideal_my_table_on_the_quantum_boundary(self, tmp_path, capsys):
+        # the canonical device's table: two sub-tables' arcsine sums are pi
+        c = 1.0 / math.sqrt(2.0)
+        table = tmp_path / "table.json"
+        table.write_text(json.dumps({"XA_XB": 1, "XA_ZB": 0, "XA_DB": c,
+                                     "ZA_XB": 0, "ZA_ZB": 1, "ZA_DB": c}))
+        assert main(["correlations", "--table", str(table), "--mode", "my"]) == 0
+        assert json.loads(capsys.readouterr().out)["epsilon"] <= 1e-15
+
     def test_deterministic_chsh_table_on_the_quantum_boundary(self, tmp_path, capsys):
         # a local deterministic strategy: one arcsine sum is exactly pi
         table = tmp_path / "table.json"

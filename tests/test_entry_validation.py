@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from helpers import save_device, stack_devices
+from helpers import SearchSpy, save_device, stack_devices
 from singlet_selftest import device as device_module
 from singlet_selftest import explorer
 from singlet_selftest.bounds import certify, get_mode
@@ -79,10 +79,17 @@ class TestCounts:
         assert validations == []
         assert [len(stack) for stack, in stack_validations] == [5]
 
-    def test_search_validates_each_evaluation_once(self, mode, validations):
-        result = worst_case_search(mode, 0.05, (3, 2), 7, seed=4)
-        assert result.evaluations == 7
-        assert len(validations) == 7
+    def test_search_validates_each_evaluation_once(self, mode, validations, monkeypatch):
+        # A search validates each stack of proposals it builds once, through
+        # validate_stack; the rows the chain checks, up to each stack's first
+        # feasible one, are exactly its counted evaluations.
+        built = count_calls(monkeypatch, explorer._search_proposals)
+        spy = SearchSpy(monkeypatch)
+        result = worst_case_search(mode, 0.01, (3, 2), 60, seed=4)
+        assert validations == []
+        assert len(spy.batches) == len(built)
+        assert max(len(batch["states"]) for batch in spy.batches) > 1
+        assert sum(checked for _, checked in spy.reached()) == result.evaluations == 60
 
 
 def test_sweep_rejects_invalid_family_point(monkeypatch):

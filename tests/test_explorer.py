@@ -8,7 +8,13 @@ import math
 import numpy as np
 import pytest
 
-from helpers import chsh_value, make_family, my_deviation, search_proposal_oracle
+from helpers import (
+    SearchSpy,
+    chsh_value,
+    make_family,
+    my_deviation,
+    search_proposal_oracle,
+)
 from singlet_selftest.bounds import certify, get_mode
 from singlet_selftest.device import canonical_chsh_device, canonical_my_device, validate
 from singlet_selftest.derive import condition_residuals, derive_chsh_operators
@@ -286,52 +292,102 @@ class TestWorstCaseSearch:
                 + result.degenerate) == result.evaluations == 200
 
     def test_outcomes_count_each_rejection_once(self, monkeypatch):
-        # Every third proposal fails validation, and every fifth one that
-        # reaches the stages (so is within the ceiling) is degenerate: 7
-        # invalid of 21, and 2 degenerate of the 11 + 2 under the ceiling.
-        calls = {"validate": 0, "evaluate": 0}
+        # Rejections are injected by a rule on the proposal, since rows the
+        # chain never reaches are validated too: a proposal fails validation
+        # when its last amplitude, in millionths, is 0 mod 3, and one that
+        # reaches the stages (so is within the ceiling) is degenerate when it
+        # is 1 mod 4.  Each rejection of a reached proposal counts once.
+        validate_stack = explorer.validate_stack
         evaluate_stack = explorer._evaluate_stack
 
-        def validate_some(device):
-            calls["validate"] += 1
-            return ["rejected"] if calls["validate"] % 3 == 0 else validate(device)
+        def marked(state, residue, modulus):
+            return int(abs(state[-1]) * 1e6) % modulus == residue
+
+        def validate_some(stack):
+            return [["rejected"] if marked(state, 0, 3) else found
+                    for state, found in zip(stack.state, validate_stack(stack))]
 
         def degenerate_some(stack, mode, epsilons):
             assert len(stack) == 1 and epsilons[0] <= 0.3
-            calls["evaluate"] += 1
-            records = evaluate_stack(stack, mode, epsilons)
-            if calls["evaluate"] % 5 == 0:
-                return [dataclasses.replace(record, degenerate=True) for record in records]
-            return records
+            (record,) = evaluate_stack(stack, mode, epsilons)
+            return [dataclasses.replace(record, degenerate=marked(stack.state[0], 1, 4))]
 
-        monkeypatch.setattr(explorer, "validate", validate_some)
+        monkeypatch.setattr(explorer, "validate_stack", validate_some)
         monkeypatch.setattr(explorer, "_evaluate_stack", degenerate_some)
-        result = worst_case_search("my", 0.3, (3, 2), 21, 5)
-        assert result.evaluations == 21
-        assert result.invalid == 7 and result.degenerate == 2
-        assert result.feasible + result.over_ceiling == 12
-        assert result.feasible > 0 and result.over_ceiling > 0
+        spy = SearchSpy(monkeypatch)
+        result = worst_case_search("my", 0.3, (3, 2), 80, 5)
+        invalid = degenerate = 0
+        for batch, checked in spy.reached():
+            invalid += sum(1 for found in batch["violations"][:checked] if found)
+            degenerate += sum(1 for _, flagged in batch["staged"] if flagged)
+        assert result.evaluations == 80
+        assert (result.invalid, result.degenerate) == (invalid, degenerate)
+        assert (result.feasible + result.invalid + result.over_ceiling
+                + result.degenerate) == 80
+        assert min(result.feasible, result.invalid, result.over_ceiling,
+                   result.degenerate) > 0
+        assert max(len(batch["states"]) for batch in spy.batches) > 1
 
     @pytest.mark.parametrize("mode,seed", [("chsh", 2024), ("my", 7)])
     def test_over_ceiling_proposals_skip_the_stages(self, monkeypatch, mode, seed):
-        # Epsilon is computed once per valid proposal, and only the proposals
-        # within the ceiling reach the extraction circuit.
-        calls = {"correlations": 0, "extraction_stack": 0}
+        # Epsilon is computed for every valid proposal the chain checks, once
+        # per stack of proposals, and only the proposals within the ceiling
+        # reach the extraction circuit.
+        extractions = []
+        extraction_stack = explorer.extraction_stack
 
-        def counted(name):
-            function = getattr(explorer, name)
+        def counted(*args):
+            extractions.append(args)
+            return extraction_stack(*args)
 
-            def count(*args):
-                calls[name] += 1
-                return function(*args)
-            return count
-
-        for name in calls:
-            monkeypatch.setattr(explorer, name, counted(name))
+        monkeypatch.setattr(explorer, "extraction_stack", counted)
+        spy = SearchSpy(monkeypatch)
         result = worst_case_search(mode, 0.05, (4, 4), 200, seed)
         assert result.over_ceiling > 0
-        assert calls["correlations"] == result.evaluations - result.invalid
-        assert calls["extraction_stack"] == result.feasible + result.degenerate
+        valid_checked = 0
+        for batch, checked in spy.reached():
+            valid = [state for state, found in zip(batch["states"], batch["violations"])
+                     if not found]
+            assert batch["correlated"] == valid
+            valid_checked += sum(1 for found in batch["violations"][:checked] if not found)
+        assert valid_checked == result.evaluations - result.invalid
+        assert len(extractions) == result.feasible + result.degenerate
+
+    def test_unchecked_proposals_never_raise(self, monkeypatch):
+        # A stack whose correlations raise past its first proposal within the
+        # ceiling holds a row the chain never reaches: the search goes on as
+        # without the error.
+        correlation_stack = explorer.correlation_stack
+        raised = []
+
+        def raise_past_the_first_feasible(stack, pairs):
+            values = correlation_stack(stack, pairs)
+            deviation = get_mode("chsh").deviation
+            within = [i for i, row in enumerate(values.tolist())
+                      if deviation(dict(zip(pairs, row)))[1] <= 0.01]
+            if within and within[0] < len(stack) - 1:
+                raised.append(len(stack))
+                raise ValueError("correlation <A0 B0> has imaginary part 1e-09 above tolerance")
+            return values
+
+        want = worst_case_search("chsh", 0.01, (2, 2), 200, 7)
+        monkeypatch.setattr(explorer, "correlation_stack", raise_past_the_first_feasible)
+        got = worst_case_search("chsh", 0.01, (2, 2), 200, 7)
+        assert dataclasses.replace(got, device=None) == dataclasses.replace(want, device=None)
+        assert _device_digest(got.device) == _device_digest(want.device)
+        assert raised
+
+    def test_a_checked_proposal_raises(self, monkeypatch):
+        correlation_stack = explorer.correlation_stack
+
+        def raise_on_a_marked_row(stack, pairs):
+            if any(int(abs(state[-1]) * 1e6) % 7 == 0 for state in stack.state):
+                raise ValueError("correlation <A0 B0> has imaginary part 1e-09 above tolerance")
+            return correlation_stack(stack, pairs)
+
+        monkeypatch.setattr(explorer, "correlation_stack", raise_on_a_marked_row)
+        with pytest.raises(ValueError, match="imaginary part"):
+            worst_case_search("chsh", 0.01, (2, 2), 200, 7)
 
 
 # Captured before epsilon was checked ahead of the pipeline: mode, dims, seed,
@@ -492,23 +548,26 @@ class TestSearchProposal:
         mixed = rng.normal(scale=0.05, size=n)
         mixed[::2] = -0.0
         vectors.append(mixed)
-        for params in vectors:
-            want = search_proposal_oracle(base, dims, qubit_state, state_dirs, generators,
-                                          params)
-            got = explorer._search_proposal(dims, qubit_state, state_dirs, table, params)
-            assert got.dims == want.dims
-            assert got.state.dtype == want.state.dtype
-            assert got.state.tobytes() == want.state.tobytes()
-            for party in ("alice_obs", "bob_obs"):
-                got_obs, want_obs = getattr(got, party), getattr(want, party)
-                assert list(got_obs) == list(want_obs)
-                for name, m in want_obs.items():
-                    assert got_obs[name].shape == m.shape
-                    assert got_obs[name].tobytes() == m.tobytes(), (params, name)
+        # Every row of a stack, and the same row alone, equals the oracle.
+        for params in [np.array(vectors)] + [vector[None] for vector in vectors]:
+            stack = explorer._search_proposals(dims, qubit_state, state_dirs, table, params)
+            assert stack.dims == dims and len(stack) == len(params)
+            for row, vector in enumerate(params):
+                want = search_proposal_oracle(base, dims, qubit_state, state_dirs,
+                                              generators, vector)
+                got = stack.device(row)
+                assert got.state.dtype == want.state.dtype
+                assert got.state.tobytes() == want.state.tobytes()
+                for party in ("alice_obs", "bob_obs"):
+                    got_obs, want_obs = getattr(got, party), getattr(want, party)
+                    assert list(got_obs) == list(want_obs)
+                    for name, m in want_obs.items():
+                        assert got_obs[name].shape == m.shape
+                        assert got_obs[name].tobytes() == m.tobytes(), (vector, name)
 
     def test_proposal_arrays_are_read_only(self):
         _, qubit_state, state_dirs, _, table, rng = self._setup("chsh", (3, 2), 1)
-        device = explorer._search_proposal((3, 2), qubit_state, state_dirs, table,
-                                           rng.normal(size=6))
-        for array in (device.state, *device.alice_obs.values(), *device.bob_obs.values()):
+        stack = explorer._search_proposals((3, 2), qubit_state, state_dirs, table,
+                                           rng.normal(size=(4, 6)))
+        for array in (stack.state, *stack.alice_obs.values(), *stack.bob_obs.values()):
             assert not array.flags.writeable

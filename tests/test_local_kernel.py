@@ -20,8 +20,8 @@ import pytest
 import embedded_oracle as oracle
 import isometry_oracle
 from conftest import random_unitary
-from helpers import correlation, rows_by_category
-from singlet_selftest import bounds
+from helpers import correlation, rows_by_category, stack_devices
+from singlet_selftest import bounds, explorer
 from singlet_selftest.derive import (
     DerivedOperators,
     chsh_diagnostics,
@@ -33,16 +33,19 @@ from singlet_selftest.derive import (
 from singlet_selftest.device import (
     CHSH_PAIRS,
     MY_PAIRS,
+    correlation_stack,
     correlations,
     make_device,
     validate,
 )
+from singlet_selftest.explorer import FamilySpec, family_chunks
 from singlet_selftest.isometry import (
     OPERATOR_PAIRS,
     b_measured_errors,
     extraction_error,
     junk_candidate,
 )
+from singlet_selftest.linalg import PAULI_X, PHI_PLUS
 
 TOL = 1e-12
 DIMS = [(2, 3), (3, 5), (4, 2), (6, 4), (3, 3)]
@@ -148,20 +151,86 @@ class TestAgainstEmbeddedOracle:
                 assert correlation(device, *pair) == table[pair]
 
 
+def kron_correlation(device, a: str, b: str) -> float:
+    """<psi| (M x I)(I x N) |psi> with both factors built by ``np.kron``."""
+    da, db = device.dims
+    ma = np.kron(device.alice_obs[a], np.eye(db, dtype=complex))
+    nb = np.kron(np.eye(da, dtype=complex), device.bob_obs[b])
+    return float(np.vdot(device.state, ma @ (nb @ device.state)).real)
+
+
+def search_stack(mode: str, dims, count: int, seed: int):
+    """``count`` search proposals as the search builds them: each party's
+    observables are non-contiguous views into one rotated array."""
+    rng = np.random.default_rng(seed)
+    base = bounds.get_mode(mode).canonical()
+    qubit_state = np.zeros(dims, dtype=complex)
+    qubit_state[:2, :2] = PHI_PLUS.reshape(2, 2)
+    qubit_state = qubit_state.reshape(-1)
+    state_dirs = np.stack([explorer._orthogonal_noise(rng, qubit_state) for _ in range(2)])
+    table = explorer._rotation_table(base, dims, rng)
+    params = rng.normal(scale=0.3, size=(count, 2 + len(base.alice_obs) + len(base.bob_obs)))
+    return explorer._search_proposals(dims, qubit_state, state_dirs, table, params)
+
+
 class TestCorrelationsBatch:
     @pytest.mark.parametrize("dims", [(1, 1), (1, 3), (3, 1), (2, 2), (3, 5), (6, 4), (16, 16)])
     def test_bit_identical_to_kron_form(self, dims):
         # the reused buffer holds exactly np.kron's nonzero entries, so every
         # value equals the embedded form with no tolerance at all
-        da, db = dims
         for device, pairs in ((chsh_device(11, dims), CHSH_PAIRS),
                               (my_device(12, dims), MY_PAIRS)):
-            psi = device.state
             table = correlations(device, pairs)
             for a, b in pairs:
-                ma = np.kron(device.alice_obs[a], np.eye(db, dtype=complex))
-                nb = np.kron(np.eye(da, dtype=complex), device.bob_obs[b])
-                assert table[(a, b)] == float(np.vdot(psi, ma @ (nb @ psi)).real), (a, b)
+                assert table[(a, b)] == kron_correlation(device, a, b), (a, b)
+
+    @pytest.mark.parametrize("kind,dims", [
+        ("mixed", (2, 2)), ("mixed", (3, 5)), ("mixed", (16, 16)),
+        ("junk-embedded", (4, 4)), ("measurement-noise", (2, 2)),
+        ("search", (4, 4)), ("search", (5, 3)),
+    ])
+    @pytest.mark.parametrize("mode", ["chsh", "my"])
+    def test_stack_rows_bit_identical_to_kron_form(self, kind, dims, mode):
+        # each row of a stack is its device's value alone: for stacks of
+        # different devices, for observables or states shared by
+        # broadcasting, and for the search's non-contiguous observable views
+        pairs = bounds.get_mode(mode).pairs
+        if kind == "mixed":
+            build = chsh_device if mode == "chsh" else my_device
+            stack = stack_devices([build(seed, dims) for seed in range(20, 24)])
+        elif kind == "search":
+            stack = search_stack(mode, dims, 6, 31)
+            assert not stack.alice_obs[pairs[0][0]].flags.c_contiguous
+        else:
+            parameters = {"count": 5} if kind == "junk-embedded" else {"eta": [0.0, 0.4, 5]}
+            (_, stack), = family_chunks(FamilySpec(kind, parameters, dims, 3, mode))
+            shared = stack.alice_obs if kind == "junk-embedded" else {"state": stack.state}
+            assert all(m.strides[0] == 0 for m in shared.values())
+        values = correlation_stack(stack, pairs)
+        assert values.shape == (len(stack), len(pairs))
+        for i in range(len(stack)):
+            device = stack.device(i)
+            want = [kron_correlation(device, a, b) for a, b in pairs]
+            assert values[i].tolist() == want, i
+            assert list(correlations(device, pairs).values()) == want, i
+
+    def test_stack_imaginary_part_names_the_first_device(self):
+        # devices 1 and 2 both fail; the error names device 1, its first
+        # failing pair and its own value, as a call on device 1 alone would
+        pairs = (("A", "B"), ("A2", "B"))
+        devices = [make_device((2, 2), PHI_PLUS, {"A": PAULI_X, "A2": a2 * PAULI_X},
+                               {"B": PAULI_X})
+                   for a2 in (1.0, 0.5j)]
+        devices.append(make_device((2, 2), PHI_PLUS,
+                                   {"A": 0.25j * PAULI_X, "A2": 0.75j * PAULI_X},
+                                   {"B": PAULI_X}))
+        message = "correlation <A2 B> has imaginary part 5.000e-01 above tolerance"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            correlation_stack(stack_devices(devices), pairs)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            correlations(devices[1], pairs)
+        with pytest.raises(ValueError, match="^correlation <A B> has imaginary part 2.500e-01"):
+            correlation_stack(stack_devices(devices[2:]), pairs)
 
     def test_peak_memory_is_one_embedded_buffer(self):
         dims = (16, 16)
@@ -175,6 +244,20 @@ class TestCorrelationsBatch:
             finally:
                 tracemalloc.stop()
             assert peak < 1.5 * buffer_bytes, peak / buffer_bytes
+
+    def test_stack_peak_memory_is_one_buffer_per_device(self):
+        dims, n = (16, 16), 3
+        buffer_bytes = 16 * (dims[0] * dims[1]) ** 2
+        for build, pairs in ((chsh_device, CHSH_PAIRS), (my_device, MY_PAIRS)):
+            stack = stack_devices([build(seed, dims) for seed in range(n)])
+            tracemalloc.start()
+            try:
+                correlation_stack(stack, pairs)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert (n - 0.5) * buffer_bytes < peak < (n + 0.5) * buffer_bytes, (
+                peak / buffer_bytes)
 
     def test_unknown_name_raises(self):
         device = chsh_device(3, (2, 3))

@@ -26,7 +26,6 @@ from .derive import (
     ResidualSet,
     chsh_budget,
     chsh_diagnostics,
-    condition_residuals,
     derive_chsh_operators,
     my_budget,
     my_diagnostics,
@@ -40,9 +39,7 @@ from .device import (
     canonical_chsh_device,
     canonical_my_device,
     correlation_stack,
-    correlations,
     make_device,
-    validate,
     validate_stack,
 )
 from .explorer import (
@@ -53,13 +50,9 @@ from .explorer import (
     worst_case_search,
 )
 from .isometry import (
-    DegenerateExtractionError,
-    ExtractionResult,
     ExtractionStack,
-    b_measured_errors,
-    extraction_error,
+    b_operator_stack,
     extraction_stack,
-    junk_candidate,
     junk_stack,
 )
 from .linalg import operator_sign
@@ -67,13 +60,11 @@ from .linalg import operator_sign
 __all__ = [
     "MODES",
     "CertificationReport",
-    "DegenerateExtractionError",
     "DerivedOperators",
     "DeviceModel",
     "DeviceStack",
     "DeviceValidationError",
     "EpsilonBudget",
-    "ExtractionResult",
     "ExtractionStack",
     "FamilySpec",
     "Mode",
@@ -82,21 +73,17 @@ __all__ = [
     "SearchResult",
     "SweepRecord",
     "b_extraction_bound",
-    "b_measured_errors",
+    "b_operator_stack",
     "canonical_chsh_device",
     "canonical_my_device",
     "certify",
     "chsh_budget",
     "chsh_diagnostics",
-    "condition_residuals",
     "correlation_stack",
-    "correlations",
     "derive_chsh_operators",
     "extraction_bound",
-    "extraction_error",
     "extraction_stack",
     "get_mode",
-    "junk_candidate",
     "junk_stack",
     "make_device",
     "my_budget",
@@ -107,7 +94,6 @@ __all__ = [
     "residual_stack",
     "state_error_bounds",
     "sweep",
-    "validate",
     "validate_stack",
     "worst_case_search",
 ]

@@ -26,30 +26,26 @@ from .derive import (
     ResidualSet,
     chsh_budget,
     chsh_diagnostics,
-    condition_residuals,
     derive_chsh_operators,
     my_budget,
     my_diagnostics,
     my_operators,
+    residual_stack,
 )
 from .device import (
     CHSH_PAIRS,
     MY_PAIRS,
     DeviceModel,
+    DeviceStack,
+    DeviceValidationError,
     canonical_chsh_device,
     canonical_my_device,
     chsh_epsilon,
-    correlations,
+    correlation_stack,
     my_epsilon,
-    require_valid,
+    validate_stack,
 )
-from .isometry import (
-    B_ROWS,
-    DegenerateExtractionError,
-    OPERATOR_PAIRS,
-    b_measured_errors,
-    extraction_error,
-)
+from .isometry import B_ROWS, OPERATOR_PAIRS, b_operator_stack, extraction_stack
 
 # Absolute allowance for rounding in every pass/fail comparison, and the
 # report's ``certTol``.
@@ -327,9 +323,8 @@ _B_OPERATOR_ROWS = tuple(
 _JUNK_CATEGORIES = ("state", "extraction", "b_operator")
 
 
-def _z_expectations(device: DeviceModel, ops: DerivedOperators) -> tuple[float, float]:
+def _z_expectations(psi: np.ndarray, ops: DerivedOperators) -> tuple[float, float]:
     """|<Z'_A>| and |<Z'_B>|, as Z'_A Psi and Psi Z'_B^T on the state matrix Psi."""
-    psi = device.state.reshape(device.dims)
     return (
         abs(float(np.vdot(psi, ops.za @ psi).real)),
         abs(float(np.vdot(psi, psi @ ops.zb.T).real)),
@@ -342,22 +337,27 @@ def certify(device: DeviceModel, mode: str) -> CertificationReport:
     ``mode`` is "chsh" (operators regularized from A0/A1/B0/B1) or "my"
     (named XA/ZA/XB/ZB used directly, DB only in diagnostics).  This is the
     library's entry point: it validates the device once and checks the
-    mode's observable names once (in ``correlations``), and the stages after
-    it trust the device.  Invalid devices raise ``DeviceValidationError``
-    before any certification, a missing name ``KeyError``; a degenerate junk
-    candidate is reported as failed state, extraction and B rows, not a
-    crash; a deviation outside [0, 1) fails the budget-dependent rows.
+    mode's observable names once (in ``correlation_stack``), and the stages
+    after it trust the device.  Each stage runs on the device as the n = 1
+    stack, with the operators derived from the device itself.  Invalid
+    devices raise ``DeviceValidationError`` before any certification, a
+    missing name ``KeyError``; a degenerate junk candidate is reported as
+    failed state, extraction and B rows, not a crash; a deviation outside
+    [0, 1) fails the budget-dependent rows.
     """
     selftest = get_mode(mode)
-    require_valid(device)
+    stack = DeviceStack.of(device)
+    violations = validate_stack(stack)[0]
+    if violations:
+        raise DeviceValidationError(violations)
 
-    table = correlations(device, selftest.pairs)
-    chsh, eps = selftest.deviation(table)
-    table_by_key = dict(zip(selftest.table_keys, table.values()))
+    values = correlation_stack(stack, selftest.pairs)[0].tolist()
+    chsh, eps = selftest.deviation(dict(zip(selftest.pairs, values)))
     ops = selftest.derive(device)
     budget = selftest.budget(eps) if eps < 1.0 else None
-    residuals = condition_residuals(device.state, ops)
-    za_abs, zb_abs = _z_expectations(device, ops)
+    psi = stack.state.reshape(1, *device.dims)
+    residuals = residual_stack(psi, ops)[0]
+    za_abs, zb_abs = _z_expectations(psi[0], ops)
 
     # Every row's measured value, keyed by row name.
     measured = {
@@ -369,26 +369,26 @@ def certify(device: DeviceModel, mode: str) -> CertificationReport:
         "za_expectation_abs": za_abs,
         "zb_expectation_abs": zb_abs,
     }
-    try:
-        result = extraction_error(device, ops)
-    except DegenerateExtractionError as err:
-        degenerate = True
-        junk_raw = err.raw_norm
+    extraction = extraction_stack(psi, ops)
+    degenerate = bool(extraction.degenerate[0])
+    junk_raw = float(extraction.junk_norm_raw[0])
+    if degenerate:
         measured.update(
             (spec.name, NAN) for spec in selftest.rows if spec.category in _JUNK_CATEGORIES
         )
     else:
-        degenerate = False
-        junk_raw = result.junk_norm_raw
-        measured["state_error_pre_normalization"] = result.state_error_pre_normalization
-        measured["state_error_normalized"] = result.errors_by_pair[("I", "I")]
+        # The nine pair errors, ("I", "I") first, then the pre-normalization one.
+        distances = extraction.distances[0].tolist()
+        measured["state_error_pre_normalization"] = distances[-1]
+        measured["state_error_normalized"] = distances[0]
         measured.update(
-            (f"extraction_{m}{n}", error) for (m, n), error in result.errors_by_pair.items()
+            (f"extraction_{m}{n}", error) for (m, n), error in zip(OPERATOR_PAIRS, distances)
         )
         if selftest.b_operator:
+            bob = (device.bob_obs["B0"], device.bob_obs["B1"])
+            errors = b_operator_stack(psi, ops, bob, extraction.junk)[0].tolist()
             measured.update(
-                (f"b_operator_{m}_{which}", error)
-                for (m, which), error in b_measured_errors(device, ops, result.junk).items()
+                (f"b_operator_{m}_{which}", error) for (m, which), error in zip(B_ROWS, errors)
             )
     measured["junk_rawnorm_lower"] = measured["junk_rawnorm_upper"] = junk_raw
 
@@ -403,7 +403,8 @@ def certify(device: DeviceModel, mode: str) -> CertificationReport:
         rows=[_report_row(spec, measured[spec.name], budget, residuals)
               for spec in selftest.rows],
         fidelity=fidelity_block(eps),
-        correlations=table_by_key if selftest.reports_correlations else {},
+        correlations=(dict(zip(selftest.table_keys, values))
+                      if selftest.reports_correlations else {}),
     )
 
 

@@ -22,11 +22,12 @@ The operators and the residuals take a stack of devices as well: with
 (n, d, d) operators and an (n, dA, dB) stack of state matrices, each product
 is one stacked matmul, and a single device is the n = 1 stack.
 
-The functions that take a device trust it: it must be valid (``device.validate``
-returns no violation) and name the observables of its mode.  The entry points
-check both once per device: ``bounds.certify`` for library callers and loaded
-files alike, and ``explorer.sweep`` / ``explorer.worst_case_search`` for the
-devices they build.  A missing name still raises ``KeyError`` from the lookup.
+The functions that take a device trust it: it must be valid
+(``device.validate_stack`` finds no violation) and name the observables of its
+mode.  The entry points check both once per device: ``bounds.certify`` for
+library callers and loaded files alike, and ``explorer.sweep`` /
+``explorer.worst_case_search`` for the devices they build.  A missing name
+still raises ``KeyError`` from the lookup.
 """
 
 from __future__ import annotations
@@ -204,20 +205,6 @@ def my_operators(device: DeviceModel | DeviceStack) -> DerivedOperators:
 def _norm(m: np.ndarray) -> float:
     """Frobenius norm of a state matrix: the 2-norm of the state it holds."""
     return float(np.linalg.norm(m))
-
-
-def condition_residuals(state: np.ndarray, ops: DerivedOperators) -> ResidualSet:
-    """Measure the four condition residuals of the derived operators on a state.
-
-    The n = 1 case of ``residual_stack``.
-    """
-    dims = ops.dims
-    state = np.asarray(state, dtype=complex).reshape(-1)
-    if state.shape[0] != dims[0] * dims[1]:
-        raise ValueError(
-            f"state dimension {state.shape[0]} does not match operator dims {dims}"
-        )
-    return residual_stack(state.reshape(1, *dims), ops)[0]
 
 
 def residual_stack(psi: np.ndarray, ops: DerivedOperators) -> list[ResidualSet]:

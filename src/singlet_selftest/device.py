@@ -5,7 +5,8 @@ observables per party.  The two correlation experiments supported are the CHSH
 combination (canonical observable names A0, A1, B0, B1) and the Mayers-Yao set
 (XA, ZA on Alice against XB, ZB, DB on Bob).  Observable naming is the contract
 between modules.  The canonical devices reach each experiment's ideal
-correlations on the maximally entangled pair.
+correlations on the maximally entangled pair.  Validation and correlations
+take a ``DeviceStack`` of same-dims devices; one device is the n = 1 stack.
 """
 
 from __future__ import annotations
@@ -156,23 +157,15 @@ class DeviceStack:
         )
 
 
-def validate(device: DeviceModel) -> list[str]:
-    """Check all device invariants, returning one message per violation.
-
-    An empty list means the device is valid: every entry finite, state
-    normalized within 1e-12, every observable Hermitian and squaring to the
-    identity within 1e-10, and all dimensions consistent.  Diagnostics are
-    returned, never raised.  The checks are those of ``validate_stack`` on
-    the n = 1 stack.
-    """
-    return validate_stack(DeviceStack.of(device))[0]
-
-
 def validate_stack(stack: DeviceStack) -> list[list[str]]:
-    """``validate`` for every device of a stack: one violation list per device.
+    """Check all device invariants of every device of a stack: one list of
+    violation messages per device, empty for a valid device.
 
-    Each check runs once over the whole stack; only the devices that fail
-    one are looked at one by one, to name what failed.
+    A valid device has every entry finite, its state normalized within
+    1e-12, every observable Hermitian and squaring to the identity within
+    1e-10, and all dimensions consistent.  Diagnostics are returned, never
+    raised.  Each check runs once over the whole stack; only the devices that
+    fail one are looked at one by one, to name what failed.
     """
     violations: list[list[str]] = [[] for _ in range(len(stack))]
 
@@ -231,12 +224,6 @@ def validate_stack(stack: DeviceStack) -> list[list[str]]:
     return violations
 
 
-def require_valid(device: DeviceModel) -> None:
-    violations = validate(device)
-    if violations:
-        raise DeviceValidationError(violations)
-
-
 def require_observables(
     device: DeviceModel | DeviceStack, pairs: tuple[tuple[str, str], ...]
 ) -> None:
@@ -249,17 +236,6 @@ def require_observables(
         for pair in pairs:
             if pair[side] not in obs:
                 raise KeyError(f"device has no {party} observable {pair[side]!r}")
-
-
-def correlations(
-    device: DeviceModel, pairs: tuple[tuple[str, str], ...]
-) -> dict[tuple[str, str], float]:
-    """Expectation values <psi| (M_A x I)(I x N_B) |psi> for named observable pairs.
-
-    The n = 1 case of ``correlation_stack``, as a table keyed by pair.
-    """
-    values = correlation_stack(DeviceStack.of(device), pairs)[0]
-    return dict(zip(pairs, values.tolist()))
 
 
 def correlation_stack(

@@ -13,13 +13,13 @@ draws its own numbers, in its own order; the linear algebra after the draws
 operator derivation, residuals and the extraction circuit run once per chunk
 on the stacked devices.  The epsilon^(1/4) budgets amplify a last-bit change
 in the deviation epsilon, so ``device.correlation_stack`` keeps each
-device's embedded floating-point form, bit for bit.  Sweep,
-``evaluate_device`` and search share one path: epsilon from the correlations
-first, then the stages on the stack.  A search builds, validates and takes
-epsilon of its proposals as speculative stacks, and runs the stages on one
-proposal at a time, as the n = 1 stack, and only if its epsilon is within
-the ceiling; its rotation generators are decomposed once per search, and a
-stack of proposals rotates each party's observables in one pass.
+device's embedded floating-point form, bit for bit.  Sweep and search share
+one path: epsilon from the correlations first, then the stages on the stack.
+A search builds, validates and takes epsilon of its proposals as speculative
+stacks, and runs the stages on one proposal at a time, as the n = 1 stack,
+and only if its epsilon is within the ceiling; its rotation generators are
+decomposed once per search, and a stack of proposals rotates each party's
+observables in one pass.
 """
 
 from __future__ import annotations
@@ -107,7 +107,7 @@ class SearchResult:
 
 
 def _point_rng(seed: int, index: int) -> np.random.Generator:
-    return np.random.default_rng((int(seed) & 0xFFFFFFFFFFFFFFFF, int(index)))
+    return np.random.default_rng((int(seed), int(index)))
 
 
 def _complex_normal(rng: np.random.Generator, *shape: int) -> np.ndarray:
@@ -217,8 +217,8 @@ def _param_values(name: str, value) -> list[float]:
 def family_axis(spec: FamilySpec) -> tuple[str, list[float]]:
     """The single sweep axis of a family: its name and point values.
 
-    Checks the spec first: a known kind, two integer dims >= 1, an integer
-    seed, parameters naming only the kind's axis, and at most
+    Checks the spec first: a known kind, two integer dims >= 1, a nonnegative
+    integer seed, parameters naming only the kind's axis, and at most
     ``MAX_SWEEP_POINTS`` points.  Each violation raises ``ValueError`` naming
     the field, before any point value is built.
     """
@@ -230,8 +230,8 @@ def family_axis(spec: FamilySpec) -> tuple[str, list[float]]:
         ) from None
     if len(spec.dims) != 2 or not all(type(d) is int and d >= 1 for d in spec.dims):
         raise ValueError(f"family dims must be two integers >= 1, got {spec.dims!r}")
-    if type(spec.seed) is not int:
-        raise ValueError(f"family seed must be an integer, got {spec.seed!r}")
+    if type(spec.seed) is not int or spec.seed < 0:
+        raise ValueError(f"family seed must be a nonnegative integer, got {spec.seed!r}")
     params = spec.parameters
     if not isinstance(params, dict) or set(params) - {name}:
         raise ValueError(f"family {spec.kind!r} parameters must be an object naming only "
@@ -251,7 +251,7 @@ def family_axis(spec: FamilySpec) -> tuple[str, list[float]]:
 
 
 def _check_kind_dims(spec: FamilySpec) -> None:
-    if spec.kind in ("tilted", "state-noise", "measurement-noise") and spec.dims != (2, 2):
+    if spec.kind in ("tilted", "state-noise", "measurement-noise") and tuple(spec.dims) != (2, 2):
         raise ValueError(f"{spec.kind} family requires dims (2, 2)")
     da, db = spec.dims
     if spec.kind == "junk-embedded" and (da % 2 or db % 2 or da < 2 or db < 2):
@@ -418,19 +418,6 @@ def _evaluate_stack(stack: DeviceStack, mode: str, epsilons: list[float]) -> lis
             degenerate=degenerate,
         ))
     return records
-
-
-def evaluate_device(device: DeviceModel, mode: str) -> SweepRecord:
-    """Epsilon, then the residual/extraction pipeline as the n = 1 stack, on
-    one device into a record.
-
-    Precondition: ``device`` is valid.  ``sweep`` and ``worst_case_search``
-    validate each device they build before evaluating it, so this function
-    does not; the mode's observable names are checked in
-    ``correlation_stack``.
-    """
-    stack = DeviceStack.of(device)
-    return _evaluate_stack(stack, mode, _epsilons(stack, mode))[0]
 
 
 def sweep(spec: FamilySpec) -> list[SweepRecord]:

@@ -13,9 +13,8 @@ circuit output and junk (x) target, where junk is one fixed vector: the
 normalized (I+Z'_A)(I+Z'_B)|psi'>/(2*sqrt(2)) candidate.  One kernel computes
 every such distance, in one circuit pass over a stacked (n, k, dA, dB) batch:
 k inputs for each of n devices, against a table of ancilla targets.  A stack
-of devices is evaluated in one pass, and a single device is the n = 1 stack;
-degeneracy is then reported per device as a mask (``ExtractionStack``), and
-the single-device functions raise ``DegenerateExtractionError`` instead.
+of devices is evaluated in one pass, a single device being the n = 1 stack,
+and degeneracy is reported per device as a mask (``ExtractionStack``).
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .derive import DerivedOperators
-from .device import DeviceModel
 from .linalg import IDENTITY_2, PAULI_X, PAULI_Z, PHI_PLUS, transpose
 
 # Every entry of the Hadamard matrix is +/- this.
@@ -49,40 +47,6 @@ B_TARGETS = np.array([
 DEGENERACY_TOL = 1e-6
 
 
-class DegenerateExtractionError(ValueError):
-    """Raised when the junk candidate has vanishing norm.
-
-    Below the degeneracy threshold the normalization step is meaningless: the
-    conditions are grossly violated and no meaningful junk state exists.
-    ``raw_norm`` is the candidate's norm before normalization.
-    """
-
-    def __init__(self, raw_norm: float):
-        self.raw_norm = raw_norm
-        super().__init__(
-            f"junk candidate norm {raw_norm:.3e} below degeneracy threshold "
-            f"{DEGENERACY_TOL:.1e}; no meaningful junk state exists"
-        )
-
-
-@dataclass(frozen=True)
-class ExtractionResult:
-    """Extraction errors for all nine operator pairs with one fixed junk.
-
-    The ("I", "I") error is the state error after junk normalization, and
-    ``state_error_pre_normalization`` the one against ``junk_norm_raw * junk``.
-    """
-
-    junk: np.ndarray
-    junk_norm_raw: float
-    errors_by_pair: dict[tuple[str, str], float]
-    state_error_pre_normalization: float
-
-    @property
-    def max_error(self) -> float:
-        return max(self.errors_by_pair.values())
-
-
 @dataclass(frozen=True)
 class ExtractionStack:
     """Extraction of an n-device stack; row i of every array belongs to device i.
@@ -98,14 +62,6 @@ class ExtractionStack:
     junk_norm_raw: np.ndarray
     degenerate: np.ndarray
     distances: np.ndarray
-
-
-def _state_stack(device: DeviceModel, ops: DerivedOperators) -> np.ndarray:
-    """|psi'> as the n = 1 stack of (dA, dB) coefficient matrices, checked
-    against the operator dims."""
-    if ops.dims != device.dims:
-        raise ValueError(f"operator dims {ops.dims} do not match device dims {device.dims}")
-    return device.state.reshape(1, *device.dims)
 
 
 def _stacked_inputs(
@@ -217,49 +173,20 @@ def extraction_stack(psi: np.ndarray, ops: DerivedOperators) -> ExtractionStack:
     )
 
 
-def junk_candidate(device: DeviceModel, ops: DerivedOperators) -> tuple[np.ndarray, float]:
-    """Normalized junk candidate (I+Z'_A)(I+Z'_B)|psi'>/(2*sqrt(2)) and its raw norm.
 
-    A raw norm below ``DEGENERACY_TOL`` raises ``DegenerateExtractionError``.
-    The n = 1 case of ``junk_stack``.
+
+def b_operator_stack(
+    psi: np.ndarray, ops: DerivedOperators, bob: tuple[np.ndarray, np.ndarray],
+    junk: np.ndarray,
+) -> np.ndarray:
+    """Extraction errors for Bob's actually measured observables ``bob`` =
+    (B0, B1), for each state matrix of an (n, dA, dB) stack: an (n, 6) array
+    in ``B_ROWS`` order.
+
+    Row (M, B_i) is || Phi(M' B_i |psi'>) - junk (x) M ((X +/- Z)/sqrt(2)) |phi+> ||,
+    + for B0 and - for B1: the circuit is applied to the raw observable, the
+    target uses the ideal diagonal qubit operator on Bob's ancilla.  ``junk``
+    holds the (n, dA*dB) candidates of ``extraction_stack``.
     """
-    junk, raw = junk_stack(_state_stack(device, ops), ops)
-    if raw[0] < DEGENERACY_TOL:
-        raise DegenerateExtractionError(float(raw[0]))
-    return junk[0], float(raw[0])
-
-
-def extraction_error(device: DeviceModel, ops: DerivedOperators) -> ExtractionResult:
-    """Measured extraction error for all nine (M, N) pairs.
-
-    Every pair is compared against the same fixed junk vector of
-    ``junk_candidate``; degeneracy of the candidate raises
-    ``DegenerateExtractionError``.  The n = 1 case of ``extraction_stack``.
-    """
-    stack = extraction_stack(_state_stack(device, ops), ops)
-    if stack.degenerate[0]:
-        raise DegenerateExtractionError(float(stack.junk_norm_raw[0]))
-    distances = stack.distances[0].tolist()
-    return ExtractionResult(
-        junk=stack.junk[0],
-        junk_norm_raw=float(stack.junk_norm_raw[0]),
-        errors_by_pair=dict(zip(OPERATOR_PAIRS, distances)),
-        state_error_pre_normalization=distances[-1],
-    )
-
-
-def b_measured_errors(
-    device: DeviceModel, ops: DerivedOperators, junk: np.ndarray
-) -> dict[tuple[str, str], float]:
-    """Extraction errors for Bob's actually measured observables B0 and B1.
-
-    Maps (M, "B0" or "B1") to || Phi(M' B'_i |psi'>) - junk (x) M ((X +/- Z)/sqrt(2)) |phi+> ||
-    with + for B0 and - for B1; the circuit is applied to the raw observable,
-    the target uses the ideal diagonal qubit operator on Bob's ancilla.
-    ``junk`` is the fixed candidate from ``junk_candidate``.  A device without
-    B0 or B1 raises ``KeyError``.  The circuit runs on the n = 1 stack.
-    """
-    bob = (device.bob_obs["B0"], device.bob_obs["B1"])
-    inputs = _stacked_inputs(_state_stack(device, ops), ops, bob)
-    distances = _distances(inputs, ops, junk[None], B_TARGETS[None])[0]
-    return dict(zip(B_ROWS, distances.tolist()))
+    inputs = _stacked_inputs(psi, ops, bob)
+    return _distances(inputs, ops, junk, B_TARGETS[None])

@@ -4,9 +4,10 @@ Each is a thin wrapper over the library: a single-pair correlation, the CHSH
 value and Mayers-Yao deviation of a device, a Hermiticity-checked
 eigendecomposition, the operator absolute value and unitarity deviation, a
 family's points and device list, a stack of given devices, writing a device
-document, a report's rows of one category, the one-observable-at-a-time
-search proposal that the search's rotation table must reproduce bit for bit,
-and a spy on the stacks of proposals a search checks.
+document, a report's rows of one category, a device's sweep record read off
+its certify report, the one-observable-at-a-time search proposal that the
+search's rotation table must reproduce bit for bit, and a spy on the stacks
+of proposals a search checks.
 """
 
 from __future__ import annotations
@@ -16,20 +17,20 @@ from pathlib import Path
 
 import numpy as np
 
-from singlet_selftest.bounds import CertificationReport, ReportRow
+from singlet_selftest.bounds import CertificationReport, ReportRow, certify, extraction_bound
 from singlet_selftest.device import (
     CHSH_PAIRS,
     MY_PAIRS,
     DeviceModel,
     DeviceStack,
     chsh_epsilon,
-    correlations,
+    correlation_stack,
     make_device,
     my_epsilon,
 )
 from singlet_selftest import explorer
 from singlet_selftest.documents import device_to_document, write_json_atomic
-from singlet_selftest.explorer import FamilySpec, family_axis, family_chunks
+from singlet_selftest.explorer import FamilySpec, SweepRecord, family_axis, family_chunks
 from singlet_selftest.linalg import dagger, hermiticity_deviation
 
 HERMITIAN_ATOL = 1e-10
@@ -45,17 +46,18 @@ def require_square(m: np.ndarray) -> np.ndarray:
 
 def correlation(device: DeviceModel, alice_name: str, bob_name: str) -> float:
     """Expectation value <psi| (M_A x I)(I x N_B) |psi> for one named pair."""
-    return correlations(device, ((alice_name, bob_name),))[(alice_name, bob_name)]
+    return float(correlation_stack(DeviceStack.of(device), ((alice_name, bob_name),))[0, 0])
 
 
 def chsh_value(device: DeviceModel) -> tuple[float, float]:
     """CHSH value of a device and its deficit from 2*sqrt(2); see ``chsh_epsilon``."""
-    return chsh_epsilon(correlations(device, CHSH_PAIRS))
+    values = correlation_stack(DeviceStack.of(device), CHSH_PAIRS)[0]
+    return chsh_epsilon(dict(zip(CHSH_PAIRS, values.tolist())))
 
 
 def my_deviation(device: DeviceModel) -> tuple[dict[tuple[str, str], float], float]:
     """All six Mayers-Yao correlations of a device and the worst deviation from ideal."""
-    table = correlations(device, MY_PAIRS)
+    table = dict(zip(MY_PAIRS, correlation_stack(DeviceStack.of(device), MY_PAIRS)[0].tolist()))
     return table, my_epsilon(table)[1]
 
 
@@ -118,6 +120,19 @@ def save_device(path: str | Path, device: DeviceModel, metadata: dict | None = N
 
 def rows_by_category(report: CertificationReport, category: str) -> list[ReportRow]:
     return [row for row in report.rows if row.category == category]
+
+
+def certified_record(device: DeviceModel, mode: str) -> SweepRecord:
+    """The sweep record of one device, read off its ``certify`` report: the
+    deviation, the measured residual budgets, and the largest of the nine
+    extraction errors (NaN when the junk candidate is degenerate)."""
+    report = certify(device, mode)
+    residuals = report.residuals
+    bound = extraction_bound(residuals.eps1, residuals.eps2)
+    max_error = (float("nan") if report.degenerate else
+                 max(row.measured for row in rows_by_category(report, "extraction")))
+    return SweepRecord(report.epsilon, residuals.eps1, residuals.eps2, max_error, bound,
+                       bound - max_error, report.degenerate)
 
 
 def search_proposal_oracle(

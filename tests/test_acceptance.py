@@ -26,25 +26,26 @@ from singlet_selftest.cli import main
 from singlet_selftest.derive import (
     chsh_budget,
     chsh_diagnostics,
-    condition_residuals,
     derive_chsh_operators,
     my_budget,
     my_diagnostics,
     my_operators,
+    residual_stack,
 )
 from singlet_selftest.device import (
+    DeviceStack,
     canonical_chsh_device,
     canonical_my_device,
     make_device,
-    validate,
+    validate_stack,
 )
 from singlet_selftest.documents import load_device
 from singlet_selftest.explorer import FamilySpec
 from singlet_selftest.isometry import (
     OPERATOR_PAIRS,
-    b_measured_errors,
-    extraction_error,
-    junk_candidate,
+    b_operator_stack,
+    extraction_stack,
+    junk_stack,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -69,7 +70,7 @@ def extraction_corpus():
     devices = []
     for spec in specs:
         for params, device in family_points(spec):
-            assert validate(device) == []
+            assert validate_stack(DeviceStack.of(device)) == [[]]
             devices.append((spec.kind, params, device))
     return devices
 
@@ -112,15 +113,17 @@ def test_criterion_01_exact_chsh_point():
     device = canonical_chsh_device()
     value, _ = chsh_value(device)
     ops = derive_chsh_operators(device)
-    res = condition_residuals(device.state, ops)
-    result = extraction_error(device, ops)
+    psi = device.state.reshape(1, *device.dims)
+    res = residual_stack(psi, ops)[0]
+    extraction = extraction_stack(psi, ops)
+    max_error = float(extraction.distances[0, :len(OPERATOR_PAIRS)].max())
     junk_target = np.zeros(4, dtype=complex)
     junk_target[0] = 1.0
     ok = (
         abs(value - 2.0 * SQRT2) <= 1e-9
         and max(res.anticomm_a, res.anticomm_b, res.diff_x, res.diff_z) <= 1e-9
-        and all(err <= 1e-8 for err in result.errors_by_pair.values())
-        and float(np.linalg.norm(result.junk - junk_target)) <= 1e-9
+        and max_error <= 1e-8
+        and float(np.linalg.norm(extraction.junk[0] - junk_target)) <= 1e-9
     )
     elapsed = time.monotonic() - start
     report_line(
@@ -128,7 +131,7 @@ def test_criterion_01_exact_chsh_point():
         ok and elapsed < 1.0,
         f"exact CHSH point: value={value:.12f}, max residual "
         f"{max(res.anticomm_a, res.anticomm_b, res.diff_x, res.diff_z):.2e}, "
-        f"max extraction error {result.max_error:.2e}, junk=|00>, {elapsed:.2f}s",
+        f"max extraction error {max_error:.2e}, junk=|00>, {elapsed:.2f}s",
     )
 
 
@@ -143,14 +146,15 @@ def test_criterion_02_exact_my_point():
     per_pair_ok = all(
         abs(table[pair] - target) <= 1e-12 for pair, target in targets.items()
     )
-    result = extraction_error(device, my_operators(device))
-    ok = eps <= 1e-12 and per_pair_ok and result.max_error <= 1e-8
+    extraction = extraction_stack(device.state.reshape(1, *device.dims), my_operators(device))
+    max_error = float(extraction.distances[0, :len(OPERATOR_PAIRS)].max())
+    ok = eps <= 1e-12 and per_pair_ok and max_error <= 1e-8
     elapsed = time.monotonic() - start
     report_line(
         2,
         ok and elapsed < 1.0,
         f"exact MY point: epsilon={eps:.2e}, six correlations on target, "
-        f"max extraction error {result.max_error:.2e}, {elapsed:.2f}s",
+        f"max extraction error {max_error:.2e}, {elapsed:.2f}s",
     )
 
 
@@ -190,14 +194,15 @@ def test_criterion_04_isometry_certification():
     worst_margin = -math.inf
     for kind, params, device in corpus:
         ops = derive_chsh_operators(device)
-        res = condition_residuals(device.state, ops)
+        psi = device.state.reshape(1, *device.dims)
+        res = residual_stack(psi, ops)[0]
         bound = extraction_bound(res.eps1, res.eps2)
-        result = extraction_error(device, ops)
-        margin = result.max_error - bound
+        max_error = float(extraction_stack(psi, ops).distances[0, :len(OPERATOR_PAIRS)].max())
+        margin = max_error - bound
         worst_margin = max(worst_margin, margin)
         if margin > 1e-9:
             failures += 1
-            print(f"    violation: {kind} {params} error {result.max_error} > {bound}")
+            print(f"    violation: {kind} {params} error {max_error} > {bound}")
     elapsed = time.monotonic() - start
     ok = failures == 0 and elapsed < 120.0
     report_line(
@@ -215,7 +220,7 @@ def test_criterion_05_chsh_budget_certification():
     failures = 0
     for device, eps in corpus:
         ops = derive_chsh_operators(device)
-        res = condition_residuals(device.state, ops)
+        res = residual_stack(device.state.reshape(1, *device.dims), ops)[0]
         eps1 = 2.0 * (eps * SQRT2) ** 0.5
         eps2 = 4.0 * (eps * SQRT2) ** 0.25
         if not (
@@ -240,7 +245,7 @@ def test_criterion_06_my_budget_certification():
     failures = 0
     for device, eps in corpus:
         ops = my_operators(device)
-        res = condition_residuals(device.state, ops)
+        res = residual_stack(device.state.reshape(1, *device.dims), ops)[0]
         eps1 = (
             2.0 * (1.0 + SQRT2) * (2.0 * eps) ** 0.25
             + 4.0 * math.sqrt(2.0 * eps)
@@ -270,7 +275,7 @@ def test_criterion_07_chain_suites():
         budget = chsh_budget(eps)
         ops = derive_chsh_operators(device)
         diag = chsh_diagnostics(device, ops)
-        junk, raw = junk_candidate(device, ops)
+        _, (raw,) = junk_stack(device.state.reshape(1, *device.dims), ops)
         za = tensor_embed(ops.za, "A", device.dims)
         za_abs = abs(float(np.vdot(device.state, za @ device.state).real))
         eps_sum = budget.eps1 + budget.eps2
@@ -289,7 +294,7 @@ def test_criterion_07_chain_suites():
         budget = my_budget(eps)
         diag = my_diagnostics(device)
         ops = my_operators(device)
-        junk, raw = junk_candidate(device, ops)
+        _, (raw,) = junk_stack(device.state.reshape(1, *device.dims), ops)
         eps_sum = budget.eps1 + budget.eps2
         checks = {
             "sum-xz-chain": diag["sum_xz_norm"]
@@ -316,8 +321,9 @@ def test_criterion_08_b_operator_bound():
     for device, eps in corpus:
         ops = derive_chsh_operators(device)
         bound = b_extraction_bound(eps)
-        junk, _ = junk_candidate(device, ops)
-        for error in b_measured_errors(device, ops, junk).values():
+        psi = device.state.reshape(1, *device.dims)
+        bob = (device.bob_obs["B0"], device.bob_obs["B1"])
+        for error in b_operator_stack(psi, ops, bob, junk_stack(psi, ops)[0])[0]:
             margin = error - bound
             worst_margin = max(worst_margin, margin)
             if margin > 1e-9:

@@ -1,8 +1,8 @@
 """A sweep builds and evaluates its points in stacked chunks of one dims.
 
 Every record must agree, within 1e-12 and in its ``degenerate`` flag, with
-the point built alone (a chunk of one, at its own index) and evaluated alone
-through ``evaluate_device``; the first failing point in sweep order sets a
+the point built alone (a chunk of one, at its own index) and certified alone
+through ``certify``; the first failing point in sweep order sets a
 sweep's error; and the memory a sweep holds at once is bounded by the chunk
 budget, not by the number of points.
 """
@@ -16,14 +16,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import stack_devices
+from helpers import certified_record, stack_devices
 from singlet_selftest import explorer
 from singlet_selftest.bounds import get_mode
 from singlet_selftest.device import canonical_chsh_device, make_device
 from singlet_selftest.explorer import (
     CHUNK_ELEMENTS,
     FamilySpec,
-    evaluate_device,
     family_axis,
     sweep,
 )
@@ -83,7 +82,7 @@ class TestStackedSweepEqualsPerDevice:
         base = get_mode(spec.mode).canonical()
         for index, (value, record) in enumerate(zip(values, records)):
             alone = explorer._build_chunk(spec, base, [value], index).device(0)
-            assert_records_match(record, evaluate_device(alone, spec.mode))
+            assert_records_match(record, certified_record(alone, spec.mode))
 
     def test_chunk_sizes_span_the_counts(self):
         # One chunk +/- 1 above really is one chunk +/- 1 for these dims.
@@ -106,7 +105,7 @@ class TestStackedSweepEqualsPerDevice:
         records = explorer._evaluate_stack(stack, "chsh", explorer._epsilons(stack, "chsh"))
         assert [record.degenerate for record in records] == [False, True, False]
         for device, record in zip(devices, records):
-            assert_records_match(record, evaluate_device(device, "chsh"))
+            assert_records_match(record, certified_record(device, "chsh"))
 
 
 class TestErrorOrder:

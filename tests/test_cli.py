@@ -10,11 +10,12 @@ from helpers import make_family, save_device
 from singlet_selftest.bounds import MODES
 from singlet_selftest.cli import main
 from singlet_selftest.device import (
+    DeviceStack,
     canonical_chsh_device,
     canonical_my_device,
-    correlations,
+    correlation_stack,
     make_device,
-    validate,
+    validate_stack,
 )
 from singlet_selftest.documents import (
     DocumentError,
@@ -223,13 +224,13 @@ class TestCertifyCommand:
             assert {"name", "measured", "bound", "pass", "formula"} <= set(row)
 
     def test_bob_sum_off_hermitian_by_twice_the_tolerance_passes(self, tmp_path, capsys):
-        # B0 and B1 are each 0.9e-10 from Hermitian, inside validate's 1e-10, so
+        # B0 and B1 are each 0.9e-10 from Hermitian, inside validation's 1e-10, so
         # B0 + B1 is 1.8e-10 off; the operator sign must take it as it is.
         skew = 0.45e-10 * np.array([[0.0, 1.0], [-1.0, 0.0]])  # 0.45e-10 * iY
         base = canonical_chsh_device()
         bob = {name: m + skew for name, m in base.bob_obs.items()}
         device = make_device((2, 2), base.state, dict(base.alice_obs), bob)
-        assert validate(device) == []
+        assert validate_stack(DeviceStack.of(device)) == [[]]
         path = tmp_path / "skewed.json"
         save_device(path, device)
         out = tmp_path / "report.json"
@@ -614,9 +615,9 @@ class TestDeviationAgreement:
     ):
         device = make_family(FamilySpec(kind, parameters, seed=13, mode=mode))[0]
         selftest = MODES[mode]
-        values = correlations(device, selftest.pairs)
+        values = correlation_stack(DeviceStack.of(device), selftest.pairs)[0].tolist()
         table = tmp_path / "table.json"
-        table.write_text(json.dumps(dict(zip(selftest.table_keys, values.values()))))
+        table.write_text(json.dumps(dict(zip(selftest.table_keys, values))))
         summary = tmp_path / "summary.json"
         assert main(["correlations", "--table", str(table), "--mode", mode,
                      "--out", str(summary)]) == 0
@@ -696,6 +697,7 @@ class TestSweepCommand:
         ({"kind": "tilted", "parameters": {"theta": 0.1, "bogus": 3}}, "bogus"),
         ({"kind": "random", "parameters": {"count": 10**12}}, "count"),
         ({"kind": "tilted", "parameters": {"theta": [0, 1, 10**12]}}, "theta"),
+        ({"kind": "random", "seed": -1, "parameters": {"count": 2}}, "seed"),
     ])
     def test_malformed_spec_exits_two_naming_the_field(self, tmp_path, capsys, spec, field):
         path = tmp_path / "family.json"

@@ -11,11 +11,11 @@ from helpers import chsh_value, make_family, my_deviation
 from singlet_selftest.derive import (
     chsh_budget,
     chsh_diagnostics,
-    condition_residuals,
     derive_chsh_operators,
     my_budget,
     my_diagnostics,
     my_operators,
+    residual_stack,
 )
 from singlet_selftest.device import make_device
 from singlet_selftest.explorer import FamilySpec
@@ -88,30 +88,26 @@ class TestDeriveChshOperators:
 
 class TestConditionResiduals:
     def test_canonical_chsh_near_zero(self, chsh_device):
-        res = condition_residuals(chsh_device.state, derive_chsh_operators(chsh_device))
+        psi = chsh_device.state.reshape(1, 2, 2)
+        (res,) = residual_stack(psi, derive_chsh_operators(chsh_device))
         for value in (res.anticomm_a, res.anticomm_b, res.diff_x, res.diff_z):
             assert value <= 1e-10
 
     def test_canonical_my_near_zero(self, my_device):
-        res = condition_residuals(my_device.state, my_operators(my_device))
+        (res,) = residual_stack(my_device.state.reshape(1, 2, 2), my_operators(my_device))
         for value in (res.anticomm_a, res.anticomm_b, res.diff_x, res.diff_z):
             assert value <= 1e-10
 
     def test_tilted_values(self):
         theta = math.pi / 8
         device = tilted_device(theta)
-        res = condition_residuals(device.state, derive_chsh_operators(device))
+        (res,) = residual_stack(device.state.reshape(1, 2, 2), derive_chsh_operators(device))
         # Paulis anticommute exactly; the X difference is computed directly:
         # (X (x) I - I (x) X) |psi_theta> = (cos t - sin t)(|10> - |01>)
         assert res.anticomm_a <= 1e-12
         assert res.anticomm_b <= 1e-12
         assert res.diff_x == pytest.approx(0.76536686473017945, abs=1e-12)
         assert res.diff_z <= 1e-12
-
-    def test_dimension_mismatch(self, chsh_device):
-        ops = derive_chsh_operators(chsh_device)
-        with pytest.raises(ValueError, match="dimension"):
-            condition_residuals(np.ones(6) / math.sqrt(6.0), ops)
 
     def test_eps_summary(self):
         from singlet_selftest.derive import ResidualSet

@@ -7,13 +7,7 @@ import pytest
 
 from conftest import random_unitary, tilted_device
 from helpers import chsh_value, correlation, make_family, my_deviation
-from singlet_selftest.device import (
-    MY_IDEAL,
-    DeviceValidationError,
-    make_device,
-    require_valid,
-    validate,
-)
+from singlet_selftest.device import MY_IDEAL, DeviceStack, make_device, validate_stack
 from singlet_selftest.explorer import FamilySpec
 from singlet_selftest.linalg import DIAG_XZ, PAULI_X, PAULI_Z, PHI_PLUS
 
@@ -22,8 +16,8 @@ SQRT2 = math.sqrt(2.0)
 
 class TestValidate:
     def test_canonical_is_clean(self, chsh_device, my_device):
-        assert validate(chsh_device) == []
-        assert validate(my_device) == []
+        assert validate_stack(DeviceStack.of(chsh_device))[0] == []
+        assert validate_stack(DeviceStack.of(my_device))[0] == []
 
     def test_scaled_observable_named(self, chsh_device):
         broken = make_device(
@@ -32,7 +26,7 @@ class TestValidate:
             {"A0": 0.5 * PAULI_X, "A1": PAULI_Z},
             dict(chsh_device.bob_obs),
         )
-        messages = validate(broken)
+        messages = validate_stack(DeviceStack.of(broken))[0]
         assert len(messages) == 1
         assert "A0" in messages[0] and "O^2 != I" in messages[0] and "0.75" in messages[0]
 
@@ -40,7 +34,7 @@ class TestValidate:
         broken = make_device(
             (2, 2), np.ones(4), dict(chsh_device.alice_obs), dict(chsh_device.bob_obs)
         )
-        messages = validate(broken)
+        messages = validate_stack(DeviceStack.of(broken))[0]
         assert len(messages) == 1
         assert messages[0].startswith("state:") and "2" in messages[0]
 
@@ -50,7 +44,7 @@ class TestValidate:
         broken = make_device(
             (2, 2), state, dict(chsh_device.alice_obs), dict(chsh_device.bob_obs)
         )
-        assert validate(broken) == ["state: non-finite entry"]
+        assert validate_stack(DeviceStack.of(broken))[0] == ["state: non-finite entry"]
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_observable_rejected(self, chsh_device, bad):
@@ -62,7 +56,7 @@ class TestValidate:
                 (2, 2), chsh_device.state, {"A0": PAULI_X, "A1": obs},
                 dict(chsh_device.bob_obs),
             )
-            assert validate(broken) == ["A1: non-finite entry"]
+            assert validate_stack(DeviceStack.of(broken))[0] == ["A1: non-finite entry"]
 
     def test_non_hermitian_observable(self, chsh_device):
         broken = make_device(
@@ -71,7 +65,8 @@ class TestValidate:
             {"A0": 1j * PAULI_X, "A1": PAULI_Z},
             dict(chsh_device.bob_obs),
         )
-        assert any("A0" in m and "Hermitian" in m for m in validate(broken))
+        messages = validate_stack(DeviceStack.of(broken))[0]
+        assert any("A0" in m and "Hermitian" in m for m in messages)
 
     def test_shape_mismatch(self, chsh_device):
         broken = make_device(
@@ -80,14 +75,8 @@ class TestValidate:
             {"A0": np.eye(3), "A1": PAULI_Z},
             dict(chsh_device.bob_obs),
         )
-        assert any("A0" in m and "shape" in m for m in validate(broken))
-
-    def test_require_valid_raises(self, chsh_device):
-        broken = make_device(
-            (2, 2), np.ones(4), dict(chsh_device.alice_obs), dict(chsh_device.bob_obs)
-        )
-        with pytest.raises(DeviceValidationError):
-            require_valid(broken)
+        messages = validate_stack(DeviceStack.of(broken))[0]
+        assert any("A0" in m and "shape" in m for m in messages)
 
 
 class TestCorrelation:

@@ -41,11 +41,6 @@ def count_calls(monkeypatch, fn) -> list:
 
 
 @pytest.fixture
-def validations(monkeypatch):
-    return count_calls(monkeypatch, device_module.validate)
-
-
-@pytest.fixture
 def stack_validations(monkeypatch):
     return count_calls(monkeypatch, device_module.validate_stack)
 
@@ -57,37 +52,35 @@ def name_checks(monkeypatch):
 
 @pytest.mark.parametrize("mode", ["chsh", "my"])
 class TestCounts:
-    def test_library_certify_validates_once(self, mode, validations, name_checks):
+    def test_library_certify_validates_once(self, mode, stack_validations, name_checks):
         report = certify(get_mode(mode).canonical(), mode)
         assert report.all_pass
-        assert len(validations) == 1
+        assert [len(stack) for stack, in stack_validations] == [1]
         assert len(name_checks) == 1
 
-    def test_cli_certify_validates_once(self, mode, validations, name_checks, tmp_path):
+    def test_cli_certify_validates_once(self, mode, stack_validations, name_checks, tmp_path):
         path = tmp_path / "device.json"
         save_device(path, get_mode(mode).canonical())
         out = tmp_path / "report.json"
         assert main(["certify", "--device", str(path), "--mode", mode,
                      "--out", str(out)]) == 0
-        assert len(validations) == 1
+        assert [len(stack) for stack, in stack_validations] == [1]
         assert len(name_checks) == 1
 
-    def test_sweep_validates_each_point_once(self, mode, validations, stack_validations):
+    def test_sweep_validates_each_point_once(self, mode, stack_validations):
         # A sweep validates whole chunks: every point once, in one stack here.
         spec = FamilySpec("tilted", {"theta": (0.8, 0.5, 5)}, mode=mode)
         assert len(sweep(spec)) == 5
-        assert validations == []
         assert [len(stack) for stack, in stack_validations] == [5]
 
-    def test_search_validates_each_evaluation_once(self, mode, validations, monkeypatch):
-        # A search validates each stack of proposals it builds once, through
-        # validate_stack; the rows the chain checks, up to each stack's first
-        # feasible one, are exactly its counted evaluations.
+    def test_search_validates_each_evaluation_once(self, mode, stack_validations, monkeypatch):
+        # A search validates each stack of proposals it builds once; the rows
+        # the chain checks, up to each stack's first feasible one, are
+        # exactly its counted evaluations.
         built = count_calls(monkeypatch, explorer._search_proposals)
         spy = SearchSpy(monkeypatch)
         result = worst_case_search(mode, 0.01, (3, 2), 60, seed=4)
-        assert validations == []
-        assert len(spy.batches) == len(built)
+        assert len(stack_validations) == len(spy.batches) == len(built)
         assert max(len(batch["states"]) for batch in spy.batches) > 1
         assert sum(checked for _, checked in spy.reached()) == result.evaluations == 60
 

@@ -10,25 +10,30 @@ import pytest
 
 from helpers import (
     SearchSpy,
+    certified_record,
     chsh_value,
     make_family,
     my_deviation,
     search_proposal_oracle,
 )
 from singlet_selftest.bounds import certify, get_mode
-from singlet_selftest.device import canonical_chsh_device, canonical_my_device, validate
-from singlet_selftest.derive import condition_residuals, derive_chsh_operators
+from singlet_selftest.device import (
+    DeviceStack,
+    canonical_chsh_device,
+    canonical_my_device,
+    validate_stack,
+)
+from singlet_selftest.derive import derive_chsh_operators, residual_stack
 from singlet_selftest import explorer
 from singlet_selftest.explorer import (
     MAX_SWEEP_POINTS,
     FamilySpec,
-    evaluate_device,
     family_axis,
     family_chunks,
     sweep,
     worst_case_search,
 )
-from singlet_selftest.isometry import extraction_error
+from singlet_selftest.isometry import OPERATOR_PAIRS, extraction_stack
 from singlet_selftest.linalg import PHI_PLUS
 
 SQRT2 = math.sqrt(2.0)
@@ -37,15 +42,15 @@ SQRT2 = math.sqrt(2.0)
 class TestCanonicalDevices:
     def test_chsh_point(self):
         device = canonical_chsh_device()
-        assert validate(device) == []
+        assert validate_stack(DeviceStack.of(device)) == [[]]
         value, eps = chsh_value(device)
         assert value == pytest.approx(2.8284271247461903, abs=1e-12)
-        result = extraction_error(device, derive_chsh_operators(device))
-        assert result.max_error <= 1e-9
+        result = extraction_stack(device.state.reshape(1, 2, 2), derive_chsh_operators(device))
+        assert result.distances.max() <= 1e-9
 
     def test_my_point(self):
         device = canonical_my_device()
-        assert validate(device) == []
+        assert validate_stack(DeviceStack.of(device)) == [[]]
         table, eps = my_deviation(device)
         assert eps <= 1e-12
         observed = [
@@ -89,9 +94,10 @@ class TestFamilies:
             value, _ = chsh_value(device)
             assert value == pytest.approx(2.0 * SQRT2, abs=1e-9)
             ops = derive_chsh_operators(device)
-            res = condition_residuals(device.state, ops)
+            psi = device.state.reshape(1, *device.dims)
+            (res,) = residual_stack(psi, ops)
             assert max(res.anticomm_a, res.anticomm_b, res.diff_x, res.diff_z) <= 1e-9
-            assert extraction_error(device, ops).max_error <= 1e-9
+            assert extraction_stack(psi, ops).distances[0, :len(OPERATOR_PAIRS)].max() <= 1e-9
 
     def test_junk_embedded_my_mode(self):
         spec = FamilySpec("junk-embedded", {"count": 2}, (4, 6), seed=4, mode="my")
@@ -113,7 +119,7 @@ class TestFamilies:
             devices = make_family(spec)
             assert devices, spec.kind
             for device in devices:
-                assert validate(device) == [], spec.kind
+                assert validate_stack(DeviceStack.of(device)) == [[]], spec.kind
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError, match="kind"):
@@ -126,6 +132,34 @@ class TestFamilies:
             make_family(FamilySpec("junk-embedded", {"count": 1}, (3, 4)))
         with pytest.raises(ValueError, match="p must"):
             make_family(FamilySpec("state-noise", {"p": 1.5}))
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be a nonnegative integer, got -1"):
+            family_axis(FamilySpec("random", {"count": 2}, seed=-1))
+
+    def test_seeds_are_not_reduced_modulo_two_to_the_64(self):
+        # 2**64 and 0 are different seeds, and 2**64 - 1 is a seed of its own.
+        states = {seed: [device.state for device in
+                         make_family(FamilySpec("random", {"count": 2}, (2, 3), seed=seed))]
+                  for seed in (0, 2**64 - 1, 2**64)}
+        for a, b in ((0, 2**64), (2**64 - 1, 2**64), (0, 2**64 - 1)):
+            assert not any(np.array_equal(x, y) for x, y in zip(states[a], states[b])), (a, b)
+
+    @pytest.mark.parametrize("kind,parameters,dims", [
+        ("tilted", {"theta": [0.2, 0.7, 3]}, [2, 2]),
+        ("measurement-noise", {"eta": [0.0, 0.2, 3]}, [2, 2]),
+        ("junk-embedded", {"count": 3}, [4, 6]),
+    ])
+    def test_list_dims_build_as_tuple_dims(self, kind, parameters, dims):
+        as_list = FamilySpec(kind, parameters, dims, seed=5)
+        as_tuple = FamilySpec(kind, parameters, tuple(dims), seed=5)
+        assert sweep(as_list) == sweep(as_tuple)
+        for device in make_family(as_list):
+            assert device.dims == tuple(dims)
+
+    def test_list_dims_of_a_two_by_two_kind_still_checked(self):
+        with pytest.raises(ValueError, match=r"tilted family requires dims \(2, 2\)"):
+            sweep(FamilySpec("tilted", {"theta": 0.1}, [2, 4]))
 
     @pytest.mark.parametrize("kind,name,at_cap,over_cap", [
         ("random", "count", MAX_SWEEP_POINTS, MAX_SWEEP_POINTS + 1),
@@ -206,8 +240,13 @@ class TestSweep:
 class TestEvaluateDevice:
     def test_unknown_mode_raises(self):
         # a mode name that is not registered must not fall through to MY
-        with pytest.raises(ValueError, match="mode must be 'chsh' or 'my', got 'CHSH'"):
-            evaluate_device(canonical_my_device(), "CHSH")
+        message = "mode must be 'chsh' or 'my', got 'CHSH'"
+        with pytest.raises(ValueError, match=message):
+            certify(canonical_my_device(), "CHSH")
+        with pytest.raises(ValueError, match=message):
+            sweep(FamilySpec("tilted", {"theta": 0.3}, mode="CHSH"))
+        with pytest.raises(ValueError, match=message):
+            worst_case_search("CHSH", 0.01, (2, 2), 1, 0)
 
     def test_unknown_family_mode_raises(self):
         with pytest.raises(ValueError, match="mode must be"):
@@ -245,15 +284,12 @@ class TestWorstCaseSearch:
         assert record.slack > 0.0
 
     def test_record_reproducible_by_reevaluation(self):
-        # The search's epsilon and record come from the same floating-point
-        # path as a fresh evaluation, so they agree exactly.
+        # The search's record comes from the same floating-point path as
+        # certify on its best device, so every field agrees exactly.
         for mode, ceiling in (("chsh", 0.01), ("my", 0.02)):
             result = worst_case_search(mode, ceiling, (2, 2), 300, 3)
-            fresh = evaluate_device(result.device, mode)
-            assert fresh.max_extraction_error == result.record.max_extraction_error
-            assert fresh.epsilon == result.record.epsilon
-            report = certify(result.device, mode)
-            assert report.all_pass
+            assert certified_record(result.device, mode) == result.record
+            assert certify(result.device, mode).all_pass
 
     def test_deterministic(self):
         a = worst_case_search("my", 0.02, (2, 2), 150, 11)

@@ -12,13 +12,14 @@ from singlet_selftest.derive import derive_chsh_operators, my_operators, Derived
 from singlet_selftest.device import make_device
 from singlet_selftest.explorer import FamilySpec
 from singlet_selftest.isometry import (
+    B_ROWS,
+    DEGENERACY_TOL,
     OPERATOR_PAIRS,
-    DegenerateExtractionError,
-    b_measured_errors,
-    extraction_error,
-    junk_candidate,
+    b_operator_stack,
+    extraction_stack,
+    junk_stack,
 )
-from singlet_selftest.linalg import PAULI_X, PAULI_Z, PHI_PLUS
+from singlet_selftest.linalg import PHI_PLUS
 from singlet_selftest.bounds import b_extraction_bound
 
 SQRT2 = math.sqrt(2.0)
@@ -64,16 +65,6 @@ class TestApplyIsometry:
         ops = derive_chsh_operators(chsh_device)
         with pytest.raises(ValueError, match="I/X/Z"):
             apply_isometry(chsh_device, ops, "Y", "I")
-
-    def test_dims_mismatch(self, chsh_device):
-        ops = DerivedOperators(
-            xa=np.eye(3, dtype=complex),
-            za=np.eye(3, dtype=complex),
-            xb=PAULI_X,
-            zb=PAULI_Z,
-        )
-        with pytest.raises(ValueError, match="dims"):
-            apply_isometry(chsh_device, ops)
 
 
 def explicit_isometry_matrix(ops, dims):
@@ -149,11 +140,15 @@ class TestExpansionAgreement:
         assert np.linalg.norm(good - bad) > 0.1
 
 
+def state_matrices(device):
+    return device.state.reshape(1, *device.dims)
+
+
 class TestJunkCandidate:
     def test_canonical(self, chsh_device):
-        junk, raw = junk_candidate(chsh_device, derive_chsh_operators(chsh_device))
-        assert raw == pytest.approx(1.0, abs=1e-12)
-        assert np.linalg.norm(junk - E00) <= 1e-12
+        junk, raw = junk_stack(state_matrices(chsh_device), derive_chsh_operators(chsh_device))
+        assert raw[0] == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.norm(junk[0] - E00) <= 1e-12
 
     def test_degenerate_state(self, chsh_device):
         state = np.array([0.0, 0.0, 0.0, 1.0], dtype=complex)
@@ -161,38 +156,41 @@ class TestJunkCandidate:
             (2, 2), state, dict(chsh_device.alice_obs), dict(chsh_device.bob_obs)
         )
         ops = derive_chsh_operators(device)
-        with pytest.raises(DegenerateExtractionError, match="degeneracy"):
-            junk_candidate(device, ops)
+        _, raw = junk_stack(state_matrices(device), ops)
+        assert raw[0] < DEGENERACY_TOL
 
     def test_tilted_raw_norm(self):
         theta = math.pi / 8
         device = tilted_device(theta)
-        junk, raw = junk_candidate(device, derive_chsh_operators(device))
+        junk, raw = junk_stack(state_matrices(device), derive_chsh_operators(device))
         # (I+Z)(I+Z) kills everything but cos(theta)|00>, leaving norm sqrt(2)cos(theta)
-        assert raw == pytest.approx(SQRT2 * math.cos(theta), abs=1e-12)
-        assert np.linalg.norm(junk - E00) <= 1e-12
+        assert raw[0] == pytest.approx(SQRT2 * math.cos(theta), abs=1e-12)
+        assert np.linalg.norm(junk[0] - E00) <= 1e-12
 
 
 class TestExtractionError:
+    # Each distances row: the nine OPERATOR_PAIRS errors, then the
+    # pre-normalization state error.
     def test_canonical_chsh(self, chsh_device):
-        result = extraction_error(chsh_device, derive_chsh_operators(chsh_device))
-        assert len(result.errors_by_pair) == 9
-        assert result.max_error <= 1e-9
+        result = extraction_stack(state_matrices(chsh_device), derive_chsh_operators(chsh_device))
+        assert result.distances.shape == (1, len(OPERATOR_PAIRS) + 1)
+        assert result.distances.max() <= 1e-9
 
     def test_canonical_my(self, my_device):
-        result = extraction_error(my_device, my_operators(my_device))
-        assert result.max_error <= 1e-9
+        result = extraction_stack(state_matrices(my_device), my_operators(my_device))
+        assert result.distances.max() <= 1e-9
 
     def test_tilted_within_measured_bound(self):
-        from singlet_selftest.derive import condition_residuals
+        from singlet_selftest.derive import residual_stack
         from singlet_selftest.bounds import extraction_bound
 
         device = tilted_device(math.pi / 4 - 0.05)
         ops = derive_chsh_operators(device)
-        res = condition_residuals(device.state, ops)
+        psi = state_matrices(device)
+        res = residual_stack(psi, ops)[0]
         bound = extraction_bound(res.eps1, res.eps2)
-        result = extraction_error(device, ops)
-        assert result.max_error <= bound + 1e-9
+        result = extraction_stack(psi, ops)
+        assert result.distances[0, :len(OPERATOR_PAIRS)].max() <= bound + 1e-9
 
     def test_local_unitary_invariance(self, chsh_device):
         rng = np.random.default_rng(31)
@@ -204,44 +202,36 @@ class TestExtractionError:
             {k: ua @ v @ ua.conj().T for k, v in device.alice_obs.items()},
             {k: ub @ v @ ub.conj().T for k, v in device.bob_obs.items()},
         )
-        base = extraction_error(device, derive_chsh_operators(device))
-        conj = extraction_error(conjugated, derive_chsh_operators(conjugated))
-        for pair in OPERATOR_PAIRS:
-            assert conj.errors_by_pair[pair] == pytest.approx(
-                base.errors_by_pair[pair], abs=1e-10
-            )
+        base = extraction_stack(state_matrices(device), derive_chsh_operators(device))
+        conj = extraction_stack(state_matrices(conjugated), derive_chsh_operators(conjugated))
+        assert conj.distances == pytest.approx(base.distances, abs=1e-10)
 
     def test_degeneracy_propagates(self, chsh_device):
         state = np.array([0.0, 0.0, 0.0, 1.0], dtype=complex)
         device = make_device(
             (2, 2), state, dict(chsh_device.alice_obs), dict(chsh_device.bob_obs)
         )
-        with pytest.raises(DegenerateExtractionError):
-            extraction_error(device, derive_chsh_operators(device))
+        result = extraction_stack(state_matrices(device), derive_chsh_operators(device))
+        assert result.degenerate.tolist() == [True]
+
+
+def b_operator_errors(device, ops):
+    psi = state_matrices(device)
+    bob = (device.bob_obs["B0"], device.bob_obs["B1"])
+    return dict(zip(B_ROWS, b_operator_stack(psi, ops, bob, junk_stack(psi, ops)[0])[0]))
 
 
 class TestBMeasuredError:
     def test_canonical_exact_cases(self, chsh_device):
-        ops = derive_chsh_operators(chsh_device)
-        junk, _ = junk_candidate(chsh_device, ops)
-        errors = b_measured_errors(chsh_device, ops, junk)
+        errors = b_operator_errors(chsh_device, derive_chsh_operators(chsh_device))
         assert errors[("I", "B0")] <= 1e-9
         assert errors[("Z", "B1")] <= 1e-9
 
     def test_tilted_within_bound(self):
         device = tilted_device(math.pi / 4 - 0.05)
         _, eps = chsh_value(device)
-        ops = derive_chsh_operators(device)
-        junk, _ = junk_candidate(device, ops)
-        errors = b_measured_errors(device, ops, junk)
+        errors = b_operator_errors(device, derive_chsh_operators(device))
         bound = b_extraction_bound(eps)
         assert list(errors) == [(m, w) for m in ("I", "X", "Z") for w in ("B0", "B1")]
         for error in errors.values():
             assert error <= bound + 1e-9
-
-    def test_argument_validation(self, my_device):
-        # The six rows need Bob's raw B0 and B1; a MY device names neither.
-        ops = my_operators(my_device)
-        junk, _ = junk_candidate(my_device, ops)
-        with pytest.raises(KeyError, match="B0"):
-            b_measured_errors(my_device, ops, junk)

@@ -25,25 +25,25 @@ from singlet_selftest import bounds, explorer
 from singlet_selftest.derive import (
     DerivedOperators,
     chsh_diagnostics,
-    condition_residuals,
     derive_chsh_operators,
     my_diagnostics,
     my_operators,
+    residual_stack,
 )
 from singlet_selftest.device import (
     CHSH_PAIRS,
     MY_PAIRS,
+    DeviceStack,
     correlation_stack,
-    correlations,
     make_device,
-    validate,
+    validate_stack,
 )
 from singlet_selftest.explorer import FamilySpec, family_chunks
 from singlet_selftest.isometry import (
+    B_ROWS,
     OPERATOR_PAIRS,
-    b_measured_errors,
-    extraction_error,
-    junk_candidate,
+    b_operator_stack,
+    extraction_stack,
 )
 from singlet_selftest.linalg import PAULI_X, PHI_PLUS
 
@@ -69,7 +69,7 @@ def random_device(rng: np.random.Generator, dims, alice_names, bob_names):
         {name: random_observable(rng, da) for name in alice_names},
         {name: random_observable(rng, db) for name in bob_names},
     )
-    assert validate(device) == []
+    assert validate_stack(DeviceStack.of(device)) == [[]]
     return device
 
 
@@ -100,8 +100,8 @@ class TestAgainstEmbeddedOracle:
     def test_condition_residuals_chsh(self, dims, seed):
         device = chsh_device(seed, dims)
         ops = derive_chsh_operators(device)
-        got = vars(condition_residuals(device.state, ops))
-        assert_close(got, oracle.condition_residuals(device.state, ops))
+        (got,) = residual_stack(device.state.reshape(1, *dims), ops)
+        assert_close(vars(got), oracle.condition_residuals(device.state, ops))
 
     def test_condition_residuals_general_matrices(self, dims, seed):
         # non-Hermitian operators: neither B^T nor B^dagger equals B
@@ -113,14 +113,14 @@ class TestAgainstEmbeddedOracle:
 
         ops = DerivedOperators(xa=cmat(da), za=cmat(da), xb=cmat(db), zb=cmat(db))
         state = rng.normal(size=da * db) + 1j * rng.normal(size=da * db)
-        got = vars(condition_residuals(state, ops))
-        assert_close(got, oracle.condition_residuals(state, ops))
+        (got,) = residual_stack(state.reshape(1, da, db), ops)
+        assert_close(vars(got), oracle.condition_residuals(state, ops))
 
     def test_condition_residuals_my(self, dims, seed):
         device = my_device(seed, dims)
         ops = my_operators(device)
-        got = vars(condition_residuals(device.state, ops))
-        assert_close(got, oracle.condition_residuals(device.state, ops))
+        (got,) = residual_stack(device.state.reshape(1, *dims), ops)
+        assert_close(vars(got), oracle.condition_residuals(device.state, ops))
 
     def test_chsh_diagnostics(self, dims, seed):
         device = chsh_device(seed, dims)
@@ -135,14 +135,15 @@ class TestAgainstEmbeddedOracle:
         for device, derive in ((chsh_device(seed, dims), derive_chsh_operators),
                                (my_device(seed, dims), my_operators)):
             ops = derive(device)
-            got = bounds._z_expectations(device, ops)
+            got = bounds._z_expectations(device.state.reshape(dims), ops)
             assert got == pytest.approx(oracle.z_expectations(device, ops), abs=TOL)
 
     def test_correlations(self, dims, seed):
         for device, pairs in ((chsh_device(seed, dims), CHSH_PAIRS),
                               (my_device(seed, dims), MY_PAIRS)):
-            table = correlations(device, pairs)
-            assert list(table) == list(pairs)
+            values = correlation_stack(DeviceStack.of(device), pairs)
+            assert values.shape == (1, len(pairs))
+            table = dict(zip(pairs, values[0].tolist()))
             for pair in pairs:
                 assert table[pair] == pytest.approx(
                     oracle.correlation(device, *pair), abs=TOL
@@ -180,9 +181,9 @@ class TestCorrelationsBatch:
         # value equals the embedded form with no tolerance at all
         for device, pairs in ((chsh_device(11, dims), CHSH_PAIRS),
                               (my_device(12, dims), MY_PAIRS)):
-            table = correlations(device, pairs)
-            for a, b in pairs:
-                assert table[(a, b)] == kron_correlation(device, a, b), (a, b)
+            values = correlation_stack(DeviceStack.of(device), pairs)[0]
+            for (a, b), value in zip(pairs, values.tolist()):
+                assert value == kron_correlation(device, a, b), (a, b)
 
     @pytest.mark.parametrize("kind,dims", [
         ("mixed", (2, 2)), ("mixed", (3, 5)), ("mixed", (16, 16)),
@@ -212,7 +213,7 @@ class TestCorrelationsBatch:
             device = stack.device(i)
             want = [kron_correlation(device, a, b) for a, b in pairs]
             assert values[i].tolist() == want, i
-            assert list(correlations(device, pairs).values()) == want, i
+            assert correlation_stack(DeviceStack.of(device), pairs)[0].tolist() == want, i
 
     def test_stack_imaginary_part_names_the_first_device(self):
         # devices 1 and 2 both fail; the error names device 1, its first
@@ -228,7 +229,7 @@ class TestCorrelationsBatch:
         with pytest.raises(ValueError, match=f"^{message}$"):
             correlation_stack(stack_devices(devices), pairs)
         with pytest.raises(ValueError, match=f"^{message}$"):
-            correlations(devices[1], pairs)
+            correlation_stack(DeviceStack.of(devices[1]), pairs)
         with pytest.raises(ValueError, match="^correlation <A B> has imaginary part 2.500e-01"):
             correlation_stack(stack_devices(devices[2:]), pairs)
 
@@ -239,7 +240,7 @@ class TestCorrelationsBatch:
                               (my_device(14, dims), MY_PAIRS)):
             tracemalloc.start()
             try:
-                correlations(device, pairs)
+                correlation_stack(DeviceStack.of(device), pairs)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
@@ -262,7 +263,19 @@ class TestCorrelationsBatch:
     def test_unknown_name_raises(self):
         device = chsh_device(3, (2, 3))
         with pytest.raises(KeyError):
-            correlations(device, (("A0", "B0"), ("A0", "B9")))
+            correlation_stack(DeviceStack.of(device), (("A0", "B0"), ("A0", "B9")))
+
+
+def extraction_of(device):
+    """The device's operators, its state as the n = 1 stack, and its extraction."""
+    ops = derive_chsh_operators(device)
+    psi = device.state.reshape(1, *device.dims)
+    return ops, psi, extraction_stack(psi, ops)
+
+
+def b_operator_errors(device, ops, psi, junk) -> dict:
+    bob = (device.bob_obs["B0"], device.bob_obs["B1"])
+    return dict(zip(B_ROWS, b_operator_stack(psi, ops, bob, junk)[0].tolist()))
 
 
 @pytest.mark.parametrize("dims", [(2, 2), (3, 5), (4, 2), (6, 4), (3, 3)])
@@ -270,18 +283,17 @@ class TestCorrelationsBatch:
 class TestAgainstIsometryOracle:
     def test_pair_errors(self, dims, seed):
         device = chsh_device(seed, dims)
-        ops = derive_chsh_operators(device)
-        result = extraction_error(device, ops)
-        assert list(result.errors_by_pair) == list(OPERATOR_PAIRS)
-        want = {(m, n): isometry_oracle.pair_error(device, ops, result.junk, m, n)
+        ops, _, result = extraction_of(device)
+        got = dict(zip(OPERATOR_PAIRS, result.distances[0].tolist()))
+        want = {(m, n): isometry_oracle.pair_error(device, ops, result.junk[0], m, n)
                 for m, n in OPERATOR_PAIRS}
-        assert_close(result.errors_by_pair, want)
+        assert_close(got, want)
 
     def test_b_errors(self, dims, seed):
         device = chsh_device(seed, dims)
-        ops = derive_chsh_operators(device)
-        junk, _ = junk_candidate(device, ops)
-        got = b_measured_errors(device, ops, junk)
+        ops, psi, result = extraction_of(device)
+        junk = result.junk[0]
+        got = b_operator_errors(device, ops, psi, result.junk)
         want = {(m, which): isometry_oracle.b_error(device, ops, junk, m, which)
                 for m in ("I", "X", "Z") for which in ("B0", "B1")}
         assert list(got) == list(want)
@@ -289,13 +301,13 @@ class TestAgainstIsometryOracle:
 
     def test_state_rows(self, dims, seed):
         device = chsh_device(seed, dims)
-        ops = derive_chsh_operators(device)
-        result = extraction_error(device, ops)
+        ops, _, result = extraction_of(device)
         pre, post = isometry_oracle.state_errors(
-            device, ops, result.junk, result.junk_norm_raw
+            device, ops, result.junk[0], float(result.junk_norm_raw[0])
         )
-        assert result.state_error_pre_normalization == pytest.approx(pre, abs=TOL)
-        assert result.errors_by_pair[("I", "I")] == pytest.approx(post, abs=TOL)
+        # ("I", "I") is the first pair; the last distance is the pre-normalization error.
+        assert result.distances[0, -1] == pytest.approx(pre, abs=TOL)
+        assert result.distances[0, 0] == pytest.approx(post, abs=TOL)
         rows = {row.name: row.measured for row in bounds.certify(device, "chsh").rows}
         assert rows["state_error_pre_normalization"] == pytest.approx(pre, abs=TOL)
         assert rows["state_error_normalized"] == pytest.approx(post, abs=TOL)
@@ -304,9 +316,8 @@ class TestAgainstIsometryOracle:
 def test_certify_b_rows_match_public_b_measured_error():
     device = chsh_device(5, (3, 4))
     report = bounds.certify(device, "chsh")
-    ops = derive_chsh_operators(device)
-    junk, _ = junk_candidate(device, ops)
-    errors = b_measured_errors(device, ops, junk)
+    ops, psi, result = extraction_of(device)
+    errors = b_operator_errors(device, ops, psi, result.junk)
     rows = {row.name: row.measured for row in rows_by_category(report, "b_operator")}
     assert len(rows) == len(errors) == 6
     for (m, which), error in errors.items():

@@ -18,7 +18,6 @@ from .bounds import (
     extraction_bound,
     get_mode,
     my_fidelity_bound,
-    state_error_bounds,
 )
 from .derive import (
     DerivedOperators,
@@ -92,7 +91,6 @@ __all__ = [
     "my_operators",
     "operator_sign",
     "residual_stack",
-    "state_error_bounds",
     "sweep",
     "validate_stack",
     "worst_case_search",

@@ -71,17 +71,6 @@ def extraction_bound(eps1: float, eps2: float) -> float:
     return (11.0 * eps1 + 5.0 * eps2) / 2.0
 
 
-def state_error_bounds(eps1: float, eps2: float) -> tuple[float, float]:
-    """State extraction bounds before and after junk normalization.
-
-    Returns ``(eps1 + 2*eps2, 1.5*eps1 + 2.5*eps2)``; the difference
-    (eps1 + eps2)/2 is exactly the cost charged for normalizing the junk
-    candidate.
-    """
-    _require_nonnegative(eps1=eps1, eps2=eps2)
-    return (eps1 + 2.0 * eps2, 1.5 * eps1 + 2.5 * eps2)
-
-
 def b_extraction_bound(epsilon: float) -> float:
     """Extraction bound for Bob's raw observables:
     sqrt(2)*eps + 2*sqrt(2)*(eps*sqrt(2))**(1/4)."""
@@ -419,10 +408,10 @@ class Mode:
     input alike.  ``derive`` and ``diagnostics`` take ``(device)`` and
     ``(device, ops)``, the device already validated and name-checked by the
     entry point.  ``rows`` are the report rows in report order, one per link
-    of the mode's chain of estimates.  ``b_operator`` measures Bob's raw
-    observables for the ``b_operator`` rows (and adds the ``bOperator`` table
-    bound); ``reports_correlations`` puts the correlation table into the
-    report.
+    of the mode's chain of estimates; a correlation table's bounds are the
+    headline grades of four of them.  ``b_operator`` measures Bob's raw
+    observables for the ``b_operator`` rows; ``reports_correlations`` puts
+    the correlation table into the report.
     """
 
     name: str

@@ -17,16 +17,7 @@ import sys
 from collections.abc import Sequence
 from pathlib import Path
 
-from .bounds import (
-    MODES,
-    Mode,
-    b_extraction_bound,
-    certify,
-    extraction_bound,
-    fidelity_block,
-    get_mode,
-    state_error_bounds,
-)
+from .bounds import MODES, Mode, certify, fidelity_block, get_mode
 from .device import TSIRELSON
 from .documents import (
     REPORT_SCHEMA_VERSION,
@@ -164,15 +155,16 @@ def cmd_correlations(args: argparse.Namespace) -> int:
     )
     if epsilon < 1.0:
         budget = selftest.budget(epsilon)
-        pre, post = state_error_bounds(budget.eps1, budget.eps2)
         budgets = budget_to_json(budget)
-        bounds = {
-            "extractionError": extraction_bound(budget.eps1, budget.eps2),
-            "statePreNormalization": pre,
-            "stateNormalized": post,
-        }
-        if selftest.b_operator:
-            bounds["bOperator"] = b_extraction_bound(epsilon)
+        # Each bound is its report row's headline grade; a mode without the
+        # row leaves the key out.
+        rows = {spec.name: spec for spec in selftest.rows}
+        bounds = {key: rows[name].grades(budget)[0] for key, name in (
+            ("extractionError", "extraction_II"),
+            ("statePreNormalization", "state_error_pre_normalization"),
+            ("stateNormalized", "state_error_normalized"),
+            ("bOperator", "b_operator_I_B0"),
+        ) if name in rows}
     else:
         note += "; deviation >= 1 lies outside the certifiable range, budgets omitted"
 

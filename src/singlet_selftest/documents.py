@@ -23,7 +23,6 @@ import itertools
 import json
 import math
 import os
-import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -167,7 +166,8 @@ def document_digest(doc: dict) -> str:
 
 
 def read_json(path: str | Path):
-    """Parse a JSON file; an unreadable or malformed file raises ``DocumentError``."""
+    """Parse a JSON file; an unreadable, malformed or too deeply nested file
+    raises ``DocumentError``."""
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as err:
@@ -176,6 +176,8 @@ def read_json(path: str | Path):
         raise DocumentError(
             f"{path}: parse error at line {err.lineno} column {err.colno}: {err.msg}"
         ) from err
+    except RecursionError:
+        raise DocumentError(f"{path}: nested too deeply to parse") from None
 
 
 def load_device(path: str | Path) -> DeviceModel:
@@ -326,10 +328,14 @@ def write_json_atomic(path: str | Path, doc: dict) -> None:
 
 
 def write_text_atomic(path: str | Path, text: str) -> None:
-    """Write via a temporary sibling and rename, so failures leave no partial file."""
+    """Write via a temporary sibling and rename, so failures leave no partial file.
+
+    The sibling is created with mode 0o666 less the umask, as ``open(path,
+    "w")`` creates a new file, and the rename keeps that mode.
+    """
     path = Path(path)
-    directory = path.parent if str(path.parent) else Path(".")
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=path.name + ".", suffix=".tmp")
+    tmp = path.parent / f"{path.name}.{os.urandom(8).hex()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(text)

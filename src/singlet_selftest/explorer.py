@@ -20,6 +20,12 @@ stacks, and runs the stages on one proposal at a time, as the n = 1 stack,
 and only if its epsilon is within the ceiling; its rotation generators are
 decomposed once per search, and a stack of proposals rotates each party's
 observables in one pass.
+
+A family spec is checked whole before any of its devices is built.  The
+devices a sweep or search generates are valid, with real correlations (a
+property test checks both), so neither orders its errors: a sweep raises at
+its first invalid device, and a search at the first stack of proposals
+whose epsilon raises, whether or not the chain reaches the failing row.
 """
 
 from __future__ import annotations
@@ -250,21 +256,19 @@ def family_axis(spec: FamilySpec) -> tuple[str, list[float]]:
     return name, _param_values(name, params[name])
 
 
-def _check_kind_dims(spec: FamilySpec) -> None:
-    if spec.kind in ("tilted", "state-noise", "measurement-noise") and tuple(spec.dims) != (2, 2):
-        raise ValueError(f"{spec.kind} family requires dims (2, 2)")
+def _check_kind(spec: FamilySpec, values: list[float]) -> None:
+    """The limits of the spec's kind: its dims, then each axis value in sweep order."""
     da, db = spec.dims
+    if spec.kind in ("tilted", "state-noise", "measurement-noise") and (da, db) != (2, 2):
+        raise ValueError(f"{spec.kind} family requires dims (2, 2)")
     if spec.kind == "junk-embedded" and (da % 2 or db % 2 or da < 2 or db < 2):
         raise ValueError(f"junk-embedded dims must be even and >= 2, got {spec.dims}")
-
-
-def _check_value(kind: str, value: float) -> None:
-    if kind == "state-noise" and not 0.0 <= value <= 1.0:
-        raise ValueError(f"state-noise p must lie in [0, 1], got {value}")
-    if kind == "measurement-noise" and not 0.0 <= value <= MEASUREMENT_NOISE_CAP:
-        raise ValueError(
-            f"measurement-noise eta must lie in [0, {MEASUREMENT_NOISE_CAP}], got {value}"
-        )
+    upper = {"state-noise": 1, "measurement-noise": MEASUREMENT_NOISE_CAP}.get(spec.kind)
+    if upper is not None:
+        for value in values:
+            if not 0.0 <= value <= upper:
+                raise ValueError(f"{spec.kind} {FAMILY_AXES[spec.kind]} must lie in "
+                                 f"[0, {upper}], got {value}")
 
 
 def _frozen_stack(dims, state, alice: dict, bob: dict) -> DeviceStack:
@@ -277,7 +281,7 @@ def _build_chunk(
     spec: FamilySpec, base: DeviceModel, values: list[float], start: int
 ) -> DeviceStack:
     """The devices of the family points ``start``, ``start + 1``, ... with axis
-    ``values``, which ``_check_value`` has passed, as one stack.
+    ``values``, which ``_check_kind`` has passed, as one stack.
 
     Point i draws from its own ``_point_rng(spec.seed, i)``, the same numbers
     in the same order whatever the chunk; the draws of a chunk then go
@@ -360,30 +364,18 @@ def family_chunks(spec: FamilySpec) -> Iterator[tuple[list[float], DeviceStack]]
     """The family's points in sweep order, one chunk at a time: each chunk's
     axis values and the stack of its devices.
 
-    The spec is checked when the first chunk is requested.  A chunk ends
-    before the first value that ``_check_value`` rejects, and the error is
-    raised when the chunk after it is requested, so a caller that checks
-    each chunk's devices before asking for the next sees errors in point
-    order.
+    The whole spec is checked when the first chunk is requested, before any
+    device is built: ``family_axis``, then the mode, then the kind's dims and
+    each axis value in sweep order (``_check_kind``), whatever the number of
+    points.  The first violation raises ``ValueError``.
     """
-    name, values = family_axis(spec)
+    _, values = family_axis(spec)
     base = get_mode(spec.mode).canonical()
-    if values:
-        _check_kind_dims(spec)
+    _check_kind(spec, values)
     size = _chunk_size(spec.dims)
     for start in range(0, len(values), size):
         chunk = values[start:start + size]
-        error = None
-        for i, value in enumerate(chunk):
-            try:
-                _check_value(spec.kind, value)
-            except ValueError as err:
-                chunk, error = chunk[:i], err
-                break
-        if chunk:
-            yield chunk, _build_chunk(spec, base, chunk, start)
-        if error is not None:
-            raise error
+        yield chunk, _build_chunk(spec, base, chunk, start)
 
 
 def _epsilons(stack: DeviceStack, mode: str) -> list[float]:
@@ -423,26 +415,19 @@ def _evaluate_stack(stack: DeviceStack, mode: str, epsilons: list[float]) -> lis
 def sweep(spec: FamilySpec) -> list[SweepRecord]:
     """One record per family point, running the full pipeline.
 
-    Every generated device is validated here, once, and must pass; a
-    degenerate extraction is recorded in-row and the sweep continues.  Points
-    are built, validated and evaluated one chunk at a time; the first failing
-    point in sweep order, whether its value is rejected or its device is
-    invalid, sets the error, after the points before it are evaluated.
+    The spec is checked whole before any device is built (``family_chunks``).
+    Points are then built, validated and evaluated one chunk at a time.
+    Every generated device is validated here, once, and the first invalid one
+    raises ``ValueError`` naming its axis value; a degenerate extraction is
+    recorded in-row and the sweep continues.
     """
     records = []
     for values, stack in family_chunks(spec):
-        violations = validate_stack(stack)
-        invalid = next((i for i, found in enumerate(violations) if found), None)
-        if invalid is not None:
-            if invalid:
-                # An evaluation error of an earlier point comes first.
-                head = stack.select(slice(invalid))
-                _evaluate_stack(head, spec.mode, _epsilons(head, spec.mode))
-            parameters = {FAMILY_AXES[spec.kind]: values[invalid]}
-            raise ValueError(
-                f"family {spec.kind!r} produced an invalid device at {parameters}: "
-                + "; ".join(violations[invalid])
-            )
+        for value, violations in zip(values, validate_stack(stack)):
+            if violations:
+                parameters = {FAMILY_AXES[spec.kind]: value}
+                raise ValueError(f"family {spec.kind!r} produced an invalid device at "
+                                 f"{parameters}: " + "; ".join(violations))
         records += _evaluate_stack(stack, spec.mode, _epsilons(stack, spec.mode))
     return records
 
@@ -518,7 +503,8 @@ def worst_case_search(
     and stops at the first feasible one.  The generator is rewound and
     redrawn for only the rows checked, so the chain, its counts and its
     result are bit-identical to checking one proposal at a time; a row the
-    chain does not reach is not counted and raises no error.  A batch holds
+    chain does not reach is not counted.  An error taking the epsilon of any
+    valid row of a batch raises.  A batch holds
     the mean run length so far, ceil(evaluations / (feasible + 1))
     proposals, at most the budget left and ``_chunk_size(dims)``.
 
@@ -554,17 +540,7 @@ def worst_case_search(
         violations = validate_stack(stack)
         valid = [i for i, found in enumerate(violations) if not found]
         valid_stack = stack if len(valid) == len(stack) else stack.select(valid)
-        try:
-            epsilons = dict(zip(valid, _epsilons(valid_stack, mode)))
-        except ValueError:
-            if len(params) == 1:
-                raise
-            # Only a row the chain reaches may raise: check them one at a time.
-            for row in range(len(params)):
-                _, outcome = first_feasible(params[row:row + 1])
-                if outcome is not None:
-                    return row + 1, outcome
-            return len(params), None
+        epsilons = dict(zip(valid, _epsilons(valid_stack, mode)))
         for row, found in enumerate(violations):
             if found:
                 outcomes["invalid"] += 1

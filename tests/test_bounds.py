@@ -16,8 +16,8 @@ from singlet_selftest.bounds import (
     extraction_bound,
     fidelity_block,
     my_fidelity_bound,
-    state_error_bounds,
 )
+from singlet_selftest.derive import ResidualSet
 from singlet_selftest.device import (
     DeviceValidationError,
     canonical_chsh_device,
@@ -48,13 +48,29 @@ class TestExtractionBound:
 
 
 class TestStateErrorBounds:
+    """The state rows' bounds before and after junk normalization, composed
+    from residuals whose budgets are eps1 and eps2."""
+
+    NAMES = ("state_error_pre_normalization", "state_error_normalized")
+
+    def bounds(self, eps1, eps2):
+        rows = {spec.name: spec for spec in MODES["chsh"].rows}
+        residuals = ResidualSet(2.0 * eps1, 2.0 * eps1, eps2, eps2)
+        return tuple(rows[name].measured_bound(residuals) for name in self.NAMES)
+
     def test_zero(self):
-        assert state_error_bounds(0.0, 0.0) == (0.0, 0.0)
+        assert self.bounds(0.0, 0.0) == (0.0, 0.0)
 
     def test_arithmetic(self):
-        pre, post = state_error_bounds(0.1, 0.2)
+        pre, post = self.bounds(0.1, 0.2)
         assert pre == pytest.approx(0.5, rel=1e-15)
         assert post == pytest.approx(0.65, rel=1e-15)
+        # The headline grades are the same composition of the budget, in both modes.
+        for mode in MODES.values():
+            budget = mode.budget(0.01)
+            rows = {spec.name: spec for spec in mode.rows}
+            assert tuple(rows[name].grades(budget)[0] for name in self.NAMES) == self.bounds(
+                budget.eps1, budget.eps2)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -62,7 +78,7 @@ class TestStateErrorBounds:
         st.floats(min_value=0.0, max_value=5.0),
     )
     def test_normalization_cost_identity(self, eps1, eps2):
-        pre, post = state_error_bounds(eps1, eps2)
+        pre, post = self.bounds(eps1, eps2)
         assert post - pre == pytest.approx((eps1 + eps2) / 2.0, abs=1e-12)
 
 

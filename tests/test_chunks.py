@@ -2,9 +2,10 @@
 
 Every record must agree, within 1e-12 and in its ``degenerate`` flag, with
 the point built alone (a chunk of one, at its own index) and certified alone
-through ``certify``; the first failing point in sweep order sets a
-sweep's error; and the memory a sweep holds at once is bounded by the chunk
-budget, not by the number of points.
+through ``certify``; a spec error raises before any device is built, and an
+invalid device raises at once, with no point evaluated; and the memory a
+sweep holds at once is bounded by the chunk budget, not by the number of
+points.
 """
 
 from __future__ import annotations
@@ -109,8 +110,7 @@ class TestStackedSweepEqualsPerDevice:
 
 
 class TestErrorOrder:
-    # eta in 0.05 steps: index 11 (0.55) is the first value above the 0.5 cap,
-    # and all 13 points fit in one 2x2 chunk.
+    # eta in 0.05 steps: all 13 points fit in one 2x2 chunk.
     SPEC = FamilySpec("measurement-noise", {"eta": [0.0, 0.6, 13]}, seed=3)
 
     def breaking_builder(self, monkeypatch, invalid_index):
@@ -131,28 +131,37 @@ class TestErrorOrder:
         monkeypatch.setattr(explorer, "_build_chunk", builder)
         return requested
 
-    def test_spec_puts_both_errors_in_one_chunk(self):
-        values = family_axis(self.SPEC)[1]
-        assert explorer._chunk_size((2, 2)) > len(values)
-        assert max(values[:11]) <= 0.5 < values[11]
-
-    def test_invalid_device_before_the_build_error_sets_the_error(self, monkeypatch):
+    @pytest.mark.parametrize("spec,index,message", [
+        # Index 11 (0.55) is the first eta above the 0.5 cap, in the first chunk.
+        (SPEC, 11, "measurement-noise eta must lie in [0, 0.5], got {}"),
+        # Index 200 is the first p above 1, in the second 128-point chunk.
+        (FamilySpec("state-noise", {"p": [0.0, 1.5, 300]}, seed=3), 200,
+         "state-noise p must lie in [0, 1], got {}"),
+    ], ids=["first-chunk", "later-chunk"])
+    def test_value_error_raises_before_any_device_is_built(self, monkeypatch, spec, index,
+                                                            message):
+        # The device at index 5 would be invalid, but the spec is checked first.
         requested = self.breaking_builder(monkeypatch, 5)
-        parameters = {"eta": family_axis(self.SPEC)[1][5]}
+        value = family_axis(spec)[1][index]
+        with pytest.raises(ValueError) as err:
+            sweep(spec)
+        assert str(err.value) == message.format(value)
+        assert requested == []
+
+    def test_invalid_device_raises_at_once(self, monkeypatch):
+        spec = FamilySpec("measurement-noise", {"eta": [0.0, 0.5, 11]}, seed=3)
+        evaluated = []
+        monkeypatch.setattr(explorer, "_evaluate_stack",
+                            lambda *args: evaluated.append(args) or [])
+        requested = self.breaking_builder(monkeypatch, 5)
+        parameters = {"eta": family_axis(spec)[1][5]}
         expected = (f"family 'measurement-noise' produced an invalid device at "
                     f"{parameters}: A0: O^2 != I, deviation 0.75")
         with pytest.raises(ValueError) as err:
-            sweep(self.SPEC)
+            sweep(spec)
         assert str(err.value) == expected
-        # The chunk stops before the value that cannot be built.
-        assert requested == [(0, 11)]
-
-    def test_build_error_before_the_invalid_device_sets_the_error(self, monkeypatch):
-        self.breaking_builder(monkeypatch, 12)
-        eta = family_axis(self.SPEC)[1][11]
-        with pytest.raises(ValueError) as err:
-            sweep(self.SPEC)
-        assert str(err.value) == f"measurement-noise eta must lie in [0, 0.5], got {eta}"
+        # No point of the chunk, before the invalid one or after, is evaluated.
+        assert requested == [(0, 11)] and evaluated == []
 
     def test_invalid_device_in_a_later_chunk(self, monkeypatch):
         spec = FamilySpec("random", {"count": 3 * explorer._chunk_size((3, 2))}, (3, 2), seed=1)

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -727,6 +729,20 @@ class TestSweepCommand:
         assert capsys.readouterr().err == f"error: {axis} must be finite, got {shown}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("spec,message", [
+        ({"kind": "tilted", "parameters": {"theta": [0, 1, 0]}, "dims": [4, 4]},
+         "tilted family requires dims (2, 2)"),
+        ({"kind": "junk-embedded", "parameters": {"count": 0}, "dims": [3, 3]},
+         "junk-embedded dims must be even and >= 2, got (3, 3)"),
+    ], ids=["tilted", "junk-embedded"])
+    def test_empty_sweep_with_bad_dims_exits_two(self, tmp_path, capsys, spec, message):
+        path = tmp_path / "family.json"
+        path.write_text(json.dumps(spec))
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--family", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_degenerate_row_written_as_nan(self, tmp_path):
         spec = {
             "kind": "tilted",
@@ -815,6 +831,47 @@ class TestCanonicalCommand:
         assert main(["canonical", "--mode", "chsh", "--out", str(out)]) == 0
         device = load_device(out)
         assert set(device.alice_obs) == {"A0", "A1"}
+
+
+@pytest.mark.parametrize("command", [
+    ["certify", "--device", "{path}", "--mode", "chsh"],
+    ["correlations", "--table", "{path}", "--mode", "chsh"],
+    ["sweep", "--family", "{path}"],
+])
+def test_deeply_nested_input_exits_two(tmp_path, capsys, command):
+    # The parser's recursion limit is a malformed-input error, not a crash.
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    out = tmp_path / "out"
+    argv = [arg.format(path=path) for arg in command] + ["--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {path}: nested too deeply to parse\n"
+    assert sorted(tmp_path.iterdir()) == [path]
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077])
+def test_output_files_take_their_mode_from_the_umask(tmp_path, umask):
+    # As open(path, "w") creates a new file: 0o666 less the umask.
+    table = tmp_path / "table.json"
+    table.write_text(json.dumps({"A0_B0": 0.7, "A0_B1": 0.7, "A1_B0": 0.7, "A1_B1": -0.7}))
+    spec = tmp_path / "family.json"
+    spec.write_text(json.dumps({"kind": "tilted", "parameters": {"theta": 0.3}}))
+    previous = os.umask(umask)
+    try:
+        outputs = [tmp_path / name for name in ("d.json", "r.json", "c.json", "s.csv",
+                                                "b.json", "b.json.report.json")]
+        assert main(["canonical", "--mode", "chsh", "--out", str(outputs[0])]) == 0
+        assert main(["certify", "--device", str(outputs[0]), "--mode", "chsh",
+                     "--out", str(outputs[1])]) == 0
+        assert main(["correlations", "--table", str(table), "--mode", "chsh",
+                     "--out", str(outputs[2])]) == 0
+        assert main(["sweep", "--family", str(spec), "--out", str(outputs[3])]) == 0
+        assert main(["search", "--mode", "chsh", "--epsilon-ceiling", "0.05",
+                     "--budget", "3", "--out", str(outputs[4])]) == 0
+    finally:
+        os.umask(previous)
+    assert {path.name: stat.S_IMODE(path.stat().st_mode) for path in outputs} == {
+        path.name: 0o666 & ~umask for path in outputs}
 
 
 def test_help_exits_zero(capsys):

@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -156,6 +157,16 @@ class TestFamilies:
         assert sweep(as_list) == sweep(as_tuple)
         for device in make_family(as_list):
             assert device.dims == tuple(dims)
+
+    @pytest.mark.parametrize("spec,message", [
+        (FamilySpec("tilted", {"theta": [0.0, 1.0, 0]}, (4, 4)),
+         "tilted family requires dims (2, 2)"),
+        (FamilySpec("junk-embedded", {"count": 0}, (3, 3)),
+         "junk-embedded dims must be even and >= 2, got (3, 3)"),
+    ], ids=["tilted", "junk-embedded"])
+    def test_empty_sweep_checks_the_kinds_dims(self, spec, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            sweep(spec)
 
     def test_list_dims_of_a_two_by_two_kind_still_checked(self):
         with pytest.raises(ValueError, match=r"tilted family requires dims \(2, 2\)"):
@@ -389,12 +400,10 @@ class TestWorstCaseSearch:
         assert valid_checked == result.evaluations - result.invalid
         assert len(extractions) == result.feasible + result.degenerate
 
-    def test_unchecked_proposals_never_raise(self, monkeypatch):
+    def test_unchecked_proposals_raise(self, monkeypatch):
         # A stack whose correlations raise past its first proposal within the
-        # ceiling holds a row the chain never reaches: the search goes on as
-        # without the error.
+        # ceiling holds a row the chain never reaches: the error still raises.
         correlation_stack = explorer.correlation_stack
-        raised = []
 
         def raise_past_the_first_feasible(stack, pairs):
             values = correlation_stack(stack, pairs)
@@ -402,16 +411,12 @@ class TestWorstCaseSearch:
             within = [i for i, row in enumerate(values.tolist())
                       if deviation(dict(zip(pairs, row)))[1] <= 0.01]
             if within and within[0] < len(stack) - 1:
-                raised.append(len(stack))
                 raise ValueError("correlation <A0 B0> has imaginary part 1e-09 above tolerance")
             return values
 
-        want = worst_case_search("chsh", 0.01, (2, 2), 200, 7)
         monkeypatch.setattr(explorer, "correlation_stack", raise_past_the_first_feasible)
-        got = worst_case_search("chsh", 0.01, (2, 2), 200, 7)
-        assert dataclasses.replace(got, device=None) == dataclasses.replace(want, device=None)
-        assert _device_digest(got.device) == _device_digest(want.device)
-        assert raised
+        with pytest.raises(ValueError, match="imaginary part"):
+            worst_case_search("chsh", 0.01, (2, 2), 200, 7)
 
     def test_a_checked_proposal_raises(self, monkeypatch):
         correlation_stack = explorer.correlation_stack

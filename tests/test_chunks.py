@@ -10,6 +10,7 @@ points.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import tracemalloc
 
@@ -20,6 +21,7 @@ from hypothesis import given, settings, strategies as st
 from helpers import certified_record, stack_devices
 from singlet_selftest import explorer
 from singlet_selftest.bounds import get_mode
+from singlet_selftest.cli import sweep_csv
 from singlet_selftest.device import canonical_chsh_device, make_device
 from singlet_selftest.explorer import (
     CHUNK_ELEMENTS,
@@ -170,6 +172,43 @@ class TestErrorOrder:
         with pytest.raises(ValueError, match=rf"^family 'random' produced an invalid device at "
                            rf"\{{'count': {float(index)}\}}: A0: "):
             sweep(spec)
+
+
+# SHA-256 of cli.sweep_csv for every family kind in both modes, captured with
+# chunks of CHUNK_ELEMENTS = 20,480 // (40 dA dB) devices.  Each count crosses
+# a chunk boundary of both the old and the current budget, so chunking or
+# regrouping the draws must leave every byte of every CSV as it was.
+SWEEP_PINS = [
+    ("tilted", {"theta": [0.0, math.pi / 2, 450]}, (2, 2), 0, {
+        "chsh": "73d2c71d735bbd24b6e39fe6210d47449547a4fc0b5c5cda5979d6b5ee029a49",
+        "my": "e50064203734a1329a58f0ee596227f7ccb4902267d02b9ccbe8125bb7d04d72"}),
+    ("state-noise", {"p": [0.0, 1.0, 450]}, (2, 2), 21, {
+        "chsh": "e5b1ebd258dfc7757f88cc59732a56498a0edbba878288a8bf0b83bf3f4e0c8f",
+        "my": "7c3687a2da83bceea1f7fec44f0ca8e4a68af0f854a8dbb23919b2290e16e106"}),
+    ("measurement-noise", {"eta": [0.0, 0.5, 450]}, (2, 2), 22, {
+        "chsh": "1a5c4bb5fd946639ffdec9c9a78e5da42f3f6c9bc96584545ff3b8fb42ee5638",
+        "my": "aae8dde0866b270375ae760b30b357ed12d23eefc813537338093eceb7a22a5f"}),
+    ("random", {"count": 110}, (4, 4), 23, {
+        "chsh": "8364f611a9f406b4b92c1d5f1bb1c363839c6d9ff23970986ed3128c7a73ae04",
+        "my": "97dbe3f1d61a480dbd69f2184deebd83443b30307f2d32d858706dc9242ef07d"}),
+    ("junk-embedded", {"count": 110}, (4, 4), 24, {
+        "chsh": "111838086d59000842f3b5902c088f393417194b1a3de2ca7c72eca64655f5cf",
+        "my": "57a1e12976ae71e0602ca85f7c717e25b71f6b45ccf9e5dede2bf184597ebf1d"}),
+    ("random", {"count": 40}, (8, 8), 25, {
+        "chsh": "cb476b6c5a86fe9d27151ee3c8b8f6a315ce93e79fcd0c65cde463a4b728288b",
+        "my": "0d35131621d28e7487109820d4aa9a2b638f277d3a807e3286fda939719a73d6"}),
+    ("junk-embedded", {"count": 3}, (16, 16), 26, {
+        "chsh": "f5d5e203a0dab0fddd02d6e29639f0f2913e317f8de5e2a10f87e772bc391cb5",
+        "my": "ff63344f0b62d2a2a3988332a2e98ed22c2206fd0726adcdf8ab4836c12b5b1a"}),
+]
+
+
+@pytest.mark.parametrize("mode", ["chsh", "my"])
+@pytest.mark.parametrize("kind,parameters,dims,seed,digests", SWEEP_PINS,
+                         ids=[f"{pin[0]}-{pin[2][0]}x{pin[2][1]}" for pin in SWEEP_PINS])
+def test_sweep_csv_reproduces_its_pin(kind, parameters, dims, seed, digests, mode):
+    text = sweep_csv(FamilySpec(kind, parameters, dims, seed, mode))
+    assert hashlib.sha256(text.encode()).hexdigest() == digests[mode]
 
 
 def test_peak_memory_is_bounded_by_the_chunk_budget():

@@ -178,12 +178,9 @@ def derive_chsh_operators(device: DeviceModel | DeviceStack) -> DerivedOperators
     """
     b0 = device.bob_obs["B0"]
     b1 = device.bob_obs["B1"]
-    return DerivedOperators(
-        xa=device.alice_obs["A0"],
-        za=device.alice_obs["A1"],
-        xb=operator_sign(b0 + b1),
-        zb=operator_sign(b0 - b1),
-    )
+    # Both signs in one call: eigh runs once per matrix either way.
+    xb, zb = operator_sign(np.stack((b0 + b1, b0 - b1)))
+    return DerivedOperators(xa=device.alice_obs["A0"], za=device.alice_obs["A1"], xb=xb, zb=zb)
 
 
 def my_operators(device: DeviceModel | DeviceStack) -> DerivedOperators:

@@ -194,33 +194,41 @@ def validate_stack(stack: DeviceStack) -> list[list[str]]:
                 else:
                     violations[i].append(f"state: norm {norms[i]:.12g} != 1")
 
-        for party, obs, dim in (("A", stack.alice_obs, da), ("B", stack.bob_obs, db)):
-            # The party's well-shaped observables are checked in one stacked pass.
-            shaped = [name for name, m in obs.items() if m.shape[1:] == (dim, dim)]
+        parties = (("A", stack.alice_obs, da), ("B", stack.bob_obs, db))
+        # The well-shaped observables of one dim, both parties' when dA = dB,
+        # are checked in one stacked pass; rows[party, name] holds the
+        # observable's deviations and failures, one entry per device.
+        rows = {}
+        clean = True
+        for dim in dict.fromkeys((da, db)):
+            shaped = [(party, name, m) for party, obs, d in parties if d == dim
+                      for name, m in obs.items() if m.shape[1:] == (dim, dim)]
             if shaped:
-                ms = np.stack([obs[name] for name in shaped])
+                ms = np.stack([m for _, _, m in shaped])
                 herm = hermiticity_deviation(ms)
                 square = np.abs(ms @ ms - np.eye(dim)).max(axis=(2, 3))
                 failed = ~(np.maximum(herm, square) <= OBSERVABLE_ATOL)
-                if len(shaped) == len(obs) and not failed.any():
-                    continue
+                clean = clean and not failed.any()
+                rows.update(zip([(party, name) for party, name, _ in shaped],
+                                zip(herm, square, failed)))
+        if clean and len(rows) == len(stack.alice_obs) + len(stack.bob_obs):
+            return violations
+        for party, obs, dim in parties:
             for name, m in obs.items():
-                if name not in shaped:
+                if (party, name) not in rows:
                     every_device(
                         f"{name}: shape {m.shape[1:]} does not match party {party} dim {dim}"
                     )
                     continue
-                j = shaped.index(name)
-                for i in np.flatnonzero(failed[j]):
+                herm, square, failed = rows[party, name]
+                for i in np.flatnonzero(failed):
                     if not np.isfinite(m[i]).all():
                         violations[i].append(f"{name}: non-finite entry")
                         continue
-                    if herm[j, i] > OBSERVABLE_ATOL:
-                        violations[i].append(
-                            f"{name}: not Hermitian, max deviation {herm[j, i]:.3g}"
-                        )
-                    if square[j, i] > OBSERVABLE_ATOL:
-                        violations[i].append(f"{name}: O^2 != I, deviation {square[j, i]:.3g}")
+                    if herm[i] > OBSERVABLE_ATOL:
+                        violations[i].append(f"{name}: not Hermitian, max deviation {herm[i]:.3g}")
+                    if square[i] > OBSERVABLE_ATOL:
+                        violations[i].append(f"{name}: O^2 != I, deviation {square[i]:.3g}")
     return violations
 
 

@@ -166,12 +166,14 @@ def document_digest(doc: dict) -> str:
 
 
 def read_json(path: str | Path):
-    """Parse a JSON file; an unreadable, malformed or too deeply nested file
-    raises ``DocumentError``."""
+    """Parse a JSON file; an unreadable, non-UTF-8, malformed or too deeply
+    nested file raises ``DocumentError`` naming the path."""
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as err:
         raise DocumentError(f"cannot read {path}: {err}") from err
+    except UnicodeDecodeError as err:
+        raise DocumentError(f"{path}: not UTF-8 text: {err}") from err
     except json.JSONDecodeError as err:
         raise DocumentError(
             f"{path}: parse error at line {err.lineno} column {err.colno}: {err.msg}"

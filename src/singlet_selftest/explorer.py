@@ -7,8 +7,10 @@ every family point owns an RNG stream keyed by (seed, point index), so a point
 does not depend on which points were generated before it.
 
 A sweep builds and evaluates its points in chunks of at most
-``CHUNK_ELEMENTS`` // (40 dA dB) devices, which share dims.  Each point still
-draws its own numbers, in its own order; the linear algebra after the draws
+``CHUNK_ELEMENTS`` // max(40 dA dB, (dA dB)^2) devices, which share dims.
+Each point still draws its own numbers, in its own order, in as few
+generator calls as that order allows; complex numbers are composed once per
+chunk, and the linear algebra after the draws
 (QR, eigendecompositions, matrix products), validation, the correlations,
 operator derivation, residuals and the extraction circuit run once per chunk
 on the stacked devices.  The epsilon^(1/4) budgets amplify a last-bit change
@@ -57,11 +59,12 @@ MEASUREMENT_NOISE_CAP = 0.5  # keeps perturbed devices inside the small-deviatio
 # 200-point sweeps of the benchmark, far below what exhausts memory.
 MAX_SWEEP_POINTS = 100_000
 
-# Budget, in complex entries, on the largest array a sweep stacks over a
-# chunk: the extraction circuit's state, 4 ancilla amplitudes x 10 inputs x
-# dA*dB entries per device.  A chunk holds CHUNK_ELEMENTS // (40 dA dB)
-# devices, at least one.
-CHUNK_ELEMENTS = 20_480
+# Budget, in complex entries (1 MiB), on the largest array a sweep stacks
+# over a chunk: the extraction circuit's state, 4 ancilla amplitudes x 10
+# inputs x dA*dB entries per device, or, once dA*dB > 40, the correlations'
+# (dA*dB)^2 buffer per device.  A chunk holds
+# CHUNK_ELEMENTS // max(40 dA dB, (dA dB)^2) devices, at least one.
+CHUNK_ELEMENTS = 65_536
 
 
 @dataclass(frozen=True)
@@ -162,12 +165,13 @@ def _orthogonal_noise(rng: np.random.Generator, base: np.ndarray) -> np.ndarray:
 
 
 def _observable_draws(rng: np.random.Generator, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Signs with at least one +1 and one -1 (for dim > 1), then a Gaussian matrix."""
+    """Signs with at least one +1 and one -1 (for dim > 1), then the real and
+    imaginary parts of a Gaussian matrix, as one (2, dim, dim) draw."""
     while True:
         signs = np.where(rng.random(dim) < 0.5, 1.0, -1.0)
-        if len(set(signs)) == 2 or dim == 1:
+        if signs.min() < signs.max() or dim == 1:
             break
-    return signs, _complex_normal(rng, dim, dim)
+    return signs, rng.normal(size=(2, dim, dim))
 
 
 def _random_observables(signs: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -306,9 +310,10 @@ def _build_chunk(
         return _frozen_stack((2, 2), np.array(states), alice, bob)
     if spec.kind == "measurement-noise":
         names = alice_names + bob_names
-        # Each point draws in name order; draws[j, i] is observable j of point i.
-        draws = np.array([[_complex_normal(rng, 2, 2) for _ in names] for rng in rngs])
-        draws = draws.transpose(1, 0, 2, 3)
+        # Each point draws its observables' real then imaginary parts in name
+        # order, in one call; draws[j, i] is observable j of point i.
+        raw = np.array([rng.normal(size=(len(names), 2, 2, 2)) for rng in rngs])
+        draws = (raw[:, :, 0] + 1j * raw[:, :, 1]).transpose(1, 0, 2, 3)
         base_obs = {**base.alice_obs, **base.bob_obs}
         obs = np.stack([base_obs[name] for name in names])[:, None]
         rotated = _rotate(obs, np.linalg.eigh(_hermitian_unit(draws)),
@@ -321,13 +326,14 @@ def _build_chunk(
         )
     da, db = spec.dims
     if spec.kind == "junk-embedded":
-        states = []
-        for rng in rngs:
-            anc_a = _complex_normal(rng, da // 2)
-            anc_b = _complex_normal(rng, db // 2)
-            anc_a /= np.linalg.norm(anc_a)
-            anc_b /= np.linalg.norm(anc_b)
-            states.append(_embedded_state(anc_a, anc_b))
+        # Each point draws Alice's ancilla's real then imaginary parts, then
+        # Bob's, in one call.
+        raw = np.array([rng.normal(size=da + db) for rng in rngs])
+        half_a, half_b = da // 2, db // 2
+        anc_a = raw[:, :half_a] + 1j * raw[:, half_a:da]
+        anc_b = raw[:, da:da + half_b] + 1j * raw[:, da + half_b:]
+        states = [_embedded_state(a / np.linalg.norm(a), b / np.linalg.norm(b))
+                  for a, b in zip(anc_a, anc_b)]
         alice = {k: _embed_party(v, da // 2) for k, v in base.alice_obs.items()}
         bob = {k: _embed_party(v, db // 2) for k, v in base.bob_obs.items()}
         return _frozen_stack((da, db), np.array(states), _shared(alice, n), _shared(bob, n))
@@ -342,7 +348,8 @@ def _build_chunk(
     def observables(draws, names):
         # Stacked name-major, so each name's (n, d, d) stack is contiguous.
         signs = np.array([[s for s, _ in point] for point in draws]).transpose(1, 0, 2)
-        g = np.array([[g for _, g in point] for point in draws]).transpose(1, 0, 2, 3)
+        raw = np.array([[g for _, g in point] for point in draws])
+        g = (raw[:, :, 0] + 1j * raw[:, :, 1]).transpose(1, 0, 2, 3)
         return dict(zip(names, _random_observables(signs, g)))
 
     return _frozen_stack(
@@ -357,7 +364,8 @@ def _shared(observables: dict[str, np.ndarray], n: int) -> dict[str, np.ndarray]
 
 
 def _chunk_size(dims: tuple[int, int]) -> int:
-    return max(1, CHUNK_ELEMENTS // (40 * dims[0] * dims[1]))
+    entries = dims[0] * dims[1]
+    return max(1, CHUNK_ELEMENTS // max(40 * entries, entries * entries))
 
 
 def family_chunks(spec: FamilySpec) -> Iterator[tuple[list[float], DeviceStack]]:

@@ -88,9 +88,14 @@ class TestStackedSweepEqualsPerDevice:
             assert_records_match(record, certified_record(alone, spec.mode))
 
     def test_chunk_sizes_span_the_counts(self):
-        # One chunk +/- 1 above really is one chunk +/- 1 for these dims.
-        assert [explorer._chunk_size(dims) for dims in ((2, 2), (3, 2), (4, 6))] == [
-            CHUNK_ELEMENTS // (40 * 4), CHUNK_ELEMENTS // (40 * 6), CHUNK_ELEMENTS // (40 * 24)]
+        # One chunk +/- 1 above really is one chunk +/- 1 for these dims, where
+        # the extraction state's 40 dA dB entries per device are the largest
+        # array; from 8x8 on, the correlations' (dA dB)^2 buffer is.
+        dims = ((2, 2), (3, 2), (4, 6), (8, 8), (16, 16), (32, 32))
+        assert [explorer._chunk_size(d) for d in dims] == [
+            CHUNK_ELEMENTS // (40 * 4), CHUNK_ELEMENTS // (40 * 6), CHUNK_ELEMENTS // (40 * 24),
+            CHUNK_ELEMENTS // 64**2, 1, 1]
+        assert [explorer._chunk_size(d) for d in dims[:1] + dims[3:]] == [409, 16, 1, 1]
 
     def test_degenerate_device_between_valid_ones(self):
         valid = canonical_chsh_device()
@@ -136,7 +141,7 @@ class TestErrorOrder:
     @pytest.mark.parametrize("spec,index,message", [
         # Index 11 (0.55) is the first eta above the 0.5 cap, in the first chunk.
         (SPEC, 11, "measurement-noise eta must lie in [0, 0.5], got {}"),
-        # Index 200 is the first p above 1, in the second 128-point chunk.
+        # Index 200 is the first p above 1.
         (FamilySpec("state-noise", {"p": [0.0, 1.5, 300]}, seed=3), 200,
          "state-noise p must lie in [0, 1], got {}"),
     ], ids=["first-chunk", "later-chunk"])
@@ -211,19 +216,25 @@ def test_sweep_csv_reproduces_its_pin(kind, parameters, dims, seed, digests, mod
     assert hashlib.sha256(text.encode()).hexdigest() == digests[mode]
 
 
-def test_peak_memory_is_bounded_by_the_chunk_budget():
-    # A whole-family stack of these 200 points would take about 60 budgets;
-    # chunked, a sweep holds about 3.4.
-    spec = FamilySpec("random", {"count": 200}, (8, 8), seed=5, mode="my")
-    sweep(FamilySpec("random", {"count": 1}, (8, 8), seed=5, mode="my"))
+@pytest.mark.parametrize("kind,count,dims", [
+    # 13 chunks of 16; a whole-family stack would take about 13 budgets, and
+    # chunked, a sweep holds about 1.8.
+    ("random", 200, (8, 8)),
+    # A chunk of one, whose 256 x 256 correlation buffer is one budget; a
+    # sweep holds about 1.05.
+    ("junk-embedded", 4, (16, 16)),
+], ids=["random-8x8", "junk-embedded-16x16"])
+def test_peak_memory_is_bounded_by_the_chunk_budget(kind, count, dims):
+    spec = FamilySpec(kind, {"count": count}, dims, seed=5, mode="my")
+    sweep(FamilySpec(kind, {"count": 1}, dims, seed=5, mode="my"))
     tracemalloc.start()
     try:
         records = sweep(spec)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(records) == 200
-    assert peak < 5 * 16 * CHUNK_ELEMENTS
+    assert len(records) == count
+    assert peak < 3 * 16 * CHUNK_ELEMENTS
 
 
 def test_stack_views_are_read_only():

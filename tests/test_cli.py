@@ -833,11 +833,15 @@ class TestCanonicalCommand:
         assert set(device.alice_obs) == {"A0", "A1"}
 
 
-@pytest.mark.parametrize("command", [
+# The subcommands that read a JSON input file, its path left as "{path}".
+INPUT_COMMANDS = [
     ["certify", "--device", "{path}", "--mode", "chsh"],
     ["correlations", "--table", "{path}", "--mode", "chsh"],
     ["sweep", "--family", "{path}"],
-])
+]
+
+
+@pytest.mark.parametrize("command", INPUT_COMMANDS)
 def test_deeply_nested_input_exits_two(tmp_path, capsys, command):
     # The parser's recursion limit is a malformed-input error, not a crash.
     path = tmp_path / "deep.json"
@@ -846,6 +850,21 @@ def test_deeply_nested_input_exits_two(tmp_path, capsys, command):
     argv = [arg.format(path=path) for arg in command] + ["--out", str(out)]
     assert main(argv) == 2
     assert capsys.readouterr().err == f"error: {path}: nested too deeply to parse\n"
+    assert sorted(tmp_path.iterdir()) == [path]
+
+
+@pytest.mark.parametrize("command", INPUT_COMMANDS)
+def test_non_utf8_input_exits_two_naming_the_file(tmp_path, capsys, command):
+    # A decoding error is a malformed-input error naming the file, like every
+    # other read error.
+    path = tmp_path / "bad.json"
+    path.write_bytes(b'\xff\xfe{"a": 1}')
+    out = tmp_path / "out"
+    argv = [arg.format(path=path) for arg in command] + ["--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: {path}: not UTF-8 text: 'utf-8' codec can't decode byte 0xff in position 0: "
+        "invalid start byte\n")
     assert sorted(tmp_path.iterdir()) == [path]
 
 

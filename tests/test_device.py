@@ -78,6 +78,26 @@ class TestValidate:
         messages = validate_stack(DeviceStack.of(broken))[0]
         assert any("A0" in m and "shape" in m for m in messages)
 
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3)])
+    def test_messages_in_order_state_then_alice_then_bob(self, dims):
+        # Both parties' observables of one dim are checked in one pass; the
+        # messages still come in order: the state, Alice's names, Bob's.
+        da, db = dims
+        bob_z = np.diag([1.0, -1.0] + [1.0] * (db - 2)).astype(complex)
+        nan_z = bob_z.copy()
+        nan_z[0, 1] = math.nan
+        broken = make_device(dims, 2 * np.eye(da * db)[0],
+                             {"A0": 0.5 * PAULI_X, "A1": np.eye(3)},
+                             {"A0": 1j * bob_z, "B1": nan_z})
+        assert validate_stack(DeviceStack.of(broken)) == [[
+            "state: norm 2 != 1",
+            "A0: O^2 != I, deviation 0.75",
+            "A1: shape (3, 3) does not match party A dim 2",
+            "A0: not Hermitian, max deviation 2",
+            "A0: O^2 != I, deviation 2",
+            "B1: non-finite entry",
+        ]]
+
 
 class TestCorrelation:
     # expected values from the trace identity <phi+|M (x) N|phi+> = tr(M N^T)/2

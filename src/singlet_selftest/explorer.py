@@ -334,8 +334,8 @@ def _build_chunk(
         anc_b = raw[:, da:da + half_b] + 1j * raw[:, da + half_b:]
         states = [_embedded_state(a / np.linalg.norm(a), b / np.linalg.norm(b))
                   for a, b in zip(anc_a, anc_b)]
-        alice = {k: _embed_party(v, da // 2) for k, v in base.alice_obs.items()}
-        bob = {k: _embed_party(v, db // 2) for k, v in base.bob_obs.items()}
+        alice = {k: _embed_party(v, half_a) for k, v in base.alice_obs.items()}
+        bob = {k: _embed_party(v, half_b) for k, v in base.bob_obs.items()}
         return _frozen_stack((da, db), np.array(states), _shared(alice, n), _shared(bob, n))
     # "random", the one kind left: family_axis has checked the kind.
     states, alice_draws, bob_draws = [], [], []

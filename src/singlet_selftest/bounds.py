@@ -373,7 +373,7 @@ def certify(device: DeviceModel, mode: str) -> CertificationReport:
         measured.update(
             (f"extraction_{m}{n}", error) for (m, n), error in zip(OPERATOR_PAIRS, distances)
         )
-        if selftest.b_operator:
+        if any(spec.category == "b_operator" for spec in selftest.rows):
             bob = (device.bob_obs["B0"], device.bob_obs["B1"])
             errors = b_operator_stack(psi, ops, bob, extraction.junk)[0].tolist()
             measured.update(
@@ -409,9 +409,9 @@ class Mode:
     ``(device, ops)``, the device already validated and name-checked by the
     entry point.  ``rows`` are the report rows in report order, one per link
     of the mode's chain of estimates; a correlation table's bounds are the
-    headline grades of four of them.  ``b_operator`` measures Bob's raw
-    observables for the ``b_operator`` rows; ``reports_correlations`` puts
-    the correlation table into the report.
+    headline grades of four of them; ``certify`` measures Bob's raw
+    observables B0, B1 when they include ``b_operator`` rows.
+    ``reports_correlations`` puts the correlation table into the report.
     """
 
     name: str
@@ -421,7 +421,6 @@ class Mode:
     derive: Callable[[DeviceModel], DerivedOperators]
     diagnostics: Callable[[DeviceModel, DerivedOperators], dict[str, float]]
     rows: tuple[RowSpec, ...]
-    b_operator: bool
     reports_correlations: bool
     canonical: Callable[[], DeviceModel]
 
@@ -449,7 +448,6 @@ MODES = {
             *_SHARED_ROWS,
             *_B_OPERATOR_ROWS,
         ),
-        b_operator=True,
         reports_correlations=False,
         canonical=canonical_chsh_device,
     ),
@@ -472,7 +470,6 @@ MODES = {
             *_MY_CHAIN_ROWS,
             *_SHARED_ROWS,
         ),
-        b_operator=False,
         reports_correlations=True,
         canonical=canonical_my_device,
     ),

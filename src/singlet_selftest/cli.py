@@ -11,14 +11,11 @@ stacked through each stage, the correlations included (see ``explorer``).
 from __future__ import annotations
 
 import argparse
-import itertools
 import math
 import sys
-from collections.abc import Sequence
 from pathlib import Path
 
 from .bounds import MODES, Mode, certify, fidelity_block, get_mode
-from .device import TSIRELSON
 from .documents import (
     REPORT_SCHEMA_VERSION,
     DocumentError,
@@ -37,8 +34,8 @@ from .explorer import FamilySpec, family_axis, sweep, worst_case_search
 SWEEP_COLUMNS = ("epsilon", "eps1", "eps2", "maxError", "bound", "slack")
 
 # Rounding allowance per correlation-table entry: an entry may exceed 1 in
-# magnitude, and a CHSH sum of four entries may exceed 2*sqrt(2), by this much
-# per entry.  Anything beyond is super-quantum data that no device produces.
+# magnitude by this much, and a table passes as quantum when some quantum table
+# lies within this much of every entry.  Anything beyond is data no device gives.
 TABLE_ROUNDING_TOL = 1e-12
 
 
@@ -83,70 +80,59 @@ def _load_table(path: str, selftest: Mode) -> dict[str, float]:
     return table
 
 
-def _non_quantum_chsh(values: Sequence[float]) -> tuple[tuple[int, ...], float] | None:
-    """An odd sign pattern whose arcsine sum exceeds pi, with that sum, or None.
+def _incompatible_settings(
+    selftest: Mode, table: dict[str, float]
+) -> tuple[str, float, str, float] | None:
+    """Two of Bob's settings that no quantum device gives together, or None.
 
-    Four correlators E_xy of +-1 observables, in ``CHSH_PAIRS`` order, come
-    from a quantum device exactly when sum_xy s_xy asin(E_xy) <= pi for every
-    sign pattern s with an odd number of minus signs (Landau 1988; Masanes,
-    arXiv:quant-ph/0309137).  Bounding the CHSH value alone checks one of
-    these eight expressions, and only through a weaker linear bound.  Each
-    entry is first moved ``TABLE_ROUNDING_TOL`` toward the side that lowers
-    the sum, and clipped to [-1, 1].
+    Correlators of +-1 observables are quantum exactly when unit vectors with
+    E_xy = u_x . v_y exist (Tsirelson).  Alice's two settings lie at some
+    angle phi; Bob's setting y, at angles p = acos(E_0y) and q = acos(E_1y)
+    from them, fits exactly when |p - q| <= phi <= min(p + q, 2pi - p - q).
+    Each entry may move by ``TABLE_ROUNDING_TOL``, which widens setting y's
+    range to [lo_y, hi_y].  Intervals on a line that meet pairwise all meet
+    (Helly), so the table is quantum exactly when max lo_y <= min hi_y; this
+    is Landau's arcsine test on every 2x2 sub-table.  Otherwise the result
+    is (setting, lo_y) of the largest lo_y, then (setting, hi_y) of the
+    smallest hi_y; the settings differ, as lo_y <= hi_y for every y.
     """
-    for signs in itertools.product((1, -1), repeat=4):
-        if signs.count(-1) % 2:
-            total = sum(
-                s * math.asin(min(1.0, max(-1.0, e - s * TABLE_ROUNDING_TOL)))
-                for s, e in zip(signs, values)
-            )
-            if total > math.pi:
-                return signs, total
+    alice = dict.fromkeys(a for a, _ in selftest.pairs)
+    ranges = {}
+    for b in dict.fromkeys(b for _, b in selftest.pairs):
+        # The arccosines of each entry moved up, then down, by the tolerance.
+        (p_lo, p_hi), (q_lo, q_hi) = (
+            [math.acos(min(1.0, max(-1.0, table[f"{a}_{b}"] + shift)))
+             for shift in (TABLE_ROUNDING_TOL, -TABLE_ROUNDING_TOL)] for a in alice)
+        ranges[b] = (max(0.0, p_lo - q_hi, q_lo - p_hi),
+                     min(p_hi + q_hi, 2.0 * math.pi - p_lo - q_lo))
+    low = max(ranges, key=lambda b: ranges[b][0])
+    high = min(ranges, key=lambda b: ranges[b][1])
+    if ranges[low][0] > ranges[high][1]:
+        return low, ranges[low][0], high, ranges[high][1]
     return None
 
 
-def _chsh_subtables(selftest: Mode) -> list[tuple[str, str, str, str]]:
-    """The table keys of every 2x2 sub-table, each in ``CHSH_PAIRS`` order:
-    two of Alice's observables against two of Bob's.
-
-    Any two +-1 observables per party on one state make a CHSH experiment,
-    so each sub-table must pass ``_non_quantum_chsh``.  The CHSH table is its
-    own one sub-table; the Mayers-Yao table has three, (XA, ZA) against each
-    two of (XB, ZB, DB).
-    """
-    alice = list(dict.fromkeys(a for a, _ in selftest.pairs))
-    bob = list(dict.fromkeys(b for _, b in selftest.pairs))
-    return [(f"{a0}_{b0}", f"{a0}_{b1}", f"{a1}_{b0}", f"{a1}_{b1}")
-            for a0, a1 in itertools.combinations(alice, 2)
-            for b0, b1 in itertools.combinations(bob, 2)]
-
-
 def cmd_correlations(args: argparse.Namespace) -> int:
-    """Budgets from correlation data alone; no device model, so no isometry."""
+    """Budgets from correlation data alone; no device model, so no isometry.
+
+    A table no quantum device produces exits 2 naming two of Bob's settings.
+    """
     selftest = get_mode(args.mode)
     try:
         table = _load_table(args.table, selftest)
     except DocumentError as err:
         return _fail(str(err))
 
-    chsh, epsilon = selftest.deviation(dict(zip(selftest.pairs, table.values())))
-    if chsh is not None and chsh > TSIRELSON + 4 * TABLE_ROUNDING_TOL:
+    conflict = _incompatible_settings(selftest, table)
+    if conflict is not None:
+        low, lo, high, hi = conflict
         return _fail(
-            f"CHSH value {chsh:.17g} exceeds the quantum maximum 2*sqrt(2) = "
-            f"{TSIRELSON:.17g} by more than the rounding tolerance "
-            f"{4 * TABLE_ROUNDING_TOL:.0e}; no quantum device produces this table"
+            f"Bob's {low} needs Alice's two settings at least {lo:.17g} rad apart and "
+            f"Bob's {high} at most {hi:.17g}, with each entry moved by up to "
+            f"{TABLE_ROUNDING_TOL:.0e}; no quantum device produces this table"
         )
-    for keys in _chsh_subtables(selftest):
-        violation = _non_quantum_chsh([table[key] for key in keys])
-        if violation is not None:
-            signs, total = violation
-            terms = " ".join(f"{'+' if s > 0 else '-'}asin({key})" for s, key in zip(signs, keys))
-            return _fail(
-                f"{terms} = {total:.17g} exceeds pi by more than the rounding tolerance "
-                f"{TABLE_ROUNDING_TOL:.0e} per entry allows; no quantum device "
-                "produces this table"
-            )
 
+    chsh, epsilon = selftest.deviation(dict(zip(selftest.pairs, table.values())))
     budgets = None
     bounds = None
     note = (

@@ -173,8 +173,6 @@ def extraction_stack(psi: np.ndarray, ops: DerivedOperators) -> ExtractionStack:
     )
 
 
-
-
 def b_operator_stack(
     psi: np.ndarray, ops: DerivedOperators, bob: tuple[np.ndarray, np.ndarray],
     junk: np.ndarray,

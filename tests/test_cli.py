@@ -486,13 +486,16 @@ class TestCorrelationsCommand:
         assert code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "exceeds the quantum maximum" in captured.err
+        assert captured.err.startswith("error: Bob's B1 needs Alice's two settings at least ")
+        assert "rad apart and Bob's B0 at most " in captured.err
+        assert "no quantum device produces this table" in captured.err
         assert not out.exists()
 
     @pytest.mark.parametrize("values", [
-        # E00 = E01 = E10 = 1 forces E11 = 1, yet the CHSH value is 2*sqrt(2)
+        # E00 = E01 = E10 = 1 forces E11 = 1, yet the CHSH value is 2*sqrt(2):
+        # B1 needs A1 at an angle acos(0.17) from A0, B0 needs it at 0
         {"A0_B0": 1, "A0_B1": 1, "A1_B0": 1, "A1_B1": 0.1715728752538097},
-        # CHSH = -4: the sign pattern with three minus signs is violated
+        # CHSH = -4: B1 needs A0 and A1 opposite, B0 needs them aligned
         {"A0_B0": -1, "A0_B1": -1, "A1_B0": -1, "A1_B1": 1},
     ])
     def test_non_quantum_chsh_table_exits_two(self, tmp_path, capsys, values):
@@ -505,14 +508,15 @@ class TestCorrelationsCommand:
         assert code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "exceeds pi" in captured.err
+        assert captured.err.startswith("error: Bob's B1 needs Alice's two settings at least ")
+        assert "rad apart and Bob's B0 at most " in captured.err
         assert "no quantum device produces this table" in captured.err
         assert not out.exists()
 
     def test_non_quantum_my_table_exits_two(self, tmp_path, capsys):
-        # the (XA, ZA) x (XB, DB) sub-table is a CHSH experiment, and raising
-        # XA_DB and ZA_DB above the ideal 1/sqrt(2) pushes its arcsine sum
-        # asin(1) + asin(c) - asin(0) + asin(c) past pi, though epsilon is 1e-3
+        # XB puts XA and ZA at right angles, and raising XA_DB and ZA_DB above
+        # the ideal 1/sqrt(2) leaves DB room for an angle under pi/2 only,
+        # though epsilon is 1e-3
         c = 1.0 / math.sqrt(2.0) + 1e-3
         table = tmp_path / "table.json"
         table.write_text(json.dumps({"XA_XB": 1, "XA_ZB": 0, "XA_DB": c,
@@ -522,8 +526,8 @@ class TestCorrelationsCommand:
         assert code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "+asin(XA_XB) +asin(XA_DB) -asin(ZA_XB) +asin(ZA_DB) = " in captured.err
-        assert "exceeds pi" in captured.err
+        assert captured.err.startswith("error: Bob's XB needs Alice's two settings at least ")
+        assert "rad apart and Bob's DB at most " in captured.err
         assert "no quantum device produces this table" in captured.err
         assert not out.exists()
 

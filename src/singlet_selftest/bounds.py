@@ -312,14 +312,6 @@ _B_OPERATOR_ROWS = tuple(
 _JUNK_CATEGORIES = ("state", "extraction", "b_operator")
 
 
-def _z_expectations(psi: np.ndarray, ops: DerivedOperators) -> tuple[float, float]:
-    """|<Z'_A>| and |<Z'_B>|, as Z'_A Psi and Psi Z'_B^T on the state matrix Psi."""
-    return (
-        abs(float(np.vdot(psi, ops.za @ psi).real)),
-        abs(float(np.vdot(psi, psi @ ops.zb.T).real)),
-    )
-
-
 def certify(device: DeviceModel, mode: str) -> CertificationReport:
     """Full measured-vs-bound certification of one device.
 
@@ -328,7 +320,7 @@ def certify(device: DeviceModel, mode: str) -> CertificationReport:
     library's entry point: it validates the device once and checks the
     mode's observable names once (in ``correlation_stack``), and the stages
     after it trust the device.  Each stage runs on the device as the n = 1
-    stack, with the operators derived from the device itself.  Invalid
+    stack, with the operators derived from that stack.  Invalid
     devices raise ``DeviceValidationError`` before any certification, a
     missing name ``KeyError``; a degenerate junk candidate is reported as
     failed state, extraction and B rows, not a crash; a deviation outside
@@ -342,11 +334,15 @@ def certify(device: DeviceModel, mode: str) -> CertificationReport:
 
     values = correlation_stack(stack, selftest.pairs)[0].tolist()
     chsh, eps = selftest.deviation(dict(zip(selftest.pairs, values)))
-    ops = selftest.derive(device)
+    ops = selftest.derive(stack)
     budget = selftest.budget(eps) if eps < 1.0 else None
-    psi = stack.state.reshape(1, *device.dims)
+    psi = stack.state.reshape(1, *stack.dims)
     residuals = residual_stack(psi, ops)[0]
-    za_abs, zb_abs = _z_expectations(psi[0], ops)
+    extraction = extraction_stack(psi, ops)
+    degenerate = bool(extraction.degenerate[0])
+    junk_raw = float(extraction.junk_norm_raw[0])
+    # The nine pair errors, ("I", "I") first, then the pre-normalization one.
+    *pair_errors, pre_normalization = extraction.distances[0].tolist()
 
     # Every row's measured value, keyed by row name.
     measured = {
@@ -354,32 +350,24 @@ def certify(device: DeviceModel, mode: str) -> CertificationReport:
         "condition_anticomm_bob": residuals.anticomm_b,
         "condition_diff_x": residuals.diff_x,
         "condition_diff_z": residuals.diff_z,
-        **selftest.diagnostics(device, ops),
-        "za_expectation_abs": za_abs,
-        "zb_expectation_abs": zb_abs,
+        **{name: float(column[0])
+           for name, column in selftest.diagnostics(stack, psi, ops).items()},
+        "junk_rawnorm_lower": junk_raw,
+        "junk_rawnorm_upper": junk_raw,
+        "state_error_pre_normalization": pre_normalization,
+        "state_error_normalized": pair_errors[0],
+        **{f"extraction_{m}{n}": error for (m, n), error in zip(OPERATOR_PAIRS, pair_errors)},
     }
-    extraction = extraction_stack(psi, ops)
-    degenerate = bool(extraction.degenerate[0])
-    junk_raw = float(extraction.junk_norm_raw[0])
+    if any(spec.category == "b_operator" for spec in selftest.rows):
+        bob = (stack.bob_obs["B0"], stack.bob_obs["B1"])
+        errors = b_operator_stack(psi, ops, bob, extraction.junk)[0].tolist()
+        measured.update(
+            (f"b_operator_{m}_{which}", error) for (m, which), error in zip(B_ROWS, errors)
+        )
     if degenerate:
         measured.update(
             (spec.name, NAN) for spec in selftest.rows if spec.category in _JUNK_CATEGORIES
         )
-    else:
-        # The nine pair errors, ("I", "I") first, then the pre-normalization one.
-        distances = extraction.distances[0].tolist()
-        measured["state_error_pre_normalization"] = distances[-1]
-        measured["state_error_normalized"] = distances[0]
-        measured.update(
-            (f"extraction_{m}{n}", error) for (m, n), error in zip(OPERATOR_PAIRS, distances)
-        )
-        if any(spec.category == "b_operator" for spec in selftest.rows):
-            bob = (device.bob_obs["B0"], device.bob_obs["B1"])
-            errors = b_operator_stack(psi, ops, bob, extraction.junk)[0].tolist()
-            measured.update(
-                (f"b_operator_{m}_{which}", error) for (m, which), error in zip(B_ROWS, errors)
-            )
-    measured["junk_rawnorm_lower"] = measured["junk_rawnorm_upper"] = junk_raw
 
     return CertificationReport(
         mode=mode,
@@ -392,8 +380,8 @@ def certify(device: DeviceModel, mode: str) -> CertificationReport:
         rows=[_report_row(spec, measured[spec.name], budget, residuals)
               for spec in selftest.rows],
         fidelity=fidelity_block(eps),
-        correlations=(dict(zip(selftest.table_keys, values))
-                      if selftest.reports_correlations else {}),
+        # A mode without a CHSH value reports its correlation table instead.
+        correlations=dict(zip(selftest.table_keys, values)) if chsh is None else {},
     )
 
 
@@ -405,23 +393,22 @@ class Mode:
     the deviation; a device must name every observable in them, and a
     correlation table keys them as ``"A_B"``.  ``deviation`` maps those
     correlations to ``(CHSH value or None, epsilon)`` for device and table
-    input alike.  ``derive`` and ``diagnostics`` take ``(device)`` and
-    ``(device, ops)``, the device already validated and name-checked by the
-    entry point.  ``rows`` are the report rows in report order, one per link
-    of the mode's chain of estimates; a correlation table's bounds are the
-    headline grades of four of them; ``certify`` measures Bob's raw
-    observables B0, B1 when they include ``b_operator`` rows.
-    ``reports_correlations`` puts the correlation table into the report.
+    input alike.  ``derive`` takes a ``DeviceStack`` and ``diagnostics``
+    ``(stack, psi, ops)``, giving one (n,) array per chain row, the stack
+    already validated and name-checked by the entry point.  ``rows`` are the
+    report rows in report order, one per link of the mode's chain of
+    estimates; a correlation table's bounds are the headline grades of four
+    of them; ``certify`` measures Bob's raw observables B0, B1 when they
+    include ``b_operator`` rows.
     """
 
     name: str
     pairs: tuple[tuple[str, str], ...]
     deviation: Callable[[dict[tuple[str, str], float]], tuple[float | None, float]]
     budget: Callable[[float], EpsilonBudget]
-    derive: Callable[[DeviceModel], DerivedOperators]
-    diagnostics: Callable[[DeviceModel, DerivedOperators], dict[str, float]]
+    derive: Callable[[DeviceStack], DerivedOperators]
+    diagnostics: Callable[[DeviceStack, np.ndarray, DerivedOperators], dict[str, np.ndarray]]
     rows: tuple[RowSpec, ...]
-    reports_correlations: bool
     canonical: Callable[[], DeviceModel]
 
     @property
@@ -448,7 +435,6 @@ MODES = {
             *_SHARED_ROWS,
             *_B_OPERATOR_ROWS,
         ),
-        reports_correlations=False,
         canonical=canonical_chsh_device,
     ),
     "my": Mode(
@@ -456,10 +442,9 @@ MODES = {
         pairs=MY_PAIRS,
         deviation=my_epsilon,
         budget=my_budget,
-        # The named observables pass through unregularized, and the chain
-        # diagnostics read them (and DB) from the device directly.
+        # The named observables pass through unregularized.
         derive=my_operators,
-        diagnostics=lambda device, ops: my_diagnostics(device),
+        diagnostics=my_diagnostics,
         rows=(
             *_condition_specs(
                 "2*eps1; eps1 = 2*(1+sqrt(2))*(2*eps)**(1/4) + 4*sqrt(2*eps)"
@@ -470,7 +455,6 @@ MODES = {
             *_MY_CHAIN_ROWS,
             *_SHARED_ROWS,
         ),
-        reports_correlations=True,
         canonical=canonical_my_device,
     ),
 }

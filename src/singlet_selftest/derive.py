@@ -18,14 +18,14 @@ Residuals and chain diagnostics are local expectations and norms.  With the
 state reshaped to its (dA, dB) coefficient matrix Psi (Alice's index major),
 (A (x) B)|psi> is A Psi B^T, so each quantity is a few dA x dA and dB x dB
 matrix products applied to Psi, O(d^3), and no d^2 x d^2 embedding is formed.
-The operators and the residuals take a stack of devices as well: with
-(n, d, d) operators and an (n, dA, dB) stack of state matrices, each product
-is one stacked matmul, and a single device is the n = 1 stack.
+The operators, residuals and diagnostics take a ``DeviceStack`` of n devices,
+or its (n, dA, dB) stack of state matrices with (n, d, d) operators: each
+product is one stacked matmul, and a single device is the n = 1 stack.
 
-The functions that take a device trust it: it must be valid
-(``device.validate_stack`` finds no violation) and name the observables of its
-mode.  The entry points check both once per device: ``bounds.certify`` for
-library callers and loaded files alike, and ``explorer.sweep`` /
+The functions that take a stack trust it: its devices must be valid
+(``device.validate_stack`` finds no violation) and name the observables of
+their mode.  The entry points check both once per device: ``bounds.certify``
+for library callers and loaded files alike, and ``explorer.sweep`` /
 ``explorer.worst_case_search`` for the devices they build.  A missing name
 still raises ``KeyError`` from the lookup.
 """
@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .device import DeviceModel, DeviceStack
+from .device import DeviceStack
 from .linalg import operator_sign, transpose
 
 SQRT2 = float(np.sqrt(2.0))
@@ -46,9 +46,9 @@ SQRT2 = float(np.sqrt(2.0))
 class DerivedOperators:
     """The four regularized operators, each Hermitian and unitary.
 
-    Each field is one d x d matrix, or an (n, d, d) stack of them when derived
-    from a ``DeviceStack``.  For non-degenerate CHSH devices xb and zb
-    anticommute exactly at the operator level (they are signs of exactly
+    Each field is an (n, d, d) stack, one matrix per device of the
+    ``DeviceStack`` it is derived from.  For non-degenerate CHSH devices xb
+    and zb anticommute exactly at the operator level (they are signs of exactly
     anticommuting sums); the +1 kernel convention can break this only when
     B0 +/- B1 is singular.
     """
@@ -57,10 +57,6 @@ class DerivedOperators:
     za: np.ndarray
     xb: np.ndarray
     zb: np.ndarray
-
-    @property
-    def dims(self) -> tuple[int, int]:
-        return (self.xa.shape[-1], self.xb.shape[-1])
 
 
 @dataclass(frozen=True)
@@ -169,39 +165,33 @@ def my_budget(epsilon: float) -> EpsilonBudget:
     )
 
 
-def derive_chsh_operators(device: DeviceModel | DeviceStack) -> DerivedOperators:
+def derive_chsh_operators(stack: DeviceStack) -> DerivedOperators:
     """Regularize raw CHSH observables into the four derived operators.
 
-    A stack gives stacked operators.  Precondition: ``device`` is valid and
-    names A0, A1, B0 and B1 (see the module docstring for where that is
-    checked).
+    Precondition: the devices are valid and name A0, A1, B0 and B1 (see the
+    module docstring for where that is checked).
     """
-    b0 = device.bob_obs["B0"]
-    b1 = device.bob_obs["B1"]
+    b0 = stack.bob_obs["B0"]
+    b1 = stack.bob_obs["B1"]
     # Both signs in one call: eigh runs once per matrix either way.
     xb, zb = operator_sign(np.stack((b0 + b1, b0 - b1)))
-    return DerivedOperators(xa=device.alice_obs["A0"], za=device.alice_obs["A1"], xb=xb, zb=zb)
+    return DerivedOperators(xa=stack.alice_obs["A0"], za=stack.alice_obs["A1"], xb=xb, zb=zb)
 
 
-def my_operators(device: DeviceModel | DeviceStack) -> DerivedOperators:
+def my_operators(stack: DeviceStack) -> DerivedOperators:
     """Identity pass-through of the named Mayers-Yao observables.
 
     No regularization step exists here: the named XA, ZA, XB, ZB are used
     directly as the extraction operators.  DB participates only in the
     diagnostic residuals, never in the extraction circuit.  Precondition:
-    ``device`` is valid and names XA, ZA, XB and ZB (see the module docstring).
+    the devices are valid and name XA, ZA, XB and ZB.
     """
     return DerivedOperators(
-        xa=device.alice_obs["XA"],
-        za=device.alice_obs["ZA"],
-        xb=device.bob_obs["XB"],
-        zb=device.bob_obs["ZB"],
+        xa=stack.alice_obs["XA"],
+        za=stack.alice_obs["ZA"],
+        xb=stack.bob_obs["XB"],
+        zb=stack.bob_obs["ZB"],
     )
-
-
-def _norm(m: np.ndarray) -> float:
-    """Frobenius norm of a state matrix: the 2-norm of the state it holds."""
-    return float(np.linalg.norm(m))
 
 
 def residual_stack(psi: np.ndarray, ops: DerivedOperators) -> list[ResidualSet]:
@@ -226,23 +216,48 @@ def residual_stack(psi: np.ndarray, ops: DerivedOperators) -> list[ResidualSet]:
     return [ResidualSet(*row) for row in norms.tolist()]
 
 
-def chsh_diagnostics(device: DeviceModel, ops: DerivedOperators) -> dict[str, float]:
-    """Intermediate chain quantities for a CHSH device.
+def _norms(**vectors: np.ndarray) -> dict[str, np.ndarray]:
+    """The 2-norm of each state matrix of every (n, dA, dB) stack, keyed as ``vectors``.
 
-    Returns the commutator-product expectation, the four mixed-product norms,
-    the raw anticommutator norms, the overlap <X'_A (B0+B1)>, and the
-    distances of X'_A and X'_B to (B0+B1)/sqrt(2) on the state.  ``ops`` are
-    the device's derived operators from ``derive_chsh_operators``; X'_B is
-    taken from them.  Precondition: ``device`` is valid and names A0, A1, B0
-    and B1 (see the module docstring).
+    Each squared norm is a row times a column, which numpy runs as one BLAS
+    dot, so every value equals ``np.linalg.norm`` of that state matrix alone.
     """
-    if ops.dims != device.dims:
-        raise ValueError(f"operator dims {ops.dims} do not match device dims {device.dims}")
-    psi = device.state.reshape(device.dims)
-    a0 = device.alice_obs["A0"]
-    a1 = device.alice_obs["A1"]
-    b0t = device.bob_obs["B0"].T
-    b1t = device.bob_obs["B1"].T
+    flat = np.stack(list(vectors.values()), axis=1)
+    flat = flat.reshape(*flat.shape[:2], 1, -1)
+    squares = flat.real @ transpose(flat.real) + flat.imag @ transpose(flat.imag)
+    return dict(zip(vectors, np.sqrt(squares[..., 0, 0]).T))
+
+
+def _overlaps(psi: np.ndarray, **vectors: np.ndarray) -> dict[str, np.ndarray]:
+    """Re <psi|v> for each state of an (n, dA, dB) stack and every stack v of
+    ``vectors``, keyed as ``vectors``; each is one BLAS dot, equal to
+    ``np.vdot`` of that state alone."""
+    bra = np.conj(psi).reshape(len(psi), 1, 1, -1)
+    kets = np.stack(list(vectors.values()), axis=1).reshape(len(psi), len(vectors), -1, 1)
+    return dict(zip(vectors, (bra @ kets)[..., 0, 0].real.T))
+
+
+def _z_rows(psi: np.ndarray, ops: DerivedOperators) -> dict[str, np.ndarray]:
+    """|<Z'_A>| and |<Z'_B>|, as Z'_A Psi and Psi Z'_B^T on each state matrix Psi."""
+    z = _overlaps(psi, za_expectation_abs=ops.za @ psi, zb_expectation_abs=psi @ transpose(ops.zb))
+    return {name: np.abs(value) for name, value in z.items()}
+
+
+def chsh_diagnostics(
+    stack: DeviceStack, psi: np.ndarray, ops: DerivedOperators
+) -> dict[str, np.ndarray]:
+    """Intermediate chain quantities of each device of a CHSH stack, one (n,) array per row.
+
+    ``psi`` is the stack's (n, dA, dB) state matrices and ``ops`` its derived
+    operators.  The rows: the commutator-product expectation, the four
+    mixed-product norms, the raw anticommutator norms, the overlap
+    <X'_A (B0+B1)>, the distances of X'_A and X'_B to (B0+B1)/sqrt(2) on the
+    state, and |<Z'_A>|, |<Z'_B>|.  Precondition: as ``derive_chsh_operators``.
+    """
+    a0 = stack.alice_obs["A0"]
+    a1 = stack.alice_obs["A1"]
+    b0t = transpose(stack.bob_obs["B0"])
+    b1t = transpose(stack.bob_obs["B1"])
 
     a0_psi = a0 @ psi
     a0a1 = a0 @ (a1 @ psi)
@@ -253,34 +268,29 @@ def chsh_diagnostics(device: DeviceModel, ops: DerivedOperators) -> dict[str, fl
     bsum = psi @ bsum_t / SQRT2
 
     return {
-        "commutator_product": float(
-            np.vdot(psi, (a0a1 - a1a0) @ (b0t @ b1t - b1t @ b0t)).real
-        ),
-        "norm_a0a1_plus_b1b0": _norm(a0a1 + b1b0),
-        "norm_a0a1_minus_b0b1": _norm(a0a1 - b0b1),
-        "norm_a1a0_minus_b1b0": _norm(a1a0 - b1b0),
-        "norm_a1a0_plus_b0b1": _norm(a1a0 + b0b1),
-        "anticomm_a_raw": _norm(a0a1 + a1a0),
-        "anticomm_b_raw": _norm(b0b1 + b1b0),
-        "xa_bsum_overlap": float(np.vdot(psi, a0_psi @ bsum_t).real),
-        "norm_xa_minus_bsum": _norm(a0_psi - bsum),
-        "norm_xb_minus_bsum": _norm(psi @ ops.xb.T - bsum),
+        **_overlaps(psi, commutator_product=(a0a1 - a1a0) @ (b0t @ b1t - b1t @ b0t),
+                    xa_bsum_overlap=a0_psi @ bsum_t),
+        **_norms(norm_a0a1_plus_b1b0=a0a1 + b1b0, norm_a0a1_minus_b0b1=a0a1 - b0b1,
+                 norm_a1a0_minus_b1b0=a1a0 - b1b0, norm_a1a0_plus_b0b1=a1a0 + b0b1,
+                 anticomm_a_raw=a0a1 + a1a0, anticomm_b_raw=b0b1 + b1b0,
+                 norm_xa_minus_bsum=a0_psi - bsum,
+                 norm_xb_minus_bsum=psi @ transpose(ops.xb) - bsum),
+        **_z_rows(psi, ops),
     }
 
 
-def my_diagnostics(device: DeviceModel) -> dict[str, float]:
-    """Intermediate chain quantities for a Mayers-Yao device.
+def my_diagnostics(
+    stack: DeviceStack, psi: np.ndarray, ops: DerivedOperators
+) -> dict[str, np.ndarray]:
+    """Intermediate chain quantities of each device of a Mayers-Yao stack, as
+    ``chsh_diagnostics``, with ``ops`` the named XA, ZA, XB, ZB.
 
-    DB enters only here, through its distance to (XA+ZA)/sqrt(2) on the state;
-    it plays no role in any other estimate or in the extraction circuit.
-    Precondition: ``device`` is valid and names XA, ZA, XB, ZB and DB (see the
-    module docstring).
+    DB enters only here, through its distance to (XA+ZA)/sqrt(2) on the
+    state; it plays no role in any other estimate or in the extraction
+    circuit.  Precondition: the devices are valid and name XA, ZA, XB, ZB, DB.
     """
-    psi = device.state.reshape(device.dims)
-    xa = device.alice_obs["XA"]
-    za = device.alice_obs["ZA"]
-    xbt = device.bob_obs["XB"].T
-    zbt = device.bob_obs["ZB"].T
+    xa, za = ops.xa, ops.za
+    xbt, zbt = transpose(ops.xb), transpose(ops.zb)
 
     xaza = xa @ (za @ psi)
     zaxa = za @ (xa @ psi)
@@ -289,10 +299,8 @@ def my_diagnostics(device: DeviceModel) -> dict[str, float]:
     sum_xz = (xa + za) @ psi / SQRT2
 
     return {
-        "sum_xz_norm": _norm(sum_xz),
-        "db_vs_sum_xz": _norm(psi @ device.bob_obs["DB"].T - sum_xz),
-        "anticomm_alice": _norm(xaza + zaxa),
-        "cross_za_xa": _norm(zaxa - xbzb),
-        "cross_xa_za": _norm(xaza - zbxb),
-        "anticomm_bob": _norm(xbzb + zbxb),
+        **_norms(sum_xz_norm=sum_xz, db_vs_sum_xz=psi @ transpose(stack.bob_obs["DB"]) - sum_xz,
+                 anticomm_alice=xaza + zaxa, cross_za_xa=zaxa - xbzb, cross_xa_za=xaza - zbxb,
+                 anticomm_bob=xbzb + zbxb),
+        **_z_rows(psi, ops),
     }

@@ -232,15 +232,13 @@ def validate_stack(stack: DeviceStack) -> list[list[str]]:
     return violations
 
 
-def require_observables(
-    device: DeviceModel | DeviceStack, pairs: tuple[tuple[str, str], ...]
-) -> None:
-    """Raise ``KeyError`` naming the first observable of ``pairs`` the device
-    (or stack) lacks.
+def require_observables(stack: DeviceStack, pairs: tuple[tuple[str, str], ...]) -> None:
+    """Raise ``KeyError`` naming the first observable of ``pairs`` the stack's
+    devices lack.
 
     Alice's names are checked before Bob's, each in the order of ``pairs``.
     """
-    for party, side, obs in (("Alice", 0, device.alice_obs), ("Bob", 1, device.bob_obs)):
+    for party, side, obs in (("Alice", 0, stack.alice_obs), ("Bob", 1, stack.bob_obs)):
         for pair in pairs:
             if pair[side] not in obs:
                 raise KeyError(f"device has no {party} observable {pair[side]!r}")

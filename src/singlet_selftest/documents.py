@@ -17,6 +17,7 @@ container's first and last bracket are then re-indented.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import hashlib
 import itertools
@@ -330,21 +331,23 @@ def write_json_atomic(path: str | Path, doc: dict) -> None:
 
 
 def write_text_atomic(path: str | Path, text: str) -> None:
-    """Write via a temporary sibling and rename, so failures leave no partial file.
+    """Write via a temporary sibling and rename, so failures leave no partial
+    file; a path that cannot be written raises ``DocumentError`` naming it.
 
     The sibling is created with mode 0o666 less the umask, as ``open(path,
     "w")`` creates a new file, and the rename keeps that mode.
     """
-    path = Path(path)
-    tmp = path.parent / f"{path.name}.{os.urandom(8).hex()}.tmp"
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    target = Path(path)
+    tmp = target.parent / f"{target.name}.{os.urandom(8).hex()}.tmp"
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+            with os.fdopen(fd, "w", encoding="utf-8") as handle:
+                handle.write(text)
+            os.replace(tmp, target)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+            raise
+    except OSError as err:
+        raise DocumentError(f"cannot write {path}: {err.strerror or err}") from err

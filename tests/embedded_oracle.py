@@ -45,7 +45,7 @@ def _vnorm(op: np.ndarray, psi: np.ndarray) -> float:
 
 
 def condition_residuals(state: np.ndarray, ops: DerivedOperators) -> dict[str, float]:
-    dims = ops.dims
+    dims = (ops.xa.shape[-1], ops.xb.shape[-1])
     psi = np.asarray(state, dtype=complex).reshape(-1)
     xa = tensor_embed(ops.xa, "A", dims)
     za = tensor_embed(ops.za, "A", dims)

@@ -4,10 +4,11 @@ Each is a thin wrapper over the library: a single-pair correlation, the CHSH
 value and Mayers-Yao deviation of a device, a Hermiticity-checked
 eigendecomposition, the operator absolute value and unitarity deviation, a
 family's points and device list, a stack of given devices, writing a device
-document, a report's rows of one category, a device's sweep record read off
-its certify report, the one-observable-at-a-time search proposal that the
-search's rotation table must reproduce bit for bit, and a spy on the stacks
-of proposals a search checks.
+document, a device's chain diagnostics as the n = 1 stack, a report's rows of
+one category, a device's sweep record read off its certify report, the
+one-observable-at-a-time search proposal that the search's rotation table
+must reproduce bit for bit, and a spy on the stacks of proposals a search
+checks.
 """
 
 from __future__ import annotations
@@ -116,6 +117,14 @@ def make_family(spec: FamilySpec) -> list[DeviceModel]:
 
 def save_device(path: str | Path, device: DeviceModel, metadata: dict | None = None) -> None:
     write_json_atomic(path, device_to_document(device, metadata))
+
+
+def device_diagnostics(device: DeviceModel, diagnostics, derive) -> dict[str, float]:
+    """``diagnostics`` (``chsh_diagnostics`` or ``my_diagnostics``) of one
+    device, run as the n = 1 stack with the operators ``derive`` gives it."""
+    stack = DeviceStack.of(device)
+    columns = diagnostics(stack, stack.state.reshape(1, *stack.dims), derive(stack))
+    return {name: float(column[0]) for name, column in columns.items()}
 
 
 def rows_by_category(report: CertificationReport, category: str) -> list[ReportRow]:

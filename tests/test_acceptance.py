@@ -14,7 +14,7 @@ import time
 import numpy as np
 
 from embedded_oracle import tensor_embed
-from helpers import chsh_value, family_points, my_deviation, save_device
+from helpers import chsh_value, device_diagnostics, family_points, my_deviation, save_device
 from isometry_oracle import apply_isometry, isometry_expansion
 from singlet_selftest.bounds import (
     b_extraction_bound,
@@ -274,7 +274,7 @@ def test_criterion_07_chain_suites():
     for device, eps in chsh_epsilon_corpus():
         budget = chsh_budget(eps)
         ops = derive_chsh_operators(device)
-        diag = chsh_diagnostics(device, ops)
+        diag = device_diagnostics(device, chsh_diagnostics, derive_chsh_operators)
         _, (raw,) = junk_stack(device.state.reshape(1, *device.dims), ops)
         za = tensor_embed(ops.za, "A", device.dims)
         za_abs = abs(float(np.vdot(device.state, za @ device.state).real))
@@ -292,7 +292,7 @@ def test_criterion_07_chain_suites():
 
     for device, eps in my_epsilon_corpus():
         budget = my_budget(eps)
-        diag = my_diagnostics(device)
+        diag = device_diagnostics(device, my_diagnostics, my_operators)
         ops = my_operators(device)
         _, (raw,) = junk_stack(device.state.reshape(1, *device.dims), ops)
         eps_sum = budget.eps1 + budget.eps2

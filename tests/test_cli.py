@@ -897,6 +897,40 @@ def test_output_files_take_their_mode_from_the_umask(tmp_path, umask):
         path.name: 0o666 & ~umask for path in outputs}
 
 
+# Every subcommand that writes --out, its input files left as "{device}",
+# "{table}" and "{family}".
+OUT_COMMANDS = [
+    ["canonical", "--mode", "chsh"],
+    ["certify", "--device", "{device}", "--mode", "chsh"],
+    ["correlations", "--table", "{table}", "--mode", "chsh"],
+    ["sweep", "--family", "{family}"],
+    ["search", "--mode", "chsh", "--epsilon-ceiling", "0.05", "--budget", "3"],
+]
+
+
+@pytest.mark.parametrize("target,reason", [("missing/out.json", "No such file or directory"),
+                                           ("adir", "Is a directory")],
+                         ids=["missing-directory", "directory"])
+@pytest.mark.parametrize("command", OUT_COMMANDS, ids=[command[0] for command in OUT_COMMANDS])
+def test_unwritable_out_exits_two_naming_it(tmp_path, capsys, command, target, reason):
+    # The error names the --out path as given, not the temporary sibling
+    # written first, and no sibling is left behind.
+    inputs = {name: tmp_path / f"{name}.json" for name in ("device", "table", "family")}
+    save_device(inputs["device"], canonical_chsh_device())
+    inputs["table"].write_text(json.dumps({"A0_B0": 0.7, "A0_B1": 0.7, "A1_B0": 0.7,
+                                           "A1_B1": -0.7}))
+    inputs["family"].write_text(json.dumps({"kind": "tilted", "parameters": {"theta": 0.3}}))
+    (tmp_path / "adir").mkdir()
+    before = sorted(tmp_path.rglob("*"))
+    out = tmp_path / target
+    argv = [arg.format(**inputs) for arg in command] + ["--out", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: cannot write {out}: {reason}\n"
+    assert ".tmp" not in captured.err
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     assert "certify" in capsys.readouterr().out

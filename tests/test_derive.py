@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_unitary, tilted_device
-from helpers import chsh_value, make_family, my_deviation
+from helpers import chsh_value, device_diagnostics, make_family, my_deviation
 from singlet_selftest.derive import (
     chsh_budget,
     chsh_diagnostics,
@@ -197,7 +197,7 @@ class TestMyBudget:
 
 class TestChshDiagnostics:
     def test_canonical_saturation(self, chsh_device):
-        diag = chsh_diagnostics(chsh_device, derive_chsh_operators(chsh_device))
+        diag = device_diagnostics(chsh_device, chsh_diagnostics, derive_chsh_operators)
         assert diag["commutator_product"] == pytest.approx(4.0, abs=1e-9)
         assert diag["xa_bsum_overlap"] == pytest.approx(SQRT2, abs=1e-10)
         for name in (
@@ -216,7 +216,7 @@ class TestChshDiagnostics:
         device = tilted_device(math.pi / 8)
         _, eps = chsh_value(device)
         budget = chsh_budget(eps)
-        diag = chsh_diagnostics(device, derive_chsh_operators(device))
+        diag = device_diagnostics(device, chsh_diagnostics, derive_chsh_operators)
         assert diag["commutator_product"] >= 4.0 - budget.delta - 1e-9
         for name in (
             "norm_a0a1_plus_b1b0",
@@ -235,7 +235,7 @@ class TestChshDiagnostics:
 
 class TestMyDiagnostics:
     def test_canonical_exact(self, my_device):
-        diag = my_diagnostics(my_device)
+        diag = device_diagnostics(my_device, my_diagnostics, my_operators)
         assert diag["sum_xz_norm"] == pytest.approx(1.0, abs=1e-10)
         assert diag["db_vs_sum_xz"] <= 1e-10
         for name in ("anticomm_alice", "anticomm_bob", "cross_za_xa", "cross_xa_za"):
@@ -250,7 +250,7 @@ class TestMyDiagnostics:
         )
         _, eps = my_deviation(device)
         budget = my_budget(eps)
-        diag = my_diagnostics(device)
+        diag = device_diagnostics(device, my_diagnostics, my_operators)
         assert diag["sum_xz_norm"] <= math.sqrt(1.0 + eps + math.sqrt(2 * eps)) + 1e-9
         assert diag["db_vs_sum_xz"] <= budget.eps_prime + 1e-9
         assert diag["anticomm_alice"] <= 2.0 * (1.0 + SQRT2) * budget.eps_prime + 1e-9
@@ -260,6 +260,6 @@ class TestMyDiagnostics:
 
     def test_db_ideal_realization(self, my_device):
         # DB acts as (X+Z)/sqrt(2) on the maximally entangled pair
-        diag = my_diagnostics(my_device)
+        diag = device_diagnostics(my_device, my_diagnostics, my_operators)
         assert diag["db_vs_sum_xz"] <= 1e-10
         assert np.allclose(my_device.bob_obs["DB"], DIAG_XZ)

@@ -20,7 +20,7 @@ import pytest
 import embedded_oracle as oracle
 import isometry_oracle
 from conftest import random_unitary
-from helpers import correlation, rows_by_category, stack_devices
+from helpers import correlation, device_diagnostics, rows_by_category, stack_devices
 from singlet_selftest import bounds, explorer
 from singlet_selftest.derive import (
     DerivedOperators,
@@ -83,6 +83,12 @@ def my_device(seed: int, dims):
     )
 
 
+def without_z(rows: dict) -> dict:
+    """The chain rows of a diagnostics result, without its two Z expectations."""
+    return {name: value for name, value in rows.items()
+            if name not in ("za_expectation_abs", "zb_expectation_abs")}
+
+
 def assert_close(got: dict, want: dict) -> None:
     assert got.keys() == want.keys()
     for key in want:
@@ -125,18 +131,22 @@ class TestAgainstEmbeddedOracle:
     def test_chsh_diagnostics(self, dims, seed):
         device = chsh_device(seed, dims)
         ops = derive_chsh_operators(device)
-        assert_close(chsh_diagnostics(device, ops), oracle.chsh_diagnostics(device, ops))
+        got = device_diagnostics(device, chsh_diagnostics, derive_chsh_operators)
+        assert_close(without_z(got), oracle.chsh_diagnostics(device, ops))
 
     def test_my_diagnostics(self, dims, seed):
         device = my_device(seed, dims)
-        assert_close(my_diagnostics(device), oracle.my_diagnostics(device))
+        got = device_diagnostics(device, my_diagnostics, my_operators)
+        assert_close(without_z(got), oracle.my_diagnostics(device))
 
     def test_z_expectations(self, dims, seed):
-        for device, derive in ((chsh_device(seed, dims), derive_chsh_operators),
-                               (my_device(seed, dims), my_operators)):
-            ops = derive(device)
-            got = bounds._z_expectations(device.state.reshape(dims), ops)
-            assert got == pytest.approx(oracle.z_expectations(device, ops), abs=TOL)
+        for device, diagnostics, derive in (
+            (chsh_device(seed, dims), chsh_diagnostics, derive_chsh_operators),
+            (my_device(seed, dims), my_diagnostics, my_operators),
+        ):
+            rows = device_diagnostics(device, diagnostics, derive)
+            got = (rows["za_expectation_abs"], rows["zb_expectation_abs"])
+            assert got == pytest.approx(oracle.z_expectations(device, derive(device)), abs=TOL)
 
     def test_correlations(self, dims, seed):
         for device, pairs in ((chsh_device(seed, dims), CHSH_PAIRS),
@@ -150,6 +160,41 @@ class TestAgainstEmbeddedOracle:
                 )
                 # one code path: the single-pair call is the batched one
                 assert correlation(device, *pair) == table[pair]
+
+
+def degenerate_device(device, za_name: str):
+    """``device`` with its state moved to v (x) w, v a -1 eigenvector of Z'_A
+    (the observable ``za_name``): (I + Z'_A) removes it, so the junk
+    candidate is zero."""
+    db = device.dims[1]
+    v = np.linalg.eigh(device.alice_obs[za_name])[1][:, 0]
+    w = np.full(db, db**-0.5)
+    return make_device(device.dims, np.kron(v, w), dict(device.alice_obs), dict(device.bob_obs))
+
+
+@pytest.mark.parametrize("dims", [(3, 5), (2, 2)])
+@pytest.mark.parametrize("mode", ["chsh", "my"])
+def test_diagnostics_stack_rows_bit_identical_to_each_device(mode, dims):
+    # each device's columns of one stack of different devices, a degenerate
+    # one among them, are those of its own n = 1 stack, bit for bit
+    selftest = bounds.get_mode(mode)
+    build = chsh_device if mode == "chsh" else my_device
+    devices = [build(seed, dims) for seed in range(40, 44)]
+    devices.insert(2, degenerate_device(devices[0], "A1" if mode == "chsh" else "ZA"))
+    stack = stack_devices(devices)
+    psi = stack.state.reshape(len(stack), *dims)
+    ops = selftest.derive(stack)
+    assert extraction_stack(psi, ops).degenerate.tolist() == [False, False, True, False, False]
+    columns = selftest.diagnostics(stack, psi, ops)
+    chain = [spec.name for spec in selftest.rows
+             if spec.category == "chain" and not spec.name.startswith("junk_rawnorm")]
+    assert sorted(columns) == sorted(chain)
+    for i, device in enumerate(devices):
+        one = DeviceStack.of(device)
+        alone = selftest.diagnostics(one, one.state.reshape(1, *dims), selftest.derive(one))
+        assert {name: column.shape for name, column in alone.items()} == dict.fromkeys(chain, (1,))
+        assert {name: column[i] for name, column in columns.items()} == {
+            name: column[0] for name, column in alone.items()}, i
 
 
 def kron_correlation(device, a: str, b: str) -> float:

@@ -5,7 +5,9 @@ value and Mayers-Yao deviation of a device, a Hermiticity-checked
 eigendecomposition, the operator absolute value and unitarity deviation, a
 family's points and device list, a stack of given devices, writing a device
 document, a device's chain diagnostics as the n = 1 stack, a report's rows of
-one category, a device's sweep record read off its certify report, the
+one category, a device's sweep record read off its certify report, a
+``random`` family point built alone, drawing and normalizing one number at a
+time, which the family's chunks must reproduce bit for bit, the
 one-observable-at-a-time search proposal that the search's rotation table
 must reproduce bit for bit, and a spy on the stacks of proposals a search
 checks.
@@ -18,7 +20,13 @@ from pathlib import Path
 
 import numpy as np
 
-from singlet_selftest.bounds import CertificationReport, ReportRow, certify, extraction_bound
+from singlet_selftest.bounds import (
+    CertificationReport,
+    ReportRow,
+    certify,
+    extraction_bound,
+    get_mode,
+)
 from singlet_selftest.device import (
     CHSH_PAIRS,
     MY_PAIRS,
@@ -142,6 +150,32 @@ def certified_record(device: DeviceModel, mode: str) -> SweepRecord:
                  max(row.measured for row in rows_by_category(report, "extraction")))
     return SweepRecord(report.epsilon, residuals.eps1, residuals.eps2, max_error, bound,
                        bound - max_error, report.degenerate)
+
+
+def random_point_oracle(spec: FamilySpec, index: int) -> DeviceModel:
+    """Point ``index`` of a ``random`` family, built alone from its own
+    generator: a complex Gaussian state, normalized by ``np.linalg.norm``,
+    then per observable, Alice's then Bob's in name order, signs redrawn
+    until both occur (for a dim above 1) and a complex Gaussian matrix, real
+    parts before imaginary ones in each draw."""
+    rng = explorer._point_rng(spec.seed, index)
+    da, db = spec.dims
+    real, imag = rng.normal(size=(2, da * db))
+    state = real + 1j * imag
+    state = state / np.linalg.norm(state)
+    base = get_mode(spec.mode).canonical()
+    parties = []
+    for names, dim in ((base.alice_obs, da), (base.bob_obs, db)):
+        observables = {}
+        for name in names:
+            while True:
+                signs = np.where(rng.random(dim) < 0.5, 1.0, -1.0)
+                if signs.min() < signs.max() or dim == 1:
+                    break
+            real, imag = rng.normal(size=(2, dim, dim))
+            observables[name] = explorer._random_observables(signs, real + 1j * imag)
+        parties.append(observables)
+    return make_device(spec.dims, state, *parties)
 
 
 def search_proposal_oracle(

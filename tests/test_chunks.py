@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import certified_record, stack_devices
+from helpers import certified_record, random_point_oracle, stack_devices
 from singlet_selftest import explorer
 from singlet_selftest.bounds import get_mode
 from singlet_selftest.cli import sweep_csv
@@ -116,6 +116,25 @@ class TestStackedSweepEqualsPerDevice:
             assert_records_match(record, certified_record(device, "chsh"))
 
 
+@pytest.mark.parametrize("dims", [(2, 2), (3, 5), (8, 8)], ids=["2x2", "3x5", "8x8"])
+@pytest.mark.parametrize("mode", ["chsh", "my"])
+def test_random_devices_equal_the_point_built_alone(dims, mode):
+    # One chunk and three more points, so the second chunk starts mid-family.
+    spec = FamilySpec("random", {"count": explorer._chunk_size(dims) + 3}, dims, 2**64 + 9, mode)
+    index = 0
+    for _, stack in explorer.family_chunks(spec):
+        for row in range(len(stack)):
+            device, alone = stack.device(row), random_point_oracle(spec, index)
+            assert device.state.tobytes() == alone.state.tobytes()
+            for party in ("alice_obs", "bob_obs"):
+                built, want = getattr(device, party), getattr(alone, party)
+                assert list(built) == list(want)
+                for name in want:
+                    assert built[name].tobytes() == want[name].tobytes(), (index, name)
+            index += 1
+    assert index == explorer._chunk_size(dims) + 3
+
+
 class TestErrorOrder:
     # eta in 0.05 steps: all 13 points fit in one 2x2 chunk.
     SPEC = FamilySpec("measurement-noise", {"eta": [0.0, 0.6, 13]}, seed=3)
@@ -179,10 +198,11 @@ class TestErrorOrder:
             sweep(spec)
 
 
-# SHA-256 of cli.sweep_csv for every family kind in both modes, captured with
-# chunks of CHUNK_ELEMENTS = 20,480 // (40 dA dB) devices.  Each count crosses
-# a chunk boundary of both the old and the current budget, so chunking or
-# regrouping the draws must leave every byte of every CSV as it was.
+# SHA-256 of cli.sweep_csv for every family kind in both modes; the first
+# seven were captured with chunks of CHUNK_ELEMENTS = 20,480 // (40 dA dB)
+# devices.  Each count crosses a chunk boundary of the budget it was captured
+# with and of the current one, so chunking or regrouping the draws must leave
+# every byte of every CSV as it was.
 SWEEP_PINS = [
     ("tilted", {"theta": [0.0, math.pi / 2, 450]}, (2, 2), 0, {
         "chsh": "73d2c71d735bbd24b6e39fe6210d47449547a4fc0b5c5cda5979d6b5ee029a49",
@@ -205,6 +225,22 @@ SWEEP_PINS = [
     ("junk-embedded", {"count": 3}, (16, 16), 26, {
         "chsh": "f5d5e203a0dab0fddd02d6e29639f0f2913e317f8de5e2a10f87e772bc391cb5",
         "my": "ff63344f0b62d2a2a3988332a2e98ed22c2206fd0726adcdf8ab4836c12b5b1a"}),
+    # Captured with the current budget, before the random family's signs,
+    # complex numbers and norms moved from each point to its chunk.  At 2x2
+    # half of all sign draws repeat one sign, so the redraw runs; (3, 5) has
+    # dA != dB; a dim of 1 never redraws; a seed above 2**64 is taken whole.
+    ("random", {"count": 420}, (2, 2), 27, {
+        "chsh": "1302e075f890409d0c9ada8a0cd2e6272ba475f03cecf2cb58172c09e8414995",
+        "my": "1cd2ebc63f8855d76f39573bc6ea43ac0f9b244ddef3c307b019ac40f785b6a9"}),
+    ("random", {"count": 220}, (3, 5), 28, {
+        "chsh": "4b58f7761ec98038bb58e53886d8d727748d68bdc68fac5861596f66fdad99be",
+        "my": "bb69ef82bfa7173fae13733cb7f86db3475fb8f6936926abf2a206a442b1df42"}),
+    ("random", {"count": 550}, (1, 3), 29, {
+        "chsh": "c1a7e9514d2c6256714e117e96f7324ff0715b3cee5e4337a3399e09f10d4303",
+        "my": "a26555194762330cfa24600b3ea177895e47e6f9708675952d5f1578a11efebc"}),
+    ("random", {"count": 140}, (4, 3), 2**64 + 31, {
+        "chsh": "c51ac5a713782df1241ed06b4b83033d4dbea8c1cd4e48a4872e2a6094e72f0e",
+        "my": "be45a5ddd054a329bc1d113e478700ab8c87dbf4c197265bdec05c1a09ca0a0e"}),
 ]
 
 

@@ -260,11 +260,15 @@ def cmd_search(args: argparse.Namespace) -> int:
         "evaluations": result.evaluations,
     }
     doc = device_to_document(result.device, metadata)
-    write_json_atomic(args.out, doc)
     report = certify(result.device, args.mode)
-    digest = document_digest(doc)
     report_path = Path(args.out).with_suffix(Path(args.out).suffix + ".report.json")
-    write_json_atomic(report_path, report_to_document(report, digest))
+    write_json_atomic(args.out, doc)
+    try:
+        write_json_atomic(report_path, report_to_document(report, document_digest(doc)))
+    except DocumentError:
+        # Both files or neither.
+        Path(args.out).unlink(missing_ok=True)
+        raise
     record = result.record
     print(
         f"best device: epsilon={record.epsilon:.6g} "

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .device import DeviceStack
-from .linalg import operator_sign, transpose
+from .linalg import operator_sign, transpose, vector_norms
 
 SQRT2 = float(np.sqrt(2.0))
 
@@ -217,15 +217,10 @@ def residual_stack(psi: np.ndarray, ops: DerivedOperators) -> list[ResidualSet]:
 
 
 def _norms(**vectors: np.ndarray) -> dict[str, np.ndarray]:
-    """The 2-norm of each state matrix of every (n, dA, dB) stack, keyed as ``vectors``.
-
-    Each squared norm is a row times a column, which numpy runs as one BLAS
-    dot, so every value equals ``np.linalg.norm`` of that state matrix alone.
-    """
+    """The 2-norm of each state matrix of every (n, dA, dB) stack, keyed as
+    ``vectors``; each equals ``np.linalg.norm`` of that state matrix alone."""
     flat = np.stack(list(vectors.values()), axis=1)
-    flat = flat.reshape(*flat.shape[:2], 1, -1)
-    squares = flat.real @ transpose(flat.real) + flat.imag @ transpose(flat.imag)
-    return dict(zip(vectors, np.sqrt(squares[..., 0, 0]).T))
+    return dict(zip(vectors, vector_norms(flat.reshape(*flat.shape[:2], -1)).T))
 
 
 def _overlaps(psi: np.ndarray, **vectors: np.ndarray) -> dict[str, np.ndarray]:

@@ -47,7 +47,7 @@ from .device import (
     validate_stack,
 )
 from .isometry import OPERATOR_PAIRS, extraction_stack
-from .linalg import PHI_PLUS, dagger
+from .linalg import PHI_PLUS, dagger, vector_norms
 
 # Family kind -> the name of its one sweep axis.
 FAMILY_AXES = {"tilted": "theta", "state-noise": "p", "measurement-noise": "eta",
@@ -165,13 +165,18 @@ def _orthogonal_noise(rng: np.random.Generator, base: np.ndarray) -> np.ndarray:
 
 
 def _observable_draws(rng: np.random.Generator, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Signs with at least one +1 and one -1 (for dim > 1), then the real and
-    imaginary parts of a Gaussian matrix, as one (2, dim, dim) draw."""
+    """One observable's draws, as they come from ``rng``: which of its dim
+    signs are +1, redrawn until both signs occur (for dim > 1), then the real
+    and imaginary parts of a Gaussian matrix, as one (2, dim, dim) draw.
+
+    Only the generator calls and the redraw decision, one count of the +1s,
+    run here, per point; the caller turns the booleans into signs and the
+    parts into complex numbers once per chunk.
+    """
     while True:
-        signs = np.where(rng.random(dim) < 0.5, 1.0, -1.0)
-        if signs.min() < signs.max() or dim == 1:
-            break
-    return signs, rng.normal(size=(2, dim, dim))
+        plus = rng.random(dim) < 0.5
+        if dim == 1 or 0 < np.count_nonzero(plus) < dim:
+            return plus, rng.normal(size=(2, dim, dim))
 
 
 def _random_observables(signs: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -337,23 +342,28 @@ def _build_chunk(
         alice = {k: _embed_party(v, half_a) for k, v in base.alice_obs.items()}
         bob = {k: _embed_party(v, half_b) for k, v in base.bob_obs.items()}
         return _frozen_stack((da, db), np.array(states), _shared(alice, n), _shared(bob, n))
-    # "random", the one kind left: family_axis has checked the kind.
-    states, alice_draws, bob_draws = [], [], []
+    # "random", the one kind left: family_axis has checked the kind.  Each
+    # point makes only its generator calls: its state's real then imaginary
+    # parts, then each observable's draws, Alice's then Bob's, in name order.
+    state_draws, alice_draws, bob_draws = [], [], []
     for rng in rngs:
-        state = _complex_normal(rng, da * db)
-        states.append(state / np.linalg.norm(state))
-        alice_draws.append([_observable_draws(rng, da) for _ in alice_names])
-        bob_draws.append([_observable_draws(rng, db) for _ in bob_names])
+        state_draws.append(rng.normal(size=(2, da * db)))
+        alice_draws += [_observable_draws(rng, da) for _ in alice_names]
+        bob_draws += [_observable_draws(rng, db) for _ in bob_names]
+    raw = np.array(state_draws)
+    states = raw[:, 0] + 1j * raw[:, 1]
+    states /= vector_norms(states)[:, None]
 
     def observables(draws, names):
-        # Stacked name-major, so each name's (n, d, d) stack is contiguous.
-        signs = np.array([[s for s, _ in point] for point in draws]).transpose(1, 0, 2)
-        raw = np.array([[g for _, g in point] for point in draws])
-        g = (raw[:, :, 0] + 1j * raw[:, :, 1]).transpose(1, 0, 2, 3)
-        return dict(zip(names, _random_observables(signs, g)))
+        # The draws come point-major; stacked name-major, row j of each
+        # array is observable j of every point.
+        plus, raw = (np.array(part).reshape(n, len(names), *part[0].shape).swapaxes(0, 1)
+                     for part in zip(*draws))
+        signs = np.where(plus, 1.0, -1.0)
+        return dict(zip(names, _random_observables(signs, raw[:, :, 0] + 1j * raw[:, :, 1])))
 
     return _frozen_stack(
-        (da, db), np.array(states),
+        (da, db), states,
         observables(alice_draws, alice_names), observables(bob_draws, bob_names),
     )
 

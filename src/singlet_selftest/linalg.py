@@ -38,6 +38,20 @@ def dagger(m: np.ndarray) -> np.ndarray:
     return m.conj().swapaxes(-1, -2)
 
 
+def vector_norms(vectors: np.ndarray) -> np.ndarray:
+    """The 2-norm of each vector (the last axis) of a complex stack.
+
+    Each squared norm is a row times a column of the strided real and
+    imaginary views, which numpy runs as one BLAS dot each, as
+    ``np.linalg.norm`` does, so every value equals ``np.linalg.norm`` of that
+    vector alone; a norm over a stack axis, or of contiguous copies of the
+    parts, rounds differently.
+    """
+    rows = vectors[..., None, :]
+    squares = rows.real @ transpose(rows.real) + rows.imag @ transpose(rows.imag)
+    return np.sqrt(squares[..., 0, 0])
+
+
 def hermiticity_deviation(m: np.ndarray) -> np.ndarray:
     """Largest entrywise deviation of each matrix from its conjugate transpose."""
     return np.abs(m - dagger(m)).max(axis=(-2, -1))

@@ -813,6 +813,16 @@ class TestSearchCommand:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    def test_unwritable_report_leaves_no_device(self, tmp_path, capsys):
+        out = tmp_path / "s.json"
+        report_path = tmp_path / "s.json.report.json"
+        report_path.mkdir()
+        assert main(["search", "--mode", "chsh", "--epsilon-ceiling", "0.05", "--budget", "3",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: cannot write {report_path}: Is a directory\n"
+        assert sorted(tmp_path.iterdir()) == [report_path]
+        assert list(report_path.iterdir()) == []
+
     def test_metadata_and_stdout_leave_out_the_outcome_counts(self, tmp_path, capsys):
         out = tmp_path / "best.json"
         assert main(["search", "--mode", "my", "--epsilon-ceiling", "0.02", "--dims", "2,2",

@@ -8,12 +8,13 @@ does not depend on which points were generated before it.
 
 A sweep builds and evaluates its points in chunks of at most
 ``CHUNK_ELEMENTS`` // max(40 dA dB, (dA dB)^2) devices, which share dims.
-Each point still draws its own numbers, in its own order, in as few
-generator calls as that order allows; complex numbers are composed once per
-chunk, and the linear algebra after the draws
-(QR, eigendecompositions, matrix products), validation, the correlations,
-operator derivation, residuals and the extraction circuit run once per chunk
-on the stacked devices.  The epsilon^(1/4) budgets amplify a last-bit change
+Per point, only its generator calls run, in its own order and in as few
+calls as that order allows, plus the ``random`` family's decision to redraw
+a sign draw that lacks one of the two signs.  Everything after the draws
+runs once per chunk on the stacked devices: the signs, the complex numbers
+and the state norms, the linear algebra (QR, eigendecompositions, matrix
+products), validation, the correlations, operator derivation, residuals
+and the extraction circuit.  The epsilon^(1/4) budgets amplify a last-bit change
 in the deviation epsilon, so ``device.correlation_stack`` keeps each
 device's embedded floating-point form, bit for bit.  Sweep and search share
 one path: epsilon from the correlations first, then the stages on the stack.
@@ -293,8 +294,13 @@ def _build_chunk(
     ``values``, which ``_check_kind`` has passed, as one stack.
 
     Point i draws from its own ``_point_rng(spec.seed, i)``, the same numbers
-    in the same order whatever the chunk; the draws of a chunk then go
-    through each linear-algebra step once, stacked.
+    in the same order whatever the chunk; per point, only those generator
+    calls run (for ``random``, also the redraw decision of
+    ``_observable_draws``).  The draws of a chunk then go through each later
+    step once, stacked: ``random`` turns its sign draws into signs with one
+    ``np.where``, composes its complex numbers and normalizes its states
+    with ``linalg.vector_norms``, each norm equal to ``np.linalg.norm`` of
+    that state alone, before the linear algebra.
     """
     n = len(values)
     if spec.kind == "tilted":

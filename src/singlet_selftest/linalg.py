@@ -1,5 +1,6 @@
-"""Dense complex linear algebra kernel: qubit constants and the operator sign
-with a +1 kernel convention.
+"""Dense complex linear algebra kernel: qubit constants, the operator sign
+with a +1 kernel convention, and vector norms that round as
+``np.linalg.norm`` does.
 
 The operator sign is the basis of the CHSH derived operators.  Downstream code
 otherwise applies local operators directly to the (dA, dB) state matrix
@@ -7,9 +8,10 @@ Psi, where (A (x) B)|psi> is A Psi B^T, so residuals, chain diagnostics and the
 extraction circuit never form a dA*dB x dA*dB matrix; only the device
 correlations fill such a buffer, one per device of a stack, keeping their
 established floating-point form.  All matrices are dense complex128 ``numpy``
-arrays.  Each function here acts on the last two axes, so it takes one matrix
-or an (n, d, d) stack alike; the operator sign is computed from one Hermitian eigendecomposition
-per matrix, so results are deterministic and directly testable.
+arrays.  Each function here acts on the last two axes (``vector_norms`` on
+the last one), so it takes one matrix or an (n, d, d) stack alike; the
+operator sign is computed from one Hermitian eigendecomposition per matrix,
+so results are deterministic and directly testable.
 """
 
 from __future__ import annotations

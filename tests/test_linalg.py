@@ -14,6 +14,7 @@ from singlet_selftest.linalg import (
     PHI_PLUS,
     hermiticity_deviation,
     operator_sign,
+    vector_norms,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -162,3 +163,16 @@ class TestTensorEmbed:
 
 def test_phi_plus_is_normalized():
     assert abs(np.linalg.norm(PHI_PLUS) - 1.0) <= 1e-15
+
+
+@pytest.mark.parametrize("length", [1, 4, 15, 64, 1024])
+def test_vector_norms_equal_each_vector_alone(length):
+    # Bit for bit, also at lengths where a norm over the stack's axis, or of
+    # contiguous copies of the real and imaginary parts, rounds differently.
+    rng = np.random.default_rng(length)
+    real, imag = rng.normal(size=(2, 3, 200, length))
+    vectors = real + 1j * imag
+    got = vector_norms(vectors)
+    assert got.shape == (3, 200)
+    want = [[np.linalg.norm(v) for v in row] for row in vectors]
+    assert got.tobytes() == np.array(want).tobytes()

@@ -3,7 +3,8 @@
 ``certify`` runs the full measured-vs-bound pipeline for one device: deviation
 epsilon, closed-form budgets, derived (or pass-through) operators, condition
 residuals, diagnostic chain entries, extraction errors, and the measured-B
-rows, producing one report row per quantity.  Each mode's rows are one table,
+rows, producing one report row per quantity; its stages are ``Mode.deviations``
+and ``Mode.stages``, the explorer's too.  Each mode's rows are one table,
 ``Mode.rows``, of ``RowSpec`` records in report order.  Bound columns come in
 two grades: the headline leading-order formulas and the exact chained forms;
 each row passes against the weaker (proven-safe) of the two, except extraction
@@ -45,7 +46,7 @@ from .device import (
     my_epsilon,
     validate_stack,
 )
-from .isometry import B_ROWS, OPERATOR_PAIRS, b_operator_stack, extraction_stack
+from .isometry import B_ROWS, OPERATOR_PAIRS, ExtractionStack, b_operator_stack, extraction_stack
 
 # Absolute allowance for rounding in every pass/fail comparison, and the
 # report's ``certTol``.
@@ -308,9 +309,6 @@ _B_OPERATOR_ROWS = tuple(
     for m, which in B_ROWS
 )
 
-# Rows whose measured value needs a junk candidate: NaN when it is degenerate.
-_JUNK_CATEGORIES = ("state", "extraction", "b_operator")
-
 
 def certify(device: DeviceModel, mode: str) -> CertificationReport:
     """Full measured-vs-bound certification of one device.
@@ -319,12 +317,11 @@ def certify(device: DeviceModel, mode: str) -> CertificationReport:
     (named XA/ZA/XB/ZB used directly, DB only in diagnostics).  This is the
     library's entry point: it validates the device once and checks the
     mode's observable names once (in ``correlation_stack``), and the stages
-    after it trust the device.  Each stage runs on the device as the n = 1
-    stack, with the operators derived from that stack.  Invalid
-    devices raise ``DeviceValidationError`` before any certification, a
-    missing name ``KeyError``; a degenerate junk candidate is reported as
-    failed state, extraction and B rows, not a crash; a deviation outside
-    [0, 1) fails the budget-dependent rows.
+    after it trust the device: ``Mode.deviations`` and ``Mode.stages`` on
+    the n = 1 stack.  Invalid devices raise ``DeviceValidationError`` before
+    any certification, a missing name ``KeyError``; a degenerate junk
+    candidate's NaN errors fail the state, extraction and B rows, not a
+    crash; a deviation outside [0, 1) fails the budget-dependent rows.
     """
     selftest = get_mode(mode)
     stack = DeviceStack.of(device)
@@ -332,17 +329,11 @@ def certify(device: DeviceModel, mode: str) -> CertificationReport:
     if violations:
         raise DeviceValidationError(violations)
 
-    values = correlation_stack(stack, selftest.pairs)[0].tolist()
-    chsh, eps = selftest.deviation(dict(zip(selftest.pairs, values)))
-    ops = selftest.derive(stack)
+    ((values, chsh, eps),) = selftest.deviations(stack)
     budget = selftest.budget(eps) if eps < 1.0 else None
-    psi = stack.state.reshape(1, *stack.dims)
-    residuals = residual_stack(psi, ops)[0]
-    extraction = extraction_stack(psi, ops)
-    degenerate = bool(extraction.degenerate[0])
+    ops, psi, (residuals,), extraction = selftest.stages(stack)
     junk_raw = float(extraction.junk_norm_raw[0])
-    # The nine pair errors, ("I", "I") first, then the pre-normalization one.
-    *pair_errors, pre_normalization = extraction.distances[0].tolist()
+    pair_errors = extraction.distances[0].tolist()
 
     # Every row's measured value, keyed by row name.
     measured = {
@@ -354,7 +345,7 @@ def certify(device: DeviceModel, mode: str) -> CertificationReport:
            for name, column in selftest.diagnostics(stack, psi, ops).items()},
         "junk_rawnorm_lower": junk_raw,
         "junk_rawnorm_upper": junk_raw,
-        "state_error_pre_normalization": pre_normalization,
+        "state_error_pre_normalization": float(extraction.pre_normalization[0]),
         "state_error_normalized": pair_errors[0],
         **{f"extraction_{m}{n}": error for (m, n), error in zip(OPERATOR_PAIRS, pair_errors)},
     }
@@ -364,10 +355,6 @@ def certify(device: DeviceModel, mode: str) -> CertificationReport:
         measured.update(
             (f"b_operator_{m}_{which}", error) for (m, which), error in zip(B_ROWS, errors)
         )
-    if degenerate:
-        measured.update(
-            (spec.name, NAN) for spec in selftest.rows if spec.category in _JUNK_CATEGORIES
-        )
 
     return CertificationReport(
         mode=mode,
@@ -376,7 +363,7 @@ def certify(device: DeviceModel, mode: str) -> CertificationReport:
         budget=budget,
         residuals=residuals,
         junk_norm_raw=junk_raw,
-        degenerate=degenerate,
+        degenerate=bool(extraction.degenerate[0]),
         rows=[_report_row(spec, measured[spec.name], budget, residuals)
               for spec in selftest.rows],
         fidelity=fidelity_block(eps),
@@ -387,7 +374,8 @@ def certify(device: DeviceModel, mode: str) -> CertificationReport:
 
 @dataclass(frozen=True)
 class Mode:
-    """What differs between the two self-tests; the pipeline around it is shared.
+    """What differs between the two self-tests, and (``deviations``, ``stages``)
+    the one pipeline that ``certify``, the sweep and the search all run.
 
     ``pairs`` are the (Alice, Bob) observable pairs whose correlations define
     the deviation; a device must name every observable in them, and a
@@ -414,6 +402,22 @@ class Mode:
     @property
     def table_keys(self) -> tuple[str, ...]:
         return tuple(f"{a}_{b}" for a, b in self.pairs)
+
+    def deviations(self, stack: DeviceStack) -> list[tuple[list[float], float | None, float]]:
+        """Each device's correlations in ``pairs`` order, CHSH value (or None)
+        and epsilon, from one ``correlation_stack`` call on a valid stack."""
+        return [(values, *self.deviation(dict(zip(self.pairs, values))))
+                for values in correlation_stack(stack, self.pairs).tolist()]
+
+    def stages(
+        self, stack: DeviceStack
+    ) -> tuple[DerivedOperators, np.ndarray, list[ResidualSet], ExtractionStack]:
+        """The stages after epsilon, each run once on a valid stack: the
+        derived operators, the (n, dA, dB) state matrices, one residual set
+        per device and the extraction, NaN where a device is degenerate."""
+        ops = self.derive(stack)
+        psi = stack.state.reshape(len(stack), *stack.dims)
+        return ops, psi, residual_stack(psi, ops), extraction_stack(psi, ops)
 
 
 MODES = {

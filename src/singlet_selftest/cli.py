@@ -62,6 +62,10 @@ def _load_table(path: str, selftest: Mode) -> dict[str, float]:
     doc = read_json(path)
     if not isinstance(doc, dict):
         raise DocumentError("correlation table must be a JSON object of name -> value")
+    unknown = set(doc) - set(selftest.table_keys)
+    if unknown:
+        raise DocumentError(f"correlation table has unknown entries for mode "
+                            f"{selftest.name}: {sorted(unknown)}")
     table = {}
     for key in selftest.table_keys:
         if key not in doc:

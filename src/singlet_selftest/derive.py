@@ -24,10 +24,10 @@ product is one stacked matmul, and a single device is the n = 1 stack.
 
 The functions that take a stack trust it: its devices must be valid
 (``device.validate_stack`` finds no violation) and name the observables of
-their mode.  The entry points check both once per device: ``bounds.certify``
-for library callers and loaded files alike, and ``explorer.sweep`` /
-``explorer.worst_case_search`` for the devices they build.  A missing name
-still raises ``KeyError`` from the lookup.
+their mode.  The entry points check both once per device, then derive and
+take residuals through ``bounds.Mode.stages``: ``bounds.certify`` for library
+callers and loaded files, ``explorer.sweep`` / ``worst_case_search`` for the
+devices they build.  A missing name still raises ``KeyError`` from the lookup.
 """
 
 from __future__ import annotations

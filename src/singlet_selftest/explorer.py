@@ -16,8 +16,9 @@ and the state norms, the linear algebra (QR, eigendecompositions, matrix
 products), validation, the correlations, operator derivation, residuals
 and the extraction circuit.  The epsilon^(1/4) budgets amplify a last-bit change
 in the deviation epsilon, so ``device.correlation_stack`` keeps each
-device's embedded floating-point form, bit for bit.  Sweep and search share
-one path: epsilon from the correlations first, then the stages on the stack.
+device's embedded floating-point form, bit for bit.  Sweep, search and
+``bounds.certify`` share one path: epsilon from ``Mode.deviations`` first,
+then ``Mode.stages`` on the stack, which is NaN where a device is degenerate.
 A search builds, validates and takes epsilon of its proposals as speculative
 stacks, and runs the stages on one proposal at a time, as the n = 1 stack,
 and only if its epsilon is within the ceiling; its rotation generators are
@@ -40,14 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bounds import extraction_bound, get_mode
-from .derive import residual_stack
-from .device import (
-    DeviceModel,
-    DeviceStack,
-    correlation_stack,
-    validate_stack,
-)
-from .isometry import OPERATOR_PAIRS, extraction_stack
+from .device import DeviceModel, DeviceStack, validate_stack
 from .linalg import PHI_PLUS, dagger, vector_norms
 
 # Family kind -> the name of its one sweep axis.
@@ -244,7 +238,8 @@ def family_axis(spec: FamilySpec) -> tuple[str, list[float]]:
         raise ValueError(
             f"unknown family kind {spec.kind!r}; expected one of {tuple(FAMILY_AXES)}"
         ) from None
-    if len(spec.dims) != 2 or not all(type(d) is int and d >= 1 for d in spec.dims):
+    if not (isinstance(spec.dims, (tuple, list)) and len(spec.dims) == 2
+            and all(type(d) is int and d >= 1 for d in spec.dims)):
         raise ValueError(f"family dims must be two integers >= 1, got {spec.dims!r}")
     if type(spec.seed) is not int or spec.seed < 0:
         raise ValueError(f"family seed must be a nonnegative integer, got {spec.seed!r}")
@@ -402,28 +397,16 @@ def family_chunks(spec: FamilySpec) -> Iterator[tuple[list[float], DeviceStack]]
         yield chunk, _build_chunk(spec, base, chunk, start)
 
 
-def _epsilons(stack: DeviceStack, mode: str) -> list[float]:
-    """The deviation epsilon of each device of a stack, from its correlations."""
-    selftest = get_mode(mode)
-    return [selftest.deviation(dict(zip(selftest.pairs, values)))[1]
-            for values in correlation_stack(stack, selftest.pairs).tolist()]
-
-
 def _evaluate_stack(stack: DeviceStack, mode: str, epsilons: list[float]) -> list[SweepRecord]:
-    """The records of a stack's devices, whose deviations are ``epsilons``:
-    operator derivation, residuals and the extraction circuit run once each,
-    on the whole stack."""
-    ops = get_mode(mode).derive(stack)
-    psi = stack.state.reshape(len(stack), *stack.dims)
-    extraction = extraction_stack(psi, ops)
-    max_errors = extraction.distances[:, :len(OPERATOR_PAIRS)].max(axis=1).tolist()
+    """The records of a stack's devices, whose deviations are ``epsilons``,
+    from ``Mode.stages``; a degenerate device's errors and slack are NaN."""
+    _, _, residual_sets, extraction = get_mode(mode).stages(stack)
     records = []
     for eps, residuals, max_error, degenerate in zip(
-        epsilons, residual_stack(psi, ops), max_errors, extraction.degenerate.tolist()
+        epsilons, residual_sets, extraction.distances.max(axis=1).tolist(),
+        extraction.degenerate.tolist(),
     ):
         bound = extraction_bound(residuals.eps1, residuals.eps2)
-        if degenerate:
-            max_error = float("nan")
         records.append(SweepRecord(
             epsilon=eps,
             eps1_measured=residuals.eps1,
@@ -452,7 +435,8 @@ def sweep(spec: FamilySpec) -> list[SweepRecord]:
                 parameters = {FAMILY_AXES[spec.kind]: value}
                 raise ValueError(f"family {spec.kind!r} produced an invalid device at "
                                  f"{parameters}: " + "; ".join(violations))
-        records += _evaluate_stack(stack, spec.mode, _epsilons(stack, spec.mode))
+        epsilons = [eps for _, _, eps in get_mode(spec.mode).deviations(stack)]
+        records += _evaluate_stack(stack, spec.mode, epsilons)
     return records
 
 
@@ -541,7 +525,8 @@ def worst_case_search(
     # type(), not isinstance(): bool is an int subclass.
     if type(budget) is not int or budget < 1:
         raise ValueError(f"budget must be an integer >= 1, got {budget!r}")
-    if len(dims) != 2 or not all(type(d) is int and d >= 2 for d in dims):
+    if not (isinstance(dims, (tuple, list)) and len(dims) == 2
+            and all(type(d) is int and d >= 2 for d in dims)):
         raise ValueError(f"dims must be two integers >= 2, got {dims!r}")
     if type(seed) is not int or seed < 0:
         raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
@@ -564,7 +549,7 @@ def worst_case_search(
         violations = validate_stack(stack)
         valid = [i for i, found in enumerate(violations) if not found]
         valid_stack = stack if len(valid) == len(stack) else stack.select(valid)
-        epsilons = dict(zip(valid, _epsilons(valid_stack, mode)))
+        epsilons = dict(zip(valid, (eps for _, _, eps in get_mode(mode).deviations(valid_stack))))
         for row, found in enumerate(violations):
             if found:
                 outcomes["invalid"] += 1

@@ -14,7 +14,8 @@ normalized (I+Z'_A)(I+Z'_B)|psi'>/(2*sqrt(2)) candidate.  One kernel computes
 every such distance, in one circuit pass over a stacked (n, k, dA, dB) batch:
 k inputs for each of n devices, against a table of ancilla targets.  A stack
 of devices is evaluated in one pass, a single device being the n = 1 stack,
-and degeneracy is reported per device as a mask (``ExtractionStack``).
+and degeneracy is reported per device as a mask (``ExtractionStack``) and as
+NaN junk, which makes every distance computed against it NaN.
 """
 
 from __future__ import annotations
@@ -51,17 +52,18 @@ DEGENERACY_TOL = 1e-6
 class ExtractionStack:
     """Extraction of an n-device stack; row i of every array belongs to device i.
 
-    ``junk`` holds the candidates, normalized where the device is not
-    degenerate; ``degenerate`` marks a raw norm below ``DEGENERACY_TOL``,
-    where ``distances`` mean nothing.  Each ``distances`` row holds the
-    errors of the nine ``OPERATOR_PAIRS``, then the pre-normalization state
-    error.
+    ``junk`` holds the normalized candidates; ``degenerate`` marks a raw
+    norm below ``DEGENERACY_TOL``, where the candidate and every error are
+    NaN.  ``distances`` holds the (n, 9) errors of the ``OPERATOR_PAIRS``,
+    ("I", "I") first, and ``pre_normalization`` the (n,) pre-normalization
+    state errors.
     """
 
     junk: np.ndarray
     junk_norm_raw: np.ndarray
     degenerate: np.ndarray
     distances: np.ndarray
+    pre_normalization: np.ndarray
 
 
 def _stacked_inputs(
@@ -142,15 +144,16 @@ def _distances(
 def junk_stack(psi: np.ndarray, ops: DerivedOperators) -> tuple[np.ndarray, np.ndarray]:
     """Junk candidates (I+Z'_A)(I+Z'_B)|psi'>/(2*sqrt(2)) of an (n, dA, dB)
     stack: the (n, dA*dB) candidates, normalized where the raw norm is at
-    least ``DEGENERACY_TOL`` and left as they are below it, and the (n,) raw
-    norms."""
+    least ``DEGENERACY_TOL`` and NaN below it, and the (n,) raw norms."""
     n, da, db = psi.shape
     ia = np.eye(da, dtype=complex)
     ib = np.eye(db, dtype=complex)
     v = (ia + ops.za) @ psi @ transpose(ib + ops.zb)
     v = v.reshape(n, da * db) / (2.0 * np.sqrt(2.0))
     raw = np.linalg.norm(v, axis=1)
-    return v / np.where(raw < DEGENERACY_TOL, 1.0, raw)[:, None], raw
+    degenerate = raw < DEGENERACY_TOL
+    v[degenerate] = np.nan
+    return v / np.where(degenerate, 1.0, raw)[:, None], raw
 
 
 def extraction_stack(psi: np.ndarray, ops: DerivedOperators) -> ExtractionStack:
@@ -158,18 +161,20 @@ def extraction_stack(psi: np.ndarray, ops: DerivedOperators) -> ExtractionStack:
     state matrices, with ``ops`` stacked to match (or shared).
 
     One circuit pass covers the nine pairs and, on |psi'> once more, the
-    pre-normalization state error of every device.
+    pre-normalization state error of every device, NaN where it is degenerate.
     """
     junk, raw = junk_stack(psi, ops)
     inputs = np.concatenate((_pair_inputs(psi, ops), psi[:, None]), axis=1)
     targets = np.empty((len(raw), len(OPERATOR_PAIRS) + 1, 4), dtype=complex)
     targets[:, :-1] = PAIR_TARGETS
     targets[:, -1] = raw[:, None] * PHI_PLUS
+    distances = _distances(inputs, ops, junk, targets)
     return ExtractionStack(
         junk=junk,
         junk_norm_raw=raw,
         degenerate=raw < DEGENERACY_TOL,
-        distances=_distances(inputs, ops, junk, targets),
+        distances=distances[:, :-1],
+        pre_normalization=distances[:, -1],
     )
 
 

@@ -37,7 +37,7 @@ from singlet_selftest.device import (
     make_device,
     my_epsilon,
 )
-from singlet_selftest import explorer
+from singlet_selftest import bounds, explorer
 from singlet_selftest.documents import device_to_document, write_json_atomic
 from singlet_selftest.explorer import FamilySpec, SweepRecord, family_axis, family_chunks
 from singlet_selftest.linalg import dagger, hermiticity_deviation
@@ -219,7 +219,7 @@ class SearchSpy:
 
     Each call of ``explorer.validate_stack`` opens a batch holding the
     stack's states (as bytes) and violations; the states that
-    ``explorer.correlation_stack`` then sees, and the rows that reach
+    ``bounds.correlation_stack`` then sees, and the rows that reach
     ``explorer._evaluate_stack`` with whether each was degenerate, go to the
     open batch.  Install it after any other patch of those names, so it sees
     what the search sees.
@@ -228,7 +228,7 @@ class SearchSpy:
     def __init__(self, monkeypatch):
         self.batches: list[dict] = []
         validate_stack = explorer.validate_stack
-        correlation_stack = explorer.correlation_stack
+        correlation_stack = bounds.correlation_stack
         evaluate_stack = explorer._evaluate_stack
 
         def validating(stack):
@@ -247,7 +247,7 @@ class SearchSpy:
             return records
 
         monkeypatch.setattr(explorer, "validate_stack", validating)
-        monkeypatch.setattr(explorer, "correlation_stack", correlating)
+        monkeypatch.setattr(bounds, "correlation_stack", correlating)
         monkeypatch.setattr(explorer, "_evaluate_stack", evaluating)
 
     def reached(self) -> Iterator[tuple[dict, int]]:

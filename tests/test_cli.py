@@ -467,6 +467,28 @@ class TestCorrelationsCommand:
         table.write_text(json.dumps({"A0_B0": 0.7}))
         assert main(["correlations", "--table", str(table), "--mode", "chsh"]) == 2
 
+    @pytest.mark.parametrize("extra,named", [
+        ({"A0_B2": 5}, "['A0_B2']"),
+        # a Mayers-Yao key in a CHSH table, and the keys in sorted order
+        ({"ZA_ZB": 1.0, "XA_XB": 0.99}, "['XA_XB', 'ZA_ZB']"),
+    ], ids=["mistyped", "other-mode"])
+    def test_unknown_entry_exits_two(self, tmp_path, capsys, extra, named):
+        table = tmp_path / "table.json"
+        table.write_text(json.dumps(
+            {"A0_B0": 0.7, "A0_B1": 0.7, "A1_B0": 0.7, "A1_B1": -0.7, **extra}
+        ))
+        out = tmp_path / "summary.json"
+        code = main([
+            "correlations", "--table", str(table), "--mode", "chsh", "--out", str(out),
+        ])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: correlation table has unknown entries for mode chsh: {named}\n"
+        )
+        assert not out.exists()
+
     def test_out_of_range_value_exits_two(self, tmp_path):
         table = tmp_path / "table.json"
         table.write_text(json.dumps(

@@ -25,7 +25,7 @@ from singlet_selftest.device import (
     validate_stack,
 )
 from singlet_selftest.derive import derive_chsh_operators, residual_stack
-from singlet_selftest import explorer
+from singlet_selftest import bounds, explorer
 from singlet_selftest.explorer import (
     MAX_SWEEP_POINTS,
     FamilySpec,
@@ -133,6 +133,11 @@ class TestFamilies:
             make_family(FamilySpec("junk-embedded", {"count": 1}, (3, 4)))
         with pytest.raises(ValueError, match="p must"):
             make_family(FamilySpec("state-noise", {"p": 1.5}))
+
+    @pytest.mark.parametrize("dims", [(2.7, 2), (True, 2), (0, 2), (2, 2, 2), 4, None])
+    def test_malformed_dims_rejected(self, dims):
+        with pytest.raises(ValueError, match="^family dims must be two integers >= 1, got "):
+            family_axis(FamilySpec("random", {"count": 1}, dims))
 
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError, match="seed must be a nonnegative integer, got -1"):
@@ -327,6 +332,8 @@ class TestWorstCaseSearch:
         ((2, 2), 10, -1, "seed"),
         ((2, 2), 10, 1.5, "seed"),
         ((2, 2), 10, True, "seed"),
+        (4, 10, 1, "dims"),
+        (None, 10, 1, "dims"),
     ])
     def test_non_integer_arguments_rejected(self, dims, budget, seed, named):
         with pytest.raises(ValueError, match=f"^{named} must be"):
@@ -381,13 +388,13 @@ class TestWorstCaseSearch:
         # per stack of proposals, and only the proposals within the ceiling
         # reach the extraction circuit.
         extractions = []
-        extraction_stack = explorer.extraction_stack
+        extraction_stack = bounds.extraction_stack
 
         def counted(*args):
             extractions.append(args)
             return extraction_stack(*args)
 
-        monkeypatch.setattr(explorer, "extraction_stack", counted)
+        monkeypatch.setattr(bounds, "extraction_stack", counted)
         spy = SearchSpy(monkeypatch)
         result = worst_case_search(mode, 0.05, (4, 4), 200, seed)
         assert result.over_ceiling > 0
@@ -403,7 +410,7 @@ class TestWorstCaseSearch:
     def test_unchecked_proposals_raise(self, monkeypatch):
         # A stack whose correlations raise past its first proposal within the
         # ceiling holds a row the chain never reaches: the error still raises.
-        correlation_stack = explorer.correlation_stack
+        correlation_stack = bounds.correlation_stack
 
         def raise_past_the_first_feasible(stack, pairs):
             values = correlation_stack(stack, pairs)
@@ -414,19 +421,19 @@ class TestWorstCaseSearch:
                 raise ValueError("correlation <A0 B0> has imaginary part 1e-09 above tolerance")
             return values
 
-        monkeypatch.setattr(explorer, "correlation_stack", raise_past_the_first_feasible)
+        monkeypatch.setattr(bounds, "correlation_stack", raise_past_the_first_feasible)
         with pytest.raises(ValueError, match="imaginary part"):
             worst_case_search("chsh", 0.01, (2, 2), 200, 7)
 
     def test_a_checked_proposal_raises(self, monkeypatch):
-        correlation_stack = explorer.correlation_stack
+        correlation_stack = bounds.correlation_stack
 
         def raise_on_a_marked_row(stack, pairs):
             if any(int(abs(state[-1]) * 1e6) % 7 == 0 for state in stack.state):
                 raise ValueError("correlation <A0 B0> has imaginary part 1e-09 above tolerance")
             return correlation_stack(stack, pairs)
 
-        monkeypatch.setattr(explorer, "correlation_stack", raise_on_a_marked_row)
+        monkeypatch.setattr(bounds, "correlation_stack", raise_on_a_marked_row)
         with pytest.raises(ValueError, match="imaginary part"):
             worst_case_search("chsh", 0.01, (2, 2), 200, 7)
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import random_unitary, tilted_device
-from helpers import chsh_value, make_family
+from helpers import chsh_value, make_family, stack_devices
 from isometry_oracle import ancilla_target, apply_isometry, isometry_expansion
 from singlet_selftest.derive import derive_chsh_operators, my_operators, DerivedOperators
 from singlet_selftest.device import make_device
@@ -156,8 +156,9 @@ class TestJunkCandidate:
             (2, 2), state, dict(chsh_device.alice_obs), dict(chsh_device.bob_obs)
         )
         ops = derive_chsh_operators(device)
-        _, raw = junk_stack(state_matrices(device), ops)
+        junk, raw = junk_stack(state_matrices(device), ops)
         assert raw[0] < DEGENERACY_TOL
+        assert np.isnan(junk[0]).all()
 
     def test_tilted_raw_norm(self):
         theta = math.pi / 8
@@ -169,12 +170,11 @@ class TestJunkCandidate:
 
 
 class TestExtractionError:
-    # Each distances row: the nine OPERATOR_PAIRS errors, then the
-    # pre-normalization state error.
     def test_canonical_chsh(self, chsh_device):
         result = extraction_stack(state_matrices(chsh_device), derive_chsh_operators(chsh_device))
-        assert result.distances.shape == (1, len(OPERATOR_PAIRS) + 1)
-        assert result.distances.max() <= 1e-9
+        assert result.distances.shape == (1, len(OPERATOR_PAIRS))
+        assert result.pre_normalization.shape == (1,)
+        assert max(result.distances.max(), result.pre_normalization.max()) <= 1e-9
 
     def test_canonical_my(self, my_device):
         result = extraction_stack(state_matrices(my_device), my_operators(my_device))
@@ -213,6 +213,34 @@ class TestExtractionError:
         )
         result = extraction_stack(state_matrices(device), derive_chsh_operators(device))
         assert result.degenerate.tolist() == [True]
+
+    def test_degenerate_row_is_nan_between_valid_ones(self, chsh_device):
+        # Alice's qubit in |1>: (I + Z'_A) removes it, so the junk candidate is zero.
+        product = make_device((2, 2), [0.0, 0.0, 1.0, 0.0], dict(chsh_device.alice_obs),
+                              dict(chsh_device.bob_obs))
+        devices = [chsh_device, product, tilted_device(0.3)]
+        stack = stack_devices(devices)
+        psi, ops = stack.state.reshape(3, 2, 2), derive_chsh_operators(stack)
+        result = extraction_stack(psi, ops)
+        bob = (stack.bob_obs["B0"], stack.bob_obs["B1"])
+        b_rows = b_operator_stack(psi, ops, bob, result.junk)
+        assert result.degenerate.tolist() == [False, True, False]
+        for values in (result.junk, result.distances, result.pre_normalization, b_rows):
+            assert np.isnan(values[1]).all()
+        for row in (0, 2):
+            device = devices[row]
+            alone_psi, alone_ops = state_matrices(device), derive_chsh_operators(device)
+            alone = extraction_stack(alone_psi, alone_ops)
+            alone_bob = (device.bob_obs["B0"], device.bob_obs["B1"])
+            pairs = (
+                (result.junk, alone.junk),
+                (result.junk_norm_raw, alone.junk_norm_raw),
+                (result.distances, alone.distances),
+                (result.pre_normalization, alone.pre_normalization),
+                (b_rows, b_operator_stack(alone_psi, alone_ops, alone_bob, alone.junk)),
+            )
+            for stacked, single in pairs:
+                assert stacked[row].tobytes() == single[0].tobytes()
 
 
 def b_operator_errors(device, ops):

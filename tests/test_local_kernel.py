@@ -350,8 +350,8 @@ class TestAgainstIsometryOracle:
         pre, post = isometry_oracle.state_errors(
             device, ops, result.junk[0], float(result.junk_norm_raw[0])
         )
-        # ("I", "I") is the first pair; the last distance is the pre-normalization error.
-        assert result.distances[0, -1] == pytest.approx(pre, abs=TOL)
+        # ("I", "I") is the first pair.
+        assert result.pre_normalization[0] == pytest.approx(pre, abs=TOL)
         assert result.distances[0, 0] == pytest.approx(post, abs=TOL)
         rows = {row.name: row.measured for row in bounds.certify(device, "chsh").rows}
         assert rows["state_error_pre_normalization"] == pytest.approx(pre, abs=TOL)

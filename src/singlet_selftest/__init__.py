@@ -32,7 +32,6 @@ from .derive import (
     residual_stack,
 )
 from .device import (
-    DeviceModel,
     DeviceStack,
     DeviceValidationError,
     canonical_chsh_device,
@@ -60,7 +59,6 @@ __all__ = [
     "MODES",
     "CertificationReport",
     "DerivedOperators",
-    "DeviceModel",
     "DeviceStack",
     "DeviceValidationError",
     "EpsilonBudget",

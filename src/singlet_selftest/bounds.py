@@ -36,7 +36,6 @@ from .derive import (
 from .device import (
     CHSH_PAIRS,
     MY_PAIRS,
-    DeviceModel,
     DeviceStack,
     DeviceValidationError,
     canonical_chsh_device,
@@ -310,28 +309,31 @@ _B_OPERATOR_ROWS = tuple(
 )
 
 
-def certify(device: DeviceModel, mode: str) -> CertificationReport:
-    """Full measured-vs-bound certification of one device.
+def certify(device: DeviceStack, mode: str) -> CertificationReport:
+    """Full measured-vs-bound certification of one device, an n = 1 ``DeviceStack``.
 
     ``mode`` is "chsh" (operators regularized from A0/A1/B0/B1) or "my"
     (named XA/ZA/XB/ZB used directly, DB only in diagnostics).  This is the
     library's entry point: it validates the device once and checks the
     mode's observable names once (in ``correlation_stack``), and the stages
-    after it trust the device: ``Mode.deviations`` and ``Mode.stages`` on
-    the n = 1 stack.  Invalid devices raise ``DeviceValidationError`` before
-    any certification, a missing name ``KeyError``; a degenerate junk
-    candidate's NaN errors fail the state, extraction and B rows, not a
-    crash; a deviation outside [0, 1) fails the budget-dependent rows.
+    after it trust the device: ``Mode.deviations`` and ``Mode.stages``.  A
+    stack of any other number of devices raises ``ValueError`` naming the
+    count, rather than certify its first row; invalid devices raise
+    ``DeviceValidationError`` before any certification, a missing name
+    ``KeyError``; a degenerate junk candidate's NaN errors fail the state,
+    extraction and B rows, not a crash; a deviation outside [0, 1) fails the
+    budget-dependent rows.
     """
     selftest = get_mode(mode)
-    stack = DeviceStack.of(device)
-    violations = validate_stack(stack)[0]
+    if len(device) != 1:
+        raise ValueError(f"certify takes one device, an n = 1 stack, got {len(device)} devices")
+    violations = validate_stack(device)[0]
     if violations:
         raise DeviceValidationError(violations)
 
-    ((values, chsh, eps),) = selftest.deviations(stack)
+    ((values, chsh, eps),) = selftest.deviations(device)
     budget = selftest.budget(eps) if eps < 1.0 else None
-    ops, psi, (residuals,), extraction = selftest.stages(stack)
+    ops, psi, (residuals,), extraction = selftest.stages(device)
     junk_raw = float(extraction.junk_norm_raw[0])
     pair_errors = extraction.distances[0].tolist()
 
@@ -342,7 +344,7 @@ def certify(device: DeviceModel, mode: str) -> CertificationReport:
         "condition_diff_x": residuals.diff_x,
         "condition_diff_z": residuals.diff_z,
         **{name: float(column[0])
-           for name, column in selftest.diagnostics(stack, psi, ops).items()},
+           for name, column in selftest.diagnostics(device, psi, ops).items()},
         "junk_rawnorm_lower": junk_raw,
         "junk_rawnorm_upper": junk_raw,
         "state_error_pre_normalization": float(extraction.pre_normalization[0]),
@@ -350,7 +352,7 @@ def certify(device: DeviceModel, mode: str) -> CertificationReport:
         **{f"extraction_{m}{n}": error for (m, n), error in zip(OPERATOR_PAIRS, pair_errors)},
     }
     if any(spec.category == "b_operator" for spec in selftest.rows):
-        bob = (stack.bob_obs["B0"], stack.bob_obs["B1"])
+        bob = (device.bob_obs["B0"], device.bob_obs["B1"])
         errors = b_operator_stack(psi, ops, bob, extraction.junk)[0].tolist()
         measured.update(
             (f"b_operator_{m}_{which}", error) for (m, which), error in zip(B_ROWS, errors)
@@ -397,7 +399,7 @@ class Mode:
     derive: Callable[[DeviceStack], DerivedOperators]
     diagnostics: Callable[[DeviceStack, np.ndarray, DerivedOperators], dict[str, np.ndarray]]
     rows: tuple[RowSpec, ...]
-    canonical: Callable[[], DeviceModel]
+    canonical: Callable[[], DeviceStack]
 
     @property
     def table_keys(self) -> tuple[str, ...]:

@@ -5,8 +5,10 @@ observables per party.  The two correlation experiments supported are the CHSH
 combination (canonical observable names A0, A1, B0, B1) and the Mayers-Yao set
 (XA, ZA on Alice against XB, ZB, DB on Bob).  Observable naming is the contract
 between modules.  The canonical devices reach each experiment's ideal
-correlations on the maximally entangled pair.  Validation and correlations
-take a ``DeviceStack`` of same-dims devices; one device is the n = 1 stack.
+correlations on the maximally entangled pair.  There is one device type,
+``DeviceStack``, n devices of one dims: validation and correlations take a
+stack, and one device, as ``make_device`` and the canonical devices build
+it, is the n = 1 stack.
 """
 
 from __future__ import annotations
@@ -47,12 +49,16 @@ class DeviceValidationError(ValueError):
 
 
 @dataclass(frozen=True)
-class DeviceModel:
-    """Bipartite pure state with named local observables.
+class DeviceStack:
+    """n devices of one ``dims``: a bipartite pure state and named local
+    observables per device, each field with a leading device axis.
 
-    ``state`` has dimension ``dims[0] * dims[1]`` with Alice's index major
-    (component (i, j) at flat index ``i * dims[1] + j``).  Values are treated
-    as immutable after construction and are safe to share across threads.
+    ``state`` is (n, dA*dB), Alice's index major (component (i, j) of device
+    k at ``state[k, i * dB + j]``), and each observable (n, d, d); index k of
+    every array belongs to device k, and all devices name the same
+    observables.  The pipeline stages take stacks, and a single device is
+    the n = 1 stack.  The library's stacks hold read-only arrays
+    (``frozen_stack``), safe to share across threads.
     """
 
     dims: tuple[int, int]
@@ -60,30 +66,46 @@ class DeviceModel:
     alice_obs: dict[str, np.ndarray] = field(default_factory=dict)
     bob_obs: dict[str, np.ndarray] = field(default_factory=dict)
 
+    def __len__(self) -> int:
+        return self.state.shape[0]
+
+    def select(self, rows) -> DeviceStack:
+        """The stack of the devices ``rows``, read-only: a slice gives views,
+        a sequence of indices copies."""
+        return frozen_stack(
+            self.dims,
+            self.state[rows],
+            {name: m[rows] for name, m in self.alice_obs.items()},
+            {name: m[rows] for name, m in self.bob_obs.items()},
+        )
+
+
+def frozen_stack(dims: tuple[int, int], state: np.ndarray,
+                 alice_obs: dict, bob_obs: dict) -> DeviceStack:
+    """The stack of these arrays, each made read-only in place."""
+    for array in (state, *alice_obs.values(), *bob_obs.values()):
+        array.flags.writeable = False
+    return DeviceStack(dims, state, alice_obs, bob_obs)
+
 
 def make_device(
     dims: tuple[int, int],
     state: np.ndarray,
     alice_obs: dict[str, np.ndarray],
     bob_obs: dict[str, np.ndarray],
-) -> DeviceModel:
-    """Build a DeviceModel with defensive copies frozen against mutation."""
-    da, db = int(dims[0]), int(dims[1])
-    vec = np.array(state, dtype=complex).reshape(-1)
-    vec.setflags(write=False)
+) -> DeviceStack:
+    """One device, from a (dA*dB,) state and (d, d) observables, as the
+    n = 1 stack of read-only copies."""
 
-    def freeze(obs: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-        out = {}
-        for name, m in obs.items():
-            arr = np.array(m, dtype=complex)
-            arr.setflags(write=False)
-            out[name] = arr
-        return out
+    def rows(obs: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+        return {name: np.array(m, dtype=complex)[None] for name, m in obs.items()}
 
-    return DeviceModel((da, db), vec, freeze(alice_obs), freeze(bob_obs))
+    return frozen_stack((int(dims[0]), int(dims[1])),
+                        np.array(state, dtype=complex).reshape(1, -1),
+                        rows(alice_obs), rows(bob_obs))
 
 
-def canonical_chsh_device() -> DeviceModel:
+def canonical_chsh_device() -> DeviceStack:
     """Maximally entangled pair with the CHSH-saturating measurement settings."""
     return make_device(
         (2, 2),
@@ -93,7 +115,7 @@ def canonical_chsh_device() -> DeviceModel:
     )
 
 
-def canonical_my_device() -> DeviceModel:
+def canonical_my_device() -> DeviceStack:
     """Maximally entangled pair with the ideal Mayers-Yao observables."""
     return make_device(
         (2, 2),
@@ -101,60 +123,6 @@ def canonical_my_device() -> DeviceModel:
         {"XA": PAULI_X, "ZA": PAULI_Z},
         {"XB": PAULI_X, "ZB": PAULI_Z, "DB": DIAG_XZ},
     )
-
-
-@dataclass(frozen=True)
-class DeviceStack:
-    """n devices of one ``dims``: the fields of ``DeviceModel`` with a leading axis.
-
-    ``state`` is (n, dA*dB) and each observable (n, d, d); index i of every
-    array belongs to device i, and all devices name the same observables.
-    The pipeline stages take stacks, and a single device is the n = 1 stack
-    ``DeviceStack.of(device)``.  Arrays are read-only, as in ``DeviceModel``.
-    """
-
-    dims: tuple[int, int]
-    state: np.ndarray
-    alice_obs: dict[str, np.ndarray] = field(default_factory=dict)
-    bob_obs: dict[str, np.ndarray] = field(default_factory=dict)
-
-    @classmethod
-    def of(cls, device: DeviceModel) -> DeviceStack:
-        """The n = 1 stack of one device, as views of its arrays."""
-        return cls(
-            device.dims,
-            device.state[None],
-            {name: m[None] for name, m in device.alice_obs.items()},
-            {name: m[None] for name, m in device.bob_obs.items()},
-        )
-
-    def __len__(self) -> int:
-        return self.state.shape[0]
-
-    def select(self, rows) -> DeviceStack:
-        """The stack of the devices ``rows``, read-only: a slice gives views,
-        a sequence of indices copies."""
-
-        def pick(array: np.ndarray) -> np.ndarray:
-            array = array[rows]
-            array.flags.writeable = False
-            return array
-
-        return DeviceStack(
-            self.dims,
-            pick(self.state),
-            {name: pick(m) for name, m in self.alice_obs.items()},
-            {name: pick(m) for name, m in self.bob_obs.items()},
-        )
-
-    def device(self, index: int) -> DeviceModel:
-        """Device ``index`` of the stack, as views of the stacked arrays."""
-        return DeviceModel(
-            self.dims,
-            self.state[index],
-            {name: m[index] for name, m in self.alice_obs.items()},
-            {name: m[index] for name, m in self.bob_obs.items()},
-        )
 
 
 def validate_stack(stack: DeviceStack) -> list[list[str]]:

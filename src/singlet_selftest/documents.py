@@ -31,7 +31,7 @@ import numpy as np
 from . import __version__
 from .bounds import CERT_TOL, CertificationReport
 from .derive import EpsilonBudget
-from .device import DeviceModel, make_device
+from .device import DeviceStack, make_device
 
 DEVICE_SCHEMA_VERSION = "1"
 REPORT_SCHEMA_VERSION = "1"
@@ -114,20 +114,26 @@ def matrix_from_json(rows, where: str) -> np.ndarray:
     return out
 
 
-def device_to_document(device: DeviceModel, metadata: dict | None = None) -> dict:
+def device_to_document(device: DeviceStack, metadata: dict | None = None) -> dict:
+    """The document of one device, an n = 1 stack; any other count raises
+    ``ValueError`` naming it, rather than write the first row."""
+    if len(device) != 1:
+        raise ValueError(f"a device document holds one device, an n = 1 stack, "
+                         f"got {len(device)} devices")
     return {
         "schemaVersion": DEVICE_SCHEMA_VERSION,
         "dims": [int(device.dims[0]), int(device.dims[1])],
-        "state": complex_to_json(device.state),
+        "state": complex_to_json(device.state[0]),
         "observables": {
-            "alice": {name: complex_to_json(m) for name, m in device.alice_obs.items()},
-            "bob": {name: complex_to_json(m) for name, m in device.bob_obs.items()},
+            "alice": {name: complex_to_json(m[0]) for name, m in device.alice_obs.items()},
+            "bob": {name: complex_to_json(m[0]) for name, m in device.bob_obs.items()},
         },
         "metadata": dict(metadata or {}),
     }
 
 
-def device_from_document(doc) -> DeviceModel:
+def device_from_document(doc) -> DeviceStack:
+    """The device of a schema-checked document, as the n = 1 stack."""
     if not isinstance(doc, dict):
         raise DocumentError("device document must be a JSON object")
     version = doc.get("schemaVersion")
@@ -168,7 +174,8 @@ def document_digest(doc: dict) -> str:
 
 def read_json(path: str | Path):
     """Parse a JSON file; an unreadable, non-UTF-8, malformed or too deeply
-    nested file raises ``DocumentError`` naming the path."""
+    nested file, or one with an integer too long to convert, raises
+    ``DocumentError`` naming the path."""
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as err:
@@ -179,12 +186,15 @@ def read_json(path: str | Path):
         raise DocumentError(
             f"{path}: parse error at line {err.lineno} column {err.colno}: {err.msg}"
         ) from err
+    except ValueError as err:
+        # An integer literal longer than sys.get_int_max_str_digits().
+        raise DocumentError(f"{path}: {err}") from err
     except RecursionError:
         raise DocumentError(f"{path}: nested too deeply to parse") from None
 
 
-def load_device(path: str | Path) -> DeviceModel:
-    """Parse and schema-check a device document file.
+def load_device(path: str | Path) -> DeviceStack:
+    """Parse and schema-check a device document file: its device, the n = 1 stack.
 
     The device's invariants are not checked here: ``bounds.certify``, which
     every loaded device goes to, validates it.

@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bounds import extraction_bound, get_mode
-from .device import DeviceModel, DeviceStack, validate_stack
+from .device import DeviceStack, frozen_stack, validate_stack
 from .linalg import PHI_PLUS, dagger, vector_norms
 
 # Family kind -> the name of its one sweep axis.
@@ -94,14 +94,14 @@ class SweepRecord:
 
 @dataclass(frozen=True)
 class SearchResult:
-    """The best feasible device of a search, and how its evaluations ended:
-    ``feasible``, or rejected as ``invalid`` (failed validation),
-    ``over_ceiling`` (epsilon) or ``degenerate`` (extraction), checked in
-    that order; the four counts sum to ``evaluations``.  A degenerate
-    proposal over the ceiling counts as ``over_ceiling``."""
+    """The best feasible device of a search, as the n = 1 stack, and how its
+    evaluations ended: ``feasible``, or rejected as ``invalid`` (failed
+    validation), ``over_ceiling`` (epsilon) or ``degenerate`` (extraction),
+    checked in that order; the four counts sum to ``evaluations``.  A
+    degenerate proposal over the ceiling counts as ``over_ceiling``."""
 
     found: bool
-    device: DeviceModel | None
+    device: DeviceStack | None
     record: SweepRecord | None
     evaluations: int
     feasible: int = 0
@@ -276,14 +276,8 @@ def _check_kind(spec: FamilySpec, values: list[float]) -> None:
                                  f"[0, {upper}], got {value}")
 
 
-def _frozen_stack(dims, state, alice: dict, bob: dict) -> DeviceStack:
-    for array in (state, *alice.values(), *bob.values()):
-        array.flags.writeable = False
-    return DeviceStack(dims, state, alice, bob)
-
-
 def _build_chunk(
-    spec: FamilySpec, base: DeviceModel, values: list[float], start: int
+    spec: FamilySpec, base: DeviceStack, values: list[float], start: int
 ) -> DeviceStack:
     """The devices of the family points ``start``, ``start + 1``, ... with axis
     ``values``, which ``_check_kind`` has passed, as one stack.
@@ -303,7 +297,7 @@ def _build_chunk(
         state[:, 0] = [math.cos(theta) for theta in values]
         state[:, 3] = [math.sin(theta) for theta in values]
         alice, bob = _shared(base.alice_obs, n), _shared(base.bob_obs, n)
-        return _frozen_stack((2, 2), state, alice, bob)
+        return frozen_stack((2, 2), state, alice, bob)
     rngs = [_point_rng(spec.seed, start + i) for i in range(n)]
     alice_names, bob_names = list(base.alice_obs), list(base.bob_obs)
     if spec.kind == "state-noise":
@@ -313,7 +307,7 @@ def _build_chunk(
             state = math.sqrt(1.0 - p) * PHI_PLUS + math.sqrt(p) * e
             states.append(state / np.linalg.norm(state))
         alice, bob = _shared(base.alice_obs, n), _shared(base.bob_obs, n)
-        return _frozen_stack((2, 2), np.array(states), alice, bob)
+        return frozen_stack((2, 2), np.array(states), alice, bob)
     if spec.kind == "measurement-noise":
         names = alice_names + bob_names
         # Each point draws its observables' real then imaginary parts in name
@@ -321,11 +315,11 @@ def _build_chunk(
         raw = np.array([rng.normal(size=(len(names), 2, 2, 2)) for rng in rngs])
         draws = (raw[:, :, 0] + 1j * raw[:, :, 1]).transpose(1, 0, 2, 3)
         base_obs = {**base.alice_obs, **base.bob_obs}
-        obs = np.stack([base_obs[name] for name in names])[:, None]
+        obs = np.stack([base_obs[name] for name in names])
         rotated = _rotate(obs, np.linalg.eigh(_hermitian_unit(draws)),
                           np.array(values)[:, None])
         state = np.broadcast_to(base.state, (n, 4))
-        return _frozen_stack(
+        return frozen_stack(
             (2, 2), state,
             dict(zip(alice_names, rotated[:len(alice_names)])),
             dict(zip(bob_names, rotated[len(alice_names):])),
@@ -342,7 +336,7 @@ def _build_chunk(
                   for a, b in zip(anc_a, anc_b)]
         alice = {k: _embed_party(v, half_a) for k, v in base.alice_obs.items()}
         bob = {k: _embed_party(v, half_b) for k, v in base.bob_obs.items()}
-        return _frozen_stack((da, db), np.array(states), _shared(alice, n), _shared(bob, n))
+        return frozen_stack((da, db), np.array(states), _shared(alice, n), _shared(bob, n))
     # "random", the one kind left: family_axis has checked the kind.  Each
     # point makes only its generator calls: its state's real then imaginary
     # parts, then each observable's draws, Alice's then Bob's, in name order.
@@ -363,15 +357,15 @@ def _build_chunk(
         signs = np.where(plus, 1.0, -1.0)
         return dict(zip(names, _random_observables(signs, raw[:, :, 0] + 1j * raw[:, :, 1])))
 
-    return _frozen_stack(
+    return frozen_stack(
         (da, db), states,
         observables(alice_draws, alice_names), observables(bob_draws, bob_names),
     )
 
 
 def _shared(observables: dict[str, np.ndarray], n: int) -> dict[str, np.ndarray]:
-    """The same observables for each of n points, as read-only views."""
-    return {name: np.broadcast_to(m, (n, *m.shape)) for name, m in observables.items()}
+    """The observables of an n = 1 stack for each of n points, as read-only views."""
+    return {name: np.broadcast_to(m, (n, *m.shape[1:])) for name, m in observables.items()}
 
 
 def _chunk_size(dims: tuple[int, int]) -> int:
@@ -440,7 +434,7 @@ def sweep(spec: FamilySpec) -> list[SweepRecord]:
     return records
 
 
-def _rotation_table(base: DeviceModel, dims: tuple[int, int],
+def _rotation_table(base: DeviceStack, dims: tuple[int, int],
                     rng: np.random.Generator) -> list[tuple]:
     """Per party: its observable names, its base observables padded with the
     identity to the party's dim, stacked (k, d, d), and the eigendecomposition
@@ -449,7 +443,7 @@ def _rotation_table(base: DeviceModel, dims: tuple[int, int],
     table = []
     for obs, dim in ((base.alice_obs, dims[0]), (base.bob_obs, dims[1])):
         padded = np.tile(np.eye(dim, dtype=complex), (len(obs), 1, 1))
-        padded[:, :2, :2] = list(obs.values())
+        padded[:, :2, :2] = np.concatenate(list(obs.values()))
         draws = np.stack([_complex_normal(rng, dim, dim) for _ in obs])
         table.append((list(obs), padded, np.linalg.eigh(_hermitian_unit(draws))))
     return table
@@ -467,9 +461,7 @@ def _search_proposals(dims: tuple[int, int], qubit_state: np.ndarray, state_dirs
     ``qubit_state``.  The stack holds the new arrays, read-only, uncopied.
     """
     states = qubit_state + params[:, :1] * state_dirs[0] + params[:, 1:2] * state_dirs[1]
-    for state in states:
-        # One norm per row: a norm over the stack's axis rounds differently.
-        state /= np.linalg.norm(state)
+    states /= vector_norms(states)[:, None]
     parties = []
     start = 2
     for names, padded, decomposition in table:
@@ -477,7 +469,7 @@ def _search_proposals(dims: tuple[int, int], qubit_state: np.ndarray, state_dirs
         rotated = _rotate(padded, decomposition, angles)
         parties.append({name: rotated[:, j] for j, name in enumerate(names)})
         start += len(names)
-    return _frozen_stack(dims, states, *parties)
+    return frozen_stack(dims, states, *parties)
 
 
 def worst_case_search(
@@ -541,7 +533,7 @@ def worst_case_search(
     table = _rotation_table(base, dims, rng)
     outcomes = {"feasible": 0, "invalid": 0, "degenerate": 0, "over_ceiling": 0}
 
-    def first_feasible(params: np.ndarray) -> tuple[int, tuple[DeviceModel, SweepRecord] | None]:
+    def first_feasible(params: np.ndarray) -> tuple[int, tuple[DeviceStack, SweepRecord] | None]:
         """Check the proposals, the rows of ``params``, in order up to the
         first feasible one: how many were checked, and that one's device and
         record (None if no row was feasible)."""
@@ -556,17 +548,17 @@ def worst_case_search(
             elif epsilons[row] > epsilon_ceiling:
                 outcomes["over_ceiling"] += 1
             else:
-                record = _evaluate_stack(stack.select(slice(row, row + 1)), mode,
-                                         [epsilons[row]])[0]
+                proposal = stack.select(slice(row, row + 1))
+                record = _evaluate_stack(proposal, mode, [epsilons[row]])[0]
                 if not record.degenerate:
                     outcomes["feasible"] += 1
-                    return row + 1, (stack.device(row), record)
+                    return row + 1, (proposal, record)
                 outcomes["degenerate"] += 1
         return len(params), None
 
     n_params = 2 + len(base.alice_obs) + len(base.bob_obs)
     current = np.zeros(n_params)
-    best: tuple[DeviceModel, SweepRecord] | None = None
+    best: tuple[DeviceStack, SweepRecord] | None = None
     current_objective = -math.inf
 
     evaluations, outcome = first_feasible(current[None])

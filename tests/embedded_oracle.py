@@ -13,7 +13,7 @@ import numpy as np
 
 from helpers import require_square
 from singlet_selftest.derive import DerivedOperators
-from singlet_selftest.device import DeviceModel
+from singlet_selftest.device import DeviceStack
 
 SQRT2 = float(np.sqrt(2.0))
 
@@ -59,13 +59,13 @@ def condition_residuals(state: np.ndarray, ops: DerivedOperators) -> dict[str, f
     }
 
 
-def chsh_diagnostics(device: DeviceModel, ops: DerivedOperators) -> dict[str, float]:
+def chsh_diagnostics(device: DeviceStack, ops: DerivedOperators) -> dict[str, float]:
     dims = device.dims
-    psi = device.state
-    a0 = tensor_embed(device.alice_obs["A0"], "A", dims)
-    a1 = tensor_embed(device.alice_obs["A1"], "A", dims)
-    b0 = tensor_embed(device.bob_obs["B0"], "B", dims)
-    b1 = tensor_embed(device.bob_obs["B1"], "B", dims)
+    psi = device.state[0]
+    a0 = tensor_embed(device.alice_obs["A0"][0], "A", dims)
+    a1 = tensor_embed(device.alice_obs["A1"][0], "A", dims)
+    b0 = tensor_embed(device.bob_obs["B0"][0], "B", dims)
+    b1 = tensor_embed(device.bob_obs["B1"][0], "B", dims)
     xb = tensor_embed(ops.xb, "B", dims)
     comm_a = a0 @ a1 - a1 @ a0
     comm_b = b1 @ b0 - b0 @ b1
@@ -84,14 +84,14 @@ def chsh_diagnostics(device: DeviceModel, ops: DerivedOperators) -> dict[str, fl
     }
 
 
-def my_diagnostics(device: DeviceModel) -> dict[str, float]:
+def my_diagnostics(device: DeviceStack) -> dict[str, float]:
     dims = device.dims
-    psi = device.state
-    xa = tensor_embed(device.alice_obs["XA"], "A", dims)
-    za = tensor_embed(device.alice_obs["ZA"], "A", dims)
-    xb = tensor_embed(device.bob_obs["XB"], "B", dims)
-    zb = tensor_embed(device.bob_obs["ZB"], "B", dims)
-    db = tensor_embed(device.bob_obs["DB"], "B", dims)
+    psi = device.state[0]
+    xa = tensor_embed(device.alice_obs["XA"][0], "A", dims)
+    za = tensor_embed(device.alice_obs["ZA"][0], "A", dims)
+    xb = tensor_embed(device.bob_obs["XB"][0], "B", dims)
+    zb = tensor_embed(device.bob_obs["ZB"][0], "B", dims)
+    db = tensor_embed(device.bob_obs["DB"][0], "B", dims)
     sum_xz = (xa + za) / SQRT2
     return {
         "sum_xz_norm": _vnorm(sum_xz, psi),
@@ -103,16 +103,16 @@ def my_diagnostics(device: DeviceModel) -> dict[str, float]:
     }
 
 
-def z_expectations(device: DeviceModel, ops: DerivedOperators) -> tuple[float, float]:
+def z_expectations(device: DeviceStack, ops: DerivedOperators) -> tuple[float, float]:
     za = tensor_embed(ops.za, "A", device.dims)
     zb = tensor_embed(ops.zb, "B", device.dims)
     return (
-        abs(float(np.vdot(device.state, za @ device.state).real)),
-        abs(float(np.vdot(device.state, zb @ device.state).real)),
+        abs(float(np.vdot(device.state[0], za @ device.state[0]).real)),
+        abs(float(np.vdot(device.state[0], zb @ device.state[0]).real)),
     )
 
 
-def correlation(device: DeviceModel, alice_name: str, bob_name: str) -> float:
-    ma = tensor_embed(device.alice_obs[alice_name], "A", device.dims)
-    nb = tensor_embed(device.bob_obs[bob_name], "B", device.dims)
-    return float(np.vdot(device.state, ma @ (nb @ device.state)).real)
+def correlation(device: DeviceStack, alice_name: str, bob_name: str) -> float:
+    ma = tensor_embed(device.alice_obs[alice_name][0], "A", device.dims)
+    nb = tensor_embed(device.bob_obs[bob_name][0], "B", device.dims)
+    return float(np.vdot(device.state[0], ma @ (nb @ device.state[0])).real)

@@ -1,7 +1,8 @@
 """Conveniences the tests use and the certify, sweep and search pipeline does not.
 
 Each is a thin wrapper over the library: a single-pair correlation, the CHSH
-value and Mayers-Yao deviation of a device, a Hermiticity-checked
+value and Mayers-Yao deviation of a device, the first device's
+observables and derived operators out of a stack's, a Hermiticity-checked
 eigendecomposition, the operator absolute value and unitarity deviation, a
 family's points and device list, a stack of given devices, writing a device
 document, a device's chain diagnostics as the n = 1 stack, a report's rows of
@@ -30,7 +31,6 @@ from singlet_selftest.bounds import (
 from singlet_selftest.device import (
     CHSH_PAIRS,
     MY_PAIRS,
-    DeviceModel,
     DeviceStack,
     chsh_epsilon,
     correlation_stack,
@@ -38,6 +38,7 @@ from singlet_selftest.device import (
     my_epsilon,
 )
 from singlet_selftest import bounds, explorer
+from singlet_selftest.derive import DerivedOperators
 from singlet_selftest.documents import device_to_document, write_json_atomic
 from singlet_selftest.explorer import FamilySpec, SweepRecord, family_axis, family_chunks
 from singlet_selftest.linalg import dagger, hermiticity_deviation
@@ -53,21 +54,31 @@ def require_square(m: np.ndarray) -> np.ndarray:
     return m
 
 
-def correlation(device: DeviceModel, alice_name: str, bob_name: str) -> float:
+def correlation(device: DeviceStack, alice_name: str, bob_name: str) -> float:
     """Expectation value <psi| (M_A x I)(I x N_B) |psi> for one named pair."""
-    return float(correlation_stack(DeviceStack.of(device), ((alice_name, bob_name),))[0, 0])
+    return float(correlation_stack(device, ((alice_name, bob_name),))[0, 0])
 
 
-def chsh_value(device: DeviceModel) -> tuple[float, float]:
+def chsh_value(device: DeviceStack) -> tuple[float, float]:
     """CHSH value of a device and its deficit from 2*sqrt(2); see ``chsh_epsilon``."""
-    values = correlation_stack(DeviceStack.of(device), CHSH_PAIRS)[0]
+    values = correlation_stack(device, CHSH_PAIRS)[0]
     return chsh_epsilon(dict(zip(CHSH_PAIRS, values.tolist())))
 
 
-def my_deviation(device: DeviceModel) -> tuple[dict[tuple[str, str], float], float]:
+def my_deviation(device: DeviceStack) -> tuple[dict[tuple[str, str], float], float]:
     """All six Mayers-Yao correlations of a device and the worst deviation from ideal."""
-    table = dict(zip(MY_PAIRS, correlation_stack(DeviceStack.of(device), MY_PAIRS)[0].tolist()))
+    table = dict(zip(MY_PAIRS, correlation_stack(device, MY_PAIRS)[0].tolist()))
     return table, my_epsilon(table)[1]
+
+
+def first_observables(observables: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """The (d, d) observables of the first device of a stack's, by name."""
+    return {name: m[0] for name, m in observables.items()}
+
+
+def first_operators(ops: DerivedOperators) -> DerivedOperators:
+    """The (d, d) operators of the first device of a stack's operators."""
+    return DerivedOperators(ops.xa[0], ops.za[0], ops.xb[0], ops.zb[0])
 
 
 def hermitian_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -98,40 +109,40 @@ def unitarity_deviation(m: np.ndarray) -> float:
     return float(np.max(np.abs(m @ dagger(m) - np.eye(m.shape[0]))))
 
 
-def family_points(spec: FamilySpec) -> Iterator[tuple[dict, DeviceModel]]:
-    """The family's (parameters, device) points in sweep order, built a chunk at a time."""
+def family_points(spec: FamilySpec) -> Iterator[tuple[dict, DeviceStack]]:
+    """The family's (parameters, device) points in sweep order, built a chunk at a
+    time; each device is the n = 1 stack."""
     name, _ = family_axis(spec)
     for values, stack in family_chunks(spec):
         for index, value in enumerate(values):
-            yield {name: value}, stack.device(index)
+            yield {name: value}, stack.select(slice(index, index + 1))
 
 
-def stack_devices(devices: list[DeviceModel]) -> DeviceStack:
-    """Devices of one dims, naming the same observables, as one stack."""
+def stack_devices(devices: list[DeviceStack]) -> DeviceStack:
+    """n = 1 stacks of one dims, naming the same observables, as one stack."""
     first = devices[0]
 
     def stacked(party: str) -> dict[str, np.ndarray]:
-        return {name: np.stack([getattr(device, party)[name] for device in devices])
+        return {name: np.concatenate([getattr(device, party)[name] for device in devices])
                 for name in getattr(first, party)}
 
-    return DeviceStack(first.dims, np.stack([device.state for device in devices]),
+    return DeviceStack(first.dims, np.concatenate([device.state for device in devices]),
                        stacked("alice_obs"), stacked("bob_obs"))
 
 
-def make_family(spec: FamilySpec) -> list[DeviceModel]:
+def make_family(spec: FamilySpec) -> list[DeviceStack]:
     """The family's device sequence; deterministic for identical specs."""
     return [device for _, device in family_points(spec)]
 
 
-def save_device(path: str | Path, device: DeviceModel, metadata: dict | None = None) -> None:
+def save_device(path: str | Path, device: DeviceStack, metadata: dict | None = None) -> None:
     write_json_atomic(path, device_to_document(device, metadata))
 
 
-def device_diagnostics(device: DeviceModel, diagnostics, derive) -> dict[str, float]:
+def device_diagnostics(device: DeviceStack, diagnostics, derive) -> dict[str, float]:
     """``diagnostics`` (``chsh_diagnostics`` or ``my_diagnostics``) of one
     device, run as the n = 1 stack with the operators ``derive`` gives it."""
-    stack = DeviceStack.of(device)
-    columns = diagnostics(stack, stack.state.reshape(1, *stack.dims), derive(stack))
+    columns = diagnostics(device, device.state.reshape(1, *device.dims), derive(device))
     return {name: float(column[0]) for name, column in columns.items()}
 
 
@@ -139,7 +150,7 @@ def rows_by_category(report: CertificationReport, category: str) -> list[ReportR
     return [row for row in report.rows if row.category == category]
 
 
-def certified_record(device: DeviceModel, mode: str) -> SweepRecord:
+def certified_record(device: DeviceStack, mode: str) -> SweepRecord:
     """The sweep record of one device, read off its ``certify`` report: the
     deviation, the measured residual budgets, and the largest of the nine
     extraction errors (NaN when the junk candidate is degenerate)."""
@@ -152,7 +163,7 @@ def certified_record(device: DeviceModel, mode: str) -> SweepRecord:
                        bound - max_error, report.degenerate)
 
 
-def random_point_oracle(spec: FamilySpec, index: int) -> DeviceModel:
+def random_point_oracle(spec: FamilySpec, index: int) -> DeviceStack:
     """Point ``index`` of a ``random`` family, built alone from its own
     generator: a complex Gaussian state, normalized by ``np.linalg.norm``,
     then per observable, Alice's then Bob's in name order, signs redrawn
@@ -179,13 +190,13 @@ def random_point_oracle(spec: FamilySpec, index: int) -> DeviceModel:
 
 
 def search_proposal_oracle(
-    base: DeviceModel,
+    base: DeviceStack,
     dims: tuple[int, int],
     qubit_state: np.ndarray,
     state_dirs: np.ndarray,
     generators: dict[str, np.ndarray],
     params: np.ndarray,
-) -> DeviceModel:
+) -> DeviceStack:
     """A search proposal built one observable at a time, each generator
     decomposed per call: two state-noise coordinates, then one rotation
     angle per observable, Alice's then Bob's."""
@@ -208,9 +219,9 @@ def search_proposal_oracle(
     for i, name in enumerate(list(base.alice_obs) + list(base.bob_obs)):
         angle = float(params[2 + i])
         if name in base.alice_obs:
-            alice[name] = rotate(extend(base.alice_obs[name], da), generators[name], angle)
+            alice[name] = rotate(extend(base.alice_obs[name][0], da), generators[name], angle)
         else:
-            bob[name] = rotate(extend(base.bob_obs[name], db), generators[name], angle)
+            bob[name] = rotate(extend(base.bob_obs[name][0], db), generators[name], angle)
     return make_device(dims, state, alice, bob)
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from singlet_selftest.derive import DerivedOperators
-from singlet_selftest.device import DeviceModel
+from singlet_selftest.device import DeviceStack
 from singlet_selftest.isometry import OPERATOR_PAIRS, _pair_inputs, _run_circuit
 from singlet_selftest.linalg import IDENTITY_2, PAULI_X, PAULI_Z, PHI_PLUS
 
@@ -43,7 +43,7 @@ def expansion(psi: np.ndarray, ops: DerivedOperators) -> np.ndarray:
 
 
 def apply_isometry(
-    device: DeviceModel, ops: DerivedOperators, m: str = "I", n: str = "I"
+    device: DeviceStack, ops: DerivedOperators, m: str = "I", n: str = "I"
 ) -> np.ndarray:
     """The library's circuit output on M'N'|psi'> for M, N in {I, X, Z}, alone.
 
@@ -60,7 +60,7 @@ def apply_isometry(
     return _run_circuit(inputs, ops).transpose(2, 4, 3, 5, 0, 1).reshape(-1)
 
 
-def isometry_expansion(device: DeviceModel, ops: DerivedOperators) -> np.ndarray:
+def isometry_expansion(device: DeviceStack, ops: DerivedOperators) -> np.ndarray:
     """The closed-form circuit output on the device state |psi'>."""
     return expansion(device.state.reshape(device.dims), ops)
 
@@ -73,7 +73,7 @@ def _device_operator(ops: DerivedOperators, name: str, party: str) -> np.ndarray
     return ops.xb if name == "X" else ops.zb
 
 
-def pair_input(device: DeviceModel, ops: DerivedOperators, m: str, n: str) -> np.ndarray:
+def pair_input(device: DeviceStack, ops: DerivedOperators, m: str, n: str) -> np.ndarray:
     """State M'N'|psi'> as a (dA, dB) coefficient matrix."""
     psi = device.state.reshape(device.dims)
     mop = _device_operator(ops, m, "A")
@@ -91,7 +91,7 @@ def ancilla_target(m: str, n: str) -> np.ndarray:
 
 
 def pair_error(
-    device: DeviceModel, ops: DerivedOperators, junk: np.ndarray, m: str, n: str
+    device: DeviceStack, ops: DerivedOperators, junk: np.ndarray, m: str, n: str
 ) -> float:
     """|| Phi(M'N'|psi'>) - junk (x) (M (x) N)|phi+> ||."""
     out = expansion(pair_input(device, ops, m, n), ops)
@@ -99,10 +99,10 @@ def pair_error(
 
 
 def b_error(
-    device: DeviceModel, ops: DerivedOperators, junk: np.ndarray, m: str, which: str
+    device: DeviceStack, ops: DerivedOperators, junk: np.ndarray, m: str, which: str
 ) -> float:
     """|| Phi(M' B_i |psi'>) - junk (x) M ((X +/- Z)/sqrt(2)) |phi+> ||, + for B0."""
-    psi = device.state.reshape(device.dims) @ device.bob_obs[which].T
+    psi = device.state.reshape(device.dims) @ device.bob_obs[which][0].T
     mop = _device_operator(ops, m, "A")
     if mop is not None:
         psi = mop @ psi
@@ -113,7 +113,7 @@ def b_error(
 
 
 def state_errors(
-    device: DeviceModel, ops: DerivedOperators, junk: np.ndarray, raw: float
+    device: DeviceStack, ops: DerivedOperators, junk: np.ndarray, raw: float
 ) -> tuple[float, float]:
     """State errors against junk_norm_raw * junk and against junk, both (x) |phi+>."""
     out = isometry_expansion(device, ops)

@@ -14,7 +14,15 @@ import time
 import numpy as np
 
 from embedded_oracle import tensor_embed
-from helpers import chsh_value, device_diagnostics, family_points, my_deviation, save_device
+from helpers import (
+    chsh_value,
+    device_diagnostics,
+    family_points,
+    first_observables,
+    first_operators,
+    my_deviation,
+    save_device,
+)
 from isometry_oracle import apply_isometry, isometry_expansion
 from singlet_selftest.bounds import (
     b_extraction_bound,
@@ -33,7 +41,6 @@ from singlet_selftest.derive import (
     residual_stack,
 )
 from singlet_selftest.device import (
-    DeviceStack,
     canonical_chsh_device,
     canonical_my_device,
     make_device,
@@ -70,7 +77,7 @@ def extraction_corpus():
     devices = []
     for spec in specs:
         for params, device in family_points(spec):
-            assert validate_stack(DeviceStack.of(device)) == [[]]
+            assert validate_stack(device) == [[]]
             devices.append((spec.kind, params, device))
     return devices
 
@@ -169,7 +176,7 @@ def test_criterion_03_circuit_vs_closed_form():
     worst_gap = 0.0
     worst_norm = 0.0
     for device in devices:
-        ops = derive_chsh_operators(device)
+        ops = first_operators(derive_chsh_operators(device))
         circuit = apply_isometry(device, ops)
         expansion = isometry_expansion(device, ops)
         worst_gap = max(worst_gap, float(np.linalg.norm(circuit - expansion)))
@@ -276,8 +283,8 @@ def test_criterion_07_chain_suites():
         ops = derive_chsh_operators(device)
         diag = device_diagnostics(device, chsh_diagnostics, derive_chsh_operators)
         _, (raw,) = junk_stack(device.state.reshape(1, *device.dims), ops)
-        za = tensor_embed(ops.za, "A", device.dims)
-        za_abs = abs(float(np.vdot(device.state, za @ device.state).real))
+        za = tensor_embed(ops.za[0], "A", device.dims)
+        za_abs = abs(float(np.vdot(device.state[0], za @ device.state[0]).real))
         eps_sum = budget.eps1 + budget.eps2
         eps_prime_safe = max(budget.eps_prime, budget.eps_prime_exact)
         checks = {
@@ -397,7 +404,8 @@ def test_criterion_10_determinism_and_io(tmp_path):
 
     base = canonical_chsh_device()
     product = make_device(
-        (2, 2), np.array([1, 0, 0, 0], dtype=complex), dict(base.alice_obs), dict(base.bob_obs)
+        (2, 2), np.array([1, 0, 0, 0], dtype=complex), first_observables(base.alice_obs),
+        first_observables(base.bob_obs)
     )
     failing_path = tmp_path / "failing.json"
     save_device(failing_path, product)
@@ -409,7 +417,8 @@ def test_criterion_10_determinism_and_io(tmp_path):
     code_malformed = main(["certify", "--device", str(truncated), "--mode", "chsh",
                            "--out", str(tmp_path / "x.json")])
     bad_device = make_device(
-        (2, 2), base.state, {"A0": 0.5 * np.eye(2), "A1": np.eye(2)}, dict(base.bob_obs)
+        (2, 2), base.state, {"A0": 0.5 * np.eye(2), "A1": np.eye(2)},
+        first_observables(base.bob_obs)
     )
     invalid_path = tmp_path / "invalid.json"
     save_device(invalid_path, bad_device)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import tilted_device
-from helpers import rows_by_category
+from helpers import first_observables, rows_by_category
 from singlet_selftest.bounds import (
     CERT_TOL,
     MODES,
@@ -24,6 +24,7 @@ from singlet_selftest.device import (
     canonical_my_device,
     make_device,
 )
+from singlet_selftest.explorer import FamilySpec, family_chunks
 from singlet_selftest.linalg import PAULI_X, PAULI_Z
 
 
@@ -134,6 +135,15 @@ class TestMyFidelityBound:
 
 
 class TestCertify:
+    @pytest.mark.parametrize("mode", ["chsh", "my"])
+    def test_stack_of_other_than_one_device_raises_naming_the_count(self, mode):
+        # certify reports one device: it must not report row 0 of a larger stack.
+        (_, stack), = family_chunks(FamilySpec("random", {"count": 2}, (2, 3), 1, mode))
+        for count in (2, 0):
+            with pytest.raises(ValueError, match=f"^certify takes one device, an n = 1 stack, "
+                                                 f"got {count} devices$"):
+                certify(stack.select(slice(0, count)), mode)
+
     def test_canonical_chsh_all_rows_pass(self):
         report = certify(canonical_chsh_device(), "chsh")
         assert report.all_pass
@@ -176,7 +186,7 @@ class TestCertify:
             (2, 2),
             base.state,
             {"A0": 0.5 * PAULI_X, "A1": PAULI_Z},
-            dict(base.bob_obs),
+            first_observables(base.bob_obs),
         )
         with pytest.raises(DeviceValidationError):
             certify(broken, "chsh")
@@ -195,7 +205,8 @@ class TestCertify:
     def test_degenerate_extraction_is_failed_rows_not_crash(self):
         base = canonical_chsh_device()
         state = np.array([0.0, 0.0, 0.0, 1.0], dtype=complex)
-        device = make_device((2, 2), state, dict(base.alice_obs), dict(base.bob_obs))
+        device = make_device((2, 2), state, first_observables(base.alice_obs),
+                             first_observables(base.bob_obs))
         report = certify(device, "chsh")
         assert report.degenerate
         assert not report.all_pass

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import certified_record, random_point_oracle, stack_devices
+from helpers import certified_record, first_observables, random_point_oracle, stack_devices
 from singlet_selftest import explorer
 from singlet_selftest.bounds import get_mode
 from singlet_selftest.cli import sweep_csv
@@ -84,7 +84,7 @@ class TestStackedSweepEqualsPerDevice:
         assert len(records) == len(values)
         base = get_mode(spec.mode).canonical()
         for index, (value, record) in enumerate(zip(values, records)):
-            alone = explorer._build_chunk(spec, base, [value], index).device(0)
+            alone = explorer._build_chunk(spec, base, [value], index)
             assert_records_match(record, certified_record(alone, spec.mode))
 
     def test_chunk_sizes_span_the_counts(self):
@@ -100,10 +100,11 @@ class TestStackedSweepEqualsPerDevice:
     def test_degenerate_device_between_valid_ones(self):
         valid = canonical_chsh_device()
         # Alice's qubit in |1>: (I + Z'_A) removes it, so the junk candidate is zero.
-        product = make_device((2, 2), [0.0, 0.0, 1.0, 0.0], dict(valid.alice_obs),
-                              dict(valid.bob_obs))
+        product = make_device((2, 2), [0.0, 0.0, 1.0, 0.0],
+                              first_observables(valid.alice_obs),
+                              first_observables(valid.bob_obs))
         tilted = make_device((2, 2), [math.cos(0.3), 0.0, 0.0, math.sin(0.3)],
-                             dict(valid.alice_obs), dict(valid.bob_obs))
+                             first_observables(valid.alice_obs), first_observables(valid.bob_obs))
         devices = [valid, product, tilted]
         stack = stack_devices(devices)
         mode = get_mode("chsh")
@@ -125,7 +126,7 @@ def test_random_devices_equal_the_point_built_alone(dims, mode):
     index = 0
     for _, stack in explorer.family_chunks(spec):
         for row in range(len(stack)):
-            device, alone = stack.device(row), random_point_oracle(spec, index)
+            device, alone = stack.select(slice(row, row + 1)), random_point_oracle(spec, index)
             assert device.state.tobytes() == alone.state.tobytes()
             for party in ("alice_obs", "bob_obs"):
                 built, want = getattr(device, party), getattr(alone, party)
@@ -276,8 +277,8 @@ def test_peak_memory_is_bounded_by_the_chunk_budget(kind, count, dims):
 
 def test_stack_views_are_read_only():
     stack = next(explorer.family_chunks(FamilySpec("random", {"count": 3}, (2, 3), seed=2)))[1]
-    device = stack.device(1)
+    device = stack.select(slice(1, 2))
     for array in (stack.state, *stack.alice_obs.values(), *stack.bob_obs.values(),
                   device.state, *device.bob_obs.values()):
         assert not array.flags.writeable
-    np.testing.assert_array_equal(device.state, stack.state[1])
+    np.testing.assert_array_equal(device.state, stack.state[1:2])

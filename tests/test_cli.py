@@ -4,15 +4,15 @@ import json
 import math
 import os
 import stat
+import sys
 
 import numpy as np
 import pytest
 
-from helpers import make_family, save_device
+from helpers import first_observables, make_family, save_device
 from singlet_selftest.bounds import MODES
 from singlet_selftest.cli import main
 from singlet_selftest.device import (
-    DeviceStack,
     canonical_chsh_device,
     canonical_my_device,
     correlation_stack,
@@ -81,7 +81,8 @@ class TestDocuments:
         assert json.dumps(complex_to_json(strided[:, 0])) == json.dumps([r[0] for r in want])
         # a negated state has -0.0 imaginary parts, kept through a file round trip
         base = canonical_chsh_device()
-        device = make_device((2, 2), -base.state, dict(base.alice_obs), dict(base.bob_obs))
+        device = make_device((2, 2), -base.state, first_observables(base.alice_obs),
+                             first_observables(base.bob_obs))
         assert "-0.0" in json.dumps(device_to_document(device)["state"])
         path = tmp_path / "dev.json"
         save_device(path, device)
@@ -114,7 +115,7 @@ class TestDocuments:
         broken = make_device(
             (2, 2), base.state,
             {"A0": 0.5 * PAULI_X, "A1": PAULI_Z},
-            dict(base.bob_obs),
+            first_observables(base.bob_obs),
         )
         path = tmp_path / "bad.json"
         save_device(path, broken)
@@ -186,16 +187,16 @@ class TestBulkParse:
         device = device_from_document(json.loads(json.dumps(doc)))
         for k, (re, im) in enumerate(zip(ints, ints[::-1])):
             want = np.array([float(re), float(im)]).tobytes()
-            assert device.state[1023 - k:1024 - k].view(float).tobytes() == want
-            assert device.alice_obs["A0"][31, 31 - k:32 - k].view(float).tobytes() == want
+            assert device.state[0, 1023 - k:1024 - k].view(float).tobytes() == want
+            assert device.alice_obs["A0"][0, 31, 31 - k:32 - k].view(float).tobytes() == want
 
     def test_signed_zeros_survive_a_round_trip(self):
         doc = _device_32x32_document()
         doc["state"][1023] = [-0.0, -0.0]
         doc["observables"]["alice"]["A0"][31][31] = [-0.0, 0.0]
         device = device_from_document(json.loads(json.dumps(doc)))
-        assert np.signbit(device.state[1023].real) and np.signbit(device.state[1023].imag)
-        entry = device.alice_obs["A0"][31, 31]
+        assert np.signbit(device.state[0, 1023].real) and np.signbit(device.state[0, 1023].imag)
+        entry = device.alice_obs["A0"][0, 31, 31]
         assert np.signbit(entry.real) and not np.signbit(entry.imag)
         assert json.dumps(device_to_document(device)) == json.dumps(doc)
 
@@ -230,9 +231,9 @@ class TestCertifyCommand:
         # B0 + B1 is 1.8e-10 off; the operator sign must take it as it is.
         skew = 0.45e-10 * np.array([[0.0, 1.0], [-1.0, 0.0]])  # 0.45e-10 * iY
         base = canonical_chsh_device()
-        bob = {name: m + skew for name, m in base.bob_obs.items()}
-        device = make_device((2, 2), base.state, dict(base.alice_obs), bob)
-        assert validate_stack(DeviceStack.of(device)) == [[]]
+        bob = {name: m[0] + skew for name, m in base.bob_obs.items()}
+        device = make_device((2, 2), base.state, first_observables(base.alice_obs), bob)
+        assert validate_stack(device) == [[]]
         path = tmp_path / "skewed.json"
         save_device(path, device)
         out = tmp_path / "report.json"
@@ -246,7 +247,8 @@ class TestCertifyCommand:
         # valid device whose deviation is >= 1: budget rows fail
         base = canonical_chsh_device()
         state = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
-        device = make_device((2, 2), state, dict(base.alice_obs), dict(base.bob_obs))
+        device = make_device((2, 2), state, first_observables(base.alice_obs),
+                             first_observables(base.bob_obs))
         path = tmp_path / "product.json"
         save_device(path, device)
         out = tmp_path / "report.json"
@@ -260,7 +262,7 @@ class TestCertifyCommand:
         broken = make_device(
             (2, 2), base.state,
             {"A0": 0.5 * PAULI_X, "A1": PAULI_Z},
-            dict(base.bob_obs),
+            first_observables(base.bob_obs),
         )
         path = tmp_path / "bad.json"
         save_device(path, broken)
@@ -395,7 +397,7 @@ class TestCertifyCommand:
         base = canonical_chsh_device()
         device = make_device(
             (2, 2), np.array([0, 0, 0, 1], dtype=complex),
-            dict(base.alice_obs), dict(base.bob_obs),
+            first_observables(base.alice_obs), first_observables(base.bob_obs),
         )
         path = tmp_path / "degenerate.json"
         save_device(path, device)
@@ -643,7 +645,7 @@ class TestDeviationAgreement:
     ):
         device = make_family(FamilySpec(kind, parameters, seed=13, mode=mode))[0]
         selftest = MODES[mode]
-        values = correlation_stack(DeviceStack.of(device), selftest.pairs)[0].tolist()
+        values = correlation_stack(device, selftest.pairs)[0].tolist()
         table = tmp_path / "table.json"
         table.write_text(json.dumps(dict(zip(selftest.table_keys, values))))
         summary = tmp_path / "summary.json"
@@ -845,6 +847,21 @@ class TestSearchCommand:
         assert sorted(tmp_path.iterdir()) == [report_path]
         assert list(report_path.iterdir()) == []
 
+    def test_certify_of_the_written_device_gives_the_search_report(self, tmp_path):
+        # The device search writes certifies to the report it writes beside it;
+        # only inputsDigest differs (README, "Report document").
+        out = tmp_path / "best.json"
+        assert main(["search", "--mode", "my", "--epsilon-ceiling", "0.05", "--dims", "3,4",
+                     "--budget", "200", "--seed", "5", "--out", str(out)]) == 0
+        searched = json.loads((tmp_path / "best.json.report.json").read_text())
+        certified = tmp_path / "certified.json"
+        code = main(["certify", "--device", str(out), "--mode", "my", "--out", str(certified)])
+        assert code == (0 if searched["report"]["allPass"] else 1)
+        report = json.loads(certified.read_text())
+        searched.pop("inputsDigest")
+        report.pop("inputsDigest")
+        assert report == searched
+
     def test_metadata_and_stdout_leave_out_the_outcome_counts(self, tmp_path, capsys):
         out = tmp_path / "best.json"
         assert main(["search", "--mode", "my", "--epsilon-ceiling", "0.02", "--dims", "2,2",
@@ -901,6 +918,24 @@ def test_non_utf8_input_exits_two_naming_the_file(tmp_path, capsys, command):
     assert capsys.readouterr().err == (
         f"error: {path}: not UTF-8 text: 'utf-8' codec can't decode byte 0xff in position 0: "
         "invalid start byte\n")
+    assert sorted(tmp_path.iterdir()) == [path]
+
+
+@pytest.mark.skipif(not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 5001,
+                    reason="integer string conversion has no limit below 5001 digits")
+@pytest.mark.parametrize("command", INPUT_COMMANDS)
+def test_over_long_integer_exits_two_naming_the_file(tmp_path, capsys, command):
+    # An integer literal past the interpreter's digit limit is a malformed-input
+    # error naming the file, like every other parse error.
+    digits = "1" * 5001
+    path = tmp_path / "long.json"
+    path.write_text('{"dims": [' + digits + ', 2]}')
+    with pytest.raises(ValueError) as conversion:
+        int(digits)
+    out = tmp_path / "out"
+    argv = [arg.format(path=path) for arg in command] + ["--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {path}: {conversion.value}\n"
     assert sorted(tmp_path.iterdir()) == [path]
 
 

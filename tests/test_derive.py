@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_unitary, tilted_device
-from helpers import chsh_value, device_diagnostics, make_family, my_deviation
+from helpers import chsh_value, device_diagnostics, first_observables, make_family, my_deviation
 from singlet_selftest.derive import (
     chsh_budget,
     chsh_diagnostics,
@@ -43,7 +43,7 @@ class TestDeriveChshOperators:
         device = make_device(
             (2, 2),
             chsh_device.state,
-            dict(chsh_device.alice_obs),
+            first_observables(chsh_device.alice_obs),
             {"B0": PAULI_X, "B1": PAULI_X},
         )
         ops = derive_chsh_operators(device)
@@ -59,9 +59,9 @@ class TestDeriveChshOperators:
         ub = random_unitary(rng, 2)
         conjugated = make_device(
             (2, 2),
-            np.kron(np.eye(2), ub) @ chsh_device.state,
-            dict(chsh_device.alice_obs),
-            {k: ub @ v @ ub.conj().T for k, v in chsh_device.bob_obs.items()},
+            np.kron(np.eye(2), ub) @ chsh_device.state[0],
+            first_observables(chsh_device.alice_obs),
+            {k: ub @ v[0] @ ub.conj().T for k, v in chsh_device.bob_obs.items()},
         )
         ops = derive_chsh_operators(chsh_device)
         ops_c = derive_chsh_operators(conjugated)
@@ -246,7 +246,8 @@ class TestMyDiagnostics:
             [0.0, 1.0, 0.0, 0.0], dtype=complex
         )
         device = make_device(
-            (2, 2), state, dict(my_device.alice_obs), dict(my_device.bob_obs)
+            (2, 2), state, first_observables(my_device.alice_obs),
+            first_observables(my_device.bob_obs)
         )
         _, eps = my_deviation(device)
         budget = my_budget(eps)

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from conftest import random_unitary, tilted_device
-from helpers import chsh_value, correlation, make_family, my_deviation
-from singlet_selftest.device import MY_IDEAL, DeviceStack, make_device, validate_stack
+from helpers import chsh_value, correlation, first_observables, make_family, my_deviation
+from singlet_selftest.device import MY_IDEAL, make_device, validate_stack
 from singlet_selftest.explorer import FamilySpec
 from singlet_selftest.linalg import DIAG_XZ, PAULI_X, PAULI_Z, PHI_PLUS
 
@@ -16,25 +16,26 @@ SQRT2 = math.sqrt(2.0)
 
 class TestValidate:
     def test_canonical_is_clean(self, chsh_device, my_device):
-        assert validate_stack(DeviceStack.of(chsh_device))[0] == []
-        assert validate_stack(DeviceStack.of(my_device))[0] == []
+        assert validate_stack(chsh_device)[0] == []
+        assert validate_stack(my_device)[0] == []
 
     def test_scaled_observable_named(self, chsh_device):
         broken = make_device(
             (2, 2),
             chsh_device.state,
             {"A0": 0.5 * PAULI_X, "A1": PAULI_Z},
-            dict(chsh_device.bob_obs),
+            first_observables(chsh_device.bob_obs),
         )
-        messages = validate_stack(DeviceStack.of(broken))[0]
+        messages = validate_stack(broken)[0]
         assert len(messages) == 1
         assert "A0" in messages[0] and "O^2 != I" in messages[0] and "0.75" in messages[0]
 
     def test_unnormalized_state_names_norm(self, chsh_device):
         broken = make_device(
-            (2, 2), np.ones(4), dict(chsh_device.alice_obs), dict(chsh_device.bob_obs)
+            (2, 2), np.ones(4), first_observables(chsh_device.alice_obs),
+            first_observables(chsh_device.bob_obs)
         )
-        messages = validate_stack(DeviceStack.of(broken))[0]
+        messages = validate_stack(broken)[0]
         assert len(messages) == 1
         assert messages[0].startswith("state:") and "2" in messages[0]
 
@@ -42,9 +43,10 @@ class TestValidate:
         # abs(nan - 1) > tol is False, so the norm check alone lets NaN through
         state = np.array([math.nan, 0.0, 0.0, 1.0], dtype=complex)
         broken = make_device(
-            (2, 2), state, dict(chsh_device.alice_obs), dict(chsh_device.bob_obs)
+            (2, 2), state, first_observables(chsh_device.alice_obs),
+            first_observables(chsh_device.bob_obs)
         )
-        assert validate_stack(DeviceStack.of(broken))[0] == ["state: non-finite entry"]
+        assert validate_stack(broken)[0] == ["state: non-finite entry"]
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_observable_rejected(self, chsh_device, bad):
@@ -54,18 +56,18 @@ class TestValidate:
             obs[entry] = bad
             broken = make_device(
                 (2, 2), chsh_device.state, {"A0": PAULI_X, "A1": obs},
-                dict(chsh_device.bob_obs),
+                first_observables(chsh_device.bob_obs),
             )
-            assert validate_stack(DeviceStack.of(broken))[0] == ["A1: non-finite entry"]
+            assert validate_stack(broken)[0] == ["A1: non-finite entry"]
 
     def test_non_hermitian_observable(self, chsh_device):
         broken = make_device(
             (2, 2),
             chsh_device.state,
             {"A0": 1j * PAULI_X, "A1": PAULI_Z},
-            dict(chsh_device.bob_obs),
+            first_observables(chsh_device.bob_obs),
         )
-        messages = validate_stack(DeviceStack.of(broken))[0]
+        messages = validate_stack(broken)[0]
         assert any("A0" in m and "Hermitian" in m for m in messages)
 
     def test_shape_mismatch(self, chsh_device):
@@ -73,9 +75,9 @@ class TestValidate:
             (2, 2),
             chsh_device.state,
             {"A0": np.eye(3), "A1": PAULI_Z},
-            dict(chsh_device.bob_obs),
+            first_observables(chsh_device.bob_obs),
         )
-        messages = validate_stack(DeviceStack.of(broken))[0]
+        messages = validate_stack(broken)[0]
         assert any("A0" in m and "shape" in m for m in messages)
 
     @pytest.mark.parametrize("dims", [(2, 2), (2, 3)])
@@ -89,7 +91,7 @@ class TestValidate:
         broken = make_device(dims, 2 * np.eye(da * db)[0],
                              {"A0": 0.5 * PAULI_X, "A1": np.eye(3)},
                              {"A0": 1j * bob_z, "B1": nan_z})
-        assert validate_stack(DeviceStack.of(broken)) == [[
+        assert validate_stack(broken) == [[
             "state: norm 2 != 1",
             "A0: O^2 != I, deviation 0.75",
             "A1: shape (3, 3) does not match party A dim 2",
@@ -129,12 +131,12 @@ class TestCorrelation:
         rng = np.random.default_rng(17)
         ua = random_unitary(rng, 2)
         ub = random_unitary(rng, 2)
-        state = np.kron(ua, ub) @ my_device.state
+        state = np.kron(ua, ub) @ my_device.state[0]
         conjugated = make_device(
             (2, 2),
             state,
-            {k: ua @ v @ ua.conj().T for k, v in my_device.alice_obs.items()},
-            {k: ub @ v @ ub.conj().T for k, v in my_device.bob_obs.items()},
+            {k: ua @ v[0] @ ua.conj().T for k, v in my_device.alice_obs.items()},
+            {k: ub @ v[0] @ ub.conj().T for k, v in my_device.bob_obs.items()},
         )
         for a, b in MY_IDEAL:
             assert correlation(conjugated, a, b) == pytest.approx(
@@ -193,7 +195,8 @@ class TestMyDeviation:
     def test_swapped_state_deviation_two(self, my_device):
         state = np.array([0.0, 1.0, 1.0, 0.0], dtype=complex) / SQRT2
         device = make_device(
-            (2, 2), state, dict(my_device.alice_obs), dict(my_device.bob_obs)
+            (2, 2), state, first_observables(my_device.alice_obs),
+            first_observables(my_device.bob_obs)
         )
         table, eps = my_deviation(device)
         assert table[("ZA", "ZB")] == pytest.approx(-1.0, abs=1e-12)
@@ -204,7 +207,8 @@ class TestMyDeviation:
         state = math.sqrt(1.0 - p) * PHI_PLUS
         state = state + math.sqrt(p) * np.array([0.0, 1.0, 0.0, 0.0], dtype=complex)
         device = make_device(
-            (2, 2), state, dict(my_device.alice_obs), dict(my_device.bob_obs)
+            (2, 2), state, first_observables(my_device.alice_obs),
+            first_observables(my_device.bob_obs)
         )
         table, eps = my_deviation(device)
         # direct 4-dim evaluation, independent of the correlation() path

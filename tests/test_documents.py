@@ -11,6 +11,7 @@ import pytest
 
 from singlet_selftest.device import canonical_chsh_device, canonical_my_device
 from singlet_selftest.documents import _clean, device_to_document, json_text
+from singlet_selftest.explorer import FamilySpec, family_chunks
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -98,3 +99,12 @@ def test_clean_keeps_its_conversions():
     assert type(cleaned["i64"]) is int
     assert type(cleaned["bool"]) is bool
     assert type(cleaned["tuple"]) is list and type(cleaned["tuple"][2]) is list
+
+
+def test_device_document_of_other_than_one_device_raises_naming_the_count():
+    # A device document holds one device: row 0 of a larger stack is not written.
+    (_, stack), = family_chunks(FamilySpec("random", {"count": 2}, (2, 3), seed=1))
+    for count in (2, 0):
+        with pytest.raises(ValueError, match=f"^a device document holds one device, an n = 1 "
+                                             f"stack, got {count} devices$"):
+            device_to_document(stack.select(slice(0, count)))

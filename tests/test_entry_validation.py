@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from helpers import SearchSpy, save_device, stack_devices
+from helpers import SearchSpy, first_observables, save_device, stack_devices
 from singlet_selftest import device as device_module
 from singlet_selftest import explorer
 from singlet_selftest.bounds import certify, get_mode
@@ -87,9 +87,9 @@ class TestCounts:
 
 def test_sweep_rejects_invalid_family_point(monkeypatch):
     def broken_chunk(spec, base, values, start):
-        alice = dict(base.alice_obs, A0=0.5 * PAULI_X)
-        return stack_devices([make_device((2, 2), base.state, alice, dict(base.bob_obs))]
-                             * len(values))
+        alice = dict(first_observables(base.alice_obs), A0=0.5 * PAULI_X)
+        bob = first_observables(base.bob_obs)
+        return stack_devices([make_device((2, 2), base.state, alice, bob)] * len(values))
 
     monkeypatch.setattr(explorer, "_build_chunk", broken_chunk)
     spec = FamilySpec("tilted", {"theta": (0.8, 0.5, 3)})

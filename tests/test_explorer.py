@@ -19,7 +19,6 @@ from helpers import (
 )
 from singlet_selftest.bounds import certify, get_mode
 from singlet_selftest.device import (
-    DeviceStack,
     canonical_chsh_device,
     canonical_my_device,
     validate_stack,
@@ -43,7 +42,7 @@ SQRT2 = math.sqrt(2.0)
 class TestCanonicalDevices:
     def test_chsh_point(self):
         device = canonical_chsh_device()
-        assert validate_stack(DeviceStack.of(device)) == [[]]
+        assert validate_stack(device) == [[]]
         value, eps = chsh_value(device)
         assert value == pytest.approx(2.8284271247461903, abs=1e-12)
         result = extraction_stack(device.state.reshape(1, 2, 2), derive_chsh_operators(device))
@@ -51,7 +50,7 @@ class TestCanonicalDevices:
 
     def test_my_point(self):
         device = canonical_my_device()
-        assert validate_stack(DeviceStack.of(device)) == [[]]
+        assert validate_stack(device) == [[]]
         table, eps = my_deviation(device)
         assert eps <= 1e-12
         observed = [
@@ -120,7 +119,7 @@ class TestFamilies:
             devices = make_family(spec)
             assert devices, spec.kind
             for device in devices:
-                assert validate_stack(DeviceStack.of(device)) == [[]], spec.kind
+                assert validate_stack(device) == [[]], spec.kind
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError, match="kind"):
@@ -603,7 +602,7 @@ class TestSearchProposal:
             for row, vector in enumerate(params):
                 want = search_proposal_oracle(base, dims, qubit_state, state_dirs,
                                               generators, vector)
-                got = stack.device(row)
+                got = stack.select(slice(row, row + 1))
                 assert got.state.dtype == want.state.dtype
                 assert got.state.tobytes() == want.state.tobytes()
                 for party in ("alice_obs", "bob_obs"):

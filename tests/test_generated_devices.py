@@ -32,10 +32,9 @@ AXIS_RANGES = {"tilted": (-2 * math.pi, 2 * math.pi), "state-noise": (0.0, 1.0),
 def assert_valid_with_real_correlations(stack: DeviceStack, mode: str) -> None:
     assert validate_stack(stack) == [[]] * len(stack)
     for row in range(len(stack)):
-        device = stack.device(row)
-        psi = device.state
+        psi = stack.state[row]
         for a, b in get_mode(mode).pairs:
-            value = np.vdot(psi, np.kron(device.alice_obs[a], device.bob_obs[b]) @ psi)
+            value = np.vdot(psi, np.kron(stack.alice_obs[a][row], stack.bob_obs[b][row]) @ psi)
             assert abs(value.imag) <= IMAG_LIMIT, (a, b, value)
 
 

@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 from conftest import random_unitary, tilted_device
-from helpers import chsh_value, make_family, stack_devices
+from helpers import (
+    chsh_value,
+    first_observables,
+    first_operators,
+    make_family,
+    stack_devices,
+)
 from isometry_oracle import ancilla_target, apply_isometry, isometry_expansion
 from singlet_selftest.derive import derive_chsh_operators, my_operators, DerivedOperators
 from singlet_selftest.device import make_device
@@ -98,14 +104,14 @@ def explicit_isometry_matrix(ops, dims):
 class TestExpansionAgreement:
     def test_matches_circuit_on_random_corpus(self):
         for device in random_devices(30):
-            ops = derive_chsh_operators(device)
+            ops = first_operators(derive_chsh_operators(device))
             circuit = apply_isometry(device, ops)
             expansion = isometry_expansion(device, ops)
             assert np.linalg.norm(circuit - expansion) <= 1e-12
 
     def test_matches_explicit_gate_matrices(self):
         for device in random_devices(8, dims_options=((2, 2), (3, 2), (2, 4))):
-            ops = derive_chsh_operators(device)
+            ops = first_operators(derive_chsh_operators(device))
             matrix = explicit_isometry_matrix(ops, device.dims)
             # isometry property of the assembled matrix itself
             dim_in = device.dims[0] * device.dims[1]
@@ -123,7 +129,7 @@ class TestExpansionAgreement:
                 ) <= 1e-12
 
     def test_canonical_single_term(self, chsh_device):
-        ops = derive_chsh_operators(chsh_device)
+        ops = first_operators(derive_chsh_operators(chsh_device))
         out = isometry_expansion(chsh_device, ops).reshape(4, 2, 2)
         # only the |00> ancilla branch survives on the exact device ... plus
         # the |11> branch that reassembles the entangled pair
@@ -153,7 +159,8 @@ class TestJunkCandidate:
     def test_degenerate_state(self, chsh_device):
         state = np.array([0.0, 0.0, 0.0, 1.0], dtype=complex)
         device = make_device(
-            (2, 2), state, dict(chsh_device.alice_obs), dict(chsh_device.bob_obs)
+            (2, 2), state, first_observables(chsh_device.alice_obs),
+            first_observables(chsh_device.bob_obs),
         )
         ops = derive_chsh_operators(device)
         junk, raw = junk_stack(state_matrices(device), ops)
@@ -198,9 +205,9 @@ class TestExtractionError:
         device = tilted_device(0.6)
         conjugated = make_device(
             (2, 2),
-            np.kron(ua, ub) @ device.state,
-            {k: ua @ v @ ua.conj().T for k, v in device.alice_obs.items()},
-            {k: ub @ v @ ub.conj().T for k, v in device.bob_obs.items()},
+            np.kron(ua, ub) @ device.state[0],
+            {k: ua @ v[0] @ ua.conj().T for k, v in device.alice_obs.items()},
+            {k: ub @ v[0] @ ub.conj().T for k, v in device.bob_obs.items()},
         )
         base = extraction_stack(state_matrices(device), derive_chsh_operators(device))
         conj = extraction_stack(state_matrices(conjugated), derive_chsh_operators(conjugated))
@@ -209,15 +216,17 @@ class TestExtractionError:
     def test_degeneracy_propagates(self, chsh_device):
         state = np.array([0.0, 0.0, 0.0, 1.0], dtype=complex)
         device = make_device(
-            (2, 2), state, dict(chsh_device.alice_obs), dict(chsh_device.bob_obs)
+            (2, 2), state, first_observables(chsh_device.alice_obs),
+            first_observables(chsh_device.bob_obs),
         )
         result = extraction_stack(state_matrices(device), derive_chsh_operators(device))
         assert result.degenerate.tolist() == [True]
 
     def test_degenerate_row_is_nan_between_valid_ones(self, chsh_device):
         # Alice's qubit in |1>: (I + Z'_A) removes it, so the junk candidate is zero.
-        product = make_device((2, 2), [0.0, 0.0, 1.0, 0.0], dict(chsh_device.alice_obs),
-                              dict(chsh_device.bob_obs))
+        product = make_device((2, 2), [0.0, 0.0, 1.0, 0.0],
+                              first_observables(chsh_device.alice_obs),
+                              first_observables(chsh_device.bob_obs))
         devices = [chsh_device, product, tilted_device(0.3)]
         stack = stack_devices(devices)
         psi, ops = stack.state.reshape(3, 2, 2), derive_chsh_operators(stack)

@@ -20,7 +20,13 @@ import pytest
 import embedded_oracle as oracle
 import isometry_oracle
 from conftest import random_unitary
-from helpers import correlation, device_diagnostics, rows_by_category, stack_devices
+from helpers import (
+    correlation,
+    device_diagnostics,
+    first_operators,
+    rows_by_category,
+    stack_devices,
+)
 from singlet_selftest import bounds, explorer
 from singlet_selftest.derive import (
     DerivedOperators,
@@ -33,7 +39,6 @@ from singlet_selftest.derive import (
 from singlet_selftest.device import (
     CHSH_PAIRS,
     MY_PAIRS,
-    DeviceStack,
     correlation_stack,
     make_device,
     validate_stack,
@@ -69,7 +74,7 @@ def random_device(rng: np.random.Generator, dims, alice_names, bob_names):
         {name: random_observable(rng, da) for name in alice_names},
         {name: random_observable(rng, db) for name in bob_names},
     )
-    assert validate_stack(DeviceStack.of(device)) == [[]]
+    assert validate_stack(device) == [[]]
     return device
 
 
@@ -100,14 +105,14 @@ def assert_close(got: dict, want: dict) -> None:
 class TestAgainstEmbeddedOracle:
     def test_observables_are_not_real_symmetric(self, dims, seed):
         device = chsh_device(seed, dims)
-        for obs in (device.alice_obs["A0"], device.bob_obs["B0"]):
+        for obs in (device.alice_obs["A0"][0], device.bob_obs["B0"][0]):
             assert np.max(np.abs(obs - obs.T)) > 1e-3
 
     def test_condition_residuals_chsh(self, dims, seed):
         device = chsh_device(seed, dims)
         ops = derive_chsh_operators(device)
         (got,) = residual_stack(device.state.reshape(1, *dims), ops)
-        assert_close(vars(got), oracle.condition_residuals(device.state, ops))
+        assert_close(vars(got), oracle.condition_residuals(device.state, first_operators(ops)))
 
     def test_condition_residuals_general_matrices(self, dims, seed):
         # non-Hermitian operators: neither B^T nor B^dagger equals B
@@ -126,13 +131,13 @@ class TestAgainstEmbeddedOracle:
         device = my_device(seed, dims)
         ops = my_operators(device)
         (got,) = residual_stack(device.state.reshape(1, *dims), ops)
-        assert_close(vars(got), oracle.condition_residuals(device.state, ops))
+        assert_close(vars(got), oracle.condition_residuals(device.state, first_operators(ops)))
 
     def test_chsh_diagnostics(self, dims, seed):
         device = chsh_device(seed, dims)
         ops = derive_chsh_operators(device)
         got = device_diagnostics(device, chsh_diagnostics, derive_chsh_operators)
-        assert_close(without_z(got), oracle.chsh_diagnostics(device, ops))
+        assert_close(without_z(got), oracle.chsh_diagnostics(device, first_operators(ops)))
 
     def test_my_diagnostics(self, dims, seed):
         device = my_device(seed, dims)
@@ -146,12 +151,13 @@ class TestAgainstEmbeddedOracle:
         ):
             rows = device_diagnostics(device, diagnostics, derive)
             got = (rows["za_expectation_abs"], rows["zb_expectation_abs"])
-            assert got == pytest.approx(oracle.z_expectations(device, derive(device)), abs=TOL)
+            want = oracle.z_expectations(device, first_operators(derive(device)))
+            assert got == pytest.approx(want, abs=TOL)
 
     def test_correlations(self, dims, seed):
         for device, pairs in ((chsh_device(seed, dims), CHSH_PAIRS),
                               (my_device(seed, dims), MY_PAIRS)):
-            values = correlation_stack(DeviceStack.of(device), pairs)
+            values = correlation_stack(device, pairs)
             assert values.shape == (1, len(pairs))
             table = dict(zip(pairs, values[0].tolist()))
             for pair in pairs:
@@ -167,9 +173,11 @@ def degenerate_device(device, za_name: str):
     (the observable ``za_name``): (I + Z'_A) removes it, so the junk
     candidate is zero."""
     db = device.dims[1]
-    v = np.linalg.eigh(device.alice_obs[za_name])[1][:, 0]
+    v = np.linalg.eigh(device.alice_obs[za_name][0])[1][:, 0]
     w = np.full(db, db**-0.5)
-    return make_device(device.dims, np.kron(v, w), dict(device.alice_obs), dict(device.bob_obs))
+    return make_device(device.dims, np.kron(v, w),
+                       {name: m[0] for name, m in device.alice_obs.items()},
+                       {name: m[0] for name, m in device.bob_obs.items()})
 
 
 @pytest.mark.parametrize("dims", [(3, 5), (2, 2)])
@@ -190,8 +198,8 @@ def test_diagnostics_stack_rows_bit_identical_to_each_device(mode, dims):
              if spec.category == "chain" and not spec.name.startswith("junk_rawnorm")]
     assert sorted(columns) == sorted(chain)
     for i, device in enumerate(devices):
-        one = DeviceStack.of(device)
-        alone = selftest.diagnostics(one, one.state.reshape(1, *dims), selftest.derive(one))
+        alone = selftest.diagnostics(device, device.state.reshape(1, *dims),
+                                     selftest.derive(device))
         assert {name: column.shape for name, column in alone.items()} == dict.fromkeys(chain, (1,))
         assert {name: column[i] for name, column in columns.items()} == {
             name: column[0] for name, column in alone.items()}, i
@@ -200,9 +208,9 @@ def test_diagnostics_stack_rows_bit_identical_to_each_device(mode, dims):
 def kron_correlation(device, a: str, b: str) -> float:
     """<psi| (M x I)(I x N) |psi> with both factors built by ``np.kron``."""
     da, db = device.dims
-    ma = np.kron(device.alice_obs[a], np.eye(db, dtype=complex))
-    nb = np.kron(np.eye(da, dtype=complex), device.bob_obs[b])
-    return float(np.vdot(device.state, ma @ (nb @ device.state)).real)
+    ma = np.kron(device.alice_obs[a][0], np.eye(db, dtype=complex))
+    nb = np.kron(np.eye(da, dtype=complex), device.bob_obs[b][0])
+    return float(np.vdot(device.state[0], ma @ (nb @ device.state[0])).real)
 
 
 def search_stack(mode: str, dims, count: int, seed: int):
@@ -226,7 +234,7 @@ class TestCorrelationsBatch:
         # value equals the embedded form with no tolerance at all
         for device, pairs in ((chsh_device(11, dims), CHSH_PAIRS),
                               (my_device(12, dims), MY_PAIRS)):
-            values = correlation_stack(DeviceStack.of(device), pairs)[0]
+            values = correlation_stack(device, pairs)[0]
             for (a, b), value in zip(pairs, values.tolist()):
                 assert value == kron_correlation(device, a, b), (a, b)
 
@@ -255,10 +263,10 @@ class TestCorrelationsBatch:
         values = correlation_stack(stack, pairs)
         assert values.shape == (len(stack), len(pairs))
         for i in range(len(stack)):
-            device = stack.device(i)
+            device = stack.select(slice(i, i + 1))
             want = [kron_correlation(device, a, b) for a, b in pairs]
             assert values[i].tolist() == want, i
-            assert correlation_stack(DeviceStack.of(device), pairs)[0].tolist() == want, i
+            assert correlation_stack(device, pairs)[0].tolist() == want, i
 
     def test_stack_imaginary_part_names_the_first_device(self):
         # devices 1 and 2 both fail; the error names device 1, its first
@@ -274,7 +282,7 @@ class TestCorrelationsBatch:
         with pytest.raises(ValueError, match=f"^{message}$"):
             correlation_stack(stack_devices(devices), pairs)
         with pytest.raises(ValueError, match=f"^{message}$"):
-            correlation_stack(DeviceStack.of(devices[1]), pairs)
+            correlation_stack(devices[1], pairs)
         with pytest.raises(ValueError, match="^correlation <A B> has imaginary part 2.500e-01"):
             correlation_stack(stack_devices(devices[2:]), pairs)
 
@@ -285,7 +293,7 @@ class TestCorrelationsBatch:
                               (my_device(14, dims), MY_PAIRS)):
             tracemalloc.start()
             try:
-                correlation_stack(DeviceStack.of(device), pairs)
+                correlation_stack(device, pairs)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
@@ -308,7 +316,7 @@ class TestCorrelationsBatch:
     def test_unknown_name_raises(self):
         device = chsh_device(3, (2, 3))
         with pytest.raises(KeyError):
-            correlation_stack(DeviceStack.of(device), (("A0", "B0"), ("A0", "B9")))
+            correlation_stack(device, (("A0", "B0"), ("A0", "B9")))
 
 
 def extraction_of(device):
@@ -330,7 +338,8 @@ class TestAgainstIsometryOracle:
         device = chsh_device(seed, dims)
         ops, _, result = extraction_of(device)
         got = dict(zip(OPERATOR_PAIRS, result.distances[0].tolist()))
-        want = {(m, n): isometry_oracle.pair_error(device, ops, result.junk[0], m, n)
+        want = {(m, n): isometry_oracle.pair_error(device, first_operators(ops), result.junk[0],
+                                                       m, n)
                 for m, n in OPERATOR_PAIRS}
         assert_close(got, want)
 
@@ -339,7 +348,7 @@ class TestAgainstIsometryOracle:
         ops, psi, result = extraction_of(device)
         junk = result.junk[0]
         got = b_operator_errors(device, ops, psi, result.junk)
-        want = {(m, which): isometry_oracle.b_error(device, ops, junk, m, which)
+        want = {(m, which): isometry_oracle.b_error(device, first_operators(ops), junk, m, which)
                 for m in ("I", "X", "Z") for which in ("B0", "B1")}
         assert list(got) == list(want)
         assert_close(got, want)
@@ -348,7 +357,7 @@ class TestAgainstIsometryOracle:
         device = chsh_device(seed, dims)
         ops, _, result = extraction_of(device)
         pre, post = isometry_oracle.state_errors(
-            device, ops, result.junk[0], float(result.junk_norm_raw[0])
+            device, first_operators(ops), result.junk[0], float(result.junk_norm_raw[0])
         )
         # ("I", "I") is the first pair.
         assert result.pre_normalization[0] == pytest.approx(pre, abs=TOL)

@@ -14,7 +14,7 @@ import math
 
 import pytest
 
-from helpers import family_points
+from helpers import family_points, first_observables
 from singlet_selftest.bounds import certify, get_mode
 from singlet_selftest.device import make_device
 from singlet_selftest.documents import (
@@ -124,7 +124,7 @@ def test_family_reports_reproduce_their_pin(kind, parameters, dims, seed, mode):
 def test_degenerate_report_reproduces_its_pin(mode):
     # Alice's qubit in |1>: (I + Z'_A) removes it, so the junk candidate is zero.
     base = get_mode(mode).canonical()
-    device = make_device((2, 2), [0.0, 0.0, 1.0, 0.0], dict(base.alice_obs),
-                         dict(base.bob_obs))
+    device = make_device((2, 2), [0.0, 0.0, 1.0, 0.0], first_observables(base.alice_obs),
+                         first_observables(base.bob_obs))
     assert certify(device, mode).degenerate
     assert digest_of([report_text(device, mode)]) == PINS["degenerate-2x2", mode]

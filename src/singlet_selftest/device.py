@@ -39,6 +39,11 @@ STATE_NORM_ATOL = 1e-12
 OBSERVABLE_ATOL = 1e-10
 IMAG_ATOL = 1e-10
 
+# Budget, in complex entries (1 MiB), on the largest array stacked over
+# devices: the row-block buffer of ``correlation_stack`` and, through
+# ``explorer``, a sweep chunk's largest array.
+CHUNK_ELEMENTS = 65_536
+
 
 class DeviceValidationError(ValueError):
     """Raised when a pipeline entry point receives an invalid device."""
@@ -95,14 +100,28 @@ def make_device(
     bob_obs: dict[str, np.ndarray],
 ) -> DeviceStack:
     """One device, from a (dA*dB,) state and (d, d) observables, as the
-    n = 1 stack of read-only copies."""
+    n = 1 stack of read-only copies.
 
-    def rows(obs: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-        return {name: np.array(m, dtype=complex)[None] for name, m in obs.items()}
+    A state that is not one vector, or an observable that is not one square
+    matrix, raises ``ValueError`` naming the argument, since a stack of them
+    would broadcast through the correlations; whether the lengths match
+    ``dims`` is left to ``validate_stack``.  Device documents never reach
+    this check: ``documents`` parses vectors and square matrices only.
+    """
+    state = np.array(state, dtype=complex)
+    if state.ndim != 1:
+        raise ValueError(f"state: expected one vector, got shape {state.shape}")
 
-    return frozen_stack((int(dims[0]), int(dims[1])),
-                        np.array(state, dtype=complex).reshape(1, -1),
-                        rows(alice_obs), rows(bob_obs))
+    def rows(argument: str, obs: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+        arrays = {name: np.array(m, dtype=complex) for name, m in obs.items()}
+        for name, m in arrays.items():
+            if m.ndim != 2 or m.shape[0] != m.shape[1]:
+                raise ValueError(f"{argument}[{name!r}]: expected one square matrix, "
+                                 f"got shape {m.shape}")
+        return {name: m[None] for name, m in arrays.items()}
+
+    return frozen_stack((int(dims[0]), int(dims[1])), state[None],
+                        rows("alice_obs", alice_obs), rows("bob_obs", bob_obs))
 
 
 def canonical_chsh_device() -> DeviceStack:
@@ -228,39 +247,58 @@ def correlation_stack(
     The epsilon^(1/4) budgets amplify a last-bit change in a correlation far
     beyond the change itself at small deviation, so these values keep the
     embedded form ``vdot(psi, (M x I) @ ((I x N) @ psi))`` rather than the
-    state-matrix kernel used elsewhere.  The embedded matrices of all n
-    devices share one zeroed (n, dA*dB, dA*dB) buffer: each observable is
-    written straight into the entries its embedding occupies (I x N first,
-    for every Bob name, then M x I, rewritten when the Alice name changes).
-    Every nonzero entry is the one ``np.kron`` gives, since x * (1 + 0j) is
-    exact; only the sign of some zero entries differs, which no sum with a
-    nonzero term can see.  numpy runs a stacked product with one column as
-    one matrix-vector product per device, and a row times a column as a dot
+    state-matrix kernel used elsewhere.  Each entry (i, j) of (I x N) psi
+    and of (M x I)(I x N) psi is one dot product of row (i, j) of the
+    embedded matrix with a column, so the rows are computed a block at a
+    time: g of Alice's indices i, all dB rows (i, j) of each, for every
+    device, with g = CHUNK_ELEMENTS // (n dB dA dB), at least one and at most
+    dA.  Every block reuses one zeroed (n, g*dB, dA*dB) buffer, at most
+    CHUNK_ELEMENTS entries unless a single index exceeds them, and it is
+    one block when the whole matrices fit, as in every sweep chunk.  Each
+    observable is written straight into the entries its embedding occupies
+    in the block's rows (I x N first, for every Bob name, zeroed after the
+    block; then M x I, rewritten when the Alice name changes).  Every
+    nonzero entry is the one ``np.kron`` gives, since x * (1 + 0j) is exact;
+    only the sign of some zero entries differs, which no sum with a nonzero
+    term can see.  numpy runs a stacked product with one column as one
+    matrix-vector product per device, whose every entry is that row's dot
+    product whatever the rows around it, and a row times a column as a dot
     product, so every correlation is bit-identical to the ``np.kron`` form
     of that device alone.
     """
     require_observables(stack, pairs)
     da, db = stack.dims
-    n = len(stack)
+    n, entries = len(stack), da * db
     psi = stack.state[..., None]
-    buf = np.zeros((n, da * db, da * db), dtype=complex)
-    # blocks[:, i, j, k, l] is the entry at row i*dB + j, column k*dB + l.
-    blocks = buf.reshape(n, da, db, da, db)
+    g = min(da, max(1, CHUNK_ELEMENTS // max(1, n * db * entries)))
+    buf = np.zeros((n, g * db, entries), dtype=complex)
+    # blocks[:, r, j, k, l] is the entry at block row r*dB + j, column k*dB + l.
+    blocks = buf.reshape(n, g, db, da, db)
     alice_diag, bob_diag = np.arange(da), np.arange(db)
-    applied_b: dict[str, np.ndarray] = {}
-    for _, bob_name in pairs:
-        if bob_name not in applied_b:
-            blocks[:, alice_diag, :, alice_diag, :] = stack.bob_obs[bob_name]
-            applied_b[bob_name] = buf @ psi
-    blocks[:, alice_diag, :, alice_diag, :] = 0.0
-    bra = np.conj(stack.state)[:, None, :]
-    values = np.empty((n, len(pairs)), dtype=complex)
-    written_a = None
-    for j, (alice_name, bob_name) in enumerate(pairs):
-        if alice_name != written_a:
-            blocks[:, :, bob_diag, :, bob_diag] = stack.alice_obs[alice_name]
-            written_a = alice_name
-        values[:, j] = (bra @ (buf @ applied_b[bob_name]))[:, 0, 0]
+    # The blocks' Alice indices; block rows r*dB + j are rows (start + r)*dB + j.
+    spans = [(start, min(start + g, da)) for start in range(0, da, g)]
+    # (I x N) psi for each Bob name, then (M x I)(I x N) psi for each pair.
+    bob_names = dict.fromkeys(bob_name for _, bob_name in pairs)
+    products = np.empty((len(bob_names) + len(pairs), n, entries, 1), dtype=complex)
+    applied_b = dict(zip(bob_names, products))
+    applied_ab = products[len(bob_names):]
+    for start, stop in spans:
+        block, rows = buf[:, :(stop - start) * db], slice(start * db, stop * db)
+        diag = (slice(None), alice_diag[:stop - start], slice(None), alice_diag[start:stop])
+        for bob_name, applied in applied_b.items():
+            blocks[diag] = stack.bob_obs[bob_name]
+            np.matmul(block, psi, out=applied[:, rows])
+        blocks[diag] = 0.0
+    for start, stop in spans:
+        block, rows = buf[:, :(stop - start) * db], slice(start * db, stop * db)
+        written_a = None
+        for j, (alice_name, bob_name) in enumerate(pairs):
+            if alice_name != written_a:
+                blocks[:, :stop - start, bob_diag, :, bob_diag] = (
+                    stack.alice_obs[alice_name][:, start:stop])
+                written_a = alice_name
+            np.matmul(block, applied_b[bob_name], out=applied_ab[j, :, rows])
+    values = (np.conj(stack.state)[:, None, :] @ applied_ab)[..., 0, 0].T
     failed = np.argwhere(np.abs(values.imag) > IMAG_ATOL)
     if len(failed):
         i, j = failed[0]

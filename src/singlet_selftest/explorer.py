@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bounds import extraction_bound, get_mode
-from .device import DeviceStack, frozen_stack, validate_stack
+from .device import CHUNK_ELEMENTS, DeviceStack, frozen_stack, validate_stack
 from .linalg import PHI_PLUS, dagger, vector_norms
 
 # Family kind -> the name of its one sweep axis.
@@ -53,14 +53,6 @@ MEASUREMENT_NOISE_CAP = 0.5  # keeps perturbed devices inside the small-deviatio
 # Most points one sweep may have (a count or range steps): 500 times the
 # 200-point sweeps of the benchmark, far below what exhausts memory.
 MAX_SWEEP_POINTS = 100_000
-
-# Budget, in complex entries (1 MiB), on the largest array a sweep stacks
-# over a chunk: the extraction circuit's state, 4 ancilla amplitudes x 10
-# inputs x dA*dB entries per device, or, once dA*dB > 40, the correlations'
-# (dA*dB)^2 buffer per device.  A chunk holds
-# CHUNK_ELEMENTS // max(40 dA dB, (dA dB)^2) devices, at least one.
-CHUNK_ELEMENTS = 65_536
-
 
 @dataclass(frozen=True)
 class FamilySpec:
@@ -369,6 +361,11 @@ def _shared(observables: dict[str, np.ndarray], n: int) -> dict[str, np.ndarray]
 
 
 def _chunk_size(dims: tuple[int, int]) -> int:
+    # CHUNK_ELEMENTS // max(40 dA dB, (dA dB)^2) devices, at least one: the
+    # largest array of a chunk is the extraction circuit's state, 4 ancilla
+    # amplitudes x 10 inputs x dA*dB entries per device, or, once dA*dB > 40,
+    # the (dA*dB)^2 entries of each device's embedded matrices, so a chunk's
+    # correlations take one block (device.correlation_stack).
     entries = dims[0] * dims[1]
     return max(1, CHUNK_ELEMENTS // max(40 * entries, entries * entries))
 

@@ -417,7 +417,7 @@ def test_criterion_10_determinism_and_io(tmp_path):
     code_malformed = main(["certify", "--device", str(truncated), "--mode", "chsh",
                            "--out", str(tmp_path / "x.json")])
     bad_device = make_device(
-        (2, 2), base.state, {"A0": 0.5 * np.eye(2), "A1": np.eye(2)},
+        (2, 2), base.state[0], {"A0": 0.5 * np.eye(2), "A1": np.eye(2)},
         first_observables(base.bob_obs)
     )
     invalid_path = tmp_path / "invalid.json"

@@ -184,7 +184,7 @@ class TestCertify:
         base = canonical_chsh_device()
         broken = make_device(
             (2, 2),
-            base.state,
+            base.state[0],
             {"A0": 0.5 * PAULI_X, "A1": PAULI_Z},
             first_observables(base.bob_obs),
         )

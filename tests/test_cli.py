@@ -81,7 +81,7 @@ class TestDocuments:
         assert json.dumps(complex_to_json(strided[:, 0])) == json.dumps([r[0] for r in want])
         # a negated state has -0.0 imaginary parts, kept through a file round trip
         base = canonical_chsh_device()
-        device = make_device((2, 2), -base.state, first_observables(base.alice_obs),
+        device = make_device((2, 2), -base.state[0], first_observables(base.alice_obs),
                              first_observables(base.bob_obs))
         assert "-0.0" in json.dumps(device_to_document(device)["state"])
         path = tmp_path / "dev.json"
@@ -113,7 +113,7 @@ class TestDocuments:
     def test_invariant_violation_is_fatal(self, tmp_path, capsys):
         base = canonical_chsh_device()
         broken = make_device(
-            (2, 2), base.state,
+            (2, 2), base.state[0],
             {"A0": 0.5 * PAULI_X, "A1": PAULI_Z},
             first_observables(base.bob_obs),
         )
@@ -232,7 +232,7 @@ class TestCertifyCommand:
         skew = 0.45e-10 * np.array([[0.0, 1.0], [-1.0, 0.0]])  # 0.45e-10 * iY
         base = canonical_chsh_device()
         bob = {name: m[0] + skew for name, m in base.bob_obs.items()}
-        device = make_device((2, 2), base.state, first_observables(base.alice_obs), bob)
+        device = make_device((2, 2), base.state[0], first_observables(base.alice_obs), bob)
         assert validate_stack(device) == [[]]
         path = tmp_path / "skewed.json"
         save_device(path, device)
@@ -260,7 +260,7 @@ class TestCertifyCommand:
     def test_invalid_device_exits_two_without_output(self, tmp_path):
         base = canonical_chsh_device()
         broken = make_device(
-            (2, 2), base.state,
+            (2, 2), base.state[0],
             {"A0": 0.5 * PAULI_X, "A1": PAULI_Z},
             first_observables(base.bob_obs),
         )

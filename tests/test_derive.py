@@ -42,7 +42,7 @@ class TestDeriveChshOperators:
         # B0 = B1 = X: the difference is singular and its sign collapses to I
         device = make_device(
             (2, 2),
-            chsh_device.state,
+            chsh_device.state[0],
             first_observables(chsh_device.alice_obs),
             {"B0": PAULI_X, "B1": PAULI_X},
         )

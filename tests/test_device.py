@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ class TestValidate:
     def test_scaled_observable_named(self, chsh_device):
         broken = make_device(
             (2, 2),
-            chsh_device.state,
+            chsh_device.state[0],
             {"A0": 0.5 * PAULI_X, "A1": PAULI_Z},
             first_observables(chsh_device.bob_obs),
         )
@@ -55,7 +56,7 @@ class TestValidate:
             obs = np.array(PAULI_Z, dtype=complex)
             obs[entry] = bad
             broken = make_device(
-                (2, 2), chsh_device.state, {"A0": PAULI_X, "A1": obs},
+                (2, 2), chsh_device.state[0], {"A0": PAULI_X, "A1": obs},
                 first_observables(chsh_device.bob_obs),
             )
             assert validate_stack(broken)[0] == ["A1: non-finite entry"]
@@ -63,7 +64,7 @@ class TestValidate:
     def test_non_hermitian_observable(self, chsh_device):
         broken = make_device(
             (2, 2),
-            chsh_device.state,
+            chsh_device.state[0],
             {"A0": 1j * PAULI_X, "A1": PAULI_Z},
             first_observables(chsh_device.bob_obs),
         )
@@ -73,7 +74,7 @@ class TestValidate:
     def test_shape_mismatch(self, chsh_device):
         broken = make_device(
             (2, 2),
-            chsh_device.state,
+            chsh_device.state[0],
             {"A0": np.eye(3), "A1": PAULI_Z},
             first_observables(chsh_device.bob_obs),
         )
@@ -99,6 +100,23 @@ class TestValidate:
             "A0: O^2 != I, deviation 2",
             "B1: non-finite entry",
         ]]
+
+    @pytest.mark.parametrize("state,alice,bob,message", [
+        (PHI_PLUS[None], PAULI_X, PAULI_X, "state: expected one vector, got shape (1, 4)"),
+        (PHI_PLUS.reshape(2, 2), PAULI_X, PAULI_X, "state: expected one vector, got shape (2, 2)"),
+        (PHI_PLUS, PAULI_X[None], PAULI_X,
+         "alice_obs['A0']: expected one square matrix, got shape (1, 2, 2)"),
+        (PHI_PLUS, PAULI_X, PAULI_X[0],
+         "bob_obs['B0']: expected one square matrix, got shape (2,)"),
+        (PHI_PLUS, PAULI_X, np.eye(2, 3),
+         "bob_obs['B0']: expected one square matrix, got shape (2, 3)"),
+    ])
+    def test_make_device_takes_one_vector_and_square_matrices(self, state, alice, bob,
+                                                              message):
+        # a stacked state or observable would broadcast through the
+        # correlations, so the n = 1 stack is built only from one device's arrays
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            make_device((2, 2), state, {"A0": alice}, {"B0": bob})
 
 
 class TestCorrelation:

@@ -89,7 +89,7 @@ def test_sweep_rejects_invalid_family_point(monkeypatch):
     def broken_chunk(spec, base, values, start):
         alice = dict(first_observables(base.alice_obs), A0=0.5 * PAULI_X)
         bob = first_observables(base.bob_obs)
-        return stack_devices([make_device((2, 2), base.state, alice, bob)] * len(values))
+        return stack_devices([make_device((2, 2), base.state[0], alice, bob)] * len(values))
 
     monkeypatch.setattr(explorer, "_build_chunk", broken_chunk)
     spec = FamilySpec("tilted", {"theta": (0.8, 0.5, 3)})

@@ -38,6 +38,7 @@ from singlet_selftest.derive import (
 )
 from singlet_selftest.device import (
     CHSH_PAIRS,
+    CHUNK_ELEMENTS,
     MY_PAIRS,
     correlation_stack,
     make_device,
@@ -213,6 +214,21 @@ def kron_correlation(device, a: str, b: str) -> float:
     return float(np.vdot(device.state[0], ma @ (nb @ device.state[0])).real)
 
 
+# Bytes of the largest block buffer of correlation_stack, CHUNK_ELEMENTS
+# complex entries.
+BLOCK_BYTES = 16 * CHUNK_ELEMENTS
+
+
+def traced_peak(stack, pairs) -> int:
+    """Peak bytes that tracemalloc traces during one correlation_stack call."""
+    tracemalloc.start()
+    try:
+        correlation_stack(stack, pairs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def search_stack(mode: str, dims, count: int, seed: int):
     """``count`` search proposals as the search builds them: each party's
     observables are non-contiguous views into one rotated array."""
@@ -228,10 +244,13 @@ def search_stack(mode: str, dims, count: int, seed: int):
 
 
 class TestCorrelationsBatch:
-    @pytest.mark.parametrize("dims", [(1, 1), (1, 3), (3, 1), (2, 2), (3, 5), (6, 4), (16, 16)])
+    @pytest.mark.parametrize("dims", [(1, 1), (1, 3), (3, 1), (2, 2), (3, 5), (6, 4), (16, 16),
+                                      (20, 20), (32, 32)])
     def test_bit_identical_to_kron_form(self, dims):
         # the reused buffer holds exactly np.kron's nonzero entries, so every
-        # value equals the embedded form with no tolerance at all
+        # value equals the embedded form with no tolerance at all; up to
+        # 16 x 16 one block holds all of Alice's indices, 20 x 20 takes blocks
+        # of 8, 8 and 4, and 32 x 32 sixteen blocks of 2
         for device, pairs in ((chsh_device(11, dims), CHSH_PAIRS),
                               (my_device(12, dims), MY_PAIRS)):
             values = correlation_stack(device, pairs)[0]
@@ -242,14 +261,21 @@ class TestCorrelationsBatch:
         ("mixed", (2, 2)), ("mixed", (3, 5)), ("mixed", (16, 16)),
         ("junk-embedded", (4, 4)), ("measurement-noise", (2, 2)),
         ("search", (4, 4)), ("search", (5, 3)),
+        ("mixed", (22, 12)), ("search", (12, 12)), ("empty", (32, 32)),
     ])
     @pytest.mark.parametrize("mode", ["chsh", "my"])
     def test_stack_rows_bit_identical_to_kron_form(self, kind, dims, mode):
         # each row of a stack is its device's value alone: for stacks of
         # different devices, for observables or states shared by
-        # broadcasting, and for the search's non-contiguous observable views
+        # broadcasting, and for the search's non-contiguous observable views;
+        # the blocks split Alice's indices for the four 16 x 16 devices (4
+        # blocks of 4), the four 22 x 12 ones (5, 5, 5, 5 and 2) and the six
+        # 12 x 12 proposals (2 blocks of 6), and an empty stack gives no rows
         pairs = bounds.get_mode(mode).pairs
-        if kind == "mixed":
+        if kind == "empty":
+            stack = chsh_device(11, dims) if mode == "chsh" else my_device(12, dims)
+            stack = stack.select(slice(0, 0))
+        elif kind == "mixed":
             build = chsh_device if mode == "chsh" else my_device
             stack = stack_devices([build(seed, dims) for seed in range(20, 24)])
         elif kind == "search":
@@ -287,31 +313,23 @@ class TestCorrelationsBatch:
             correlation_stack(stack_devices(devices[2:]), pairs)
 
     def test_peak_memory_is_one_embedded_buffer(self):
-        dims = (16, 16)
-        buffer_bytes = 16 * (dims[0] * dims[1]) ** 2
-        for device, pairs in ((chsh_device(13, dims), CHSH_PAIRS),
-                              (my_device(14, dims), MY_PAIRS)):
-            tracemalloc.start()
-            try:
-                correlation_stack(device, pairs)
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            assert peak < 1.5 * buffer_bytes, peak / buffer_bytes
+        # the embedded rows go through one block buffer of at most
+        # CHUNK_ELEMENTS entries, not the whole (dA dB)^2 matrix (16 MiB at
+        # 32 x 32); the rest is a few (dA dB,) vectors per pair
+        for dims in ((16, 16), (32, 32)):
+            for device, pairs in ((chsh_device(13, dims), CHSH_PAIRS),
+                                  (my_device(14, dims), MY_PAIRS)):
+                peak = traced_peak(device, pairs)
+                assert peak < 1.25 * BLOCK_BYTES, (dims, peak / BLOCK_BYTES)
 
-    def test_stack_peak_memory_is_one_buffer_per_device(self):
+    def test_stack_peak_memory_is_one_block_buffer(self):
+        # three 16 x 16 devices, 3 MiB of embedded matrices, share one block
+        # buffer too: each block holds fewer of Alice's indices
         dims, n = (16, 16), 3
-        buffer_bytes = 16 * (dims[0] * dims[1]) ** 2
         for build, pairs in ((chsh_device, CHSH_PAIRS), (my_device, MY_PAIRS)):
             stack = stack_devices([build(seed, dims) for seed in range(n)])
-            tracemalloc.start()
-            try:
-                correlation_stack(stack, pairs)
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            assert (n - 0.5) * buffer_bytes < peak < (n + 0.5) * buffer_bytes, (
-                peak / buffer_bytes)
+            peak = traced_peak(stack, pairs)
+            assert peak < 1.25 * BLOCK_BYTES, peak / BLOCK_BYTES
 
     def test_unknown_name_raises(self):
         device = chsh_device(3, (2, 3))

@@ -25,6 +25,7 @@ from .derive import (
     DerivedOperators,
     EpsilonBudget,
     ResidualSet,
+    _check_epsilon,
     chsh_budget,
     chsh_diagnostics,
     derive_chsh_operators,
@@ -74,9 +75,7 @@ def extraction_bound(eps1: float, eps2: float) -> float:
 def b_extraction_bound(epsilon: float) -> float:
     """Extraction bound for Bob's raw observables:
     sqrt(2)*eps + 2*sqrt(2)*(eps*sqrt(2))**(1/4)."""
-    epsilon = float(epsilon)
-    if not 0.0 <= epsilon < 1.0:
-        raise ValueError(f"deviation epsilon must lie in [0, 1), got {epsilon}")
+    epsilon = _check_epsilon(epsilon)
     return SQRT2 * epsilon + 2.0 * SQRT2 * (epsilon * SQRT2) ** 0.25
 
 

@@ -122,11 +122,7 @@ def cmd_correlations(args: argparse.Namespace) -> int:
     A table no quantum device produces exits 2 naming two of Bob's settings.
     """
     selftest = get_mode(args.mode)
-    try:
-        table = _load_table(args.table, selftest)
-    except DocumentError as err:
-        return _fail(str(err))
-
+    table = _load_table(args.table, selftest)
     conflict = _incompatible_settings(selftest, table)
     if conflict is not None:
         low, lo, high, hi = conflict
@@ -218,11 +214,7 @@ def sweep_csv(spec: FamilySpec) -> str:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    try:
-        spec = _parse_family_spec(args.family)
-        text = sweep_csv(spec)
-    except (DocumentError, ValueError) as err:
-        return _fail(str(err))
+    text = sweep_csv(_parse_family_spec(args.family))
     write_text_atomic(args.out, text)
     print(f"wrote {text.count(chr(10)) - 1} sweep rows to {args.out}")
     return 0
@@ -238,19 +230,13 @@ def _parse_dims(text: str) -> tuple[int, int]:
 
 
 def cmd_search(args: argparse.Namespace) -> int:
-    try:
-        dims = _parse_dims(args.dims)
-        result = worst_case_search(
-            args.mode, args.epsilon_ceiling, dims, args.budget, args.seed
-        )
-    except ValueError as err:
-        return _fail(str(err))
+    dims = _parse_dims(args.dims)
+    result = worst_case_search(args.mode, args.epsilon_ceiling, dims, args.budget, args.seed)
     if not result.found:
         print(
             f"no feasible device found within budget {args.budget}: "
             f"{result.over_ceiling} proposal(s) exceeded epsilon ceiling "
-            f"{args.epsilon_ceiling}, {result.invalid} invalid, "
-            f"{result.degenerate} degenerate",
+            f"{args.epsilon_ceiling}, {result.degenerate} degenerate",
             file=sys.stderr,
         )
         return 1

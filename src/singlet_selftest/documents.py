@@ -6,6 +6,12 @@ encoder (shortest exact round-trip), so deserialize(serialize(device)) is
 value-identical and repeated runs are byte-identical.  Output files are
 written to a temporary sibling and atomically renamed, never left partial.
 
+A report is built from plain Python values.  Its rows' ``measured``,
+``bound``, ``boundHeadline``, ``boundExact`` and ``slack`` are null where the
+theorem gives no number: NaN from a degenerate junk state, or from a
+deviation of 1 or more, which has no budget.  Any other non-finite value
+raises when the report is written, rather than being smoothed over.
+
 Every indented document goes through one encoder, ``json_text``, whose text
 is byte for byte ``json.dumps(value, indent=2, allow_nan=False)``.  The
 standard library encodes with ``indent`` only in pure Python, so
@@ -206,25 +212,9 @@ def load_device(path: str | Path) -> DeviceStack:
 _SCALARS = frozenset({str, bool, int, float, type(None)})
 
 
-def _clean(value):
-    """Make a value JSON-clean: NaN/inf become null, numpy scalars plain."""
-    kind = type(value)
-    if kind is float:
-        return value if math.isfinite(value) else None
-    if kind in _SCALARS:
-        return value
-    if isinstance(value, dict):
-        return {k: _clean(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_clean(v) for v in value]
-    if isinstance(value, (np.floating, float)):
-        f = float(value)
-        return f if math.isfinite(f) else None
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.bool_,)):
-        return bool(value)
-    return value
+def _number(x: float) -> float | None:
+    """A row value as the document holds it: null where the theorem gives no number."""
+    return x if math.isfinite(x) else None
 
 
 def budget_to_json(budget: EpsilonBudget) -> dict:
@@ -249,18 +239,18 @@ def report_to_document(report: CertificationReport, inputs_digest: str) -> dict:
         {
             "name": row.name,
             "category": row.category,
-            "measured": row.measured,
-            "bound": row.bound,
-            "boundHeadline": row.bound_headline,
-            "boundExact": row.bound_exact,
+            "measured": _number(row.measured),
+            "bound": _number(row.bound),
+            "boundHeadline": _number(row.bound_headline),
+            "boundExact": _number(row.bound_exact),
             "direction": row.direction,
             "formula": row.formula,
             "pass": row.passed,
-            "slack": row.slack,
+            "slack": _number(row.slack),
         }
         for row in report.rows
     ]
-    doc = {
+    return {
         "schemaVersion": REPORT_SCHEMA_VERSION,
         "toolVersion": __version__,
         "mode": report.mode,
@@ -286,7 +276,6 @@ def report_to_document(report: CertificationReport, inputs_digest: str) -> dict:
             "allPass": report.all_pass,
         },
     }
-    return _clean(doc)
 
 
 @functools.cache

@@ -28,8 +28,9 @@ observables in one pass.
 A family spec is checked whole before any of its devices is built.  The
 devices a sweep or search generates are valid, with real correlations (a
 property test checks both), so neither orders its errors: a sweep raises at
-its first invalid device, and a search at the first stack of proposals
-whose epsilon raises, whether or not the chain reaches the failing row.
+its first invalid device, and a search at the first stack of proposals that
+holds an invalid device or whose epsilon raises, whether or not the chain
+reaches the failing row.
 """
 
 from __future__ import annotations
@@ -87,17 +88,16 @@ class SweepRecord:
 @dataclass(frozen=True)
 class SearchResult:
     """The best feasible device of a search, as the n = 1 stack, and how its
-    evaluations ended: ``feasible``, or rejected as ``invalid`` (failed
-    validation), ``over_ceiling`` (epsilon) or ``degenerate`` (extraction),
-    checked in that order; the four counts sum to ``evaluations``.  A
-    degenerate proposal over the ceiling counts as ``over_ceiling``."""
+    evaluations ended: ``feasible``, or rejected as ``over_ceiling``
+    (epsilon) or ``degenerate`` (extraction), checked in that order; the
+    three counts sum to ``evaluations``.  A degenerate proposal over the
+    ceiling counts as ``over_ceiling``."""
 
     found: bool
     device: DeviceStack | None
     record: SweepRecord | None
     evaluations: int
     feasible: int = 0
-    invalid: int = 0
     degenerate: int = 0
     over_ceiling: int = 0
 
@@ -140,15 +140,10 @@ def _rotate(obs: np.ndarray, decomposition, eta) -> np.ndarray:
 
 
 def _orthogonal_noise(rng: np.random.Generator, base: np.ndarray) -> np.ndarray:
-    """Seeded random unit vector orthogonal to ``base``."""
-    dim = base.shape[0]
-    for _ in range(16):
-        e = _complex_normal(rng, dim)
-        e -= np.vdot(base, e) * base
-        nrm = float(np.linalg.norm(e))
-        if nrm > 1e-8:
-            return e / nrm
-    raise RuntimeError("failed to draw a noise direction")  # pragma: no cover
+    """Seeded random unit vector orthogonal to the unit vector ``base``."""
+    e = _complex_normal(rng, base.shape[0])
+    e -= np.vdot(base, e) * base
+    return e / np.linalg.norm(e)
 
 
 def _observable_draws(rng: np.random.Generator, dim: int) -> tuple[np.ndarray, np.ndarray]:
@@ -484,9 +479,10 @@ def worst_case_search(
     derivative-free chain is used, cooling geometrically by 0.995 per evaluation.
     The result is the best device found within ``budget`` evaluations — no
     global-optimality claim is made.  The seed proposal is the unperturbed
-    canonical embedding.  Each proposal is validated here; an invalid one
-    uses up its evaluation and is rejected.  A valid proposal's epsilon comes
-    next, from its correlations, and one over the ceiling is rejected before
+    canonical embedding.  Each proposal is validated here; the generator
+    makes only valid devices, so an invalid one raises ``ValueError`` naming
+    its violations.  A proposal's epsilon comes next, from its
+    correlations, and one over the ceiling is rejected before
     operator derivation, residuals or the extraction circuit run; the rest go
     through them with that epsilon.  The result counts how the evaluations
     ended.  The rotation generators are drawn and decomposed once per
@@ -496,12 +492,12 @@ def worst_case_search(
     drawn from one chain state, up to the first feasible one, is known in
     advance.  The search draws a batch of them in one call, builds them as
     one stack (``_search_proposals``), validates the stack and takes epsilon
-    of its valid rows in one pass, then checks the rows in the order above
+    of its rows in one pass, then checks the rows in the order above
     and stops at the first feasible one.  The generator is rewound and
     redrawn for only the rows checked, so the chain, its counts and its
     result are bit-identical to checking one proposal at a time; a row the
-    chain does not reach is not counted.  An error taking the epsilon of any
-    valid row of a batch raises.  A batch holds
+    chain does not reach is not counted.  An invalid row of a batch, or an
+    error taking the epsilon of any row, raises.  A batch holds
     the mean run length so far, ceil(evaluations / (feasible + 1))
     proposals, at most the budget left and ``_chunk_size(dims)``.
 
@@ -528,25 +524,22 @@ def worst_case_search(
     qubit_state = block.reshape(-1)
     state_dirs = np.stack([_orthogonal_noise(rng, qubit_state) for _ in range(2)])
     table = _rotation_table(base, dims, rng)
-    outcomes = {"feasible": 0, "invalid": 0, "degenerate": 0, "over_ceiling": 0}
+    outcomes = {"feasible": 0, "degenerate": 0, "over_ceiling": 0}
 
     def first_feasible(params: np.ndarray) -> tuple[int, tuple[DeviceStack, SweepRecord] | None]:
         """Check the proposals, the rows of ``params``, in order up to the
         first feasible one: how many were checked, and that one's device and
         record (None if no row was feasible)."""
         stack = _search_proposals(dims, qubit_state, state_dirs, table, params)
-        violations = validate_stack(stack)
-        valid = [i for i, found in enumerate(violations) if not found]
-        valid_stack = stack if len(valid) == len(stack) else stack.select(valid)
-        epsilons = dict(zip(valid, (eps for _, _, eps in get_mode(mode).deviations(valid_stack))))
-        for row, found in enumerate(violations):
-            if found:
-                outcomes["invalid"] += 1
-            elif epsilons[row] > epsilon_ceiling:
+        for violations in validate_stack(stack):
+            if violations:
+                raise ValueError("search produced an invalid proposal: " + "; ".join(violations))
+        for row, (_, _, eps) in enumerate(get_mode(mode).deviations(stack)):
+            if eps > epsilon_ceiling:
                 outcomes["over_ceiling"] += 1
             else:
                 proposal = stack.select(slice(row, row + 1))
-                record = _evaluate_stack(proposal, mode, [epsilons[row]])[0]
+                record = _evaluate_stack(proposal, mode, [eps])[0]
                 if not record.degenerate:
                     outcomes["feasible"] += 1
                     return row + 1, (proposal, record)

@@ -811,8 +811,7 @@ class TestSearchCommand:
         monkeypatch.setattr(
             cli_module,
             "worst_case_search",
-            lambda *a, **k: SearchResult(False, None, None, 10, invalid=3, degenerate=2,
-                                         over_ceiling=5),
+            lambda *a, **k: SearchResult(False, None, None, 10, degenerate=2, over_ceiling=8),
         )
         code = main([
             "search", "--mode", "chsh", "--epsilon-ceiling", "0.01",
@@ -820,8 +819,22 @@ class TestSearchCommand:
         ])
         assert code == 1
         assert not (tmp_path / "x.json").exists()
-        assert ("5 proposal(s) exceeded epsilon ceiling 0.01, 3 invalid, 2 degenerate"
+        assert ("8 proposal(s) exceeded epsilon ceiling 0.01, 2 degenerate"
                 in capsys.readouterr().err)
+
+    def test_invalid_proposal_exits_two_without_output(self, tmp_path, monkeypatch, capsys):
+        import singlet_selftest.explorer as explorer
+
+        monkeypatch.setattr(explorer, "validate_stack",
+                            lambda stack: [["A0: O^2 != I"]] * len(stack))
+        code = main([
+            "search", "--mode", "chsh", "--epsilon-ceiling", "0.01",
+            "--budget", "10", "--out", str(tmp_path / "x.json"),
+        ])
+        assert code == 2
+        assert (capsys.readouterr().err
+                == "error: search produced an invalid proposal: A0: O^2 != I\n")
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("flag,value,message", [
         ("--seed", "-1", "seed must be a nonnegative integer, got -1"),

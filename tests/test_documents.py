@@ -1,4 +1,4 @@
-"""The indented JSON encoder and the report cleaner in ``documents``."""
+"""The indented JSON encoder and device documents in ``documents``."""
 
 from __future__ import annotations
 
@@ -6,11 +6,10 @@ import json
 import math
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from singlet_selftest.device import canonical_chsh_device, canonical_my_device
-from singlet_selftest.documents import _clean, device_to_document, json_text
+from singlet_selftest.documents import device_to_document, json_text
 from singlet_selftest.explorer import FamilySpec, family_chunks
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -74,31 +73,6 @@ def test_non_finite_values_raise_as_json_does(value):
 def test_unsupported_key_raises_as_json_does():
     with pytest.raises(TypeError):
         json_text({(1, 2): [1]})
-
-
-def test_clean_keeps_its_conversions():
-    cleaned = _clean({
-        "nan": np.float64("nan"),
-        "inf": -math.inf,
-        "f64": np.float64(0.25),
-        "i64": np.int64(-7),
-        "bool": np.bool_(True),
-        "tuple": (1, np.float32(0.5), (np.int32(2),)),
-        "plain": [None, "s", 3, 1.5, False],
-    })
-    assert cleaned == {
-        "nan": None,
-        "inf": None,
-        "f64": 0.25,
-        "i64": -7,
-        "bool": True,
-        "tuple": [1, 0.5, [2]],
-        "plain": [None, "s", 3, 1.5, False],
-    }
-    assert type(cleaned["f64"]) is float
-    assert type(cleaned["i64"]) is int
-    assert type(cleaned["bool"]) is bool
-    assert type(cleaned["tuple"]) is list and type(cleaned["tuple"][2]) is list
 
 
 def test_device_document_of_other_than_one_device_raises_naming_the_count():

@@ -341,51 +341,56 @@ class TestWorstCaseSearch:
     def test_outcomes_count_every_evaluation(self):
         result = worst_case_search("chsh", 0.01, (2, 2), 200, 7)
         assert result.feasible > 0 and result.over_ceiling > 0
-        assert (result.feasible + result.invalid + result.over_ceiling
+        assert (result.feasible + result.over_ceiling
                 + result.degenerate) == result.evaluations == 200
 
-    def test_outcomes_count_each_rejection_once(self, monkeypatch):
-        # Rejections are injected by a rule on the proposal, since rows the
-        # chain never reaches are validated too: a proposal fails validation
-        # when its last amplitude, in millionths, is 0 mod 3, and one that
-        # reaches the stages (so is within the ceiling) is degenerate when it
-        # is 1 mod 4.  Each rejection of a reached proposal counts once.
-        validate_stack = explorer.validate_stack
+    def test_degenerate_outcomes_count_once(self, monkeypatch):
+        # Degeneracy is injected by a rule on the proposal: one that reaches
+        # the stages (so is within the ceiling) is degenerate when its last
+        # amplitude, in millionths, is 1 mod 4.  Each counts once.
         evaluate_stack = explorer._evaluate_stack
-
-        def marked(state, residue, modulus):
-            return int(abs(state[-1]) * 1e6) % modulus == residue
-
-        def validate_some(stack):
-            return [["rejected"] if marked(state, 0, 3) else found
-                    for state, found in zip(stack.state, validate_stack(stack))]
 
         def degenerate_some(stack, mode, epsilons):
             assert len(stack) == 1 and epsilons[0] <= 0.3
             (record,) = evaluate_stack(stack, mode, epsilons)
-            return [dataclasses.replace(record, degenerate=marked(stack.state[0], 1, 4))]
+            marked = int(abs(stack.state[0][-1]) * 1e6) % 4 == 1
+            return [dataclasses.replace(record, degenerate=marked)]
 
-        monkeypatch.setattr(explorer, "validate_stack", validate_some)
         monkeypatch.setattr(explorer, "_evaluate_stack", degenerate_some)
         spy = SearchSpy(monkeypatch)
         result = worst_case_search("my", 0.3, (3, 2), 80, 5)
-        invalid = degenerate = 0
-        for batch, checked in spy.reached():
-            invalid += sum(1 for found in batch["violations"][:checked] if found)
-            degenerate += sum(1 for _, flagged in batch["staged"] if flagged)
+        degenerate = sum(flagged for batch in spy.batches for _, flagged in batch["staged"])
         assert result.evaluations == 80
-        assert (result.invalid, result.degenerate) == (invalid, degenerate)
-        assert (result.feasible + result.invalid + result.over_ceiling
-                + result.degenerate) == 80
-        assert min(result.feasible, result.invalid, result.over_ceiling,
-                   result.degenerate) > 0
+        assert result.degenerate == degenerate
+        assert result.feasible + result.over_ceiling + result.degenerate == 80
+        assert min(result.feasible, result.over_ceiling, result.degenerate) > 0
         assert max(len(batch["states"]) for batch in spy.batches) > 1
+
+    @pytest.mark.parametrize("reached", [True, False], ids=["reached", "unreached"])
+    def test_an_invalid_proposal_raises(self, monkeypatch, reached):
+        # The first proposal within the ceiling of a stack, which the chain
+        # checks, or the stack's last row past it, which the chain never
+        # reaches, is made to fail validation: either raises, naming it.
+        validate_stack = explorer.validate_stack
+        deviations = get_mode("chsh").deviations
+
+        def invalid_within(stack):
+            violations = validate_stack(stack)
+            within = [i for i, (_, _, eps) in enumerate(deviations(stack)) if eps <= 0.01]
+            if within and (reached or within[0] < len(stack) - 1):
+                violations[within[0] if reached else -1] = ["A0: O^2 != I"]
+            return violations
+
+        monkeypatch.setattr(explorer, "validate_stack", invalid_within)
+        with pytest.raises(ValueError, match=r"^search produced an invalid proposal: "
+                                             r"A0: O\^2 != I$"):
+            worst_case_search("chsh", 0.01, (2, 2), 200, 7)
 
     @pytest.mark.parametrize("mode,seed", [("chsh", 2024), ("my", 7)])
     def test_over_ceiling_proposals_skip_the_stages(self, monkeypatch, mode, seed):
-        # Epsilon is computed for every valid proposal the chain checks, once
-        # per stack of proposals, and only the proposals within the ceiling
-        # reach the extraction circuit.
+        # Epsilon is computed for every proposal of a stack, once per stack,
+        # and only the proposals within the ceiling reach the extraction
+        # circuit.
         extractions = []
         extraction_stack = bounds.extraction_stack
 
@@ -397,13 +402,11 @@ class TestWorstCaseSearch:
         spy = SearchSpy(monkeypatch)
         result = worst_case_search(mode, 0.05, (4, 4), 200, seed)
         assert result.over_ceiling > 0
-        valid_checked = 0
+        checked_rows = 0
         for batch, checked in spy.reached():
-            valid = [state for state, found in zip(batch["states"], batch["violations"])
-                     if not found]
-            assert batch["correlated"] == valid
-            valid_checked += sum(1 for found in batch["violations"][:checked] if not found)
-        assert valid_checked == result.evaluations - result.invalid
+            assert batch["correlated"] == batch["states"]
+            checked_rows += checked
+        assert checked_rows == result.evaluations
         assert len(extractions) == result.feasible + result.degenerate
 
     def test_unchecked_proposals_raise(self, monkeypatch):
@@ -440,7 +443,9 @@ class TestWorstCaseSearch:
 # Captured before epsilon was checked ahead of the pipeline: mode, dims, seed,
 # the feasible and invalid counts, a digest of the best device's arrays, and
 # the repr of its record (ceiling 0.05, budget 200).  Checking epsilon first
-# must reproduce every entry.
+# must reproduce every entry.  The invalid count, 0 in every pin, enters the
+# sum of the outcomes: a search raises on an invalid proposal, so no count
+# of its result holds one.
 SEARCH_PINS = [
     ("chsh", (2, 2), 11, 67, 0, "262cf5f38784d474",
      "SweepRecord(epsilon=0.045361999474531345, eps1_measured=0.255654637785549,"
@@ -506,14 +511,17 @@ def _device_digest(device) -> str:
                          ids=[f"{pin[0]}-{pin[1][0]}x{pin[1][1]}-{pin[2]}" for pin in SEARCH_PINS])
 def test_search_reproduces_its_pin(mode, dims, seed, feasible, invalid, digest, record):
     result = worst_case_search(mode, 0.05, dims, 200, seed)
-    assert (result.feasible, result.invalid) == (feasible, invalid)
+    assert result.feasible == feasible
+    assert (result.feasible + result.over_ceiling + result.degenerate + invalid
+            == result.evaluations)
     assert _device_digest(result.device) == digest
     assert repr(result.record) == record
 
 
 # Captured before proposals were built and checked as speculative stacks:
 # mode, dims, ceiling, the feasible, invalid and over-ceiling counts, the best
-# device's digest and its record's repr (budget 300, seed 13).  At these
+# device's digest and its record's repr (budget 300, seed 13); the invalid
+# count enters as in ``SEARCH_PINS``.  At these
 # ceilings most proposals are over the ceiling, so the batches grow to the
 # chunk cap, and a feasible row in mid-batch rewinds the generator.
 SMALL_CEILING_PINS = [
@@ -558,8 +566,9 @@ SMALL_CEILING_PINS = [
 def test_small_ceiling_search_reproduces_its_pin(mode, dims, ceiling, feasible, invalid,
                                                  over_ceiling, digest, record):
     result = worst_case_search(mode, ceiling, dims, 300, 13)
-    assert (result.feasible, result.invalid, result.over_ceiling) == (
-        feasible, invalid, over_ceiling)
+    assert (result.feasible, result.over_ceiling) == (feasible, over_ceiling)
+    assert (result.feasible + result.over_ceiling + result.degenerate + invalid
+            == result.evaluations)
     assert _device_digest(result.device) == digest
     assert repr(result.record) == record
 

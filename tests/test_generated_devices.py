@@ -1,8 +1,8 @@
 """Every device a sweep or a search generates is valid, with real correlations.
 
 ``explorer`` orders no errors: a sweep raises at its first invalid device, and
-a search at the first stack of proposals whose epsilon raises, whether or not
-its chain reaches the failing row.  That is sound because the library's own
+a search at the first stack of proposals that holds an invalid device or whose
+epsilon raises, whether or not its chain reaches the failing row.  That is sound because the library's own
 devices never fail; these properties hold it, over family specs of every kind
 and mode up to 8x8 and over search proposals with random parameters.  The
 imaginary parts are computed here through ``np.kron`` embeddings, not through

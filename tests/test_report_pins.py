@@ -4,7 +4,8 @@ The goldens compare floats at 1e-12, so a last-bit change in a chain row
 passes them; these pins do not.  Each case certifies a few devices of one
 family kind and dims in one mode and hashes the report texts, written as the
 ``certify`` command writes them, so a refactor of any stage must leave every
-byte of every report as it was.
+byte of every report as it was.  The same devices' report documents are also
+walked for anything but plain JSON values.
 """
 
 from __future__ import annotations
@@ -120,11 +121,56 @@ def test_family_reports_reproduce_their_pin(kind, parameters, dims, seed, mode):
     assert digest_of(texts) == PINS[case_id(kind, dims), mode]
 
 
+def degenerate_device(mode: str):
+    """Alice's qubit in |1>: (I + Z'_A) removes it, so the junk candidate is zero."""
+    base = get_mode(mode).canonical()
+    return make_device((2, 2), [0.0, 0.0, 1.0, 0.0], first_observables(base.alice_obs),
+                       first_observables(base.bob_obs))
+
+
 @pytest.mark.parametrize("mode", ["chsh", "my"])
 def test_degenerate_report_reproduces_its_pin(mode):
-    # Alice's qubit in |1>: (I + Z'_A) removes it, so the junk candidate is zero.
-    base = get_mode(mode).canonical()
-    device = make_device((2, 2), [0.0, 0.0, 1.0, 0.0], first_observables(base.alice_obs),
-                         first_observables(base.bob_obs))
+    device = degenerate_device(mode)
     assert certify(device, mode).degenerate
     assert digest_of([report_text(device, mode)]) == PINS["degenerate-2x2", mode]
+
+
+# The row fields that are null where the theorem gives no number: a degenerate
+# junk candidate, or a deviation of 1 or more, which has no budget.  Besides
+# them, only the budget block of such a deviation, and the CHSH value and
+# budget delta of a Mayers-Yao report, which the mode does not define, are null.
+NULL_ROW_FIELDS = {"measured", "bound", "boundHeadline", "boundExact", "slack"}
+NULL_FIELDS = {("report", "budgets"), ("report", "chshValue"), ("report", "budgets", "delta")}
+
+
+def plain_json_nulls(value, path: tuple = ()):
+    """The paths of the nulls in ``value``; any value other than a dict with
+    str keys, list, str, int, finite float or bool raises AssertionError."""
+    if value is None:
+        return [path]
+    if type(value) is dict:
+        assert all(type(key) is str for key in value), path
+        return [found for key, member in value.items()
+                for found in plain_json_nulls(member, (*path, key))]
+    if type(value) is list:
+        return [found for index, member in enumerate(value)
+                for found in plain_json_nulls(member, (*path, index))]
+    assert type(value) in (str, int, float, bool), (path, type(value))
+    assert type(value) is not float or math.isfinite(value), path
+    return []
+
+
+@pytest.mark.parametrize("mode", ["chsh", "my"])
+def test_report_documents_hold_plain_json(mode):
+    # Every pinned device of the mode; nulls occur only where they are named.
+    devices = [device for kind, parameters, dims, seed in FAMILIES
+               for _, device in family_points(FamilySpec(kind, parameters, dims, seed, mode))]
+    nulls, unbudgeted = [], 0
+    for device in [*devices, degenerate_device(mode)]:
+        report = certify(device, mode)
+        unbudgeted += report.budget is None
+        nulls += plain_json_nulls(report_to_document(report, "sha256:0"))
+    rows = [path for path in nulls if path not in NULL_FIELDS]
+    assert {path[:2] for path in rows} == {("report", "rows")}
+    assert {path[-1] for path in rows} <= NULL_ROW_FIELDS
+    assert nulls and unbudgeted

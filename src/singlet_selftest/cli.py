@@ -182,17 +182,14 @@ def _parse_family_spec(path: str) -> FamilySpec:
         raise DocumentError(f"family spec has unknown fields: {sorted(unknown)}")
     if "kind" not in doc:
         raise DocumentError("family spec requires a 'kind'")
-    dims = doc.get("dims", [2, 2])
-    if not (isinstance(dims, list) and len(dims) == 2):
-        raise DocumentError(f"family spec dims must be [dA, dB], got {dims!r}")
-    # The values are checked, without conversion, by explorer.family_axis.
-    return FamilySpec(
-        kind=doc["kind"],
-        parameters=doc.get("parameters", {}),
-        dims=tuple(dims),
-        seed=doc.get("seed", 0),
-        mode=doc.get("mode", "chsh"),
-    )
+    if "dims" in doc:
+        dims = doc["dims"]
+        if not (isinstance(dims, list) and len(dims) == 2):
+            raise DocumentError(f"family spec dims must be [dA, dB], got {dims!r}")
+        doc = {**doc, "dims": tuple(dims)}
+    # The values are checked, without conversion, by explorer.family_axis;
+    # a field the spec leaves out takes FamilySpec's default.
+    return FamilySpec(**doc)
 
 
 def sweep_csv(spec: FamilySpec) -> str:

@@ -299,9 +299,9 @@ def correlation_stack(
                 written_a = alice_name
             np.matmul(block, applied_b[bob_name], out=applied_ab[j, :, rows])
     values = (np.conj(stack.state)[:, None, :] @ applied_ab)[..., 0, 0].T
-    failed = np.argwhere(np.abs(values.imag) > IMAG_ATOL)
-    if len(failed):
-        i, j = failed[0]
+    failed = np.abs(values.imag) > IMAG_ATOL
+    if failed.any():
+        i, j = np.argwhere(failed)[0]
         alice_name, bob_name = pairs[j]
         raise ValueError(
             f"correlation <{alice_name} {bob_name}> has imaginary part "

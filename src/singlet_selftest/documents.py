@@ -47,17 +47,6 @@ class DocumentError(ValueError):
     """Malformed or schema-violating document."""
 
 
-def _unpair(value, where: str) -> complex:
-    # Exact types: JSON true/false load as bool, which is an int subclass.
-    if (
-        not isinstance(value, (list, tuple))
-        or len(value) != 2
-        or not all(type(x) in (int, float) for x in value)
-    ):
-        raise DocumentError(f"{where}: expected a [re, im] pair, got {value!r}")
-    return complex(float(value[0]), float(value[1]))
-
-
 def complex_to_json(a: np.ndarray) -> list:
     """A complex array as nested lists of [re, im] pairs in the array's shape.
 
@@ -68,56 +57,51 @@ def complex_to_json(a: np.ndarray) -> list:
     return a.view(float).reshape(*a.shape, 2).tolist()
 
 
-def _bulk_complex(rows, shape: tuple[int, ...]) -> np.ndarray | None:
-    """``rows`` as a complex array of ``shape``, parsed in bulk, or None.
+def _complex_array(rows, ndim: int, where: str) -> np.ndarray:
+    """``rows`` as a complex vector (``ndim`` 1) or square matrix (``ndim`` 2).
 
-    Accepted: lists nested exactly as ``shape``, then [re, im] pairs (lists
-    or tuples) of exact ``int`` or ``float`` leaves (JSON true/false load as
-    bool, an int subclass).  That is a subset of what the per-entry walk
-    accepts, with the same values: ``np.array`` converts each leaf as
-    ``float()`` does.  On None the walk decides, and names the first bad
-    entry.
+    Accepted: a nonempty list, for a matrix of lists of its own length, of
+    [re, im] pairs (lists or tuples) of exact ``int`` or ``float`` leaves (JSON
+    true/false load as bool, an int subclass).  The leaves are converted in
+    one ``np.array`` call, each as ``float()`` converts it, so an integer
+    beyond float range raises ``float()``'s ``OverflowError``.  Anything else
+    raises ``DocumentError`` naming the first bad row or entry in row-major
+    order, or the ``OverflowError`` of an entry before it.
     """
+    if not isinstance(rows, list) or not rows:
+        raise DocumentError(f"{where}: expected a nonempty "
+                            + ("list of [re, im] pairs" if ndim == 1 else "nested list"))
+    shape = (len(rows),) * ndim
     level = [rows]
-    for kinds, size in zip(({list},) * len(shape) + ({list, tuple},), (*shape, 2)):
-        if not set(map(type, level)) <= kinds or set(map(len, level)) != {size}:
-            return None
+    for kinds, size in zip((list,) * ndim + ((list, tuple),), (*shape, 2)):
+        if not all(map(isinstance, level, itertools.repeat(kinds))) or (
+                set(map(len, level)) != {size}):
+            raise _first_error(rows, ndim, where)
         level = list(itertools.chain.from_iterable(level))
     if not set(map(type, level)) <= {int, float}:
-        return None
-    try:
-        leaves = np.array(level, dtype=float)
-    except OverflowError:
-        return None
-    return leaves.view(complex).reshape(shape)
+        raise _first_error(rows, ndim, where)
+    return np.array(level, dtype=float).view(complex).reshape(shape)
 
 
-def vector_from_json(rows, where: str) -> np.ndarray:
-    if not isinstance(rows, list) or not rows:
-        raise DocumentError(f"{where}: expected a nonempty list of [re, im] pairs")
-    bulk = _bulk_complex(rows, (len(rows),))
-    if bulk is not None:
-        return bulk
-    return np.array([_unpair(r, f"{where}[{i}]") for i, r in enumerate(rows)], dtype=complex)
-
-
-def matrix_from_json(rows, where: str) -> np.ndarray:
-    if not isinstance(rows, list) or not rows:
-        raise DocumentError(f"{where}: expected a nonempty nested list")
-    dim = len(rows)
-    bulk = _bulk_complex(rows, (dim, dim))
-    if bulk is not None:
-        return bulk
-    out = np.zeros((dim, dim), dtype=complex)
+def _first_error(rows: list, ndim: int, where: str) -> DocumentError:
+    """The error naming the first row or entry of ``rows``, in row-major order,
+    that ``_complex_array`` refuses; ``rows`` holds one.  An integer beyond
+    float range before it raises ``float()``'s ``OverflowError`` instead."""
     for i, row in enumerate(rows):
-        if not isinstance(row, list) or len(row) != dim:
-            raise DocumentError(
-                f"{where}: row {i} has {len(row) if isinstance(row, list) else 'no'} "
-                f"entries, expected {dim} (square, row-major)"
-            )
-        for j, entry in enumerate(row):
-            out[i, j] = _unpair(entry, f"{where}[{i}][{j}]")
-    return out
+        entries = [(f"{where}[{i}]", row)]
+        if ndim == 2:
+            if not isinstance(row, list) or len(row) != len(rows):
+                return DocumentError(
+                    f"{where}: row {i} has {len(row) if isinstance(row, list) else 'no'} "
+                    f"entries, expected {len(rows)} (square, row-major)"
+                )
+            entries = [(f"{where}[{i}][{j}]", entry) for j, entry in enumerate(row)]
+        for at, pair in entries:
+            if not (isinstance(pair, (list, tuple)) and len(pair) == 2
+                    and set(map(type, pair)) <= {int, float}):
+                return DocumentError(f"{at}: expected a [re, im] pair, got {pair!r}")
+            for x in pair:
+                float(x)
 
 
 def device_to_document(device: DeviceStack, metadata: dict | None = None) -> dict:
@@ -154,7 +138,7 @@ def device_from_document(doc) -> DeviceStack:
         or not all(type(d) is int and d >= 1 for d in dims)
     ):
         raise DocumentError(f"dims: expected two positive integers, got {dims!r}")
-    state = vector_from_json(doc.get("state"), "state")
+    state = _complex_array(doc.get("state"), 1, "state")
     obs = doc.get("observables")
     if not isinstance(obs, dict) or set(obs) - {"alice", "bob"}:
         raise DocumentError("observables: expected an object with 'alice' and 'bob'")
@@ -164,7 +148,7 @@ def device_from_document(doc) -> DeviceStack:
         if not isinstance(named, dict):
             raise DocumentError(f"observables.{party}: expected an object of name -> matrix")
         parties[party] = {
-            name: matrix_from_json(m, f"observables.{party}.{name}")
+            name: _complex_array(m, 2, f"observables.{party}.{name}")
             for name, m in named.items()
         }
     return make_device((dims[0], dims[1]), state, parties["alice"], parties["bob"])
@@ -334,10 +318,11 @@ def write_text_atomic(path: str | Path, text: str) -> None:
     file; a path that cannot be written raises ``DocumentError`` naming it.
 
     The sibling is created with mode 0o666 less the umask, as ``open(path,
-    "w")`` creates a new file, and the rename keeps that mode.
+    "w")`` creates a new file, and the rename keeps that mode.  Its name has a
+    fixed length, so any name the directory takes can be the target's.
     """
     target = Path(path)
-    tmp = target.parent / f"{target.name}.{os.urandom(8).hex()}.tmp"
+    tmp = target.parent / f".{os.urandom(8).hex()}.tmp"
     try:
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:

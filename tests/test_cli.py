@@ -705,6 +705,30 @@ class TestSweepCommand:
         path.write_text(json.dumps({"kind": "tilted", "theta": 0.5}))
         assert main(["sweep", "--family", str(path), "--out", str(tmp_path / "s.csv")]) == 2
 
+    @pytest.mark.parametrize("spec", [
+        {"kind": "random", "parameters": {"count": 3}},
+        {"kind": "tilted", "parameters": {"theta": [0, 1, 3]}},
+    ])
+    def test_left_out_fields_take_the_family_spec_defaults(self, tmp_path, spec):
+        full = {"dims": [2, 2], "seed": 0, "mode": "chsh", **spec}
+        outs = []
+        for name, doc in (("bare", spec), ("full", full)):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(doc))
+            outs.append(tmp_path / f"{name}.csv")
+            assert main(["sweep", "--family", str(path), "--out", str(outs[-1])]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
+    @pytest.mark.parametrize("dims", [[2], [2, 2, 2], "2x2", None, {"dA": 2}])
+    def test_dims_not_a_pair_exit_two_naming_them(self, tmp_path, capsys, dims):
+        path = tmp_path / "family.json"
+        path.write_text(json.dumps({"kind": "tilted", "dims": dims}))
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--family", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: family spec dims must be [dA, dB], got {dims!r}\n")
+        assert not out.exists()
+
     def test_oversized_integer_parameter_exits_two(self, tmp_path, capsys):
         path = tmp_path / "family.json"
         path.write_text('{"kind": "tilted", "parameters": {"theta": %s}}' % HUGE_INT)
@@ -1009,6 +1033,26 @@ def test_unwritable_out_exits_two_naming_it(tmp_path, capsys, command, target, r
     assert captured.err == f"error: cannot write {out}: {reason}\n"
     assert ".tmp" not in captured.err
     assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("name", ["c" * 245 + ".json", "\u20ac" * 85],
+                         ids=["ascii-250-bytes", "utf8-255-bytes"])
+@pytest.mark.parametrize("command", OUT_COMMANDS[:4], ids=[c[0] for c in OUT_COMMANDS[:4]])
+def test_out_name_up_to_the_name_limit_is_written(tmp_path, command, name):
+    # The temporary sibling's name is short whatever the target's is, so a
+    # name the file system takes (255 bytes on common ones) can be --out.
+    inputs = {kind: tmp_path / f"{kind}.json" for kind in ("device", "table", "family")}
+    save_device(inputs["device"], canonical_chsh_device())
+    inputs["table"].write_text(json.dumps({"A0_B0": 0.7, "A0_B1": 0.7, "A1_B0": 0.7,
+                                           "A1_B1": -0.7}))
+    inputs["family"].write_text(json.dumps({"kind": "tilted", "parameters": {"theta": 0.3}}))
+    out = tmp_path / "out" / name
+    out.parent.mkdir()
+    argv = [arg.format(**inputs) for arg in command]
+    assert main(argv + ["--out", str(out)]) == 0
+    assert os.listdir(out.parent) == [name]
+    assert main(argv + ["--out", str(tmp_path / "short")]) == 0
+    assert out.read_bytes() == (tmp_path / "short").read_bytes()
 
 
 def test_help_exits_zero(capsys):

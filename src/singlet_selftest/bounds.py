@@ -60,15 +60,11 @@ FIDELITY_REFERENCE_EPSILON = 1e-4
 FIDELITY_REFERENCE_VALUE = 0.20
 
 
-def _require_nonnegative(**values: float) -> None:
-    for name, value in values.items():
-        if value < 0:
-            raise ValueError(f"{name} must be nonnegative, got {value}")
-
-
 def extraction_bound(eps1: float, eps2: float) -> float:
     """Guaranteed extraction error (11*eps1 + 5*eps2)/2 for residual budgets."""
-    _require_nonnegative(eps1=eps1, eps2=eps2)
+    for name, value in (("eps1", eps1), ("eps2", eps2)):
+        if value < 0:
+            raise ValueError(f"{name} must be nonnegative, got {value}")
     return (11.0 * eps1 + 5.0 * eps2) / 2.0
 
 
@@ -156,8 +152,6 @@ class CertificationReport:
         return all(row.passed for row in self.rows)
 
 
-NAN = float("nan")
-
 Grades = Callable[[EpsilonBudget], tuple[float, float]]
 
 
@@ -187,7 +181,7 @@ def _report_row(
     """One row, passing within ``CERT_TOL`` of its bound.  Without a budget (a
     deviation outside [0, 1)) both grades are NaN, and so is a bound selected
     from them: the row fails."""
-    headline, exact = (NAN, NAN) if budget is None else spec.grades(budget)
+    headline, exact = (math.nan, math.nan) if budget is None else spec.grades(budget)
     upper = spec.direction == "<="
     if spec.measured_bound is not None:
         bound = spec.measured_bound(residuals)

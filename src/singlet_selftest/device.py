@@ -63,7 +63,8 @@ class DeviceStack:
     every array belongs to device k, and all devices name the same
     observables.  The pipeline stages take stacks, and a single device is
     the n = 1 stack.  The library's stacks hold read-only arrays
-    (``frozen_stack``), safe to share across threads.
+    (``frozen_stack``), since stacks share them: ``select`` slices views,
+    and a family chunk broadcasts one observable to all its points.
     """
 
     dims: tuple[int, int]
@@ -150,9 +151,10 @@ def validate_stack(stack: DeviceStack) -> list[list[str]]:
 
     A valid device has every entry finite, its state normalized within
     1e-12, every observable Hermitian and squaring to the identity within
-    1e-10, and all dimensions consistent.  Diagnostics are returned, never
-    raised.  Each check runs once over the whole stack; only the devices that
-    fail one are looked at one by one, to name what failed.
+    1e-10, and all dimensions consistent, with one (d, d) matrix per device
+    for each observable.  Diagnostics are returned, never raised.  Each
+    check runs once over the whole stack; only the devices that fail one
+    are looked at one by one, to name what failed.
     """
     violations: list[list[str]] = [[] for _ in range(len(stack))]
 
@@ -189,7 +191,7 @@ def validate_stack(stack: DeviceStack) -> list[list[str]]:
         clean = True
         for dim in dict.fromkeys((da, db)):
             shaped = [(party, name, m) for party, obs, d in parties if d == dim
-                      for name, m in obs.items() if m.shape[1:] == (dim, dim)]
+                      for name, m in obs.items() if m.shape == (len(stack), dim, dim)]
             if shaped:
                 ms = np.stack([m for _, _, m in shaped])
                 herm = hermiticity_deviation(ms)
@@ -204,6 +206,8 @@ def validate_stack(stack: DeviceStack) -> list[list[str]]:
             for name, m in obs.items():
                 if (party, name) not in rows:
                     every_device(
+                        f"{name}: {len(m)} matrices for {len(stack)} devices"
+                        if m.shape[1:] == (dim, dim) else
                         f"{name}: shape {m.shape[1:]} does not match party {party} dim {dim}"
                     )
                     continue

@@ -102,10 +102,6 @@ class SearchResult:
     over_ceiling: int = 0
 
 
-def _point_rng(seed: int, index: int) -> np.random.Generator:
-    return np.random.default_rng((int(seed), int(index)))
-
-
 def _complex_normal(rng: np.random.Generator, *shape: int) -> np.ndarray:
     """Real parts, then imaginary parts, drawn from ``rng`` in one call."""
     real, imag = rng.normal(size=(2, *shape))
@@ -208,6 +204,8 @@ def _param_values(name: str, value) -> list[float]:
         return []
     if steps == 1:
         return [start]
+    if not math.isfinite(stop - start):
+        raise ValueError(f"{name} range stop - start must be finite, got {stop - start}")
     return [float(x) for x in np.linspace(start, stop, steps)]
 
 
@@ -269,9 +267,9 @@ def _build_chunk(
     """The devices of the family points ``start``, ``start + 1``, ... with axis
     ``values``, which ``_check_kind`` has passed, as one stack.
 
-    Point i draws from its own ``_point_rng(spec.seed, i)``, the same numbers
-    in the same order whatever the chunk; per point, only those generator
-    calls run (for ``random``, also the redraw decision of
+    Point i draws from its own generator, seeded with ``(spec.seed, i)``, the
+    same numbers in the same order whatever the chunk; per point, only those
+    generator calls run (for ``random``, also the redraw decision of
     ``_observable_draws``).  The draws of a chunk then go through each later
     step once, stacked: ``random`` turns its sign draws into signs with one
     ``np.where``, composes its complex numbers and normalizes its states
@@ -279,23 +277,24 @@ def _build_chunk(
     that state alone, before the linear algebra.
     """
     n = len(values)
-    if spec.kind == "tilted":
-        state = np.zeros((n, 4), dtype=complex)
-        state[:, 0] = [math.cos(theta) for theta in values]
-        state[:, 3] = [math.sin(theta) for theta in values]
-        alice, bob = _shared(base.alice_obs, n), _shared(base.bob_obs, n)
-        return frozen_stack((2, 2), state, alice, bob)
-    rngs = [_point_rng(spec.seed, start + i) for i in range(n)]
+    da, db = spec.dims
+    # Built only when a kind that draws consumes them.
+    rngs = (np.random.default_rng((spec.seed, start + i)) for i in range(n))
     alice_names, bob_names = list(base.alice_obs), list(base.bob_obs)
-    if spec.kind == "state-noise":
+    if spec.kind == "tilted":
+        states = np.zeros((n, 4), dtype=complex)
+        states[:, 0] = [math.cos(theta) for theta in values]
+        states[:, 3] = [math.sin(theta) for theta in values]
+        alice, bob = _shared(base.alice_obs, n), _shared(base.bob_obs, n)
+    elif spec.kind == "state-noise":
         states = []
         for p, rng in zip(values, rngs):
             e = _orthogonal_noise(rng, PHI_PLUS)
             state = math.sqrt(1.0 - p) * PHI_PLUS + math.sqrt(p) * e
             states.append(state / np.linalg.norm(state))
+        states = np.array(states)
         alice, bob = _shared(base.alice_obs, n), _shared(base.bob_obs, n)
-        return frozen_stack((2, 2), np.array(states), alice, bob)
-    if spec.kind == "measurement-noise":
+    elif spec.kind == "measurement-noise":
         names = alice_names + bob_names
         # Each point draws its observables' real then imaginary parts in name
         # order, in one call; draws[j, i] is observable j of point i.
@@ -305,49 +304,43 @@ def _build_chunk(
         obs = np.stack([base_obs[name] for name in names])
         rotated = _rotate(obs, np.linalg.eigh(_hermitian_unit(draws)),
                           np.array(values)[:, None])
-        state = np.broadcast_to(base.state, (n, 4))
-        return frozen_stack(
-            (2, 2), state,
-            dict(zip(alice_names, rotated[:len(alice_names)])),
-            dict(zip(bob_names, rotated[len(alice_names):])),
-        )
-    da, db = spec.dims
-    if spec.kind == "junk-embedded":
+        states = np.broadcast_to(base.state, (n, 4))
+        alice = dict(zip(alice_names, rotated[:len(alice_names)]))
+        bob = dict(zip(bob_names, rotated[len(alice_names):]))
+    elif spec.kind == "junk-embedded":
         # Each point draws Alice's ancilla's real then imaginary parts, then
         # Bob's, in one call.
         raw = np.array([rng.normal(size=da + db) for rng in rngs])
         half_a, half_b = da // 2, db // 2
         anc_a = raw[:, :half_a] + 1j * raw[:, half_a:da]
         anc_b = raw[:, da:da + half_b] + 1j * raw[:, da + half_b:]
-        states = [_embedded_state(a / np.linalg.norm(a), b / np.linalg.norm(b))
-                  for a, b in zip(anc_a, anc_b)]
-        alice = {k: _embed_party(v, half_a) for k, v in base.alice_obs.items()}
-        bob = {k: _embed_party(v, half_b) for k, v in base.bob_obs.items()}
-        return frozen_stack((da, db), np.array(states), _shared(alice, n), _shared(bob, n))
-    # "random", the one kind left: family_axis has checked the kind.  Each
-    # point makes only its generator calls: its state's real then imaginary
-    # parts, then each observable's draws, Alice's then Bob's, in name order.
-    state_draws, alice_draws, bob_draws = [], [], []
-    for rng in rngs:
-        state_draws.append(rng.normal(size=(2, da * db)))
-        alice_draws += [_observable_draws(rng, da) for _ in alice_names]
-        bob_draws += [_observable_draws(rng, db) for _ in bob_names]
-    raw = np.array(state_draws)
-    states = raw[:, 0] + 1j * raw[:, 1]
-    states /= vector_norms(states)[:, None]
-
-    def observables(draws, names):
-        # The draws come point-major; stacked name-major, row j of each
-        # array is observable j of every point.
-        plus, raw = (np.array(part).reshape(n, len(names), *part[0].shape).swapaxes(0, 1)
-                     for part in zip(*draws))
-        signs = np.where(plus, 1.0, -1.0)
-        return dict(zip(names, _random_observables(signs, raw[:, :, 0] + 1j * raw[:, :, 1])))
-
-    return frozen_stack(
-        (da, db), states,
-        observables(alice_draws, alice_names), observables(bob_draws, bob_names),
-    )
+        states = np.array([_embedded_state(a / np.linalg.norm(a), b / np.linalg.norm(b))
+                           for a, b in zip(anc_a, anc_b)])
+        alice = _shared({k: _embed_party(v, half_a) for k, v in base.alice_obs.items()}, n)
+        bob = _shared({k: _embed_party(v, half_b) for k, v in base.bob_obs.items()}, n)
+    else:
+        # "random", the one kind left: family_axis has checked the kind.  Each
+        # point makes only its generator calls: its state's real then imaginary
+        # parts, then each observable's draws, Alice's then Bob's, in name order.
+        state_draws, alice_draws, bob_draws = [], [], []
+        for rng in rngs:
+            state_draws.append(rng.normal(size=(2, da * db)))
+            alice_draws += [_observable_draws(rng, da) for _ in alice_names]
+            bob_draws += [_observable_draws(rng, db) for _ in bob_names]
+        raw = np.array(state_draws)
+        states = raw[:, 0] + 1j * raw[:, 1]
+        states /= vector_norms(states)[:, None]
+        parties = []
+        for draws, names in ((alice_draws, alice_names), (bob_draws, bob_names)):
+            # The draws come point-major; stacked name-major, row j of each
+            # array is observable j of every point.
+            plus, g = (np.array(part).reshape(n, len(names), *part[0].shape).swapaxes(0, 1)
+                       for part in zip(*draws))
+            observables = _random_observables(np.where(plus, 1.0, -1.0),
+                                              g[:, :, 0] + 1j * g[:, :, 1])
+            parties.append(dict(zip(names, observables)))
+        alice, bob = parties
+    return frozen_stack((da, db), states, alice, bob)
 
 
 def _shared(observables: dict[str, np.ndarray], n: int) -> dict[str, np.ndarray]:

@@ -86,11 +86,6 @@ def _stacked_inputs(
     return inputs.reshape(n, -1, *psi.shape[1:])
 
 
-def _pair_inputs(psi: np.ndarray, ops: DerivedOperators) -> np.ndarray:
-    """M'N'|psi'> for the nine OPERATOR_PAIRS, as an (n, 9, dA, dB) stack."""
-    return _stacked_inputs(psi, ops, (None, ops.xb, ops.zb))
-
-
 def _hadamard(zero: np.ndarray, one: np.ndarray) -> None:
     """A Hadamard on one ancilla, in place: the slices of its |0> and |1>
     amplitudes become H[p, 0] * zero + H[p, 1] * one for p = 0, 1."""
@@ -164,7 +159,8 @@ def extraction_stack(psi: np.ndarray, ops: DerivedOperators) -> ExtractionStack:
     pre-normalization state error of every device, NaN where it is degenerate.
     """
     junk, raw = junk_stack(psi, ops)
-    inputs = np.concatenate((_pair_inputs(psi, ops), psi[:, None]), axis=1)
+    pairs = _stacked_inputs(psi, ops, (None, ops.xb, ops.zb))
+    inputs = np.concatenate((pairs, psi[:, None]), axis=1)
     targets = np.empty((len(raw), len(OPERATOR_PAIRS) + 1, 4), dtype=complex)
     targets[:, :-1] = PAIR_TARGETS
     targets[:, -1] = raw[:, None] * PHI_PLUS

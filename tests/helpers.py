@@ -165,11 +165,12 @@ def certified_record(device: DeviceStack, mode: str) -> SweepRecord:
 
 def random_point_oracle(spec: FamilySpec, index: int) -> DeviceStack:
     """Point ``index`` of a ``random`` family, built alone from its own
-    generator: a complex Gaussian state, normalized by ``np.linalg.norm``,
-    then per observable, Alice's then Bob's in name order, signs redrawn
-    until both occur (for a dim above 1) and a complex Gaussian matrix, real
-    parts before imaginary ones in each draw."""
-    rng = explorer._point_rng(spec.seed, index)
+    generator, seeded with ``(spec.seed, index)``: a complex Gaussian state,
+    normalized by ``np.linalg.norm``, then per observable, Alice's then
+    Bob's in name order, signs redrawn until both occur (for a dim above 1)
+    and a complex Gaussian matrix, real parts before imaginary ones in each
+    draw."""
+    rng = np.random.default_rng((spec.seed, index))
     da, db = spec.dims
     real, imag = rng.normal(size=(2, da * db))
     state = real + 1j * imag

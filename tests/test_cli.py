@@ -781,6 +781,19 @@ class TestSweepCommand:
         assert capsys.readouterr().err == f"error: {axis} must be finite, got {shown}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("kind,axis", [("tilted", "theta"), ("state-noise", "p")])
+    def test_overflowing_range_exits_two_naming_the_axis(self, tmp_path, capsys, kind, axis):
+        # Both ends are finite but stop - start is not: np.linspace would warn
+        # and return non-finite points.  Tier-1 makes a RuntimeWarning an error.
+        path = tmp_path / "family.json"
+        path.write_text(json.dumps(
+            {"kind": kind, "parameters": {axis: {"start": -1e308, "stop": 1e308, "steps": 3}}}))
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--family", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {axis} range stop - start must be finite, got inf\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("spec,message", [
         ({"kind": "tilted", "parameters": {"theta": [0, 1, 0]}, "dims": [4, 4]},
          "tilted family requires dims (2, 2)"),

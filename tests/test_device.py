@@ -8,7 +8,10 @@ import pytest
 
 from conftest import random_unitary, tilted_device
 from helpers import chsh_value, correlation, first_observables, make_family, my_deviation
-from singlet_selftest.device import MY_IDEAL, make_device, validate_stack
+from singlet_selftest.bounds import certify
+from singlet_selftest.device import (
+    MY_IDEAL, DeviceStack, DeviceValidationError, make_device, validate_stack,
+)
 from singlet_selftest.explorer import FamilySpec
 from singlet_selftest.linalg import DIAG_XZ, PAULI_X, PAULI_Z, PHI_PLUS
 
@@ -80,6 +83,31 @@ class TestValidate:
         )
         messages = validate_stack(broken)[0]
         assert any("A0" in m and "shape" in m for m in messages)
+
+    def test_one_matrix_per_device(self, chsh_device):
+        # Two states with the canonical observables, one matrix each: the
+        # stack's second device has no observables of its own.
+        stack = DeviceStack((2, 2), np.stack([PHI_PLUS, PHI_PLUS]),
+                            dict(chsh_device.alice_obs), dict(chsh_device.bob_obs))
+        names = [*chsh_device.alice_obs, *chsh_device.bob_obs]
+        expected = [f"{name}: 1 matrices for 2 devices" for name in names]
+        assert validate_stack(stack) == [expected, expected]
+
+    def test_a_device_without_matrices_is_rejected_by_certify(self, chsh_device):
+        stack = DeviceStack((2, 2), np.stack([PHI_PLUS, PHI_PLUS]),
+                            dict(chsh_device.alice_obs), dict(chsh_device.bob_obs))
+        row = stack.select(slice(1, 2))
+        assert validate_stack(row)[0][0] == "A0: 0 matrices for 1 devices"
+        with pytest.raises(DeviceValidationError, match="A0: 0 matrices for 1 devices"):
+            certify(row, "chsh")
+
+    def test_two_matrix_counts_in_one_dim_are_diagnosed(self, chsh_device):
+        # The well-shaped observables of one dim are stacked together; one
+        # with the wrong count is reported, not stacked.
+        alice = {"A0": np.stack([PAULI_X, PAULI_X]), "A1": chsh_device.alice_obs["A1"]}
+        bob = {name: np.concatenate([m, m]) for name, m in chsh_device.bob_obs.items()}
+        stack = DeviceStack((2, 2), np.stack([PHI_PLUS, PHI_PLUS]), alice, bob)
+        assert validate_stack(stack) == [["A1: 1 matrices for 2 devices"]] * 2
 
     @pytest.mark.parametrize("dims", [(2, 2), (2, 3)])
     def test_messages_in_order_state_then_alice_then_bob(self, dims):

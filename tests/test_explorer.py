@@ -441,57 +441,55 @@ class TestWorstCaseSearch:
 
 
 # Captured before epsilon was checked ahead of the pipeline: mode, dims, seed,
-# the feasible and invalid counts, a digest of the best device's arrays, and
-# the repr of its record (ceiling 0.05, budget 200).  Checking epsilon first
-# must reproduce every entry.  The invalid count, 0 in every pin, enters the
-# sum of the outcomes: a search raises on an invalid proposal, so no count
-# of its result holds one.
+# the feasible count, a digest of the best device's arrays, and the repr of
+# its record (ceiling 0.05, budget 200).  Checking epsilon first must
+# reproduce every entry.
 SEARCH_PINS = [
-    ("chsh", (2, 2), 11, 67, 0, "262cf5f38784d474",
+    ("chsh", (2, 2), 11, 67, "262cf5f38784d474",
      "SweepRecord(epsilon=0.045361999474531345, eps1_measured=0.255654637785549,"
      " eps2_measured=0.24071313583256757, max_extraction_error=0.30707376523158386,"
      " extraction_bound=2.007883347401938, slack=1.7008095821703542, degenerate=False)"),
-    ("chsh", (2, 2), 12, 68, 0, "64984916227fd1e6",
+    ("chsh", (2, 2), 12, 68, "64984916227fd1e6",
      "SweepRecord(epsilon=0.04028226320085215, eps1_measured=0.21725190367985295,"
      " eps2_measured=0.16201207476493693, max_extraction_error=0.2446499213051235,"
      " extraction_bound=1.5999156571515334, slack=1.35526573584641, degenerate=False)"),
-    ("chsh", (3, 2), 11, 55, 0, "69dd0451afb4919d",
+    ("chsh", (3, 2), 11, 55, "69dd0451afb4919d",
      "SweepRecord(epsilon=0.04485311324291397, eps1_measured=0.20556285574357813,"
      " eps2_measured=0.15922145466109372, max_extraction_error=0.24395451793807005,"
      " extraction_bound=1.528649343242414, slack=1.284694825304344, degenerate=False)"),
-    ("chsh", (3, 2), 12, 47, 0, "aebf107b29dcc470",
+    ("chsh", (3, 2), 12, 47, "aebf107b29dcc470",
      "SweepRecord(epsilon=0.04960570335456138, eps1_measured=0.29226927535813246,"
      " eps2_measured=0.1874482810775146, max_extraction_error=0.3231760489104417,"
      " extraction_bound=2.0761017171635148, slack=1.7529256682530732, degenerate=False)"),
-    ("chsh", (4, 4), 11, 99, 0, "a02d726ce0421220",
+    ("chsh", (4, 4), 11, 99, "a02d726ce0421220",
      "SweepRecord(epsilon=0.04685473513789429, eps1_measured=0.13784429270674095,"
      " eps2_measured=0.1661204831090408, max_extraction_error=0.23320271146750268,"
      " extraction_bound=1.1734448176596772, slack=0.9402421061921745, degenerate=False)"),
-    ("chsh", (4, 4), 12, 87, 0, "a851a0c7e1178822",
+    ("chsh", (4, 4), 12, 87, "a851a0c7e1178822",
      "SweepRecord(epsilon=0.04922641120991189, eps1_measured=0.2399935514574681,"
      " eps2_measured=0.23400138794984895, max_extraction_error=0.3193186931630728,"
      " extraction_bound=1.9049680028906968, slack=1.585649309727624, degenerate=False)"),
-    ("my", (2, 2), 11, 31, 0, "50bb4ba94b77f57b",
+    ("my", (2, 2), 11, 31, "50bb4ba94b77f57b",
      "SweepRecord(epsilon=0.04491438816411919, eps1_measured=0.10621552080771665,"
      " eps2_measured=0.2997144913550848, max_extraction_error=0.20362205443355227,"
      " extraction_bound=1.3334715928301537, slack=1.1298495383966014, degenerate=False)"),
-    ("my", (2, 2), 12, 16, 0, "ec97a83b975e264a",
+    ("my", (2, 2), 12, 16, "ec97a83b975e264a",
      "SweepRecord(epsilon=0.04994404314650785, eps1_measured=0.019459582267722327,"
      " eps2_measured=0.29189888784690354, max_extraction_error=0.25223374542422056,"
      " extraction_bound=0.8367749220897317, slack=0.5845411766655111, degenerate=False)"),
-    ("my", (3, 2), 11, 5, 0, "d4b393b50f066a94",
+    ("my", (3, 2), 11, 5, "d4b393b50f066a94",
      "SweepRecord(epsilon=0.044526102920254274, eps1_measured=0.0896620788499234,"
      " eps2_measured=0.29841616216369554, max_extraction_error=0.2537463237752277,"
      " extraction_bound=1.2391818390838176, slack=0.9854355153085899, degenerate=False)"),
-    ("my", (3, 2), 12, 11, 0, "74df602453023248",
+    ("my", (3, 2), 12, 11, "74df602453023248",
      "SweepRecord(epsilon=0.04367905030622998, eps1_measured=0.160637985512065,"
      " eps2_measured=0.29183714215956064, max_extraction_error=0.3099202770912348,"
      " extraction_bound=1.613101775715259, slack=1.3031814986240242, degenerate=False)"),
-    ("my", (4, 4), 11, 63, 0, "c95dc098779e0544",
+    ("my", (4, 4), 11, 63, "c95dc098779e0544",
      "SweepRecord(epsilon=0.049429106730255024, eps1_measured=0.20097066894341298,"
      " eps2_measured=0.3144172601186402, max_extraction_error=0.30445103426507136,"
      " extraction_bound=1.891381829485372, slack=1.5869307952203004, degenerate=False)"),
-    ("my", (4, 4), 12, 49, 0, "2c9e91a9b33d511f",
+    ("my", (4, 4), 12, 49, "2c9e91a9b33d511f",
      "SweepRecord(epsilon=0.04771490616427432, eps1_measured=0.19333459875373127,"
      " eps2_measured=0.30891716094860555, max_extraction_error=0.29457003852808966,"
      " extraction_bound=1.835633195517036, slack=1.5410631569889464, degenerate=False)"),
@@ -507,53 +505,51 @@ def _device_digest(device) -> str:
     return h.hexdigest()[:16]
 
 
-@pytest.mark.parametrize("mode,dims,seed,feasible,invalid,digest,record", SEARCH_PINS,
+@pytest.mark.parametrize("mode,dims,seed,feasible,digest,record", SEARCH_PINS,
                          ids=[f"{pin[0]}-{pin[1][0]}x{pin[1][1]}-{pin[2]}" for pin in SEARCH_PINS])
-def test_search_reproduces_its_pin(mode, dims, seed, feasible, invalid, digest, record):
+def test_search_reproduces_its_pin(mode, dims, seed, feasible, digest, record):
     result = worst_case_search(mode, 0.05, dims, 200, seed)
     assert result.feasible == feasible
-    assert (result.feasible + result.over_ceiling + result.degenerate + invalid
-            == result.evaluations)
+    assert result.feasible + result.over_ceiling + result.degenerate == result.evaluations
     assert _device_digest(result.device) == digest
     assert repr(result.record) == record
 
 
 # Captured before proposals were built and checked as speculative stacks:
-# mode, dims, ceiling, the feasible, invalid and over-ceiling counts, the best
-# device's digest and its record's repr (budget 300, seed 13); the invalid
-# count enters as in ``SEARCH_PINS``.  At these
+# mode, dims, ceiling, the feasible and over-ceiling counts, the best
+# device's digest and its record's repr (budget 300, seed 13).  At these
 # ceilings most proposals are over the ceiling, so the batches grow to the
 # chunk cap, and a feasible row in mid-batch rewinds the generator.
 SMALL_CEILING_PINS = [
-    ("chsh", (2, 2), 0.001, 3, 0, 297, "9484155f563036ea",
+    ("chsh", (2, 2), 0.001, 3, 297, "9484155f563036ea",
      "SweepRecord(epsilon=0.00028542163508760154, eps1_measured=0.008283166677420566,"
      " eps2_measured=0.012595566437679177, max_extraction_error=0.013194284318164872,"
      " extraction_bound=0.07704633282001105, slack=0.06385204850184618, degenerate=False)"),
-    ("chsh", (2, 2), 0.01, 42, 0, 258, "b795d4b2092e3acf",
+    ("chsh", (2, 2), 0.01, 42, 258, "b795d4b2092e3acf",
      "SweepRecord(epsilon=0.009446839319975364, eps1_measured=0.09669185094276773,"
      " eps2_measured=0.10980595908668443, max_extraction_error=0.12457283831910575,"
      " extraction_bound=0.8063200779019335, slack=0.6817472395828278, degenerate=False)"),
-    ("chsh", (4, 4), 0.001, 1, 0, 299, "d810e99e55f5e3ab",
+    ("chsh", (4, 4), 0.001, 1, 299, "d810e99e55f5e3ab",
      "SweepRecord(epsilon=0.0, eps1_measured=7.573404258406632e-16,"
      " eps2_measured=1.169724717459184e-15, max_extraction_error=1.4113101588883694e-15,"
      " extraction_bound=7.0896841357716074e-15, slack=5.678373976883238e-15, degenerate=False)"),
-    ("chsh", (4, 4), 0.01, 41, 0, 259, "bab2f4f8ea44027c",
+    ("chsh", (4, 4), 0.01, 41, 259, "bab2f4f8ea44027c",
      "SweepRecord(epsilon=0.009453154123524765, eps1_measured=0.08785076706408644,"
      " eps2_measured=0.09461693887675296, max_extraction_error=0.1171609152204021,"
      " extraction_bound=0.7197215660443579, slack=0.6025606508239558, degenerate=False)"),
-    ("my", (2, 2), 0.001, 1, 0, 299, "8a467046d2eee6f5",
+    ("my", (2, 2), 0.001, 1, 299, "8a467046d2eee6f5",
      "SweepRecord(epsilon=2.4424906541753444e-15, eps1_measured=3.161386885810692e-16,"
      " eps2_measured=3.510833468576701e-16, max_extraction_error=3.2493189146828285e-15,"
      " extraction_bound=2.616471154340056e-15, slack=-6.328477603427727e-16, degenerate=False)"),
-    ("my", (2, 2), 0.01, 4, 0, 296, "05da5a564bfc30e7",
+    ("my", (2, 2), 0.01, 4, 296, "05da5a564bfc30e7",
      "SweepRecord(epsilon=0.007467131339635502, eps1_measured=0.008252926485582785,"
      " eps2_measured=0.12220582097130848, max_extraction_error=0.06748164786013133,"
      " extraction_bound=0.3509056480989765, slack=0.2834240002388452, degenerate=False)"),
-    ("my", (4, 4), 0.001, 1, 0, 299, "cff2845b3cfbacfc",
+    ("my", (4, 4), 0.001, 1, 299, "cff2845b3cfbacfc",
      "SweepRecord(epsilon=1.1102230246251565e-15, eps1_measured=7.573404258406632e-16,"
      " eps2_measured=1.1224849760106866e-15, max_extraction_error=2.2252257297058496e-15,"
      " extraction_bound=6.971584782150363e-15, slack=4.746359052444514e-15, degenerate=False)"),
-    ("my", (4, 4), 0.01, 2, 0, 298, "b0a0fd899f2aa7ed",
+    ("my", (4, 4), 0.01, 2, 298, "b0a0fd899f2aa7ed",
      "SweepRecord(epsilon=0.00502308853575284, eps1_measured=0.02053804974816694,"
      " eps2_measured=0.03884085158115109, max_extraction_error=0.0388164146855736,"
      " extraction_bound=0.21006140256779587, slack=0.17124498788222228, degenerate=False)"),
@@ -561,14 +557,13 @@ SMALL_CEILING_PINS = [
 
 
 @pytest.mark.parametrize(
-    "mode,dims,ceiling,feasible,invalid,over_ceiling,digest,record", SMALL_CEILING_PINS,
+    "mode,dims,ceiling,feasible,over_ceiling,digest,record", SMALL_CEILING_PINS,
     ids=[f"{pin[0]}-{pin[1][0]}x{pin[1][1]}-{pin[2]:g}" for pin in SMALL_CEILING_PINS])
-def test_small_ceiling_search_reproduces_its_pin(mode, dims, ceiling, feasible, invalid,
-                                                 over_ceiling, digest, record):
+def test_small_ceiling_search_reproduces_its_pin(mode, dims, ceiling, feasible, over_ceiling,
+                                                 digest, record):
     result = worst_case_search(mode, ceiling, dims, 300, 13)
     assert (result.feasible, result.over_ceiling) == (feasible, over_ceiling)
-    assert (result.feasible + result.over_ceiling + result.degenerate + invalid
-            == result.evaluations)
+    assert result.feasible + result.over_ceiling + result.degenerate == result.evaluations
     assert _device_digest(result.device) == digest
     assert repr(result.record) == record
 

@@ -1,10 +1,11 @@
 """The library holds only code its pipeline runs, and README's tour runs.
 
-Every public module-level function and class in ``src/singlet_selftest`` must
-be referenced by some code of the package other than its own definition and
-``__init__.py``'s export; a definition only the tests use belongs in the
-tests.  README's ``python`` block is executed as written, so the tour cannot
-drift from the API.
+Every module-level function and class in ``src/singlet_selftest``, private
+ones included, must be referenced by some code of the package other than its
+own definition and ``__init__.py``'s export; a definition only the tests use
+belongs in the tests, and a helper left without a caller goes.  README's
+``python`` block is executed as written, so the tour cannot drift from the
+API.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ PACKAGE = ROOT / "src" / "singlet_selftest"
 
 
 def unreferenced_definitions(package: Path) -> list[str]:
-    """``module.name`` of each public module-level ``def`` or ``class`` of
+    """``module.name`` of each module-level ``def`` or ``class`` of
     ``package`` that no name or attribute in its modules, ``__init__.py``
     and the definition's own body excepted, refers to."""
     trees = {path.name: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))
@@ -34,8 +35,7 @@ def unreferenced_definitions(package: Path) -> list[str]:
     unused = []
     for module, tree in trees.items():
         for node in tree.body:
-            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    and not node.name.startswith("_")):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 outside = [
                     (where, line) for where, line in references.get(node.name, [])
                     if not (where == module and node.lineno <= line <= node.end_lineno)
@@ -52,11 +52,12 @@ def test_every_public_definition_is_used_by_the_library():
 def test_the_check_sees_an_unused_definition(tmp_path):
     (tmp_path / "__init__.py").write_text("from .a import used, unused\n")
     (tmp_path / "a.py").write_text(
-        "def used():\n    return 1\n\n\n"
+        "def used():\n    return _helper()\n\n\n"
         "def unused():\n    return unused()\n\n\n"
-        "def _private():\n    return used()\n"
+        "def _helper():\n    return 1\n\n\n"
+        "def _orphan():\n    return used()\n"
     )
-    assert unreferenced_definitions(tmp_path) == ["a.unused"]
+    assert unreferenced_definitions(tmp_path) == ["a.unused", "a._orphan"]
 
 
 def test_readme_tour_runs():

@@ -46,9 +46,8 @@ def _fail(message: str) -> int:
 
 def cmd_certify(args: argparse.Namespace) -> int:
     # A malformed document or an invalid device raises ValueError: main exits 2.
-    device = load_device(args.device)
+    device, digest = load_device(args.device)
     report = certify(device, args.mode)
-    digest = document_digest(device_to_document(device))
     write_json_atomic(args.out, report_to_document(report, digest))
     failures = [row.name for row in report.rows if not row.passed]
     if failures:

@@ -6,6 +6,13 @@ encoder (shortest exact round-trip), so deserialize(serialize(device)) is
 value-identical and repeated runs are byte-identical.  Output files are
 written to a temporary sibling and atomically renamed, never left partial.
 
+A loaded device's digest, a report's ``inputsDigest``, hashes the document as
+parsed, re-encoded with sorted keys and no whitespace: its schema version,
+dims, state and observables, with ``metadata`` emptied, any other key left
+out, and the integer entries of an array written as floats.  Those bytes are
+``document_digest(device_to_document(device))`` of the loaded device, so the
+arrays are not rebuilt as lists only to be hashed.
+
 A report is built from plain Python values.  Its rows' ``measured``,
 ``bound``, ``boundHeadline``, ``boundExact`` and ``slack`` are null where the
 theorem gives no number: NaN from a degenerate junk state, or from a
@@ -57,8 +64,9 @@ def complex_to_json(a: np.ndarray) -> list:
     return a.view(float).reshape(*a.shape, 2).tolist()
 
 
-def _complex_array(rows, ndim: int, where: str) -> np.ndarray:
-    """``rows`` as a complex vector (``ndim`` 1) or square matrix (``ndim`` 2).
+def _complex_array(rows, ndim: int, where: str) -> tuple[np.ndarray, list]:
+    """``rows`` as a complex vector (``ndim`` 1) or square matrix (``ndim`` 2),
+    and the rows as ``complex_to_json`` writes that array.
 
     Accepted: a nonempty list, for a matrix of lists of its own length, of
     [re, im] pairs (lists or tuples) of exact ``int`` or ``float`` leaves (JSON
@@ -67,6 +75,11 @@ def _complex_array(rows, ndim: int, where: str) -> np.ndarray:
     beyond float range raises ``float()``'s ``OverflowError``.  Anything else
     raises ``DocumentError`` naming the first bad row or entry in row-major
     order, or the ``OverflowError`` of an entry before it.
+
+    The rows returned are ``rows`` itself when every leaf is a float, since
+    JSON writes a float as its ``repr`` whatever container holds it, and the
+    array's rows re-encoded when any leaf is an integer, which JSON writes
+    without the ``.0`` a float has.
     """
     if not isinstance(rows, list) or not rows:
         raise DocumentError(f"{where}: expected a nonempty "
@@ -78,9 +91,11 @@ def _complex_array(rows, ndim: int, where: str) -> np.ndarray:
                 set(map(len, level)) != {size}):
             raise _first_error(rows, ndim, where)
         level = list(itertools.chain.from_iterable(level))
-    if not set(map(type, level)) <= {int, float}:
+    leaf_types = set(map(type, level))
+    if not leaf_types <= {int, float}:
         raise _first_error(rows, ndim, where)
-    return np.array(level, dtype=float).view(complex).reshape(shape)
+    array = np.array(level, dtype=float).view(complex).reshape(shape)
+    return array, complex_to_json(array) if int in leaf_types else rows
 
 
 def _first_error(rows: list, ndim: int, where: str) -> DocumentError:
@@ -122,8 +137,10 @@ def device_to_document(device: DeviceStack, metadata: dict | None = None) -> dic
     }
 
 
-def device_from_document(doc) -> DeviceStack:
-    """The device of a schema-checked document, as the n = 1 stack."""
+def device_from_document(doc) -> tuple[DeviceStack, str]:
+    """The device of a schema-checked document, as the n = 1 stack, and the
+    digest of the document as checked, which is
+    ``document_digest(device_to_document(device))``."""
     if not isinstance(doc, dict):
         raise DocumentError("device document must be a JSON object")
     version = doc.get("schemaVersion")
@@ -138,24 +155,32 @@ def device_from_document(doc) -> DeviceStack:
         or not all(type(d) is int and d >= 1 for d in dims)
     ):
         raise DocumentError(f"dims: expected two positive integers, got {dims!r}")
-    state = _complex_array(doc.get("state"), 1, "state")
+    state, state_rows = _complex_array(doc.get("state"), 1, "state")
     obs = doc.get("observables")
     if not isinstance(obs, dict) or set(obs) - {"alice", "bob"}:
         raise DocumentError("observables: expected an object with 'alice' and 'bob'")
-    parties = {}
+    parties, party_rows = {}, {}
     for party in ("alice", "bob"):
         named = obs.get(party, {})
         if not isinstance(named, dict):
             raise DocumentError(f"observables.{party}: expected an object of name -> matrix")
-        parties[party] = {
-            name: _complex_array(m, 2, f"observables.{party}.{name}")
-            for name, m in named.items()
-        }
-    return make_device((dims[0], dims[1]), state, parties["alice"], parties["bob"])
+        parsed = {name: _complex_array(m, 2, f"observables.{party}.{name}")
+                  for name, m in named.items()}
+        parties[party] = {name: array for name, (array, _) in parsed.items()}
+        party_rows[party] = {name: rows for name, (_, rows) in parsed.items()}
+    device = make_device((dims[0], dims[1]), state, parties["alice"], parties["bob"])
+    return device, document_digest({
+        "schemaVersion": DEVICE_SCHEMA_VERSION,
+        "dims": dims,
+        "state": state_rows,
+        "observables": party_rows,
+        "metadata": {},
+    })
 
 
 def document_digest(doc: dict) -> str:
-    # A document built from arrays cannot be cyclic, so the cycle check is skipped.
+    # A document built from arrays, or checked as device_from_document checks
+    # one, cannot be cyclic, so the cycle check is skipped.
     payload = json.dumps(
         doc, sort_keys=True, separators=(",", ":"), check_circular=False
     ).encode("utf-8")
@@ -183,8 +208,9 @@ def read_json(path: str | Path):
         raise DocumentError(f"{path}: nested too deeply to parse") from None
 
 
-def load_device(path: str | Path) -> DeviceStack:
-    """Parse and schema-check a device document file: its device, the n = 1 stack.
+def load_device(path: str | Path) -> tuple[DeviceStack, str]:
+    """Parse and schema-check a device document file: its device, the n = 1
+    stack, and the digest of the document (see ``device_from_document``).
 
     The device's invariants are not checked here: ``bounds.certify``, which
     every loaded device goes to, validates it.

@@ -197,7 +197,7 @@ def _param_values(name: str, value) -> list[float]:
                          f"numbers and an integer, got {value!r}")
     start, stop, steps = _finite(name, value[0]), _finite(name, value[1]), value[2]
     if steps < 0:
-        raise ValueError(f"range steps must be nonnegative, got {steps}")
+        raise ValueError(f"{name} range steps must be nonnegative, got {steps}")
     if steps > MAX_SWEEP_POINTS:
         raise ValueError(f"{name} range steps must be at most {MAX_SWEEP_POINTS}, got {steps}")
     if steps == 0:

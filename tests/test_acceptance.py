@@ -391,7 +391,7 @@ def test_criterion_10_determinism_and_io(tmp_path):
     device = canonical_chsh_device()
     dev_path = tmp_path / "dev.json"
     save_device(dev_path, device)
-    loaded = load_device(dev_path)
+    loaded, _ = load_device(dev_path)
     round_trip = (
         np.array_equal(loaded.state, device.state)
         and all(np.array_equal(loaded.alice_obs[k], device.alice_obs[k]) for k in device.alice_obs)

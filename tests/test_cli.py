@@ -46,7 +46,7 @@ class TestDocuments:
         device = canonical_chsh_device()
         path = tmp_path / "dev.json"
         save_device(path, device, {"note": "round trip"})
-        loaded = load_device(path)
+        loaded, digest = load_device(path)
         assert loaded.dims == device.dims
         assert np.array_equal(loaded.state, device.state)
         for name in device.alice_obs:
@@ -54,7 +54,7 @@ class TestDocuments:
         for name in device.bob_obs:
             assert np.array_equal(loaded.bob_obs[name], device.bob_obs[name])
         # digest is stable across serialize/deserialize cycles
-        assert document_digest(device_to_document(device)) == document_digest(
+        assert digest == document_digest(device_to_document(device)) == document_digest(
             device_to_document(loaded)
         )
 
@@ -65,7 +65,7 @@ class TestDocuments:
         device = make_device((3, 2), state, {"A0": np.eye(3)}, {"B0": PAULI_Z})
         path = tmp_path / "dev.json"
         save_device(path, device)
-        loaded = load_device(path)
+        loaded, _ = load_device(path)
         assert np.array_equal(loaded.state, device.state)
 
     def test_encoding_is_bitwise_for_signed_zeros_and_strided_input(self, tmp_path):
@@ -86,9 +86,9 @@ class TestDocuments:
         assert "-0.0" in json.dumps(device_to_document(device)["state"])
         path = tmp_path / "dev.json"
         save_device(path, device)
-        loaded = load_device(path)
+        loaded, digest = load_device(path)
         assert np.array_equal(np.signbit(loaded.state.imag), np.signbit(device.state.imag))
-        assert document_digest(device_to_document(loaded)) == document_digest(
+        assert digest == document_digest(device_to_document(loaded)) == document_digest(
             device_to_document(device)
         )
 
@@ -184,7 +184,7 @@ class TestBulkParse:
         for k, (re, im) in enumerate(zip(ints, ints[::-1])):
             doc["state"][1023 - k] = [re, im]
             doc["observables"]["alice"]["A0"][31][31 - k] = [re, im]
-        device = device_from_document(json.loads(json.dumps(doc)))
+        device, _ = device_from_document(json.loads(json.dumps(doc)))
         for k, (re, im) in enumerate(zip(ints, ints[::-1])):
             want = np.array([float(re), float(im)]).tobytes()
             assert device.state[0, 1023 - k:1024 - k].view(float).tobytes() == want
@@ -194,7 +194,7 @@ class TestBulkParse:
         doc = _device_32x32_document()
         doc["state"][1023] = [-0.0, -0.0]
         doc["observables"]["alice"]["A0"][31][31] = [-0.0, 0.0]
-        device = device_from_document(json.loads(json.dumps(doc)))
+        device, _ = device_from_document(json.loads(json.dumps(doc)))
         assert np.signbit(device.state[0, 1023].real) and np.signbit(device.state[0, 1023].imag)
         entry = device.alice_obs["A0"][0, 31, 31]
         assert np.signbit(entry.real) and not np.signbit(entry.imag)
@@ -794,6 +794,16 @@ class TestSweepCommand:
             f"error: {axis} range stop - start must be finite, got inf\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("kind,axis", [("tilted", "theta"), ("state-noise", "p")])
+    def test_negative_range_steps_exits_two_naming_the_axis(self, tmp_path, capsys, kind,
+                                                            axis):
+        path = tmp_path / "family.json"
+        path.write_text(json.dumps({"kind": kind, "parameters": {axis: [0, 1, -1]}}))
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--family", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {axis} range steps must be nonnegative, got -1\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("spec,message", [
         ({"kind": "tilted", "parameters": {"theta": [0, 1, 0]}, "dims": [4, 4]},
          "tilted family requires dims (2, 2)"),
@@ -829,7 +839,7 @@ class TestSearchCommand:
             "--dims", "2,2", "--budget", "60", "--seed", "5", "--out", str(out),
         ])
         assert code == 0
-        device = load_device(out)
+        device, _ = load_device(out)
         assert device.dims == (2, 2)
         report_path = tmp_path / "best.json.report.json"
         report = json.loads(report_path.read_text())
@@ -926,13 +936,13 @@ class TestCanonicalCommand:
     def test_stdout_document(self, capsys):
         assert main(["canonical", "--mode", "my"]) == 0
         doc = json.loads(capsys.readouterr().out)
-        device = device_from_document(doc)
+        device, _ = device_from_document(doc)
         assert set(device.bob_obs) == {"XB", "ZB", "DB"}
 
     def test_file_output(self, tmp_path):
         out = tmp_path / "canon.json"
         assert main(["canonical", "--mode", "chsh", "--out", str(out)]) == 0
-        device = load_device(out)
+        device, _ = load_device(out)
         assert set(device.alice_obs) == {"A0", "A1"}
 
 
@@ -1093,4 +1103,4 @@ class TestParserReuse:
         # No option value carries over from the call before: --out is unset again.
         assert main(["canonical", "--mode", "my"]) == 0
         doc = json.loads(capsys.readouterr().out)
-        assert set(device_from_document(doc).bob_obs) == {"XB", "ZB", "DB"}
+        assert set(device_from_document(doc)[0].bob_obs) == {"XB", "ZB", "DB"}

@@ -16,6 +16,7 @@ from singlet_selftest.documents import (
     complex_to_json,
     device_from_document,
     device_to_document,
+    document_digest,
     json_text,
 )
 from singlet_selftest.explorer import FamilySpec, family_chunks
@@ -171,6 +172,9 @@ def _assert_parsed_like_the_oracle(doc: dict, target: str) -> bool:
         assert str(actual) == str(expected), (target, doc)
         return True
     assert not isinstance(actual, Exception), (target, doc, actual)
+    actual, digest = actual
+    # Tuple pairs, list subclasses and integer entries hash as the arrays' document.
+    assert digest == document_digest(device_to_document(actual)), (target, doc)
     if target == "state":
         got = actual.state[0]
     else:

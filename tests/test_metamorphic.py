@@ -7,9 +7,18 @@ real, and conjugating the inputs only flips the sign of each imaginary part
 the arithmetic meets, which IEEE rounding mirrors exactly, so the conjugate
 device's report must equal the device's byte for byte, with no tolerance.
 No oracle is needed.
+
+Local unitaries, U_A (x) U_B on the state and U A U^dagger on each party's
+observables, and padding a party with an unused 2-dimensional block (state 0
+there, observables +I) leave the premises and the claim unchanged too, but
+move the arithmetic: every row's measured value and the report's epsilon must
+stay within ``LOCAL_TOL``, NaN where the device's is NaN, and every pass flag
+must be equal.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import pytest
@@ -44,3 +53,76 @@ def test_conjugation_leaves_every_report_byte_unchanged(mode):
     changed = [index for index, device in enumerate(devices)
                if report_text(conjugate(device), mode) != report_text(device, mode)]
     assert changed == []
+
+
+# With seed 16, local unitaries move a value by at most 1.1e-14 and padding by 1.6e-15.
+LOCAL_TOL = 1e-12
+
+
+def haar_unitary(rng, d: int) -> np.ndarray:
+    q, r = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def rotated(device, rng):
+    """The device under seeded Haar-random local unitaries U_A (x) U_B."""
+    da, db = device.dims
+    ua, ub = haar_unitary(rng, da), haar_unitary(rng, db)
+    state = ua @ device.state[0].reshape(da, db) @ ub.T
+    return make_device(device.dims, state.reshape(-1),
+                       {name: ua @ m[0] @ ua.conj().T for name, m in device.alice_obs.items()},
+                       {name: ub @ m[0] @ ub.conj().T for name, m in device.bob_obs.items()})
+
+
+def padded(device, party: str):
+    """The device with ``party``'s space extended by a 2-dimensional block that
+    the state does not reach and on which every observable of ``party`` is +I."""
+    da, db = device.dims
+    grow = (2, 0) if party == "alice" else (0, 2)
+    state = np.pad(device.state[0].reshape(da, db), ((0, grow[0]), (0, grow[1])))
+
+    def extended(named: dict, extra: int) -> dict:
+        out = {}
+        for name, m in named.items():
+            d = m.shape[1]
+            out[name] = np.eye(d + extra, dtype=complex)
+            out[name][:d, :d] = m[0]
+        return out
+
+    return make_device((da + grow[0], db + grow[1]), state.reshape(-1),
+                       extended(device.alice_obs, grow[0]), extended(device.bob_obs, grow[1]))
+
+
+def verdict(device, mode: str) -> tuple[list[float], list[bool]]:
+    """epsilon and every row's measured value, and every row's pass flag."""
+    report = certify(device, mode)
+    return ([report.epsilon] + [row.measured for row in report.rows],
+            [row.passed for row in report.rows])
+
+
+def moved(a: float, b: float) -> float:
+    """|a - b|, 0 when both are NaN, inf when only one is."""
+    if math.isnan(a) or math.isnan(b):
+        return 0.0 if math.isnan(a) and math.isnan(b) else math.inf
+    return abs(a - b)
+
+
+@pytest.mark.parametrize("transform", ["unitaries", "pad-alice", "pad-bob"])
+@pytest.mark.parametrize("mode", ["chsh", "my"])
+def test_local_unitaries_and_padding_leave_every_row_in_place(mode, transform):
+    # Every 2x2, 3x5 and 8x8 report-pin device of the mode, the degenerate one included.
+    devices = [device for kind, parameters, dims, seed in FAMILIES
+               if dims in ((2, 2), (3, 5), (8, 8))
+               for _, device in family_points(FamilySpec(kind, parameters, dims, seed, mode))]
+    devices.append(degenerate_device(mode))
+    assert len(devices) == 39
+    rng = np.random.default_rng(16)
+    worst = 0.0
+    for index, device in enumerate(devices):
+        changed = (rotated(device, rng) if transform == "unitaries"
+                   else padded(device, transform[4:]))
+        values, flags = verdict(device, mode)
+        changed_values, changed_flags = verdict(changed, mode)
+        assert changed_flags == flags, index
+        worst = max([worst] + [moved(a, b) for a, b in zip(values, changed_values)])
+    assert worst <= LOCAL_TOL

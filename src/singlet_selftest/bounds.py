@@ -324,7 +324,10 @@ def certify(device: DeviceStack, mode: str) -> CertificationReport:
     if violations:
         raise DeviceValidationError(violations)
 
-    ((values, chsh, eps),) = selftest.deviations(device)
+    values, chsh, eps = selftest.deviations(device)
+    # Row 0 as plain floats, which the report's JSON encoder writes directly.
+    chsh = None if chsh is None else float(chsh[0])
+    eps = float(eps[0])
     budget = selftest.budget(eps) if eps < 1.0 else None
     ops, psi, (residuals,), extraction = selftest.stages(device)
     junk_raw = float(extraction.junk_norm_raw[0])
@@ -363,7 +366,7 @@ def certify(device: DeviceStack, mode: str) -> CertificationReport:
               for spec in selftest.rows],
         fidelity=fidelity_block(eps),
         # A mode without a CHSH value reports its correlation table instead.
-        correlations=dict(zip(selftest.table_keys, values)) if chsh is None else {},
+        correlations=dict(zip(selftest.table_keys, values[0].tolist())) if chsh is None else {},
     )
 
 
@@ -374,9 +377,10 @@ class Mode:
 
     ``pairs`` are the (Alice, Bob) observable pairs whose correlations define
     the deviation; a device must name every observable in them, and a
-    correlation table keys them as ``"A_B"``.  ``deviation`` maps those
-    correlations to ``(CHSH value or None, epsilon)`` for device and table
-    input alike.  ``derive`` takes a ``DeviceStack`` and ``diagnostics``
+    correlation table keys them as ``"A_B"``.  ``deviation`` maps an (n,
+    len(pairs)) array of those correlations, in ``pairs`` order, to (n,)
+    arrays ``(CHSH value or None, epsilon)``, for device and table input
+    alike.  ``derive`` takes a ``DeviceStack`` and ``diagnostics``
     ``(stack, psi, ops)``, giving one (n,) array per chain row, the stack
     already validated and name-checked by the entry point.  ``rows`` are the
     report rows in report order, one per link of the mode's chain of
@@ -387,7 +391,7 @@ class Mode:
 
     name: str
     pairs: tuple[tuple[str, str], ...]
-    deviation: Callable[[dict[tuple[str, str], float]], tuple[float | None, float]]
+    deviation: Callable[[np.ndarray], tuple[np.ndarray | None, np.ndarray]]
     budget: Callable[[float], EpsilonBudget]
     derive: Callable[[DeviceStack], DerivedOperators]
     diagnostics: Callable[[DeviceStack, np.ndarray, DerivedOperators], dict[str, np.ndarray]]
@@ -398,11 +402,11 @@ class Mode:
     def table_keys(self) -> tuple[str, ...]:
         return tuple(f"{a}_{b}" for a, b in self.pairs)
 
-    def deviations(self, stack: DeviceStack) -> list[tuple[list[float], float | None, float]]:
-        """Each device's correlations in ``pairs`` order, CHSH value (or None)
-        and epsilon, from one ``correlation_stack`` call on a valid stack."""
-        return [(values, *self.deviation(dict(zip(self.pairs, values))))
-                for values in correlation_stack(stack, self.pairs).tolist()]
+    def deviations(self, stack: DeviceStack) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+        """A valid stack's (n, len(pairs)) correlations, from one ``correlation_stack``
+        call, with their (n,) CHSH values (or None) and epsilons."""
+        values = correlation_stack(stack, self.pairs)
+        return (values, *self.deviation(values))
 
     def stages(
         self, stack: DeviceStack

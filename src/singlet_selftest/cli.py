@@ -15,6 +15,8 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .bounds import MODES, Mode, certify, fidelity_block, get_mode
 from .documents import (
     REPORT_SCHEMA_VERSION,
@@ -131,7 +133,10 @@ def cmd_correlations(args: argparse.Namespace) -> int:
             f"{TABLE_ROUNDING_TOL:.0e}; no quantum device produces this table"
         )
 
-    chsh, epsilon = selftest.deviation(dict(zip(selftest.pairs, table.values())))
+    # ``_load_table`` keys the table in ``table_keys`` order: one row of the array.
+    chsh, epsilon = selftest.deviation(np.array([list(table.values())]))
+    chsh = None if chsh is None else float(chsh[0])
+    epsilon = float(epsilon[0])
     budgets = None
     bounds = None
     note = (

@@ -314,40 +314,23 @@ def correlation_stack(
     return values.real
 
 
-def chsh_epsilon(values: dict[tuple[str, str], float]) -> tuple[float, float]:
-    """CHSH combination <A0B0> + <A0B1> + <A1B0> - <A1B1> and its deficit.
-
-    Returns ``(value, epsilon)`` with ``epsilon = max(0, 2*sqrt(2) - value)``;
-    the deficit is clamped at 0 when numerical noise pushes the value above
-    the quantum maximum.
-    """
-    value = (
-        values[("A0", "B0")]
-        + values[("A0", "B1")]
-        + values[("A1", "B0")]
-        - values[("A1", "B1")]
-    )
-    return value, max(0.0, float(TSIRELSON - value))
+def chsh_epsilon(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(value, epsilon)``, both (n,): the CHSH combination <A0B0> + <A0B1> +
+    <A1B0> - <A1B1> of each row of an (n, 4) table in ``CHSH_PAIRS`` order, and
+    its deficit ``max(0, 2*sqrt(2) - value)``, clamped at 0 when numerical
+    noise pushes the value above the quantum maximum."""
+    value = values[:, 0] + values[:, 1] + values[:, 2] - values[:, 3]
+    return value, np.maximum(0.0, TSIRELSON - value)
 
 
-def _ideal_pair_value(alice_name: str, bob_name: str) -> float:
-    ops = {"XA": PAULI_X, "ZA": PAULI_Z, "XB": PAULI_X, "ZB": PAULI_Z, "DB": DIAG_XZ}
-    full = np.kron(ops[alice_name], ops[bob_name])
-    return float(np.vdot(PHI_PLUS, full @ PHI_PLUS).real)
+# The canonical Mayers-Yao device's own correlations, in ``MY_PAIRS`` order,
+# so that device's epsilon is exactly 0.
+MY_IDEAL = correlation_stack(canonical_my_device(), MY_PAIRS)[0]
+MY_IDEAL.flags.writeable = False
 
 
-MY_IDEAL = {pair: _ideal_pair_value(*pair) for pair in MY_PAIRS}
-
-
-def my_epsilon(values: dict[tuple[str, str], float]) -> tuple[None, float]:
-    """Worst deviation of the six Mayers-Yao correlations from ideal.
-
-    Returns ``(None, epsilon)``, ``epsilon`` being the maximum of
-    ``|measured - ideal|`` over the six pairs, the ideal being the
-    maximally-entangled-pair value for the corresponding qubit operators.
-    The ``None`` stands for the CHSH value, which this test has no use for.
-    """
-    epsilon = 0.0
-    for pair in MY_PAIRS:
-        epsilon = max(epsilon, abs(values[pair] - MY_IDEAL[pair]))
-    return None, epsilon
+def my_epsilon(values: np.ndarray) -> tuple[None, np.ndarray]:
+    """``(None, epsilon)``: epsilon (n,) the worst ``|measured - MY_IDEAL|`` of
+    each row of an (n, 6) table in ``MY_PAIRS`` order; the ``None`` stands
+    for the CHSH value, which this test has no use for."""
+    return None, np.abs(values - MY_IDEAL).max(axis=1)

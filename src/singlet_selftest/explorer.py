@@ -414,8 +414,8 @@ def sweep(spec: FamilySpec) -> list[SweepRecord]:
                 parameters = {FAMILY_AXES[spec.kind]: value}
                 raise ValueError(f"family {spec.kind!r} produced an invalid device at "
                                  f"{parameters}: " + "; ".join(violations))
-        epsilons = [eps for _, _, eps in get_mode(spec.mode).deviations(stack)]
-        records += _evaluate_stack(stack, spec.mode, epsilons)
+        _, _, epsilons = get_mode(spec.mode).deviations(stack)
+        records += _evaluate_stack(stack, spec.mode, epsilons.tolist())
     return records
 
 
@@ -527,7 +527,8 @@ def worst_case_search(
         for violations in validate_stack(stack):
             if violations:
                 raise ValueError("search produced an invalid proposal: " + "; ".join(violations))
-        for row, (_, _, eps) in enumerate(get_mode(mode).deviations(stack)):
+        _, _, epsilons = get_mode(mode).deviations(stack)
+        for row, eps in enumerate(epsilons.tolist()):
             if eps > epsilon_ceiling:
                 outcomes["over_ceiling"] += 1
             else:

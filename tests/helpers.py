@@ -1,10 +1,11 @@
 """Conveniences the tests use and the certify, sweep and search pipeline does not.
 
 Each is a thin wrapper over the library: a single-pair correlation, the CHSH
-value and Mayers-Yao deviation of a device, the first device's
-observables and derived operators out of a stack's, a Hermiticity-checked
-eigendecomposition, the operator absolute value and unitarity deviation, a
-family's points and device list, a stack of given devices, writing a device
+value and Mayers-Yao deviation of a device, the former by-name deviations
+and kron-form Mayers-Yao ideal that the stacked ones must equal bit for bit,
+the first device's observables and derived operators out of a stack's, a
+Hermiticity-checked eigendecomposition, the operator absolute value and
+unitarity deviation, a family's points and device list, a stack of given devices, writing a device
 document, a device's chain diagnostics as the n = 1 stack, a report's rows of
 one category, a device's sweep record read off its certify report, a
 ``random`` family point built alone, drawing and normalizing one number at a
@@ -31,6 +32,7 @@ from singlet_selftest.bounds import (
 from singlet_selftest.device import (
     CHSH_PAIRS,
     MY_PAIRS,
+    TSIRELSON,
     DeviceStack,
     chsh_epsilon,
     correlation_stack,
@@ -41,7 +43,14 @@ from singlet_selftest import bounds, explorer
 from singlet_selftest.derive import DerivedOperators
 from singlet_selftest.documents import device_to_document, write_json_atomic
 from singlet_selftest.explorer import FamilySpec, SweepRecord, family_axis, family_chunks
-from singlet_selftest.linalg import dagger, hermiticity_deviation
+from singlet_selftest.linalg import (
+    DIAG_XZ,
+    PAULI_X,
+    PAULI_Z,
+    PHI_PLUS,
+    dagger,
+    hermiticity_deviation,
+)
 
 HERMITIAN_ATOL = 1e-10
 
@@ -61,14 +70,48 @@ def correlation(device: DeviceStack, alice_name: str, bob_name: str) -> float:
 
 def chsh_value(device: DeviceStack) -> tuple[float, float]:
     """CHSH value of a device and its deficit from 2*sqrt(2); see ``chsh_epsilon``."""
-    values = correlation_stack(device, CHSH_PAIRS)[0]
-    return chsh_epsilon(dict(zip(CHSH_PAIRS, values.tolist())))
+    value, eps = chsh_epsilon(correlation_stack(device, CHSH_PAIRS))
+    return float(value[0]), float(eps[0])
 
 
 def my_deviation(device: DeviceStack) -> tuple[dict[tuple[str, str], float], float]:
     """All six Mayers-Yao correlations of a device and the worst deviation from ideal."""
-    table = dict(zip(MY_PAIRS, correlation_stack(device, MY_PAIRS)[0].tolist()))
-    return table, my_epsilon(table)[1]
+    values = correlation_stack(device, MY_PAIRS)
+    return dict(zip(MY_PAIRS, values[0].tolist())), float(my_epsilon(values)[1][0])
+
+
+def ideal_pair_value(alice_name: str, bob_name: str) -> float:
+    """The maximally entangled pair's correlation of two named qubit operators,
+    <phi+| kron(M, N) |phi+>, the library's definition of the Mayers-Yao ideal
+    before ``device.MY_IDEAL`` became the canonical device's own correlations."""
+    ops = {"XA": PAULI_X, "ZA": PAULI_Z, "XB": PAULI_X, "ZB": PAULI_Z, "DB": DIAG_XZ}
+    full = np.kron(ops[alice_name], ops[bob_name])
+    return float(np.vdot(PHI_PLUS, full @ PHI_PLUS).real)
+
+
+MY_IDEAL_BY_PAIR = {pair: ideal_pair_value(*pair) for pair in MY_PAIRS}
+
+
+def chsh_deviation_by_name(values: dict[tuple[str, str], float]) -> tuple[float, float]:
+    """The library's former CHSH deviation of one device, read by pair name:
+    ``(value, max(0, 2*sqrt(2) - value))``, the reference ``chsh_epsilon`` on
+    an array must equal bit for bit."""
+    value = (
+        values[("A0", "B0")]
+        + values[("A0", "B1")]
+        + values[("A1", "B0")]
+        - values[("A1", "B1")]
+    )
+    return value, max(0.0, float(TSIRELSON - value))
+
+
+def my_deviation_by_name(values: dict[tuple[str, str], float]) -> tuple[None, float]:
+    """The library's former Mayers-Yao deviation of one device, read by pair
+    name against the kron-form ideal: ``(None, max |measured - ideal|)``."""
+    epsilon = 0.0
+    for pair in MY_PAIRS:
+        epsilon = max(epsilon, abs(values[pair] - MY_IDEAL_BY_PAIR[pair]))
+    return None, epsilon
 
 
 def first_observables(observables: dict[str, np.ndarray]) -> dict[str, np.ndarray]:

@@ -111,8 +111,8 @@ class TestStackedSweepEqualsPerDevice:
         psi = stack.state.reshape(3, 2, 2)
         assert extraction_stack(psi, mode.derive(stack)).degenerate.tolist() == [
             False, True, False]
-        epsilons = [eps for _, _, eps in mode.deviations(stack)]
-        records = explorer._evaluate_stack(stack, "chsh", epsilons)
+        _, _, epsilons = mode.deviations(stack)
+        records = explorer._evaluate_stack(stack, "chsh", epsilons.tolist())
         assert [record.degenerate for record in records] == [False, True, False]
         for device, record in zip(devices, records):
             assert_records_match(record, certified_record(device, "chsh"))

@@ -10,7 +10,7 @@ from conftest import random_unitary, tilted_device
 from helpers import chsh_value, correlation, first_observables, make_family, my_deviation
 from singlet_selftest.bounds import certify
 from singlet_selftest.device import (
-    MY_IDEAL, DeviceStack, DeviceValidationError, make_device, validate_stack,
+    MY_IDEAL, MY_PAIRS, DeviceStack, DeviceValidationError, make_device, validate_stack,
 )
 from singlet_selftest.explorer import FamilySpec
 from singlet_selftest.linalg import DIAG_XZ, PAULI_X, PAULI_Z, PHI_PLUS
@@ -184,7 +184,7 @@ class TestCorrelation:
             {k: ua @ v[0] @ ua.conj().T for k, v in my_device.alice_obs.items()},
             {k: ub @ v[0] @ ub.conj().T for k, v in my_device.bob_obs.items()},
         )
-        for a, b in MY_IDEAL:
+        for a, b in MY_PAIRS:
             assert correlation(conjugated, a, b) == pytest.approx(
                 correlation(my_device, a, b), abs=1e-10
             )
@@ -260,7 +260,7 @@ class TestMyDeviation:
         # direct 4-dim evaluation, independent of the correlation() path
         mats = {"XA": PAULI_X, "ZA": PAULI_Z, "XB": PAULI_X, "ZB": PAULI_Z, "DB": DIAG_XZ}
         expected = 0.0
-        for (a, b), ideal in MY_IDEAL.items():
+        for (a, b), ideal in zip(MY_PAIRS, MY_IDEAL.tolist()):
             full = np.kron(mats[a], mats[b])
             measured = float(np.real(state.conj() @ full @ state))
             assert table[(a, b)] == pytest.approx(measured, abs=1e-12)

@@ -376,7 +376,7 @@ class TestWorstCaseSearch:
 
         def invalid_within(stack):
             violations = validate_stack(stack)
-            within = [i for i, (_, _, eps) in enumerate(deviations(stack)) if eps <= 0.01]
+            within = [i for i, eps in enumerate(deviations(stack)[2].tolist()) if eps <= 0.01]
             if within and (reached or within[0] < len(stack) - 1):
                 violations[within[0] if reached else -1] = ["A0: O^2 != I"]
             return violations
@@ -416,9 +416,8 @@ class TestWorstCaseSearch:
 
         def raise_past_the_first_feasible(stack, pairs):
             values = correlation_stack(stack, pairs)
-            deviation = get_mode("chsh").deviation
-            within = [i for i, row in enumerate(values.tolist())
-                      if deviation(dict(zip(pairs, row)))[1] <= 0.01]
+            _, epsilons = get_mode("chsh").deviation(values)
+            within = [i for i, eps in enumerate(epsilons.tolist()) if eps <= 0.01]
             if within and within[0] < len(stack) - 1:
                 raise ValueError("correlation <A0 B0> has imaginary part 1e-09 above tolerance")
             return values

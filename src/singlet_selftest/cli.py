@@ -11,6 +11,7 @@ stacked through each stage, the correlations included (see ``explorer``).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 from pathlib import Path
@@ -181,7 +182,7 @@ def _parse_family_spec(path: str) -> FamilySpec:
     doc = read_json(path)
     if not isinstance(doc, dict):
         raise DocumentError("family spec must be a JSON object")
-    unknown = set(doc) - {"kind", "parameters", "dims", "seed", "mode"}
+    unknown = set(doc) - {field.name for field in dataclasses.fields(FamilySpec)}
     if unknown:
         raise DocumentError(f"family spec has unknown fields: {sorted(unknown)}")
     if "kind" not in doc:
@@ -197,7 +198,8 @@ def _parse_family_spec(path: str) -> FamilySpec:
 
 
 def sweep_csv(spec: FamilySpec) -> str:
-    """Deterministic CSV for a family sweep, one row per family point."""
+    """Deterministic CSV for a family sweep, one row per family point; the
+    spec is checked whole (``family_axis``) before any device is built."""
     axis, axis_values = family_axis(spec)
     lines = [",".join((axis,) + SWEEP_COLUMNS)]
     for axis_value, record in zip(axis_values, sweep(spec)):

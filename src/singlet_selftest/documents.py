@@ -9,8 +9,9 @@ written to a temporary sibling and atomically renamed, never left partial.
 A loaded device's digest, a report's ``inputsDigest``, hashes the document as
 parsed, re-encoded with sorted keys and no whitespace: its schema version,
 dims, state and observables, with ``metadata`` emptied, any other key left
-out, and the integer entries of an array written as floats.  Those bytes are
-``document_digest(device_to_document(device))`` of the loaded device, so the
+out, and the integer entries of an array written as floats.  Both documents
+take their layout from one function, ``_device_document``, so those bytes are
+``document_digest(device_to_document(device))`` of the loaded device, and the
 arrays are not rebuilt as lists only to be hashed.
 
 A report is built from plain Python values.  Its rows' ``measured``,
@@ -119,22 +120,26 @@ def _first_error(rows: list, ndim: int, where: str) -> DocumentError:
                 float(x)
 
 
+def _device_document(dims: list, state: list, observables: dict, metadata: dict) -> dict:
+    """The one device-document layout, from its JSON-ready parts: what
+    ``device_to_document`` writes and what ``device_from_document`` hashes."""
+    return {"schemaVersion": DEVICE_SCHEMA_VERSION, "dims": dims, "state": state,
+            "observables": observables, "metadata": metadata}
+
+
 def device_to_document(device: DeviceStack, metadata: dict | None = None) -> dict:
     """The document of one device, an n = 1 stack; any other count raises
     ``ValueError`` naming it, rather than write the first row."""
     if len(device) != 1:
         raise ValueError(f"a device document holds one device, an n = 1 stack, "
                          f"got {len(device)} devices")
-    return {
-        "schemaVersion": DEVICE_SCHEMA_VERSION,
-        "dims": [int(device.dims[0]), int(device.dims[1])],
-        "state": complex_to_json(device.state[0]),
-        "observables": {
-            "alice": {name: complex_to_json(m[0]) for name, m in device.alice_obs.items()},
-            "bob": {name: complex_to_json(m[0]) for name, m in device.bob_obs.items()},
-        },
-        "metadata": dict(metadata or {}),
-    }
+    return _device_document(
+        [int(device.dims[0]), int(device.dims[1])],
+        complex_to_json(device.state[0]),
+        {"alice": {name: complex_to_json(m[0]) for name, m in device.alice_obs.items()},
+         "bob": {name: complex_to_json(m[0]) for name, m in device.bob_obs.items()}},
+        dict(metadata or {}),
+    )
 
 
 def device_from_document(doc) -> tuple[DeviceStack, str]:
@@ -169,13 +174,7 @@ def device_from_document(doc) -> tuple[DeviceStack, str]:
         parties[party] = {name: array for name, (array, _) in parsed.items()}
         party_rows[party] = {name: rows for name, (_, rows) in parsed.items()}
     device = make_device((dims[0], dims[1]), state, parties["alice"], parties["bob"])
-    return device, document_digest({
-        "schemaVersion": DEVICE_SCHEMA_VERSION,
-        "dims": dims,
-        "state": state_rows,
-        "observables": party_rows,
-        "metadata": {},
-    })
+    return device, document_digest(_device_document(dims, state_rows, party_rows, {}))
 
 
 def document_digest(doc: dict) -> str:

@@ -212,10 +212,11 @@ def _param_values(name: str, value) -> list[float]:
 def family_axis(spec: FamilySpec) -> tuple[str, list[float]]:
     """The single sweep axis of a family: its name and point values.
 
-    Checks the spec first: a known kind, two integer dims >= 1, a nonnegative
-    integer seed, parameters naming only the kind's axis, and at most
-    ``MAX_SWEEP_POINTS`` points.  Each violation raises ``ValueError`` naming
-    the field, before any point value is built.
+    Checks the spec whole, before any device is built: a known kind, two
+    integer dims >= 1, a nonnegative integer seed, parameters naming only
+    the kind's axis, and at most ``MAX_SWEEP_POINTS`` points; then the mode;
+    then the kind's dims and each axis value in sweep order.  The first
+    violation raises ``ValueError`` naming the field.
     """
     try:
         name = FAMILY_AXES[spec.kind]
@@ -240,14 +241,12 @@ def family_axis(spec: FamilySpec) -> tuple[str, list[float]]:
             raise ValueError(f"count must be nonnegative, got {count}")
         if count > MAX_SWEEP_POINTS:
             raise ValueError(f"count must be at most {MAX_SWEEP_POINTS}, got {count}")
-        return name, [float(i) for i in range(count)]
-    if name not in params:
+        values = [float(i) for i in range(count)]
+    elif name not in params:
         raise ValueError(f"family {spec.kind!r} requires parameter {name!r}")
-    return name, _param_values(name, params[name])
-
-
-def _check_kind(spec: FamilySpec, values: list[float]) -> None:
-    """The limits of the spec's kind: its dims, then each axis value in sweep order."""
+    else:
+        values = _param_values(name, params[name])
+    get_mode(spec.mode)  # raises on an unknown mode
     da, db = spec.dims
     if spec.kind in ("tilted", "state-noise", "measurement-noise") and (da, db) != (2, 2):
         raise ValueError(f"{spec.kind} family requires dims (2, 2)")
@@ -257,15 +256,15 @@ def _check_kind(spec: FamilySpec, values: list[float]) -> None:
     if upper is not None:
         for value in values:
             if not 0.0 <= value <= upper:
-                raise ValueError(f"{spec.kind} {FAMILY_AXES[spec.kind]} must lie in "
-                                 f"[0, {upper}], got {value}")
+                raise ValueError(f"{spec.kind} {name} must lie in [0, {upper}], got {value}")
+    return name, values
 
 
 def _build_chunk(
     spec: FamilySpec, base: DeviceStack, values: list[float], start: int
 ) -> DeviceStack:
     """The devices of the family points ``start``, ``start + 1``, ... with axis
-    ``values``, which ``_check_kind`` has passed, as one stack.
+    ``values``, which ``family_axis`` has passed, as one stack.
 
     Point i draws from its own generator, seeded with ``(spec.seed, i)``, the
     same numbers in the same order whatever the chunk; per point, only those
@@ -362,14 +361,11 @@ def family_chunks(spec: FamilySpec) -> Iterator[tuple[list[float], DeviceStack]]
     """The family's points in sweep order, one chunk at a time: each chunk's
     axis values and the stack of its devices.
 
-    The whole spec is checked when the first chunk is requested, before any
-    device is built: ``family_axis``, then the mode, then the kind's dims and
-    each axis value in sweep order (``_check_kind``), whatever the number of
-    points.  The first violation raises ``ValueError``.
+    The whole spec is checked by ``family_axis`` when the first chunk is
+    requested, before any device is built, whatever the number of points.
     """
     _, values = family_axis(spec)
     base = get_mode(spec.mode).canonical()
-    _check_kind(spec, values)
     size = _chunk_size(spec.dims)
     for start in range(0, len(values), size):
         chunk = values[start:start + size]

@@ -170,10 +170,31 @@ class TestErrorOrder:
                                                             message):
         # The device at index 5 would be invalid, but the spec is checked first.
         requested = self.breaking_builder(monkeypatch, 5)
-        value = family_axis(spec)[1][index]
+        # family_axis rejects the spec, so the value comes from its range.
+        (start, stop, steps), = spec.parameters.values()
+        value = float(np.linspace(start, stop, steps)[index])
         with pytest.raises(ValueError) as err:
             sweep(spec)
         assert str(err.value) == message.format(value)
+        assert requested == []
+
+    @pytest.mark.parametrize("spec,message", [
+        (FamilySpec("measurement-noise", {"eta": 0.6}),
+         "measurement-noise eta must lie in [0, 0.5], got 0.6"),
+        (FamilySpec("random", {"count": 2}, mode="CHSH"),
+         "mode must be 'chsh' or 'my', got 'CHSH'"),
+        (FamilySpec("tilted", {"theta": 0.3}, (4, 4)), "tilted family requires dims (2, 2)"),
+        (FamilySpec("junk-embedded", {"count": 2}, (3, 3)),
+         "junk-embedded dims must be even and >= 2, got (3, 3)"),
+    ], ids=["past-the-cap", "mode-CHSH", "tilted-4x4", "junk-embedded-3x3"])
+    def test_family_axis_rejects_what_sweep_rejects(self, monkeypatch, spec, message):
+        # One check: family_axis, sweep and sweep_csv raise the same error, and
+        # no device is built.
+        requested = self.breaking_builder(monkeypatch, 0)
+        for check in (family_axis, sweep, sweep_csv):
+            with pytest.raises(ValueError) as err:
+                check(spec)
+            assert str(err.value) == message
         assert requested == []
 
     def test_invalid_device_raises_at_once(self, monkeypatch):

@@ -464,6 +464,18 @@ class TestCorrelationsCommand:
         assert doc["budgets"]["eps2"] == pytest.approx(math.sqrt(0.02), rel=1e-12)
         assert doc["fidelity"]["discrepancy"] is True
 
+    def test_all_zero_table_lies_outside_the_certifiable_range(self, tmp_path, capsys):
+        # epsilon = 2 sqrt(2) >= 1 has no budget: the summary still exits 0.
+        table = tmp_path / "table.json"
+        table.write_text(json.dumps({"A0_B0": 0, "A0_B1": 0, "A1_B0": 0, "A1_B1": 0}))
+        assert main(["correlations", "--table", str(table), "--mode", "chsh"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["epsilon"] == 2.8284271247461903
+        assert doc["budgets"] is None and doc["bounds"] is None
+        assert doc["fidelity"]["bound"] == 0.0
+        assert doc["note"].endswith(
+            "; deviation >= 1 lies outside the certifiable range, budgets omitted")
+
     def test_missing_entry_exits_two(self, tmp_path):
         table = tmp_path / "table.json"
         table.write_text(json.dumps({"A0_B0": 0.7}))
@@ -869,6 +881,15 @@ class TestSearchCommand:
         assert ("8 proposal(s) exceeded epsilon ceiling 0.01, 2 degenerate"
                 in capsys.readouterr().err)
 
+    def test_search_finding_nothing_exits_one_without_output(self, tmp_path, capsys):
+        # The MY seed proposal has epsilon 6.7e-16, above a 1e-300 ceiling.
+        code = main(["search", "--mode", "my", "--epsilon-ceiling", "1e-300",
+                     "--budget", "5", "--out", str(tmp_path / "s.json")])
+        assert (code, capsys.readouterr().err) == (
+            1, "no feasible device found within budget 5: 5 proposal(s) exceeded epsilon "
+               "ceiling 1e-300, 0 degenerate\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_invalid_proposal_exits_two_without_output(self, tmp_path, monkeypatch, capsys):
         import singlet_selftest.explorer as explorer
 
@@ -979,6 +1000,39 @@ def test_non_utf8_input_exits_two_naming_the_file(tmp_path, capsys, command):
         f"error: {path}: not UTF-8 text: 'utf-8' codec can't decode byte 0xff in position 0: "
         "invalid start byte\n")
     assert sorted(tmp_path.iterdir()) == [path]
+
+
+@pytest.mark.parametrize("command,text,message", [
+    (INPUT_COMMANDS[1], "[0.5]", "correlation table must be a JSON object of name -> value"),
+    (INPUT_COMMANDS[2], "[1]", "family spec must be a JSON object"),
+    (INPUT_COMMANDS[2], '{"parameters": {}}', "family spec requires a 'kind'"),
+    (INPUT_COMMANDS[2], '{"kind": "random", "parameters": {"count": -1}}',
+     "count must be nonnegative, got -1"),
+    (INPUT_COMMANDS[0], "[1, 2]", "device document must be a JSON object"),
+    (INPUT_COMMANDS[0], json.dumps({**device_to_document(canonical_chsh_device()),
+                                    "observables": []}),
+     "observables: expected an object with 'alice' and 'bob'"),
+], ids=["table-not-an-object", "spec-not-an-object", "spec-without-kind", "negative-count",
+        "device-not-an-object", "observables-not-an-object"])
+def test_rejected_input_exits_two_with_its_message(tmp_path, capsys, command, text, message):
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    argv = [arg.format(path=path) for arg in command] + ["--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert sorted(tmp_path.iterdir()) == [path]
+
+
+@pytest.mark.parametrize("name", ["missing.json", "adir"])
+def test_unreadable_device_exits_two_naming_it(tmp_path, capsys, name):
+    (tmp_path / "adir").mkdir()
+    path = tmp_path / name
+    with pytest.raises(OSError) as err:
+        path.read_text(encoding="utf-8")
+    out = tmp_path / "report.json"
+    assert main(["certify", "--device", str(path), "--mode", "chsh", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: cannot read {path}: {err.value}\n"
+    assert sorted(tmp_path.iterdir()) == [tmp_path / "adir"]
 
 
 @pytest.mark.skipif(not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 5001,

@@ -109,6 +109,15 @@ class TestValidate:
         stack = DeviceStack((2, 2), np.stack([PHI_PLUS, PHI_PLUS]), alice, bob)
         assert validate_stack(stack) == [["A1: 1 matrices for 2 devices"]] * 2
 
+    def test_non_positive_dims_stop_validation(self):
+        device = make_device((0, 2), PHI_PLUS, {"A0": PAULI_X}, {"B0": PAULI_Z})
+        assert validate_stack(device) == [["dims: must be positive, got (0, 2)"]]
+
+    def test_state_of_the_wrong_dimension(self):
+        device = make_device((2, 3), PHI_PLUS, {"A0": PAULI_X},
+                             {"B0": np.diag([1.0, -1.0, 1.0])})
+        assert validate_stack(device) == [["state: dimension (4,) != (dA*dB,) = (6,)"]]
+
     @pytest.mark.parametrize("dims", [(2, 2), (2, 3)])
     def test_messages_in_order_state_then_alice_then_bob(self, dims):
         # Both parties' observables of one dim are checked in one pass; the

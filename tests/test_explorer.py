@@ -290,6 +290,12 @@ class TestWorstCaseSearch:
         assert result.record.epsilon <= 1e-9
         assert result.record.max_extraction_error <= 1e-3
 
+    def test_a_search_that_finds_nothing(self):
+        # The seed proposal, rotated by angle 0, has MY epsilon 6.7e-16, not 0.
+        result = worst_case_search("my", 1e-300, (2, 2), 20, 0)
+        assert (result.found, result.device, result.record) == (False, None, None)
+        assert (result.evaluations, result.over_ceiling) == (20, 20)
+
     def test_search_finds_positive_slack(self):
         result = worst_case_search("chsh", 0.01, (2, 2), 2000, 7)
         assert result.found

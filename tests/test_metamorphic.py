@@ -64,7 +64,7 @@ def test_conjugation_leaves_every_report_byte_unchanged(mode):
 LOCAL_TOL = 1e-12
 
 # The rows whose strict verdict rounding may flip on a device with epsilon
-# above ``TIGHT_EPSILON``: with seed 16, 174 strict flips in all, 9 of them
+# above ``TIGHT_EPSILON``: with seed 16, 341 strict flips in all, 9 of them
 # above it, every one on these rows.
 IDENTITY_TIGHT = {("my", "condition_diff_x"), ("my", "condition_diff_z")}
 TIGHT_EPSILON = 1e-10
@@ -139,12 +139,14 @@ def moved(a: float, b: float) -> float:
 @pytest.mark.parametrize("transform", ["unitaries", "pad-alice", "pad-bob", "junk"])
 @pytest.mark.parametrize("mode", ["chsh", "my"])
 def test_local_unitaries_and_padding_leave_every_row_in_place(mode, transform):
-    # Every 2x2, 3x5 and 8x8 report-pin device of the mode, the degenerate one included.
-    devices = [device for kind, parameters, dims, seed in FAMILIES
-               if dims in ((2, 2), (3, 5), (8, 8))
+    # Every 2x2, 3x5 and 8x8 report-pin device of the mode, the degenerate one
+    # included, and 4-point 4x4 random and junk-embedded families.
+    families = [family for family in FAMILIES if family[2] in ((2, 2), (3, 5), (8, 8))] + [
+        (kind, {"count": 4}, (4, 4), 3) for kind in ("random", "junk-embedded")]
+    devices = [device for kind, parameters, dims, seed in families
                for _, device in family_points(FamilySpec(kind, parameters, dims, seed, mode))]
     devices.append(degenerate_device(mode))
-    assert len(devices) == 39
+    assert len(devices) == 47
     rng = np.random.default_rng(16)
     names = [spec.name for spec in get_mode(mode).rows]
     worst = 0.0

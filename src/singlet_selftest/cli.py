@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import math
+import operator
 import sys
 from pathlib import Path
 
@@ -32,9 +33,11 @@ from .documents import (
     write_json_atomic,
     write_text_atomic,
 )
-from .explorer import FamilySpec, family_axis, sweep, worst_case_search
+from .explorer import FAMILY_AXES, FamilySpec, sweep, worst_case_search
 
-SWEEP_COLUMNS = ("epsilon", "eps1", "eps2", "maxError", "bound", "slack")
+# Each sweep CSV column after the axis, with the SweepRecord field it holds.
+SWEEP_COLUMNS = {"epsilon": "epsilon", "eps1": "eps1_measured", "eps2": "eps2_measured",
+                 "maxError": "max_extraction_error", "bound": "extraction_bound", "slack": "slack"}
 
 # Rounding allowance per correlation-table entry: an entry may exceed 1 in
 # magnitude by this much, and a table passes as quantum when some quantum table
@@ -198,21 +201,14 @@ def _parse_family_spec(path: str) -> FamilySpec:
 
 
 def sweep_csv(spec: FamilySpec) -> str:
-    """Deterministic CSV for a family sweep, one row per family point; the
-    spec is checked whole (``family_axis``) before any device is built."""
-    axis, axis_values = family_axis(spec)
-    lines = [",".join((axis,) + SWEEP_COLUMNS)]
-    for axis_value, record in zip(axis_values, sweep(spec)):
-        values = (
-            axis_value,
-            record.epsilon,
-            record.eps1_measured,
-            record.eps2_measured,
-            record.max_extraction_error,
-            record.extraction_bound,
-            record.slack,
-        )
-        lines.append(",".join(repr(float(value)) for value in values))
+    """Deterministic CSV for a family sweep, one row per point ``sweep``
+    returns.  ``sweep`` checks the spec, so the header, which names the
+    kind's axis, is built only once it has returned."""
+    points = sweep(spec)
+    fields = operator.attrgetter(*SWEEP_COLUMNS.values())
+    lines = [",".join((FAMILY_AXES[spec.kind], *SWEEP_COLUMNS))]
+    lines += [",".join(repr(float(value)) for value in (axis_value, *fields(record)))
+              for axis_value, record in points]
     return "\n".join(lines) + "\n"
 
 

@@ -8,13 +8,13 @@ does not depend on which points were generated before it.
 
 A sweep builds and evaluates its points in chunks of at most
 ``CHUNK_ELEMENTS`` // max(40 dA dB, (dA dB)^2) devices, which share dims.
-Per point, only its generator calls run, in its own order and in as few
-calls as that order allows, plus the ``random`` family's decision to redraw
-a sign draw that lacks one of the two signs.  Everything after the draws
-runs once per chunk on the stacked devices: the signs, the complex numbers
-and the state norms, the linear algebra (QR, eigendecompositions, matrix
-products), validation, the correlations, operator derivation, residuals
-and the extraction circuit.  The epsilon^(1/4) budgets amplify a last-bit change
+Per point run its generator calls, in its own order and in as few calls as
+that order allows, ``random``'s redraw of a sign draw lacking a sign, and,
+for ``state-noise`` and ``junk-embedded``, each state's norms, vdot or einsum.
+The rest runs once per chunk, stacked: the other complex numbers and state
+norms, the linear algebra (QR, eigendecompositions, matrix products),
+validation, correlations, operator derivation, residuals and the extraction
+circuit.  The epsilon^(1/4) budgets amplify a last-bit change
 in the deviation epsilon, so ``device.correlation_stack`` keeps each
 device's embedded floating-point form, bit for bit.  Sweep, search and
 ``bounds.certify`` share one path: epsilon from ``Mode.deviations`` first,
@@ -267,13 +267,13 @@ def _build_chunk(
     ``values``, which ``family_axis`` has passed, as one stack.
 
     Point i draws from its own generator, seeded with ``(spec.seed, i)``, the
-    same numbers in the same order whatever the chunk; per point, only those
-    generator calls run (for ``random``, also the redraw decision of
-    ``_observable_draws``).  The draws of a chunk then go through each later
-    step once, stacked: ``random`` turns its sign draws into signs with one
-    ``np.where``, composes its complex numbers and normalizes its states
-    with ``linalg.vector_norms``, each norm equal to ``np.linalg.norm`` of
-    that state alone, before the linear algebra.
+    same numbers in the same order whatever the chunk.  Per point run those
+    generator calls, ``random``'s redraw decision (``_observable_draws``) and
+    the states of ``state-noise`` and ``junk-embedded`` (norms, a vdot, an
+    einsum).  The rest runs once per chunk, stacked: ``random`` turns its sign
+    draws into signs with one ``np.where``, composes its complex numbers and
+    normalizes its states with ``linalg.vector_norms``, each norm equal to
+    ``np.linalg.norm`` of that state alone, before the linear algebra.
     """
     n = len(values)
     da, db = spec.dims
@@ -394,16 +394,16 @@ def _evaluate_stack(stack: DeviceStack, mode: str, epsilons: list[float]) -> lis
     return records
 
 
-def sweep(spec: FamilySpec) -> list[SweepRecord]:
-    """One record per family point, running the full pipeline.
+def sweep(spec: FamilySpec) -> list[tuple[float, SweepRecord]]:
+    """Each family point's axis value with its record, in sweep order.
 
-    The spec is checked whole before any device is built (``family_chunks``).
+    The spec is checked whole, once, before any device is built (``family_chunks``).
     Points are then built, validated and evaluated one chunk at a time.
     Every generated device is validated here, once, and the first invalid one
     raises ``ValueError`` naming its axis value; a degenerate extraction is
     recorded in-row and the sweep continues.
     """
-    records = []
+    points = []
     for values, stack in family_chunks(spec):
         for value, violations in zip(values, validate_stack(stack)):
             if violations:
@@ -411,8 +411,8 @@ def sweep(spec: FamilySpec) -> list[SweepRecord]:
                 raise ValueError(f"family {spec.kind!r} produced an invalid device at "
                                  f"{parameters}: " + "; ".join(violations))
         _, _, epsilons = get_mode(spec.mode).deviations(stack)
-        records += _evaluate_stack(stack, spec.mode, epsilons.tolist())
-    return records
+        points += zip(values, _evaluate_stack(stack, spec.mode, epsilons.tolist()))
+    return points
 
 
 def _rotation_table(base: DeviceStack, dims: tuple[int, int],

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -79,7 +80,7 @@ class TestStackedSweepEqualsPerDevice:
     @settings(max_examples=40, deadline=None)
     @given(spec=family_specs())
     def test_each_record_matches_the_point_alone(self, spec):
-        records = sweep(spec)
+        records = [record for _, record in sweep(spec)]
         _, values = family_axis(spec)
         assert len(records) == len(values)
         base = get_mode(spec.mode).canonical()
@@ -275,6 +276,36 @@ def test_sweep_csv_reproduces_its_pin(kind, parameters, dims, seed, digests, mod
     assert hashlib.sha256(text.encode()).hexdigest() == digests[mode]
 
 
+@pytest.mark.parametrize("kind,parameters", [
+    ("tilted", {"theta": [0.0, 1.0, 0]}),
+    ("state-noise", {"p": [0.0, 1.0, 0]}),
+    ("measurement-noise", {"eta": [0.0, 0.5, 0]}),
+    ("junk-embedded", {"count": 0}),
+    ("random", {"count": 0}),
+])
+def test_empty_sweep_csv_is_its_header(kind, parameters):
+    axis = explorer.FAMILY_AXES[kind]
+    assert sweep_csv(FamilySpec(kind, parameters)) == (
+        f"{axis},epsilon,eps1,eps2,maxError,bound,slack\n")
+
+
+def test_sweep_csv_checks_the_spec_once(monkeypatch):
+    # sweep_csv only formats what sweep returns: family_axis runs once per
+    # call, through whichever module of the package holds the name.
+    calls = []
+
+    def counting(spec):
+        calls.append(spec)
+        return family_axis(spec)
+
+    for name, module in list(sys.modules.items()):
+        if module is not None and name.split(".")[0] == "singlet_selftest":
+            if getattr(module, "family_axis", None) is family_axis:
+                monkeypatch.setattr(module, "family_axis", counting)
+    sweep_csv(FamilySpec("measurement-noise", {"eta": [0.0, 0.5, 3]}, seed=1))
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("kind,count,dims", [
     # 13 chunks of 16; a whole-family stack would take about 13 budgets, and
     # chunked, a sweep holds about 1.8.
@@ -288,7 +319,7 @@ def test_peak_memory_is_bounded_by_the_chunk_budget(kind, count, dims):
     sweep(FamilySpec(kind, {"count": 1}, dims, seed=5, mode="my"))
     tracemalloc.start()
     try:
-        records = sweep(spec)
+        records = [record for _, record in sweep(spec)]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

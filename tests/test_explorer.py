@@ -209,7 +209,7 @@ class TestSweep:
             "tilted",
             {"theta": {"start": math.pi / 4, "stop": math.pi / 8, "steps": 20}},
         )
-        records = sweep(spec)
+        records = [record for _, record in sweep(spec)]
         assert len(records) == 20
         for record in records:
             assert record.slack >= -1e-9
@@ -219,7 +219,7 @@ class TestSweep:
         spec = FamilySpec(
             "state-noise", {"p": {"start": 0.0, "stop": 0.05, "steps": 10}}, seed=21
         )
-        records = sweep(spec)
+        records = [record for _, record in sweep(spec)]
         assert len(records) == 10
         assert all(math.isfinite(r.epsilon) for r in records)
         # trend is reported, not asserted: the first (p = 0) point is exact
@@ -234,7 +234,7 @@ class TestSweep:
         spec = FamilySpec(
             "tilted", {"theta": {"start": math.pi / 4, "stop": math.pi / 2, "steps": 3}}
         )
-        records = sweep(spec)
+        records = [record for _, record in sweep(spec)]
         assert len(records) == 3
         assert not records[0].degenerate
         assert records[-1].degenerate
@@ -246,7 +246,7 @@ class TestSweep:
             "measurement-noise", {"eta": {"start": 0.0, "stop": 0.05, "steps": 5}},
             seed=22, mode="my",
         )
-        records = sweep(spec)
+        records = [record for _, record in sweep(spec)]
         assert len(records) == 5
         for record in records:
             assert record.slack >= -1e-9
@@ -271,7 +271,7 @@ class TestEvaluateDevice:
     def test_epsilon_is_a_python_float(self, mode):
         spec = FamilySpec("measurement-noise", {"eta": [0.0, 0.1, 3]}, seed=1, mode=mode)
         device = get_mode(mode).canonical()
-        epsilons = [record.epsilon for record in sweep(spec)]
+        epsilons = [record.epsilon for _, record in sweep(spec)]
         epsilons.append(worst_case_search(mode, 0.05, (2, 2), 20, 1).record.epsilon)
         epsilons.append(certify(device, mode).epsilon)
         assert [type(eps) for eps in epsilons] == [float] * 5

@@ -174,7 +174,7 @@ def cmd_correlations(args: argparse.Namespace) -> int:
         "note": note,
     }
     text = json_text(doc) + "\n"
-    if args.out:
+    if args.out is not None:
         write_text_atomic(args.out, text)
     else:
         sys.stdout.write(text)
@@ -250,8 +250,10 @@ def cmd_search(args: argparse.Namespace) -> int:
     }
     doc = device_to_document(result.device, metadata)
     report = certify(result.device, args.mode)
-    report_path = Path(args.out).with_suffix(Path(args.out).suffix + ".report.json")
+    # The report path after the device write: an --out that cannot be written
+    # (an empty one, say) exits 2 naming it, before Path has to take it apart.
     write_json_atomic(args.out, doc)
+    report_path = Path(args.out).with_suffix(Path(args.out).suffix + ".report.json")
     try:
         write_json_atomic(report_path, report_to_document(report, document_digest(doc)))
     except DocumentError:
@@ -271,7 +273,7 @@ def cmd_search(args: argparse.Namespace) -> int:
 def cmd_canonical(args: argparse.Namespace) -> int:
     device = get_mode(args.mode).canonical()
     doc = device_to_document(device, {"generator": "canonical", "mode": args.mode})
-    if args.out:
+    if args.out is not None:
         write_json_atomic(args.out, doc)
         print(f"wrote canonical {args.mode} device to {args.out}")
     else:

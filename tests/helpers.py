@@ -11,12 +11,21 @@ one category, a device's sweep record read off its certify report, a
 ``random`` family point built alone, drawing and normalizing one number at a
 time, which the family's chunks must reproduce bit for bit, the
 one-observable-at-a-time search proposal that the search's rotation table
-must reproduce bit for bit, and a spy on the stacks of proposals a search
-checks.
+must reproduce bit for bit, a spy on the stacks of proposals a search
+checks, and the two ways the tests run the command line: ``cli.main`` in
+this process, and a child interpreter as the installed ``singlet-selftest``
+script runs it.
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
+import os
+import subprocess
+import sys
+import tempfile
+import threading
 from collections.abc import Iterator
 from pathlib import Path
 
@@ -40,6 +49,7 @@ from singlet_selftest.device import (
     my_epsilon,
 )
 from singlet_selftest import bounds, explorer
+from singlet_selftest.cli import main
 from singlet_selftest.derive import DerivedOperators
 from singlet_selftest.documents import device_to_document, write_json_atomic
 from singlet_selftest.explorer import FamilySpec, SweepRecord, family_axis, family_chunks
@@ -53,6 +63,46 @@ from singlet_selftest.linalg import (
 )
 
 HERMITIAN_ATOL = 1e-10
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_in_process(argv: list[str]) -> tuple[int, str, str]:
+    """``cli.main(argv)`` in this process: its exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def spawn_cli(argv: list[str], timeout: float = 120.0) -> tuple[int, str, str, float]:
+    """``python -m singlet_selftest.cli *argv`` in a child process, as the installed
+    ``singlet-selftest`` script runs ``cli.main``, killed after ``timeout`` seconds:
+    its exit code, stdout, stderr and peak RSS in MB.  The peak is this child's,
+    from ``os.wait4``; ``RUSAGE_CHILDREN`` is the largest of every child reaped."""
+    path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+    with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
+        child = subprocess.Popen([sys.executable, "-m", "singlet_selftest.cli", *argv],
+                                 stdin=subprocess.DEVNULL, stdout=out, stderr=err,
+                                 env={**os.environ, "PYTHONPATH": path})
+        timer = threading.Timer(timeout, child.kill)
+        timer.start()
+        try:
+            _, status, usage = os.wait4(child.pid, 0)
+        finally:
+            timer.cancel()
+        # Popen must not wait on the pid wait4 reaped.
+        child.returncode = os.waitstatus_to_exitcode(status)
+        out.seek(0)
+        err.seek(0)
+        return child.returncode, out.read().decode(), err.read().decode(), usage.ru_maxrss / 1024
+
+
+def run_child(argv: list[str]) -> tuple[int, str, str]:
+    """``spawn_cli(argv)`` without the peak: exit code, stdout and stderr."""
+    return spawn_cli(argv)[:3]
+
+
+RUNNERS = (run_in_process, run_child)
 
 
 def require_square(m: np.ndarray) -> np.ndarray:
@@ -178,8 +228,9 @@ def make_family(spec: FamilySpec) -> list[DeviceStack]:
     return [device for _, device in family_points(spec)]
 
 
-def save_device(path: str | Path, device: DeviceStack, metadata: dict | None = None) -> None:
+def save_device(path: Path, device: DeviceStack, metadata: dict | None = None) -> Path:
     write_json_atomic(path, device_to_document(device, metadata))
+    return path
 
 
 def device_diagnostics(device: DeviceStack, diagnostics, derive) -> dict[str, float]:

@@ -20,7 +20,9 @@ import math
 import numpy as np
 import pytest
 
+from helpers import RUNNERS
 from singlet_selftest.cli import main
+from singlet_selftest.device import canonical_chsh_device
 from singlet_selftest.documents import (
     complex_to_json,
     device_to_document,
@@ -53,6 +55,18 @@ def _reversed(value):
     """``value`` with the keys of every object in reverse order."""
     if isinstance(value, dict):
         return {key: _reversed(value[key]) for key in reversed(value)}
+    return value
+
+
+def _integral(value):
+    """``value`` with every integral float as a JSON integer, but -0.0,
+    whose sign the integer 0 would drop."""
+    if isinstance(value, dict):
+        return {key: _integral(member) for key, member in value.items()}
+    if isinstance(value, list):
+        return [_integral(member) for member in value]
+    if type(value) is float and value.is_integer() and repr(value) != "-0.0":
+        return int(value)
     return value
 
 
@@ -148,3 +162,24 @@ def test_huge_entry_digest_is_the_loaded_devices_digest(tmp_path):
     assert "1e+300" in path.read_text()
     device, digest = load_device(path)
     assert digest == document_digest(device_to_document(device))
+
+
+def test_rewritten_canonical_documents_give_the_same_report_file(tmp_path):
+    # The digest re-encodes the loaded device, so the canonical document with
+    # its integral entries written as integers, or with its keys in reverse
+    # order, other metadata and an unknown key, gives the same report file,
+    # inputsDigest included.
+    doc = device_to_document(canonical_chsh_device(), {"generator": "canonical", "mode": "chsh"})
+    texts = [json.dumps(doc), json.dumps(_integral(doc)), json.dumps(_reversed({
+        **doc, "metadata": {"source": "hand-edited", "note": [1, 2.5, None]},
+        "comment": "an unknown top-level key"}))]
+    assert "[1, 0]" in texts[1] and texts[2].startswith('{"comment":')
+    for run in RUNNERS:
+        reports = []
+        for index, text in enumerate(texts):
+            path, out = tmp_path / f"device{index}.json", tmp_path / f"report{index}.json"
+            path.write_text(text)
+            assert run(["certify", "--device", str(path), "--mode", "chsh",
+                        "--out", str(out)])[0] == 0
+            reports.append(out.read_bytes())
+        assert reports[1:] == reports[:1] * 2

@@ -5,7 +5,7 @@ ones included, must be referenced by some code of the package other than its
 own definition and ``__init__.py``'s export; a definition only the tests use
 belongs in the tests, and a helper left without a caller goes.  README's
 ``python`` block is executed as written, so the tour cannot drift from the
-API.
+API.  The installed ``singlet-selftest`` script must name ``cli.main``.
 """
 
 from __future__ import annotations
@@ -13,6 +13,8 @@ from __future__ import annotations
 import ast
 import re
 from pathlib import Path
+
+from singlet_selftest import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "singlet_selftest"
@@ -66,3 +68,14 @@ def test_readme_tour_runs():
     assert blocks
     for block in blocks:
         exec(compile(block, "README.md", "exec"), {})
+
+
+def test_console_script_names_cli_main():
+    # The tests run cli.main in-process and as python -m singlet_selftest.cli,
+    # never the script pip installs, so its entry is checked here.  Read as
+    # text: Python 3.10 has no tomllib.
+    text = (ROOT / "pyproject.toml").read_text()
+    scripts = text.split("\n[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    assert re.findall(r'^(\S+) = "(\S+)"$', scripts, flags=re.MULTILINE) == [
+        ("singlet-selftest", "singlet_selftest.cli:main")]
+    assert callable(cli.main)

@@ -25,6 +25,8 @@ from helpers import (
     device_diagnostics,
     first_operators,
     rows_by_category,
+    save_device,
+    spawn_cli,
     stack_devices,
 )
 from singlet_selftest import bounds, explorer
@@ -330,6 +332,17 @@ class TestCorrelationsBatch:
             stack = stack_devices([build(seed, dims) for seed in range(n)])
             peak = traced_peak(stack, pairs)
             assert peak < 1.25 * BLOCK_BYTES, peak / BLOCK_BYTES
+
+    def test_64x64_certify_child_peaks_under_150_mb(self, tmp_path):
+        # certify on a 64 x 64 device peaks near 50 MB in all; the whole
+        # 64^2 x 64^2 embedded matrix alone would take 268 MB
+        (_, device), = explorer.family_chunks(
+            explorer.FamilySpec("random", {"count": 1}, (64, 64), 5, "chsh"))
+        save_device(tmp_path / "d64.json", device)
+        code, _, stderr, peak_mb = spawn_cli(["certify", "--device", str(tmp_path / "d64.json"),
+                                              "--mode", "chsh", "--out", str(tmp_path / "r.json")])
+        assert code in (0, 1), stderr
+        assert peak_mb < 150
 
     def test_unknown_name_raises(self):
         device = chsh_device(3, (2, 3))

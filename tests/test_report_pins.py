@@ -5,7 +5,8 @@ passes them; these pins do not.  Each case certifies a few devices of one
 family kind and dims in one mode and hashes the report texts, written as the
 ``certify`` command writes them, so a refactor of any stage must leave every
 byte of every report as it was.  The same devices' report documents are also
-walked for anything but plain JSON values.
+walked for anything but plain JSON values, and each state error the paper's
+isometry measures is checked against the least one any local isometries give.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import math
 
+import numpy as np
 import pytest
 
 from helpers import family_points, first_observables
@@ -25,6 +27,7 @@ from singlet_selftest.documents import (
     report_to_document,
 )
 from singlet_selftest.explorer import FamilySpec
+from singlet_selftest.linalg import PAULI_X, PAULI_Z, PHI_PLUS
 
 
 def report_text(device, mode: str) -> str:
@@ -160,13 +163,18 @@ def plain_json_nulls(value, path: tuple = ()):
     return []
 
 
+def pin_devices(mode: str) -> list:
+    """Every pinned device of the mode, the degenerate one last."""
+    return [*(device for kind, parameters, dims, seed in FAMILIES
+              for _, device in family_points(FamilySpec(kind, parameters, dims, seed, mode))),
+            degenerate_device(mode)]
+
+
 @pytest.mark.parametrize("mode", ["chsh", "my"])
 def test_report_documents_hold_plain_json(mode):
     # Every pinned device of the mode; nulls occur only where they are named.
-    devices = [device for kind, parameters, dims, seed in FAMILIES
-               for _, device in family_points(FamilySpec(kind, parameters, dims, seed, mode))]
     nulls, unbudgeted = [], 0
-    for device in [*devices, degenerate_device(mode)]:
+    for device in pin_devices(mode):
         report = certify(device, mode)
         unbudgeted += report.budget is None
         nulls += plain_json_nulls(report_to_document(report, "sha256:0"))
@@ -174,3 +182,63 @@ def test_report_documents_hold_plain_json(mode):
     assert {path[:2] for path in rows} == {("report", "rows")}
     assert {path[-1] for path in rows} <= NULL_ROW_FIELDS
     assert nulls and unbudgeted
+
+
+def optimal_state_error(psi: np.ndarray) -> float:
+    """The least ||(V_A x V_B) psi - junk x phi+|| over local isometries and unit
+    junk, from the Schmidt coefficients s_1 >= s_2 >= ... of the (dA, dB) state
+    matrix, padded with a 0 to an even count.  junk x phi+ has its coefficients
+    in equal pairs, so the best overlap, sqrt(1 - D), pairs them adjacently,
+    with D = 1/2 sum_k (s_2k-1 - s_2k)^2.  The distance is written
+    sqrt(2D / (1 + sqrt(1 - D))): as sqrt(2 - 2 sqrt(1 - D)) it cancels near phi+."""
+    s = np.linalg.svd(psi, compute_uv=False)
+    s = np.append(s, np.zeros(len(s) % 2))
+    d = 0.5 * float(np.sum((s[0::2] - s[1::2]) ** 2))
+    return math.sqrt(2.0 * d / (1.0 + math.sqrt(1.0 - d)))
+
+
+@pytest.mark.parametrize("mode", ["chsh", "my"])
+def test_papers_state_error_is_at_least_the_optimal_one(mode):
+    # The paper's isometry is one choice of local isometries, so its state
+    # error cannot fall below the optimum; a violation is the isometry's or the
+    # form's fault.  A degenerate device has no state error.
+    gaps = [optimal_state_error(device.state.reshape(device.dims)) - next(
+                row.measured for row in certify(device, mode).rows
+                if row.name == "state_error_normalized") for device in pin_devices(mode)]
+    gaps = [gap for gap in gaps if not math.isnan(gap)]
+    assert len(gaps) == 42
+    assert max(gaps) <= 1e-15
+
+
+def test_optimal_state_error_matches_a_search_over_local_unitaries():
+    # At 2 x 2 the junk is a phase.  A seeded random search over SU(2) x SU(2),
+    # each unitary a unit quaternion, steps to a better pair and shrinks its
+    # step after a worse one; from two starts it must reach the closed form.
+    paulis = np.array([PAULI_X, [[0.0, -1j], [1j, 0.0]], PAULI_Z])
+
+    def distance(q: np.ndarray, psi: np.ndarray) -> float:
+        u_a, u_b = (x[0] * np.eye(2) + 1j * np.tensordot(x[1:], paulis, 1) for x in q)
+        v = np.kron(u_a, u_b) @ psi.reshape(-1)
+        overlap = np.vdot(PHI_PLUS, v)
+        return float(np.linalg.norm(v - overlap / abs(overlap) * PHI_PLUS))
+
+    rng = np.random.default_rng(20)
+    near_phi_plus = PHI_PLUS.reshape(2, 2) + [[0.0, 0.01], [0.0, 0.0]]
+    states = [np.diag([math.cos(0.3), math.sin(0.3)]), near_phi_plus,
+              *(rng.normal(size=(2, 2, 2, 2)) @ [1.0, 1j])]
+    for psi in states:
+        psi = psi / np.linalg.norm(psi)
+        best = math.inf
+        for _ in range(2):
+            q = rng.normal(size=(2, 4))
+            q /= np.linalg.norm(q, axis=1, keepdims=True)
+            found, step = distance(q, psi), 1.0
+            while step > 1e-10:
+                trial = q + step * rng.normal(size=(2, 4))
+                trial /= np.linalg.norm(trial, axis=1, keepdims=True)
+                if (value := distance(trial, psi)) < found:
+                    q, found, step = trial, value, 2.0 * step
+                else:
+                    step *= 0.85
+            best = min(best, found)
+        assert abs(best - optimal_state_error(psi)) <= 1e-8

@@ -26,7 +26,7 @@ import subprocess
 import sys
 import tempfile
 import threading
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from pathlib import Path
 
 import numpy as np
@@ -64,6 +64,7 @@ from singlet_selftest.linalg import (
 
 HERMITIAN_ATOL = 1e-10
 SRC = Path(__file__).resolve().parent.parent / "src"
+CHILD_TIMEOUT_S = 120.0
 
 
 def run_in_process(argv: list[str]) -> tuple[int, str, str]:
@@ -74,9 +75,9 @@ def run_in_process(argv: list[str]) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
-def spawn_cli(argv: list[str], timeout: float = 120.0) -> tuple[int, str, str, float]:
+def spawn_cli(argv: list[str]) -> tuple[int, str, str, float]:
     """``python -m singlet_selftest.cli *argv`` in a child process, as the installed
-    ``singlet-selftest`` script runs ``cli.main``, killed after ``timeout`` seconds:
+    ``singlet-selftest`` script runs ``cli.main``, killed after ``CHILD_TIMEOUT_S``:
     its exit code, stdout, stderr and peak RSS in MB.  The peak is this child's,
     from ``os.wait4``; ``RUSAGE_CHILDREN`` is the largest of every child reaped."""
     path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
@@ -84,7 +85,7 @@ def spawn_cli(argv: list[str], timeout: float = 120.0) -> tuple[int, str, str, f
         child = subprocess.Popen([sys.executable, "-m", "singlet_selftest.cli", *argv],
                                  stdin=subprocess.DEVNULL, stdout=out, stderr=err,
                                  env={**os.environ, "PYTHONPATH": path})
-        timer = threading.Timer(timeout, child.kill)
+        timer = threading.Timer(CHILD_TIMEOUT_S, child.kill)
         timer.start()
         try:
             _, status, usage = os.wait4(child.pid, 0)
@@ -97,12 +98,16 @@ def spawn_cli(argv: list[str], timeout: float = 120.0) -> tuple[int, str, str, f
         return child.returncode, out.read().decode(), err.read().decode(), usage.ru_maxrss / 1024
 
 
-def run_child(argv: list[str]) -> tuple[int, str, str]:
-    """``spawn_cli(argv)`` without the peak: exit code, stdout and stderr."""
-    return spawn_cli(argv)[:3]
+# The two ways to run the command line, each giving exit code, stdout and stderr.
+RUNNERS = {"in-process": run_in_process, "child": lambda argv: spawn_cli(argv)[:3]}
 
 
-RUNNERS = (run_in_process, run_child)
+def each_runner(tmp_path: Path) -> Iterator[tuple[Callable, Path]]:
+    """Each of ``RUNNERS`` with a new directory of its own under ``tmp_path``, so
+    no run's checks read the files another run wrote."""
+    for name, run in RUNNERS.items():
+        (tmp_path / name).mkdir()
+        yield run, tmp_path / name
 
 
 def require_square(m: np.ndarray) -> np.ndarray:
@@ -228,9 +233,8 @@ def make_family(spec: FamilySpec) -> list[DeviceStack]:
     return [device for _, device in family_points(spec)]
 
 
-def save_device(path: Path, device: DeviceStack, metadata: dict | None = None) -> Path:
+def save_device(path: str | Path, device: DeviceStack, metadata: dict | None = None) -> None:
     write_json_atomic(path, device_to_document(device, metadata))
-    return path
 
 
 def device_diagnostics(device: DeviceStack, diagnostics, derive) -> dict[str, float]:

@@ -9,7 +9,14 @@ import sys
 import numpy as np
 import pytest
 
-from helpers import RUNNERS, first_observables, make_family, run_child, run_in_process, save_device
+from helpers import (
+    RUNNERS,
+    each_runner,
+    first_observables,
+    make_family,
+    run_in_process,
+    save_device,
+)
 from singlet_selftest.bounds import MODES
 from singlet_selftest.cli import main
 from singlet_selftest.device import (
@@ -34,23 +41,11 @@ from singlet_selftest.linalg import PAULI_X, PAULI_Z
 HUGE_INT = "1" + "0" * 400
 
 
-def write_json(path, value):
-    """Write ``value`` as JSON to ``path`` and return the path."""
-    path.write_text(json.dumps(value))
-    return path
-
-
-def certify_file(device, mode: str = "chsh"):
-    """``certify`` in-process on the ``device`` file, to ``report.json`` beside
-    it: the exit code, stdout, stderr and that report's path."""
-    out = device.parent / "report.json"
-    return (*run_in_process(["certify", "--device", str(device), "--mode", mode,
-                             "--out", str(out)]), out)
-
-
 @pytest.fixture
 def chsh_doc_path(tmp_path):
-    return save_device(tmp_path / "canonical_chsh.json", canonical_chsh_device())
+    path = tmp_path / "canonical_chsh.json"
+    save_device(path, canonical_chsh_device())
+    return path
 
 
 class TestDocuments:
@@ -122,15 +117,20 @@ class TestDocuments:
         with pytest.raises(DocumentError, match="observables.alice.A0"):
             device_from_document(doc)
 
-    def test_invariant_violation_is_fatal(self, tmp_path):
+    def test_invariant_violation_is_fatal(self, tmp_path, capsys):
         base = canonical_chsh_device()
-        broken = make_device((2, 2), base.state[0], {"A0": 0.5 * PAULI_X, "A1": PAULI_Z},
-                             first_observables(base.bob_obs))
-        path = save_device(tmp_path / "bad.json", broken)
+        broken = make_device(
+            (2, 2), base.state[0],
+            {"A0": 0.5 * PAULI_X, "A1": PAULI_Z},
+            first_observables(base.bob_obs),
+        )
+        path = tmp_path / "bad.json"
+        save_device(path, broken)
         load_device(path)  # parsing does not validate; certify does
-        code, _, stderr, out = certify_file(path)
+        out = tmp_path / "report.json"
+        code = main(["certify", "--device", str(path), "--mode", "chsh", "--out", str(out)])
         assert code == 2
-        assert stderr.startswith("error: invalid device: A0: O^2 != I")
+        assert capsys.readouterr().err.startswith("error: invalid device: A0: O^2 != I")
         assert not out.exists()
 
 
@@ -207,19 +207,24 @@ class TestBulkParse:
         assert np.signbit(entry.real) and not np.signbit(entry.imag)
         assert json.dumps(device_to_document(device)) == json.dumps(doc)
 
-    def test_last_integer_beyond_float_range_exits_two(self, tmp_path):
+    def test_last_integer_beyond_float_range_exits_two(self, tmp_path, capsys):
         doc = _device_32x32_document()
         doc["state"][1023] = ["HUGE", 0.0]
         path = tmp_path / "huge.json"
         path.write_text(json.dumps(doc).replace('"HUGE"', str(2**1100)))
-        code, _, stderr, out = certify_file(path)
-        assert (code, stderr) == (2, "error: int too large to convert to float\n")
+        out = tmp_path / "report.json"
+        code = main(["certify", "--device", str(path), "--mode", "chsh", "--out", str(out)])
+        assert (code, capsys.readouterr().err) == (2, "error: int too large to convert to float\n")
         assert not out.exists()
 
 
 class TestCertifyCommand:
-    def test_canonical_passes(self, chsh_doc_path):
-        code, _, _, out = certify_file(chsh_doc_path)
+    def test_canonical_passes(self, chsh_doc_path, tmp_path):
+        out = tmp_path / "report.json"
+        code = main([
+            "certify", "--device", str(chsh_doc_path), "--mode", "chsh",
+            "--out", str(out),
+        ])
         assert code == 0
         report = json.loads(out.read_text())
         assert report["report"]["allPass"] is True
@@ -228,7 +233,7 @@ class TestCertifyCommand:
         for row in report["report"]["rows"]:
             assert {"name", "measured", "bound", "pass", "formula"} <= set(row)
 
-    def test_bob_sum_off_hermitian_by_twice_the_tolerance_passes(self, tmp_path):
+    def test_bob_sum_off_hermitian_by_twice_the_tolerance_passes(self, tmp_path, capsys):
         # B0 and B1 are each 0.9e-10 from Hermitian, inside validation's 1e-10, so
         # B0 + B1 is 1.8e-10 off; the operator sign must take it as it is.
         skew = 0.45e-10 * np.array([[0.0, 1.0], [-1.0, 0.0]])  # 0.45e-10 * iY
@@ -236,9 +241,13 @@ class TestCertifyCommand:
         bob = {name: m[0] + skew for name, m in base.bob_obs.items()}
         device = make_device((2, 2), base.state[0], first_observables(base.alice_obs), bob)
         assert validate_stack(device) == [[]]
-        code, stdout, stderr, out = certify_file(save_device(tmp_path / "skewed.json", device))
-        assert (code, stderr) == (0, "")
-        assert stdout.startswith("PASS: all 35 rows within bounds")
+        path = tmp_path / "skewed.json"
+        save_device(path, device)
+        out = tmp_path / "report.json"
+        code = main(["certify", "--device", str(path), "--mode", "chsh", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (0, "")
+        assert captured.out.startswith("PASS: all 35 rows within bounds")
         assert json.loads(out.read_text())["report"]["allPass"] is True
 
     def test_failing_device_exits_one(self, tmp_path):
@@ -247,58 +256,79 @@ class TestCertifyCommand:
         state = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
         device = make_device((2, 2), state, first_observables(base.alice_obs),
                              first_observables(base.bob_obs))
-        code, _, _, out = certify_file(save_device(tmp_path / "product.json", device))
+        path = tmp_path / "product.json"
+        save_device(path, device)
+        out = tmp_path / "report.json"
+        code = main(["certify", "--device", str(path), "--mode", "chsh", "--out", str(out)])
         assert code == 1
         report = json.loads(out.read_text())
         assert report["report"]["allPass"] is False
 
     def test_invalid_device_exits_two_without_output(self, tmp_path):
         base = canonical_chsh_device()
-        broken = make_device((2, 2), base.state[0], {"A0": 0.5 * PAULI_X, "A1": PAULI_Z},
-                             first_observables(base.bob_obs))
-        code, _, _, out = certify_file(save_device(tmp_path / "bad.json", broken))
+        broken = make_device(
+            (2, 2), base.state[0],
+            {"A0": 0.5 * PAULI_X, "A1": PAULI_Z},
+            first_observables(base.bob_obs),
+        )
+        path = tmp_path / "bad.json"
+        save_device(path, broken)
+        out = tmp_path / "report.json"
+        code = main(["certify", "--device", str(path), "--mode", "chsh", "--out", str(out)])
         assert code == 2
         assert not out.exists()
 
-    def test_nan_amplitude_exits_two_without_output(self, tmp_path):
+    def test_nan_amplitude_exits_two_without_output(self, tmp_path, capsys):
         doc = device_to_document(canonical_chsh_device())
         doc["state"][0] = [math.nan, 0.0]
-        code, _, stderr, out = certify_file(write_json(tmp_path / "nan.json", doc))
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "report.json"
+        code = main(["certify", "--device", str(path), "--mode", "chsh", "--out", str(out)])
         assert code == 2
-        assert "state: non-finite entry" in stderr
+        assert "state: non-finite entry" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_oversized_integer_amplitude_exits_two(self, tmp_path):
+    def test_oversized_integer_amplitude_exits_two(self, tmp_path, capsys):
         # a JSON integer literal beyond the float range, where float() overflows
         doc = device_to_document(canonical_chsh_device())
         doc["state"][0] = ["HUGE", 0.0]
         path = tmp_path / "huge.json"
         path.write_text(json.dumps(doc).replace('"HUGE"', HUGE_INT))
-        code, _, stderr, out = certify_file(path)
+        out = tmp_path / "report.json"
+        code = main(["certify", "--device", str(path), "--mode", "chsh", "--out", str(out)])
         assert code == 2
-        assert stderr.startswith("error: ")
+        assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 
-    def test_boolean_amplitude_exits_two(self, tmp_path):
+    def test_boolean_amplitude_exits_two(self, tmp_path, capsys):
         # JSON false loads as a bool, an int subclass, but it is not a number
         doc = device_to_document(canonical_chsh_device())
         doc["state"][0] = [False, False]
-        code, stdout, stderr, out = certify_file(write_json(tmp_path / "bool.json", doc))
+        path = tmp_path / "bool.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "report.json"
+        code = main(["certify", "--device", str(path), "--mode", "chsh", "--out", str(out)])
         assert code == 2
-        assert stdout == ""
-        assert "state[0]: expected a [re, im] pair" in stderr
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "state[0]: expected a [re, im] pair" in captured.err
         assert not out.exists()
 
     @pytest.mark.parametrize("alice", [[1], "ab", []])
-    def test_party_observables_not_an_object_exit_two(self, tmp_path, alice):
+    def test_party_observables_not_an_object_exit_two(self, tmp_path, capsys, alice):
         doc = device_to_document(canonical_chsh_device())
         doc["observables"] = {"alice": alice, "bob": {}}
-        code, stdout, stderr, out = certify_file(write_json(tmp_path / "party.json", doc))
-        assert (code, stdout) == (2, "")
-        assert stderr == "error: observables.alice: expected an object of name -> matrix\n"
+        path = tmp_path / "party.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "report.json"
+        code = main(["certify", "--device", str(path), "--mode", "chsh", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == "error: observables.alice: expected an object of name -> matrix\n"
         assert not out.exists()
 
-    def test_boolean_dims_exit_two(self, tmp_path):
+    def test_boolean_dims_exit_two(self, tmp_path, capsys):
         one = [[[1.0, 0.0]]]
         doc = {
             "schemaVersion": "1",
@@ -306,16 +336,21 @@ class TestCertifyCommand:
             "state": [[1.0, 0.0]],
             "observables": {"alice": {"A0": one, "A1": one}, "bob": {"B0": one, "B1": one}},
         }
-        code, stdout, stderr, out = certify_file(write_json(tmp_path / "bool_dims.json", doc))
+        path = tmp_path / "bool_dims.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "report.json"
+        code = main(["certify", "--device", str(path), "--mode", "chsh", "--out", str(out)])
         assert code == 2
-        assert stdout == ""
-        assert "dims: expected two positive integers" in stderr
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "dims: expected two positive integers" in captured.err
         assert not out.exists()
 
     def test_truncated_input_exits_two(self, tmp_path):
         path = tmp_path / "trunc.json"
         path.write_text("{", encoding="utf-8")
-        code, _, _, out = certify_file(path)
+        out = tmp_path / "report.json"
+        code = main(["certify", "--device", str(path), "--mode", "chsh", "--out", str(out)])
         assert code == 2
         assert not out.exists()
 
@@ -327,7 +362,10 @@ class TestCertifyCommand:
 
     def test_wrong_mode_for_device_exits_two(self, tmp_path):
         # an MY device has no A0/A1/B0/B1; asking for chsh mode is an input error
-        code, _, _, out = certify_file(save_device(tmp_path / "my.json", canonical_my_device()))
+        path = tmp_path / "my.json"
+        save_device(path, canonical_my_device())
+        out = tmp_path / "report.json"
+        code = main(["certify", "--device", str(path), "--mode", "chsh", "--out", str(out)])
         assert code == 2
         assert not out.exists()
 
@@ -341,8 +379,10 @@ class TestCertifyCommand:
         assert code == 2
 
     def test_my_mode(self, tmp_path):
-        code, _, _, out = certify_file(save_device(tmp_path / "my.json", canonical_my_device()),
-                                       "my")
+        path = tmp_path / "my.json"
+        save_device(path, canonical_my_device())
+        out = tmp_path / "report.json"
+        code = main(["certify", "--device", str(path), "--mode", "my", "--out", str(out)])
         assert code == 0
         report = json.loads(out.read_text())
         assert len(report["report"]["rows"]) == 25
@@ -350,8 +390,10 @@ class TestCertifyCommand:
     def test_tilted_device_passes_with_slack_columns(self, tmp_path):
         from conftest import tilted_device
 
-        code, _, _, out = certify_file(save_device(tmp_path / "tilted.json",
-                                                   tilted_device(math.pi / 8)))
+        path = tmp_path / "tilted.json"
+        save_device(path, tilted_device(math.pi / 8))
+        out = tmp_path / "report.json"
+        code = main(["certify", "--device", str(path), "--mode", "chsh", "--out", str(out)])
         assert code == 0
         report = json.loads(out.read_text())
         assert report["report"]["epsilon"] > 0.1
@@ -364,7 +406,10 @@ class TestCertifyCommand:
             (2, 2), np.array([0, 0, 0, 1], dtype=complex),
             first_observables(base.alice_obs), first_observables(base.bob_obs),
         )
-        code, _, _, out = certify_file(save_device(tmp_path / "degenerate.json", device))
+        path = tmp_path / "degenerate.json"
+        save_device(path, device)
+        out = tmp_path / "report.json"
+        code = main(["certify", "--device", str(path), "--mode", "chsh", "--out", str(out)])
         assert code == 1
         report = json.loads(out.read_text())  # NaNs serialized as null
         assert report["report"]["junk"]["degenerate"] is True
@@ -383,21 +428,15 @@ class TestCertifyCommand:
         assert sorted(p.name for p in tmp_path.iterdir()) == before
 
 
-def summarize(tmp_path, values, mode: str = "chsh", out: bool = False, run=run_in_process):
-    """``correlations`` on ``values`` written to ``table.json``, its summary to
-    stdout or, with ``out``, to ``summary.json``: the exit code, stdout, stderr
-    and the summary path."""
-    table, summary = write_json(tmp_path / "table.json", values), tmp_path / "summary.json"
-    argv = ["correlations", "--table", str(table), "--mode", mode]
-    return (*run(argv + (["--out", str(summary)] if out else [])), summary)
-
-
 class TestCorrelationsCommand:
-    def test_chsh_table_summing_to_2p80(self, tmp_path):
-        code, stdout, _, _ = summarize(
-            tmp_path, {"A0_B0": 0.70, "A0_B1": 0.70, "A1_B0": 0.70, "A1_B1": -0.70})
+    def test_chsh_table_summing_to_2p80(self, tmp_path, capsys):
+        table = tmp_path / "table.json"
+        table.write_text(json.dumps(
+            {"A0_B0": 0.70, "A0_B1": 0.70, "A1_B0": 0.70, "A1_B1": -0.70}
+        ))
+        code = main(["correlations", "--table", str(table), "--mode", "chsh"])
         assert code == 0
-        doc = json.loads(stdout)
+        doc = json.loads(capsys.readouterr().out)
         assert doc["epsilon"] == pytest.approx(0.028427124746190469, abs=1e-15)
         assert doc["budgets"]["eps1"] == pytest.approx(
             2.0 * math.sqrt(doc["epsilon"] * math.sqrt(2.0)), rel=1e-12
@@ -405,35 +444,40 @@ class TestCorrelationsCommand:
         assert doc["bounds"]["bOperator"] > 0
         assert "device model" in doc["note"]
 
-    def test_exact_table_gives_zero_budgets(self, tmp_path):
+    def test_exact_table_gives_zero_budgets(self, tmp_path, capsys):
         c = 1.0 / math.sqrt(2.0)
-        code, stdout, _, _ = summarize(tmp_path, {"A0_B0": c, "A0_B1": c, "A1_B0": c, "A1_B1": -c})
+        table = tmp_path / "table.json"
+        table.write_text(json.dumps({"A0_B0": c, "A0_B1": c, "A1_B0": c, "A1_B1": -c}))
+        code = main(["correlations", "--table", str(table), "--mode", "chsh"])
         assert code == 0
-        doc = json.loads(stdout)
+        doc = json.loads(capsys.readouterr().out)
         # the sum reproduces 2*sqrt(2) to an ulp; everything collapses with it
         assert doc["epsilon"] <= 1e-12
         assert doc["budgets"]["eps1"] <= 1e-5 and doc["budgets"]["eps2"] <= 1e-2
         assert doc["bounds"]["extractionError"] <= 1e-2
 
-    def test_my_table(self, tmp_path):
+    def test_my_table(self, tmp_path, capsys):
         c = 1.0 / math.sqrt(2.0)
         values = {
             "XA_XB": 0.99, "XA_ZB": 0.0, "XA_DB": c,
             "ZA_XB": 0.0, "ZA_ZB": 1.0, "ZA_DB": c,
         }
-        code, stdout, _, _ = summarize(tmp_path, values, "my")
+        table = tmp_path / "table.json"
+        table.write_text(json.dumps(values))
+        code = main(["correlations", "--table", str(table), "--mode", "my"])
         assert code == 0
-        doc = json.loads(stdout)
+        doc = json.loads(capsys.readouterr().out)
         assert doc["epsilon"] == pytest.approx(0.01, abs=1e-12)
         assert doc["budgets"]["eps2"] == pytest.approx(math.sqrt(0.02), rel=1e-12)
         assert doc["fidelity"]["discrepancy"] is True
 
     def test_all_zero_table_lies_outside_the_certifiable_range(self, tmp_path):
         # epsilon = 2 sqrt(2) >= 1 has no budget: the summary still exits 0.
-        for run in RUNNERS:
-            code, _, _, out = summarize(tmp_path, {"A0_B0": 0, "A0_B1": 0, "A1_B0": 0, "A1_B1": 0},
-                                        out=True, run=run)
-            assert code == 0
+        for run, directory in each_runner(tmp_path):
+            table, out = directory / "table.json", directory / "summary.json"
+            table.write_text(json.dumps({"A0_B0": 0, "A0_B1": 0, "A1_B0": 0, "A1_B1": 0}))
+            assert run(["correlations", "--table", str(table), "--mode", "chsh",
+                        "--out", str(out)])[0] == 0
             assert '"budgets": null' in out.read_text()
             doc = json.loads(out.read_text())
             assert doc["epsilon"] == 2.8284271247461903
@@ -443,7 +487,9 @@ class TestCorrelationsCommand:
                 "; deviation >= 1 lies outside the certifiable range, budgets omitted")
 
     def test_missing_entry_exits_two(self, tmp_path):
-        assert summarize(tmp_path, {"A0_B0": 0.7})[0] == 2
+        table = tmp_path / "table.json"
+        table.write_text(json.dumps({"A0_B0": 0.7}))
+        assert main(["correlations", "--table", str(table), "--mode", "chsh"]) == 2
 
     @pytest.mark.parametrize("extra,named", [
         ({"A0_B2": 5}, "['A0_B2']"),
@@ -451,24 +497,41 @@ class TestCorrelationsCommand:
         ({"ZA_ZB": 1.0, "XA_XB": 0.99}, "['XA_XB', 'ZA_ZB']"),
     ], ids=["mistyped", "other-mode"])
     def test_unknown_entry_exits_two(self, tmp_path, extra, named):
-        values = {"A0_B0": 0.7, "A0_B1": 0.7, "A1_B0": 0.7, "A1_B1": -0.7, **extra}
-        for run in RUNNERS:
-            *result, out = summarize(tmp_path, values, out=True, run=run)
-            assert result == [
-                2, "", f"error: correlation table has unknown entries for mode chsh: {named}\n"]
+        for run, directory in each_runner(tmp_path):
+            table = directory / "table.json"
+            table.write_text(json.dumps(
+                {"A0_B0": 0.7, "A0_B1": 0.7, "A1_B0": 0.7, "A1_B1": -0.7, **extra}
+            ))
+            out = directory / "summary.json"
+            code, stdout, stderr = run([
+                "correlations", "--table", str(table), "--mode", "chsh", "--out", str(out),
+            ])
+            assert code == 2
+            assert stdout == ""
+            assert stderr == (
+                f"error: correlation table has unknown entries for mode chsh: {named}\n"
+            )
             assert not out.exists()
 
     def test_out_of_range_value_exits_two(self, tmp_path):
-        values = {"A0_B0": 1.5, "A0_B1": 0.7, "A1_B0": 0.7, "A1_B1": -0.7}
-        assert summarize(tmp_path, values)[0] == 2
+        table = tmp_path / "table.json"
+        table.write_text(json.dumps(
+            {"A0_B0": 1.5, "A0_B1": 0.7, "A1_B0": 0.7, "A1_B1": -0.7}
+        ))
+        assert main(["correlations", "--table", str(table), "--mode", "chsh"]) == 2
 
     def test_super_quantum_chsh_table_exits_two(self, tmp_path):
         # PR-box correlations reach CHSH = 4; clamping the deficit to 0 would
         # certify a perfect singlet from data no quantum device can produce
-        for run in RUNNERS:
-            code, stdout, stderr, out = summarize(
-                tmp_path, {"A0_B0": 1, "A0_B1": 1, "A1_B0": 1, "A1_B1": -1}, out=True, run=run)
-            assert (code, stdout) == (2, "")
+        for run, directory in each_runner(tmp_path):
+            table = directory / "table.json"
+            table.write_text(json.dumps({"A0_B0": 1, "A0_B1": 1, "A1_B0": 1, "A1_B1": -1}))
+            out = directory / "summary.json"
+            code, stdout, stderr = run([
+                "correlations", "--table", str(table), "--mode", "chsh", "--out", str(out),
+            ])
+            assert code == 2
+            assert stdout == ""
             assert stderr.startswith("error: Bob's B1 needs Alice's two settings at least ")
             assert "rad apart and Bob's B0 at most " in stderr
             assert "no quantum device produces this table" in stderr
@@ -481,49 +544,63 @@ class TestCorrelationsCommand:
         # CHSH = -4: B1 needs A0 and A1 opposite, B0 needs them aligned
         {"A0_B0": -1, "A0_B1": -1, "A1_B0": -1, "A1_B1": 1},
     ])
-    def test_non_quantum_chsh_table_exits_two(self, tmp_path, values):
-        code, stdout, stderr, out = summarize(tmp_path, values, out=True)
-        assert (code, stdout) == (2, "")
-        assert stderr.startswith("error: Bob's B1 needs Alice's two settings at least ")
-        assert "rad apart and Bob's B0 at most " in stderr
-        assert "no quantum device produces this table" in stderr
+    def test_non_quantum_chsh_table_exits_two(self, tmp_path, capsys, values):
+        table = tmp_path / "table.json"
+        table.write_text(json.dumps(values))
+        out = tmp_path / "summary.json"
+        code = main([
+            "correlations", "--table", str(table), "--mode", "chsh", "--out", str(out),
+        ])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: Bob's B1 needs Alice's two settings at least ")
+        assert "rad apart and Bob's B0 at most " in captured.err
+        assert "no quantum device produces this table" in captured.err
         assert not out.exists()
 
-    def test_non_quantum_my_table_exits_two(self, tmp_path):
+    def test_non_quantum_my_table_exits_two(self, tmp_path, capsys):
         # XB puts XA and ZA at right angles, and raising XA_DB and ZA_DB above
         # the ideal 1/sqrt(2) leaves DB room for an angle under pi/2 only,
         # though epsilon is 1e-3
         c = 1.0 / math.sqrt(2.0) + 1e-3
-        code, stdout, stderr, out = summarize(tmp_path, {"XA_XB": 1, "XA_ZB": 0, "XA_DB": c,
-                                                         "ZA_XB": 0, "ZA_ZB": 1, "ZA_DB": c},
-                                              "my", out=True)
-        assert (code, stdout) == (2, "")
-        assert stderr.startswith("error: Bob's XB needs Alice's two settings at least ")
-        assert "rad apart and Bob's DB at most " in stderr
-        assert "no quantum device produces this table" in stderr
+        table = tmp_path / "table.json"
+        table.write_text(json.dumps({"XA_XB": 1, "XA_ZB": 0, "XA_DB": c,
+                                     "ZA_XB": 0, "ZA_ZB": 1, "ZA_DB": c}))
+        out = tmp_path / "summary.json"
+        code = main(["correlations", "--table", str(table), "--mode", "my", "--out", str(out)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: Bob's XB needs Alice's two settings at least ")
+        assert "rad apart and Bob's DB at most " in captured.err
+        assert "no quantum device produces this table" in captured.err
         assert not out.exists()
 
-    def test_ideal_my_table_on_the_quantum_boundary(self, tmp_path):
+    def test_ideal_my_table_on_the_quantum_boundary(self, tmp_path, capsys):
         # the canonical device's table: two sub-tables' arcsine sums are pi
         c = 1.0 / math.sqrt(2.0)
-        code, stdout, _, _ = summarize(tmp_path, {"XA_XB": 1, "XA_ZB": 0, "XA_DB": c,
-                                                  "ZA_XB": 0, "ZA_ZB": 1, "ZA_DB": c}, "my")
-        assert code == 0
-        assert json.loads(stdout)["epsilon"] <= 1e-15
+        table = tmp_path / "table.json"
+        table.write_text(json.dumps({"XA_XB": 1, "XA_ZB": 0, "XA_DB": c,
+                                     "ZA_XB": 0, "ZA_ZB": 1, "ZA_DB": c}))
+        assert main(["correlations", "--table", str(table), "--mode", "my"]) == 0
+        assert json.loads(capsys.readouterr().out)["epsilon"] <= 1e-15
 
     def test_deterministic_chsh_table_on_the_quantum_boundary(self, tmp_path):
         # a local deterministic strategy: one arcsine sum is exactly pi
-        for run in RUNNERS:
-            code, stdout, _, _ = summarize(
-                tmp_path, {"A0_B0": 1, "A0_B1": 1, "A1_B0": 1, "A1_B1": 1}, run=run)
+        table = tmp_path / "table.json"
+        table.write_text(json.dumps({"A0_B0": 1, "A0_B1": 1, "A1_B0": 1, "A1_B1": 1}))
+        for run in RUNNERS.values():
+            code, stdout, _ = run(["correlations", "--table", str(table), "--mode", "chsh"])
             assert code == 0
             assert json.loads(stdout)["chshValue"] == 2.0
 
-    def test_chsh_table_just_above_tsirelson_within_rounding(self, tmp_path):
+    def test_chsh_table_just_above_tsirelson_within_rounding(self, tmp_path, capsys):
         c = 1.0 / math.sqrt(2.0) + 5e-13
-        code, stdout, _, _ = summarize(tmp_path, {"A0_B0": c, "A0_B1": c, "A1_B0": c, "A1_B1": -c})
-        assert code == 0
-        assert json.loads(stdout)["epsilon"] == 0.0
+        table = tmp_path / "table.json"
+        table.write_text(json.dumps({"A0_B0": c, "A0_B1": c, "A1_B0": c, "A1_B1": -c}))
+        assert main(["correlations", "--table", str(table), "--mode", "chsh"]) == 0
+        assert json.loads(capsys.readouterr().out)["epsilon"] == 0.0
 
     @pytest.mark.parametrize("mode,key,values", [
         ("chsh", "A0_B0", {"A0_B0": math.nan, "A0_B1": 0.7, "A1_B0": 0.7, "A1_B1": -0.7}),
@@ -531,36 +608,50 @@ class TestCorrelationsCommand:
                          "ZA_XB": 0.0, "ZA_ZB": 1.0, "ZA_DB": 0.7}),
         ("chsh", "A1_B1", {"A0_B0": 0.7, "A0_B1": 0.7, "A1_B0": 0.7, "A1_B1": -math.inf}),
     ])
-    def test_non_finite_entry_exits_two(self, tmp_path, mode, key, values):
+    def test_non_finite_entry_exits_two(self, tmp_path, capsys, mode, key, values):
         # json.dumps writes NaN/Infinity and json.loads reads them back; a NaN
         # fails every comparison, so no range check would reject it
-        code, stdout, stderr, _ = summarize(tmp_path, values, mode)
-        assert (code, stdout) == (2, "")
-        assert repr(key) in stderr and "not a finite number" in stderr
+        table = tmp_path / "table.json"
+        table.write_text(json.dumps(values))
+        assert main(["correlations", "--table", str(table), "--mode", mode]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert repr(key) in captured.err and "not a finite number" in captured.err
 
-    def test_oversized_integer_entry_exits_two(self, tmp_path):
+    def test_oversized_integer_entry_exits_two(self, tmp_path, capsys):
         table = tmp_path / "table.json"
         table.write_text(
             '{"A0_B0": %s, "A0_B1": 0.7, "A1_B0": 0.7, "A1_B1": -0.7}' % HUGE_INT
         )
         out = tmp_path / "summary.json"
-        code, stdout, stderr = run_in_process(["correlations", "--table", str(table),
-                                               "--mode", "chsh", "--out", str(out)])
+        code = main(["correlations", "--table", str(table), "--mode", "chsh",
+                     "--out", str(out)])
         assert code == 2
-        assert stdout == "" and stderr.startswith("error: ")
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
         assert not out.exists()
 
-    def test_boolean_entry_exits_two(self, tmp_path):
-        code, stdout, stderr, out = summarize(
-            tmp_path, {"A0_B0": True, "A0_B1": 0.7, "A1_B0": 0.7, "A1_B1": False}, out=True)
-        assert (code, stdout) == (2, "")
-        assert "correlation 'A0_B0': expected a number, got True" in stderr
+    def test_boolean_entry_exits_two(self, tmp_path, capsys):
+        table = tmp_path / "table.json"
+        table.write_text(json.dumps({"A0_B0": True, "A0_B1": 0.7, "A1_B0": 0.7,
+                                     "A1_B1": False}))
+        out = tmp_path / "summary.json"
+        code = main(["correlations", "--table", str(table), "--mode", "chsh",
+                     "--out", str(out)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "correlation 'A0_B0': expected a number, got True" in captured.err
         assert not out.exists()
 
     def test_output_file(self, tmp_path):
         c = 1.0 / math.sqrt(2.0)
-        code, _, _, out = summarize(tmp_path, {"A0_B0": c, "A0_B1": c, "A1_B0": c, "A1_B1": -c},
-                                    out=True)
+        table = tmp_path / "table.json"
+        table.write_text(json.dumps({"A0_B0": c, "A0_B1": c, "A1_B0": c, "A1_B1": -c}))
+        out = tmp_path / "summary.json"
+        code = main([
+            "correlations", "--table", str(table), "--mode", "chsh", "--out", str(out),
+        ])
         assert code == 0
         assert json.loads(out.read_text())["epsilon"] <= 1e-12
 
@@ -579,10 +670,15 @@ class TestDeviationAgreement:
         device = make_family(FamilySpec(kind, parameters, seed=13, mode=mode))[0]
         selftest = MODES[mode]
         values = correlation_stack(device, selftest.pairs)[0].tolist()
-        code, _, _, summary = summarize(tmp_path, dict(zip(selftest.table_keys, values)), mode,
-                                        out=True)
-        assert code == 0
-        report = certify_file(save_device(tmp_path / "device.json", device), mode)[3]
+        table = tmp_path / "table.json"
+        table.write_text(json.dumps(dict(zip(selftest.table_keys, values))))
+        summary = tmp_path / "summary.json"
+        assert main(["correlations", "--table", str(table), "--mode", mode,
+                     "--out", str(summary)]) == 0
+        device_path = tmp_path / "device.json"
+        save_device(device_path, device)
+        report = tmp_path / "report.json"
+        main(["certify", "--device", str(device_path), "--mode", mode, "--out", str(report)])
         from_table = json.loads(summary.read_text())
         from_device = json.loads(report.read_text())["report"]
         assert from_table["epsilon"] > 0.0
@@ -591,48 +687,48 @@ class TestDeviationAgreement:
         assert (from_table["chshValue"] is None) == (mode == "my")
 
 
-def sweep_file(tmp_path, spec, run=run_in_process):
-    """``sweep`` on ``spec``, JSON text or a value to write as JSON, in
-    ``family.json``, to ``sweep.csv``: the exit code, stdout, stderr and that
-    CSV's path."""
-    path, out = tmp_path / "family.json", tmp_path / "sweep.csv"
-    path.write_text(spec if isinstance(spec, str) else json.dumps(spec))
-    return (*run(["sweep", "--family", str(path), "--out", str(out)]), out)
-
-
 class TestSweepCommand:
-    SPEC = {
-        "kind": "tilted",
-        "mode": "chsh",
-        "dims": [2, 2],
-        "seed": 42,
-        "parameters": {
-            "theta": {"start": math.pi / 4, "stop": math.pi / 8, "steps": 20}
-        },
-    }
+    def write_spec(self, tmp_path):
+        spec = {
+            "kind": "tilted",
+            "mode": "chsh",
+            "dims": [2, 2],
+            "seed": 42,
+            "parameters": {
+                "theta": {"start": math.pi / 4, "stop": math.pi / 8, "steps": 20}
+            },
+        }
+        path = tmp_path / "family.json"
+        path.write_text(json.dumps(spec))
+        return path
 
     def test_row_count_and_header(self, tmp_path):
-        for run in RUNNERS:
-            code, _, _, out = sweep_file(tmp_path, self.SPEC, run)
-            assert code == 0
+        for run, directory in each_runner(tmp_path):
+            spec = self.write_spec(directory)
+            out = directory / "sweep.csv"
+            assert run(["sweep", "--family", str(spec), "--out", str(out)])[0] == 0
             lines = out.read_text().splitlines()
             assert lines[0] == "theta,epsilon,eps1,eps2,maxError,bound,slack"
             assert len(lines) == 21
 
     def test_byte_identical_reruns(self, tmp_path):
-        code, _, _, out = sweep_file(tmp_path, self.SPEC)
-        assert code == 0
-        first = out.read_bytes()
-        assert sweep_file(tmp_path, self.SPEC)[0] == 0
-        assert out.read_bytes() == first
+        spec = self.write_spec(tmp_path)
+        out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main(["sweep", "--family", str(spec), "--out", str(out1)]) == 0
+        assert main(["sweep", "--family", str(spec), "--out", str(out2)]) == 0
+        assert out1.read_bytes() == out2.read_bytes()
 
     def test_bad_family_kind_exits_two(self, tmp_path):
-        code, _, _, out = sweep_file(tmp_path, {"kind": "bogus", "parameters": {"count": 2}})
-        assert code == 2
+        path = tmp_path / "family.json"
+        path.write_text(json.dumps({"kind": "bogus", "parameters": {"count": 2}}))
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--family", str(path), "--out", str(out)]) == 2
         assert not out.exists()
 
     def test_unknown_field_exits_two(self, tmp_path):
-        assert sweep_file(tmp_path, {"kind": "tilted", "theta": 0.5})[0] == 2
+        path = tmp_path / "family.json"
+        path.write_text(json.dumps({"kind": "tilted", "theta": 0.5}))
+        assert main(["sweep", "--family", str(path), "--out", str(tmp_path / "s.csv")]) == 2
 
     @pytest.mark.parametrize("spec", [
         {"kind": "random", "parameters": {"count": 3}},
@@ -641,23 +737,29 @@ class TestSweepCommand:
     def test_left_out_fields_take_the_family_spec_defaults(self, tmp_path, spec):
         full = {"dims": [2, 2], "seed": 0, "mode": "chsh", **spec}
         outs = []
-        for doc in (spec, full):
-            code, _, _, out = sweep_file(tmp_path, doc)
-            assert code == 0
-            outs.append(out.read_bytes())
-        assert outs[0] == outs[1]
+        for name, doc in (("bare", spec), ("full", full)):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(doc))
+            outs.append(tmp_path / f"{name}.csv")
+            assert main(["sweep", "--family", str(path), "--out", str(outs[-1])]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
 
     @pytest.mark.parametrize("dims", [[2], [2, 2, 2], "2x2", None, {"dA": 2}])
-    def test_dims_not_a_pair_exit_two_naming_them(self, tmp_path, dims):
-        code, _, stderr, out = sweep_file(tmp_path, {"kind": "tilted", "dims": dims})
-        assert (code, stderr) == (2, f"error: family spec dims must be [dA, dB], got {dims!r}\n")
+    def test_dims_not_a_pair_exit_two_naming_them(self, tmp_path, capsys, dims):
+        path = tmp_path / "family.json"
+        path.write_text(json.dumps({"kind": "tilted", "dims": dims}))
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--family", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: family spec dims must be [dA, dB], got {dims!r}\n")
         assert not out.exists()
 
-    def test_oversized_integer_parameter_exits_two(self, tmp_path):
-        code, _, stderr, out = sweep_file(
-            tmp_path, '{"kind": "tilted", "parameters": {"theta": %s}}' % HUGE_INT)
-        assert code == 2
-        assert stderr.startswith("error: ")
+    def test_oversized_integer_parameter_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "family.json"
+        path.write_text('{"kind": "tilted", "parameters": {"theta": %s}}' % HUGE_INT)
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--family", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 
     @pytest.mark.parametrize("spec,field", [
@@ -676,10 +778,13 @@ class TestSweepCommand:
         ({"kind": "tilted", "parameters": {"theta": [0, 1, 10**12]}}, "theta"),
         ({"kind": "random", "seed": -1, "parameters": {"count": 2}}, "seed"),
     ])
-    def test_malformed_spec_exits_two_naming_the_field(self, tmp_path, spec, field):
-        code, _, stderr, out = sweep_file(tmp_path, spec)
-        assert code == 2
-        assert stderr.startswith("error: ") and field in stderr
+    def test_malformed_spec_exits_two_naming_the_field(self, tmp_path, capsys, spec, field):
+        path = tmp_path / "family.json"
+        path.write_text(json.dumps(spec))
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--family", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err
         assert not out.exists()
 
     @pytest.mark.parametrize("kind,axis,value,shown", [
@@ -691,28 +796,37 @@ class TestSweepCommand:
         ("measurement-noise", "eta", '{"start": 0, "stop": NaN, "steps": 2}', "nan"),
         ("measurement-noise", "eta", '{"start": Infinity, "stop": 0.1, "steps": 0}', "inf"),
     ])
-    def test_non_finite_axis_value_exits_two(self, tmp_path, kind, axis, value, shown):
+    def test_non_finite_axis_value_exits_two(self, tmp_path, capsys, kind, axis, value, shown):
         # json.loads accepts NaN and Infinity; they are rejected before any
         # point is built, with the error line as the only output on stderr.
-        code, _, stderr, out = sweep_file(
-            tmp_path, '{"kind": "%s", "parameters": {"%s": %s}}' % (kind, axis, value))
-        assert (code, stderr) == (2, f"error: {axis} must be finite, got {shown}\n")
+        path = tmp_path / "family.json"
+        path.write_text('{"kind": "%s", "parameters": {"%s": %s}}' % (kind, axis, value))
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--family", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {axis} must be finite, got {shown}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("kind,axis", [("tilted", "theta"), ("state-noise", "p")])
-    def test_overflowing_range_exits_two_naming_the_axis(self, tmp_path, kind, axis):
+    def test_overflowing_range_exits_two_naming_the_axis(self, tmp_path, capsys, kind, axis):
         # Both ends are finite but stop - start is not: np.linspace would warn
         # and return non-finite points.  Tier-1 makes a RuntimeWarning an error.
-        code, _, stderr, out = sweep_file(tmp_path, {
-            "kind": kind, "parameters": {axis: {"start": -1e308, "stop": 1e308, "steps": 3}}})
-        assert (code, stderr) == (2, f"error: {axis} range stop - start must be finite, got inf\n")
+        path = tmp_path / "family.json"
+        path.write_text(json.dumps(
+            {"kind": kind, "parameters": {axis: {"start": -1e308, "stop": 1e308, "steps": 3}}}))
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--family", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {axis} range stop - start must be finite, got inf\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("kind,axis", [("tilted", "theta"), ("state-noise", "p")])
-    def test_negative_range_steps_exits_two_naming_the_axis(self, tmp_path, kind, axis):
-        code, _, stderr, out = sweep_file(tmp_path,
-                                          {"kind": kind, "parameters": {axis: [0, 1, -1]}})
-        assert (code, stderr) == (2, f"error: {axis} range steps must be nonnegative, got -1\n")
+    def test_negative_range_steps_exits_two_naming_the_axis(self, tmp_path, capsys, kind,
+                                                            axis):
+        path = tmp_path / "family.json"
+        path.write_text(json.dumps({"kind": kind, "parameters": {axis: [0, 1, -1]}}))
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--family", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {axis} range steps must be nonnegative, got -1\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("spec,message", [
@@ -721,43 +835,50 @@ class TestSweepCommand:
         ({"kind": "junk-embedded", "parameters": {"count": 0}, "dims": [3, 3]},
          "junk-embedded dims must be even and >= 2, got (3, 3)"),
     ], ids=["tilted", "junk-embedded"])
-    def test_empty_sweep_with_bad_dims_exits_two(self, tmp_path, spec, message):
-        code, _, stderr, out = sweep_file(tmp_path, spec)
-        assert (code, stderr) == (2, f"error: {message}\n")
+    def test_empty_sweep_with_bad_dims_exits_two(self, tmp_path, capsys, spec, message):
+        path = tmp_path / "family.json"
+        path.write_text(json.dumps(spec))
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--family", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
     def test_empty_sweep_writes_its_header_alone(self, tmp_path):
-        for run in RUNNERS:
-            code, stdout, _, out = sweep_file(
-                tmp_path, {"kind": "random", "parameters": {"count": 0}}, run)
+        for run, directory in each_runner(tmp_path):
+            path, out = directory / "family.json", directory / "sweep.csv"
+            path.write_text(json.dumps({"kind": "random", "parameters": {"count": 0}}))
+            code, stdout, _ = run(["sweep", "--family", str(path), "--out", str(out)])
             assert (code, stdout) == (0, f"wrote 0 sweep rows to {out}\n")
             assert out.read_bytes() == b"count,epsilon,eps1,eps2,maxError,bound,slack\n"
 
     def test_value_out_of_range_exits_two_without_a_csv(self, tmp_path):
-        for run in RUNNERS:
-            code, _, _, out = sweep_file(
-                tmp_path, {"kind": "state-noise", "parameters": {"p": [0, 2, 3]}}, run)
-            assert code == 2
+        for run, directory in each_runner(tmp_path):
+            path, out = directory / "family.json", directory / "sweep.csv"
+            path.write_text(json.dumps({"kind": "state-noise", "parameters": {"p": [0, 2, 3]}}))
+            assert run(["sweep", "--family", str(path), "--out", str(out)])[0] == 2
             assert not out.exists()
 
     def test_degenerate_row_written_as_nan(self, tmp_path):
-        code, _, _, out = sweep_file(tmp_path, {
+        spec = {
             "kind": "tilted",
             "parameters": {"theta": {"start": math.pi / 4, "stop": math.pi / 2, "steps": 3}},
-        })
-        assert code == 0
+        }
+        path = tmp_path / "family.json"
+        path.write_text(json.dumps(spec))
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--family", str(path), "--out", str(out)]) == 0
         last = out.read_text().splitlines()[-1].split(",")
         assert last[4] == "nan" and last[6] == "nan"  # maxError, slack
 
 
 class TestSearchCommand:
-    # A chsh search with a 0.01 ceiling, before its budget and --out.
-    SEARCH = ["search", "--mode", "chsh", "--epsilon-ceiling", "0.01"]
-
     def test_search_writes_device_and_report(self, tmp_path):
         out = tmp_path / "best.json"
-        assert main([*self.SEARCH, "--dims", "2,2", "--budget", "60", "--seed", "5",
-                     "--out", str(out)]) == 0
+        code = main([
+            "search", "--mode", "chsh", "--epsilon-ceiling", "0.01",
+            "--dims", "2,2", "--budget", "60", "--seed", "5", "--out", str(out),
+        ])
+        assert code == 0
         device, _ = load_device(out)
         assert device.dims == (2, 2)
         report_path = tmp_path / "best.json.report.json"
@@ -765,7 +886,11 @@ class TestSearchCommand:
         assert report["report"]["epsilon"] <= 0.01 + 1e-12
 
     def test_zero_budget_exits_two(self, tmp_path):
-        assert main([*self.SEARCH, "--budget", "0", "--out", str(tmp_path / "x.json")]) == 2
+        code = main([
+            "search", "--mode", "chsh", "--epsilon-ceiling", "0.01",
+            "--budget", "0", "--out", str(tmp_path / "x.json"),
+        ])
+        assert code == 2
 
     def test_not_found_exits_one(self, tmp_path, monkeypatch, capsys):
         import singlet_selftest.cli as cli_module
@@ -775,27 +900,35 @@ class TestSearchCommand:
             "worst_case_search",
             lambda *a, **k: SearchResult(False, None, None, 10, degenerate=2, over_ceiling=8),
         )
-        assert main([*self.SEARCH, "--budget", "10", "--out", str(tmp_path / "x.json")]) == 1
+        code = main([
+            "search", "--mode", "chsh", "--epsilon-ceiling", "0.01",
+            "--budget", "10", "--out", str(tmp_path / "x.json"),
+        ])
+        assert code == 1
         assert not (tmp_path / "x.json").exists()
         assert ("8 proposal(s) exceeded epsilon ceiling 0.01, 2 degenerate"
                 in capsys.readouterr().err)
 
     def test_search_finding_nothing_exits_one_without_output(self, tmp_path):
         # The MY seed proposal has epsilon 6.7e-16, above a 1e-300 ceiling.
-        for run in RUNNERS:
+        for run, directory in each_runner(tmp_path):
             code, _, stderr = run(["search", "--mode", "my", "--epsilon-ceiling", "1e-300",
-                                   "--budget", "5", "--out", str(tmp_path / "s.json")])
+                                   "--budget", "5", "--out", str(directory / "s.json")])
             assert (code, stderr) == (
                 1, "no feasible device found within budget 5: 5 proposal(s) exceeded epsilon "
                    "ceiling 1e-300, 0 degenerate\n")
-            assert list(tmp_path.iterdir()) == []
+            assert list(directory.iterdir()) == []
 
     def test_invalid_proposal_exits_two_without_output(self, tmp_path, monkeypatch, capsys):
         import singlet_selftest.explorer as explorer
 
         monkeypatch.setattr(explorer, "validate_stack",
                             lambda stack: [["A0: O^2 != I"]] * len(stack))
-        assert main([*self.SEARCH, "--budget", "10", "--out", str(tmp_path / "x.json")]) == 2
+        code = main([
+            "search", "--mode", "chsh", "--epsilon-ceiling", "0.01",
+            "--budget", "10", "--out", str(tmp_path / "x.json"),
+        ])
+        assert code == 2
         assert (capsys.readouterr().err
                 == "error: search produced an invalid proposal: A0: O^2 != I\n")
         assert list(tmp_path.iterdir()) == []
@@ -808,19 +941,21 @@ class TestSearchCommand:
     ])
     def test_bad_argument_exits_two_named(self, tmp_path, capsys, flag, value, message):
         out = tmp_path / "x.json"
-        assert main([*self.SEARCH, "--budget", "10", flag, value, "--out", str(out)]) == 2
+        code = main(["search", "--mode", "chsh", "--epsilon-ceiling", "0.01",
+                     "--budget", "10", flag, value, "--out", str(out)])
+        assert code == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
     def test_unwritable_report_leaves_no_device(self, tmp_path):
-        out = tmp_path / "s.json"
-        report_path = tmp_path / "s.json.report.json"
-        report_path.mkdir()
-        for run in RUNNERS:
-            assert run(["search", "--mode", "chsh", "--epsilon-ceiling", "0.05", "--budget", "3",
-                        "--out", str(out)])[::2] == (
-                2, f"error: cannot write {report_path}: Is a directory\n")
-            assert sorted(tmp_path.iterdir()) == [report_path]
+        for run, directory in each_runner(tmp_path):
+            out = directory / "s.json"
+            report_path = directory / "s.json.report.json"
+            report_path.mkdir()
+            code, _, stderr = run(["search", "--mode", "chsh", "--epsilon-ceiling", "0.05",
+                                   "--budget", "3", "--out", str(out)])
+            assert (code, stderr) == (2, f"error: cannot write {report_path}: Is a directory\n")
+            assert sorted(directory.iterdir()) == [report_path]
             assert list(report_path.iterdir()) == []
 
     def test_certify_of_the_written_device_gives_the_search_report(self, tmp_path):
@@ -828,12 +963,12 @@ class TestSearchCommand:
         # only inputsDigest differs (README, "Report document").  The report's
         # correlation table, fed back to correlations, goes through the same
         # deviation: its epsilon exactly, and its budgets less epsilon.
-        out, table = tmp_path / "best.json", tmp_path / "table.json"
-        certified, summary = tmp_path / "certified.json", tmp_path / "summary.json"
-        for run in RUNNERS:
+        for run, directory in each_runner(tmp_path):
+            out = directory / "best.json"
             assert run(["search", "--mode", "my", "--epsilon-ceiling", "0.05", "--dims", "3,4",
                         "--budget", "200", "--seed", "5", "--out", str(out)])[0] == 0
-            searched = json.loads((tmp_path / "best.json.report.json").read_text())
+            searched = json.loads((directory / "best.json.report.json").read_text())
+            certified = directory / "certified.json"
             code = run(["certify", "--device", str(out), "--mode", "my",
                         "--out", str(certified)])[0]
             assert code == (0 if searched["report"]["allPass"] else 1)
@@ -841,6 +976,7 @@ class TestSearchCommand:
             searched.pop("inputsDigest")
             report.pop("inputsDigest")
             assert report == searched
+            table, summary = directory / "table.json", directory / "summary.json"
             table.write_text(json.dumps(report["report"]["correlations"]))
             assert run(["correlations", "--table", str(table), "--mode", "my",
                         "--out", str(summary)])[0] == 0
@@ -895,31 +1031,30 @@ INPUT_COMMANDS = [
 ]
 
 
-def run_on_input(command, path):
-    """One of INPUT_COMMANDS in-process on ``path``, writing to ``out`` beside it."""
-    return run_in_process([arg.format(path=path) for arg in command]
-                          + ["--out", str(path.parent / "out")])
-
-
 @pytest.mark.parametrize("command", INPUT_COMMANDS)
-def test_deeply_nested_input_exits_two(tmp_path, command):
+def test_deeply_nested_input_exits_two(tmp_path, capsys, command):
     # The parser's recursion limit is a malformed-input error, not a crash.
     path = tmp_path / "deep.json"
     path.write_text("[" * 100_000 + "]" * 100_000)
-    assert run_on_input(command, path)[::2] == (
-        2, f"error: {path}: nested too deeply to parse\n")
+    out = tmp_path / "out"
+    argv = [arg.format(path=path) for arg in command] + ["--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {path}: nested too deeply to parse\n"
     assert sorted(tmp_path.iterdir()) == [path]
 
 
 @pytest.mark.parametrize("command", INPUT_COMMANDS)
-def test_non_utf8_input_exits_two_naming_the_file(tmp_path, command):
+def test_non_utf8_input_exits_two_naming_the_file(tmp_path, capsys, command):
     # A decoding error is a malformed-input error naming the file, like every
     # other read error.
     path = tmp_path / "bad.json"
     path.write_bytes(b'\xff\xfe{"a": 1}')
-    assert run_on_input(command, path)[::2] == (
-        2, f"error: {path}: not UTF-8 text: 'utf-8' codec can't decode byte 0xff in position 0: "
-           "invalid start byte\n")
+    out = tmp_path / "out"
+    argv = [arg.format(path=path) for arg in command] + ["--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: {path}: not UTF-8 text: 'utf-8' codec can't decode byte 0xff in position 0: "
+        "invalid start byte\n")
     assert sorted(tmp_path.iterdir()) == [path]
 
 
@@ -935,28 +1070,31 @@ def test_non_utf8_input_exits_two_naming_the_file(tmp_path, command):
      "observables: expected an object with 'alice' and 'bob'"),
 ], ids=["table-not-an-object", "spec-not-an-object", "spec-without-kind", "negative-count",
         "device-not-an-object", "observables-not-an-object"])
-def test_rejected_input_exits_two_with_its_message(tmp_path, command, text, message):
+def test_rejected_input_exits_two_with_its_message(tmp_path, capsys, command, text, message):
     path = tmp_path / "input.json"
     path.write_text(text)
-    assert run_on_input(command, path)[::2] == (2, f"error: {message}\n")
+    argv = [arg.format(path=path) for arg in command] + ["--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert sorted(tmp_path.iterdir()) == [path]
 
 
 @pytest.mark.parametrize("name", ["missing.json", "adir"])
-def test_unreadable_device_exits_two_naming_it(tmp_path, name):
+def test_unreadable_device_exits_two_naming_it(tmp_path, capsys, name):
     (tmp_path / "adir").mkdir()
     path = tmp_path / name
     with pytest.raises(OSError) as err:
         path.read_text(encoding="utf-8")
-    code, _, stderr, _ = certify_file(path)
-    assert (code, stderr) == (2, f"error: cannot read {path}: {err.value}\n")
+    out = tmp_path / "report.json"
+    assert main(["certify", "--device", str(path), "--mode", "chsh", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: cannot read {path}: {err.value}\n"
     assert sorted(tmp_path.iterdir()) == [tmp_path / "adir"]
 
 
 @pytest.mark.skipif(not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 5001,
                     reason="integer string conversion has no limit below 5001 digits")
 @pytest.mark.parametrize("command", INPUT_COMMANDS)
-def test_over_long_integer_exits_two_naming_the_file(tmp_path, command):
+def test_over_long_integer_exits_two_naming_the_file(tmp_path, capsys, command):
     # An integer literal past the interpreter's digit limit is a malformed-input
     # error naming the file, like every other parse error.
     digits = "1" * 5001
@@ -964,8 +1102,38 @@ def test_over_long_integer_exits_two_naming_the_file(tmp_path, command):
     path.write_text('{"dims": [' + digits + ', 2]}')
     with pytest.raises(ValueError) as conversion:
         int(digits)
-    assert run_on_input(command, path)[::2] == (2, f"error: {path}: {conversion.value}\n")
+    out = tmp_path / "out"
+    argv = [arg.format(path=path) for arg in command] + ["--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {path}: {conversion.value}\n"
     assert sorted(tmp_path.iterdir()) == [path]
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077])
+def test_output_files_take_their_mode_from_the_umask(tmp_path, umask):
+    # As open(path, "w") creates a new file: 0o666 less the umask, which a
+    # child process inherits.
+    table = tmp_path / "table.json"
+    table.write_text(json.dumps({"A0_B0": 0.7, "A0_B1": 0.7, "A1_B0": 0.7, "A1_B1": -0.7}))
+    spec = tmp_path / "family.json"
+    spec.write_text(json.dumps({"kind": "tilted", "parameters": {"theta": 0.3}}))
+    for run, directory in each_runner(tmp_path):
+        previous = os.umask(umask)
+        try:
+            outputs = [directory / name for name in ("d.json", "r.json", "c.json", "s.csv",
+                                                     "b.json", "b.json.report.json")]
+            assert run(["canonical", "--mode", "chsh", "--out", str(outputs[0])])[0] == 0
+            assert run(["certify", "--device", str(outputs[0]), "--mode", "chsh",
+                        "--out", str(outputs[1])])[0] == 0
+            assert run(["correlations", "--table", str(table), "--mode", "chsh",
+                        "--out", str(outputs[2])])[0] == 0
+            assert run(["sweep", "--family", str(spec), "--out", str(outputs[3])])[0] == 0
+            assert run(["search", "--mode", "chsh", "--epsilon-ceiling", "0.05",
+                        "--budget", "3", "--out", str(outputs[4])])[0] == 0
+        finally:
+            os.umask(previous)
+        assert {path.name: stat.S_IMODE(path.stat().st_mode) for path in outputs} == {
+            path.name: 0o666 & ~umask for path in outputs}
 
 
 # Every subcommand that writes --out, its input files left as "{device}",
@@ -983,36 +1151,19 @@ def with_child(commands):
     """Parameters for ``command,run``: each command in-process, and the first
     once more as a child."""
     return [*(pytest.param(command, run_in_process, id=command[0]) for command in commands),
-            pytest.param(commands[0], run_child, id=f"{commands[0][0]}-child")]
+            pytest.param(commands[0], RUNNERS["child"], id=f"{commands[0][0]}-child")]
 
 
 @pytest.fixture
 def out_argv(tmp_path):
     """Writes the input files OUT_COMMANDS name; gives one command's argv
     with them filled in and ``--out`` the given path."""
-    inputs = {"device": save_device(tmp_path / "device.json", canonical_chsh_device()),
-              "table": write_json(tmp_path / "table.json", {"A0_B0": 0.7, "A0_B1": 0.7,
-                                                            "A1_B0": 0.7, "A1_B1": -0.7}),
-              "family": write_json(tmp_path / "family.json",
-                                   {"kind": "tilted", "parameters": {"theta": 0.3}})}
+    inputs = {name: tmp_path / f"{name}.json" for name in ("device", "table", "family")}
+    save_device(inputs["device"], canonical_chsh_device())
+    inputs["table"].write_text(json.dumps({"A0_B0": 0.7, "A0_B1": 0.7, "A1_B0": 0.7,
+                                           "A1_B1": -0.7}))
+    inputs["family"].write_text(json.dumps({"kind": "tilted", "parameters": {"theta": 0.3}}))
     return lambda command, out: [arg.format(**inputs) for arg in command] + ["--out", str(out)]
-
-
-@pytest.mark.parametrize("umask", [0o022, 0o077])
-def test_output_files_take_their_mode_from_the_umask(tmp_path, out_argv, umask):
-    # As open(path, "w") creates a new file: 0o666 less the umask, which a
-    # child process inherits.
-    outputs = [tmp_path / name for name in ("d.json", "r.json", "c.json", "s.csv",
-                                            "b.json", "b.json.report.json")]
-    for run in RUNNERS:
-        previous = os.umask(umask)
-        try:
-            for command, out in zip(OUT_COMMANDS, outputs):
-                assert run(out_argv(command, out))[0] == 0
-        finally:
-            os.umask(previous)
-        assert {path.name: stat.S_IMODE(path.stat().st_mode) for path in outputs} == {
-            path.name: 0o666 & ~umask for path in outputs}
 
 
 @pytest.mark.parametrize("target,reason", [("missing/out.json", "No such file or directory"),
@@ -1026,7 +1177,8 @@ def test_unwritable_out_exits_two_naming_it(tmp_path, out_argv, command, run, ta
     before = sorted(tmp_path.rglob("*"))
     out = tmp_path / target
     code, _, stderr = run(out_argv(command, out))
-    assert (code, stderr) == (2, f"error: cannot write {out}: {reason}\n")
+    assert code == 2
+    assert stderr == f"error: cannot write {out}: {reason}\n"
     assert ".tmp" not in stderr
     assert sorted(tmp_path.rglob("*")) == before
 

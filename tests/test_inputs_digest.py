@@ -20,9 +20,8 @@ import math
 import numpy as np
 import pytest
 
-from helpers import RUNNERS
+from helpers import each_runner
 from singlet_selftest.cli import main
-from singlet_selftest.device import canonical_chsh_device
 from singlet_selftest.documents import (
     complex_to_json,
     device_to_document,
@@ -165,20 +164,23 @@ def test_huge_entry_digest_is_the_loaded_devices_digest(tmp_path):
 
 
 def test_rewritten_canonical_documents_give_the_same_report_file(tmp_path):
-    # The digest re-encodes the loaded device, so the canonical document with
-    # its integral entries written as integers, or with its keys in reverse
-    # order, other metadata and an unknown key, gives the same report file,
-    # inputsDigest included.
-    doc = device_to_document(canonical_chsh_device(), {"generator": "canonical", "mode": "chsh"})
-    texts = [json.dumps(doc), json.dumps(_integral(doc)), json.dumps(_reversed({
-        **doc, "metadata": {"source": "hand-edited", "note": [1, 2.5, None]},
-        "comment": "an unknown top-level key"}))]
-    assert "[1, 0]" in texts[1] and texts[2].startswith('{"comment":')
-    for run in RUNNERS:
+    # The digest re-encodes the loaded device, so the document canonical
+    # writes, with its integral entries written as integers, or with its keys
+    # in reverse order, other metadata and an unknown key, gives the same
+    # report file, inputsDigest included.
+    for run, directory in each_runner(tmp_path):
+        paths = [directory / name for name in ("c.json", "ci.json", "cr.json")]
+        assert run(["canonical", "--mode", "chsh", "--out", str(paths[0])])[0] == 0
+        doc = json.loads(paths[0].read_text())
+        paths[1].write_text(json.dumps(_integral(doc)))
+        paths[2].write_text(json.dumps(_reversed({
+            **doc, "metadata": {"source": "hand-edited", "note": [1, 2.5, None]},
+            "comment": "an unknown top-level key"})))
+        assert "[1, 0]" in paths[1].read_text()
+        assert paths[2].read_text().startswith('{"comment":')
         reports = []
-        for index, text in enumerate(texts):
-            path, out = tmp_path / f"device{index}.json", tmp_path / f"report{index}.json"
-            path.write_text(text)
+        for path in paths:
+            out = path.with_suffix(".report.json")
             assert run(["certify", "--device", str(path), "--mode", "chsh",
                         "--out", str(out)])[0] == 0
             reports.append(out.read_bytes())
